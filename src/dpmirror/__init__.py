@@ -12,13 +12,13 @@ from .geometry import FeasibleSet, Potential, mirror_step
 from .losses import (DataPoint, LossOracle, PopulationSpec, draw_arrays,
                      draw_dataset, draw_sample, lipschitz_certificate,
                      load_dataset, save_dataset)
-from .optimizer import (BaselineResult, RiskEstimate, RunConfig, RunTrace,
-                        baseline_minimizer, estimate_regret, estimate_risk,
-                        private_sgd, write_run_summary, write_trace_csv)
+from .optimizer import (BaselineResult, RiskEstimate, RunBatch, RunConfig,
+                        RunTrace, baseline_minimizer, estimate_regret,
+                        estimate_risk, private_sgd, private_sgd_batch)
 from .privacy import (AuditResult, EndToEndPlan, InternalBudget, PrivacyReport,
                       StepPrivacy, amplify_by_subsampling, audit_single_step,
                       calibrate_sigma, compose, end_to_end, from_target)
-from .sampler import FreshSet, TauStats, expected_tau, sample_index, simulate_tau
+from .sampler import TauStats, expected_tau, sample_index, simulate_tau
 
 __version__ = "0.1.0"
 
@@ -28,11 +28,11 @@ __all__ = [
     "DataPoint", "LossOracle", "PopulationSpec", "draw_arrays",
     "draw_dataset", "draw_sample",
     "lipschitz_certificate", "load_dataset", "save_dataset",
-    "BaselineResult", "RiskEstimate", "RunConfig", "RunTrace",
+    "BaselineResult", "RiskEstimate", "RunBatch", "RunConfig", "RunTrace",
     "baseline_minimizer", "estimate_regret", "estimate_risk", "private_sgd",
-    "write_run_summary", "write_trace_csv",
+    "private_sgd_batch",
     "AuditResult", "EndToEndPlan", "InternalBudget", "PrivacyReport",
     "StepPrivacy", "amplify_by_subsampling", "audit_single_step",
     "calibrate_sigma", "compose", "end_to_end", "from_target",
-    "FreshSet", "TauStats", "expected_tau", "sample_index", "simulate_tau",
+    "TauStats", "expected_tau", "sample_index", "simulate_tau",
 ]

@@ -4,6 +4,7 @@ Projections are closed-form (ball: radial scaling, box: coordinatewise
 clamp), so no iterative solver is involved anywhere in this module.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,11 +72,30 @@ class FeasibleSet:
         p = _as_vector(point, self.dimension, "project: point")
         if self.kind == L2_BALL:
             offset = p - self.center
-            norm = np.linalg.norm(offset)
+            norm = math.sqrt(offset.dot(offset))   # same bits as np.linalg.norm, faster
             if norm <= self.radius:
                 return p
             return self.center + offset * (self.radius / norm)
-        return np.clip(p, self.lower, self.upper)
+        return p.clip(self.lower, self.upper)
+
+    def project_rows(self, points):
+        """project() applied to each row of a stacked (..., d) float array.
+
+        No input checks: this is the optimizer's per-step projection, whose
+        inputs are checked once at run entry. Rows already in the set are
+        returned unchanged, as in project().
+        """
+        if self.kind == L2_BALL:
+            offset = points - self.center
+            norms = np.sqrt(np.einsum("...i,...i->...", offset, offset))
+            outside = norms > self.radius
+            if not outside.any():
+                return points
+            projected = points.copy()
+            projected[outside] = self.center + offset[outside] * (
+                self.radius / norms[outside])[:, None]
+            return projected
+        return points.clip(self.lower, self.upper)
 
     def contains(self, point, tol=MEMBERSHIP_TOL):
         p = _as_vector(point, self.dimension, "contains: point")

@@ -37,12 +37,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, OverrunError
+from .errors import ConfigurationError
 from .geometry import FeasibleSet
 from .losses import (ABSOLUTE, HINGE, LINEAR_MARGIN, SQUARED, UNIFORM_BALL,
                      LossOracle, PopulationSpec, draw_dataset)
-from .optimizer import (RunConfig, baseline_minimizer, estimate_regret,
-                        estimate_risk, private_sgd)
+# private_sgd is not called here; perfbench/spans.py wraps it by this name.
+from .optimizer import (RunConfig, baseline_minimizer, estimate_regret,  # noqa: F401
+                        estimate_risk, private_sgd, private_sgd_batch)
 from .privacy import end_to_end
 from .sampler import simulate_tau
 
@@ -285,9 +286,11 @@ def run_experiment(spec):
 
     Per repeat: draw a fresh dataset, run the private optimizer, estimate
     the output's risk, and measure regret against the reference minimizer.
-    Repeats use seeds derived from (seed, cell, repeat), so results do not
-    depend on execution order. Reported stderr adds the reference
-    minimizer's own error bound so bound checks stay honest.
+    The repeats of a cell run together in one private_sgd_batch call; each
+    uses seeds derived from (seed, cell, repeat), so results do not depend
+    on execution order. A repeat that overruns max_steps is counted in
+    overrun_runs and left out of the cell's means. Reported stderr adds the
+    reference minimizer's own error bound so bound checks stay honest.
     """
     d = spec.population.dimension
     D = spec.feasible_set.diameter()
@@ -316,26 +319,27 @@ def run_experiment(spec):
                 report_eps = plan.report.epsilon
                 report_delta = plan.report.delta_total
 
-            taus, regrets, excesses = [], [], []
-            overruns = 0
+            features = np.empty((spec.repeats, n, d))
+            labels = np.empty((spec.repeats, n))
             for r in range(spec.repeats):
                 data_rng = np.random.default_rng(
                     np.random.SeedSequence(entropy=[spec.seed, n_idx, e_idx, r, 0]))
-                dataset = draw_dataset(spec.population, n, data_rng)
-                config = RunConfig(
-                    n=n, d=d, eta=eta, sigma=sigma, feasible_set=spec.feasible_set,
-                    oracle=spec.oracle, w1=w1,
-                    seed=_run_seed(spec.seed, n_idx, e_idx, r, 1),
-                )
-                try:
-                    trace = private_sgd(config, dataset)
-                except OverrunError:
-                    overruns += 1
-                    continue
-                taus.append(trace.tau)
-                regrets.append(estimate_regret(trace, dataset, baseline.w, config))
+                features[r], labels[r] = draw_dataset(spec.population, n, data_rng)
+            seeds = [_run_seed(spec.seed, n_idx, e_idx, r, 1)
+                     for r in range(spec.repeats)]
+            config = RunConfig(n=n, d=d, eta=eta, sigma=sigma,
+                               feasible_set=spec.feasible_set, oracle=spec.oracle,
+                               w1=w1, seed=seeds[0])
+            batch = private_sgd_batch(config, seeds, features, labels)
+            all_regrets = estimate_regret(batch, (features, labels), baseline.w, config)
+            finished = np.flatnonzero(~batch.overrun)
+            overruns = spec.repeats - finished.size
+            taus = batch.tau[finished].tolist()
+            regrets = all_regrets[finished].tolist()
+            excesses = []
+            for r in finished.tolist():
                 risk = estimate_risk(
-                    trace.output, spec.population, spec.oracle, spec.eval_samples,
+                    batch.output[r], spec.population, spec.oracle, spec.eval_samples,
                     rng=np.random.default_rng(
                         np.random.SeedSequence(entropy=[spec.seed, n_idx, e_idx, r, 2])))
                 excesses.append(risk.mean - base_risk.mean)

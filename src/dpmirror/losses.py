@@ -84,14 +84,39 @@ class LossOracle:
         L = lipschitz_certificate(SQUARED, feature_bound, feasible_set, label_bound)
         return cls(SQUARED, L, smooth=True)
 
-    def value(self, w, point):
+    def loss_at(self, z, labels):
+        """Loss as a function of the margin z = <w, x>, elementwise."""
+        if self.kind == HINGE:
+            return np.maximum(0.0, 1.0 - labels * z)
+        if self.kind == ABSOLUTE:
+            return np.abs(z - labels)
+        return 0.5 * (z - labels) ** 2
+
+    def slope_at(self, z, labels):
+        """d loss / d z at the margin z, elementwise; a subgradient in w is slope * x.
+
+        At the hinge kink (margin exactly 1) the slope is -label, giving the
+        extreme subgradient -label*features; at the absolute-loss kink, zero.
+        """
+        if self.kind == HINGE:
+            # -label where the margin label*z is at most 1, else 0; written
+            # without np.where so scalar calls stay cheap.
+            return -labels * (labels * z <= 1.0)
+        if self.kind == ABSOLUTE:
+            return np.sign(z - labels)
+        return z - labels
+
+    def _margin(self, w, point, what):
         w = np.asarray(w, dtype=float)
         x = point.features
         if w.shape != x.shape:
             raise ConfigurationError(
-                f"loss value: w shape {w.shape} != feature shape {x.shape}"
+                f"{what}: w shape {w.shape} != feature shape {x.shape}"
             )
-        z = float(w @ x)
+        return float(w @ x)
+
+    def value(self, w, point):
+        z = self._margin(w, point, "loss value")
         if self.kind == HINGE:
             return max(0.0, 1.0 - point.label * z)
         if self.kind == ABSOLUTE:
@@ -99,39 +124,27 @@ class LossOracle:
         return 0.5 * (z - point.label) ** 2
 
     def subgradient(self, w, point):
-        """An arbitrary-but-fixed element of the subdifferential at w.
+        """An arbitrary-but-fixed element of the subdifferential at w (see slope_at)."""
+        z = self._margin(w, point, "subgradient")
+        return self.slope_at(z, point.label) * point.features
 
-        At the hinge kink (margin exactly 1) the extreme subgradient
-        -label*features is returned; at the absolute-loss kink, zero.
+    def subgradient_rows(self, w, features, labels):
+        """subgradient() for each row of stacked (..., d) iterates and features.
+
+        No input checks: this is the optimizer's per-step subgradient, whose
+        inputs are checked once at run entry.
         """
-        w = np.asarray(w, dtype=float)
-        x = point.features
-        if w.shape != x.shape:
-            raise ConfigurationError(
-                f"subgradient: w shape {w.shape} != feature shape {x.shape}"
-            )
-        z = float(w @ x)
-        if self.kind == HINGE:
-            if point.label * z > 1.0:
-                return np.zeros_like(x)
-            return -point.label * x
-        if self.kind == ABSOLUTE:
-            return float(np.sign(z - point.label)) * x
-        return (z - point.label) * x
+        z = np.einsum("...i,...i->...", w, features)
+        return self.slope_at(z, labels)[..., None] * features
 
     def batch_values(self, w, features, labels):
-        """Loss values for one w against a stacked (m, d) feature matrix.
+        """Loss values for one w against a stacked (..., d) feature array.
 
         Vectorized convenience for Monte-Carlo risk evaluation; agrees with
         value() pointwise.
         """
         z = np.asarray(features, dtype=float) @ np.asarray(w, dtype=float)
-        labels = np.asarray(labels, dtype=float)
-        if self.kind == HINGE:
-            return np.maximum(0.0, 1.0 - labels * z)
-        if self.kind == ABSOLUTE:
-            return np.abs(z - labels)
-        return 0.5 * (z - labels) ** 2
+        return self.loss_at(z, np.asarray(labels, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -193,11 +206,11 @@ def draw_sample(spec, rng):
 
 
 def draw_arrays(spec, n, rng=None):
-    """n i.i.d. draws as stacked (features, labels) arrays.
+    """A dataset of n i.i.d. draws: (features, labels) arrays of shape (n, d), (n,).
 
-    Same distribution as draw_sample, drawn in vectorized blocks (so the
-    two paths consume the generator differently but are interchangeable
-    statistically). Preferred for large batches.
+    Reproducible from spec.seed when no rng is passed. Same distribution as
+    draw_sample, drawn in vectorized blocks (so the two paths consume the
+    generator differently but are interchangeable statistically).
     """
     if n < 1:
         raise ConfigurationError(f"draw_arrays: n must be >= 1, got {n}")
@@ -217,36 +230,31 @@ def draw_arrays(spec, n, rng=None):
     return features, labels
 
 
-def draw_dataset(spec, n, rng=None):
-    """n i.i.d. draws; reproducible from spec.seed when no rng is passed."""
-    features, labels = draw_arrays(spec, n, rng)
-    return [DataPoint(features[i], float(labels[i])) for i in range(n)]
-
-
-def as_arrays(dataset):
-    """Stack a list of DataPoints into (features, labels) arrays."""
-    features = np.stack([p.features for p in dataset])
-    labels = np.array([p.label for p in dataset])
-    return features, labels
+# A dataset is the (features, labels) array pair; this is its public name.
+draw_dataset = draw_arrays
 
 
 def save_dataset(path, dataset, seed=0):
     """One record per line, comma-separated features then label.
 
-    The header line carries dimension, count and generating seed so files
-    are self-describing.
+    dataset is a (features, labels) pair. The header line carries
+    dimension, count and generating seed so files are self-describing.
     """
-    dim = dataset[0].features.shape[0]
+    features, labels = dataset
+    n, dim = features.shape
     with open(path, "w") as fh:
-        fh.write(f"# dim={dim} n={len(dataset)} seed={seed}\n")
-        for p in dataset:
-            cells = [f"{v:.17g}" for v in p.features] + [f"{p.label:.17g}"]
+        fh.write(f"# dim={dim} n={n} seed={seed}\n")
+        for row, label in zip(features, labels):
+            cells = [f"{v:.17g}" for v in row] + [f"{label:.17g}"]
             fh.write(",".join(cells) + "\n")
 
 
 def load_dataset(path, feature_bound=None):
-    """Read a dataset file, optionally validating the feature-norm bound."""
-    dataset = []
+    """Read a dataset file into a (features, labels) pair.
+
+    Optionally validates the feature-norm bound, row by row.
+    """
+    rows = []
     with open(path) as fh:
         header = fh.readline()
         if not header.startswith("# dim="):
@@ -261,11 +269,11 @@ def load_dataset(path, feature_bound=None):
                 raise ConfigurationError(
                     f"{path}:{line_no}: expected {dim + 1} fields, got {len(cells)}"
                 )
-            features = np.array(cells[:-1])
             if feature_bound is not None:
-                if np.linalg.norm(features) > feature_bound + 1e-9:
+                if np.linalg.norm(cells[:-1]) > feature_bound + 1e-9:
                     raise ConfigurationError(
                         f"{path}:{line_no}: feature norm exceeds bound {feature_bound}"
                     )
-            dataset.append(DataPoint(features, cells[-1]))
-    return dataset
+            rows.append(cells)
+    table = np.array(rows, dtype=float).reshape(-1, dim + 1)
+    return table[:, :-1], table[:, -1]

@@ -21,38 +21,6 @@ def sample_index(rng, n):
     return int(rng.integers(0, n))
 
 
-class FreshSet:
-    """Tracks which dataset indices have been seen during one run.
-
-    Single-owner mutable state: one run owns one FreshSet.
-    """
-
-    def __init__(self, n):
-        if n < 1:
-            raise ConfigurationError(f"FreshSet: n must be >= 1, got {n}")
-        self.n = int(n)
-        self.seen = np.zeros(self.n, dtype=bool)
-        self.count = 0
-
-    def record(self, idx):
-        """Mark idx as seen; True iff this is its first occurrence."""
-        if not 0 <= idx < self.n:
-            raise IndexError(f"FreshSet.record: index {idx} out of range [0, {self.n})")
-        if self.seen[idx]:
-            return False
-        self.seen[idx] = True
-        self.count += 1
-        return True
-
-    def should_stop(self):
-        """True once the fresh count exceeds floor(n/2).
-
-        Matches the loop guard "continue while count <= n/2": the run halts
-        at the first step where strictly more than half the indices are seen.
-        """
-        return self.count > self.n // 2
-
-
 def fresh_target(n):
     """Number of distinct indices needed before the run stops."""
     return n // 2 + 1
@@ -95,15 +63,25 @@ class TauStats:
         }
 
 
+def first_arrivals(draws):
+    """Positions (0-based, increasing) at which each distinct value first appears.
+
+    For an index stream these are the fresh steps: the run stops after the
+    step at position first_arrivals(draws)[fresh_target(n) - 1]. The
+    optimizer and simulate_tau both read the stopping time off this.
+    """
+    return np.sort(np.unique(draws, return_index=True)[1])
+
+
 def _tau_one_trial(n, target, rng):
     # Block-draws the index stream and reads off the arrival time of the
     # target-th distinct value; redraws are vanishingly rare past 4n.
     block = max(4 * n, 8)
     draws = rng.integers(0, n, size=block)
     while True:
-        distinct, first_seen = np.unique(draws, return_index=True)
-        if distinct.size >= target:
-            return int(np.sort(first_seen)[target - 1]) + 1
+        arrivals = first_arrivals(draws)
+        if arrivals.size >= target:
+            return int(arrivals[target - 1]) + 1
         draws = np.concatenate([draws, rng.integers(0, n, size=block)])
 
 

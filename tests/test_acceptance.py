@@ -17,7 +17,7 @@ from dpmirror.geometry import FeasibleSet, Potential
 from dpmirror.losses import (DataPoint, LossOracle, PopulationSpec,
                              draw_dataset)
 from dpmirror.optimizer import (RunConfig, baseline_minimizer, estimate_regret,
-                                estimate_risk, private_sgd)
+                                estimate_risk, private_sgd, private_sgd_batch)
 from dpmirror.privacy import (audit_single_step, calibrate_sigma, end_to_end,
                               from_target)
 from dpmirror.sampler import simulate_tau
@@ -50,7 +50,8 @@ def private_run_grid():
     """200 seeded private runs per (d, n) cell of the hinge benchmark.
 
     D = 1 (ball of radius 0.5), L = 1, sigma and eta from the end-to-end
-    accountant at epsilon = 1/(2*sqrt(n)).
+    accountant at epsilon = 1/(2*sqrt(n)). The 200 runs of a cell go
+    through one private_sgd_batch call.
     """
     started = time.time()
     cells = {}
@@ -66,23 +67,28 @@ def private_run_grid():
         for n in GRID_NS:
             eps = 1.0 / (2.0 * math.sqrt(n))
             plan = end_to_end(n, eps, DELTA, DELTA_PRIME, L=1.0, D=1.0, d=d)
-            taus, regrets, excesses = [], [], []
+            datasets = [draw_dataset(population, n, derived_rng(d, n, r, 0))
+                        for r in range(GRID_REPEATS)]
+            features = np.stack([f for f, _ in datasets])
+            labels = np.stack([y for _, y in datasets])
+            seeds = [derived_seed(d, n, r, 1) for r in range(GRID_REPEATS)]
+            config = RunConfig(n=n, d=d, eta=plan.eta, sigma=plan.sigma,
+                               feasible_set=feasible, oracle=oracle,
+                               w1=np.zeros(d), seed=seeds[0])
+            batch = private_sgd_batch(config, seeds, features, labels)
+            assert not batch.overrun.any()
+            taus = batch.tau
+            regrets = estimate_regret(batch, (features, labels), baseline.w, config)
+            excesses = []
             for r in range(GRID_REPEATS):
-                dataset = draw_dataset(population, n, derived_rng(d, n, r, 0))
-                config = RunConfig(n=n, d=d, eta=plan.eta, sigma=plan.sigma,
-                                   feasible_set=feasible, oracle=oracle,
-                                   w1=np.zeros(d), seed=derived_seed(d, n, r, 1))
-                trace = private_sgd(config, dataset)
-                taus.append(trace.tau)
-                regrets.append(estimate_regret(trace, dataset, baseline.w, config))
-                risk = estimate_risk(trace.output, population, oracle, 2000,
+                risk = estimate_risk(batch.output[r], population, oracle, 2000,
                                      rng=derived_rng(d, n, r, 2))
                 excesses.append(risk.mean - base_risk.mean)
             excesses = np.array(excesses)
             cells[(d, n)] = {
                 "sigma": plan.sigma,
-                "taus": np.array(taus),
-                "regrets": np.array(regrets),
+                "taus": taus,
+                "regrets": regrets,
                 "mean_excess": float(excesses.mean()),
                 "run_stderr": float(excesses.std(ddof=1) / math.sqrt(GRID_REPEATS)),
                 "oracle_error": baseline.error_bound + base_risk.stderr,
@@ -263,27 +269,28 @@ def test_criterion_7_noiseless_equivalence():
             oracle = LossOracle.absolute(1.0)
         else:
             oracle = LossOracle.hinge(1.0)
-        dataset = []
+        rows = []
         for _ in range(n):
             feats = rng.normal(size=d)
             feats /= max(1.0, float(np.linalg.norm(feats)))
-            dataset.append(DataPoint(feats, float(rng.choice([-1.0, 1.0]))))
+            rows.append((feats, float(rng.choice([-1.0, 1.0]))))
+        features = np.array([f for f, _ in rows])
+        labels = np.array([y for _, y in rows])
         w1 = project(rng.normal(scale=0.5, size=d))
         config = RunConfig(n=n, d=d, eta=eta, sigma=0.0, feasible_set=feasible,
                            oracle=oracle, w1=w1, seed=derived_seed(7, case))
-        trace = private_sgd(config, dataset)
+        trace = private_sgd(config, (features, labels))
 
         w = w1.copy()
-        for rec in trace.steps:
-            worst = max(worst, float(np.max(np.abs(rec.iterate_before - w))))
-            point = dataset[rec.index]
-            if rec.fresh:
-                g = plain_subgradient(kind, w, point.features, point.label)
+        for t in range(trace.tau):
+            worst = max(worst, float(np.max(np.abs(trace.iterates[t] - w))))
+            if trace.fresh[t]:
+                i = trace.indices[t]
+                g = plain_subgradient(kind, w, features[i], labels[i])
                 w = project(w - eta * g)
             else:
                 w = project(w)
-        replay_out = np.mean([trace.steps[t - 1].iterate_before
-                              for t in trace.fresh_step_times], axis=0)
+        replay_out = np.mean(trace.iterates[trace.fresh], axis=0)
         worst = max(worst, float(np.max(np.abs(trace.output - replay_out))))
     check(7, "noiseless trajectory equivalence", worst <= 1e-12,
           f"max per-coordinate gap {worst:.2e} over 100 configs")

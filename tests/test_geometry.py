@@ -62,6 +62,19 @@ class TestProjection:
         with pytest.raises(ConfigurationError):
             ball.project(np.array([1.0, 2.0, 3.0]))
 
+    def test_rows_match_pointwise(self):
+        rng = np.random.default_rng(37)
+        for s in random_sets(10, 3, rng):
+            points = rng.normal(scale=3.0, size=(50, 3))
+            rows = s.project_rows(points)
+            assert rows.shape == (50, 3)
+            for point, row in zip(points, rows):
+                np.testing.assert_allclose(row, s.project(point), rtol=0.0, atol=1e-12)
+            # rows already in the set come back unchanged
+            middle = s.center if s.kind == "l2_ball" else (s.lower + s.upper) / 2.0
+            inside = middle + 0.01 * rng.uniform(-1.0, 1.0, size=(5, 3))
+            np.testing.assert_array_equal(s.project_rows(inside), inside)
+
     def test_diameter(self):
         assert FeasibleSet.l2_ball(1.5, dimension=3).diameter() == 3.0
         box = FeasibleSet.box([0.0, 0.0], [3.0, 4.0])

@@ -5,11 +5,21 @@ import time
 import numpy as np
 import pytest
 
+import dpmirror.harness as harness_mod
 from dpmirror import cli
 from dpmirror.errors import ConfigurationError
 from dpmirror.harness import (CELL_COLUMNS, build_spec, parse_kv_file,
                               run_and_write, run_tau_sim)
+from dpmirror.optimizer import private_sgd_batch
 from dpmirror.sampler import simulate_tau
+
+
+def always_overruns(config, seeds, features, labels):
+    """The harness's batch engine with every run reported as an overrun."""
+    batch = private_sgd_batch(config, seeds, features, labels)
+    batch.overrun[:] = True
+    batch.output[:] = np.nan
+    return batch
 
 
 def base_overrides(tmp_path, **extra):
@@ -153,13 +163,7 @@ class TestRunCommand:
             run_tau_sim([16], 10, seed=3, output_dir=str(tmp_path))
 
     def test_overrunning_cells_marked_degraded(self, tmp_path, monkeypatch):
-        import dpmirror.harness as harness_mod
-        from dpmirror.errors import OverrunError
-
-        def always_overruns(config, dataset):
-            raise OverrunError("forced", trace=None)
-
-        monkeypatch.setattr(harness_mod, "private_sgd", always_overruns)
+        monkeypatch.setattr(harness_mod, "private_sgd_batch", always_overruns)
         spec = build_spec(base_overrides(tmp_path, repeats="4"))
         result = run_and_write(spec)
         cell = result.cells[0]
@@ -236,13 +240,7 @@ class TestCli:
         assert rc == 4
 
     def test_run_exit_5_when_degraded(self, tmp_path, capsys, monkeypatch):
-        import dpmirror.harness as harness_mod
-        from dpmirror.errors import OverrunError
-
-        def always_overruns(config, dataset):
-            raise OverrunError("forced", trace=None)
-
-        monkeypatch.setattr(harness_mod, "private_sgd", always_overruns)
+        monkeypatch.setattr(harness_mod, "private_sgd_batch", always_overruns)
         rc = cli.main(["run", "--n-values", "16", "--epsilon-values", "max",
                        "--repeats", "2", "--seed", "5", "--eval-samples", "200",
                        "--baseline-steps", "10000", "--output-dir", str(tmp_path)])

@@ -54,6 +54,29 @@ class TestLossValues:
                     oracle.value(w, point(feats[i], labels[i])), abs=1e-12)
 
 
+class TestRowwise:
+    """The optimizer's stacked per-step subgradient agrees with subgradient()."""
+
+    def test_subgradient_rows_match_pointwise(self):
+        rng = np.random.default_rng(44)
+        fs = FeasibleSet.l2_ball(1.0, dimension=3)
+        oracles = [LossOracle.hinge(1.0), LossOracle.absolute(1.0),
+                   LossOracle.squared(1.0, fs)]
+        w = rng.uniform(-2.0, 2.0, size=(64, 3))
+        feats = rng.normal(size=(64, 3))
+        labels = rng.choice([-1.0, 1.0], size=64)
+        # put a few rows exactly on the hinge kink and the absolute-loss kink
+        w[0], feats[0], labels[0] = [0.8, -0.6, 0.0], [0.8, -0.6, 0.0], 1.0
+        w[1], feats[1], labels[1] = [1.0, 0.0, 0.0], [-1.0, 0.0, 0.0], -1.0
+        for oracle in oracles:
+            rows = oracle.subgradient_rows(w, feats, labels)
+            assert rows.shape == (64, 3)
+            for i in range(64):
+                np.testing.assert_allclose(
+                    rows[i], oracle.subgradient(w[i], point(feats[i], labels[i])),
+                    rtol=0.0, atol=1e-12)
+
+
 class TestSubgradients:
     def test_hinge_flat_region(self):
         oracle = LossOracle.hinge(1.0)
@@ -193,35 +216,34 @@ class TestPopulations:
 
     def test_noiseless_labels_agree_with_margin(self):
         spec = self.spec()
-        for p in draw_dataset(spec, 2000):
-            assert p.label * float(spec.w_true @ p.features) >= 0.0
+        features, labels = draw_dataset(spec, 2000)
+        assert features.shape == (2000, 2) and labels.shape == (2000,)
+        assert np.all(labels * (features @ spec.w_true) >= 0.0)
 
     def test_feature_bound_holds(self):
         spec = PopulationSpec("uniform_ball", 3, 0.7, seed=1)
-        for p in draw_dataset(spec, 2000):
-            assert np.linalg.norm(p.features) <= 0.7 + 1e-12
+        features, _ = draw_dataset(spec, 2000)
+        assert np.all(np.linalg.norm(features, axis=1) <= 0.7 + 1e-12)
 
     def test_fixed_seed_reproduces(self):
         spec = self.spec(noise=0.3)
-        a = draw_dataset(spec, 100)
-        b = draw_dataset(spec, 100)
-        for pa, pb in zip(a, b):
-            np.testing.assert_array_equal(pa.features, pb.features)
-            assert pa.label == pb.label
+        a_features, a_labels = draw_dataset(spec, 100)
+        b_features, b_labels = draw_dataset(spec, 100)
+        np.testing.assert_array_equal(a_features, b_features)
+        np.testing.assert_array_equal(a_labels, b_labels)
 
     def test_flip_rate_half(self):
         spec = self.spec(noise=0.5, seed=8)
-        flips = 0
         n = 10_000
-        for p in draw_dataset(spec, n):
-            clean = 1.0 if float(spec.w_true @ p.features) >= 0.0 else -1.0
-            flips += p.label != clean
+        features, labels = draw_dataset(spec, n)
+        clean = np.where(features @ spec.w_true >= 0.0, 1.0, -1.0)
+        flips = int(np.sum(labels != clean))
         assert 0.45 <= flips / n <= 0.55
 
     def test_uniform_ball_labels(self):
         spec = PopulationSpec("uniform_ball", 2, 1.0, seed=2)
-        labels = [p.label for p in draw_dataset(spec, 1000)]
-        assert all(-1.0 <= v <= 1.0 for v in labels)
+        _, labels = draw_dataset(spec, 1000)
+        assert np.all((-1.0 <= labels) & (labels <= 1.0))
 
     def test_batched_draws_match_scalar_distribution(self):
         # draw_arrays and draw_sample consume the generator differently but
@@ -257,14 +279,13 @@ class TestSerialization:
     def test_round_trip(self, tmp_path):
         spec = PopulationSpec("linear_margin", 3, 1.0, seed=9,
                               w_true=np.array([0.0, 1.0, 0.0]), noise_rate=0.2)
-        data = draw_dataset(spec, 50)
+        features, labels = draw_dataset(spec, 50)
         path = os.path.join(tmp_path, "data.csv")
-        save_dataset(path, data, seed=9)
-        loaded = load_dataset(path, feature_bound=1.0)
-        assert len(loaded) == 50
-        for a, b in zip(data, loaded):
-            np.testing.assert_array_equal(a.features, b.features)
-            assert a.label == b.label
+        save_dataset(path, (features, labels), seed=9)
+        loaded_features, loaded_labels = load_dataset(path, feature_bound=1.0)
+        assert loaded_features.shape == (50, 3)
+        np.testing.assert_array_equal(loaded_features, features)
+        np.testing.assert_array_equal(loaded_labels, labels)
         with open(path) as fh:
             assert fh.readline().startswith("# dim=3 n=50 seed=9")
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dpmirror.errors import ConfigurationError
-from dpmirror.sampler import (FreshSet, expected_tau, fresh_target,
+from dpmirror.sampler import (expected_tau, first_arrivals, fresh_target,
                               sample_index, simulate_tau, write_tau_csv,
                               write_tau_summary)
 
@@ -43,53 +43,50 @@ class TestSampleIndex:
             sample_index(np.random.default_rng(0), 0)
 
 
+def stopping_step(draws, n):
+    """1-based step at which the fresh count first exceeds n/2, or None."""
+    arrivals = first_arrivals(np.asarray(draws))
+    target = fresh_target(n)
+    return int(arrivals[target - 1]) + 1 if arrivals.size >= target else None
+
+
 class TestFreshSet:
+    """The fresh set of an index stream: first_arrivals marks the draws that
+    add an index to it, and the run stops once it holds more than n/2."""
+
     def test_first_record_is_fresh(self):
-        fresh = FreshSet(10)
-        assert fresh.record(3) is True
-        assert fresh.count == 1
+        assert first_arrivals(np.array([3])).tolist() == [0]
+        rng = np.random.default_rng(1)
+        assert first_arrivals(rng.integers(0, 10, size=40))[0] == 0
 
     def test_repeat_is_stale(self):
-        fresh = FreshSet(10)
-        fresh.record(4)
-        assert fresh.record(4) is False
-        assert fresh.count == 1
+        assert first_arrivals(np.array([4, 4])).tolist() == [0]
+        assert first_arrivals(np.array([4, 2, 4, 2, 7])).tolist() == [0, 1, 4]
 
     def test_all_indices_recorded(self):
-        fresh = FreshSet(8)
-        for i in range(8):
-            fresh.record(i)
-        assert fresh.count == 8
-
-    def test_out_of_range(self):
-        fresh = FreshSet(4)
-        with pytest.raises(IndexError):
-            fresh.record(4)
-        with pytest.raises(IndexError):
-            fresh.record(-1)
+        draws = np.random.default_rng(2).permutation(8)
+        assert first_arrivals(draws).tolist() == list(range(8))
 
     def test_should_stop_at_half(self):
-        fresh = FreshSet(10)
-        for i in range(5):
-            fresh.record(i)
-        assert not fresh.should_stop()     # count == n/2 keeps going
-        fresh.record(5)
-        assert fresh.should_stop()         # count exceeds n/2
+        draws = [0, 1, 2, 3, 4, 4, 5, 6]
+        assert stopping_step(draws[:6], 10) is None   # count == n/2 keeps going
+        assert stopping_step(draws, 10) == 7          # count exceeds n/2
 
     def test_should_stop_single_point(self):
-        fresh = FreshSet(1)
-        fresh.record(0)
-        assert fresh.should_stop()
+        assert stopping_step([0], 1) == 1
 
     def test_count_matches_set_bits(self):
         rng = np.random.default_rng(71)
-        fresh = FreshSet(30)
-        prev = 0
-        for _ in range(200):
-            fresh.record(int(rng.integers(0, 30)))
-            assert fresh.count == int(fresh.seen.sum())
-            assert fresh.count in (prev, prev + 1)   # increments by at most 1
-            prev = fresh.count
+        draws = rng.integers(0, 30, size=200)
+        arrivals = set(first_arrivals(draws).tolist())
+        seen, prev = set(), 0
+        for t, idx in enumerate(draws.tolist()):
+            seen.add(idx)
+            count = sum(1 for a in arrivals if a <= t)
+            assert count == len(seen)
+            assert count in (prev, prev + 1)   # increments by at most 1
+            assert (t in arrivals) == (count == prev + 1)
+            prev = count
 
 
 class TestSimulateTau:
@@ -120,18 +117,19 @@ class TestSimulateTau:
             assert stats.mean_tau <= 2 * n
 
     def test_matches_stepwise_bookkeeping(self):
-        # Replay each trial's generator and walk it through FreshSet /
-        # should_stop literally; the vectorized path must agree.
+        # Replay each trial's generator and walk it through a plain Python
+        # set, stopping once it holds more than n/2 indices; the vectorized
+        # path must agree.
         n, trials, seed = 24, 200, 17
         stats = simulate_tau(n, trials, seed)
         for trial in range(trials):
             rng = np.random.default_rng(np.random.SeedSequence(entropy=[seed, trial]))
             draws = rng.integers(0, n, size=max(4 * n, 8))
-            fresh = FreshSet(n)
+            seen = set()
             tau = None
             for t, idx in enumerate(draws, start=1):
-                fresh.record(int(idx))
-                if fresh.should_stop():
+                seen.add(int(idx))
+                if len(seen) > n // 2:
                     tau = t
                     break
             assert tau == stats.tau_samples[trial]
