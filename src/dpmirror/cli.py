@@ -25,6 +25,13 @@ EXIT_REGIME = 3
 EXIT_AUDIT = 4
 EXIT_OVERRUN = 5
 
+# Spec fields `run` takes as --flag (underscores as dashes) or as config
+# file keys; a flag wins over the file.
+RUN_OVERRIDES = ("name", "loss", "generator", "dimension", "feature_bound",
+                 "noise_rate", "w_true", "set", "radius", "lower", "upper",
+                 "n_values", "epsilon_values", "delta", "delta_prime", "repeats",
+                 "eval_samples", "baseline_steps", "sigma_override", "output_dir")
+
 
 def _resolve_seed(seed):
     # Reproducible mode needs an explicit --seed; otherwise draw one from
@@ -40,11 +47,8 @@ def _cmd_run(args):
     overrides = {}
     if args.config:
         overrides.update(parse_kv_file(args.config))
-    for key in ("name", "loss", "generator", "dimension", "feature_bound",
-                "noise_rate", "w_true", "set", "radius", "lower", "upper",
-                "n_values", "epsilon_values", "delta", "delta_prime", "repeats",
-                "eval_samples", "baseline_steps", "sigma_override", "output_dir"):
-        value = getattr(args, key.replace("-", "_"), None)
+    for key in RUN_OVERRIDES:
+        value = getattr(args, key)
         if value is not None:
             overrides[key] = value
     seed, _ = _resolve_seed(args.seed if args.seed is not None
@@ -124,13 +128,8 @@ def build_parser():
     run = sub.add_parser("run", help="run an experiment grid")
     run.add_argument("--config", help="flat key=value config file")
     run.add_argument("--seed", type=int)
-    for flag in ("name", "loss", "generator", "set", "w-true", "lower", "upper",
-                 "n-values", "epsilon-values", "output-dir"):
-        run.add_argument(f"--{flag}", dest=flag.replace("-", "_"))
-    for flag in ("dimension", "feature-bound", "noise-rate", "radius", "delta",
-                 "delta-prime", "repeats", "eval-samples", "baseline-steps",
-                 "sigma-override"):
-        run.add_argument(f"--{flag}", dest=flag.replace("-", "_"))
+    for key in RUN_OVERRIDES:
+        run.add_argument("--" + key.replace("_", "-"), dest=key)
     run.set_defaults(func=_cmd_run)
 
     tau = sub.add_parser("tau-sim", help="stopping-time Monte Carlo")

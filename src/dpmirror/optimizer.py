@@ -10,16 +10,16 @@ Noise convention: sigma is the per-coordinate standard deviation, i.e.
 noise is N(0, sigma^2 * I). This matches the accountant in privacy.py.
 
 The index stream does not depend on the iterates, so a run's indices are
-drawn up front as one block of max_steps draws, and its stopping time and
-fresh steps are read off that block with sampler.first_arrivals (the
-computation simulate_tau uses). Only the projected-step recursion is
-sequential. private_sgd_batch runs it for R runs at once (repeats that
-differ in seed and dataset) on (R, d) arrays, each row frozen once past its
-own stopping time; private_sgd is its R = 1 case. Each run draws its noise
-from its own generator in chunks of NOISE_CHUNK_STEPS steps. The values
-equal one standard_normal(d) draw per step, and memory stays O(R * chunk * d)
-rather than O(R * max_steps * d). Every run is reproducible from its seed
-alone, whatever batch it runs in.
+drawn up front as one block of max_steps draws. One sampler.first_arrivals
+call on the (R, max_steps) block of all runs gives every run's stopping
+time and fresh steps (the kernel simulate_tau uses). Only the
+projected-step recursion is sequential. private_sgd_batch runs it for R
+runs at once (repeats that differ in seed and dataset) on (R, d) arrays,
+each row frozen once past its own stopping time; private_sgd is its R = 1
+case. Each run draws its noise from its own generator in chunks of
+NOISE_CHUNK_STEPS steps. The values equal one standard_normal(d) draw per
+step, and memory stays O(R * chunk * d) rather than O(R * max_steps * d).
+Every run is reproducible from its seed alone, whatever batch it runs in.
 """
 
 import math
@@ -215,9 +215,9 @@ def private_sgd_batch(config, seeds, features, labels, record=False):
     # Index streams, stopping times and fresh steps, before any iterate.
     streams = [run_streams(seed) for seed in seeds]
     indices = np.stack([idx_rng.integers(0, n, size=max_steps) for idx_rng, _ in streams])
-    arrivals = [first_arrivals(row)[:target] for row in indices]
-    overrun = np.array([a.size < target for a in arrivals])
-    tau = np.array([a[-1] + 1 if a.size == target else max_steps for a in arrivals])
+    arrivals = first_arrivals(indices, n)[:, :target]
+    overrun = arrivals[:, -1] == max_steps
+    tau = np.where(overrun, max_steps, arrivals[:, -1] + 1)
     steps = int(tau.max())
 
     # Rows sorted by falling tau, so the rows still running at step t are a
@@ -230,9 +230,9 @@ def private_sgd_batch(config, seeds, features, labels, record=False):
 
     # Fresh steps of all rows as events grouped by step; bounds[t]:bounds[t+1]
     # are the events of step t.
-    ev_step = np.concatenate(arrivals)
-    ev_row = np.repeat(np.arange(rows), [a.size for a in arrivals])
-    ev_slot = np.concatenate([np.arange(a.size) for a in arrivals])
+    hit = arrivals < max_steps
+    ev_step = arrivals[hit]
+    ev_row, ev_slot = np.nonzero(hit)
     by_step = np.argsort(ev_step, kind="stable")
     ev_step, ev_row, ev_slot = ev_step[by_step], ev_row[by_step], ev_slot[by_step]
     ev_pos = position[ev_row]
@@ -291,7 +291,7 @@ def private_sgd_batch(config, seeds, features, labels, record=False):
         for r in range(rows):
             p, last = position[r], int(tau[r])
             fresh = np.zeros(last, dtype=bool)
-            fresh[arrivals[r]] = True
+            fresh[arrivals[r, hit[r]]] = True
             batch.traces.append(RunTrace(
                 indices=indices[r, :last], fresh=fresh,
                 iterates=iterates[:last, p].copy(),

@@ -74,6 +74,12 @@ class PrivacyReport:
         }
 
 
+def _check_positive(name, value):
+    # "not value > 0" alone lets inf through; NaN fails every comparison.
+    if not (math.isfinite(value) and value > 0):
+        raise ConfigurationError(f"{name} must be finite and positive, got {value}")
+
+
 def _check_delta(delta, name="delta"):
     if not 0.0 < delta < 1.0:
         raise ConfigurationError(f"{name} must lie in (0, 1), got {delta}")
@@ -85,10 +91,8 @@ def calibrate_sigma(L, delta, epsilon_tilde):
     sigma = L * sqrt(3 * ln(1/delta)) / epsilon_tilde, with L the bound on
     gradient norms (the step's sensitivity).
     """
-    if L <= 0:
-        raise ConfigurationError(f"L must be positive, got {L}")
-    if epsilon_tilde <= 0:
-        raise ConfigurationError(f"epsilon_tilde must be positive, got {epsilon_tilde}")
+    _check_positive("L", L)
+    _check_positive("epsilon_tilde", epsilon_tilde)
     _check_delta(delta)
     return L * math.sqrt(3.0 * math.log(1.0 / delta)) / epsilon_tilde
 
@@ -101,8 +105,7 @@ def amplify_by_subsampling(step):
         )
     if step.m < 1 or step.n < 1:
         raise ConfigurationError("m and n must be >= 1")
-    if step.epsilon_tilde <= 0:
-        raise ConfigurationError("epsilon_tilde must be positive")
+    _check_positive("epsilon_tilde", step.epsilon_tilde)
     _check_delta(step.delta)
     rate = step.m / step.n
     return PrivacyReport(
@@ -125,13 +128,12 @@ def compose(step, tau, delta_prime):
         )
     if tau < 0:
         raise ConfigurationError(f"tau must be >= 0, got {tau}")
+    _check_positive("epsilon_tilde", step.epsilon_tilde)
     if step.epsilon_tilde > LINEARIZATION_LIMIT:
         raise RegimeError(
             f"epsilon_tilde={step.epsilon_tilde} > {LINEARIZATION_LIMIT}: "
             "the linearization e^x - 1 <= 2x fails, composed bound invalid"
         )
-    if step.epsilon_tilde <= 0:
-        raise ConfigurationError("epsilon_tilde must be positive")
     _check_delta(step.delta)
     _check_delta(delta_prime, "delta_prime")
     n = step.n
@@ -178,8 +180,7 @@ def end_to_end(n, epsilon, delta, delta_prime, L, D, d):
     if n < 16:
         raise ConfigurationError(f"end_to_end requires n >= 16, got {n}")
     limit = 1.0 / (2.0 * math.sqrt(n))
-    if epsilon <= 0:
-        raise ConfigurationError(f"epsilon must be positive, got {epsilon}")
+    _check_positive("epsilon", epsilon)
     if epsilon > limit:
         raise RegimeError(
             f"epsilon={epsilon} violates epsilon <= 1/(2*sqrt(n)) = {limit}; "
@@ -187,8 +188,10 @@ def end_to_end(n, epsilon, delta, delta_prime, L, D, d):
         )
     _check_delta(delta)
     _check_delta(delta_prime, "delta_prime")
-    if L <= 0 or D <= 0 or d < 1:
-        raise ConfigurationError("L and D must be positive and d >= 1")
+    _check_positive("L", L)
+    _check_positive("D", D)
+    if d < 1:
+        raise ConfigurationError(f"d must be >= 1, got {d}")
 
     sigma = 8.0 * L * math.sqrt(math.log(1.0 / delta)) / (math.sqrt(n) * epsilon)
     eta = D / (math.sqrt(n) * (L + sigma * math.sqrt(d)))
@@ -226,8 +229,7 @@ def from_target(eps_bar, delta_bar, n):
     provided 6*exp(-n/16) <= delta_bar <= 3*e^-4 and the derived epsilon
     stays within end_to_end's regime epsilon <= 1/(2*sqrt(n)).
     """
-    if eps_bar <= 0:
-        raise ConfigurationError(f"eps_bar must be positive, got {eps_bar}")
+    _check_positive("eps_bar", eps_bar)
     if n < 16:
         raise ConfigurationError(f"from_target requires n >= 16, got {n}")
     floor = 6.0 * math.exp(-n / 16.0)
@@ -313,10 +315,9 @@ def audit_single_step(sigma, L, epsilon_tilde, delta, trials,
 
     Requires trials >= 2000 per grid cell (10^6 at the 500-cell default).
     """
-    if sigma <= 0 or L <= 0:
-        raise ConfigurationError("sigma and L must be positive")
-    if epsilon_tilde <= 0:
-        raise ConfigurationError("epsilon_tilde must be positive")
+    _check_positive("sigma", sigma)
+    _check_positive("L", L)
+    _check_positive("epsilon_tilde", epsilon_tilde)
     _check_delta(delta)
     if grid_cells < 3 or grid_cells > MAX_GRID_CELLS:
         raise ConfigurationError(

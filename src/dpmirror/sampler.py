@@ -1,12 +1,18 @@
-"""Uniform index sampling, fresh-index bookkeeping, and stopping-time Monte Carlo.
+"""Uniform index sampling, first arrivals, and stopping-time Monte Carlo.
 
 The optimizer stops once more than half of the dataset indices have been
 drawn at least once. simulate_tau measures the distribution of that
 stopping time: the first step at which the count of distinct draws exceeds
 floor(n/2), i.e. the arrival of the (floor(n/2)+1)-th distinct index.
+
+Both read the stopping time off blocks of pre-drawn indices with one
+kernel, first_arrivals: a scatter-minimum of each draw's position onto its
+(row, value) slot gives every value's first position in its row, and the
+sorted slots are the row's first arrivals in step order. It works on
+(rows, steps) blocks, so the optimizer passes all repeats of a cell at
+once and simulate_tau a chunk of trials.
 """
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,14 +69,36 @@ class TauStats:
         }
 
 
-def first_arrivals(draws):
-    """Positions (0-based, increasing) at which each distinct value first appears.
+# simulate_tau stacks its trials' first blocks into chunks of at most this
+# many draws (32 KB of int64; one block when n >= 1024) for one
+# first_arrivals call each. Larger chunks were slower and raised peak memory.
+CHUNK_DRAWS = 1 << 12
 
-    For an index stream these are the fresh steps: the run stops after the
-    step at position first_arrivals(draws)[fresh_target(n) - 1]. The
-    optimizer and simulate_tau both read the stopping time off this.
+
+def first_arrivals(draws, n):
+    """First-arrival positions of each row of a (rows, steps) index block.
+
+    draws holds values in {0, ..., n-1}. Returns a (rows, n) int64 array:
+    row r lists, in increasing order, the positions at which row r draws a
+    value for the first time, then steps once for each value it never
+    draws. For an index stream these are the fresh steps, and the run stops
+    after the step at column fresh_target(n) - 1, unless that entry is
+    steps (the block is too short).
     """
-    return np.sort(np.unique(draws, return_index=True)[1])
+    draws = np.asarray(draws)
+    rows, steps = draws.shape
+    first = np.full(rows * n, steps, dtype=np.int64)
+    # Keys and positions go in flat and of equal length: on numpy 2.4,
+    # ufunc.at with a 2-D index and a broadcast operand reads garbage.
+    keys = (draws + np.arange(0, rows * n, n)[:, None]).ravel()
+    np.minimum.at(first, keys, np.tile(np.arange(steps), rows))
+    first = first.reshape(rows, n)
+    first.sort(axis=1)
+    return first
+
+
+def _trial_stream(seed, trial):
+    return np.random.default_rng(np.random.SeedSequence(entropy=[seed, trial]))
 
 
 def _tau_one_trial(n, target, rng):
@@ -79,9 +107,9 @@ def _tau_one_trial(n, target, rng):
     block = max(4 * n, 8)
     draws = rng.integers(0, n, size=block)
     while True:
-        arrivals = first_arrivals(draws)
-        if arrivals.size >= target:
-            return int(arrivals[target - 1]) + 1
+        arrival = first_arrivals(draws[None], n)[0, target - 1]
+        if arrival < draws.size:
+            return int(arrival) + 1
         draws = np.concatenate([draws, rng.integers(0, n, size=block)])
 
 
@@ -89,29 +117,29 @@ def simulate_tau(n, trials, seed):
     """Monte-Carlo sample of the stopping time over independent trials.
 
     Each trial uses its own generator derived from (seed, trial index), so
-    trials are individually reproducible and order-independent.
+    trials are individually reproducible and order-independent. A trial
+    draws its indices in blocks of max(4n, 8); the first blocks of up to
+    CHUNK_DRAWS // block trials go through first_arrivals together. A
+    trial needs a second block with vanishing probability; _tau_one_trial
+    then walks its stream alone.
     """
     if n < 1:
         raise ConfigurationError(f"simulate_tau: n must be >= 1, got {n}")
     if trials < 1:
         raise ConfigurationError(f"simulate_tau: trials must be >= 1, got {trials}")
     target = fresh_target(n)
+    block = max(4 * n, 8)
+    per_chunk = max(1, CHUNK_DRAWS // block)
     samples = np.empty(trials, dtype=np.int64)
-    for trial in range(trials):
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=[seed, trial]))
-        samples[trial] = _tau_one_trial(n, target, rng)
+    draws = np.empty((per_chunk, block), dtype=np.int64)
+    for start in range(0, trials, per_chunk):
+        chunk = draws[:min(per_chunk, trials - start)]
+        for row in range(len(chunk)):
+            chunk[row] = _trial_stream(seed, start + row).integers(0, n, size=block)
+        arrival = first_arrivals(chunk, n)[:, target - 1]
+        samples[start:start + len(chunk)] = arrival + 1
+        # The rare trial whose first block holds too few distinct values is
+        # replayed from the start of its stream, block by block.
+        for row in np.flatnonzero(arrival == block):
+            samples[start + row] = _tau_one_trial(n, target, _trial_stream(seed, start + row))
     return TauStats(n=n, trials=trials, tau_samples=samples)
-
-
-def write_tau_csv(stats, path):
-    """Columns: trial,tau."""
-    with open(path, "w") as fh:
-        fh.write("trial,tau\n")
-        for trial, tau in enumerate(stats.tau_samples):
-            fh.write(f"{trial},{int(tau)}\n")
-
-
-def write_tau_summary(stats, path):
-    with open(path, "w") as fh:
-        json.dump(stats.summary(), fh, indent=2, sort_keys=True)
-        fh.write("\n")

@@ -204,6 +204,39 @@ class TestCli:
         rc = cli.main(["calibrate", "--eps", "0.005"])
         assert rc == 2
 
+    def test_calibrate_nan_exit_2(self, capsys):
+        rc = cli.main(["calibrate", "--n", "10000", "--eps", "nan",
+                       "--delta", "1e-6", "--L", "1", "--D", "1", "--d", "10"])
+        assert rc == 2
+        assert "epsilon" in capsys.readouterr().err
+
+    def test_audit_nan_sigma_exit_2(self, tmp_path, capsys):
+        rc = cli.main(["audit", "--sigma", "nan", "--L", "1", "--eps-tilde", "0.5",
+                       "--delta", "1e-6", "--seed", "1", "--output-dir", str(tmp_path)])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert "sigma" in captured.err and captured.out == ""
+
+    def test_run_override_table(self, tmp_path, capsys, monkeypatch):
+        # Every override key reaches build_spec unchanged, both from its
+        # --flag and from a config file line.
+        seen = []
+
+        def capture(overrides):
+            seen.append(dict(overrides))
+            raise ConfigurationError("captured")
+
+        monkeypatch.setattr(cli, "build_spec", capture)
+        for key in cli.RUN_OVERRIDES:
+            value = f"v-{key}"
+            assert cli.main(["run", "--seed", "1",
+                             "--" + key.replace("_", "-"), value]) == 2
+            cfg = tmp_path / f"{key}.cfg"
+            cfg.write_text(f"{key} = {value}\n")
+            assert cli.main(["run", "--seed", "1", "--config", str(cfg)]) == 2
+            from_flag, from_file = seen[-2:]
+            assert from_flag == from_file == {key: value, "seed": "1"}
+
     def test_run_bad_config_exit_2(self, tmp_path, capsys):
         rc = cli.main(["run", "--n-values", "16", "--epsilon-values", "max",
                        "--repeats", "0", "--seed", "1",

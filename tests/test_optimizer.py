@@ -312,18 +312,20 @@ class TestBatchEquivalence:
 
     def test_overrunning_row_beside_finishing_rows(self):
         # Seed 26 overruns a 16-step cap at n = 16 (see
-        # test_overrun_carries_partial_trace); seeds 27-29 finish within it.
+        # test_overrun_carries_partial_trace); seeds 27-29 finish within it,
+        # and seed 43 on its last step.
         n, d = 16, 1
         fs = FeasibleSet.box([-1.0], [1.0])
         config = RunConfig(n=n, d=d, eta=0.1, sigma=0.5, feasible_set=fs,
                            oracle=LossOracle.hinge(1.0), w1=np.zeros(d), seed=0,
                            max_steps=16)
-        seeds = [26, 27, 28, 29]
+        seeds = [26, 27, 28, 29, 43]
         rng = np.random.default_rng(5)
-        features = rng.uniform(-1.0, 1.0, size=(4, n, d))
-        labels = rng.choice([-1.0, 1.0], size=(4, n))
+        features = rng.uniform(-1.0, 1.0, size=(5, n, d))
+        labels = rng.choice([-1.0, 1.0], size=(5, n))
         batch = self.check(config, seeds, features, labels, np.array([0.2]))
-        assert batch.overrun.tolist() == [True, False, False, False]
+        assert batch.overrun.tolist() == [True, False, False, False, False]
+        assert batch.tau[-1] == 16
 
 
 class TestRegret:

@@ -39,6 +39,13 @@ class TestCalibrateSigma:
         with pytest.raises(ConfigurationError):
             calibrate_sigma(1.0, 1e-6, 0.0)
 
+    def test_non_finite_rejected(self):
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ConfigurationError):
+                calibrate_sigma(bad, 1e-6, 1.0)
+            with pytest.raises(ConfigurationError):
+                calibrate_sigma(1.0, 1e-6, bad)
+
 
 def test_per_step_report_stage():
     report = StepPrivacy(0.4, 1e-7, n=100).report()
@@ -157,6 +164,22 @@ class TestEndToEnd:
         assert a == b
 
 
+    def test_non_finite_rejected(self):
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ConfigurationError):
+                end_to_end(400, bad, 1e-6, 1e-6, L=1.0, D=1.0, d=3)
+            with pytest.raises(ConfigurationError):
+                end_to_end(400, 0.02, 1e-6, 1e-6, L=bad, D=1.0, d=3)
+            with pytest.raises(ConfigurationError):
+                end_to_end(400, 0.02, 1e-6, 1e-6, L=1.0, D=bad, d=3)
+            with pytest.raises(ConfigurationError):
+                from_target(bad, 3e-6, 400)
+            with pytest.raises(ConfigurationError):
+                compose(StepPrivacy(bad, 1e-8, n=100), 10, 1e-6)
+            with pytest.raises(ConfigurationError):
+                amplify_by_subsampling(StepPrivacy(bad, 1e-8, n=100))
+
+
 class TestFromTarget:
     def test_splits_delta_by_three(self):
         budget = from_target(0.05, 3e-6, 400)
@@ -245,6 +268,12 @@ class TestAudit:
     def test_insufficient_trials_rejected(self):
         with pytest.raises(ConfigurationError):
             audit_single_step(1.0, 1.0, 0.5, 1e-6, 10_000, grid_cells=500)
+
+    def test_non_finite_rejected(self):
+        for bad in (math.nan, math.inf, -math.inf):
+            for args in ((bad, 1.0, 0.5), (1.0, bad, 0.5), (1.0, 1.0, bad)):
+                with pytest.raises(ConfigurationError):
+                    audit_single_step(*args, 1e-6, 2_000_000)
 
     def test_grid_cap(self):
         with pytest.raises(ConfigurationError):

@@ -1,12 +1,12 @@
-import json
+import hashlib
 
 import numpy as np
 import pytest
 
+from dpmirror import sampler
 from dpmirror.errors import ConfigurationError
 from dpmirror.sampler import (expected_tau, first_arrivals, fresh_target,
-                              sample_index, simulate_tau, write_tau_csv,
-                              write_tau_summary)
+                              sample_index, simulate_tau)
 
 # 99.9% quantile of chi-square with 9 degrees of freedom (standard tables).
 CHI2_9DOF_999 = 27.877
@@ -43,11 +43,29 @@ class TestSampleIndex:
             sample_index(np.random.default_rng(0), 0)
 
 
+def arrivals_of(draws, n=None):
+    """First arrivals of one index stream, as a 1-row block of the kernel."""
+    draws = np.asarray(draws)
+    n = int(draws.max()) + 1 if n is None else n
+    row = first_arrivals(draws[None], n)[0]
+    return row[row < draws.size]
+
+
 def stopping_step(draws, n):
     """1-based step at which the fresh count first exceeds n/2, or None."""
-    arrivals = first_arrivals(np.asarray(draws))
+    arrivals = arrivals_of(draws, n)
     target = fresh_target(n)
     return int(arrivals[target - 1]) + 1 if arrivals.size >= target else None
+
+
+def set_walk_tau(stream, n):
+    """Stopping time by a plain Python set walk over an index stream."""
+    seen = set()
+    for t, idx in enumerate(stream, start=1):
+        seen.add(int(idx))
+        if len(seen) > n // 2:
+            return t
+    return None
 
 
 class TestFreshSet:
@@ -55,17 +73,17 @@ class TestFreshSet:
     add an index to it, and the run stops once it holds more than n/2."""
 
     def test_first_record_is_fresh(self):
-        assert first_arrivals(np.array([3])).tolist() == [0]
+        assert arrivals_of(np.array([3])).tolist() == [0]
         rng = np.random.default_rng(1)
-        assert first_arrivals(rng.integers(0, 10, size=40))[0] == 0
+        assert arrivals_of(rng.integers(0, 10, size=40))[0] == 0
 
     def test_repeat_is_stale(self):
-        assert first_arrivals(np.array([4, 4])).tolist() == [0]
-        assert first_arrivals(np.array([4, 2, 4, 2, 7])).tolist() == [0, 1, 4]
+        assert arrivals_of(np.array([4, 4])).tolist() == [0]
+        assert arrivals_of(np.array([4, 2, 4, 2, 7])).tolist() == [0, 1, 4]
 
     def test_all_indices_recorded(self):
         draws = np.random.default_rng(2).permutation(8)
-        assert first_arrivals(draws).tolist() == list(range(8))
+        assert arrivals_of(draws).tolist() == list(range(8))
 
     def test_should_stop_at_half(self):
         draws = [0, 1, 2, 3, 4, 4, 5, 6]
@@ -78,7 +96,7 @@ class TestFreshSet:
     def test_count_matches_set_bits(self):
         rng = np.random.default_rng(71)
         draws = rng.integers(0, 30, size=200)
-        arrivals = set(first_arrivals(draws).tolist())
+        arrivals = set(arrivals_of(draws, 30).tolist())
         seen, prev = set(), 0
         for t, idx in enumerate(draws.tolist()):
             seen.add(idx)
@@ -125,14 +143,7 @@ class TestSimulateTau:
         for trial in range(trials):
             rng = np.random.default_rng(np.random.SeedSequence(entropy=[seed, trial]))
             draws = rng.integers(0, n, size=max(4 * n, 8))
-            seen = set()
-            tau = None
-            for t, idx in enumerate(draws, start=1):
-                seen.add(int(idx))
-                if len(seen) > n // 2:
-                    tau = t
-                    break
-            assert tau == stats.tau_samples[trial]
+            assert set_walk_tau(draws, n) == stats.tau_samples[trial]
 
     def test_expected_tau_helper(self):
         for n in (1, 2, 16, 99):
@@ -144,21 +155,107 @@ class TestSimulateTau:
         with pytest.raises(ConfigurationError):
             simulate_tau(10, 0, seed=0)
 
-    def test_exports(self, tmp_path):
-        stats = simulate_tau(16, 25, seed=4)
-        csv_path = tmp_path / "tau.csv"
-        json_path = tmp_path / "tau.json"
-        write_tau_csv(stats, csv_path)
-        write_tau_summary(stats, json_path)
-        lines = csv_path.read_text().splitlines()
-        assert lines[0] == "trial,tau"
-        assert len(lines) == 26
-        first = lines[1].split(",")
-        assert first[0] == "0" and int(first[1]) == stats.tau_samples[0]
-        summary = json.loads(json_path.read_text())
-        assert summary == {
-            "n": 16, "trials": 25,
-            "mean_tau": stats.mean_tau,
-            "max_tau": stats.max_tau,
-            "frac_exceed_2n": stats.frac_exceed_2n,
+    def test_golden_streams(self):
+        # sha256 of the seeded samples as little-endian int64, fixed when
+        # each trial still ran first_arrivals alone through np.unique.
+        golden = {
+            16: (25242, "6decdc113f64cef2a3075fc201e60a463a60edb13b289c69067cc3b235afc36b"),
+            1024: (1422020,
+                   "29938626bdec43ad06469271880160d132e68edbef3b66564a8f5dc941c5842b"),
         }
+        for n, (total, digest) in golden.items():
+            tau = simulate_tau(n, 2000, seed=7).tau_samples
+            assert int(tau.sum()) == total
+            assert hashlib.sha256(tau.astype("<i8").tobytes()).hexdigest() == digest
+
+    def test_chunking_does_not_move_samples(self, monkeypatch):
+        # Chunks of 1, 3 and all trials (n = 2 also needs second blocks).
+        for n in (2, 16, 33):
+            whole = simulate_tau(n, 300, seed=11).tau_samples
+            for chunk in (max(4 * n, 8), 3 * max(4 * n, 8)):
+                monkeypatch.setattr(sampler, "CHUNK_DRAWS", chunk)
+                assert np.array_equal(simulate_tau(n, 300, seed=11).tau_samples, whole)
+            monkeypatch.undo()
+
+    def test_short_first_block_continues_its_stream(self, monkeypatch):
+        # Trials 1 and 3 get stub generators whose first blocks hold too few
+        # distinct values; they must keep drawing same-size blocks from their
+        # own stream, and the other trials must not notice.
+        n, trials, seed = 16, 5, 4
+        block = 4 * n
+        filler = np.random.default_rng(99).integers(0, n, size=block)
+        streams = {
+            1: [np.arange(block) % 4, filler],
+            3: [np.arange(block) % 2, 2 + np.arange(block) % 6, filler],
+        }
+
+        class StubStream:
+            def __init__(self, blocks):
+                self.blocks = list(blocks)
+
+            def integers(self, low, high, size):
+                assert (low, high, size) == (0, n, block)
+                return np.asarray(self.blocks.pop(0), dtype=np.int64)
+
+        real = sampler._trial_stream
+        monkeypatch.setattr(sampler, "_trial_stream", lambda s, t: (
+            StubStream(streams[t]) if t in streams else real(s, t)))
+        stats = simulate_tau(n, trials, seed)
+        for trial, blocks in streams.items():
+            tau = set_walk_tau(np.concatenate(blocks), n)
+            assert tau > (len(blocks) - 1) * block   # needs every block
+            assert stats.tau_samples[trial] == tau
+        monkeypatch.undo()
+        plain = simulate_tau(n, trials, seed).tau_samples
+        keep = [t for t in range(trials) if t not in streams]
+        assert np.array_equal(stats.tau_samples[keep], plain[keep])
+
+
+class TestFirstArrivalsKernel:
+    """The (rows, steps) kernel against a per-row np.unique reference."""
+
+    @staticmethod
+    def reference(row):
+        return np.sort(np.unique(row, return_index=True)[1])
+
+    def check(self, draws, n):
+        rows, steps = draws.shape
+        got = first_arrivals(draws, n)
+        assert got.shape == (rows, n)
+        for r in range(rows):
+            want = self.reference(draws[r])
+            assert np.array_equal(got[r, :want.size], want)
+            assert np.all(got[r, want.size:] == steps)
+
+    def test_random_blocks(self):
+        rng = np.random.default_rng(2024)
+        for _ in range(200):
+            n = int(rng.integers(1, 60))
+            rows = int(rng.integers(1, 8))
+            steps = int(rng.integers(1, 5 * n + 2))
+            self.check(rng.integers(0, n, size=(rows, steps)), n)
+
+    def test_rows_short_of_target(self):
+        # Rows of one repeated value, or too few steps, never reach n//2+1.
+        n = 20
+        draws = np.stack([np.full(40, 7), np.arange(40) % 3,
+                          np.random.default_rng(5).integers(0, n, size=40)])
+        self.check(draws, n)
+        arrivals = first_arrivals(draws, n)[:, fresh_target(n) - 1]
+        assert arrivals[0] == arrivals[1] == 40
+        assert arrivals[2] < 40
+        short = np.random.default_rng(6).integers(0, n, size=(4, fresh_target(n) - 1))
+        self.check(short, n)
+        assert np.all(first_arrivals(short, n)[:, fresh_target(n) - 1] == short.shape[1])
+
+    def test_largest_draw_below_n_minus_one(self):
+        rng = np.random.default_rng(8)
+        draws = rng.integers(0, 5, size=(6, 30))
+        for n in (6, 11, 64):
+            self.check(draws, n)
+
+    def test_single_column(self):
+        draws = np.array([[3], [0], [9], [3]])
+        self.check(draws, 10)
+        assert first_arrivals(draws, 10)[:, 0].tolist() == [0, 0, 0, 0]
+        assert np.all(first_arrivals(draws, 10)[:, 1:] == 1)
