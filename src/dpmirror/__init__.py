@@ -10,7 +10,7 @@ composition, end-to-end parameter solving) and an empirical audit.
 from .errors import ConfigurationError, OverrunError, RegimeError
 from .geometry import FeasibleSet, Potential, mirror_step
 from .losses import (DataPoint, LossOracle, PopulationSpec, draw_arrays,
-                     draw_dataset, draw_sample, lipschitz_certificate,
+                     draw_dataset, lipschitz_certificate,
                      load_dataset, save_dataset)
 from .optimizer import (BaselineResult, RiskEstimate, RunBatch, RunConfig,
                         RunTrace, baseline_minimizer, estimate_regret,
@@ -26,7 +26,7 @@ __all__ = [
     "ConfigurationError", "OverrunError", "RegimeError",
     "FeasibleSet", "Potential", "mirror_step",
     "DataPoint", "LossOracle", "PopulationSpec", "draw_arrays",
-    "draw_dataset", "draw_sample",
+    "draw_dataset",
     "lipschitz_certificate", "load_dataset", "save_dataset",
     "BaselineResult", "RiskEstimate", "RunBatch", "RunConfig", "RunTrace",
     "baseline_minimizer", "estimate_regret", "estimate_risk", "private_sgd",

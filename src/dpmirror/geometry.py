@@ -40,8 +40,9 @@ class FeasibleSet:
 
     @classmethod
     def l2_ball(cls, radius, center=None, dimension=None):
-        if radius <= 0:
-            raise ConfigurationError(f"l2_ball: radius must be positive, got {radius}")
+        if not math.isfinite(radius) or radius <= 0:
+            raise ConfigurationError(
+                f"l2_ball: radius must be finite and positive, got {radius}")
         if center is None:
             if dimension is None:
                 raise ConfigurationError("l2_ball: need a center or a dimension")
@@ -49,6 +50,8 @@ class FeasibleSet:
         center = np.asarray(center, dtype=float)
         if dimension is not None and center.shape[0] != dimension:
             raise ConfigurationError("l2_ball: center does not match dimension")
+        if not np.isfinite(center).all():
+            raise ConfigurationError("l2_ball: center must be finite")
         return cls(kind=L2_BALL, dimension=center.shape[0],
                    radius=float(radius), center=center)
 
@@ -58,6 +61,8 @@ class FeasibleSet:
         upper = np.asarray(upper, dtype=float)
         if lower.shape != upper.shape or lower.ndim != 1:
             raise ConfigurationError("box: lower/upper must be vectors of equal length")
+        if not (np.isfinite(lower).all() and np.isfinite(upper).all()):
+            raise ConfigurationError("box: lower/upper must be finite")
         if np.any(upper < lower):
             raise ConfigurationError("box: upper must dominate lower coordinatewise")
         return cls(kind=BOX, dimension=lower.shape[0], lower=lower, upper=upper)
@@ -69,7 +74,15 @@ class FeasibleSet:
 
     def project(self, point):
         """Euclidean-nearest point of the set."""
-        p = _as_vector(point, self.dimension, "project: point")
+        return self.project_point(_as_vector(point, self.dimension, "project: point"))
+
+    def project_point(self, p):
+        """project() of a float vector of the set's dimension, without input checks.
+
+        This is the reference minimizer's per-step projection, whose inputs
+        are checked once at entry. A point already in the set is returned
+        as is (the same object).
+        """
         if self.kind == L2_BALL:
             offset = p - self.center
             norm = math.sqrt(offset.dot(offset))   # same bits as np.linalg.norm, faster

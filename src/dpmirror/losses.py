@@ -69,20 +69,19 @@ class LossOracle:
 
     kind: str
     lipschitz_L: float
-    smooth: bool
 
     @classmethod
     def hinge(cls, feature_bound):
-        return cls(HINGE, lipschitz_certificate(HINGE, feature_bound), smooth=False)
+        return cls(HINGE, lipschitz_certificate(HINGE, feature_bound))
 
     @classmethod
     def absolute(cls, feature_bound):
-        return cls(ABSOLUTE, lipschitz_certificate(ABSOLUTE, feature_bound), smooth=False)
+        return cls(ABSOLUTE, lipschitz_certificate(ABSOLUTE, feature_bound))
 
     @classmethod
     def squared(cls, feature_bound, feasible_set, label_bound=1.0):
         L = lipschitz_certificate(SQUARED, feature_bound, feasible_set, label_bound)
-        return cls(SQUARED, L, smooth=True)
+        return cls(SQUARED, L)
 
     def loss_at(self, z, labels):
         """Loss as a function of the margin z = <w, x>, elementwise."""
@@ -185,32 +184,12 @@ class PopulationSpec:
         return np.random.default_rng(self.seed)
 
 
-def _uniform_ball(rng, dimension, radius):
-    direction = rng.standard_normal(dimension)
-    norm = np.linalg.norm(direction)
-    while norm == 0.0:
-        direction = rng.standard_normal(dimension)
-        norm = np.linalg.norm(direction)
-    r = radius * rng.random() ** (1.0 / dimension)
-    return direction * (r / norm)
-
-
-def draw_sample(spec, rng):
-    features = _uniform_ball(rng, spec.dimension, spec.feature_bound)
-    if spec.generator == UNIFORM_BALL:
-        return DataPoint(features, float(rng.uniform(-1.0, 1.0)))
-    label = 1.0 if float(spec.w_true @ features) >= 0.0 else -1.0
-    if spec.noise_rate > 0.0 and rng.random() < spec.noise_rate:
-        label = -label
-    return DataPoint(features, label)
-
-
 def draw_arrays(spec, n, rng=None):
     """A dataset of n i.i.d. draws: (features, labels) arrays of shape (n, d), (n,).
 
-    Reproducible from spec.seed when no rng is passed. Same distribution as
-    draw_sample, drawn in vectorized blocks (so the two paths consume the
-    generator differently but are interchangeable statistically).
+    Reproducible from spec.seed when no rng is passed. Features are uniform
+    in the ball of radius spec.feature_bound: a Gaussian direction scaled
+    to radius feature_bound * U**(1/d).
     """
     if n < 1:
         raise ConfigurationError(f"draw_arrays: n must be >= 1, got {n}")

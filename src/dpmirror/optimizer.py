@@ -20,6 +20,12 @@ case. Each run draws its noise from its own generator in chunks of
 NOISE_CHUNK_STEPS steps. The values equal one standard_normal(d) draw per
 step, and memory stays O(R * chunk * d) rather than O(R * max_steps * d).
 Every run is reproducible from its seed alone, whatever batch it runs in.
+
+baseline_minimizer, the non-private reference point, is one long sequential
+run. It pre-draws its indices, gathers each chunk of BASELINE_CHUNK_STEPS
+steps' data rows and scaled rows eta_t * x_t at once, and keeps only the
+work that depends on the iterate (margin, slope, projection) in the per-step
+loop; its result is bit-identical to the plain step-by-step loop.
 """
 
 import math
@@ -36,6 +42,7 @@ from .sampler import first_arrivals, fresh_target, sample_index  # noqa: F401
 
 DEFAULT_MAX_STEPS_FACTOR = 4
 NOISE_CHUNK_STEPS = 128
+BASELINE_CHUNK_STEPS = 4096
 
 
 @dataclass(frozen=True)
@@ -355,6 +362,18 @@ def baseline_minimizer(population, oracle, feasible_set, budget_steps,
     combines the standard averaged-SGD guarantee (1.5*D*L/sqrt(T)) with a
     holdout-size term (D*L/sqrt(m)); callers should fold it into any bound
     they check against this reference point.
+
+    The indices are one integers() draw up front. The loop runs in chunks of
+    BASELINE_CHUNK_STEPS steps: per chunk it gathers the picked rows x_t and
+    the rows eta_t * x_t once, and each step does only what depends on the
+    iterate w, i.e. the margin, the slope s and the projection. The result
+    is bit-identical to one step at a time: where s is exactly +1 or -1,
+    w - eta_t * (s * x_t) equals w - eta_t * x_t or w + eta_t * x_t, since
+    products with +-1 and negation are exact; other slopes take that
+    expression as written. The chunk's iterates are stored after the
+    running average and folded into it with one np.add.accumulate, which
+    adds in step order as `average += w` would (np.add.reduce would sum
+    pairwise when d = 1).
     """
     if budget_steps < 10_000:
         raise ConfigurationError("baseline_minimizer: budget_steps must be >= 10^4")
@@ -362,22 +381,36 @@ def baseline_minimizer(population, oracle, feasible_set, budget_steps,
         holdout_size = max(100_000, budget_steps)
     D = feasible_set.diameter()
     L = oracle.lipschitz_L
+    d = feasible_set.dimension
     rng = np.random.default_rng(np.random.SeedSequence(entropy=[seed, 0x6261]))
     features, labels = draw_arrays(population, holdout_size, rng)
-    # The same values one integers() draw and one step size per step give.
-    picks = rng.integers(0, holdout_size, size=budget_steps).tolist()
-    etas = (D / (L * np.sqrt(np.arange(1, budget_steps + 1)))).tolist()
-    labels = labels.tolist()
+    # The same values as one integers() draw per step.
+    picks = rng.integers(0, holdout_size, size=budget_steps)
 
-    slope_at, project = oracle.slope_at, feasible_set.project
-    w = project(np.zeros(feasible_set.dimension))
-    average = np.zeros(feasible_set.dimension)
-    for i, eta_t in zip(picks, etas):
-        x = features[i]
-        g = slope_at(float(w.dot(x)), labels[i]) * x
-        average += w
-        w = project(w - eta_t * g)
-    average /= budget_steps
+    slope_at, project = oracle.slope_at, feasible_set.project_point
+    w = feasible_set.project(np.zeros(d))
+    average = np.zeros(d)
+    # Row 0 holds the running average, row k + 1 the iterate before step k.
+    block = np.empty((BASELINE_CHUNK_STEPS + 1, d))
+    rows = list(block[1:])
+    for start in range(0, budget_steps, BASELINE_CHUNK_STEPS):
+        chunk = picks[start:start + BASELINE_CHUNK_STEPS]
+        x = features[chunk]
+        etas = D / (L * np.sqrt(np.arange(start + 1, start + len(chunk) + 1)))
+        eta_x = etas[:, None] * x
+        block[0] = average
+        for x_k, eta_x_k, eta_k, y_k, row in zip(x, eta_x, etas.tolist(),
+                                                  labels[chunk].tolist(), rows):
+            s = slope_at(float(w.dot(x_k)), y_k)
+            row[...] = w
+            if s == 1.0:
+                w = project(w - eta_x_k)
+            elif s == -1.0:
+                w = project(w + eta_x_k)
+            else:
+                w = project(w - eta_k * (s * x_k))
+        average = np.add.accumulate(block[:len(chunk) + 1], axis=0)[-1]
+    average = average / budget_steps
 
     error = 1.5 * D * L / math.sqrt(budget_steps) + D * L / math.sqrt(holdout_size)
     return BaselineResult(w=average, error_bound=error,

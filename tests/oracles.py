@@ -45,3 +45,25 @@ def partial_coupon_sum(n):
     for k in range(n // 2 + 1):
         total += n / (n - k)
     return total
+
+
+def population_point(spec, rng):
+    """One draw from a PopulationSpec's distribution, one point at a time.
+
+    Features come by rejection from the cube [-B, B]^d, B = feature_bound,
+    which is uniform on the ball by construction and shares nothing with
+    the library's direction-and-radius sampler. Labels follow the spec:
+    uniform on [-1, 1], or sign(<w_true, x>) flipped with probability
+    noise_rate. Returns (features, label).
+    """
+    bound = spec.feature_bound
+    while True:
+        x = rng.uniform(-bound, bound, size=spec.dimension)
+        if x @ x <= bound * bound:
+            break
+    if spec.generator == "uniform_ball":
+        return x, rng.uniform(-1.0, 1.0)
+    label = 1.0 if spec.w_true @ x >= 0.0 else -1.0
+    if rng.random() < spec.noise_rate:
+        label = -label
+    return x, label

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -187,3 +189,21 @@ def test_invalid_set_construction():
         FeasibleSet.box([0.0, 0.0], [1.0])
     with pytest.raises(ConfigurationError):
         FeasibleSet.box([1.0], [0.0])
+
+
+@pytest.mark.parametrize("build", [
+    lambda: FeasibleSet.l2_ball(math.nan, dimension=2),
+    lambda: FeasibleSet.l2_ball(math.inf, dimension=2),
+    lambda: FeasibleSet.l2_ball(1.0, center=[math.nan, 0.0]),
+    lambda: FeasibleSet.l2_ball(1.0, center=[0.0, math.inf]),
+    lambda: FeasibleSet.box([math.nan, 0.0], [1.0, 1.0]),
+    lambda: FeasibleSet.box([0.0, 0.0], [1.0, math.nan]),
+    lambda: FeasibleSet.box([-math.inf, 0.0], [1.0, 1.0]),
+    lambda: FeasibleSet.box([0.0, 0.0], [1.0, math.inf]),
+], ids=["radius-nan", "radius-inf", "centre-nan", "centre-inf",
+        "lower-nan", "upper-nan", "lower-minus-inf", "upper-inf"])
+def test_non_finite_set_parameters_rejected(build):
+    # NaN passes every <= guard and an infinite set has no diameter; both
+    # would reach the projection and the accountant's D unchecked.
+    with pytest.raises(ConfigurationError):
+        build()

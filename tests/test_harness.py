@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import dpmirror.harness as harness_mod
+import dpmirror.optimizer as optimizer_mod
 from dpmirror import cli
 from dpmirror.errors import ConfigurationError
 from dpmirror.harness import (CELL_COLUMNS, build_spec, parse_kv_file,
@@ -162,6 +163,32 @@ class TestRunCommand:
         with pytest.raises(ConfigurationError):
             run_tau_sim([16], 10, seed=3, output_dir=str(tmp_path))
 
+    def test_traced_call_sites(self, tmp_path, monkeypatch):
+        # The benchmark's tracer times the reference minimizer by wrapping
+        # harness.baseline_minimizer, and its holdout draw by wrapping
+        # optimizer.draw_arrays; both names must stay the call sites.
+        calls = {"baseline": 0, "draws": [], "in_baseline": False}
+        baseline, draw = harness_mod.baseline_minimizer, optimizer_mod.draw_arrays
+
+        def counting_baseline(*args, **kwargs):
+            calls["baseline"] += 1
+            calls["in_baseline"] = True
+            try:
+                return baseline(*args, **kwargs)
+            finally:
+                calls["in_baseline"] = False
+
+        def counting_draw(spec, n, rng=None):
+            calls["draws"].append((n, calls["in_baseline"]))
+            return draw(spec, n, rng)
+
+        monkeypatch.setattr(harness_mod, "baseline_minimizer", counting_baseline)
+        monkeypatch.setattr(optimizer_mod, "draw_arrays", counting_draw)
+        harness_mod.run_experiment(build_spec(base_overrides(tmp_path)))
+        assert calls["baseline"] == 1
+        holdout = [n for n, inside in calls["draws"] if inside]
+        assert holdout == [100_000]    # max(10^5, baseline_steps)
+
     def test_overrunning_cells_marked_degraded(self, tmp_path, monkeypatch):
         monkeypatch.setattr(harness_mod, "private_sgd_batch", always_overruns)
         spec = build_spec(base_overrides(tmp_path, repeats="4"))
@@ -243,6 +270,20 @@ class TestCli:
                        "--output-dir", str(tmp_path)])
         assert rc == 2
         assert "repeats" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--radius", "nan"], "radius must be finite"),
+        (["--radius", "inf"], "radius must be finite"),
+        (["--set", "box", "--dimension", "2", "--lower", "nan,-1", "--upper", "1,1"],
+         "lower/upper must be finite"),
+    ], ids=["radius-nan", "radius-inf", "box-lower-nan"])
+    def test_run_non_finite_set_exit_2(self, tmp_path, capsys, flags, message):
+        # Rejected where the set is built, before any projection or accounting.
+        rc = cli.main(["run", "--n-values", "16", "--epsilon-values", "max",
+                       "--repeats", "1", "--seed", "1", "--baseline-steps", "10000",
+                       "--output-dir", str(tmp_path), *flags])
+        assert rc == 2
+        assert message in capsys.readouterr().err
 
     def test_run_smoke_exit_0(self, tmp_path, capsys):
         rc = cli.main(["run", "--n-values", "16", "--epsilon-values", "max",

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import dpmirror.optimizer as optimizer_mod
 from dpmirror.errors import ConfigurationError, OverrunError
 from dpmirror.geometry import FeasibleSet
 from dpmirror.losses import LossOracle, PopulationSpec, draw_dataset
@@ -459,35 +460,64 @@ class TestBaseline:
         slope = np.polyfit(np.log(budgets), np.log(means), 1)[0]
         assert slope <= -0.4
 
-    @pytest.mark.parametrize("case", ["hinge-ball", "squared-box"])
-    def test_matches_stepwise_replay(self, case):
+    # Replay cases: (population, set, oracle factory, budget, chunk size or
+    # None for the default, slopes the run must hit). The default chunk is
+    # 4096 steps, so 10^4 = 2 chunks + 1808, 12289 = 3 chunks + 1 and
+    # 12288 = 3 whole chunks; chunk 9999 makes 10^4 one chunk plus one step.
+    REPLAY_CASES = {
+        "hinge-ball": ("margin", FeasibleSet.l2_ball(0.5, dimension=3), "hinge",
+                       10_000, None, "sign"),
+        "squared-box": ("uniform", FeasibleSet.box([-0.5, -0.2, -0.5], [0.5, 0.5, 0.1]),
+                        "squared", 10_000, None, "general"),
+        "absolute-offcentre-ball": ("margin", FeasibleSet.l2_ball(0.4, center=[0.3, -0.2, 0.1]),
+                                    "absolute", 10_000, None, "sign"),
+        "hinge-ball-radius-2": ("margin", FeasibleSet.l2_ball(2.0, dimension=3), "hinge",
+                                10_000, None, "sign-and-zero"),
+        "hinge-uniform-ball": ("uniform", FeasibleSet.l2_ball(0.5, dimension=3), "hinge",
+                               10_000, None, "general"),
+        "hinge-ball-one-past-chunks": ("margin", FeasibleSet.l2_ball(0.5, dimension=3),
+                                       "hinge", 12_289, None, "sign"),
+        "squared-box-whole-chunks": ("uniform", FeasibleSet.box([-0.5] * 3, [0.5] * 3),
+                                     "squared", 12_288, None, "general"),
+        "hinge-ball-chunk-plus-one": ("margin", FeasibleSet.l2_ball(0.5, dimension=3),
+                                      "hinge", 10_000, 9_999, "sign"),
+        # d = 1: a pairwise (np.add.reduce) fold of the iterates would round
+        # differently here; the running average must add in step order.
+        "squared-box-d1": ("uniform", FeasibleSet.box([-0.5], [0.3]), "squared",
+                           10_000, None, "general"),
+    }
+
+    @pytest.mark.parametrize("case", list(REPLAY_CASES))
+    def test_matches_stepwise_replay(self, case, monkeypatch):
         # The documented algorithm step by step: one generator call and one
         # step size per step, projection written out. Pre-drawing the
-        # indices and step sizes must not change a single bit.
-        d, budget, seed = 3, 10_000, 3
-        if case == "hinge-ball":
+        # indices and step sizes and chunking the loop must not change a
+        # single bit.
+        labels_kind, fs, loss, budget, chunk, slopes = self.REPLAY_CASES[case]
+        d, seed = fs.dimension, 3
+        if chunk is not None:
+            monkeypatch.setattr(optimizer_mod, "BASELINE_CHUNK_STEPS", chunk)
+        if labels_kind == "margin":
             spec = PopulationSpec("linear_margin", d, 1.0, seed=5,
                                   w_true=np.eye(d)[0], noise_rate=0.1)
-            fs = FeasibleSet.l2_ball(0.5, dimension=d)
-            oracle = LossOracle.hinge(1.0)
-
-            def project(v):
-                offset = v - fs.center
-                norm = np.linalg.norm(offset)
-                return v if norm <= fs.radius else fs.center + offset * (fs.radius / norm)
-
-            def subgradient(w, x, y):
-                return -y * x if y * float(w @ x) <= 1.0 else np.zeros(d)
         else:
             spec = PopulationSpec("uniform_ball", d, 1.0, seed=6)
-            fs = FeasibleSet.box([-0.5, -0.2, -0.5], [0.5, 0.5, 0.1])
-            oracle = LossOracle.squared(1.0, fs)
+        oracle = (LossOracle.squared(1.0, fs) if loss == "squared"
+                  else getattr(LossOracle, loss)(1.0))
 
-            def project(v):
+        def project(v):
+            if fs.kind == "box":
                 return np.minimum(np.maximum(v, fs.lower), fs.upper)
+            offset = v - fs.center
+            norm = np.linalg.norm(offset)
+            return v if norm <= fs.radius else fs.center + offset * (fs.radius / norm)
 
-            def subgradient(w, x, y):
-                return (float(w @ x) - y) * x
+        def slope(z, y):
+            if loss == "hinge":
+                return -y if y * z <= 1.0 else 0.0
+            if loss == "absolute":
+                return float(np.sign(z - y))
+            return z - y
         result = baseline_minimizer(spec, oracle, fs, budget, seed=seed)
 
         rng = np.random.default_rng(np.random.SeedSequence(entropy=[seed, 0x6261]))
@@ -495,13 +525,20 @@ class TestBaseline:
         D, L = fs.diameter(), oracle.lipschitz_L
         w = project(np.zeros(d))
         average = np.zeros(d)
+        seen = set()
         for t in range(1, budget + 1):
             i = int(rng.integers(0, result.holdout_size))
-            g = subgradient(w, features[i], labels[i])
+            s = slope(float(w @ features[i]), labels[i])
+            seen.add(s if s in (-1.0, 0.0, 1.0) else "other")
+            g = s * features[i]
             average += w
             w = project(w - D / (L * math.sqrt(t)) * g)
         average /= budget
         np.testing.assert_array_equal(result.w, average)
+        assert result.w.tobytes() == average.tobytes()
+        # Each case exercises the step branches it is meant to.
+        assert seen == {"sign": {-1.0, 1.0}, "sign-and-zero": {-1.0, 0.0, 1.0},
+                        "general": {"other"}}[slopes]
 
     def test_budget_floor(self):
         spec = PopulationSpec("uniform_ball", 2, 1.0, seed=1)
