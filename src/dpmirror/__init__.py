@@ -8,10 +8,9 @@ composition, end-to-end parameter solving) and an empirical audit.
 """
 
 from .errors import ConfigurationError, OverrunError, RegimeError
-from .geometry import FeasibleSet, Potential, mirror_step
-from .losses import (DataPoint, LossOracle, PopulationSpec, draw_arrays,
-                     draw_dataset, lipschitz_certificate,
-                     load_dataset, save_dataset)
+from .geometry import FeasibleSet, mirror_step
+from .losses import (LossOracle, PopulationSpec, draw_arrays, draw_dataset,
+                     lipschitz_certificate, load_dataset, save_dataset)
 from .optimizer import (BaselineResult, RiskEstimate, RunBatch, RunConfig,
                         RunTrace, baseline_minimizer, estimate_regret,
                         estimate_risk, private_sgd, private_sgd_batch)
@@ -24,9 +23,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ConfigurationError", "OverrunError", "RegimeError",
-    "FeasibleSet", "Potential", "mirror_step",
-    "DataPoint", "LossOracle", "PopulationSpec", "draw_arrays",
-    "draw_dataset",
+    "FeasibleSet", "mirror_step",
+    "LossOracle", "PopulationSpec", "draw_arrays", "draw_dataset",
     "lipschitz_certificate", "load_dataset", "save_dataset",
     "BaselineResult", "RiskEstimate", "RunBatch", "RunConfig", "RunTrace",
     "baseline_minimizer", "estimate_regret", "estimate_risk", "private_sgd",

@@ -63,8 +63,12 @@ def _cmd_run(args):
 
 
 def _cmd_tau_sim(args):
+    try:
+        n_values = [int(v) for v in args.n.split(",")]
+    except ValueError:
+        raise ConfigurationError(
+            f"--n: expected comma-separated integers, got {args.n!r}") from None
     seed, _ = _resolve_seed(args.seed)
-    n_values = [int(v) for v in args.n.split(",")]
     stats = run_tau_sim(n_values, args.trials, seed,
                         args.output_dir or default_output_dir(), name=args.name)
     print(json.dumps({"seed": seed, "results": [s.summary() for s in stats]}))

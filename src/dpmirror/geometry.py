@@ -1,7 +1,11 @@
-"""Convex feasible sets, the Euclidean potential, and the mirror-descent step.
+"""Convex feasible sets and the projected step.
 
 Projections are closed-form (ball: radial scaling, box: coordinatewise
 clamp), so no iterative solver is involved anywhere in this module.
+The paper's noisy mirror-descent update under the Euclidean potential
+0.5*||x||^2 is exactly the projected step project(w - eta * g):
+mirror_step takes it for one point, and the optimizer takes it for its
+stacked (R, d) iterates with project_rows.
 """
 
 import math
@@ -15,7 +19,6 @@ MEMBERSHIP_TOL = 1e-9
 
 L2_BALL = "l2_ball"
 BOX = "box"
-EUCLIDEAN = "euclidean"
 
 
 def _as_vector(x, dim, name):
@@ -117,70 +120,16 @@ class FeasibleSet:
         return bool(np.all(p >= self.lower - tol) and np.all(p <= self.upper + tol))
 
 
-@dataclass(frozen=True)
-class Potential:
-    """Mirror map with gradient, conjugate gradient, and Bregman divergence.
+def mirror_step(feasible_set, w, g, eta):
+    """The projected gradient step project(w - eta * g).
 
-    Only the Euclidean potential 0.5*||x||^2 is shipped (strong convexity 1,
-    self-conjugate, gradient = identity). The interface exists so the
-    optimizer is written against the general mirror-descent update.
+    Under the Euclidean potential 0.5*||x||^2, the only one used here, the
+    mirror-descent update with Bregman projection is exactly this step.
     """
-
-    kind: str = EUCLIDEAN
-    dimension: int = 1
-    strong_convexity: float = 1.0
-
-    @classmethod
-    def euclidean(cls, dimension):
-        if dimension < 1:
-            raise ConfigurationError("euclidean potential: dimension must be >= 1")
-        return cls(kind=EUCLIDEAN, dimension=int(dimension), strong_convexity=1.0)
-
-    def value(self, x):
-        x = _as_vector(x, self.dimension, "potential value")
-        return 0.5 * float(x @ x)
-
-    def grad(self, x):
-        return _as_vector(x, self.dimension, "potential grad").copy()
-
-    def conjugate_value(self, y):
-        y = _as_vector(y, self.dimension, "conjugate value")
-        return 0.5 * float(y @ y)
-
-    def conjugate_grad(self, y):
-        return _as_vector(y, self.dimension, "conjugate grad").copy()
-
-    def bregman(self, x, y):
-        """Divergence value(x) - value(y) - <grad(y), x - y>; here 0.5*||x-y||^2."""
-        x = _as_vector(x, self.dimension, "bregman: x")
-        y = _as_vector(y, self.dimension, "bregman: y")
-        d = x - y
-        return 0.5 * float(d @ d)
-
-    def conjugate_bregman(self, x, y):
-        """Bregman divergence induced by the conjugate function."""
-        x = _as_vector(x, self.dimension, "conjugate bregman: x")
-        y = _as_vector(y, self.dimension, "conjugate bregman: y")
-        d = x - y
-        return 0.5 * float(d @ d)
-
-
-def mirror_step(potential, feasible_set, w, g, eta):
-    """One mirror-descent update with Bregman projection back onto the set.
-
-    Maps w to the dual space, takes a step of length eta against g, maps
-    back, and projects. For the Euclidean potential the Bregman projection
-    coincides with the Euclidean one, so the update is exactly
-    project(w - eta * g).
-    """
-    if potential.dimension != feasible_set.dimension:
+    if not math.isfinite(eta) or eta <= 0:
         raise ConfigurationError(
-            f"mirror_step: potential dimension {potential.dimension} "
-            f"!= set dimension {feasible_set.dimension}"
-        )
-    if eta <= 0:
-        raise ConfigurationError(f"mirror_step: eta must be positive, got {eta}")
-    w = _as_vector(w, potential.dimension, "mirror_step: w")
-    g = _as_vector(g, potential.dimension, "mirror_step: g")
-    dual = potential.grad(w) - eta * g
-    return feasible_set.project(potential.conjugate_grad(dual))
+            f"mirror_step: eta must be finite and positive, got {eta}")
+    d = feasible_set.dimension
+    w = _as_vector(w, d, "mirror_step: w")
+    g = _as_vector(g, d, "mirror_step: g")
+    return feasible_set.project(w - eta * g)

@@ -3,7 +3,13 @@
 Three loss families are provided: hinge and absolute (non-smooth, globally
 Lipschitz once features are bounded) and squared (smooth, Lipschitz only on
 a bounded iterate set). Feature vectors are norm-bounded at generation time,
-which is what makes the Lipschitz certificates valid.
+which is what makes the Lipschitz certificates valid; max_subgradient_norm
+checks that bound on a given dataset.
+
+The oracle works on arrays only: loss_at and slope_at take margins
+z = <w, x>, subgradient takes one (d,) point or stacked (..., d) rows, and
+batch_values scores one w against a feature array. A dataset is the
+(features, labels) array pair.
 """
 
 from dataclasses import dataclass
@@ -19,14 +25,6 @@ SQUARED = "squared"
 
 LINEAR_MARGIN = "linear_margin"
 UNIFORM_BALL = "uniform_ball"
-
-_LOSS_KINDS = (HINGE, ABSOLUTE, SQUARED)
-
-
-@dataclass(frozen=True)
-class DataPoint:
-    features: np.ndarray
-    label: float
 
 
 def max_norm_on(feasible_set):
@@ -105,42 +103,39 @@ class LossOracle:
             return np.sign(z - labels)
         return z - labels
 
-    def _margin(self, w, point, what):
-        w = np.asarray(w, dtype=float)
-        x = point.features
-        if w.shape != x.shape:
-            raise ConfigurationError(
-                f"{what}: w shape {w.shape} != feature shape {x.shape}"
-            )
-        return float(w @ x)
+    def subgradient(self, w, features, labels):
+        """slope_at(<w, x>, y) * x, an element of the subdifferential in w.
 
-    def value(self, w, point):
-        z = self._margin(w, point, "loss value")
-        if self.kind == HINGE:
-            return max(0.0, 1.0 - point.label * z)
-        if self.kind == ABSOLUTE:
-            return abs(z - point.label)
-        return 0.5 * (z - point.label) ** 2
-
-    def subgradient(self, w, point):
-        """An arbitrary-but-fixed element of the subdifferential at w (see slope_at)."""
-        z = self._margin(w, point, "subgradient")
-        return self.slope_at(z, point.label) * point.features
-
-    def subgradient_rows(self, w, features, labels):
-        """subgradient() for each row of stacked (..., d) iterates and features.
-
-        No input checks: this is the optimizer's per-step subgradient, whose
-        inputs are checked once at run entry.
+        w and features are one (d,) point or stacked (..., d) rows, labels
+        the matching scalar or (...,) array. No input checks: this is the
+        optimizer's per-step subgradient, whose inputs are checked once at
+        run entry.
         """
         z = np.einsum("...i,...i->...", w, features)
         return self.slope_at(z, labels)[..., None] * features
 
+    def max_subgradient_norm(self, features, labels, feasible_set):
+        """Largest subgradient norm any (x, y) row can give at any w in the set.
+
+        Per row: |y|*||x|| for hinge, ||x|| for absolute, and
+        (max_norm_on(set)*||x|| + |y|)*||x|| for squared. A row above
+        lipschitz_L would break the sensitivity the accountant assumes.
+        One pass over stacked (..., d) features and (...,) labels.
+        """
+        norms = np.sqrt(np.einsum("...i,...i->...", features, features))
+        if self.kind == HINGE:
+            worst = np.abs(labels) * norms
+        elif self.kind == ABSOLUTE:
+            worst = norms
+        else:
+            worst = (max_norm_on(feasible_set) * norms + np.abs(labels)) * norms
+        return float(worst.max())
+
     def batch_values(self, w, features, labels):
         """Loss values for one w against a stacked (..., d) feature array.
 
-        Vectorized convenience for Monte-Carlo risk evaluation; agrees with
-        value() pointwise.
+        Vectorized convenience for Monte-Carlo risk evaluation: loss_at at
+        the margins features @ w.
         """
         z = np.asarray(features, dtype=float) @ np.asarray(w, dtype=float)
         return self.loss_at(z, np.asarray(labels, dtype=float))

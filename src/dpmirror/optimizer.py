@@ -200,7 +200,9 @@ def private_sgd_batch(config, seeds, features, labels, record=False):
     labels (R, n). Each row gives the same result as running it alone.
 
     Inputs are checked once here rather than per step: the config
-    (RunConfig.validate), the array shapes, and finite features and labels.
+    (RunConfig.validate), the array shapes, finite features and labels, and
+    that no row's subgradient norm on the feasible set can exceed
+    oracle.lipschitz_L, the sensitivity the accountant prices.
     record=True also keeps every iterate and noise norm, O(R * max_steps * d)
     memory, and returns them as per-row RunTraces.
     """
@@ -216,6 +218,11 @@ def private_sgd_batch(config, seeds, features, labels, record=False):
             f"and labels of shape ({n},) each; got {features.shape} and {labels.shape}")
     if not (np.isfinite(features).all() and np.isfinite(labels).all()):
         raise ConfigurationError("private_sgd: features and labels must be finite")
+    worst = config.oracle.max_subgradient_norm(features, labels, config.feasible_set)
+    if worst > config.oracle.lipschitz_L * (1.0 + 1e-9):
+        raise ConfigurationError(
+            f"private_sgd: a data row gives subgradients of norm up to {worst:.6g} on "
+            f"the feasible set, above the certified L = {config.oracle.lipschitz_L:.6g}")
     max_steps = config.resolved_max_steps()
     target = fresh_target(n)
 
@@ -280,7 +287,7 @@ def private_sgd_batch(config, seeds, features, labels, record=False):
             w_at = w[at]
             fresh_iterates[ev_dest[lo:hi]] = w_at
             g = xi.copy()
-            g[at] = oracle.subgradient_rows(w_at, flat_x[data], flat_y[data]) + xi[at]
+            g[at] = oracle.subgradient(w_at, flat_x[data], flat_y[data]) + xi[at]
         else:
             g = xi
         w[:k] = feasible_set.project_rows(w[:k] - eta * g)

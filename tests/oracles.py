@@ -67,3 +67,59 @@ def population_point(spec, rng):
     if rng.random() < spec.noise_rate:
         label = -label
     return x, label
+
+
+def project_ball(center, radius, x):
+    """Euclidean projection onto a ball: radial scaling of x - center."""
+    off = x - center
+    norm = math.sqrt(float(off @ off))
+    if norm <= radius:
+        return x
+    return center + off * (radius / norm)
+
+
+def project_box(lower, upper, x):
+    """Euclidean projection onto a box: coordinatewise clamp."""
+    return np.minimum(np.maximum(x, lower), upper)
+
+
+def plain_loss(kind, w, features, label):
+    """Loss of one (w, x, y) point, written out from the closed forms."""
+    z = float(w @ features)
+    if kind == "hinge":
+        return max(0.0, 1.0 - label * z)
+    if kind == "absolute":
+        return abs(z - label)
+    return 0.5 * (z - label) ** 2
+
+
+def plain_subgradient(kind, w, features, label):
+    """Subgradient in w at one (w, x, y) point; the extreme -y*x at the hinge kink."""
+    z = float(w @ features)
+    if kind == "hinge":
+        return -label * features if label * z <= 1.0 else np.zeros_like(features)
+    if kind == "absolute":
+        return float(np.sign(z - label)) * features
+    return (z - label) * features
+
+
+def points_away_from_kinks(rng, count):
+    """count (w, x, y) rows, stacked, whose margin is 1e-3 clear of both kinks.
+
+    w is uniform on [-2, 2]^3, x a unit vector, y = +-1; rows with
+    |y*<w, x> - 1| or |<w, x> - y| below 1e-3 are redrawn.
+    """
+    w = np.empty((0, 3))
+    feats = np.empty((0, 3))
+    labels = np.empty(0)
+    while len(labels) < count:
+        w_new = rng.uniform(-2.0, 2.0, size=(count, 3))
+        x_new = rng.normal(size=(count, 3))
+        x_new /= np.linalg.norm(x_new, axis=1)[:, None]
+        y_new = rng.choice([-1.0, 1.0], size=count)
+        z = np.sum(w_new * x_new, axis=1)
+        keep = (np.abs(y_new * z - 1.0) >= 1e-3) & (np.abs(z - y_new) >= 1e-3)
+        w = np.concatenate([w, w_new[keep]])
+        feats = np.concatenate([feats, x_new[keep]])
+        labels = np.concatenate([labels, y_new[keep]])
+    return w[:count], feats[:count], labels[:count]

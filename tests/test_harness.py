@@ -336,6 +336,12 @@ class TestCli:
         payload = json.loads(capsys.readouterr().out)
         assert payload["results"][0]["n"] == 16
 
+    def test_tau_sim_bad_n_exit_2(self, tmp_path, capsys):
+        rc = cli.main(["tau-sim", "--n", "16,abc", "--trials", "1000", "--seed", "1",
+                       "--output-dir", str(tmp_path)])
+        assert rc == 2
+        assert "'16,abc'" in capsys.readouterr().err
+
     def test_entropy_seed_recorded(self, tmp_path, capsys):
         rc = cli.main(["tau-sim", "--n", "16", "--trials", "1000",
                        "--output-dir", str(tmp_path), "--name", "es"])

@@ -5,162 +5,181 @@ import pytest
 
 from dpmirror.errors import ConfigurationError
 from dpmirror.geometry import FeasibleSet
-from dpmirror.losses import (DataPoint, LossOracle, PopulationSpec,
-                             draw_arrays, draw_dataset, lipschitz_certificate,
+from dpmirror.losses import (LossOracle, PopulationSpec, draw_arrays,
+                             draw_dataset, lipschitz_certificate,
                              load_dataset, save_dataset)
-from oracles import population_point
+from oracles import (plain_loss, plain_subgradient, points_away_from_kinks,
+                     population_point)
 
 
-def point(features, label):
-    return DataPoint(np.asarray(features, dtype=float), float(label))
+def row_losses(oracle, w, features, labels):
+    """The oracle's loss for each stacked (w, x, y) row."""
+    return oracle.loss_at(np.einsum("...i,...i->...", w, features), labels)
+
+
+def three_oracles(feasible_set):
+    return [LossOracle.hinge(1.0), LossOracle.absolute(1.0),
+            LossOracle.squared(1.0, feasible_set)]
 
 
 class TestLossValues:
     def test_hinge_zero_beyond_margin(self):
         oracle = LossOracle.hinge(2.0)
         # <w, x> * label = 2
-        assert oracle.value(np.array([2.0]), point([1.0], 1.0)) == 0.0
+        assert oracle.batch_values(np.array([2.0]), [[1.0]], [1.0]).tolist() == [0.0]
 
     def test_hinge_at_origin(self):
         oracle = LossOracle.hinge(1.0)
-        assert oracle.value(np.zeros(3), point([0.3, 0.1, -0.2], -1.0)) == 1.0
+        assert oracle.batch_values(np.zeros(3), [[0.3, 0.1, -0.2]], [-1.0]).tolist() == [1.0]
 
     def test_absolute_exact_fit(self):
         oracle = LossOracle.absolute(1.0)
-        assert oracle.value(np.array([0.5, 0.5]), point([1.0, 0.0], 0.5)) == 0.0
+        assert oracle.batch_values(np.array([0.5, 0.5]), [[1.0, 0.0]], [0.5]).tolist() == [0.0]
 
     def test_squared_value(self):
         fs = FeasibleSet.l2_ball(1.0, dimension=1)
         oracle = LossOracle.squared(1.0, fs)
-        assert oracle.value(np.array([1.0]), point([1.0], 0.0)) == pytest.approx(0.5)
-
-    def test_dimension_mismatch(self):
-        oracle = LossOracle.hinge(1.0)
-        with pytest.raises(ConfigurationError):
-            oracle.value(np.zeros(2), point([1.0], 1.0))
+        assert oracle.batch_values(np.array([1.0]), [[1.0]], [0.0])[0] == pytest.approx(0.5)
 
     def test_batch_matches_pointwise(self):
         rng = np.random.default_rng(41)
         fs = FeasibleSet.l2_ball(1.0, dimension=3)
-        oracles = [LossOracle.hinge(1.0), LossOracle.absolute(1.0),
-                   LossOracle.squared(1.0, fs)]
         w = rng.normal(size=3)
         feats = rng.normal(size=(64, 3))
         labels = rng.choice([-1.0, 1.0], size=64)
-        for oracle in oracles:
+        for oracle in three_oracles(fs):
             batch = oracle.batch_values(w, feats, labels)
+            stacked = row_losses(oracle, np.tile(w, (64, 1)), feats, labels)
             for i in range(64):
-                assert batch[i] == pytest.approx(
-                    oracle.value(w, point(feats[i], labels[i])), abs=1e-12)
+                expected = plain_loss(oracle.kind, w, feats[i], labels[i])
+                assert batch[i] == pytest.approx(expected, abs=1e-12)
+                assert stacked[i] == pytest.approx(expected, abs=1e-12)
 
 
 class TestRowwise:
-    """The optimizer's stacked per-step subgradient agrees with subgradient()."""
+    """subgradient() on stacked rows and on single points agrees with the closed form."""
 
-    def test_subgradient_rows_match_pointwise(self):
+    def test_stacked_rows_match_pointwise(self):
         rng = np.random.default_rng(44)
         fs = FeasibleSet.l2_ball(1.0, dimension=3)
-        oracles = [LossOracle.hinge(1.0), LossOracle.absolute(1.0),
-                   LossOracle.squared(1.0, fs)]
         w = rng.uniform(-2.0, 2.0, size=(64, 3))
         feats = rng.normal(size=(64, 3))
         labels = rng.choice([-1.0, 1.0], size=64)
         # put a few rows exactly on the hinge kink and the absolute-loss kink
         w[0], feats[0], labels[0] = [0.8, -0.6, 0.0], [0.8, -0.6, 0.0], 1.0
         w[1], feats[1], labels[1] = [1.0, 0.0, 0.0], [-1.0, 0.0, 0.0], -1.0
-        for oracle in oracles:
-            rows = oracle.subgradient_rows(w, feats, labels)
+        for oracle in three_oracles(fs):
+            rows = oracle.subgradient(w, feats, labels)
             assert rows.shape == (64, 3)
+            # the same rows stacked one level deeper, as (2, 32, 3)
+            np.testing.assert_array_equal(
+                oracle.subgradient(w.reshape(2, 32, 3), feats.reshape(2, 32, 3),
+                                   labels.reshape(2, 32)).reshape(64, 3), rows)
             for i in range(64):
+                expected = plain_subgradient(oracle.kind, w[i], feats[i], labels[i])
+                np.testing.assert_allclose(rows[i], expected, rtol=0.0, atol=1e-12)
                 np.testing.assert_allclose(
-                    rows[i], oracle.subgradient(w[i], point(feats[i], labels[i])),
+                    oracle.subgradient(w[i], feats[i], labels[i]), expected,
                     rtol=0.0, atol=1e-12)
 
 
 class TestSubgradients:
     def test_hinge_flat_region(self):
         oracle = LossOracle.hinge(1.0)
-        g = oracle.subgradient(np.array([2.0]), point([1.0], 1.0))
+        g = oracle.subgradient(np.array([2.0]), np.array([1.0]), 1.0)
         np.testing.assert_array_equal(g, [0.0])
 
     def test_hinge_active_region(self):
         oracle = LossOracle.hinge(1.0)
-        g = oracle.subgradient(np.array([0.1]), point([0.5], -1.0))
+        g = oracle.subgradient(np.array([0.1]), np.array([0.5]), -1.0)
         np.testing.assert_allclose(g, [0.5])
 
     def test_hinge_at_kink(self):
         # Margin exactly 1: the returned extreme subgradient must satisfy
         # the subgradient inequality on a grid of nearby points.
         oracle = LossOracle.hinge(1.0)
-        x = point([0.8, -0.6], 1.0)
+        x, y = np.array([0.8, -0.6]), 1.0
         w = np.array([0.8, -0.6]) / 1.0   # <w, x> = 1 exactly
-        assert x.label * float(w @ x.features) == pytest.approx(1.0)
-        g = oracle.subgradient(w, x)
+        assert y * float(w @ x) == pytest.approx(1.0)
+        g = oracle.subgradient(w, x, y)
         np.testing.assert_allclose(g, [-0.8, 0.6])
-        fw = oracle.value(w, x)
-        for du in np.linspace(-0.5, 0.5, 21):
-            for dv in np.linspace(-0.5, 0.5, 21):
-                v = w + np.array([du, dv])
-                assert oracle.value(v, x) >= fw + g @ (v - w) - 1e-9
+        fw = plain_loss("hinge", w, x, y)
+        du, dv = np.meshgrid(np.linspace(-0.5, 0.5, 21), np.linspace(-0.5, 0.5, 21))
+        v = w + np.stack([du.ravel(), dv.ravel()], axis=1)
+        assert np.all(row_losses(oracle, v, x, y) >= fw + (v - w) @ g - 1e-9)
 
     def test_subgradient_inequality_random_triples(self):
         # 10^5 (w, v, x) triples per loss family, slack 1e-9.
         rng = np.random.default_rng(43)
         fs = FeasibleSet.l2_ball(2.0, dimension=3)
-        oracles = [LossOracle.hinge(1.0), LossOracle.absolute(1.0),
-                   LossOracle.squared(1.0, fs)]
-        for oracle in oracles:
-            for _ in range(100_000):
-                w = rng.uniform(-2.0, 2.0, size=3)
-                v = rng.uniform(-2.0, 2.0, size=3)
-                feats = rng.normal(size=3)
-                feats /= max(1.0, np.linalg.norm(feats))
-                x = point(feats, rng.choice([-1.0, 1.0]))
-                g = oracle.subgradient(w, x)
-                lhs = oracle.value(v, x)
-                rhs = oracle.value(w, x) + g @ (v - w)
-                assert lhs >= rhs - 1e-9
+        for oracle in three_oracles(fs):
+            w = rng.uniform(-2.0, 2.0, size=(100_000, 3))
+            v = rng.uniform(-2.0, 2.0, size=(100_000, 3))
+            feats = rng.normal(size=(100_000, 3))
+            feats /= np.maximum(1.0, np.linalg.norm(feats, axis=1))[:, None]
+            labels = rng.choice([-1.0, 1.0], size=100_000)
+            g = oracle.subgradient(w, feats, labels)
+            lhs = row_losses(oracle, v, feats, labels)
+            rhs = row_losses(oracle, w, feats, labels) + np.sum(g * (v - w), axis=1)
+            assert np.all(lhs >= rhs - 1e-9)
 
     def test_matches_finite_differences_away_from_kinks(self):
         rng = np.random.default_rng(47)
         fs = FeasibleSet.l2_ball(2.0, dimension=3)
-        oracles = [LossOracle.hinge(1.0), LossOracle.absolute(1.0),
-                   LossOracle.squared(1.0, fs)]
         h = 1e-6
-        checked = 0
-        while checked < 3000:
-            w = rng.uniform(-2.0, 2.0, size=3)
-            feats = rng.normal(size=3)
-            feats /= np.linalg.norm(feats)
-            x = point(feats, rng.choice([-1.0, 1.0]))
-            z = float(w @ feats)
-            # keep the evaluation point clear of both kink loci
-            if abs(x.label * z - 1.0) < 1e-3 or abs(z - x.label) < 1e-3:
-                continue
-            checked += 1
-            for oracle in oracles:
-                g = oracle.subgradient(w, x)
-                fd = np.zeros(3)
-                for i in range(3):
-                    e = np.zeros(3)
-                    e[i] = h
-                    fd[i] = (oracle.value(w + e, x) - oracle.value(w - e, x)) / (2 * h)
-                assert np.linalg.norm(fd - g) <= 1e-4 * (1.0 + np.linalg.norm(g))
+        w, feats, labels = points_away_from_kinks(rng, 3000)
+        for oracle in three_oracles(fs):
+            g = oracle.subgradient(w, feats, labels)
+            fd = np.empty_like(g)
+            for i, e in enumerate(np.eye(3) * h):
+                fd[:, i] = (row_losses(oracle, w + e, feats, labels)
+                            - row_losses(oracle, w - e, feats, labels)) / (2 * h)
+            assert np.all(np.linalg.norm(fd - g, axis=1)
+                          <= 1e-4 * (1.0 + np.linalg.norm(g, axis=1)))
 
     def test_norm_never_exceeds_certificate(self):
         rng = np.random.default_rng(53)
         fs = FeasibleSet.l2_ball(1.0, dimension=4)
-        oracles = [LossOracle.hinge(1.0), LossOracle.absolute(1.0),
-                   LossOracle.squared(1.0, fs)]
-        for _ in range(2000):
-            w_dir = rng.normal(size=4)
-            w = w_dir / np.linalg.norm(w_dir) * rng.uniform(0.0, 1.0)  # inside fs
-            feats = rng.normal(size=4)
-            feats /= max(1.0, np.linalg.norm(feats))
-            x = point(feats, rng.uniform(-1.0, 1.0))
-            for oracle in oracles:
-                g = oracle.subgradient(w, x)
-                assert np.linalg.norm(g) <= oracle.lipschitz_L + 1e-9
+        w_dir = rng.normal(size=(2000, 4))
+        w = (w_dir / np.linalg.norm(w_dir, axis=1)[:, None]
+             * rng.uniform(0.0, 1.0, size=(2000, 1)))   # inside fs
+        feats = rng.normal(size=(2000, 4))
+        feats /= np.maximum(1.0, np.linalg.norm(feats, axis=1))[:, None]
+        labels = rng.uniform(-1.0, 1.0, size=2000)
+        for oracle in three_oracles(fs):
+            g = oracle.subgradient(w, feats, labels)
+            assert np.all(np.linalg.norm(g, axis=1) <= oracle.lipschitz_L + 1e-9)
+
+
+class TestMaxSubgradientNorm:
+    """The run-entry sensitivity bound against brute force over the set."""
+
+    def test_closed_forms(self):
+        ball = FeasibleSet.l2_ball(1.0, center=[0.5, 0.0])     # max norm 1.5
+        feats = np.array([[3.0, 4.0], [0.0, 1.0]])
+        labels = np.array([0.5, -2.0])
+        assert LossOracle.hinge(1.0).max_subgradient_norm(feats, labels, ball) == 2.5
+        assert LossOracle.absolute(1.0).max_subgradient_norm(feats, labels, ball) == 5.0
+        # rows: (1.5*5 + 0.5)*5 = 40 and (1.5*1 + 2)*1 = 3.5
+        assert LossOracle.squared(1.0, ball).max_subgradient_norm(
+            feats, labels, ball) == 40.0
+
+    def test_bounds_every_iterate(self):
+        rng = np.random.default_rng(67)
+        box = FeasibleSet.box([-0.5, -0.2, 0.0], [0.5, 0.3, 0.4])
+        w = rng.uniform(box.lower, box.upper, size=(20_000, 3))
+        w[:8] = np.array(np.meshgrid(*zip(box.lower, box.upper))).reshape(3, 8).T
+        w[8] = 0.0
+        for oracle in three_oracles(box):
+            for _ in range(20):
+                x = rng.normal(size=3)
+                y = rng.uniform(-1.5, 1.5)
+                bound = oracle.max_subgradient_norm(x[None], np.array([y]), box)
+                g = oracle.subgradient(w, np.tile(x, (20_000, 1)), np.full(20_000, y))
+                norms = np.linalg.norm(g, axis=1)
+                assert norms.max() <= bound * (1.0 + 1e-12)
+                if oracle.kind != "squared":   # attained at w = 0
+                    assert norms.max() == pytest.approx(bound)
 
 
 class TestLipschitzCertificates:
@@ -196,17 +215,16 @@ class TestLipschitzCertificates:
     def test_convexity_along_segments(self):
         rng = np.random.default_rng(61)
         fs = FeasibleSet.l2_ball(2.0, dimension=3)
-        oracles = [LossOracle.hinge(1.0), LossOracle.absolute(1.0),
-                   LossOracle.squared(1.0, fs)]
-        for oracle in oracles:
-            for _ in range(5000):
-                w1 = rng.uniform(-2.0, 2.0, size=3)
-                w2 = rng.uniform(-2.0, 2.0, size=3)
-                lam = rng.random()
-                x = point(rng.normal(size=3) / 2.0, rng.choice([-1.0, 1.0]))
-                mix = oracle.value(lam * w1 + (1 - lam) * w2, x)
-                assert mix <= (lam * oracle.value(w1, x)
-                               + (1 - lam) * oracle.value(w2, x) + 1e-9)
+        for oracle in three_oracles(fs):
+            w1 = rng.uniform(-2.0, 2.0, size=(5000, 3))
+            w2 = rng.uniform(-2.0, 2.0, size=(5000, 3))
+            lam = rng.random(size=(5000, 1))
+            feats = rng.normal(size=(5000, 3)) / 2.0
+            labels = rng.choice([-1.0, 1.0], size=5000)
+            mix = row_losses(oracle, lam * w1 + (1 - lam) * w2, feats, labels)
+            lam = lam[:, 0]
+            assert np.all(mix <= lam * row_losses(oracle, w1, feats, labels)
+                          + (1 - lam) * row_losses(oracle, w2, feats, labels) + 1e-9)
 
 
 class TestPopulations:

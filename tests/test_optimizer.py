@@ -225,6 +225,31 @@ class TestInputChecks:
         with pytest.raises(ConfigurationError, match="shape"):
             private_sgd(self.config(), (features, labels[:-1]))
 
+    def test_features_beyond_certificate(self):
+        # A norm-5 feature row under a hinge oracle certified for L = 1
+        # would give a step 5x the sensitivity the accountant prices.
+        features, labels = constant_dataset(16, 2, value=0.1)
+        features[7] = [3.0, 4.0]
+        with pytest.raises(ConfigurationError, match="certified L"):
+            private_sgd(self.config(), (features, labels))
+        good = constant_dataset(16, 2, value=0.1)
+        with pytest.raises(ConfigurationError, match="certified L"):
+            private_sgd_batch(self.config(), [1, 2], np.stack([good[0], features]),
+                              np.stack([good[1], labels]))
+
+    def test_squared_label_beyond_certificate(self):
+        # Unit feature bound, labels in [-1, 1] and the radius-0.5 ball give
+        # L = (0.5 * 1 + 1) * 1 = 1.5; a unit-norm row labelled 2 can reach
+        # (0.5 * 1 + 2) * 1 = 2.5.
+        fs = FeasibleSet.l2_ball(0.5, dimension=2)
+        config = self.config(oracle=LossOracle.squared(1.0, fs))
+        features, labels = constant_dataset(16, 2, value=0.1)
+        features[2], labels[2] = [0.6, 0.8], 2.0
+        with pytest.raises(ConfigurationError, match="certified L"):
+            private_sgd(config, (features, labels))
+        labels[2] = 1.0   # the same row at label 1 sits exactly on L and runs
+        assert private_sgd(config, (features, labels)).tau >= 9
+
     def test_batch_row_count_mismatch(self):
         features, labels = constant_dataset(16, 2)
         with pytest.raises(ConfigurationError, match="shape"):
