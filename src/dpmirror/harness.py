@@ -84,9 +84,9 @@ class ExperimentSpec:
     repeats: int
     seed: int
     output_dir: str
-    eval_samples: int = 2000
-    baseline_steps: int = 100_000
-    sigma_override: float = None
+    eval_samples: int
+    baseline_steps: int
+    sigma_override: float   # None: the calibrated sigma
 
 
 @dataclass

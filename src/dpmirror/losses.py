@@ -37,13 +37,15 @@ def max_norm_on(feasible_set):
     raise ConfigurationError(f"unknown set kind {feasible_set.kind!r}")
 
 
-def lipschitz_certificate(kind, feature_bound, feasible_set=None, label_bound=1.0):
+def lipschitz_certificate(kind, feature_bound, feasible_set=None):
     """Uniform bound on subgradient norms for the given loss family.
 
     Hinge and absolute losses have subgradients of norm at most the feature
     bound, everywhere. The squared loss has no global Lipschitz constant;
     its certificate (max|<w,x> - y| * ||x||, maximized over the given
-    iterate set and label range) is only valid on that set.
+    iterate set and labels in [-1, 1], the range both populations draw)
+    is only valid on that set; max_subgradient_norm checks a run's actual
+    rows against it.
     """
     if feature_bound <= 0:
         raise ConfigurationError(
@@ -57,7 +59,7 @@ def lipschitz_certificate(kind, feature_bound, feasible_set=None, label_bound=1.
                 "squared loss has no global Lipschitz constant; pass the feasible set"
             )
         w_max = max_norm_on(feasible_set)
-        return float((w_max * feature_bound + label_bound) * feature_bound)
+        return float((w_max * feature_bound + 1.0) * feature_bound)
     raise ConfigurationError(f"unknown loss kind {kind!r}")
 
 
@@ -77,9 +79,8 @@ class LossOracle:
         return cls(ABSOLUTE, lipschitz_certificate(ABSOLUTE, feature_bound))
 
     @classmethod
-    def squared(cls, feature_bound, feasible_set, label_bound=1.0):
-        L = lipschitz_certificate(SQUARED, feature_bound, feasible_set, label_bound)
-        return cls(SQUARED, L)
+    def squared(cls, feature_bound, feasible_set):
+        return cls(SQUARED, lipschitz_certificate(SQUARED, feature_bound, feasible_set))
 
     def loss_at(self, z, labels):
         """Loss as a function of the margin z = <w, x>, elementwise."""
@@ -207,47 +208,3 @@ def draw_arrays(spec, n, rng=None):
 # A dataset is the (features, labels) array pair; this is its public name.
 draw_dataset = draw_arrays
 
-
-def save_dataset(path, dataset, seed=0):
-    """One record per line, comma-separated features then label.
-
-    dataset is a (features, labels) pair. The header line carries
-    dimension, count and generating seed so files are self-describing.
-    """
-    features, labels = dataset
-    n, dim = features.shape
-    with open(path, "w") as fh:
-        fh.write(f"# dim={dim} n={n} seed={seed}\n")
-        for row, label in zip(features, labels):
-            cells = [f"{v:.17g}" for v in row] + [f"{label:.17g}"]
-            fh.write(",".join(cells) + "\n")
-
-
-def load_dataset(path, feature_bound=None):
-    """Read a dataset file into a (features, labels) pair.
-
-    Optionally validates the feature-norm bound, row by row.
-    """
-    rows = []
-    with open(path) as fh:
-        header = fh.readline()
-        if not header.startswith("# dim="):
-            raise ConfigurationError(f"{path}: missing dataset header line")
-        dim = int(header.split("dim=")[1].split()[0])
-        for line_no, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            cells = [float(c) for c in line.split(",")]
-            if len(cells) != dim + 1:
-                raise ConfigurationError(
-                    f"{path}:{line_no}: expected {dim + 1} fields, got {len(cells)}"
-                )
-            if feature_bound is not None:
-                if np.linalg.norm(cells[:-1]) > feature_bound + 1e-9:
-                    raise ConfigurationError(
-                        f"{path}:{line_no}: feature norm exceeds bound {feature_bound}"
-                    )
-            rows.append(cells)
-    table = np.array(rows, dtype=float).reshape(-1, dim + 1)
-    return table[:, :-1], table[:, -1]

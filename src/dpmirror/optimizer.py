@@ -10,15 +10,15 @@ Noise convention: sigma is the per-coordinate standard deviation, i.e.
 noise is N(0, sigma^2 * I). This matches the accountant in privacy.py.
 
 The index stream does not depend on the iterates, so a run's indices are
-drawn up front as one block of max_steps draws. One sampler.first_arrivals
+drawn up front as one block of max_steps draws. One sampler.stopping_times
 call on the (R, max_steps) block of all runs gives every run's stopping
-time and fresh steps (the kernel simulate_tau uses). Only the
-projected-step recursion is sequential. private_sgd_batch runs it for R
-runs at once (repeats that differ in seed and dataset) on (R, d) arrays,
-each row frozen once past its own stopping time; private_sgd is its R = 1
-case. Each run draws its noise from its own generator in chunks of
-NOISE_CHUNK_STEPS steps. The values equal one standard_normal(d) draw per
-step, and memory stays O(R * chunk * d) rather than O(R * max_steps * d).
+time and fresh steps (the path simulate_tau uses). Only the projected-step
+recursion is sequential. private_sgd_batch runs it for R runs at once
+(repeats that differ in seed and dataset) on (R, d) arrays, rows in seed
+order, every row stepping up to the largest stopping time; private_sgd is
+its R = 1 case. Each run draws its noise from its own generator in chunks
+of NOISE_CHUNK_STEPS steps. The values equal one standard_normal(d) draw
+per step, and memory stays O(R * chunk * d) rather than O(R * max_steps * d).
 Every run is reproducible from its seed alone, whatever batch it runs in.
 
 baseline_minimizer, the non-private reference point, is one long sequential
@@ -38,7 +38,7 @@ from .errors import ConfigurationError, OverrunError
 # importable from this module because perfbench/spans.py wraps them by name.
 from .geometry import mirror_step  # noqa: F401
 from .losses import draw_arrays, draw_dataset  # noqa: F401
-from .sampler import first_arrivals, fresh_target, sample_index  # noqa: F401
+from .sampler import fresh_target, sample_index, stopping_times  # noqa: F401
 
 DEFAULT_MAX_STEPS_FACTOR = 4
 NOISE_CHUNK_STEPS = 128
@@ -199,6 +199,13 @@ def private_sgd_batch(config, seeds, features, labels, record=False):
     on the dataset (features[r], labels[r]); features is (R, n, d) and
     labels (R, n). Each row gives the same result as running it alone.
 
+    All rows step in lockstep up to max(tau). A row past its own tau keeps
+    taking noise-only steps from its own noise generator, and nothing reads
+    them: all of its fresh steps come before its tau, and those noise draws
+    come after every value it uses. Per-row results therefore do not depend
+    on the other rows; a per-step statistic over the batch must mask to
+    t < tau[r], and record=True cuts each row's trace at its tau.
+
     Inputs are checked once here rather than per step: the config
     (RunConfig.validate), the array shapes, finite features and labels, and
     that no row's subgradient norm on the feasible set can exceed
@@ -229,18 +236,10 @@ def private_sgd_batch(config, seeds, features, labels, record=False):
     # Index streams, stopping times and fresh steps, before any iterate.
     streams = [run_streams(seed) for seed in seeds]
     indices = np.stack([idx_rng.integers(0, n, size=max_steps) for idx_rng, _ in streams])
-    arrivals = first_arrivals(indices, n)[:, :target]
-    overrun = arrivals[:, -1] == max_steps
-    tau = np.where(overrun, max_steps, arrivals[:, -1] + 1)
+    arrivals, tau = stopping_times(indices, n)
+    overrun = tau > max_steps
+    tau = np.minimum(tau, max_steps)
     steps = int(tau.max())
-
-    # Rows sorted by falling tau, so the rows still running at step t are a
-    # prefix of the working arrays: running[t] of them.
-    order = np.argsort(-tau, kind="stable")
-    position = np.empty(rows, dtype=np.int64)
-    position[order] = np.arange(rows)
-    finished_by = np.searchsorted(np.sort(tau), np.arange(steps), side="right")
-    running = (rows - finished_by).tolist()
 
     # Fresh steps of all rows as events grouped by step; bounds[t]:bounds[t+1]
     # are the events of step t.
@@ -249,7 +248,6 @@ def private_sgd_batch(config, seeds, features, labels, record=False):
     ev_row, ev_slot = np.nonzero(hit)
     by_step = np.argsort(ev_step, kind="stable")
     ev_step, ev_row, ev_slot = ev_step[by_step], ev_row[by_step], ev_slot[by_step]
-    ev_pos = position[ev_row]
     ev_data = ev_row * n + indices[ev_row, ev_step]
     ev_dest = ev_row * target + ev_slot
     bounds = np.searchsorted(ev_step, np.arange(steps + 1)).tolist()
@@ -259,7 +257,6 @@ def private_sgd_batch(config, seeds, features, labels, record=False):
     fresh_iterates = np.full((rows * target, d), np.nan)
     fresh_indices = np.zeros(rows * target, dtype=np.int64)
     fresh_indices[ev_dest] = indices[ev_row, ev_step]
-    noise_rngs = [streams[r][1] for r in order]
     eta, sigma = config.eta, config.sigma
     oracle, feasible_set = config.oracle, config.feasible_set
     w = np.tile(np.asarray(config.w1, dtype=float), (rows, 1))
@@ -268,29 +265,28 @@ def private_sgd_batch(config, seeds, features, labels, record=False):
         noise_norms = np.empty((steps, rows))
 
     for t in range(steps):
-        k = running[t]
         if t % NOISE_CHUNK_STEPS == 0:
             chunk_start = t
-            chunk = np.empty((min(NOISE_CHUNK_STEPS, steps - t), k, d))
-            for j in range(k):
-                chunk[:, j] = noise_rngs[j].standard_normal((chunk.shape[0], d))
+            chunk = np.empty((min(NOISE_CHUNK_STEPS, steps - t), rows, d))
+            for r, (_, noise_rng) in enumerate(streams):
+                chunk[:, r] = noise_rng.standard_normal((chunk.shape[0], d))
             noise = sigma * chunk
             if record:
-                noise_norms[t:t + chunk.shape[0], :k] = np.sqrt(
+                noise_norms[t:t + chunk.shape[0]] = np.sqrt(
                     np.einsum("...i,...i->...", noise, noise))
-        xi = noise[t - chunk_start, :k]
+        xi = noise[t - chunk_start]
         if record:
-            iterates[t, :k] = w[:k]
+            iterates[t] = w
         lo, hi = bounds[t], bounds[t + 1]
         if lo < hi:
-            at, data = ev_pos[lo:hi], ev_data[lo:hi]
+            at, data = ev_row[lo:hi], ev_data[lo:hi]
             w_at = w[at]
             fresh_iterates[ev_dest[lo:hi]] = w_at
             g = xi.copy()
             g[at] = oracle.subgradient(w_at, flat_x[data], flat_y[data]) + xi[at]
         else:
             g = xi
-        w[:k] = feasible_set.project_rows(w[:k] - eta * g)
+        w = feasible_set.project_rows(w - eta * g)
 
     # The fresh-iterate sum, accumulated in step order.
     fresh_iterates = fresh_iterates.reshape(rows, target, d)
@@ -303,13 +299,13 @@ def private_sgd_batch(config, seeds, features, labels, record=False):
     if record:
         batch.traces = []
         for r in range(rows):
-            p, last = position[r], int(tau[r])
+            last = int(tau[r])
             fresh = np.zeros(last, dtype=bool)
             fresh[arrivals[r, hit[r]]] = True
             batch.traces.append(RunTrace(
                 indices=indices[r, :last], fresh=fresh,
-                iterates=iterates[:last, p].copy(),
-                noise_norms=noise_norms[:last, p].copy(), tau=last,
+                iterates=iterates[:last, r].copy(),
+                noise_norms=noise_norms[:last, r].copy(), tau=last,
                 output=None if overrun[r] else batch.output[r]))
     return batch
 
@@ -360,15 +356,15 @@ class BaselineResult:
     holdout_size: int
 
 
-def baseline_minimizer(population, oracle, feasible_set, budget_steps,
-                       seed=0, holdout_size=None):
+def baseline_minimizer(population, oracle, feasible_set, budget_steps, seed=0):
     """Averaged projected subgradient descent as a stand-in for the true optimum.
 
     Runs budget_steps of SGD with step size D/(L*sqrt(t)) over a held-out
-    sample, returning the uniform iterate average. The reported error_bound
-    combines the standard averaged-SGD guarantee (1.5*D*L/sqrt(T)) with a
-    holdout-size term (D*L/sqrt(m)); callers should fold it into any bound
-    they check against this reference point.
+    sample of m = max(10^5, budget_steps) draws, returning the uniform
+    iterate average. The reported error_bound combines the standard
+    averaged-SGD guarantee (1.5*D*L/sqrt(T)) with a holdout-size term
+    (D*L/sqrt(m)); callers should fold it into any bound they check against
+    this reference point.
 
     The indices are one integers() draw up front. The loop runs in chunks of
     BASELINE_CHUNK_STEPS steps: per chunk it gathers the picked rows x_t and
@@ -384,8 +380,7 @@ def baseline_minimizer(population, oracle, feasible_set, budget_steps,
     """
     if budget_steps < 10_000:
         raise ConfigurationError("baseline_minimizer: budget_steps must be >= 10^4")
-    if holdout_size is None:
-        holdout_size = max(100_000, budget_steps)
+    holdout_size = max(100_000, budget_steps)
     D = feasible_set.diameter()
     L = oracle.lipschitz_L
     d = feasible_set.dimension

@@ -16,18 +16,21 @@ The accounting pipeline has four stages:
 
 All logarithms are natural. Out-of-regime parameters raise RegimeError
 instead of being clamped: a clamped answer would misstate the guarantee.
-Monte-Carlo auditing of the per-step claim lives in audit_single_step.
 Accountant functions are pure and safe to call concurrently.
+
+audit_single_step checks the per-step claim by Monte Carlo: it histograms
+the two neighbouring outputs on a fixed grid and scores every cell in both
+directions at once, as arrays; the per-cell table it returns is those
+arrays.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigurationError, RegimeError
 
-STAGE_PER_STEP = "per_step"
 STAGE_SUBSAMPLED = "subsampled"
 STAGE_COMPOSED = "composed"
 STAGE_END_TO_END = "end_to_end"
@@ -52,10 +55,6 @@ class StepPrivacy:
     delta: float
     n: int
     m: int = 1
-
-    def report(self):
-        return PrivacyReport(epsilon=self.epsilon_tilde, delta_total=self.delta,
-                             stage=STAGE_PER_STEP)
 
 
 @dataclass(frozen=True)
@@ -251,24 +250,15 @@ def from_target(eps_bar, delta_bar, n):
     return InternalBudget(epsilon=epsilon, delta=delta, delta_prime=delta)
 
 
-@dataclass(frozen=True)
-class AuditEvent:
-    lo: float
-    hi: float
-    p_s: float
-    p_sprime: float
-    violation: float
-    stderr: float
-
-
 @dataclass
 class AuditResult:
     """Outcome of a Monte-Carlo single-step DP audit.
 
     max_violation is the largest estimate of P[M(S) in E] - e^eps * P[M(S') in E]
     - delta over the tested events (both directions); significant is True if
-    any event exceeded three times its own binomial standard error. cells
-    holds the per-interval table in grid order for export.
+    any event exceeded three times its own binomial standard error. The
+    per-cell table is held as arrays in grid order: edges (cells + 1,) and,
+    per cell, p_s, p_sprime and the larger violation of the two directions.
     """
 
     max_violation: float
@@ -276,7 +266,10 @@ class AuditResult:
     significant: bool
     worst_lo: float
     worst_hi: float
-    cells: list = field(default_factory=list)
+    edges: np.ndarray
+    p_s: np.ndarray
+    p_sprime: np.ndarray
+    violation: np.ndarray
 
     def to_dict(self):
         return {
@@ -286,17 +279,6 @@ class AuditResult:
             "worst_lo": self.worst_lo,
             "worst_hi": self.worst_hi,
         }
-
-
-def _direction_violations(p_a, p_b, eps, delta, trials):
-    # p_a, p_b are empirical event probabilities; returns (violation, stderr)
-    # for the direction "a against e^eps * b + delta". Products are clipped
-    # at zero: cumulative probabilities can round a hair past 1.
-    amp = math.exp(eps)
-    violation = p_a - amp * p_b - delta
-    var_a = max(p_a * (1.0 - p_a), 0.0) / trials
-    var_b = max(p_b * (1.0 - p_b), 0.0) / trials
-    return violation, math.sqrt(var_a + amp * amp * var_b)
 
 
 def audit_single_step(sigma, L, epsilon_tilde, delta, trials,
@@ -339,28 +321,28 @@ def audit_single_step(sigma, L, epsilon_tilde, delta, trials,
     p_s = np.histogram(out_s, bins=edges)[0] / trials
     p_sp = np.histogram(out_sprime, bins=edges)[0] / trials
 
-    best = (-math.inf, 0.0, lo, hi)
-    significant = False
-    cells = []
-    for i in range(grid_cells):
-        worst = (-math.inf, 0.0)
-        for a, b in ((p_s[i], p_sp[i]), (p_sp[i], p_s[i])):
-            v, se = _direction_violations(a, b, epsilon_tilde, delta, trials)
-            if v > worst[0]:
-                worst = (v, se)
-            if v > 0.0 and v > 3.0 * se:
-                significant = True
-        if worst[0] > best[0]:
-            best = (worst[0], worst[1], float(edges[i]), float(edges[i + 1]))
-        cells.append(AuditEvent(lo=float(edges[i]), hi=float(edges[i + 1]),
-                                p_s=float(p_s[i]), p_sprime=float(p_sp[i]),
-                                violation=float(worst[0]), stderr=float(worst[1])))
-
-    return AuditResult(max_violation=float(best[0]),
-                       max_violation_stderr=float(best[1]),
+    # Row 0 tests each cell as "S against e^eps * S' + delta", row 1 the
+    # reverse, each with the binomial stderr of that difference. Variances
+    # are clipped at zero: cumulative probabilities can round a hair past 1.
+    amp = math.exp(epsilon_tilde)
+    p = np.stack([p_s, p_sp])
+    var = np.maximum(p * (1.0 - p), 0.0) / trials
+    directed = p - amp * p[::-1] - delta
+    directed_se = np.sqrt(var + amp * amp * var[::-1])
+    # The stderr is never negative, so beating 3 stderrs means a positive
+    # violation.
+    significant = bool(np.any(directed > 3.0 * directed_se))
+    # A cell takes the reverse direction only where it is strictly larger,
+    # and the worst cell is the first one at the maximum.
+    reverse = directed[1] > directed[0]
+    violation = np.where(reverse, directed[1], directed[0])
+    stderr = np.where(reverse, directed_se[1], directed_se[0])
+    worst = int(np.argmax(violation))
+    return AuditResult(max_violation=float(violation[worst]),
+                       max_violation_stderr=float(stderr[worst]),
                        significant=significant,
-                       worst_lo=best[2], worst_hi=best[3],
-                       cells=cells)
+                       worst_lo=float(edges[worst]), worst_hi=float(edges[worst + 1]),
+                       edges=edges, p_s=p_s, p_sprime=p_sp, violation=violation)
 
 
 def audit_grid_range(sigma, L):
@@ -373,6 +355,7 @@ def write_audit_csv(result, path):
     """Columns: interval_lo,interval_hi,p_S,p_Sprime,violation."""
     with open(path, "w") as fh:
         fh.write("interval_lo,interval_hi,p_S,p_Sprime,violation\n")
-        for c in result.cells:
-            fh.write(f"{c.lo:.17g},{c.hi:.17g},{c.p_s:.17g},"
-                     f"{c.p_sprime:.17g},{c.violation:.17g}\n")
+        for row in zip(result.edges[:-1].tolist(), result.edges[1:].tolist(),
+                       result.p_s.tolist(), result.p_sprime.tolist(),
+                       result.violation.tolist()):
+            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")

@@ -1,16 +1,16 @@
 """Uniform index sampling, first arrivals, and stopping-time Monte Carlo.
 
 The optimizer stops once more than half of the dataset indices have been
-drawn at least once. simulate_tau measures the distribution of that
-stopping time: the first step at which the count of distinct draws exceeds
-floor(n/2), i.e. the arrival of the (floor(n/2)+1)-th distinct index.
+drawn at least once: its stopping time tau is the 1-based step at which
+the (floor(n/2)+1)-th distinct index arrives. simulate_tau measures the
+distribution of tau.
 
-Both read the stopping time off blocks of pre-drawn indices with one
+Both read tau off blocks of pre-drawn indices with stopping_times, on one
 kernel, first_arrivals: a scatter-minimum of each draw's position onto its
 (row, value) slot gives every value's first position in its row, and the
-sorted slots are the row's first arrivals in step order. It works on
-(rows, steps) blocks, so the optimizer passes all repeats of a cell at
-once and simulate_tau a chunk of trials.
+sorted slots are the row's first arrivals in step order. Both work on
+(rows, steps) blocks: the optimizer passes all repeats of a cell at once
+and simulate_tau a chunk of trials.
 """
 
 from dataclasses import dataclass
@@ -97,19 +97,30 @@ def first_arrivals(draws, n):
     return first
 
 
+def stopping_times(draws, n):
+    """(arrivals, tau) of each row of a (rows, steps) index block.
+
+    arrivals is the (rows, fresh_target(n)) head of first_arrivals, the
+    fresh steps in step order; tau is one past the last of them. A row whose
+    block is too short holds steps in its missing arrivals and tau = steps + 1.
+    """
+    arrivals = first_arrivals(draws, n)[:, :fresh_target(n)]
+    return arrivals, arrivals[:, -1] + 1
+
+
 def _trial_stream(seed, trial):
     return np.random.default_rng(np.random.SeedSequence(entropy=[seed, trial]))
 
 
-def _tau_one_trial(n, target, rng):
-    # Block-draws the index stream and reads off the arrival time of the
-    # target-th distinct value; redraws are vanishingly rare past 4n.
+def _tau_one_trial(n, rng):
+    # Block-draws the index stream until the stopping time falls inside it;
+    # redraws are vanishingly rare past 4n.
     block = max(4 * n, 8)
     draws = rng.integers(0, n, size=block)
     while True:
-        arrival = first_arrivals(draws[None], n)[0, target - 1]
-        if arrival < draws.size:
-            return int(arrival) + 1
+        tau = int(stopping_times(draws[None], n)[1][0])
+        if tau <= draws.size:
+            return tau
         draws = np.concatenate([draws, rng.integers(0, n, size=block)])
 
 
@@ -127,7 +138,6 @@ def simulate_tau(n, trials, seed):
         raise ConfigurationError(f"simulate_tau: n must be >= 1, got {n}")
     if trials < 1:
         raise ConfigurationError(f"simulate_tau: trials must be >= 1, got {trials}")
-    target = fresh_target(n)
     block = max(4 * n, 8)
     per_chunk = max(1, CHUNK_DRAWS // block)
     samples = np.empty(trials, dtype=np.int64)
@@ -136,10 +146,10 @@ def simulate_tau(n, trials, seed):
         chunk = draws[:min(per_chunk, trials - start)]
         for row in range(len(chunk)):
             chunk[row] = _trial_stream(seed, start + row).integers(0, n, size=block)
-        arrival = first_arrivals(chunk, n)[:, target - 1]
-        samples[start:start + len(chunk)] = arrival + 1
+        tau = stopping_times(chunk, n)[1]
+        samples[start:start + len(chunk)] = tau
         # The rare trial whose first block holds too few distinct values is
         # replayed from the start of its stream, block by block.
-        for row in np.flatnonzero(arrival == block):
-            samples[start + row] = _tau_one_trial(n, target, _trial_stream(seed, start + row))
+        for row in np.flatnonzero(tau > block):
+            samples[start + row] = _tau_one_trial(n, _trial_stream(seed, start + row))
     return TauStats(n=n, trials=trials, tau_samples=samples)

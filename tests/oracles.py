@@ -39,6 +39,38 @@ def closed_form_cell_violations(sigma, L, eps, delta, grid_cells):
     return violations, edges[:-1], edges[1:]
 
 
+def audit_cells_reference(p_s, p_sprime, edges, eps, delta, trials):
+    """The audit's verdict from its cell probabilities, one cell at a time.
+
+    Each cell is tested as "a against e^eps * b + delta" for (a, b) =
+    (p_S, p_S') and then the reverse, with the binomial stderr of that
+    difference. A cell keeps the reverse only where it is strictly larger,
+    the first cell at the maximum is the worst, and any direction above 0
+    and above 3 stderrs is significant. Returns the per-cell violations and
+    (max_violation, stderr, worst_lo, worst_hi, significant).
+    """
+    amp = math.exp(eps)
+    best = (-math.inf, 0.0, None, None)
+    significant = False
+    violations = []
+    for i in range(len(p_s)):
+        worst = (-math.inf, 0.0)
+        for a, b in ((float(p_s[i]), float(p_sprime[i])),
+                     (float(p_sprime[i]), float(p_s[i]))):
+            v = a - amp * b - delta
+            var_a = max(a * (1.0 - a), 0.0) / trials
+            var_b = max(b * (1.0 - b), 0.0) / trials
+            se = math.sqrt(var_a + amp * amp * var_b)
+            if v > worst[0]:
+                worst = (v, se)
+            if v > 0.0 and v > 3.0 * se:
+                significant = True
+        if worst[0] > best[0]:
+            best = (worst[0], worst[1], float(edges[i]), float(edges[i + 1]))
+        violations.append(worst[0])
+    return np.array(violations), (*best, significant)
+
+
 def partial_coupon_sum(n):
     """Exact expected stopping time: sum of n/(n-k) for k = 0..floor(n/2)."""
     total = 0.0

@@ -1,13 +1,10 @@
-import os
-
 import numpy as np
 import pytest
 
 from dpmirror.errors import ConfigurationError
 from dpmirror.geometry import FeasibleSet
 from dpmirror.losses import (LossOracle, PopulationSpec, draw_arrays,
-                             draw_dataset, lipschitz_certificate,
-                             load_dataset, save_dataset)
+                             draw_dataset, lipschitz_certificate)
 from oracles import (plain_loss, plain_subgradient, points_away_from_kinks,
                      population_point)
 
@@ -292,32 +289,3 @@ class TestPopulations:
         with pytest.raises(ConfigurationError):
             draw_dataset(PopulationSpec("uniform_ball", 2, 1.0, seed=0), 0)
 
-
-class TestSerialization:
-    def test_round_trip(self, tmp_path):
-        spec = PopulationSpec("linear_margin", 3, 1.0, seed=9,
-                              w_true=np.array([0.0, 1.0, 0.0]), noise_rate=0.2)
-        features, labels = draw_dataset(spec, 50)
-        path = os.path.join(tmp_path, "data.csv")
-        save_dataset(path, (features, labels), seed=9)
-        loaded_features, loaded_labels = load_dataset(path, feature_bound=1.0)
-        assert loaded_features.shape == (50, 3)
-        np.testing.assert_array_equal(loaded_features, features)
-        np.testing.assert_array_equal(loaded_labels, labels)
-        with open(path) as fh:
-            assert fh.readline().startswith("# dim=3 n=50 seed=9")
-
-    def test_bound_violation_rejected(self, tmp_path):
-        path = os.path.join(tmp_path, "bad.csv")
-        with open(path, "w") as fh:
-            fh.write("# dim=2 n=1 seed=0\n")
-            fh.write("5.0,0.0,1.0\n")
-        with pytest.raises(ConfigurationError):
-            load_dataset(path, feature_bound=1.0)
-
-    def test_missing_header_rejected(self, tmp_path):
-        path = os.path.join(tmp_path, "headerless.csv")
-        with open(path, "w") as fh:
-            fh.write("0.0,0.0,1.0\n")
-        with pytest.raises(ConfigurationError):
-            load_dataset(path)

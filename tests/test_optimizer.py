@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -352,6 +353,77 @@ class TestBatchEquivalence:
         batch = self.check(config, seeds, features, labels, np.array([0.2]))
         assert batch.overrun.tolist() == [True, False, False, False, False]
         assert batch.tau[-1] == 16
+
+
+def golden_batch_case(name):
+    """(config, seeds, features, labels) of one pinned five-row batch."""
+    if name == "hinge-box-d1-overrun":
+        # The rows of test_overrunning_row_beside_finishing_rows.
+        fs = FeasibleSet.box([-1.0], [1.0])
+        config = RunConfig(n=16, d=1, eta=0.1, sigma=0.5, feasible_set=fs,
+                           oracle=LossOracle.hinge(1.0), w1=np.zeros(1), seed=0,
+                           max_steps=16)
+        rng = np.random.default_rng(5)
+        features = rng.uniform(-1.0, 1.0, size=(5, 16, 1))
+        labels = rng.choice([-1.0, 1.0], size=(5, 16))
+        return config, [26, 27, 28, 29, 43], features, labels
+    if name == "hinge-ball-d2":
+        d, sigma, seeds, first_seed = 2, 1.5, [51, 52, 53, 54, 55], 60
+        population = PopulationSpec("linear_margin", d, 1.0, seed=41,
+                                    w_true=np.eye(d)[0], noise_rate=0.1)
+        fs = FeasibleSet.l2_ball(0.5, dimension=d)
+        oracle = LossOracle.hinge(1.0)
+    else:
+        d, sigma, seeds, first_seed = 10, 0.4, [61, 62, 63, 64, 65], 70
+        population = PopulationSpec("uniform_ball", d, 1.0, seed=42)
+        fs = FeasibleSet.box([-0.5] * d, [0.5] * d)
+        oracle = LossOracle.squared(1.0, fs)
+    features, labels = stacked_datasets(population, 200, rows=5, first_seed=first_seed)
+    config = RunConfig(n=200, d=d, eta=0.05, sigma=sigma, feasible_set=fs, oracle=oracle,
+                       w1=np.zeros(d), seed=0)
+    return config, seeds, features, labels
+
+
+class TestBatchGolden:
+    """Seeded batches pinned bit for bit, fixed while the engine still kept
+    its rows sorted by falling tau and froze each row at its own tau."""
+
+    # sha256 of the tau, overrun, output and fresh_iterates bytes, in order.
+    GOLDEN = {
+        "hinge-ball-d2":
+            "36dc3ab3c3c2ee2af4cd02061bfc56dbc94b9f25ed455e0f63cb8ee12c01391a",
+        "squared-box-d10":
+            "0d504c6165757aa1e9d9ee9675454d64e3dabe8c909e5516c2ced465165f9f59",
+        "hinge-box-d1-overrun":
+            "bdb7716c301853703d27388726326c118f6abc205933fcedb424fa55e481dbff",
+    }
+    # The n = 200 cases run past the first NOISE_CHUNK_STEPS = 128 steps.
+    TAU = {
+        "hinge-ball-d2": [145, 135, 145, 149, 123],
+        "squared-box-d10": [155, 136, 162, 124, 125],
+        "hinge-box-d1-overrun": [16, 14, 14, 15, 16],
+    }
+
+    @pytest.mark.parametrize("name", list(GOLDEN))
+    def test_golden_digest(self, name):
+        batch = private_sgd_batch(*golden_batch_case(name))
+        assert batch.tau.tolist() == self.TAU[name]
+        assert batch.overrun.tolist() == [name.endswith("overrun")] + [False] * 4
+        digest = hashlib.sha256()
+        for array in (batch.tau, batch.overrun, batch.output, batch.fresh_iterates):
+            digest.update(np.ascontiguousarray(array).tobytes())
+        assert digest.hexdigest() == self.GOLDEN[name]
+
+    @pytest.mark.parametrize("name", list(GOLDEN))
+    def test_permuting_rows_permutes_results(self, name):
+        config, seeds, features, labels = golden_batch_case(name)
+        perm = np.array([3, 0, 4, 1, 2])
+        batch = private_sgd_batch(config, seeds, features, labels)
+        permuted = private_sgd_batch(config, np.asarray(seeds)[perm].tolist(),
+                                     features[perm], labels[perm])
+        for field in ("tau", "overrun", "output", "fresh_indices", "fresh_iterates"):
+            want = getattr(batch, field)[perm]
+            assert getattr(permuted, field).tobytes() == want.tobytes(), field
 
 
 class TestRegret:

@@ -1,10 +1,14 @@
+import contextlib
+import hashlib
+import io
 import math
 
 import numpy as np
 import pytest
 
-from oracles import closed_form_cell_violations
+from oracles import audit_cells_reference, closed_form_cell_violations
 
+from dpmirror import cli
 from dpmirror.errors import ConfigurationError, RegimeError
 from dpmirror.privacy import (LINEARIZATION_LIMIT, StepPrivacy,
                               amplify_by_subsampling, audit_single_step,
@@ -45,13 +49,6 @@ class TestCalibrateSigma:
                 calibrate_sigma(bad, 1e-6, 1.0)
             with pytest.raises(ConfigurationError):
                 calibrate_sigma(1.0, 1e-6, bad)
-
-
-def test_per_step_report_stage():
-    report = StepPrivacy(0.4, 1e-7, n=100).report()
-    assert report.stage == "per_step"
-    assert report.epsilon == 0.4
-    assert report.delta_total == 1e-7
 
 
 class TestAmplification:
@@ -278,6 +275,41 @@ class TestAudit:
     def test_grid_cap(self):
         with pytest.raises(ConfigurationError):
             audit_single_step(1.0, 1.0, 0.5, 1e-6, 2_000_000, grid_cells=501)
+
+    @pytest.mark.parametrize("scale", [1.0, 10.0, 0.1])
+    def test_matches_cell_by_cell_reference(self, scale):
+        # Calibrated, inflated and deflated noise: the array scoring gives
+        # the reference loop's verdict, bit for bit, from the same cells.
+        sigma = scale * calibrate_sigma(1.0, 1e-6, 0.5)
+        result = audit_single_step(sigma, 1.0, 0.5, 1e-6, 1_000_000, seed=5)
+        violations, verdict = audit_cells_reference(
+            result.p_s, result.p_sprime, result.edges, 0.5, 1e-6, 1_000_000)
+        np.testing.assert_array_equal(result.violation, violations)
+        assert (result.max_violation, result.max_violation_stderr, result.worst_lo,
+                result.worst_hi, result.significant) == verdict
+        assert verdict[-1] == (scale == 0.1)
+
+    # sha256 of (audit.csv, audit_summary.json) from `dpmirror audit` at seed
+    # 7, fixed while the audit still scored one cell at a time.
+    GOLDEN_FILES = {
+        1.0: ("558235eacc151b6aebf998043aeeb59c3c56da3c8b63b7de5177619a889a1eb0",
+              "f5d9f7cb14778beda91f1a34fa7c4e28ce439d0f1d940ca8daac5a694f6c7370"),
+        0.1: ("3e799a83d519bcf5383f78a436f6209d9a22918b2f2ffeaec26917ed95a8ed6c",
+              "4a5b5721755bc9976c64fa415e2ed6d46de966f247a8992ad68547b72eaf8b0e"),
+    }
+
+    @pytest.mark.parametrize("scale", list(GOLDEN_FILES))
+    def test_golden_files(self, scale, tmp_path):
+        sigma = scale * calibrate_sigma(1.0, 1e-6, 0.5)
+        argv = ["audit", "--L", "1.0", "--eps-tilde", "0.5", "--delta", "1e-06",
+                "--trials", "1000000", "--seed", "7", "--sigma", repr(sigma),
+                "--name", "a", "--output-dir", str(tmp_path)]
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(argv)
+        assert code == (4 if scale < 1.0 else 0)
+        digests = tuple(hashlib.sha256((tmp_path / "a" / name).read_bytes()).hexdigest()
+                        for name in ("audit.csv", "audit_summary.json"))
+        assert digests == self.GOLDEN_FILES[scale]
 
     def test_csv_export(self, tmp_path):
         result = audit_single_step(2.0, 1.0, 0.5, 1e-3, 100_000, grid_cells=50, seed=3)

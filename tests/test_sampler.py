@@ -6,7 +6,7 @@ import pytest
 from dpmirror import sampler
 from dpmirror.errors import ConfigurationError
 from dpmirror.sampler import (expected_tau, first_arrivals, fresh_target,
-                              sample_index, simulate_tau)
+                              sample_index, simulate_tau, stopping_times)
 
 # 99.9% quantile of chi-square with 9 degrees of freedom (standard tables).
 CHI2_9DOF_999 = 27.877
@@ -259,3 +259,16 @@ class TestFirstArrivalsKernel:
         self.check(draws, 10)
         assert first_arrivals(draws, 10)[:, 0].tolist() == [0, 0, 0, 0]
         assert np.all(first_arrivals(draws, 10)[:, 1:] == 1)
+
+    def test_stopping_times(self):
+        # tau is one past the (n//2+1)-th first arrival, as a set walk finds
+        # it; a row too short to get there reads steps + 1.
+        n, steps = 20, 40
+        rng = np.random.default_rng(12)
+        draws = np.concatenate([rng.integers(0, n, size=(5, steps)),
+                                [np.full(steps, 7), np.arange(steps) % 3]])
+        arrivals, tau = stopping_times(draws, n)
+        assert np.array_equal(arrivals, first_arrivals(draws, n)[:, :fresh_target(n)])
+        for r in range(5):
+            assert tau[r] == set_walk_tau(draws[r], n)
+        assert tau[5:].tolist() == [steps + 1, steps + 1]

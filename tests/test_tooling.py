@@ -1,0 +1,21 @@
+"""The traced benchmark wraps dpmirror names; they must all still exist."""
+
+import os
+import subprocess
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def test_benchmark_spans_install_on_this_tree():
+    # perfbench/spans.py replaces the functions it times by name (among them
+    # optimizer.mirror_step, optimizer.sample_index, harness.private_sgd and
+    # the draw_dataset aliases); a name deleted from dpmirror makes install
+    # raise. It runs in a fresh interpreter so the wrappers stay out of this
+    # test process.
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import spans; spans.install(spans.Recorder())"],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
