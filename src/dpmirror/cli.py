@@ -37,10 +37,10 @@ def _resolve_seed(seed):
     # Reproducible mode needs an explicit --seed; otherwise draw one from
     # entropy and record it in every output.
     if seed is not None:
-        return seed, True
+        return seed
     drawn = secrets.randbits(63)
     print(f"seed not given; drawn from entropy: {drawn}", file=sys.stderr)
-    return drawn, False
+    return drawn
 
 
 def _cmd_run(args):
@@ -51,8 +51,7 @@ def _cmd_run(args):
         value = getattr(args, key)
         if value is not None:
             overrides[key] = value
-    seed, _ = _resolve_seed(args.seed if args.seed is not None
-                            else overrides.get("seed"))
+    seed = _resolve_seed(args.seed if args.seed is not None else overrides.get("seed"))
     overrides["seed"] = str(seed)
     spec = build_spec(overrides)
     result = run_and_write(spec)
@@ -68,7 +67,7 @@ def _cmd_tau_sim(args):
     except ValueError:
         raise ConfigurationError(
             f"--n: expected comma-separated integers, got {args.n!r}") from None
-    seed, _ = _resolve_seed(args.seed)
+    seed = _resolve_seed(args.seed)
     stats = run_tau_sim(n_values, args.trials, seed,
                         args.output_dir or default_output_dir(), name=args.name)
     print(json.dumps({"seed": seed, "results": [s.summary() for s in stats]}))
@@ -105,7 +104,7 @@ def _cmd_calibrate(args):
 
 
 def _cmd_audit(args):
-    seed, _ = _resolve_seed(args.seed)
+    seed = _resolve_seed(args.seed)
     if args.sigma is not None:
         sigma = args.sigma
     else:

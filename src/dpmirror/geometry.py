@@ -113,11 +113,12 @@ class FeasibleSet:
             return projected
         return points.clip(self.lower, self.upper)
 
-    def contains(self, point, tol=MEMBERSHIP_TOL):
+    def contains(self, point):
         p = _as_vector(point, self.dimension, "contains: point")
         if self.kind == L2_BALL:
-            return np.linalg.norm(p - self.center) <= self.radius + tol
-        return bool(np.all(p >= self.lower - tol) and np.all(p <= self.upper + tol))
+            return np.linalg.norm(p - self.center) <= self.radius + MEMBERSHIP_TOL
+        return bool(np.all(p >= self.lower - MEMBERSHIP_TOL)
+                    and np.all(p <= self.upper + MEMBERSHIP_TOL))
 
 
 def mirror_step(feasible_set, w, g, eta):

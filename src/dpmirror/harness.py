@@ -197,7 +197,7 @@ def build_spec(overrides):
     seed = _require(kv, "seed", int)
     population = PopulationSpec(
         generator=generator, dimension=dimension, feature_bound=feature_bound,
-        seed=seed, w_true=w_true,
+        w_true=w_true,
         noise_rate=_require(kv, "noise_rate", float) if generator == LINEAR_MARGIN else 0.0,
     )
 
@@ -288,7 +288,7 @@ def run_experiment(spec):
     the output's risk, and measure regret against the reference minimizer.
     The repeats of a cell run together in one private_sgd_batch call; each
     uses seeds derived from (seed, cell, repeat), so results do not depend
-    on execution order. A repeat that overruns max_steps is counted in
+    on execution order. A repeat that overruns its step cap is counted in
     overrun_runs and left out of the cell's means. Reported stderr adds the
     reference minimizer's own error bound so bound checks stay honest.
     """
@@ -327,9 +327,8 @@ def run_experiment(spec):
                 features[r], labels[r] = draw_dataset(spec.population, n, data_rng)
             seeds = [_run_seed(spec.seed, n_idx, e_idx, r, 1)
                      for r in range(spec.repeats)]
-            config = RunConfig(n=n, d=d, eta=eta, sigma=sigma,
-                               feasible_set=spec.feasible_set, oracle=spec.oracle,
-                               w1=w1, seed=seeds[0])
+            config = RunConfig(n=n, eta=eta, sigma=sigma, feasible_set=spec.feasible_set,
+                               oracle=spec.oracle, w1=w1)
             batch = private_sgd_batch(config, seeds, features, labels)
             all_regrets = estimate_regret(batch, (features, labels), baseline.w, config)
             finished = np.flatnonzero(~batch.overrun)

@@ -155,7 +155,6 @@ class PopulationSpec:
     generator: str
     dimension: int
     feature_bound: float
-    seed: int
     w_true: np.ndarray = None
     noise_rate: float = 0.0
 
@@ -176,21 +175,17 @@ class PopulationSpec:
                 raise ConfigurationError("w_true does not match dimension")
             object.__setattr__(self, "w_true", w)
 
-    def rng(self):
-        return np.random.default_rng(self.seed)
 
-
-def draw_arrays(spec, n, rng=None):
+def draw_arrays(spec, n, rng):
     """A dataset of n i.i.d. draws: (features, labels) arrays of shape (n, d), (n,).
 
-    Reproducible from spec.seed when no rng is passed. Features are uniform
-    in the ball of radius spec.feature_bound: a Gaussian direction scaled
-    to radius feature_bound * U**(1/d).
+    All randomness comes from the generator rng, so the same seeded rng
+    gives the same dataset. Features are uniform in the ball of radius
+    spec.feature_bound: a Gaussian direction scaled to radius
+    feature_bound * U**(1/d).
     """
     if n < 1:
         raise ConfigurationError(f"draw_arrays: n must be >= 1, got {n}")
-    if rng is None:
-        rng = spec.rng()
     directions = rng.standard_normal((n, spec.dimension))
     norms = np.linalg.norm(directions, axis=1, keepdims=True)
     norms[norms == 0.0] = 1.0

@@ -9,6 +9,9 @@ and outputs the average of the iterates held at the fresh steps.
 Noise convention: sigma is the per-coordinate standard deviation, i.e.
 noise is N(0, sigma^2 * I). This matches the accountant in privacy.py.
 
+A run is fixed by its RunConfig (n, eta, sigma, the feasible set, the
+oracle and w1), the seed passed beside it and its dataset, and takes at
+most max_steps = MAX_STEPS_FACTOR * n steps.
 The index stream does not depend on the iterates, so a run's indices are
 drawn up front as one block of max_steps draws. One sampler.stopping_times
 call on the (R, max_steps) block of all runs gives every run's stopping
@@ -40,53 +43,39 @@ from .geometry import mirror_step  # noqa: F401
 from .losses import draw_arrays, draw_dataset  # noqa: F401
 from .sampler import fresh_target, sample_index, stopping_times  # noqa: F401
 
-DEFAULT_MAX_STEPS_FACTOR = 4
+MAX_STEPS_FACTOR = 4
 NOISE_CHUNK_STEPS = 128
 BASELINE_CHUNK_STEPS = 4096
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Full parameterization of one private run.
+    """The parameters of one private run; the dimension is feasible_set.dimension.
 
-    max_steps defaults to 4n; exceeding it raises OverrunError rather than
-    silently truncating (the stopping rule makes overrun exponentially
-    unlikely at that cap).
+    A run that has not stopped after MAX_STEPS_FACTOR * n steps is an
+    overrun, reported rather than silently truncated (the stopping rule
+    makes it exponentially unlikely at that cap).
     """
 
     n: int
-    d: int
     eta: float
     sigma: float
     feasible_set: object
     oracle: object
     w1: np.ndarray
-    seed: int
-    max_steps: int = None
-
-    def resolved_max_steps(self):
-        if self.max_steps is None:
-            return DEFAULT_MAX_STEPS_FACTOR * self.n
-        return self.max_steps
 
     def validate(self):
         if self.n < 1:
             raise ConfigurationError(f"RunConfig: n must be >= 1, got {self.n}")
-        if self.d != self.feasible_set.dimension:
-            raise ConfigurationError(
-                f"RunConfig: d={self.d} != set dimension {self.feasible_set.dimension}"
-            )
         if not math.isfinite(self.eta) or self.eta <= 0:
             raise ConfigurationError(
                 f"RunConfig: eta must be finite and positive, got {self.eta}")
         if not math.isfinite(self.sigma) or self.sigma < 0:
             raise ConfigurationError(
                 f"RunConfig: sigma must be finite and >= 0, got {self.sigma}")
-        if self.resolved_max_steps() < self.n:
-            raise ConfigurationError("RunConfig: max_steps must be at least n")
         w1 = np.asarray(self.w1, dtype=float)
-        if w1.shape != (self.d,):
-            raise ConfigurationError("RunConfig: w1 does not match dimension d")
+        if w1.shape != (self.feasible_set.dimension,):
+            raise ConfigurationError("RunConfig: w1 does not match the set's dimension")
         if not np.all(np.isfinite(w1)):
             raise ConfigurationError("RunConfig: w1 must be finite")
         if not self.feasible_set.contains(w1):
@@ -126,7 +115,8 @@ class RunTrace:
 class RunBatch:
     """R runs from private_sgd_batch; row r is the run with seeds[r].
 
-    tau             (R,) steps taken; max_steps in rows that overran
+    tau             (R,) steps taken; max_steps = MAX_STEPS_FACTOR * n in
+                    rows that overran
     overrun         (R,) True where max_steps draws held fewer than n//2+1
                     distinct indices. An overrun is reported here, not
                     raised, and leaves the other rows untouched.
@@ -150,7 +140,6 @@ class RunBatch:
 class RiskEstimate:
     mean: float
     stderr: float
-    eval_samples: int
 
 
 def run_streams(seed):
@@ -164,8 +153,8 @@ def run_streams(seed):
     return np.random.default_rng(idx_ss), np.random.default_rng(noise_ss)
 
 
-def private_sgd(config, dataset):
-    """Run the private optimizer on a dataset of exactly config.n points.
+def private_sgd(config, seed, dataset):
+    """One private run with the given seed on a dataset of exactly config.n points.
 
     dataset is a (features, labels) pair of shape (n, d) and (n,). Each
     step: draw an index; if unseen, step against the noisy subgradient at
@@ -174,14 +163,14 @@ def private_sgd(config, dataset):
 
     Returns a RunTrace whose output is the average of the iterates at fresh
     steps (the iterate the subgradient was evaluated at, not the updated
-    one). Fully deterministic given config.seed; the R = 1 case of
+    one). Fully deterministic given the seed; the R = 1 case of
     private_sgd_batch.
 
     Raises OverrunError (carrying the partial trace) if the stopping rule
     has not fired within max_steps.
     """
     features, labels = dataset
-    batch = private_sgd_batch(config, [config.seed],
+    batch = private_sgd_batch(config, [seed],
                               np.asarray(features, dtype=float)[None],
                               np.asarray(labels, dtype=float)[None], record=True)
     trace = batch.traces[0]
@@ -195,9 +184,9 @@ def private_sgd(config, dataset):
 def private_sgd_batch(config, seeds, features, labels, record=False):
     """private_sgd for R = len(seeds) runs at once, in lockstep.
 
-    Row r is the run of config with seed seeds[r] (config.seed is not used)
-    on the dataset (features[r], labels[r]); features is (R, n, d) and
-    labels (R, n). Each row gives the same result as running it alone.
+    Row r is the run of config with seed seeds[r] on the dataset
+    (features[r], labels[r]); features is (R, n, d) and labels (R, n). Each
+    row gives the same result as running it alone.
 
     All rows step in lockstep up to max(tau). A row past its own tau keeps
     taking noise-only steps from its own noise generator, and nothing reads
@@ -214,7 +203,7 @@ def private_sgd_batch(config, seeds, features, labels, record=False):
     memory, and returns them as per-row RunTraces.
     """
     config.validate()
-    n, d, rows = config.n, config.d, len(seeds)
+    n, d, rows = config.n, config.feasible_set.dimension, len(seeds)
     features = np.asarray(features, dtype=float)
     labels = np.asarray(labels, dtype=float)
     if rows < 1:
@@ -230,7 +219,7 @@ def private_sgd_batch(config, seeds, features, labels, record=False):
         raise ConfigurationError(
             f"private_sgd: a data row gives subgradients of norm up to {worst:.6g} on "
             f"the feasible set, above the certified L = {config.oracle.lipschitz_L:.6g}")
-    max_steps = config.resolved_max_steps()
+    max_steps = MAX_STEPS_FACTOR * n
     target = fresh_target(n)
 
     # Index streams, stopping times and fresh steps, before any iterate.
@@ -333,17 +322,14 @@ def estimate_regret(trace, dataset, comparator, config):
     return float(total) if total.ndim == 0 else total
 
 
-def estimate_risk(w, population, oracle, eval_samples, rng=None):
-    """Monte-Carlo mean and standard error of the loss at w on fresh draws."""
+def estimate_risk(w, population, oracle, eval_samples, rng):
+    """Monte-Carlo mean and standard error of the loss at w on draws from rng."""
     if eval_samples < 1:
         raise ConfigurationError("estimate_risk: eval_samples must be >= 1")
     features, labels = draw_arrays(population, eval_samples, rng)
     values = oracle.batch_values(np.asarray(w, dtype=float), features, labels)
-    mean = float(values.mean())
-    if eval_samples == 1:
-        return RiskEstimate(mean=mean, stderr=0.0, eval_samples=1)
-    stderr = float(values.std(ddof=1) / math.sqrt(eval_samples))
-    return RiskEstimate(mean=mean, stderr=stderr, eval_samples=eval_samples)
+    stderr = float(values.std(ddof=1) / math.sqrt(eval_samples)) if eval_samples > 1 else 0.0
+    return RiskEstimate(mean=float(values.mean()), stderr=stderr)
 
 
 @dataclass(frozen=True)

@@ -57,8 +57,8 @@ def private_run_grid():
     started = time.time()
     cells = {}
     for d in GRID_DIMS:
-        population = PopulationSpec("linear_margin", d, 1.0, seed=90 + d,
-                                    w_true=np.eye(d)[0], noise_rate=0.1)
+        population = PopulationSpec("linear_margin", d, 1.0, w_true=np.eye(d)[0],
+                                    noise_rate=0.1)
         feasible = FeasibleSet.l2_ball(0.5, dimension=d)
         oracle = LossOracle.hinge(1.0)
         baseline = baseline_minimizer(population, oracle, feasible,
@@ -73,9 +73,8 @@ def private_run_grid():
             features = np.stack([f for f, _ in datasets])
             labels = np.stack([y for _, y in datasets])
             seeds = [derived_seed(d, n, r, 1) for r in range(GRID_REPEATS)]
-            config = RunConfig(n=n, d=d, eta=plan.eta, sigma=plan.sigma,
-                               feasible_set=feasible, oracle=oracle,
-                               w1=np.zeros(d), seed=seeds[0])
+            config = RunConfig(n=n, eta=plan.eta, sigma=plan.sigma,
+                               feasible_set=feasible, oracle=oracle, w1=np.zeros(d))
             batch = private_sgd_batch(config, seeds, features, labels)
             assert not batch.overrun.any()
             taus = batch.tau
@@ -257,9 +256,9 @@ def test_criterion_7_noiseless_equivalence():
         features = np.array([f for f, _ in rows])
         labels = np.array([y for _, y in rows])
         w1 = project(rng.normal(scale=0.5, size=d))
-        config = RunConfig(n=n, d=d, eta=eta, sigma=0.0, feasible_set=feasible,
-                           oracle=oracle, w1=w1, seed=derived_seed(7, case))
-        trace = private_sgd(config, (features, labels))
+        config = RunConfig(n=n, eta=eta, sigma=0.0, feasible_set=feasible,
+                           oracle=oracle, w1=w1)
+        trace = private_sgd(config, derived_seed(7, case), (features, labels))
 
         w = w1.copy()
         for t in range(trace.tau):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import time
@@ -178,7 +179,7 @@ class TestRunCommand:
             finally:
                 calls["in_baseline"] = False
 
-        def counting_draw(spec, n, rng=None):
+        def counting_draw(spec, n, rng):
             calls["draws"].append((n, calls["in_baseline"]))
             return draw(spec, n, rng)
 
@@ -188,6 +189,32 @@ class TestRunCommand:
         assert calls["baseline"] == 1
         holdout = [n for n, inside in calls["draws"] if inside]
         assert holdout == [100_000]    # max(10^5, baseline_steps)
+
+    def test_real_overruns_left_out_of_means(self, tmp_path, monkeypatch, capsys):
+        # Under a 16-step cap at n = 16 (MAX_STEPS_FACTOR = 1), a run falls
+        # short of the n//2 + 1 = 9 fresh draws the stopping rule needs with
+        # probability 0.071; 3 of these 100 do. The engine flags them itself.
+        monkeypatch.setattr(optimizer_mod, "MAX_STEPS_FACTOR", 1)
+        batches = []
+
+        def keep_batch(*args):
+            batches.append(private_sgd_batch(*args))
+            return batches[-1]
+
+        monkeypatch.setattr(harness_mod, "private_sgd_batch", keep_batch)
+        rc = cli.main(["run", "--n-values", "16", "--epsilon-values", "max",
+                       "--repeats", "100", "--seed", "5", "--eval-samples", "200",
+                       "--baseline-steps", "10000", "--output-dir", str(tmp_path)])
+        assert rc == 5                       # more than 1% of the rows overran
+        summary = json.loads((tmp_path / "experiment" / "summary.json").read_text())
+        cell = summary["cells"][0]
+        (batch,) = batches
+        finished = ~batch.overrun
+        assert cell["overrun_runs"] == int(batch.overrun.sum()) >= 1
+        assert np.all(batch.tau[batch.overrun] == 16)
+        assert cell["mean_tau"] == float(np.mean(batch.tau[finished]))
+        assert math.isfinite(cell["mean_regret"])
+        assert math.isfinite(cell["mean_excess_risk"])
 
     def test_overrunning_cells_marked_degraded(self, tmp_path, monkeypatch):
         monkeypatch.setattr(harness_mod, "private_sgd_batch", always_overruns)
@@ -356,3 +383,57 @@ class TestCli:
                        "--name", "envdir"])
         assert rc == 0
         assert (tmp_path / "envdir" / "tau.csv").exists()
+
+
+def digest_run_outputs(outdir):
+    """sha256 of cells.csv and summary.json with the output directory taken out."""
+    csv = (outdir / "cells.csv").read_text().splitlines(keepends=True)
+    csv = "".join(line for line in csv if not line.startswith("# output_dir="))
+    summary = json.loads((outdir / "summary.json").read_text())
+    del summary["config"]["output_dir"]
+    text = json.dumps(summary, indent=2, sort_keys=True) + "\n"
+    return [hashlib.sha256(t.encode()).hexdigest() for t in (csv, text)]
+
+
+class TestGoldenOutputs:
+    """Seeded `run` and `calibrate` outputs, pinned byte for byte."""
+
+    RUNS = {
+        "hinge-ball": ["--dimension", "3", "--n-values", "16,64", "--repeats", "4"],
+        "squared-box-sigma-override": [
+            "--loss", "squared", "--generator", "uniform_ball", "--set", "box",
+            "--dimension", "2", "--lower=-0.5,-0.4", "--upper=0.5,0.3",
+            "--n-values", "32", "--repeats", "3", "--sigma-override", "0.2"],
+    }
+    # (cells.csv, summary.json) digests.
+    RUN_DIGESTS = {
+        "hinge-ball": [
+            "808743179d1fb2f53fdf3422512559c28c07e4742f9ae921cc29a21c3463f3bd",
+            "561da9b2e9f723b4b64fa3a43a0cf970b4e989c3f549890645b1937a68bf0b41"],
+        "squared-box-sigma-override": [
+            "ce0bdd4c1e22f883e1533090667078d4abc3b382903e539400847316a67e8a66",
+            "f9dc8e3a87d3e05fb1377c9ddb49a7de32b87645f99bb9ca40477cf3997f7c5e"],
+    }
+    CALIBRATE = {
+        "eps": ["--n", "10000", "--eps", "0.005", "--delta", "1e-6",
+                "--L", "1", "--D", "1", "--d", "10"],
+        "eps-bar": ["--eps-bar", "0.1", "--delta-bar", "3e-6", "--n", "400"],
+    }
+    CALIBRATE_DIGESTS = {
+        "eps": "8acc38366bb4c228e3a560f36033864079b590ae286385fdc25e49682563668c",
+        "eps-bar": "f992ac6f5dd37c9423a41fe154552fab8a4548d44ed154a830be981e274fbb99",
+    }
+
+    @pytest.mark.parametrize("name", list(RUNS))
+    def test_run(self, name, tmp_path, capsys):
+        rc = cli.main(["run", "--epsilon-values", "max", "--seed", "11",
+                       "--eval-samples", "500", "--baseline-steps", "10000",
+                       "--output-dir", str(tmp_path), "--name", name, *self.RUNS[name]])
+        assert rc == 0
+        assert digest_run_outputs(tmp_path / name) == self.RUN_DIGESTS[name]
+
+    @pytest.mark.parametrize("name", list(CALIBRATE))
+    def test_calibrate(self, name, capsys):
+        assert cli.main(["calibrate", *self.CALIBRATE[name]]) == 0
+        digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert digest == self.CALIBRATE_DIGESTS[name]

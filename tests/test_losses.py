@@ -225,46 +225,46 @@ class TestLipschitzCertificates:
 
 
 class TestPopulations:
-    def spec(self, noise=0.0, seed=6):
-        return PopulationSpec("linear_margin", 2, 1.0, seed=seed,
-                              w_true=np.array([1.0, 0.0]), noise_rate=noise)
+    def spec(self, noise=0.0):
+        return PopulationSpec("linear_margin", 2, 1.0, w_true=np.array([1.0, 0.0]),
+                              noise_rate=noise)
 
     def test_noiseless_labels_agree_with_margin(self):
         spec = self.spec()
-        features, labels = draw_dataset(spec, 2000)
+        features, labels = draw_dataset(spec, 2000, np.random.default_rng(6))
         assert features.shape == (2000, 2) and labels.shape == (2000,)
         assert np.all(labels * (features @ spec.w_true) >= 0.0)
 
     def test_feature_bound_holds(self):
-        spec = PopulationSpec("uniform_ball", 3, 0.7, seed=1)
-        features, _ = draw_dataset(spec, 2000)
+        spec = PopulationSpec("uniform_ball", 3, 0.7)
+        features, _ = draw_dataset(spec, 2000, np.random.default_rng(1))
         assert np.all(np.linalg.norm(features, axis=1) <= 0.7 + 1e-12)
 
     def test_fixed_seed_reproduces(self):
         spec = self.spec(noise=0.3)
-        a_features, a_labels = draw_dataset(spec, 100)
-        b_features, b_labels = draw_dataset(spec, 100)
+        a_features, a_labels = draw_dataset(spec, 100, np.random.default_rng(6))
+        b_features, b_labels = draw_dataset(spec, 100, np.random.default_rng(6))
         np.testing.assert_array_equal(a_features, b_features)
         np.testing.assert_array_equal(a_labels, b_labels)
 
     def test_flip_rate_half(self):
-        spec = self.spec(noise=0.5, seed=8)
+        spec = self.spec(noise=0.5)
         n = 10_000
-        features, labels = draw_dataset(spec, n)
+        features, labels = draw_dataset(spec, n, np.random.default_rng(8))
         clean = np.where(features @ spec.w_true >= 0.0, 1.0, -1.0)
         flips = int(np.sum(labels != clean))
         assert 0.45 <= flips / n <= 0.55
 
     def test_uniform_ball_labels(self):
-        spec = PopulationSpec("uniform_ball", 2, 1.0, seed=2)
-        _, labels = draw_dataset(spec, 1000)
+        spec = PopulationSpec("uniform_ball", 2, 1.0)
+        _, labels = draw_dataset(spec, 1000, np.random.default_rng(2))
         assert np.all((-1.0 <= labels) & (labels <= 1.0))
 
     def test_batched_draws_match_scalar_distribution(self):
         # draw_arrays must sample the same population as an independent
         # per-point reference sampler; compare summary statistics.
-        spec = PopulationSpec("linear_margin", 3, 1.0, seed=4,
-                              w_true=np.eye(3)[0], noise_rate=0.3)
+        spec = PopulationSpec("linear_margin", 3, 1.0, w_true=np.eye(3)[0],
+                              noise_rate=0.3)
         rng = np.random.default_rng(0)
         scalar = [population_point(spec, rng) for _ in range(30_000)]
         s_feats = np.stack([x for x, _ in scalar])
@@ -281,11 +281,11 @@ class TestPopulations:
 
     def test_bad_spec(self):
         with pytest.raises(ConfigurationError):
-            PopulationSpec("linear_margin", 2, 1.0, seed=0)     # no w_true
+            PopulationSpec("linear_margin", 2, 1.0)     # no w_true
         with pytest.raises(ConfigurationError):
-            PopulationSpec("uniform_ball", 2, -1.0, seed=0)
+            PopulationSpec("uniform_ball", 2, -1.0)
         with pytest.raises(ConfigurationError):
-            PopulationSpec("mystery", 2, 1.0, seed=0)
+            PopulationSpec("mystery", 2, 1.0)
         with pytest.raises(ConfigurationError):
-            draw_dataset(PopulationSpec("uniform_ball", 2, 1.0, seed=0), 0)
+            draw_dataset(PopulationSpec("uniform_ball", 2, 1.0), 0, np.random.default_rng(0))
 

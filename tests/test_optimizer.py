@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import math
 
@@ -15,14 +14,15 @@ from dpmirror.optimizer import (NOISE_CHUNK_STEPS, RunConfig, baseline_minimizer
 from dpmirror.sampler import fresh_target
 
 
-def hinge_setup(n, d, sigma, eta, seed, radius=0.5, noise_rate=0.1, data_seed=None):
-    population = PopulationSpec(
-        "linear_margin", d, 1.0, seed=data_seed if data_seed is not None else seed,
-        w_true=np.eye(d)[0], noise_rate=noise_rate)
-    dataset = draw_dataset(population, n)
+def hinge_setup(n, d, sigma, eta, seed, radius=0.5, noise_rate=0.1):
+    """(population, dataset, config) of a hinge run; the dataset is drawn
+    with np.random.default_rng(seed), and the run takes the seed as well."""
+    population = PopulationSpec("linear_margin", d, 1.0, w_true=np.eye(d)[0],
+                                noise_rate=noise_rate)
+    dataset = draw_dataset(population, n, np.random.default_rng(seed))
     fs = FeasibleSet.l2_ball(radius, dimension=d)
-    config = RunConfig(n=n, d=d, eta=eta, sigma=sigma, feasible_set=fs,
-                       oracle=LossOracle.hinge(1.0), w1=np.zeros(d), seed=seed)
+    config = RunConfig(n=n, eta=eta, sigma=sigma, feasible_set=fs,
+                       oracle=LossOracle.hinge(1.0), w1=np.zeros(d))
     return population, dataset, config
 
 
@@ -39,9 +39,9 @@ class TestPrivateSgd:
         # output = (0 + 0.2)/2 = 0.1
         fs = FeasibleSet.box([-1.0], [1.0])
         data = (np.array([[0.8], [0.5]]), np.array([1.0, -1.0]))
-        config = RunConfig(n=2, d=1, eta=0.25, sigma=0.0, feasible_set=fs,
-                           oracle=LossOracle.hinge(1.0), w1=np.zeros(1), seed=1)
-        trace = private_sgd(config, data)
+        config = RunConfig(n=2, eta=0.25, sigma=0.0, feasible_set=fs,
+                           oracle=LossOracle.hinge(1.0), w1=np.zeros(1))
+        trace = private_sgd(config, 1, data)
         assert trace.tau == 2
         assert trace.indices.tolist() == [0, 1]
         np.testing.assert_allclose(trace.iterates[0], [0.0], atol=1e-15)
@@ -50,13 +50,13 @@ class TestPrivateSgd:
 
     def test_vanishing_step_size_keeps_w1(self):
         _, data, config = hinge_setup(20, 2, sigma=1.0, eta=1e-12, seed=3)
-        trace = private_sgd(config, data)
+        trace = private_sgd(config, 3, data)
         assert np.linalg.norm(trace.output - config.w1) <= 1e-6
 
     def test_fixed_seed_is_bitwise_deterministic(self):
         _, data, config = hinge_setup(32, 3, sigma=0.8, eta=0.05, seed=7)
-        a = private_sgd(config, data)
-        b = private_sgd(config, data)
+        a = private_sgd(config, 7, data)
+        b = private_sgd(config, 7, data)
         assert a.tau == b.tau
         np.testing.assert_array_equal(a.output, b.output)
         for field in ("indices", "fresh", "iterates", "noise_norms"):
@@ -64,17 +64,17 @@ class TestPrivateSgd:
 
     def test_trace_invariants(self):
         _, data, config = hinge_setup(50, 2, sigma=2.0, eta=0.1, seed=11)
-        trace = private_sgd(config, data)
+        trace = private_sgd(config, 11, data)
         assert trace.tau == len(trace.indices) == len(trace.fresh)
         assert trace.iterates.shape == (trace.tau, 2)
         assert trace.noise_norms.shape == (trace.tau,)
         assert int(trace.fresh.sum()) == 50 // 2 + 1
         assert trace.fresh[-1]                  # the stopping step is fresh
         for w in trace.iterates:
-            assert config.feasible_set.contains(w, tol=1e-9)
+            assert config.feasible_set.contains(w)
         np.testing.assert_allclose(trace.output, trace.iterates[trace.fresh].mean(axis=0),
                                    atol=1e-12)
-        assert config.feasible_set.contains(trace.output, tol=1e-9)
+        assert config.feasible_set.contains(trace.output)
         # fresh flags in the trace agree with first occurrences
         seen = set()
         for idx, fresh in zip(trace.indices.tolist(), trace.fresh.tolist()):
@@ -84,7 +84,7 @@ class TestPrivateSgd:
     def test_noise_norms_match_sigma(self):
         # Each step's noise is N(0, sigma^2 I): E||xi||^2 = sigma^2 * d.
         _, data, config = hinge_setup(400, 3, sigma=2.0, eta=0.01, seed=12)
-        trace = private_sgd(config, data)
+        trace = private_sgd(config, 12, data)
         mean_sq = float(np.mean(trace.noise_norms ** 2))
         assert abs(mean_sq - 4.0 * 3) <= 0.15 * 12.0
 
@@ -93,7 +93,7 @@ class TestPrivateSgd:
         # recorded index stream, with projection and subgradients written
         # out longhand.
         _, (features, labels), config = hinge_setup(40, 3, sigma=0.0, eta=0.07, seed=13)
-        trace = private_sgd(config, (features, labels))
+        trace = private_sgd(config, 13, (features, labels))
         w = config.w1.copy()
         r = config.feasible_set.radius
         for t in range(trace.tau):
@@ -115,8 +115,8 @@ class TestPrivateSgd:
         # the run crosses noise-chunk boundaries.
         n, d = 300, 3
         _, (features, labels), config = hinge_setup(n, d, sigma=0.7, eta=0.05, seed=17)
-        trace = private_sgd(config, (features, labels))
-        idx_rng, noise_rng = run_streams(config.seed)
+        trace = private_sgd(config, 17, (features, labels))
+        idx_rng, noise_rng = run_streams(17)
         r = config.feasible_set.radius
         w = config.w1.copy()
         seen, fresh_sum, t = set(), np.zeros(d), 0
@@ -143,34 +143,25 @@ class TestPrivateSgd:
     def test_wrong_dataset_size(self):
         _, (features, labels), config = hinge_setup(30, 2, sigma=0.0, eta=0.1, seed=5)
         with pytest.raises(ConfigurationError):
-            private_sgd(config, (features[:-1], labels[:-1]))
+            private_sgd(config, 5, (features[:-1], labels[:-1]))
 
     def test_w1_outside_set_rejected(self):
         fs = FeasibleSet.l2_ball(0.5, dimension=2)
-        config = RunConfig(n=16, d=2, eta=0.1, sigma=0.0, feasible_set=fs,
-                           oracle=LossOracle.hinge(1.0),
-                           w1=np.array([1.0, 0.0]), seed=0)
+        config = RunConfig(n=16, eta=0.1, sigma=0.0, feasible_set=fs,
+                           oracle=LossOracle.hinge(1.0), w1=np.array([1.0, 0.0]))
         with pytest.raises(ConfigurationError):
-            private_sgd(config, constant_dataset(16, 2))
+            private_sgd(config, 0, constant_dataset(16, 2))
 
-    def test_max_steps_below_n_rejected(self):
-        fs = FeasibleSet.l2_ball(0.5, dimension=2)
-        config = RunConfig(n=16, d=2, eta=0.1, sigma=0.0, feasible_set=fs,
-                           oracle=LossOracle.hinge(1.0), w1=np.zeros(2),
-                           seed=0, max_steps=8)
-        with pytest.raises(ConfigurationError):
-            private_sgd(config, constant_dataset(16, 2))
-
-    def test_overrun_carries_partial_trace(self):
+    def test_overrun_carries_partial_trace(self, monkeypatch):
         # Seed 26 yields at most 8 distinct indices in the first 16 draws
-        # for n=16, so a cap of 16 steps cannot reach the 9 fresh draws
-        # the stopping rule needs.
+        # for n=16, so a cap of 16 steps (MAX_STEPS_FACTOR = 1) cannot reach
+        # the 9 fresh draws the stopping rule needs.
+        monkeypatch.setattr(optimizer_mod, "MAX_STEPS_FACTOR", 1)
         fs = FeasibleSet.box([-1.0], [1.0])
-        config = RunConfig(n=16, d=1, eta=0.1, sigma=0.0, feasible_set=fs,
-                           oracle=LossOracle.hinge(1.0), w1=np.zeros(1),
-                           seed=26, max_steps=16)
+        config = RunConfig(n=16, eta=0.1, sigma=0.0, feasible_set=fs,
+                           oracle=LossOracle.hinge(1.0), w1=np.zeros(1))
         with pytest.raises(OverrunError) as err:
-            private_sgd(config, constant_dataset(16, 1, value=0.1))
+            private_sgd(config, 26, constant_dataset(16, 1, value=0.1))
         partial = err.value.trace
         assert partial.tau == 16
         assert len(partial.indices) == 16
@@ -184,47 +175,48 @@ class TestInputChecks:
 
     def config(self, **changes):
         fs = FeasibleSet.l2_ball(0.5, dimension=2)
-        values = dict(n=16, d=2, eta=0.1, sigma=1.0, feasible_set=fs,
-                      oracle=LossOracle.hinge(1.0), w1=np.zeros(2), seed=0)
+        values = dict(n=16, eta=0.1, sigma=1.0, feasible_set=fs,
+                      oracle=LossOracle.hinge(1.0), w1=np.zeros(2))
         values.update(changes)
         return RunConfig(**values)
 
     @pytest.mark.parametrize("eta", [math.nan, math.inf])
     def test_non_finite_eta(self, eta):
         with pytest.raises(ConfigurationError, match="eta"):
-            private_sgd(self.config(eta=eta), constant_dataset(16, 2))
+            private_sgd(self.config(eta=eta), 0, constant_dataset(16, 2))
 
     @pytest.mark.parametrize("sigma", [math.nan, math.inf])
     def test_non_finite_sigma(self, sigma):
         with pytest.raises(ConfigurationError, match="sigma"):
-            private_sgd(self.config(sigma=sigma), constant_dataset(16, 2))
+            private_sgd(self.config(sigma=sigma), 0, constant_dataset(16, 2))
 
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_non_finite_w1(self, value):
         with pytest.raises(ConfigurationError, match="w1"):
-            private_sgd(self.config(w1=np.array([value, 0.0])), constant_dataset(16, 2))
+            private_sgd(self.config(w1=np.array([value, 0.0])), 0,
+                        constant_dataset(16, 2))
 
     def test_non_finite_features(self):
         features, labels = constant_dataset(16, 2, value=0.1)
         features[3, 1] = math.nan
         with pytest.raises(ConfigurationError, match="finite"):
-            private_sgd(self.config(), (features, labels))
+            private_sgd(self.config(), 0, (features, labels))
 
     def test_non_finite_labels(self):
         features, labels = constant_dataset(16, 2, value=0.1)
         labels[5] = math.inf
         with pytest.raises(ConfigurationError, match="finite"):
-            private_sgd(self.config(), (features, labels))
+            private_sgd(self.config(), 0, (features, labels))
 
     def test_feature_dimension_mismatch(self):
         features, labels = constant_dataset(16, 3)
         with pytest.raises(ConfigurationError, match="shape"):
-            private_sgd(self.config(), (features, labels))
+            private_sgd(self.config(), 0, (features, labels))
 
     def test_label_count_mismatch(self):
         features, labels = constant_dataset(16, 2)
         with pytest.raises(ConfigurationError, match="shape"):
-            private_sgd(self.config(), (features, labels[:-1]))
+            private_sgd(self.config(), 0, (features, labels[:-1]))
 
     def test_features_beyond_certificate(self):
         # A norm-5 feature row under a hinge oracle certified for L = 1
@@ -232,7 +224,7 @@ class TestInputChecks:
         features, labels = constant_dataset(16, 2, value=0.1)
         features[7] = [3.0, 4.0]
         with pytest.raises(ConfigurationError, match="certified L"):
-            private_sgd(self.config(), (features, labels))
+            private_sgd(self.config(), 0, (features, labels))
         good = constant_dataset(16, 2, value=0.1)
         with pytest.raises(ConfigurationError, match="certified L"):
             private_sgd_batch(self.config(), [1, 2], np.stack([good[0], features]),
@@ -247,9 +239,9 @@ class TestInputChecks:
         features, labels = constant_dataset(16, 2, value=0.1)
         features[2], labels[2] = [0.6, 0.8], 2.0
         with pytest.raises(ConfigurationError, match="certified L"):
-            private_sgd(config, (features, labels))
+            private_sgd(config, 0, (features, labels))
         labels[2] = 1.0   # the same row at label 1 sits exactly on L and runs
-        assert private_sgd(config, (features, labels)).tau >= 9
+        assert private_sgd(config, 0, (features, labels)).tau >= 9
 
     def test_batch_row_count_mismatch(self):
         features, labels = constant_dataset(16, 2)
@@ -268,9 +260,8 @@ def single_runs(config, seeds, features, labels):
     """Each row on its own, through private_sgd (overruns kept as partial traces)."""
     traces = []
     for r, seed in enumerate(seeds):
-        row_config = dataclasses.replace(config, seed=seed)
         try:
-            traces.append(private_sgd(row_config, (features[r], labels[r])))
+            traces.append(private_sgd(config, seed, (features[r], labels[r])))
         except OverrunError as err:
             traces.append(err.trace)
     return traces
@@ -304,24 +295,24 @@ class TestBatchEquivalence:
 
     def test_hinge_on_l2_ball_with_noiseless_row(self):
         d, n = 3, 60
-        population = PopulationSpec("linear_margin", d, 1.0, seed=1,
-                                    w_true=np.eye(d)[0], noise_rate=0.1)
+        population = PopulationSpec("linear_margin", d, 1.0, w_true=np.eye(d)[0],
+                                    noise_rate=0.1)
         features, labels = stacked_datasets(population, n, rows=4, first_seed=0)
         fs = FeasibleSet.l2_ball(0.5, dimension=d)
         seeds = [101, 102, 103, 104]
         for sigma in (1.5, 0.0):
-            config = RunConfig(n=n, d=d, eta=0.2, sigma=sigma, feasible_set=fs,
-                               oracle=LossOracle.hinge(1.0), w1=np.zeros(d), seed=0)
+            config = RunConfig(n=n, eta=0.2, sigma=sigma, feasible_set=fs,
+                               oracle=LossOracle.hinge(1.0), w1=np.zeros(d))
             self.check(config, seeds, features, labels, np.array([0.3, 0.0, 0.1]))
 
     def test_absolute_on_off_centre_ball(self):
         d, n = 2, 48
-        population = PopulationSpec("uniform_ball", d, 1.0, seed=2)
+        population = PopulationSpec("uniform_ball", d, 1.0)
         features, labels = stacked_datasets(population, n, rows=3, first_seed=10)
         center = np.array([0.4, -0.3])
         fs = FeasibleSet.l2_ball(0.6, center=center)
-        config = RunConfig(n=n, d=d, eta=0.3, sigma=0.7, feasible_set=fs,
-                           oracle=LossOracle.absolute(1.0), w1=center.copy(), seed=0)
+        config = RunConfig(n=n, eta=0.3, sigma=0.7, feasible_set=fs,
+                           oracle=LossOracle.absolute(1.0), w1=center.copy())
         self.check(config, [7, 8, 9], features, labels, center + 0.1)
 
     def test_squared_on_box_across_noise_chunks(self):
@@ -329,23 +320,23 @@ class TestBatchEquivalence:
         # noise-chunk boundary: with these seeds one row stops just before
         # it and the others cross it mid-run.
         d, n = 4, 200
-        population = PopulationSpec("uniform_ball", d, 1.0, seed=3)
+        population = PopulationSpec("uniform_ball", d, 1.0)
         features, labels = stacked_datasets(population, n, rows=3, first_seed=20)
         fs = FeasibleSet.box([-0.5] * d, [0.5] * d)
-        config = RunConfig(n=n, d=d, eta=0.05, sigma=0.4, feasible_set=fs,
-                           oracle=LossOracle.squared(1.0, fs), w1=np.zeros(d), seed=0)
+        config = RunConfig(n=n, eta=0.05, sigma=0.4, feasible_set=fs,
+                           oracle=LossOracle.squared(1.0, fs), w1=np.zeros(d))
         batch = self.check(config, [31, 32, 33], features, labels, np.full(d, 0.1))
         assert batch.tau.min() <= NOISE_CHUNK_STEPS < batch.tau.max()
 
-    def test_overrunning_row_beside_finishing_rows(self):
+    def test_overrunning_row_beside_finishing_rows(self, monkeypatch):
         # Seed 26 overruns a 16-step cap at n = 16 (see
         # test_overrun_carries_partial_trace); seeds 27-29 finish within it,
         # and seed 43 on its last step.
+        monkeypatch.setattr(optimizer_mod, "MAX_STEPS_FACTOR", 1)
         n, d = 16, 1
         fs = FeasibleSet.box([-1.0], [1.0])
-        config = RunConfig(n=n, d=d, eta=0.1, sigma=0.5, feasible_set=fs,
-                           oracle=LossOracle.hinge(1.0), w1=np.zeros(d), seed=0,
-                           max_steps=16)
+        config = RunConfig(n=n, eta=0.1, sigma=0.5, feasible_set=fs,
+                           oracle=LossOracle.hinge(1.0), w1=np.zeros(d))
         seeds = [26, 27, 28, 29, 43]
         rng = np.random.default_rng(5)
         features = rng.uniform(-1.0, 1.0, size=(5, n, d))
@@ -355,32 +346,32 @@ class TestBatchEquivalence:
         assert batch.tau[-1] == 16
 
 
-def golden_batch_case(name):
+def golden_batch_case(name, monkeypatch):
     """(config, seeds, features, labels) of one pinned five-row batch."""
     if name == "hinge-box-d1-overrun":
-        # The rows of test_overrunning_row_beside_finishing_rows.
+        # The rows of test_overrunning_row_beside_finishing_rows, 16-step cap.
+        monkeypatch.setattr(optimizer_mod, "MAX_STEPS_FACTOR", 1)
         fs = FeasibleSet.box([-1.0], [1.0])
-        config = RunConfig(n=16, d=1, eta=0.1, sigma=0.5, feasible_set=fs,
-                           oracle=LossOracle.hinge(1.0), w1=np.zeros(1), seed=0,
-                           max_steps=16)
+        config = RunConfig(n=16, eta=0.1, sigma=0.5, feasible_set=fs,
+                           oracle=LossOracle.hinge(1.0), w1=np.zeros(1))
         rng = np.random.default_rng(5)
         features = rng.uniform(-1.0, 1.0, size=(5, 16, 1))
         labels = rng.choice([-1.0, 1.0], size=(5, 16))
         return config, [26, 27, 28, 29, 43], features, labels
     if name == "hinge-ball-d2":
         d, sigma, seeds, first_seed = 2, 1.5, [51, 52, 53, 54, 55], 60
-        population = PopulationSpec("linear_margin", d, 1.0, seed=41,
-                                    w_true=np.eye(d)[0], noise_rate=0.1)
+        population = PopulationSpec("linear_margin", d, 1.0, w_true=np.eye(d)[0],
+                                    noise_rate=0.1)
         fs = FeasibleSet.l2_ball(0.5, dimension=d)
         oracle = LossOracle.hinge(1.0)
     else:
         d, sigma, seeds, first_seed = 10, 0.4, [61, 62, 63, 64, 65], 70
-        population = PopulationSpec("uniform_ball", d, 1.0, seed=42)
+        population = PopulationSpec("uniform_ball", d, 1.0)
         fs = FeasibleSet.box([-0.5] * d, [0.5] * d)
         oracle = LossOracle.squared(1.0, fs)
     features, labels = stacked_datasets(population, 200, rows=5, first_seed=first_seed)
-    config = RunConfig(n=200, d=d, eta=0.05, sigma=sigma, feasible_set=fs, oracle=oracle,
-                       w1=np.zeros(d), seed=0)
+    config = RunConfig(n=200, eta=0.05, sigma=sigma, feasible_set=fs, oracle=oracle,
+                       w1=np.zeros(d))
     return config, seeds, features, labels
 
 
@@ -405,8 +396,8 @@ class TestBatchGolden:
     }
 
     @pytest.mark.parametrize("name", list(GOLDEN))
-    def test_golden_digest(self, name):
-        batch = private_sgd_batch(*golden_batch_case(name))
+    def test_golden_digest(self, name, monkeypatch):
+        batch = private_sgd_batch(*golden_batch_case(name, monkeypatch))
         assert batch.tau.tolist() == self.TAU[name]
         assert batch.overrun.tolist() == [name.endswith("overrun")] + [False] * 4
         digest = hashlib.sha256()
@@ -415,8 +406,8 @@ class TestBatchGolden:
         assert digest.hexdigest() == self.GOLDEN[name]
 
     @pytest.mark.parametrize("name", list(GOLDEN))
-    def test_permuting_rows_permutes_results(self, name):
-        config, seeds, features, labels = golden_batch_case(name)
+    def test_permuting_rows_permutes_results(self, name, monkeypatch):
+        config, seeds, features, labels = golden_batch_case(name, monkeypatch)
         perm = np.array([3, 0, 4, 1, 2])
         batch = private_sgd_batch(config, seeds, features, labels)
         permuted = private_sgd_batch(config, np.asarray(seeds)[perm].tolist(),
@@ -429,7 +420,7 @@ class TestBatchGolden:
 class TestRegret:
     def test_finite_for_own_output(self):
         _, data, config = hinge_setup(24, 2, sigma=0.4, eta=0.1, seed=23)
-        trace = private_sgd(config, data)
+        trace = private_sgd(config, 23, data)
         value = estimate_regret(trace, data, trace.output, config)
         assert math.isfinite(value)
 
@@ -437,20 +428,20 @@ class TestRegret:
         # zero features make the hinge identically one
         fs = FeasibleSet.l2_ball(0.5, dimension=2)
         data = constant_dataset(16, 2)
-        config = RunConfig(n=16, d=2, eta=0.1, sigma=0.0, feasible_set=fs,
-                           oracle=LossOracle.hinge(1.0), w1=np.zeros(2), seed=4)
-        trace = private_sgd(config, data)
+        config = RunConfig(n=16, eta=0.1, sigma=0.0, feasible_set=fs,
+                           oracle=LossOracle.hinge(1.0), w1=np.zeros(2))
+        trace = private_sgd(config, 4, data)
         assert estimate_regret(trace, data, np.array([0.3, 0.0]), config) == 0.0
 
     def test_comparator_must_be_feasible(self):
         _, data, config = hinge_setup(16, 2, sigma=0.0, eta=0.1, seed=5)
-        trace = private_sgd(config, data)
+        trace = private_sgd(config, 5, data)
         with pytest.raises(ConfigurationError):
             estimate_regret(trace, data, np.array([5.0, 0.0]), config)
 
     def test_matches_direct_sum(self):
         _, (features, labels), config = hinge_setup(30, 2, sigma=0.6, eta=0.05, seed=29)
-        trace = private_sgd(config, (features, labels))
+        trace = private_sgd(config, 29, (features, labels))
         u = np.array([0.2, -0.1])
         total = 0.0
         for t in np.flatnonzero(trace.fresh):
@@ -471,9 +462,9 @@ def uniform_interval_density(ts, d, radius):
 
 class TestRisk:
     def test_constant_loss(self):
-        spec = PopulationSpec("uniform_ball", 2, 1.0, seed=31)
+        spec = PopulationSpec("uniform_ball", 2, 1.0)
         oracle = LossOracle.hinge(1.0)
-        est = estimate_risk(np.zeros(2), spec, oracle, 500)
+        est = estimate_risk(np.zeros(2), spec, oracle, 500, np.random.default_rng(31))
         assert est.mean == 1.0
         assert est.stderr == 0.0
 
@@ -481,8 +472,8 @@ class TestRisk:
         # E[hinge(w, X)] for w aligned with w_true under noiseless labels is
         # a one-dimensional integral against the marginal of <w_true, X>.
         d, c = 3, 0.7
-        spec = PopulationSpec("linear_margin", d, 1.0, seed=37,
-                              w_true=np.eye(d)[0], noise_rate=0.0)
+        spec = PopulationSpec("linear_margin", d, 1.0, w_true=np.eye(d)[0],
+                              noise_rate=0.0)
         oracle = LossOracle.hinge(1.0)
         w = c * np.eye(d)[0]
         ts = np.linspace(-1.0, 1.0, 400_001)
@@ -493,9 +484,10 @@ class TestRisk:
         assert abs(est.mean - expected) <= 3.0 * est.stderr
 
     def test_eval_samples_validated(self):
-        spec = PopulationSpec("uniform_ball", 2, 1.0, seed=1)
+        spec = PopulationSpec("uniform_ball", 2, 1.0)
         with pytest.raises(ConfigurationError):
-            estimate_risk(np.zeros(2), spec, LossOracle.hinge(1.0), 0)
+            estimate_risk(np.zeros(2), spec, LossOracle.hinge(1.0), 0,
+                          np.random.default_rng(1))
 
 
 class TestBaseline:
@@ -503,7 +495,7 @@ class TestBaseline:
         # Squared loss with independent uniform labels has population risk
         # 0.5*w'Sw + const with S = (R^2/(d+2)) I, so the minimizer is 0.
         # Averaged over a few seeds: a single run wobbles at the 1e-2 scale.
-        spec = PopulationSpec("uniform_ball", 2, 1.0, seed=41)
+        spec = PopulationSpec("uniform_ball", 2, 1.0)
         fs = FeasibleSet.l2_ball(0.5, dimension=2)
         oracle = LossOracle.squared(1.0, fs)
         norms = [np.linalg.norm(baseline_minimizer(spec, oracle, fs,
@@ -517,8 +509,8 @@ class TestBaseline:
         # (E|T| / E[T^2]) * w_true, far outside a radius-0.25 ball; the
         # constrained optimum is its radial projection 0.25*w_true.
         d = 2
-        spec = PopulationSpec("linear_margin", d, 1.0, seed=43,
-                              w_true=np.eye(d)[0], noise_rate=0.0)
+        spec = PopulationSpec("linear_margin", d, 1.0, w_true=np.eye(d)[0],
+                              noise_rate=0.0)
         fs = FeasibleSet.l2_ball(0.25, dimension=d)
         oracle = LossOracle.squared(1.0, fs)
         unconstrained = (4.0 / (3.0 * math.pi)) / (1.0 / (d + 2.0))
@@ -533,8 +525,8 @@ class TestBaseline:
         # risk must sit under the reported error bound and decay at least
         # like 1/sqrt(budget).
         d = 2
-        spec = PopulationSpec("linear_margin", d, 1.0, seed=43,
-                              w_true=np.eye(d)[0], noise_rate=0.0)
+        spec = PopulationSpec("linear_margin", d, 1.0, w_true=np.eye(d)[0],
+                              noise_rate=0.0)
         fs = FeasibleSet.l2_ball(0.25, dimension=d)
         oracle = LossOracle.squared(1.0, fs)
         b = 4.0 / (3.0 * math.pi)
@@ -595,10 +587,10 @@ class TestBaseline:
         if chunk is not None:
             monkeypatch.setattr(optimizer_mod, "BASELINE_CHUNK_STEPS", chunk)
         if labels_kind == "margin":
-            spec = PopulationSpec("linear_margin", d, 1.0, seed=5,
-                                  w_true=np.eye(d)[0], noise_rate=0.1)
+            spec = PopulationSpec("linear_margin", d, 1.0, w_true=np.eye(d)[0],
+                                  noise_rate=0.1)
         else:
-            spec = PopulationSpec("uniform_ball", d, 1.0, seed=6)
+            spec = PopulationSpec("uniform_ball", d, 1.0)
         oracle = (LossOracle.squared(1.0, fs) if loss == "squared"
                   else getattr(LossOracle, loss)(1.0))
 
@@ -638,7 +630,7 @@ class TestBaseline:
                         "general": {"other"}}[slopes]
 
     def test_budget_floor(self):
-        spec = PopulationSpec("uniform_ball", 2, 1.0, seed=1)
+        spec = PopulationSpec("uniform_ball", 2, 1.0)
         fs = FeasibleSet.l2_ball(0.5, dimension=2)
         with pytest.raises(ConfigurationError):
             baseline_minimizer(spec, LossOracle.squared(1.0, fs), fs, 999)
