@@ -34,10 +34,19 @@ RUN_OVERRIDES = ("name", "loss", "generator", "dimension", "feature_bound",
 
 
 def _resolve_seed(seed):
-    # Reproducible mode needs an explicit --seed; otherwise draw one from
-    # entropy and record it in every output.
+    # Reproducible mode needs an explicit --seed (an int) or a config file's
+    # seed line (a string); otherwise draw one from entropy and record it in
+    # every output. Seeds feed np.random.SeedSequence, which takes only
+    # non-negative integers.
     if seed is not None:
-        return seed
+        try:
+            value = int(seed)
+        except ValueError:
+            raise ConfigurationError(
+                f"seed: expected a non-negative integer, got {seed!r}") from None
+        if value < 0:
+            raise ConfigurationError(f"seed: expected a non-negative integer, got {value}")
+        return value
     drawn = secrets.randbits(63)
     print(f"seed not given; drawn from entropy: {drawn}", file=sys.stderr)
     return drawn

@@ -1,7 +1,8 @@
 """Convex feasible sets and the projected step.
 
 Projections are closed-form (ball: radial scaling, box: coordinatewise
-clamp), so no iterative solver is involved anywhere in this module.
+clamp), and so is the Frank-Wolfe gap that certifies the reference
+minimizer, so no iterative solver is involved anywhere in this module.
 The paper's noisy mirror-descent update under the Euclidean potential
 0.5*||x||^2 is exactly the projected step project(w - eta * g):
 mirror_step takes it for one point, and the optimizer takes it for its
@@ -112,6 +113,18 @@ class FeasibleSet:
                 self.radius / norms[outside])[:, None]
             return projected
         return points.clip(self.lower, self.upper)
+
+    def frank_wolfe_gap(self, w, g):
+        """max over u in the set of <g, w - u>, in closed form; no input checks.
+
+        The minimizing u is the linear minimization oracle: c - r*g/||g||
+        on the ball, giving <g, w - c> + r*||g||, and per coordinate the
+        corner lower_i or upper_i on the box. For convex f with gradient g
+        at w, f(w) - min over the set of f is at most this gap.
+        """
+        if self.kind == L2_BALL:
+            return float(g.dot(w - self.center) + self.radius * math.sqrt(g.dot(g)))
+        return float(np.maximum(g * (w - self.lower), g * (w - self.upper)).sum())
 
     def contains(self, point):
         p = _as_vector(point, self.dimension, "contains: point")

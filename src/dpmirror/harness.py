@@ -18,7 +18,7 @@ override file values. Recognized keys mirror ExperimentSpec:
   delta, delta_prime   accountant deltas (default 1e-6 each)
   repeats         runs per (n, epsilon) cell
   eval_samples    Monte-Carlo draws per risk estimate (default 2000)
-  baseline_steps  subgradient steps for the reference minimizer (default 10^5)
+  baseline_steps  step cap for the reference minimizer (default 10^5)
   sigma_override  optional noise scale replacing the calibrated one (0 = no noise)
   seed            master seed
   output_dir      where <output_dir>/<name>/ is written
@@ -164,6 +164,9 @@ def build_spec(overrides):
 
     name = kv["name"]
     dimension = _require(kv, "dimension", int)
+    if dimension < 1:
+        raise ConfigurationError(
+            f"bad value for config field dimension: must be >= 1, got {dimension}")
     feature_bound = _require(kv, "feature_bound", float)
     loss = kv["loss"]
     if loss not in (HINGE, ABSOLUTE, SQUARED):

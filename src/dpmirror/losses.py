@@ -6,12 +6,13 @@ a bounded iterate set). Feature vectors are norm-bounded at generation time,
 which is what makes the Lipschitz certificates valid; max_subgradient_norm
 checks that bound on a given dataset.
 
-The oracle works on arrays only: loss_at and slope_at take margins
-z = <w, x>, subgradient takes one (d,) point or stacked (..., d) rows, and
-batch_values scores one w against a feature array. A dataset is the
-(features, labels) array pair.
+The oracle works on arrays only: loss_at, slope_at and smoothed_slope_at
+take margins z = <w, x>, subgradient takes one (d,) point or stacked
+(..., d) rows, and batch_values scores one w against a feature array. A
+dataset is the (features, labels) array pair.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,10 +48,10 @@ def lipschitz_certificate(kind, feature_bound, feasible_set=None):
     is only valid on that set; max_subgradient_norm checks a run's actual
     rows against it.
     """
-    if feature_bound <= 0:
+    if not (math.isfinite(feature_bound) and feature_bound > 0):
         raise ConfigurationError(
-            f"lipschitz_certificate: feature_bound must be positive, got {feature_bound}"
-        )
+            "lipschitz_certificate: feature_bound must be finite and positive, "
+            f"got {feature_bound}")
     if kind in (HINGE, ABSOLUTE):
         return float(feature_bound)
     if kind == SQUARED:
@@ -97,11 +98,27 @@ class LossOracle:
         extreme subgradient -label*features; at the absolute-loss kink, zero.
         """
         if self.kind == HINGE:
-            # -label where the margin label*z is at most 1, else 0; written
-            # without np.where so scalar calls stay cheap.
+            # -label where the margin label*z is at most 1, else 0.
             return -labels * (labels * z <= 1.0)
         if self.kind == ABSOLUTE:
             return np.sign(z - labels)
+        return z - labels
+
+    def smoothed_slope_at(self, z, labels, mu):
+        """d f_mu / d z for the Huber-smoothed loss f_mu, elementwise.
+
+        Hinge and absolute losses are smoothed with width mu > 0 (Nesterov
+        2005): max(0, u) becomes u^2/(2mu) on [0, mu] and u - mu/2 above it,
+        with u = 1 - label*z, and |r| with r = z - label becomes r^2/(2mu)
+        on |r| <= mu and |r| - mu/2 outside. Then f_mu <= f <= f_mu + mu/2,
+        and the slope is 1/mu-Lipschitz in z for labels in [-1, 1]. The
+        squared loss is already smooth: its slope is returned and mu is
+        not read.
+        """
+        if self.kind == HINGE:
+            return -labels * np.clip((1.0 - labels * z) / mu, 0.0, 1.0)
+        if self.kind == ABSOLUTE:
+            return np.clip((z - labels) / mu, -1.0, 1.0)
         return z - labels
 
     def subgradient(self, w, features, labels):
@@ -163,8 +180,9 @@ class PopulationSpec:
             raise ConfigurationError(f"unknown generator {self.generator!r}")
         if self.dimension < 1:
             raise ConfigurationError("population dimension must be >= 1")
-        if self.feature_bound <= 0:
-            raise ConfigurationError("feature_bound must be positive")
+        if not (math.isfinite(self.feature_bound) and self.feature_bound > 0):
+            raise ConfigurationError(
+                f"feature_bound must be finite and positive, got {self.feature_bound}")
         if not 0.0 <= self.noise_rate <= 1.0:
             raise ConfigurationError("noise_rate must lie in [0, 1]")
         if self.generator == LINEAR_MARGIN:
@@ -173,6 +191,8 @@ class PopulationSpec:
             w = np.asarray(self.w_true, dtype=float)
             if w.shape != (self.dimension,):
                 raise ConfigurationError("w_true does not match dimension")
+            if not np.isfinite(w).all():
+                raise ConfigurationError("w_true must be finite")
             object.__setattr__(self, "w_true", w)
 
 
@@ -186,11 +206,12 @@ def draw_arrays(spec, n, rng):
     """
     if n < 1:
         raise ConfigurationError(f"draw_arrays: n must be >= 1, got {n}")
-    directions = rng.standard_normal((n, spec.dimension))
-    norms = np.linalg.norm(directions, axis=1, keepdims=True)
+    features = rng.standard_normal((n, spec.dimension))
+    norms = np.linalg.norm(features, axis=1, keepdims=True)
     norms[norms == 0.0] = 1.0
     radii = spec.feature_bound * rng.random(n) ** (1.0 / spec.dimension)
-    features = directions * (radii[:, None] / norms)
+    # Scaled in place: the same products, without a second (n, d) array.
+    features *= radii[:, None] / norms
     if spec.generator == UNIFORM_BALL:
         return features, rng.uniform(-1.0, 1.0, size=n)
     labels = np.where(features @ spec.w_true >= 0.0, 1.0, -1.0)

@@ -24,11 +24,12 @@ of NOISE_CHUNK_STEPS steps. The values equal one standard_normal(d) draw
 per step, and memory stays O(R * chunk * d) rather than O(R * max_steps * d).
 Every run is reproducible from its seed alone, whatever batch it runs in.
 
-baseline_minimizer, the non-private reference point, is one long sequential
-run. It pre-draws its indices, gathers each chunk of BASELINE_CHUNK_STEPS
-steps' data rows and scaled rows eta_t * x_t at once, and keeps only the
-work that depends on the iterate (margin, slope, projection) in the per-step
-loop; its result is bit-identical to the plain step-by-step loop.
+baseline_minimizer, the non-private reference point, minimizes the risk of
+a holdout of at least 10^5 points by accelerated projected gradient on the
+(m, d) holdout array, two matvecs per step, smoothing the losses that are
+not smooth. A Frank-Wolfe gap computed during the run certifies how far the
+result is from the holdout optimum, and the run stops once that certificate
+is a tenth of the holdout's statistical error.
 """
 
 import math
@@ -40,12 +41,13 @@ from .errors import ConfigurationError, OverrunError
 # mirror_step, sample_index and draw_dataset are not called here; they stay
 # importable from this module because perfbench/spans.py wraps them by name.
 from .geometry import mirror_step  # noqa: F401
-from .losses import draw_arrays, draw_dataset  # noqa: F401
+from .losses import SQUARED, draw_arrays, draw_dataset  # noqa: F401
 from .sampler import fresh_target, sample_index, stopping_times  # noqa: F401
 
 MAX_STEPS_FACTOR = 4
 NOISE_CHUNK_STEPS = 128
-BASELINE_CHUNK_STEPS = 4096
+CERTIFICATE_EVERY = 5
+SUM_BLOCK_ENTRIES = 4096
 
 
 @dataclass(frozen=True)
@@ -342,27 +344,67 @@ class BaselineResult:
     holdout_size: int
 
 
+def _row_sum(weights, features):
+    """weights.T @ features for (m,) or (m, k) weights and (m, d) features.
+
+    One BLAS call over all m rows may split the sum between threads, and
+    then its last bits depend on the thread count. Here each BLAS call
+    covers one block of rows with at most SUM_BLOCK_ENTRIES feature
+    entries, small enough for BLAS to run it on one thread, and the blocks
+    are added in a fixed order, so the bits do not depend on the thread
+    count. Shape (d,) for (m,) weights, else (k, d).
+    """
+    m, d = features.shape
+    rows = max(1, SUM_BLOCK_ENTRIES // d)
+    whole = m - m % rows
+    weights_2d = weights.reshape(m, -1)
+    blocks = np.matmul(weights_2d[:whole].reshape(-1, rows, weights_2d.shape[1])
+                       .transpose(0, 2, 1), features[:whole].reshape(-1, rows, d))
+    total = blocks.sum(axis=0) + weights_2d[whole:].T @ features[whole:]
+    return total.reshape(weights.shape[1:] + (d,))
+
+
 def baseline_minimizer(population, oracle, feasible_set, budget_steps, seed=0):
-    """Averaged projected subgradient descent as a stand-in for the true optimum.
+    """Non-private reference point: a certified minimizer of a holdout's risk.
 
-    Runs budget_steps of SGD with step size D/(L*sqrt(t)) over a held-out
-    sample of m = max(10^5, budget_steps) draws, returning the uniform
-    iterate average. The reported error_bound combines the standard
-    averaged-SGD guarantee (1.5*D*L/sqrt(T)) with a holdout-size term
-    (D*L/sqrt(m)); callers should fold it into any bound they check against
-    this reference point.
+    Draws a holdout of m = max(10^5, budget_steps) points and minimizes
+    its empirical risk F_m over the feasible set K by accelerated projected
+    gradient (FISTA, Beck & Teboulle 2009) on the whole (m, d) holdout:
+    each step is the two matvecs X @ v and X' @ s / m. Hinge and absolute
+    losses are replaced by their Huber smoothing F_mu
+    (LossOracle.smoothed_slope_at, Nesterov 2005) with mu the stopping
+    target below, so F_mu <= F_m <= F_mu + mu/2; the squared loss is
+    already smooth and takes mu = 0. The step size is 1/beta with beta =
+    lambda_max(X'X/m)/mu (lambda_max(X'X/m) for squared): labels lie in
+    [-1, 1], so beta bounds the curvature of every smoothed loss.
 
-    The indices are one integers() draw up front. The loop runs in chunks of
-    BASELINE_CHUNK_STEPS steps: per chunk it gathers the picked rows x_t and
-    the rows eta_t * x_t once, and each step does only what depends on the
-    iterate w, i.e. the margin, the slope s and the projection. The result
-    is bit-identical to one step at a time: where s is exactly +1 or -1,
-    w - eta_t * (s * x_t) equals w - eta_t * x_t or w + eta_t * x_t, since
-    products with +-1 and negation are exact; other slopes take that
-    expression as written. The chunk's iterates are stored after the
-    running average and folded into it with one np.add.accumulate, which
-    adds in step order as `average += w` would (np.add.reduce would sum
-    pairwise when d = 1).
+    Certificate. For w in K and g the gradient of F_mu at w, convexity of
+    F_mu gives
+        F_m(w) - min_K F_m <= mu/2 + F_mu(w) - min_K F_mu <= mu/2 + gap(w),
+    with the Frank-Wolfe gap gap(w) = max_{u in K} <g, w - u>
+    (FeasibleSet.frank_wolfe_gap). The bound holds whatever the step size,
+    so the result's accuracy rests on it alone. It is computed every
+    CERTIFICATE_EVERY steps, and the run stops once it is at most
+    D*L/(10*sqrt(m)), a tenth of the statistical term. budget_steps caps
+    the steps; a run that reaches the cap reports the certificate it has.
+
+    error_bound = D*L/sqrt(m) + certificate bounds the population excess
+    risk F(w) - F(w*) of the result w in expectation over the holdout, with
+    w* the minimizer of the population risk F over K. Split
+        F(w) - F(w*) = [F(w) - F_m(w)] + [F_m(w) - F_m(w*)] + [F_m(w*) - F(w*)].
+    The middle term is at most the certificate, and the last has mean 0
+    since w* is fixed. The first is at most sup_K (F - F_m), whose mean is
+    at most twice the Rademacher complexity of the loss class
+    (symmetrization). Every loss is L_phi-Lipschitz in the margin z over K:
+    L_phi = 1 for hinge and absolute as |y| <= 1, and |z - y| <= W*X + 1
+    for squared, with X the feature norm bound and W the largest norm on K.
+    Talagrand's contraction bounds the complexity by L_phi times that of
+    {x -> <w, x> : w in K}. K lies in a ball of radius D/2 about some
+    centre c, whose own term has mean 0, so that complexity is at most
+    (D/2)*X/sqrt(m) (Bartlett & Mendelson 2002). In total
+    2*L_phi*(D/2)*X/sqrt(m) = D*L/sqrt(m), as lipschitz_certificate gives
+    L = L_phi*X for all three losses and both set kinds. The bound is in
+    expectation, not a high-probability bound.
     """
     if budget_steps < 10_000:
         raise ConfigurationError("baseline_minimizer: budget_steps must be >= 10^4")
@@ -372,34 +414,29 @@ def baseline_minimizer(population, oracle, feasible_set, budget_steps, seed=0):
     d = feasible_set.dimension
     rng = np.random.default_rng(np.random.SeedSequence(entropy=[seed, 0x6261]))
     features, labels = draw_arrays(population, holdout_size, rng)
-    # The same values as one integers() draw per step.
-    picks = rng.integers(0, holdout_size, size=budget_steps)
 
-    slope_at, project = oracle.slope_at, feasible_set.project_point
-    w = feasible_set.project(np.zeros(d))
-    average = np.zeros(d)
-    # Row 0 holds the running average, row k + 1 the iterate before step k.
-    block = np.empty((BASELINE_CHUNK_STEPS + 1, d))
-    rows = list(block[1:])
-    for start in range(0, budget_steps, BASELINE_CHUNK_STEPS):
-        chunk = picks[start:start + BASELINE_CHUNK_STEPS]
-        x = features[chunk]
-        etas = D / (L * np.sqrt(np.arange(start + 1, start + len(chunk) + 1)))
-        eta_x = etas[:, None] * x
-        block[0] = average
-        for x_k, eta_x_k, eta_k, y_k, row in zip(x, eta_x, etas.tolist(),
-                                                  labels[chunk].tolist(), rows):
-            s = slope_at(float(w.dot(x_k)), y_k)
-            row[...] = w
-            if s == 1.0:
-                w = project(w - eta_x_k)
-            elif s == -1.0:
-                w = project(w + eta_x_k)
-            else:
-                w = project(w - eta_k * (s * x_k))
-        average = np.add.accumulate(block[:len(chunk) + 1], axis=0)[-1]
-    average = average / budget_steps
+    statistical = D * L / math.sqrt(holdout_size)
+    target = statistical / 10.0
+    mu = 0.0 if oracle.kind == SQUARED else target
+    curvature = float(np.linalg.eigvalsh(_row_sum(features, features) / holdout_size)[-1])
+    step = (mu or 1.0) / curvature
 
-    error = 1.5 * D * L / math.sqrt(budget_steps) + D * L / math.sqrt(holdout_size)
-    return BaselineResult(w=average, error_bound=error,
+    def gradient(w):
+        slopes = oracle.smoothed_slope_at(features @ w, labels, mu)
+        return _row_sum(slopes, features) / holdout_size
+
+    project = feasible_set.project_point
+    w = y = project(np.zeros(d))
+    t = 1.0
+    for k in range(1, budget_steps + 1):
+        w_next = project(y - step * gradient(y))
+        t_next = (1.0 + math.sqrt(1.0 + 4.0 * t * t)) / 2.0
+        y = w_next + ((t - 1.0) / t_next) * (w_next - w)
+        w, t = w_next, t_next
+        if k % CERTIFICATE_EVERY == 0 or k == budget_steps:
+            certificate = mu / 2.0 + feasible_set.frank_wolfe_gap(w, gradient(w))
+            if certificate <= target:
+                break
+
+    return BaselineResult(w=w, error_bound=statistical + certificate,
                           budget_steps=budget_steps, holdout_size=holdout_size)

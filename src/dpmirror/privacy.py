@@ -229,6 +229,7 @@ def from_target(eps_bar, delta_bar, n):
     stays within end_to_end's regime epsilon <= 1/(2*sqrt(n)).
     """
     _check_positive("eps_bar", eps_bar)
+    _check_positive("delta_bar", delta_bar)
     if n < 16:
         raise ConfigurationError(f"from_target requires n >= 16, got {n}")
     floor = 6.0 * math.exp(-n / 16.0)

@@ -155,3 +155,45 @@ def points_away_from_kinks(rng, count):
         feats = np.concatenate([feats, x_new[keep]])
         labels = np.concatenate([labels, y_new[keep]])
     return w[:count], feats[:count], labels[:count]
+
+
+def empirical_risks(kind, points, features, labels, block=16):
+    """Mean loss over an (m, d) sample of each row of points (k, d).
+
+    The losses are written out from their closed forms; block rows of
+    points are scored at a time to keep the (m, block) margins small.
+    """
+    risks = np.empty(len(points))
+    y = labels[:, None]
+    for start in range(0, len(points), block):
+        z = features @ points[start:start + block].T
+        if kind == "hinge":
+            values = np.maximum(0.0, 1.0 - y * z)
+        elif kind == "absolute":
+            values = np.abs(z - y)
+        else:
+            values = 0.5 * (z - y) ** 2
+        risks[start:start + block] = values.mean(axis=0)
+    return risks
+
+
+def grid_minimum(kind, inside, lower, upper, features, labels, points, rounds=6):
+    """Smallest empirical risk found on grids of a set K: at least min over K.
+
+    The first grid has `points` points per axis across the bounding box
+    [lower, upper] of K; each later round centres a grid of the same size
+    and a third of the width on the best point so far. Only grid points
+    with inside(points) true are scored, so the result is the risk of a
+    point of K and never below the minimum over K.
+    """
+    best, centre = math.inf, (np.asarray(lower) + np.asarray(upper)) / 2.0
+    half = (np.asarray(upper) - np.asarray(lower)) / 2.0
+    for _ in range(rounds):
+        axes = [np.linspace(c - h, c + h, points) for c, h in zip(centre, half)]
+        grid = np.stack(np.meshgrid(*axes), axis=-1).reshape(-1, len(axes))
+        grid = grid[inside(grid)]
+        risks = empirical_risks(kind, grid, features, labels)
+        if len(risks) and risks.min() < best:
+            best, centre = float(risks.min()), grid[np.argmin(risks)]
+        half = half / 3.0
+    return best

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -148,6 +150,41 @@ class TestSubgradients:
             assert np.all(np.linalg.norm(g, axis=1) <= oracle.lipschitz_L + 1e-9)
 
 
+def huber_smoothed(kind, z, y, mu):
+    """Huber smoothing of max(0, 1 - y*z) (hinge) or |z - y| (absolute), written out."""
+    if kind == "hinge":
+        u = 1.0 - y * z
+        return np.where(u <= 0.0, 0.0, np.where(u <= mu, u * u / (2.0 * mu), u - mu / 2.0))
+    r = np.abs(z - y)
+    return np.where(r <= mu, r * r / (2.0 * mu), r - mu / 2.0)
+
+
+class TestSmoothedSlopes:
+    def test_derivative_of_the_huber_smoothing(self):
+        # Margins straddle both ends of each smoothing band. The reference
+        # minimizer's certificate relies on f_mu <= f <= f_mu + mu/2, and
+        # its step size on the slope being 1/mu-Lipschitz for |y| <= 1.
+        rng = np.random.default_rng(71)
+        mu, h = 0.05, 1e-7
+        z = rng.uniform(-2.0, 2.0, size=5000)
+        y = rng.uniform(-1.0, 1.0, size=5000)
+        for oracle in (LossOracle.hinge(1.0), LossOracle.absolute(1.0)):
+            f_mu = huber_smoothed(oracle.kind, z, y, mu)
+            f = oracle.loss_at(z, y)
+            assert np.all(f_mu <= f) and np.all(f <= f_mu + mu / 2.0 + 1e-12)
+            slope = oracle.smoothed_slope_at(z, y, mu)
+            fd = (huber_smoothed(oracle.kind, z + h, y, mu)
+                  - huber_smoothed(oracle.kind, z - h, y, mu)) / (2.0 * h)
+            np.testing.assert_allclose(slope, fd, rtol=0.0, atol=1e-5)
+            order = np.argsort(z)
+            for label in (-1.0, -0.3, 1.0):
+                s = oracle.smoothed_slope_at(z[order], label, mu)
+                assert np.all(np.abs(np.diff(s)) <= np.diff(z[order]) / mu + 1e-12)
+        squared = LossOracle.squared(1.0, FeasibleSet.l2_ball(1.0, dimension=1))
+        np.testing.assert_array_equal(squared.smoothed_slope_at(z, y, 0.0),
+                                      squared.slope_at(z, y))
+
+
 class TestMaxSubgradientNorm:
     """The run-entry sensitivity bound against brute force over the set."""
 
@@ -284,6 +321,13 @@ class TestPopulations:
             PopulationSpec("linear_margin", 2, 1.0)     # no w_true
         with pytest.raises(ConfigurationError):
             PopulationSpec("uniform_ball", 2, -1.0)
+        for bound in (math.inf, math.nan):
+            with pytest.raises(ConfigurationError, match="feature_bound must be finite"):
+                PopulationSpec("uniform_ball", 2, bound)
+            with pytest.raises(ConfigurationError, match="feature_bound must be finite"):
+                LossOracle.hinge(bound)
+        with pytest.raises(ConfigurationError, match="w_true must be finite"):
+            PopulationSpec("linear_margin", 2, 1.0, w_true=[math.nan, 0.0])
         with pytest.raises(ConfigurationError):
             PopulationSpec("mystery", 2, 1.0)
         with pytest.raises(ConfigurationError):
