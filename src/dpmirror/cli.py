@@ -12,10 +12,11 @@ import json
 import os
 import secrets
 import sys
+from dataclasses import asdict
 
 from .errors import ConfigurationError, OverrunError, RegimeError
-from .harness import build_spec, default_output_dir, experiment_dir, parse_kv_file, \
-    run_and_write, run_tau_sim
+from .harness import RUN_KEYS, build_spec, default_output_dir, experiment_dir, \
+    parse_kv_file, run_and_write, run_tau_sim
 from .privacy import audit_single_step, calibrate_sigma, end_to_end, from_target, \
     write_audit_csv
 
@@ -24,13 +25,6 @@ EXIT_CONFIG = 2
 EXIT_REGIME = 3
 EXIT_AUDIT = 4
 EXIT_OVERRUN = 5
-
-# Spec fields `run` takes as --flag (underscores as dashes) or as config
-# file keys; a flag wins over the file.
-RUN_OVERRIDES = ("name", "loss", "generator", "dimension", "feature_bound",
-                 "noise_rate", "w_true", "set", "radius", "lower", "upper",
-                 "n_values", "epsilon_values", "delta", "delta_prime", "repeats",
-                 "eval_samples", "baseline_steps", "sigma_override", "output_dir")
 
 
 def _resolve_seed(seed):
@@ -53,15 +47,11 @@ def _resolve_seed(seed):
 
 
 def _cmd_run(args):
-    overrides = {}
-    if args.config:
-        overrides.update(parse_kv_file(args.config))
-    for key in RUN_OVERRIDES:
-        value = getattr(args, key)
-        if value is not None:
-            overrides[key] = value
-    seed = _resolve_seed(args.seed if args.seed is not None else overrides.get("seed"))
-    overrides["seed"] = str(seed)
+    overrides = parse_kv_file(args.config) if args.config else {}
+    for key in RUN_KEYS:
+        if getattr(args, key) is not None:
+            overrides[key] = getattr(args, key)
+    overrides["seed"] = str(_resolve_seed(overrides.get("seed")))
     spec = build_spec(overrides)
     result = run_and_write(spec)
     outdir = os.path.join(spec.output_dir, spec.name)
@@ -96,7 +86,7 @@ def _cmd_calibrate(args):
         if args.eps_bar is None or args.delta_bar is None or args.n is None:
             raise ConfigurationError("--eps-bar, --delta-bar and --n are all required")
         budget = from_target(args.eps_bar, args.delta_bar, args.n)
-        payload["internal"] = budget.to_dict()
+        payload["internal"] = asdict(budget)
         eps, delta, delta_prime = budget.epsilon, budget.delta, budget.delta_prime
     else:
         if args.n is None or args.delta is None:
@@ -105,7 +95,7 @@ def _cmd_calibrate(args):
         delta_prime = args.delta_prime if args.delta_prime is not None else args.delta
     if args.L is not None and args.D is not None and args.d is not None:
         plan = end_to_end(args.n, eps, delta, delta_prime, args.L, args.D, args.d)
-        payload.update(plan.to_dict())
+        payload.update(asdict(plan))
     elif not target_group:
         raise ConfigurationError("--L, --D and --d are required with --eps")
     print(json.dumps(payload, indent=2, sort_keys=True))
@@ -139,9 +129,11 @@ def build_parser():
 
     run = sub.add_parser("run", help="run an experiment grid")
     run.add_argument("--config", help="flat key=value config file")
-    run.add_argument("--seed", type=int)
-    for key in RUN_OVERRIDES:
-        run.add_argument("--" + key.replace("_", "-"), dest=key)
+    for key, (_, default, meaning) in RUN_KEYS.items():
+        if default is not None:
+            meaning += f" (default: {default})"
+        run.add_argument("--" + key.replace("_", "-"), dest=key,
+                         type=int if key == "seed" else None, help=meaning)
     run.set_defaults(func=_cmd_run)
 
     tau = sub.add_parser("tau-sim", help="stopping-time Monte Carlo")

@@ -78,29 +78,14 @@ class FeasibleSet:
 
     def project(self, point):
         """Euclidean-nearest point of the set."""
-        return self.project_point(_as_vector(point, self.dimension, "project: point"))
-
-    def project_point(self, p):
-        """project() of a float vector of the set's dimension, without input checks.
-
-        This is the reference minimizer's per-step projection, whose inputs
-        are checked once at entry. A point already in the set is returned
-        as is (the same object).
-        """
-        if self.kind == L2_BALL:
-            offset = p - self.center
-            norm = math.sqrt(offset.dot(offset))   # same bits as np.linalg.norm, faster
-            if norm <= self.radius:
-                return p
-            return self.center + offset * (self.radius / norm)
-        return p.clip(self.lower, self.upper)
+        return self.project_rows(_as_vector(point, self.dimension, "project: point"))
 
     def project_rows(self, points):
-        """project() applied to each row of a stacked (..., d) float array.
+        """project() applied to each row of a (d,) or stacked (..., d) float array.
 
-        No input checks: this is the optimizer's per-step projection, whose
-        inputs are checked once at run entry. Rows already in the set are
-        returned unchanged, as in project().
+        No input checks: this is the per-step projection of the optimizer
+        and of the reference minimizer, whose inputs are checked once at
+        entry. If every row is already in the set, points itself is returned.
         """
         if self.kind == L2_BALL:
             offset = points - self.center
@@ -113,6 +98,12 @@ class FeasibleSet:
                 self.radius / norms[outside])[:, None]
             return projected
         return points.clip(self.lower, self.upper)
+
+    def max_norm(self):
+        """Largest Euclidean norm attained on the set (exact for both kinds)."""
+        if self.kind == L2_BALL:
+            return float(np.linalg.norm(self.center)) + self.radius
+        return float(np.linalg.norm(np.maximum(np.abs(self.lower), np.abs(self.upper))))
 
     def frank_wolfe_gap(self, w, g):
         """max over u in the set of <g, w - u>, in closed form; no input checks.

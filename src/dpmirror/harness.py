@@ -1,73 +1,98 @@
 """Experiment orchestration: grids of private runs, bound checks, file outputs.
 
 Config files are flat key=value text ('#' starts a comment); CLI flags
-override file values. Recognized keys mirror ExperimentSpec:
-
-  name            experiment name (output subdirectory)
-  loss            hinge | absolute | squared
-  generator       linear_margin | uniform_ball
-  dimension       feature dimension d
-  feature_bound   norm bound on generated features (also L for hinge/absolute)
-  noise_rate      label flip probability for linear_margin (default 0.1)
-  w_true          comma-separated floats (default: first basis vector)
-  set             l2_ball | box
-  radius          ball radius (default 0.5, i.e. diameter 1)
-  lower, upper    comma-separated box corners (box only)
-  n_values        comma-separated dataset sizes
-  epsilon_values  comma-separated floats, or 'max' for 1/(2*sqrt(n))
-  delta, delta_prime   accountant deltas (default 1e-6 each)
-  repeats         runs per (n, epsilon) cell
-  eval_samples    Monte-Carlo draws per risk estimate (default 2000)
-  baseline_steps  step cap for the reference minimizer (default 10^5)
-  sigma_override  optional noise scale replacing the calibrated one (0 = no noise)
-  seed            master seed
-  output_dir      where <output_dir>/<name>/ is written
-
-Per-cell CSV column order (fixed): n, epsilon, sigma, eta, mean_tau,
-mean_regret, mean_excess_risk, stderr, bound_value, bound_satisfied,
-report_epsilon, report_delta_total, overrun_runs. Floats are printed with
-17 significant digits so rerunning with the same seed reproduces files
-byte for byte.
+override file values. RUN_KEYS lists every key with its parser, default
+and meaning; any other key is a configuration error. Per-cell CSV columns
+are CELL_COLUMNS, in CellResult's field order. Floats are printed with 17
+significant digits so rerunning with the same seed reproduces files byte
+for byte.
 """
 
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .errors import ConfigurationError
-from .geometry import FeasibleSet
+from .geometry import BOX, L2_BALL, FeasibleSet
 from .losses import (ABSOLUTE, HINGE, LINEAR_MARGIN, SQUARED, UNIFORM_BALL,
-                     LossOracle, PopulationSpec, draw_dataset)
+                     LossOracle, PopulationSpec, draw_dataset, lipschitz_certificate)
 # private_sgd is not called here; perfbench/spans.py wraps it by this name.
 from .optimizer import (RunConfig, baseline_minimizer, estimate_regret,  # noqa: F401
                         estimate_risk, private_sgd, private_sgd_batch)
-from .privacy import end_to_end
+from .privacy import end_to_end, epsilon_limit, step_size
 from .sampler import simulate_tau
 
 OUTPUT_DIR_ENV = "DPMIRROR_OUTPUT_DIR"
 EXCESS_RISK_CONSTANT = 2.5
 
-CELL_COLUMNS = ("n", "epsilon", "sigma", "eta", "mean_tau", "mean_regret",
-                "mean_excess_risk", "stderr", "bound_value", "bound_satisfied",
-                "report_epsilon", "report_delta_total", "overrun_runs")
 
-_DEFAULTS = {
-    "name": "experiment",
-    "loss": HINGE,
-    "generator": LINEAR_MARGIN,
-    "dimension": "2",
-    "feature_bound": "1.0",
-    "noise_rate": "0.1",
-    "set": "l2_ball",
-    "radius": "0.5",
-    "delta": "1e-6",
-    "delta_prime": "1e-6",
-    "repeats": "20",
-    "eval_samples": "2000",
-    "baseline_steps": "100000",
+def _floats(text):
+    return tuple(float(v) for v in text.split(",") if v.strip())
+
+
+def _one_of(*choices):
+    def parse(text):
+        if text not in choices:
+            raise ValueError(repr(text))
+        return text
+    return parse
+
+
+def _positive_int(text):
+    value = int(text)
+    if value < 1:
+        raise ValueError(f"must be >= 1, got {value}")
+    return value
+
+
+def _epsilons(text):
+    return tuple("max" if v.strip() == "max" else float(v) for v in text.split(","))
+
+
+class RunKey(NamedTuple):
+    parse: Callable
+    default: str    # raw text as in a config file; None: no default
+    meaning: str
+
+
+# Every key `run` takes, as a config file line or as a --flag (underscores
+# as dashes); a flag wins over the file.
+RUN_KEYS = {
+    "name": RunKey(str, "experiment", "experiment name (output subdirectory)"),
+    "loss": RunKey(_one_of(HINGE, ABSOLUTE, SQUARED), HINGE,
+                   "hinge | absolute | squared"),
+    "generator": RunKey(_one_of(LINEAR_MARGIN, UNIFORM_BALL), LINEAR_MARGIN,
+                        "linear_margin | uniform_ball"),
+    "dimension": RunKey(_positive_int, "2", "feature dimension d"),
+    "feature_bound": RunKey(float, "1.0", "norm bound on generated features "
+                            "(also L for hinge/absolute)"),
+    "noise_rate": RunKey(float, "0.1", "label flip probability for linear_margin"),
+    "w_true": RunKey(_floats, None, "comma-separated floats for linear_margin "
+                     "(default: first basis vector)"),
+    "set": RunKey(_one_of(L2_BALL, BOX), L2_BALL, "l2_ball | box"),
+    "radius": RunKey(float, "0.5", "ball radius, centred at 0"),
+    "lower": RunKey(_floats, None, "comma-separated lower box corner (box only)"),
+    "upper": RunKey(_floats, None, "comma-separated upper box corner (box only)"),
+    "n_values": RunKey(lambda text: tuple(int(v) for v in text.split(",")), None,
+                       "comma-separated dataset sizes, each >= 16 (required)"),
+    "epsilon_values": RunKey(_epsilons, None,
+                             "comma-separated floats, or max for 1/(2*sqrt(n)) "
+                             "(required)"),
+    "delta": RunKey(float, "1e-6", "accountant delta"),
+    "delta_prime": RunKey(float, "1e-6", "accountant delta prime"),
+    "repeats": RunKey(_positive_int, "20", "runs per (n, epsilon) cell"),
+    "eval_samples": RunKey(int, "2000", "Monte-Carlo draws per risk estimate"),
+    "baseline_steps": RunKey(int, "100000", "step cap for the reference minimizer"),
+    "sigma_override": RunKey(float, None,
+                             "noise scale replacing the calibrated one (0 = no noise)"),
+    "seed": RunKey(int, None, "master seed (default: drawn from entropy)"),
+    "output_dir": RunKey(str, None,
+                         f"where <output_dir>/<name>/ is written "
+                         f"(default: ${OUTPUT_DIR_ENV} or runs)"),
 }
 
 
@@ -107,6 +132,9 @@ class CellResult:
     degraded: bool
 
 
+CELL_COLUMNS = tuple(f.name for f in fields(CellResult) if f.name != "degraded")
+
+
 @dataclass
 class ExperimentResult:
     spec_echo: dict
@@ -135,114 +163,82 @@ def parse_kv_file(path):
     return values
 
 
-def _floats(text):
-    return tuple(float(v) for v in text.split(",") if v.strip())
+def _read_keys(overrides):
+    """Each RUN_KEYS value parsed once from its text or default; None if neither."""
+    unknown = sorted(set(overrides) - set(RUN_KEYS))
+    if unknown:
+        raise ConfigurationError(f"unknown config field(s): {', '.join(unknown)}")
+    values = {}
+    for key, (parse, default, _) in RUN_KEYS.items():
+        text = overrides.get(key)
+        text = default if text is None else text
+        try:
+            values[key] = None if text is None else parse(text)
+        except (TypeError, ValueError) as exc:
+            raise ConfigurationError(f"bad value for config field {key}: {exc}") from exc
+    return values
 
 
-def _require(mapping, key, cast):
-    if key not in mapping:
+def _given(values, key):
+    if values[key] is None:
         raise ConfigurationError(f"missing config field: {key}")
-    try:
-        return cast(mapping[key])
-    except ConfigurationError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise ConfigurationError(f"bad value for config field {key}: {exc}") from exc
+    return values[key]
 
 
 def epsilon_for(n, value):
     """Resolve an epsilon entry; 'max' means the regime boundary 1/(2*sqrt(n))."""
     if value == "max":
-        return 1.0 / (2.0 * math.sqrt(n))
+        return epsilon_limit(n)
     return float(value)
 
 
 def build_spec(overrides):
     """Assemble and validate an ExperimentSpec from string key-values."""
-    kv = dict(_DEFAULTS)
-    kv.update({k: v for k, v in overrides.items() if v is not None})
-
-    name = kv["name"]
-    dimension = _require(kv, "dimension", int)
-    if dimension < 1:
-        raise ConfigurationError(
-            f"bad value for config field dimension: must be >= 1, got {dimension}")
-    feature_bound = _require(kv, "feature_bound", float)
-    loss = kv["loss"]
-    if loss not in (HINGE, ABSOLUTE, SQUARED):
-        raise ConfigurationError(f"bad value for config field loss: {loss!r}")
-
-    set_kind = kv["set"]
-    if set_kind == "l2_ball":
-        feasible = FeasibleSet.l2_ball(_require(kv, "radius", float),
-                                       dimension=dimension)
-    elif set_kind == "box":
-        lower = _require(kv, "lower", _floats)
-        upper = _require(kv, "upper", _floats)
-        feasible = FeasibleSet.box(lower, upper)
+    kv = _read_keys(overrides)
+    dimension = kv["dimension"]
+    if kv["set"] == L2_BALL:
+        feasible = FeasibleSet.l2_ball(kv["radius"], dimension=dimension)
+    else:
+        feasible = FeasibleSet.box(_given(kv, "lower"), _given(kv, "upper"))
         if feasible.dimension != dimension:
             raise ConfigurationError("config field lower/upper: wrong dimension")
-    else:
-        raise ConfigurationError(f"bad value for config field set: {set_kind!r}")
 
-    generator = kv["generator"]
-    if generator == LINEAR_MARGIN:
-        if "w_true" in kv:
-            w_true = np.array(_floats(kv["w_true"]))
-        else:
+    seed = _given(kv, "seed")
+    w_true, noise_rate = None, 0.0
+    if kv["generator"] == LINEAR_MARGIN:
+        w_true, noise_rate = kv["w_true"], kv["noise_rate"]
+        if w_true is None:
             w_true = np.zeros(dimension)
             w_true[0] = 1.0
-    elif generator == UNIFORM_BALL:
-        w_true = None
-    else:
-        raise ConfigurationError(f"bad value for config field generator: {generator!r}")
-
-    seed = _require(kv, "seed", int)
     population = PopulationSpec(
-        generator=generator, dimension=dimension, feature_bound=feature_bound,
-        w_true=w_true,
-        noise_rate=_require(kv, "noise_rate", float) if generator == LINEAR_MARGIN else 0.0,
-    )
-
-    if loss == SQUARED:
-        oracle = LossOracle.squared(feature_bound, feasible)
-    elif loss == ABSOLUTE:
-        oracle = LossOracle.absolute(feature_bound)
-    else:
-        oracle = LossOracle.hinge(feature_bound)
-
-    n_values = _require(kv, "n_values", lambda t: tuple(int(v) for v in t.split(",")))
-    eps_raw = _require(kv, "epsilon_values", str)
-    epsilon_values = tuple(v.strip() if v.strip() == "max" else float(v)
-                           for v in eps_raw.split(","))
-
-    repeats = _require(kv, "repeats", int)
-    if repeats < 1:
-        raise ConfigurationError("bad value for config field repeats: must be >= 1")
+        generator=kv["generator"], dimension=dimension,
+        feature_bound=kv["feature_bound"], w_true=w_true, noise_rate=noise_rate)
+    oracle = LossOracle(kv["loss"], lipschitz_certificate(
+        kv["loss"], kv["feature_bound"], feasible))
 
     spec = ExperimentSpec(
-        name=name,
+        name=kv["name"],
         population=population,
         oracle=oracle,
         feasible_set=feasible,
-        n_values=n_values,
-        epsilon_values=epsilon_values,
-        delta=_require(kv, "delta", float),
-        delta_prime=_require(kv, "delta_prime", float),
-        repeats=repeats,
+        n_values=_given(kv, "n_values"),
+        epsilon_values=_given(kv, "epsilon_values"),
+        delta=kv["delta"],
+        delta_prime=kv["delta_prime"],
+        repeats=kv["repeats"],
         seed=seed,
-        output_dir=kv.get("output_dir", default_output_dir()),
-        eval_samples=_require(kv, "eval_samples", int),
-        baseline_steps=_require(kv, "baseline_steps", int),
-        sigma_override=(_require(kv, "sigma_override", float)
-                        if "sigma_override" in kv else None),
+        output_dir=(default_output_dir() if kv["output_dir"] is None
+                    else kv["output_dir"]),
+        eval_samples=kv["eval_samples"],
+        baseline_steps=kv["baseline_steps"],
+        sigma_override=kv["sigma_override"],
     )
 
     for n in spec.n_values:
         if n < 16:
             raise ConfigurationError(f"config field n_values: n={n} below minimum 16")
         for value in spec.epsilon_values:
-            if value != "max" and value > 1.0 / (2.0 * math.sqrt(n)):
+            if value != "max" and value > epsilon_limit(n):
                 raise ConfigurationError(
                     f"config field epsilon_values: epsilon={value} exceeds "
                     f"1/(2*sqrt(n)) for n={n}"
@@ -276,6 +272,9 @@ def spec_echo(spec):
         echo["w_true"] = [float(v) for v in spec.population.w_true]
     if spec.sigma_override is not None:
         echo["sigma_override"] = spec.sigma_override
+    if spec.feasible_set.kind == BOX:
+        echo["lower"] = spec.feasible_set.lower.tolist()
+        echo["upper"] = spec.feasible_set.upper.tolist()
     return echo
 
 
@@ -294,6 +293,11 @@ def run_experiment(spec):
     on execution order. A repeat that overruns its step cap is counted in
     overrun_runs and left out of the cell's means. Reported stderr adds the
     reference minimizer's own error bound so bound checks stay honest.
+
+    Each cell is checked against bound_value = 2.5*D*(L + sigma*sqrt(d))/sqrt(n).
+    end_to_end's risk_bound, 5LD/sqrt(n) + 20LD*sqrt(d*ln(1/delta))/(eps*n),
+    exceeds it by exactly 2.5*L*D/sqrt(n) at the calibrated sigma. Choosing
+    one is open (ROADMAP.md, item 3).
     """
     d = spec.population.dimension
     D = spec.feasible_set.diameter()
@@ -314,7 +318,7 @@ def run_experiment(spec):
             eps = epsilon_for(n, eps_value)
             if spec.sigma_override is not None:
                 sigma = spec.sigma_override
-                eta = D / (math.sqrt(n) * (L + sigma * math.sqrt(d)))
+                eta = step_size(n, sigma, L, D, d)
                 report_eps, report_delta = math.nan, math.nan
             else:
                 plan = end_to_end(n, eps, spec.delta, spec.delta_prime, L, D, d)
@@ -432,20 +436,19 @@ def run_tau_sim(n_values, trials, seed, output_dir, name="tau-sim"):
     """Stopping-time Monte Carlo for several n; writes tau.csv and summaries.
 
     tau.csv gets an extra leading n column so several sizes share one file;
-    the per-n summaries land in tau_summary.json.
+    the per-n summaries land in tau_summary.json. Every n is simulated
+    before anything is written, so a bad n leaves no files behind.
     """
     if trials < 1000:
         raise ConfigurationError(f"tau-sim: trials must be >= 1000, got {trials}")
+    all_stats = [simulate_tau(n, trials, seed) for n in n_values]
     outdir = experiment_dir(output_dir, name)
-    all_stats = []
     with open(os.path.join(outdir, "tau.csv"), "w") as fh:
         fh.write(f"# n_values={list(n_values)} trials={trials} seed={seed}\n")
         fh.write("n,trial,tau\n")
-        for n in n_values:
-            stats = simulate_tau(n, trials, seed)
-            all_stats.append(stats)
+        for stats in all_stats:
             for trial, tau in enumerate(stats.tau_samples):
-                fh.write(f"{n},{trial},{int(tau)}\n")
+                fh.write(f"{stats.n},{trial},{int(tau)}\n")
     with open(os.path.join(outdir, "tau_summary.json"), "w") as fh:
         json.dump({"seed": seed, "results": [s.summary() for s in all_stats]},
                   fh, indent=2, sort_keys=True)

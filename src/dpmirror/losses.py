@@ -18,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError
-from .geometry import BOX, L2_BALL
 
 HINGE = "hinge"
 ABSOLUTE = "absolute"
@@ -26,16 +25,6 @@ SQUARED = "squared"
 
 LINEAR_MARGIN = "linear_margin"
 UNIFORM_BALL = "uniform_ball"
-
-
-def max_norm_on(feasible_set):
-    """Largest Euclidean norm attained on the set (exact for both kinds)."""
-    if feasible_set.kind == L2_BALL:
-        return float(np.linalg.norm(feasible_set.center)) + feasible_set.radius
-    if feasible_set.kind == BOX:
-        corner = np.maximum(np.abs(feasible_set.lower), np.abs(feasible_set.upper))
-        return float(np.linalg.norm(corner))
-    raise ConfigurationError(f"unknown set kind {feasible_set.kind!r}")
 
 
 def lipschitz_certificate(kind, feature_bound, feasible_set=None):
@@ -59,7 +48,7 @@ def lipschitz_certificate(kind, feature_bound, feasible_set=None):
             raise ConfigurationError(
                 "squared loss has no global Lipschitz constant; pass the feasible set"
             )
-        w_max = max_norm_on(feasible_set)
+        w_max = feasible_set.max_norm()
         return float((w_max * feature_bound + 1.0) * feature_bound)
     raise ConfigurationError(f"unknown loss kind {kind!r}")
 
@@ -136,7 +125,7 @@ class LossOracle:
         """Largest subgradient norm any (x, y) row can give at any w in the set.
 
         Per row: |y|*||x|| for hinge, ||x|| for absolute, and
-        (max_norm_on(set)*||x|| + |y|)*||x|| for squared. A row above
+        (set.max_norm()*||x|| + |y|)*||x|| for squared. A row above
         lipschitz_L would break the sensitivity the accountant assumes.
         One pass over stacked (..., d) features and (...,) labels.
         """
@@ -146,7 +135,7 @@ class LossOracle:
         elif self.kind == ABSOLUTE:
             worst = norms
         else:
-            worst = (max_norm_on(feasible_set) * norms + np.abs(labels)) * norms
+            worst = (feasible_set.max_norm() * norms + np.abs(labels)) * norms
         return float(worst.max())
 
     def batch_values(self, w, features, labels):

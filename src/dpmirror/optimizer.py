@@ -425,7 +425,7 @@ def baseline_minimizer(population, oracle, feasible_set, budget_steps, seed=0):
         slopes = oracle.smoothed_slope_at(features @ w, labels, mu)
         return _row_sum(slopes, features) / holdout_size
 
-    project = feasible_set.project_point
+    project = feasible_set.project_rows
     w = y = project(np.zeros(d))
     t = 1.0
     for k in range(1, budget_steps + 1):

@@ -64,14 +64,6 @@ class PrivacyReport:
     stage: str
     assumptions: tuple = ()
 
-    def to_dict(self):
-        return {
-            "stage": self.stage,
-            "epsilon": self.epsilon,
-            "delta_total": self.delta_total,
-            "assumptions": list(self.assumptions),
-        }
-
 
 def _check_positive(name, value):
     # "not value > 0" alone lets inf through; NaN fails every comparison.
@@ -149,20 +141,22 @@ def compose(step, tau, delta_prime):
     )
 
 
+def epsilon_limit(n):
+    """Largest per-record epsilon the end-to-end guarantee covers: 1/(2*sqrt(n))."""
+    return 1.0 / (2.0 * math.sqrt(n))
+
+
+def step_size(n, sigma, L, D, d):
+    """The run's step size eta = D / (sqrt(n)*(L + sigma*sqrt(d)))."""
+    return D / (math.sqrt(n) * (L + sigma * math.sqrt(d)))
+
+
 @dataclass(frozen=True)
 class EndToEndPlan:
     sigma: float
     eta: float
     report: PrivacyReport
     risk_bound: float
-
-    def to_dict(self):
-        return {
-            "sigma": self.sigma,
-            "eta": self.eta,
-            "risk_bound": self.risk_bound,
-            "report": self.report.to_dict(),
-        }
 
 
 def end_to_end(n, epsilon, delta, delta_prime, L, D, d):
@@ -175,10 +169,13 @@ def end_to_end(n, epsilon, delta, delta_prime, L, D, d):
     delta + delta' + 2*exp(-n/16)), where the exponential term is the
     probability the run fails to stop within 2n steps. risk_bound is the
     matching excess-risk value 5LD/sqrt(n) + 20LD*sqrt(d*ln(1/delta))/(eps*n).
+    The harness checks its cells against a different formula, bound_value =
+    2.5*D*(L + sigma*sqrt(d))/sqrt(n); at this sigma, risk_bound exceeds it
+    by exactly 2.5*L*D/sqrt(n). Choosing one is open (ROADMAP.md, item 3).
     """
     if n < 16:
         raise ConfigurationError(f"end_to_end requires n >= 16, got {n}")
-    limit = 1.0 / (2.0 * math.sqrt(n))
+    limit = epsilon_limit(n)
     _check_positive("epsilon", epsilon)
     if epsilon > limit:
         raise RegimeError(
@@ -193,7 +190,7 @@ def end_to_end(n, epsilon, delta, delta_prime, L, D, d):
         raise ConfigurationError(f"d must be >= 1, got {d}")
 
     sigma = 8.0 * L * math.sqrt(math.log(1.0 / delta)) / (math.sqrt(n) * epsilon)
-    eta = D / (math.sqrt(n) * (L + sigma * math.sqrt(d)))
+    eta = step_size(n, sigma, L, D, d)
     report = PrivacyReport(
         epsilon=4.0 * epsilon * (math.sqrt(math.log(1.0 / delta_prime)) + 2.0),
         delta_total=delta + delta_prime + 2.0 * math.exp(-n / 16.0),
@@ -214,10 +211,6 @@ class InternalBudget:
     epsilon: float
     delta: float
     delta_prime: float
-
-    def to_dict(self):
-        return {"epsilon": self.epsilon, "delta": self.delta,
-                "delta_prime": self.delta_prime}
 
 
 def from_target(eps_bar, delta_bar, n):
@@ -241,7 +234,7 @@ def from_target(eps_bar, delta_bar, n):
         )
     delta = delta_bar / 3.0
     epsilon = eps_bar / (8.0 * math.sqrt(math.log(1.0 / delta)))
-    limit = 1.0 / (2.0 * math.sqrt(n))
+    limit = epsilon_limit(n)
     if epsilon > limit:
         raise RegimeError(
             f"derived epsilon={epsilon:.6g} violates epsilon <= 1/(2*sqrt(n)) "

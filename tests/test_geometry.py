@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -83,6 +84,27 @@ class TestProjection:
         box = FeasibleSet.box([0.0, 0.0], [3.0, 4.0])
         assert box.diameter() == pytest.approx(5.0)
         assert box.diameter() > 0
+
+
+class TestMaxNorm:
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    def test_box_is_the_largest_corner(self, dim):
+        # Asymmetric bounds, some intervals on one side of 0, against every
+        # corner of the box.
+        rng = np.random.default_rng(dim)
+        for _ in range(10):
+            lower = rng.uniform(-2.0, 1.0, size=dim)
+            upper = lower + rng.uniform(0.1, 2.0, size=dim)
+            corners = itertools.product(*zip(lower, upper))
+            expected = max(math.sqrt(sum(c * c for c in corner)) for corner in corners)
+            box = FeasibleSet.box(lower, upper)
+            assert box.max_norm() == pytest.approx(expected, rel=1e-12)
+
+    def test_off_centre_ball(self):
+        ball = FeasibleSet.l2_ball(0.5, center=[3.0, -4.0])
+        assert ball.max_norm() == pytest.approx(5.5, rel=1e-12)
+        # The farthest point lies on the ray from the origin through the centre.
+        assert ball.contains(np.array([3.0, -4.0]) * 5.5 / 5.0)
 
 
 class TestMirrorStep:

@@ -160,6 +160,12 @@ class TestRunCommand:
         summary = json.loads((tmp_path / "tau" / "tau_summary.json").read_text())
         assert [r["n"] for r in summary["results"]] == [16, 32]
 
+    def test_tau_sim_bad_n_writes_nothing(self, tmp_path):
+        # The bad n comes last, after a good one has been simulated.
+        with pytest.raises(ConfigurationError):
+            run_tau_sim([16, 0], 1000, seed=3, output_dir=str(tmp_path), name="tau")
+        assert not (tmp_path / "tau").exists()
+
     def test_tau_sim_trial_floor(self, tmp_path):
         with pytest.raises(ConfigurationError):
             run_tau_sim([16], 10, seed=3, output_dir=str(tmp_path))
@@ -311,8 +317,9 @@ class TestCli:
         assert "sigma" in captured.err and captured.out == ""
 
     def test_run_override_table(self, tmp_path, capsys, monkeypatch):
-        # Every override key reaches build_spec unchanged, both from its
-        # --flag and from a config file line.
+        # Every run key reaches build_spec unchanged, both from its --flag
+        # and from a config file line. The seed is resolved to an integer
+        # first, so it is left out here.
         seen = []
 
         def capture(overrides):
@@ -320,7 +327,7 @@ class TestCli:
             raise ConfigurationError("captured")
 
         monkeypatch.setattr(cli, "build_spec", capture)
-        for key in cli.RUN_OVERRIDES:
+        for key in [k for k in harness_mod.RUN_KEYS if k != "seed"]:
             value = f"v-{key}"
             assert cli.main(["run", "--seed", "1",
                              "--" + key.replace("_", "-"), value]) == 2
@@ -329,6 +336,15 @@ class TestCli:
             assert cli.main(["run", "--seed", "1", "--config", str(cfg)]) == 2
             from_flag, from_file = seen[-2:]
             assert from_flag == from_file == {key: value, "seed": "1"}
+
+    def test_run_unknown_config_key_exit_2(self, tmp_path, capsys):
+        # A mistyped key is an error, not a silently ignored line.
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("n_values = 16\nepsilon_values = max\nrepeat = 3\n"
+                       f"seed = 1\nbaseline_steps = 10000\noutput_dir = {tmp_path}\n")
+        assert cli.main(["run", "--config", str(cfg)]) == 2
+        assert "unknown config field(s): repeat" in capsys.readouterr().err
+        assert not (tmp_path / "experiment").exists()
 
     def test_run_bad_config_exit_2(self, tmp_path, capsys):
         rc = cli.main(["run", "--n-values", "16", "--epsilon-values", "max",
@@ -447,14 +463,16 @@ class TestGoldenOutputs:
     # (cells.csv, summary.json) digests. Re-pinned when the reference
     # minimizer became certified accelerated full-batch gradient: only the
     # baseline_risk/baseline_error line and the mean_regret,
-    # mean_excess_risk and stderr columns moved.
+    # mean_excess_risk and stderr columns moved. The box run's were
+    # re-pinned again when box runs began to echo their lower and upper
+    # corners: only those two echo entries were added.
     RUN_DIGESTS = {
         "hinge-ball": [
             "a7f08fd8ed19bc69098e6fc8faed9346e668ea454199be4125f95877ccf55998",
             "523d26448d1f252b0833bd52b92702953107f4563f793f22b94689be43a12913"],
         "squared-box-sigma-override": [
-            "a1fbecf211f019eaf59adb4bf1eb61a2aa1b2c01df295d5771e5fda992b15ca0",
-            "21a31086535644c1d7d83007081eded0cb91107538ef06c394956d25445be76f"],
+            "f27b0ebebe3d8424d5c7b3c1a67931af618ad84a96c23fc9967ed5f7e509d14b",
+            "5044dad1fb01ec1c3f2cd789a6f87dda41646813d74344dc394a0385ed90a7be"],
     }
     CALIBRATE = {
         "eps": ["--n", "10000", "--eps", "0.005", "--delta", "1e-6",

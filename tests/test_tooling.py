@@ -19,3 +19,20 @@ def test_benchmark_spans_install_on_this_tree():
         [sys.executable, "-c", "import spans; spans.install(spans.Recorder())"],
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_benchmark_configs_use_only_run_keys():
+    # The benchmark writes config files for `dpmirror run`; a key missing
+    # from RUN_KEYS would make its runs exit 2.
+    sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+    try:
+        import workloads
+    finally:
+        sys.path.pop(0)
+    from dpmirror.harness import RUN_KEYS
+
+    for workload in ("grid", "grid-box"):
+        plan = workloads.make_plan(workload, workloads.DEFAULT_SEED)
+        for text in plan.configs.values():
+            keys = {line.split("=", 1)[0].strip() for line in text.splitlines()}
+            assert keys <= set(RUN_KEYS), keys - set(RUN_KEYS)
