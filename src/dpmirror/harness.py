@@ -2,10 +2,11 @@
 
 Config files are flat key=value text ('#' starts a comment); CLI flags
 override file values. RUN_KEYS lists every key with its parser, default
-and meaning; any other key is a configuration error. Per-cell CSV columns
-are CELL_COLUMNS, in CellResult's field order. Floats are printed with 17
-significant digits so rerunning with the same seed reproduces files byte
-for byte.
+and meaning; any other key is a configuration error, and so is a key
+that READ_ONLY_UNDER ties to a set or generator the run does not use.
+Per-cell CSV columns are CELL_COLUMNS, in CellResult's field order. Floats
+are printed with 17 significant digits so rerunning with the same seed
+reproduces files byte for byte.
 """
 
 import json
@@ -24,7 +25,7 @@ from .losses import (ABSOLUTE, HINGE, LINEAR_MARGIN, SQUARED, UNIFORM_BALL,
 from .optimizer import (RunConfig, baseline_minimizer, estimate_regret,  # noqa: F401
                         estimate_risk, private_sgd, private_sgd_batch)
 from .privacy import end_to_end, epsilon_limit, step_size
-from .sampler import simulate_tau
+from .sampler import TrialStreams, simulate_tau
 
 OUTPUT_DIR_ENV = "DPMIRROR_OUTPUT_DIR"
 EXCESS_RISK_CONSTANT = 2.5
@@ -93,6 +94,16 @@ RUN_KEYS = {
     "output_dir": RunKey(str, None,
                          f"where <output_dir>/<name>/ is written "
                          f"(default: ${OUTPUT_DIR_ENV} or runs)"),
+}
+
+# Keys that only one set or generator reads: key -> (choosing key, choice).
+# Giving one under another choice is a configuration error, not a no-op.
+READ_ONLY_UNDER = {
+    "radius": ("set", L2_BALL),
+    "lower": ("set", BOX),
+    "upper": ("set", BOX),
+    "noise_rate": ("generator", LINEAR_MARGIN),
+    "w_true": ("generator", LINEAR_MARGIN),
 }
 
 
@@ -176,6 +187,12 @@ def _read_keys(overrides):
             values[key] = None if text is None else parse(text)
         except (TypeError, ValueError) as exc:
             raise ConfigurationError(f"bad value for config field {key}: {exc}") from exc
+    for key in sorted(set(overrides) & set(READ_ONLY_UNDER)):
+        chooser, choice = READ_ONLY_UNDER[key]
+        if values[chooser] != choice:
+            raise ConfigurationError(
+                f"config field {key} is not read with {chooser} = {values[chooser]} "
+                f"(only with {chooser} = {choice})")
     return values
 
 
@@ -437,18 +454,22 @@ def run_tau_sim(n_values, trials, seed, output_dir, name="tau-sim"):
 
     tau.csv gets an extra leading n column so several sizes share one file;
     the per-n summaries land in tau_summary.json. Every n is simulated
-    before anything is written, so a bad n leaves no files behind.
+    before anything is written, so a bad n leaves no files behind. The
+    trials' streams are seeded once and shared by every n.
     """
     if trials < 1000:
         raise ConfigurationError(f"tau-sim: trials must be >= 1000, got {trials}")
-    all_stats = [simulate_tau(n, trials, seed) for n in n_values]
+    streams = TrialStreams(seed, trials)
+    all_stats = [simulate_tau(n, trials, seed, streams) for n in n_values]
     outdir = experiment_dir(output_dir, name)
     with open(os.path.join(outdir, "tau.csv"), "w") as fh:
         fh.write(f"# n_values={list(n_values)} trials={trials} seed={seed}\n")
         fh.write("n,trial,tau\n")
         for stats in all_stats:
-            for trial, tau in enumerate(stats.tau_samples):
-                fh.write(f"{stats.n},{trial},{int(tau)}\n")
+            # Python ints from tolist() format faster than numpy scalars; a
+            # join of the whole n would hold 10^4 line strings at once.
+            for trial, tau in enumerate(stats.tau_samples.tolist()):
+                fh.write(f"{stats.n},{trial},{tau}\n")
     with open(os.path.join(outdir, "tau_summary.json"), "w") as fh:
         json.dump({"seed": seed, "results": [s.summary() for s in all_stats]},
                   fh, indent=2, sort_keys=True)

@@ -11,8 +11,19 @@ kernel, first_arrivals: a scatter-minimum of each draw's position onto its
 sorted slots are the row's first arrivals in step order. Both work on
 (rows, steps) blocks: the optimizer passes all repeats of a cell at once
 and simulate_tau a chunk of trials.
+
+simulate_tau gives trial t the stream default_rng(SeedSequence([seed, t])).
+TrialStreams seeds each trial once and keeps its PCG64 state packed in 32
+bytes, so a tau-sim over several n seeds each trial once, not once per n.
+A trial draws a first block of first_block(n) (about 3n/4) indices, and
+only the rare trial whose tau falls past it draws more. This works because
+integer draws of one generator concatenate: integers(0, n, a) followed by
+integers(0, n, b) equals one integers(0, n, a + b) draw, so a short block
+is the head of every longer block of the same stream, and tau does not
+depend on how the stream is cut into blocks.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,12 +80,6 @@ class TauStats:
         }
 
 
-# simulate_tau stacks its trials' first blocks into chunks of at most this
-# many draws (32 KB of int64; one block when n >= 1024) for one
-# first_arrivals call each. Larger chunks were slower and raised peak memory.
-CHUNK_DRAWS = 1 << 12
-
-
 def first_arrivals(draws, n):
     """First-arrival positions of each row of a (rows, steps) index block.
 
@@ -108,8 +113,56 @@ def stopping_times(draws, n):
     return arrivals, arrivals[:, -1] + 1
 
 
-def _trial_stream(seed, trial):
-    return np.random.default_rng(np.random.SeedSequence(entropy=[seed, trial]))
+# A trial's first block. tau averages n ln 2 + O(1) < 0.7n with a standard
+# deviation of about 0.55*sqrt(n), so 3n/4 + 4*sqrt(n) + 8 draws hold it
+# over seven standard deviations past the mean: P(tau > first_block(n)) is
+# 2.4e-4 at n = 2 and below 1e-6 from n = 16 on. Draws past tau are wasted,
+# and a 4n block wasted most of its draws and its first_arrivals work.
+def first_block(n):
+    return (3 * n) // 4 + 4 * math.isqrt(n) + 8
+
+
+# simulate_tau stacks its trials' first blocks into chunks of at most this
+# many draws (128 KB of int64) for one first_arrivals call each. On n in
+# {16, ..., 1024}, 2**13 and 2**15 were both slower.
+CHUNK_DRAWS = 1 << 14
+
+_MASK64 = (1 << 64) - 1
+
+
+class TrialStreams:
+    """The index streams of trials 0..trials-1 under one seed, seeded once.
+
+    Trial t's stream is default_rng(SeedSequence([seed, t])). Building that
+    generator takes about six times as long as restoring a saved state, so
+    the constructor builds each one once and keeps only its PCG64 state:
+    the 128-bit state and increment as four uint64 words, 32 bytes per
+    trial. stream(t) restores row t into one reused Generator, which then
+    draws exactly what the freshly built generator would.
+    """
+
+    def __init__(self, seed, trials):
+        self.seed = seed
+        self.trials = trials
+        self._packed = np.empty((trials, 4), dtype=np.uint64)
+        for trial in range(trials):
+            state = np.random.PCG64(np.random.SeedSequence([seed, trial])).state["state"]
+            self._packed[trial] = (state["state"] >> 64, state["state"] & _MASK64,
+                                   state["inc"] >> 64, state["inc"] & _MASK64)
+        self._bit_generator = np.random.PCG64(0)
+        self._rng = np.random.Generator(self._bit_generator)
+
+    def stream(self, trial):
+        """Trial's generator at the start of its stream.
+
+        The one Generator is shared: a later stream() call moves it.
+        """
+        hi, lo, inc_hi, inc_lo = self._packed[trial].tolist()
+        self._bit_generator.state = {
+            "bit_generator": "PCG64",
+            "state": {"state": hi << 64 | lo, "inc": inc_hi << 64 | inc_lo},
+            "has_uint32": 0, "uinteger": 0}
+        return self._rng
 
 
 def _tau_one_trial(n, rng):
@@ -124,32 +177,43 @@ def _tau_one_trial(n, rng):
         draws = np.concatenate([draws, rng.integers(0, n, size=block)])
 
 
-def simulate_tau(n, trials, seed):
+def simulate_tau(n, trials, seed, streams=None):
     """Monte-Carlo sample of the stopping time over independent trials.
 
-    Each trial uses its own generator derived from (seed, trial index), so
-    trials are individually reproducible and order-independent. A trial
-    draws its indices in blocks of max(4n, 8); the first blocks of up to
-    CHUNK_DRAWS // block trials go through first_arrivals together. A
-    trial needs a second block with vanishing probability; _tau_one_trial
-    then walks its stream alone.
+    Trial t draws its indices from its own stream,
+    default_rng(SeedSequence([seed, t])), so trials are individually
+    reproducible and order-independent. streams, a TrialStreams(seed,
+    trials), holds those streams seeded once (32 bytes of packed state per
+    trial); pass one to share it between several n, or leave it None to
+    build one here.
+
+    Each trial draws a first block of first_block(n) indices, about 3n/4,
+    and the first blocks of up to CHUNK_DRAWS // first_block(n) trials go
+    through first_arrivals together. A trial whose tau falls past its first
+    block (probability at most 2.4e-4, below 1e-6 for n >= 16) is replayed
+    from the start of its stream by _tau_one_trial in blocks of max(4n, 8);
+    the stream is the same, so its tau is too.
     """
     if n < 1:
         raise ConfigurationError(f"simulate_tau: n must be >= 1, got {n}")
     if trials < 1:
         raise ConfigurationError(f"simulate_tau: trials must be >= 1, got {trials}")
-    block = max(4 * n, 8)
+    if streams is None:
+        streams = TrialStreams(seed, trials)
+    elif (streams.seed, streams.trials) != (seed, trials):
+        raise ConfigurationError(
+            f"simulate_tau: streams are for seed {streams.seed} and "
+            f"{streams.trials} trials, not {seed} and {trials}")
+    block = first_block(n)
     per_chunk = max(1, CHUNK_DRAWS // block)
     samples = np.empty(trials, dtype=np.int64)
     draws = np.empty((per_chunk, block), dtype=np.int64)
     for start in range(0, trials, per_chunk):
         chunk = draws[:min(per_chunk, trials - start)]
         for row in range(len(chunk)):
-            chunk[row] = _trial_stream(seed, start + row).integers(0, n, size=block)
+            chunk[row] = streams.stream(start + row).integers(0, n, size=block)
         tau = stopping_times(chunk, n)[1]
         samples[start:start + len(chunk)] = tau
-        # The rare trial whose first block holds too few distinct values is
-        # replayed from the start of its stream, block by block.
         for row in np.flatnonzero(tau > block):
-            samples[start + row] = _tau_one_trial(n, _trial_stream(seed, start + row))
+            samples[start + row] = _tau_one_trial(n, streams.stream(start + row))
     return TauStats(n=n, trials=trials, tau_samples=samples)

@@ -346,6 +346,35 @@ class TestCli:
         assert "unknown config field(s): repeat" in capsys.readouterr().err
         assert not (tmp_path / "experiment").exists()
 
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("entries, message", [
+        ([("set", "box"), ("lower", "-1,-1"), ("upper", "1,1"), ("radius", "0.3")],
+         "radius is not read with set = box"),
+        ([("lower", "-1,-1")], "lower is not read with set = l2_ball"),
+        ([("upper", "1,1")], "upper is not read with set = l2_ball"),
+        ([("generator", "uniform_ball"), ("noise_rate", "0.2")],
+         "noise_rate is not read with generator = uniform_ball"),
+        ([("generator", "uniform_ball"), ("w_true", "1,0")],
+         "w_true is not read with generator = uniform_ball"),
+    ], ids=["radius-box", "lower-ball", "upper-ball", "noise-rate-uniform",
+            "w-true-uniform"])
+    def test_run_key_the_run_never_reads_exit_2(self, tmp_path, capsys, source,
+                                                entries, message):
+        # A key that the chosen set or generator ignores is an error, not a
+        # silently dropped line, whether it comes as a flag or from a file.
+        common = [("n_values", "16"), ("epsilon_values", "max"), ("repeats", "1"),
+                  ("seed", "1"), ("baseline_steps", "10000"), ("dimension", "2"),
+                  ("output_dir", str(tmp_path))]
+        if source == "flag":
+            argv = ["run"] + [f"--{k.replace('_', '-')}={v}" for k, v in common + entries]
+        else:
+            cfg = tmp_path / "exp.cfg"
+            cfg.write_text("".join(f"{k} = {v}\n" for k, v in common + entries))
+            argv = ["run", "--config", str(cfg)]
+        assert cli.main(argv) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "experiment").exists()
+
     def test_run_bad_config_exit_2(self, tmp_path, capsys):
         rc = cli.main(["run", "--n-values", "16", "--epsilon-values", "max",
                        "--repeats", "0", "--seed", "1",

@@ -5,8 +5,8 @@ import pytest
 
 from dpmirror import sampler
 from dpmirror.errors import ConfigurationError
-from dpmirror.sampler import (expected_tau, first_arrivals, fresh_target,
-                              sample_index, simulate_tau, stopping_times)
+from dpmirror.sampler import (TrialStreams, expected_tau, first_arrivals, first_block,
+                              fresh_target, sample_index, simulate_tau, stopping_times)
 
 # 99.9% quantile of chi-square with 9 degrees of freedom (standard tables).
 CHI2_9DOF_999 = 27.877
@@ -66,6 +66,22 @@ def set_walk_tau(stream, n):
         if len(seen) > n // 2:
             return t
     return None
+
+
+def fresh_stream(seed, trial):
+    """Trial's generator, built from scratch as simulate_tau defines it."""
+    return np.random.default_rng(np.random.SeedSequence(entropy=[seed, trial]))
+
+
+def fresh_stream_tau(seed, trial, n):
+    """Stopping time by a set walk over a freshly built trial stream, drawn
+    in blocks of max(4n, 8) until the walk stops."""
+    rng, draws = fresh_stream(seed, trial), np.empty(0, dtype=np.int64)
+    while True:
+        draws = np.concatenate([draws, rng.integers(0, n, size=max(4 * n, 8))])
+        tau = set_walk_tau(draws, n)
+        if tau is not None:
+            return tau
 
 
 class TestFreshSet:
@@ -177,38 +193,94 @@ class TestSimulateTau:
                 assert np.array_equal(simulate_tau(n, 300, seed=11).tau_samples, whole)
             monkeypatch.undo()
 
-    def test_short_first_block_continues_its_stream(self, monkeypatch):
-        # Trials 1 and 3 get stub generators whose first blocks hold too few
-        # distinct values; they must keep drawing same-size blocks from their
-        # own stream, and the other trials must not notice.
+    def test_short_first_block_continues_its_stream(self):
+        # Trials 1 and 3 get stub streams whose first blocks hold too few
+        # distinct values. Trial 1 stops inside its first 4n replay block,
+        # trial 3 only in the third; both must be walked along their own
+        # stream, and the other trials must not notice.
         n, trials, seed = 16, 5, 4
-        block = 4 * n
-        filler = np.random.default_rng(99).integers(0, n, size=block)
-        streams = {
-            1: [np.arange(block) % 4, filler],
-            3: [np.arange(block) % 2, 2 + np.arange(block) % 6, filler],
+        block = first_block(n)
+        filler = np.random.default_rng(99).integers(0, n, size=4 * n)
+        stubs = {
+            1: np.concatenate([np.arange(block) % 4, filler]),
+            3: np.concatenate([np.arange(4 * n) % 2, 2 + np.arange(4 * n) % 6, filler]),
         }
 
         class StubStream:
-            def __init__(self, blocks):
-                self.blocks = list(blocks)
+            def __init__(self, values):
+                self.values, self.pos = values, 0
 
             def integers(self, low, high, size):
-                assert (low, high, size) == (0, n, block)
-                return np.asarray(self.blocks.pop(0), dtype=np.int64)
+                assert (low, high) == (0, n)
+                out = self.values[self.pos:self.pos + size]
+                assert out.size == size, "stub stream ran dry"
+                self.pos += size
+                return out
 
-        real = sampler._trial_stream
-        monkeypatch.setattr(sampler, "_trial_stream", lambda s, t: (
-            StubStream(streams[t]) if t in streams else real(s, t)))
-        stats = simulate_tau(n, trials, seed)
-        for trial, blocks in streams.items():
-            tau = set_walk_tau(np.concatenate(blocks), n)
-            assert tau > (len(blocks) - 1) * block   # needs every block
+        class StubStreams(TrialStreams):
+            def stream(self, trial):
+                if trial in stubs:
+                    return StubStream(stubs[trial])
+                return super().stream(trial)
+
+        stats = simulate_tau(n, trials, seed, StubStreams(seed, trials))
+        taus = {trial: set_walk_tau(values, n) for trial, values in stubs.items()}
+        assert block < taus[1] <= 4 * n
+        assert taus[3] > 2 * 4 * n
+        for trial, tau in taus.items():
             assert stats.tau_samples[trial] == tau
-        monkeypatch.undo()
         plain = simulate_tau(n, trials, seed).tau_samples
-        keep = [t for t in range(trials) if t not in streams]
+        keep = [t for t in range(trials) if t not in stubs]
         assert np.array_equal(stats.tau_samples[keep], plain[keep])
+
+    def test_matches_fresh_stream_walk(self):
+        # One TrialStreams serves every n, in mixed order and twice for
+        # n = 1024; each trial's tau must still be the set walk over its
+        # freshly built stream, so no state leaks from one n to the next.
+        trials, seed = 300, 20260
+        streams = TrialStreams(seed, trials)
+        reference = {}
+        for n in (1024, 16, 1024, 1, 2, 3, 5, 33):
+            if n not in reference:
+                reference[n] = [fresh_stream_tau(seed, t, n) for t in range(trials)]
+            got = simulate_tau(n, trials, seed, streams).tau_samples
+            assert got.tolist() == reference[n], n
+
+    def test_streams_must_match_seed_and_trials(self):
+        streams = TrialStreams(3, 10)
+        with pytest.raises(ConfigurationError):
+            simulate_tau(16, 10, 4, streams)
+        with pytest.raises(ConfigurationError):
+            simulate_tau(16, 9, 3, streams)
+
+
+class TestTrialStreams:
+    """The stream properties simulate_tau's short first blocks rest on."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 16, 1024, 2 ** 33 + 5])
+    def test_split_draws_concatenate(self, n):
+        # integers(0, n, a) then integers(0, n, b) is one integers(0, n, a + b)
+        # draw, for any cut, including odd ones that leave half of a 64-bit
+        # output buffered in the generator.
+        total = 301
+        whole = fresh_stream(8, 2).integers(0, n, size=total)
+        for sizes in [(1, 300), (7, 94, 200), (150, 151), (299, 1, 1), (2, 2, 297)]:
+            rng = fresh_stream(8, 2)
+            parts = [rng.integers(0, n, size=k) for k in sizes]
+            assert np.array_equal(np.concatenate(parts), whole), sizes
+        for k in (1, 2, 33, 300):
+            assert np.array_equal(fresh_stream(8, 2).integers(0, n, size=k), whole[:k])
+
+    def test_restored_stream_draws_as_fresh(self):
+        seed = 11
+        streams = TrialStreams(seed, 6)
+        for trial in (5, 0, 3, 3, 1):
+            for n in (16, 1025, 2 ** 33 + 5):
+                # An odd draw first leaves the shared generator mid-output.
+                streams.stream((trial + 1) % 6).integers(0, 16, size=3)
+                got = streams.stream(trial).integers(0, n, size=101)
+                want = fresh_stream(seed, trial).integers(0, n, size=101)
+                assert np.array_equal(got, want), (trial, n)
 
 
 class TestFirstArrivalsKernel:

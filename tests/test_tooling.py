@@ -1,5 +1,7 @@
-"""The traced benchmark wraps dpmirror names; they must all still exist."""
+"""The traced benchmark wraps dpmirror names; they must all still exist, and
+a traced pass must count the work it ran."""
 
+import json
 import os
 import subprocess
 import sys
@@ -13,12 +15,35 @@ def test_benchmark_spans_install_on_this_tree():
     # the draw_dataset aliases); a name deleted from dpmirror makes install
     # raise. It runs in a fresh interpreter so the wrappers stay out of this
     # test process.
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]))
     proc = subprocess.run(
         [sys.executable, "-c", "import spans; spans.install(spans.Recorder())"],
-        cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
+        cwd=ROOT, env=benchmark_env(), capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def benchmark_env():
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]))
+
+
+def test_traced_verify_pass_counts_every_trial(tmp_path):
+    # spans.py wraps harness.simulate_tau and reads .trials off each result,
+    # and wraps the audit to count its trials. A tiny traced verify pass
+    # must exit as planned, pass every output check, and count 4 n values x
+    # 1000 tau trials and 3 audits x 1e6 trials.
+    proc = subprocess.run(
+        [sys.executable, os.path.join(ROOT, "perfbench", "worker.py"),
+         "--workload", "verify", "--seed", "3", "--sizes", "tiny", "--trace"],
+        cwd=tmp_path, env=benchmark_env(), capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["exits"] == {"tau-sim": 0, "audit-calibrated-00": 0,
+                               "audit-calibrated-01": 0, "audit-deflated": 4}
+    failed = [check for check in result["checks"] if not check[1]]
+    assert result["checks"] and not failed, failed
+    counts = result["trace"]["counts"]
+    assert counts["sampler.tau_trials"] == 4000
+    assert counts["privacy.audit_trials"] == 3_000_000
 
 
 def test_benchmark_configs_use_only_run_keys():
