@@ -35,23 +35,28 @@ def _floats(text):
     return tuple(float(v) for v in text.split(",") if v.strip())
 
 
-def _one_of(*choices):
+def _checked(convert, rule, ok):
     def parse(text):
-        if text not in choices:
-            raise ValueError(repr(text))
-        return text
+        value = convert(text)
+        if not ok(value):
+            raise ValueError(f"must be {rule}, got {value}")
+        return value
     return parse
 
 
-def _positive_int(text):
-    value = int(text)
-    if value < 1:
-        raise ValueError(f"must be >= 1, got {value}")
-    return value
+def _each(parse):
+    return lambda text: tuple(parse(v.strip()) for v in text.split(","))
 
 
-def _epsilons(text):
-    return tuple("max" if v.strip() == "max" else float(v) for v in text.split(","))
+def _one_of(*choices):
+    return _checked(str, " | ".join(choices), lambda v: v in choices)
+
+
+_AT_LEAST_ONE = _checked(int, ">= 1", lambda v: v >= 1)
+_PROBABILITY = _checked(float, "in (0, 1)", lambda v: 0.0 < v < 1.0)
+_EPSILON = _checked(lambda text: text if text == "max" else float(text),
+                    "max or finite and positive",
+                    lambda v: v == "max" or (math.isfinite(v) and v > 0.0))
 
 
 class RunKey(NamedTuple):
@@ -68,7 +73,7 @@ RUN_KEYS = {
                    "hinge | absolute | squared"),
     "generator": RunKey(_one_of(LINEAR_MARGIN, UNIFORM_BALL), LINEAR_MARGIN,
                         "linear_margin | uniform_ball"),
-    "dimension": RunKey(_positive_int, "2", "feature dimension d"),
+    "dimension": RunKey(_AT_LEAST_ONE, "2", "feature dimension d"),
     "feature_bound": RunKey(float, "1.0", "norm bound on generated features "
                             "(also L for hinge/absolute)"),
     "noise_rate": RunKey(float, "0.1", "label flip probability for linear_margin"),
@@ -78,17 +83,19 @@ RUN_KEYS = {
     "radius": RunKey(float, "0.5", "ball radius, centred at 0"),
     "lower": RunKey(_floats, None, "comma-separated lower box corner (box only)"),
     "upper": RunKey(_floats, None, "comma-separated upper box corner (box only)"),
-    "n_values": RunKey(lambda text: tuple(int(v) for v in text.split(",")), None,
+    "n_values": RunKey(_each(_checked(int, ">= 16", lambda v: v >= 16)), None,
                        "comma-separated dataset sizes, each >= 16 (required)"),
-    "epsilon_values": RunKey(_epsilons, None,
+    "epsilon_values": RunKey(_each(_EPSILON), None,
                              "comma-separated floats, or max for 1/(2*sqrt(n)) "
                              "(required)"),
-    "delta": RunKey(float, "1e-6", "accountant delta"),
-    "delta_prime": RunKey(float, "1e-6", "accountant delta prime"),
-    "repeats": RunKey(_positive_int, "20", "runs per (n, epsilon) cell"),
-    "eval_samples": RunKey(int, "2000", "Monte-Carlo draws per risk estimate"),
-    "baseline_steps": RunKey(int, "100000", "step cap for the reference minimizer"),
-    "sigma_override": RunKey(float, None,
+    "delta": RunKey(_PROBABILITY, "1e-6", "accountant delta"),
+    "delta_prime": RunKey(_PROBABILITY, "1e-6", "accountant delta prime"),
+    "repeats": RunKey(_AT_LEAST_ONE, "20", "runs per (n, epsilon) cell"),
+    "eval_samples": RunKey(_AT_LEAST_ONE, "2000", "Monte-Carlo draws per risk estimate"),
+    "baseline_steps": RunKey(_checked(int, ">= 10000", lambda v: v >= 10_000), "100000",
+                             "step cap for the reference minimizer"),
+    "sigma_override": RunKey(_checked(float, "finite and >= 0",
+                                      lambda v: math.isfinite(v) and v >= 0.0), None,
                              "noise scale replacing the calibrated one (0 = no noise)"),
     "seed": RunKey(int, None, "master seed (default: drawn from entropy)"),
     "output_dir": RunKey(str, None,
@@ -202,13 +209,6 @@ def _given(values, key):
     return values[key]
 
 
-def epsilon_for(n, value):
-    """Resolve an epsilon entry; 'max' means the regime boundary 1/(2*sqrt(n))."""
-    if value == "max":
-        return epsilon_limit(n)
-    return float(value)
-
-
 def build_spec(overrides):
     """Assemble and validate an ExperimentSpec from string key-values."""
     kv = _read_keys(overrides)
@@ -252,14 +252,11 @@ def build_spec(overrides):
     )
 
     for n in spec.n_values:
-        if n < 16:
-            raise ConfigurationError(f"config field n_values: n={n} below minimum 16")
         for value in spec.epsilon_values:
             if value != "max" and value > epsilon_limit(n):
                 raise ConfigurationError(
                     f"config field epsilon_values: epsilon={value} exceeds "
-                    f"1/(2*sqrt(n)) for n={n}"
-                )
+                    f"1/(2*sqrt(n)) for n={n}")
     return spec
 
 
@@ -332,7 +329,7 @@ def run_experiment(spec):
     cells = []
     for n_idx, n in enumerate(spec.n_values):
         for e_idx, eps_value in enumerate(spec.epsilon_values):
-            eps = epsilon_for(n, eps_value)
+            eps = epsilon_limit(n) if eps_value == "max" else eps_value
             if spec.sigma_override is not None:
                 sigma = spec.sigma_override
                 eta = step_size(n, sigma, L, D, d)

@@ -11,11 +11,10 @@ noise is N(0, sigma^2 * I). This matches the accountant in privacy.py.
 
 A run is fixed by its RunConfig (n, eta, sigma, the feasible set, the
 oracle and w1), the seed passed beside it and its dataset, and takes at
-most max_steps = MAX_STEPS_FACTOR * n steps.
-The index stream does not depend on the iterates, so a run's indices are
-drawn up front as one block of max_steps draws. One sampler.stopping_times
-call on the (R, max_steps) block of all runs gives every run's stopping
-time and fresh steps (the path simulate_tau uses). Only the projected-step
+most max_steps = MAX_STEPS_FACTOR * n steps. The index stream does not
+depend on the iterates, so every run's stopping time and fresh steps are
+read up front by sampler.draw_stopping_times, simulate_tau's path, from a
+first block of about 3n/4 indices per run; only the projected-step
 recursion is sequential. private_sgd_batch runs it for R runs at once
 (repeats that differ in seed and dataset) on (R, d) arrays, rows in seed
 order, every row stepping up to the largest stopping time; private_sgd is
@@ -42,7 +41,8 @@ from .errors import ConfigurationError, OverrunError
 # importable from this module because perfbench/spans.py wraps them by name.
 from .geometry import mirror_step  # noqa: F401
 from .losses import SQUARED, draw_arrays, draw_dataset  # noqa: F401
-from .sampler import fresh_target, sample_index, stopping_times  # noqa: F401
+from . import sampler
+from .sampler import draw_stopping_times, fresh_target, sample_index  # noqa: F401
 
 MAX_STEPS_FACTOR = 4
 NOISE_CHUNK_STEPS = 128
@@ -202,7 +202,8 @@ def private_sgd_batch(config, seeds, features, labels, record=False):
     that no row's subgradient norm on the feasible set can exceed
     oracle.lipschitz_L, the sensitivity the accountant prices.
     record=True also keeps every iterate and noise norm, O(R * max_steps * d)
-    memory, and returns them as per-row RunTraces.
+    memory, redraws each row's indices up to its tau from its own stream,
+    and returns them as per-row RunTraces.
     """
     config.validate()
     n, d, rows = config.n, config.feasible_set.dimension, len(seeds)
@@ -226,28 +227,34 @@ def private_sgd_batch(config, seeds, features, labels, record=False):
 
     # Index streams, stopping times and fresh steps, before any iterate.
     streams = [run_streams(seed) for seed in seeds]
-    indices = np.stack([idx_rng.integers(0, n, size=max_steps) for idx_rng, _ in streams])
-    arrivals, tau = stopping_times(indices, n)
+    starts = [index_rng.bit_generator.state for index_rng, _ in streams]
+
+    def index_stream(r):
+        streams[r][0].bit_generator.state = starts[r]
+        return streams[r][0]
+
+    draws = np.empty((rows, min(sampler.first_block(n), max_steps)), dtype=np.int64)
+    arrivals, tau = draw_stopping_times(n, index_stream, draws, cap=max_steps)
     overrun = tau > max_steps
     tau = np.minimum(tau, max_steps)
     steps = int(tau.max())
 
-    # Fresh steps of all rows as events grouped by step; bounds[t]:bounds[t+1]
-    # are the events of step t.
-    hit = arrivals < max_steps
-    ev_step = arrivals[hit]
-    ev_row, ev_slot = np.nonzero(hit)
-    by_step = np.argsort(ev_step, kind="stable")
-    ev_step, ev_row, ev_slot = ev_step[by_step], ev_row[by_step], ev_slot[by_step]
-    ev_data = ev_row * n + indices[ev_row, ev_step]
-    ev_dest = ev_row * target + ev_slot
-    bounds = np.searchsorted(ev_step, np.arange(steps + 1)).tolist()
-
+    # Fresh indices are read at the arrivals, redrawn for a row whose
+    # arrivals pass its first block. An overrun row's missing arrivals read
+    # max_steps: index 0, and the spare last row of the (steps + 1, R) mask.
+    fresh_indices = np.take_along_axis(draws, np.minimum(arrivals, draws.shape[1] - 1), 1)
+    for r in np.flatnonzero(arrivals[:, -1] >= draws.shape[1]):
+        drawn = np.append(index_stream(r).integers(0, n, size=max_steps), 0)
+        fresh_indices[r] = drawn[arrivals[r]]
+    fresh = np.zeros((steps + 1, rows), dtype=bool)
+    fresh[arrivals, np.arange(rows)[:, None]] = True
+    del draws, arrivals   # arrivals is a view of the (R, n) sort buffer
+    # Per row: the flat slot of its next fresh step, and its fresh data rows.
+    next_slot = np.arange(0, rows * target, target)
+    fresh_data = (fresh_indices + np.arange(0, rows * n, n)[:, None]).ravel()
     flat_x = features.reshape(rows * n, d)
     flat_y = labels.reshape(rows * n)
     fresh_iterates = np.full((rows * target, d), np.nan)
-    fresh_indices = np.zeros(rows * target, dtype=np.int64)
-    fresh_indices[ev_dest] = indices[ev_row, ev_step]
     eta, sigma = config.eta, config.sigma
     oracle, feasible_set = config.oracle, config.feasible_set
     w = np.tile(np.asarray(config.w1, dtype=float), (rows, 1))
@@ -268,11 +275,13 @@ def private_sgd_batch(config, seeds, features, labels, record=False):
         xi = noise[t - chunk_start]
         if record:
             iterates[t] = w
-        lo, hi = bounds[t], bounds[t + 1]
-        if lo < hi:
-            at, data = ev_row[lo:hi], ev_data[lo:hi]
+        at = fresh[t].nonzero()[0]
+        if at.size:
+            dest = next_slot[at]
+            next_slot[at] = dest + 1
+            data = fresh_data[dest]
             w_at = w[at]
-            fresh_iterates[ev_dest[lo:hi]] = w_at
+            fresh_iterates[dest] = w_at
             g = xi.copy()
             g[at] = oracle.subgradient(w_at, flat_x[data], flat_y[data]) + xi[at]
         else:
@@ -285,17 +294,15 @@ def private_sgd_batch(config, seeds, features, labels, record=False):
     for slot in range(target):
         total += fresh_iterates[:, slot]
     batch = RunBatch(tau=tau, overrun=overrun, output=total / target,
-                     fresh_indices=fresh_indices.reshape(rows, target),
+                     fresh_indices=fresh_indices,
                      fresh_iterates=fresh_iterates)
     if record:
         batch.traces = []
         for r in range(rows):
             last = int(tau[r])
-            fresh = np.zeros(last, dtype=bool)
-            fresh[arrivals[r, hit[r]]] = True
             batch.traces.append(RunTrace(
-                indices=indices[r, :last], fresh=fresh,
-                iterates=iterates[:last, r].copy(),
+                indices=index_stream(r).integers(0, n, size=last),
+                fresh=fresh[:last, r].copy(), iterates=iterates[:last, r].copy(),
                 noise_norms=noise_norms[:last, r].copy(), tau=last,
                 output=None if overrun[r] else batch.output[r]))
     return batch

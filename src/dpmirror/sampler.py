@@ -1,26 +1,17 @@
-"""Uniform index sampling, first arrivals, and stopping-time Monte Carlo.
+"""Uniform index sampling, stopping times, and stopping-time Monte Carlo.
 
 The optimizer stops once more than half of the dataset indices have been
 drawn at least once: its stopping time tau is the 1-based step at which
 the (floor(n/2)+1)-th distinct index arrives. simulate_tau measures the
 distribution of tau.
 
-Both read tau off blocks of pre-drawn indices with stopping_times, on one
-kernel, first_arrivals: a scatter-minimum of each draw's position onto its
-(row, value) slot gives every value's first position in its row, and the
-sorted slots are the row's first arrivals in step order. Both work on
-(rows, steps) blocks: the optimizer passes all repeats of a cell at once
-and simulate_tau a chunk of trials.
-
-simulate_tau gives trial t the stream default_rng(SeedSequence([seed, t])).
-TrialStreams seeds each trial once and keeps its PCG64 state packed in 32
-bytes, so a tau-sim over several n seeds each trial once, not once per n.
-A trial draws a first block of first_block(n) (about 3n/4) indices, and
-only the rare trial whose tau falls past it draws more. This works because
-integer draws of one generator concatenate: integers(0, n, a) followed by
-integers(0, n, b) equals one integers(0, n, a + b) draw, so a short block
-is the head of every longer block of the same stream, and tau does not
-depend on how the stream is cut into blocks.
+The optimizer and simulate_tau read tau on one path, draw_stopping_times:
+each row (a run, or a trial) draws a first block of about 3n/4 indices
+from its own stream, stopping_times reads all rows at once, and only the
+rare row whose tau falls past its block draws more. Integer draws of one
+generator concatenate (integers(0, n, a) then integers(0, n, b) equals
+integers(0, n, a + b)), so tau does not depend on how a stream is cut into
+blocks.
 """
 
 import math
@@ -80,17 +71,19 @@ class TauStats:
         }
 
 
-def first_arrivals(draws, n):
-    """First-arrival positions of each row of a (rows, steps) index block.
+def stopping_times(draws, n):
+    """(arrivals, tau) of each row of a (rows, steps) index block.
 
-    draws holds values in {0, ..., n-1}. Returns a (rows, n) int64 array:
-    row r lists, in increasing order, the positions at which row r draws a
-    value for the first time, then steps once for each value it never
-    draws. For an index stream these are the fresh steps, and the run stops
-    after the step at column fresh_target(n) - 1, unless that entry is
-    steps (the block is too short).
+    draws holds values in {0, ..., n-1}. Row r of arrivals lists the first
+    fresh_target(n) steps at which row r draws a value for the first time,
+    in step order, and tau is one past the last of them. A row whose block
+    is too short holds steps in its missing arrivals and tau = steps + 1.
+
+    A scatter-minimum of each draw's position onto its (row, value) slot
+    gives every value's first position in its row; sorting the slots puts
+    them in step order. The whole row is sorted: np.partition at n//2 plus
+    a sort of the head was slower at every n from 64 to 4096.
     """
-    draws = np.asarray(draws)
     rows, steps = draws.shape
     first = np.full(rows * n, steps, dtype=np.int64)
     # Keys and positions go in flat and of equal length: on numpy 2.4,
@@ -99,17 +92,7 @@ def first_arrivals(draws, n):
     np.minimum.at(first, keys, np.tile(np.arange(steps), rows))
     first = first.reshape(rows, n)
     first.sort(axis=1)
-    return first
-
-
-def stopping_times(draws, n):
-    """(arrivals, tau) of each row of a (rows, steps) index block.
-
-    arrivals is the (rows, fresh_target(n)) head of first_arrivals, the
-    fresh steps in step order; tau is one past the last of them. A row whose
-    block is too short holds steps in its missing arrivals and tau = steps + 1.
-    """
-    arrivals = first_arrivals(draws, n)[:, :fresh_target(n)]
+    arrivals = first[:, :fresh_target(n)]
     return arrivals, arrivals[:, -1] + 1
 
 
@@ -117,13 +100,13 @@ def stopping_times(draws, n):
 # deviation of about 0.55*sqrt(n), so 3n/4 + 4*sqrt(n) + 8 draws hold it
 # over seven standard deviations past the mean: P(tau > first_block(n)) is
 # 2.4e-4 at n = 2 and below 1e-6 from n = 16 on. Draws past tau are wasted,
-# and a 4n block wasted most of its draws and its first_arrivals work.
+# and a 4n block wasted most of its draws and its stopping_times work.
 def first_block(n):
     return (3 * n) // 4 + 4 * math.isqrt(n) + 8
 
 
 # simulate_tau stacks its trials' first blocks into chunks of at most this
-# many draws (128 KB of int64) for one first_arrivals call each. On n in
+# many draws (128 KB of int64) for one stopping_times call each. On n in
 # {16, ..., 1024}, 2**13 and 2**15 were both slower.
 CHUNK_DRAWS = 1 << 14
 
@@ -165,16 +148,29 @@ class TrialStreams:
         return self._rng
 
 
-def _tau_one_trial(n, rng):
-    # Block-draws the index stream until the stopping time falls inside it;
-    # redraws are vanishingly rare past 4n.
-    block = max(4 * n, 8)
-    draws = rng.integers(0, n, size=block)
-    while True:
-        tau = int(stopping_times(draws[None], n)[1][0])
-        if tau <= draws.size:
-            return tau
-        draws = np.concatenate([draws, rng.integers(0, n, size=block)])
+def draw_stopping_times(n, stream, draws, cap=math.inf):
+    """(arrivals, tau) of rows of index streams, read off their first blocks.
+
+    stream(r) returns row r's generator at the start of its stream. Row r
+    of draws, a caller-owned (rows, block) int64 buffer, gets the first
+    block of stream r, and one stopping_times call reads all rows. A row
+    whose tau falls past its block is redrawn alone from its stream start,
+    in blocks of max(4n, 8), until tau falls inside or cap draws are used.
+    A row that has not stopped within cap draws holds cap in its missing
+    arrivals and gets tau = cap + 1.
+    """
+    rows, block = draws.shape
+    for row in range(rows):
+        draws[row] = stream(row).integers(0, n, size=block)
+    arrivals, tau = stopping_times(draws, n)
+    for row in np.flatnonzero(tau > block):
+        rng, drawn = stream(row), np.empty(0, dtype=np.int64)
+        while tau[row] > drawn.size and drawn.size < cap:
+            more = rng.integers(0, n, size=min(max(4 * n, 8), cap - drawn.size))
+            drawn = np.concatenate([drawn, more])
+            row_arrivals, row_tau = stopping_times(drawn[None], n)
+            arrivals[row], tau[row] = row_arrivals[0], row_tau[0]
+    return arrivals, tau
 
 
 def simulate_tau(n, trials, seed, streams=None):
@@ -187,12 +183,11 @@ def simulate_tau(n, trials, seed, streams=None):
     trial); pass one to share it between several n, or leave it None to
     build one here.
 
-    Each trial draws a first block of first_block(n) indices, about 3n/4,
-    and the first blocks of up to CHUNK_DRAWS // first_block(n) trials go
-    through first_arrivals together. A trial whose tau falls past its first
-    block (probability at most 2.4e-4, below 1e-6 for n >= 16) is replayed
-    from the start of its stream by _tau_one_trial in blocks of max(4n, 8);
-    the stream is the same, so its tau is too.
+    Each trial draws a first block of first_block(n) indices, about 3n/4.
+    draw_stopping_times reads up to CHUNK_DRAWS // first_block(n) trials at
+    a time into one reused buffer, and replays the rare trial whose tau
+    falls past its first block (probability at most 2.4e-4, below 1e-6 for
+    n >= 16) along its own stream.
     """
     if n < 1:
         raise ConfigurationError(f"simulate_tau: n must be >= 1, got {n}")
@@ -210,10 +205,6 @@ def simulate_tau(n, trials, seed, streams=None):
     draws = np.empty((per_chunk, block), dtype=np.int64)
     for start in range(0, trials, per_chunk):
         chunk = draws[:min(per_chunk, trials - start)]
-        for row in range(len(chunk)):
-            chunk[row] = streams.stream(start + row).integers(0, n, size=block)
-        tau = stopping_times(chunk, n)[1]
-        samples[start:start + len(chunk)] = tau
-        for row in np.flatnonzero(tau > block):
-            samples[start + row] = _tau_one_trial(n, streams.stream(start + row))
+        samples[start:start + len(chunk)] = draw_stopping_times(
+            n, lambda row: streams.stream(start + row), chunk)[1]
     return TauStats(n=n, trials=trials, tau_samples=samples)

@@ -396,6 +396,36 @@ class TestCli:
         assert rc == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--sigma-override", "0.5", "--delta", "5"],
+         "config field delta: must be in (0, 1), got 5.0"),
+        (["--delta-prime", "0"], "config field delta_prime: must be in (0, 1), got 0.0"),
+        (["--sigma-override", "0.5", "--epsilon-values", "-0.01"],
+         "config field epsilon_values: must be max or finite and positive, got -0.01"),
+        (["--epsilon-values", "max,nan"],
+         "config field epsilon_values: must be max or finite and positive, got nan"),
+        (["--eval-samples", "0"], "config field eval_samples: must be >= 1, got 0"),
+        (["--baseline-steps", "5000"],
+         "config field baseline_steps: must be >= 10000, got 5000"),
+        (["--sigma-override", "-1"],
+         "config field sigma_override: must be finite and >= 0, got -1.0"),
+    ], ids=["delta-5", "delta-prime-0", "epsilon-negative", "epsilon-nan",
+            "eval-samples-0", "baseline-steps-5000", "sigma-override-negative"])
+    def test_run_key_out_of_range_exit_2(self, tmp_path, capsys, monkeypatch, flags,
+                                         message):
+        # Rejected where the key is parsed, named in the message, before the
+        # reference minimizer runs or any file is written.
+        def not_reached(*args, **kwargs):
+            raise AssertionError("the run started")
+
+        monkeypatch.setattr(harness_mod, "baseline_minimizer", not_reached)
+        rc = cli.main(["run", "--n-values", "16", "--epsilon-values", "max",
+                       "--repeats", "1", "--seed", "1", "--baseline-steps", "10000",
+                       "--output-dir", str(tmp_path), *flags])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "experiment").exists()
+
     def test_run_smoke_exit_0(self, tmp_path, capsys):
         rc = cli.main(["run", "--n-values", "16", "--epsilon-values", "max",
                        "--repeats", "1", "--seed", "5",

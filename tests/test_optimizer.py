@@ -1,10 +1,12 @@
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import dpmirror.optimizer as optimizer_mod
+from dpmirror import sampler
 from dpmirror.errors import ConfigurationError, OverrunError
 from dpmirror.geometry import FeasibleSet
 from dpmirror.losses import LossOracle, PopulationSpec, draw_dataset
@@ -408,6 +410,12 @@ class TestBatchGolden:
         assert digest.hexdigest() == self.GOLDEN[name]
 
     @pytest.mark.parametrize("name", list(GOLDEN))
+    def test_golden_digest_past_first_block(self, name, monkeypatch):
+        # A first block of one draw sends every row down the redraw path.
+        monkeypatch.setattr(sampler, "first_block", lambda n: 1)
+        self.test_golden_digest(name, monkeypatch)
+
+    @pytest.mark.parametrize("name", list(GOLDEN))
     def test_permuting_rows_permutes_results(self, name, monkeypatch):
         config, seeds, features, labels = golden_batch_case(name, monkeypatch)
         perm = np.array([3, 0, 4, 1, 2])
@@ -417,6 +425,27 @@ class TestBatchGolden:
         for field in ("tau", "overrun", "output", "fresh_indices", "fresh_iterates"):
             want = getattr(batch, field)[perm]
             assert getattr(permuted, field).tobytes() == want.tobytes(), field
+
+
+class TestBatchMemory:
+    def test_peak_stays_linear_in_what_tau_reaches(self):
+        # Per R*n, the first-block buffer and the stopping-time kernel take
+        # about 28 bytes at their peak; drawing a 4n block per row takes
+        # about 112.
+        n, rows, d = 20_000, 4, 2
+        population = PopulationSpec("linear_margin", d, 1.0, w_true=np.eye(d)[0],
+                                    noise_rate=0.1)
+        features, labels = stacked_datasets(population, n, rows, first_seed=80)
+        config = RunConfig(n=n, eta=0.01, sigma=1.0,
+                           feasible_set=FeasibleSet.l2_ball(0.5, dimension=d),
+                           oracle=LossOracle.hinge(1.0), w1=np.zeros(d))
+        tracemalloc.start()
+        try:
+            private_sgd_batch(config, [81, 82, 83, 84], features, labels)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 48 * rows * n
 
 
 class TestRegret:

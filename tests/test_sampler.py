@@ -5,8 +5,8 @@ import pytest
 
 from dpmirror import sampler
 from dpmirror.errors import ConfigurationError
-from dpmirror.sampler import (TrialStreams, expected_tau, first_arrivals, first_block,
-                              fresh_target, sample_index, simulate_tau, stopping_times)
+from dpmirror.sampler import (TrialStreams, expected_tau, first_block, fresh_target,
+                              sample_index, simulate_tau, stopping_times)
 
 # 99.9% quantile of chi-square with 9 degrees of freedom (standard tables).
 CHI2_9DOF_999 = 27.877
@@ -44,10 +44,13 @@ class TestSampleIndex:
 
 
 def arrivals_of(draws, n=None):
-    """First arrivals of one index stream, as a 1-row block of the kernel."""
+    """First arrivals of one index stream, as a 1-row block of the kernel.
+
+    stopping_times keeps the first m//2 + 1 arrivals over m values, so the
+    stream is read as one over 2n values to keep all n of them."""
     draws = np.asarray(draws)
     n = int(draws.max()) + 1 if n is None else n
-    row = first_arrivals(draws[None], n)[0]
+    row = stopping_times(draws[None], 2 * n)[0][0]
     return row[row < draws.size]
 
 
@@ -85,7 +88,7 @@ def fresh_stream_tau(seed, trial, n):
 
 
 class TestFreshSet:
-    """The fresh set of an index stream: first_arrivals marks the draws that
+    """The fresh set of an index stream: stopping_times marks the draws that
     add an index to it, and the run stops once it holds more than n/2."""
 
     def test_first_record_is_fresh(self):
@@ -183,6 +186,11 @@ class TestSimulateTau:
             tau = simulate_tau(n, 2000, seed=7).tau_samples
             assert int(tau.sum()) == total
             assert hashlib.sha256(tau.astype("<i8").tobytes()).hexdigest() == digest
+
+    def test_golden_streams_past_first_block(self, monkeypatch):
+        # A first block of one draw sends every trial down the replay path.
+        monkeypatch.setattr(sampler, "first_block", lambda n: 1)
+        self.test_golden_streams()
 
     def test_chunking_does_not_move_samples(self, monkeypatch):
         # Chunks of 1, 3 and all trials (n = 2 also needs second blocks).
@@ -284,7 +292,7 @@ class TestTrialStreams:
 
 
 class TestFirstArrivalsKernel:
-    """The (rows, steps) kernel against a per-row np.unique reference."""
+    """stopping_times on (rows, steps) blocks against a per-row np.unique reference."""
 
     @staticmethod
     def reference(row):
@@ -292,12 +300,13 @@ class TestFirstArrivalsKernel:
 
     def check(self, draws, n):
         rows, steps = draws.shape
-        got = first_arrivals(draws, n)
-        assert got.shape == (rows, n)
+        got, tau = stopping_times(draws, n)
+        assert got.shape == (rows, fresh_target(n))
         for r in range(rows):
-            want = self.reference(draws[r])
+            want = self.reference(draws[r])[:fresh_target(n)]
             assert np.array_equal(got[r, :want.size], want)
             assert np.all(got[r, want.size:] == steps)
+        assert np.array_equal(tau, got[:, -1] + 1)
 
     def test_random_blocks(self):
         rng = np.random.default_rng(2024)
@@ -313,12 +322,12 @@ class TestFirstArrivalsKernel:
         draws = np.stack([np.full(40, 7), np.arange(40) % 3,
                           np.random.default_rng(5).integers(0, n, size=40)])
         self.check(draws, n)
-        arrivals = first_arrivals(draws, n)[:, fresh_target(n) - 1]
+        arrivals = stopping_times(draws, n)[0][:, fresh_target(n) - 1]
         assert arrivals[0] == arrivals[1] == 40
         assert arrivals[2] < 40
         short = np.random.default_rng(6).integers(0, n, size=(4, fresh_target(n) - 1))
         self.check(short, n)
-        assert np.all(first_arrivals(short, n)[:, fresh_target(n) - 1] == short.shape[1])
+        assert np.all(stopping_times(short, n)[0][:, fresh_target(n) - 1] == short.shape[1])
 
     def test_largest_draw_below_n_minus_one(self):
         rng = np.random.default_rng(8)
@@ -329,8 +338,8 @@ class TestFirstArrivalsKernel:
     def test_single_column(self):
         draws = np.array([[3], [0], [9], [3]])
         self.check(draws, 10)
-        assert first_arrivals(draws, 10)[:, 0].tolist() == [0, 0, 0, 0]
-        assert np.all(first_arrivals(draws, 10)[:, 1:] == 1)
+        assert stopping_times(draws, 10)[0][:, 0].tolist() == [0, 0, 0, 0]
+        assert np.all(stopping_times(draws, 10)[0][:, 1:] == 1)
 
     def test_stopping_times(self):
         # tau is one past the (n//2+1)-th first arrival, as a set walk finds
@@ -339,8 +348,8 @@ class TestFirstArrivalsKernel:
         rng = np.random.default_rng(12)
         draws = np.concatenate([rng.integers(0, n, size=(5, steps)),
                                 [np.full(steps, 7), np.arange(steps) % 3]])
-        arrivals, tau = stopping_times(draws, n)
-        assert np.array_equal(arrivals, first_arrivals(draws, n)[:, :fresh_target(n)])
+        self.check(draws, n)
+        tau = stopping_times(draws, n)[1]
         for r in range(5):
             assert tau[r] == set_walk_tau(draws[r], n)
         assert tau[5:].tolist() == [steps + 1, steps + 1]
