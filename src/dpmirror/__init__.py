@@ -10,7 +10,7 @@ composition, end-to-end parameter solving) and an empirical audit.
 from .errors import ConfigurationError, OverrunError, RegimeError
 from .geometry import FeasibleSet, mirror_step
 from .losses import (LossOracle, PopulationSpec, draw_arrays, draw_dataset,
-                     lipschitz_certificate)
+                     lipschitz_certificate, population_risk)
 from .optimizer import (BaselineResult, RiskEstimate, RunBatch, RunConfig,
                         RunTrace, baseline_minimizer, estimate_regret,
                         estimate_risk, private_sgd, private_sgd_batch)
@@ -25,7 +25,7 @@ __all__ = [
     "ConfigurationError", "OverrunError", "RegimeError",
     "FeasibleSet", "mirror_step",
     "LossOracle", "PopulationSpec", "draw_arrays", "draw_dataset",
-    "lipschitz_certificate",
+    "lipschitz_certificate", "population_risk",
     "BaselineResult", "RiskEstimate", "RunBatch", "RunConfig", "RunTrace",
     "baseline_minimizer", "estimate_regret", "estimate_risk", "private_sgd",
     "private_sgd_batch",

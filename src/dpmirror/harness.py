@@ -20,7 +20,8 @@ import numpy as np
 from .errors import ConfigurationError
 from .geometry import BOX, L2_BALL, FeasibleSet
 from .losses import (ABSOLUTE, HINGE, LINEAR_MARGIN, SQUARED, UNIFORM_BALL,
-                     LossOracle, PopulationSpec, draw_dataset, lipschitz_certificate)
+                     LossOracle, PopulationSpec, draw_dataset, lipschitz_certificate,
+                     population_risk)
 # private_sgd is not called here; perfbench/spans.py wraps it by this name.
 from .optimizer import (RunConfig, baseline_minimizer, estimate_regret,  # noqa: F401
                         estimate_risk, private_sgd, private_sgd_batch)
@@ -300,13 +301,18 @@ def _run_seed(master, *context):
 def run_experiment(spec):
     """Execute every (n, epsilon) cell and aggregate per-cell statistics.
 
-    Per repeat: draw a fresh dataset, run the private optimizer, estimate
-    the output's risk, and measure regret against the reference minimizer.
-    The repeats of a cell run together in one private_sgd_batch call; each
-    uses seeds derived from (seed, cell, repeat), so results do not depend
-    on execution order. A repeat that overruns its step cap is counted in
-    overrun_runs and left out of the cell's means. Reported stderr adds the
-    reference minimizer's own error bound so bound checks stay honest.
+    The reference minimizer and its exact population risk (baseline_risk,
+    from losses.population_risk) come first. Per repeat: draw a fresh
+    dataset, run the private optimizer, estimate the output's risk by
+    Monte Carlo on eval_samples draws, and measure regret against the
+    reference minimizer; a run's excess risk is that estimate minus
+    baseline_risk. The repeats of a cell run together in one
+    private_sgd_batch call; each uses seeds derived from (seed, cell,
+    repeat), so results do not depend on execution order. A repeat that
+    overruns its step cap is counted in overrun_runs and left out of the
+    cell's means. Reported stderr is the runs' standard error plus the
+    reference minimizer's own error bound (certificate plus quadrature),
+    so bound checks stay honest.
 
     Each cell is checked against bound_value = 2.5*D*(L + sigma*sqrt(d))/sqrt(n).
     end_to_end's risk_bound, 5LD/sqrt(n) + 20LD*sqrt(d*ln(1/delta))/(eps*n),
@@ -319,12 +325,8 @@ def run_experiment(spec):
     w1 = spec.feasible_set.project(np.zeros(d))
 
     baseline = baseline_minimizer(spec.population, spec.oracle, spec.feasible_set,
-                                  spec.baseline_steps, seed=spec.seed)
-    base_risk = estimate_risk(
-        baseline.w, spec.population, spec.oracle,
-        max(spec.eval_samples * 10, 100_000),
-        rng=np.random.default_rng(np.random.SeedSequence(entropy=[spec.seed, 0xBA5E])),
-    )
+                                  spec.baseline_steps)
+    base_risk = population_risk(spec.population, spec.oracle, baseline.w)[0]
 
     cells = []
     for n_idx, n in enumerate(spec.n_values):
@@ -362,13 +364,13 @@ def run_experiment(spec):
                     batch.output[r], spec.population, spec.oracle, spec.eval_samples,
                     rng=np.random.default_rng(
                         np.random.SeedSequence(entropy=[spec.seed, n_idx, e_idx, r, 2])))
-                excesses.append(risk.mean - base_risk.mean)
+                excesses.append(risk.mean - base_risk)
 
             completed = len(excesses)
             mean_excess = float(np.mean(excesses)) if completed else math.nan
             run_stderr = (float(np.std(excesses, ddof=1) / math.sqrt(completed))
                           if completed > 1 else 0.0)
-            stderr = run_stderr + baseline.error_bound + base_risk.stderr
+            stderr = run_stderr + baseline.error_bound
             bound_value = EXCESS_RISK_CONSTANT * D * (L + sigma * math.sqrt(d)) / math.sqrt(n)
             cells.append(CellResult(
                 n=n, epsilon=eps, sigma=sigma, eta=eta,
@@ -389,7 +391,7 @@ def run_experiment(spec):
         spec_echo=spec_echo(spec),
         cells=cells,
         baseline_error=baseline.error_bound,
-        baseline_risk=base_risk.mean,
+        baseline_risk=base_risk,
         degraded=any(c.degraded for c in cells),
     )
 

@@ -23,12 +23,12 @@ of NOISE_CHUNK_STEPS steps. The values equal one standard_normal(d) draw
 per step, and memory stays O(R * chunk * d) rather than O(R * max_steps * d).
 Every run is reproducible from its seed alone, whatever batch it runs in.
 
-baseline_minimizer, the non-private reference point, minimizes the risk of
-a holdout of at least 10^5 points by accelerated projected gradient on the
-(m, d) holdout array, two matvecs per step, smoothing the losses that are
-not smooth. A Frank-Wolfe gap computed during the run certifies how far the
-result is from the holdout optimum, and the run stops once that certificate
-is a tenth of the holdout's statistical error.
+baseline_minimizer, the non-private reference point, minimizes the exact
+population risk (losses.population_risk, a quadrature with a stated error
+bound) over the feasible set by accelerated projected gradient. A
+Frank-Wolfe gap computed during the run certifies how far the result is
+from the population optimum, and the run stops once that certificate is
+BASELINE_TOLERANCE * D * L. No data are drawn for it.
 """
 
 import math
@@ -40,14 +40,15 @@ from .errors import ConfigurationError, OverrunError
 # mirror_step, sample_index and draw_dataset are not called here; they stay
 # importable from this module because perfbench/spans.py wraps them by name.
 from .geometry import mirror_step  # noqa: F401
-from .losses import SQUARED, draw_arrays, draw_dataset  # noqa: F401
+from .losses import (RISK_QUADRATURE_BOUND, draw_arrays, draw_dataset,  # noqa: F401
+                     population_risk, risk_curvature)
 from . import sampler
 from .sampler import draw_stopping_times, fresh_target, sample_index  # noqa: F401
 
 MAX_STEPS_FACTOR = 4
 NOISE_CHUNK_STEPS = 128
 CERTIFICATE_EVERY = 5
-SUM_BLOCK_ENTRIES = 4096
+BASELINE_TOLERANCE = 1e-6
 
 
 @dataclass(frozen=True)
@@ -233,22 +234,34 @@ def private_sgd_batch(config, seeds, features, labels, record=False):
         streams[r][0].bit_generator.state = starts[r]
         return streams[r][0]
 
-    draws = np.empty((rows, min(sampler.first_block(n), max_steps)), dtype=np.int64)
-    arrivals, tau = draw_stopping_times(n, index_stream, draws, cap=max_steps)
+    # Rows go through draw_stopping_times in chunks of at most CHUNK_DRAWS
+    # first-block draws, as in simulate_tau, so its (rows, n) temporaries
+    # stay small. Fresh indices are read at the arrivals, redrawn for a row
+    # whose arrivals pass its first block. An overrun row's missing
+    # arrivals read max_steps: index 0, and the spare last row of the
+    # (steps + 1, R) mask.
+    block = min(sampler.first_block(n), max_steps)
+    per_chunk = max(1, sampler.CHUNK_DRAWS // block)
+    draws = np.empty((min(per_chunk, rows), block), dtype=np.int64)
+    arrivals = np.empty((rows, target), dtype=np.int64)
+    fresh_indices = np.empty((rows, target), dtype=np.int64)
+    tau = np.empty(rows, dtype=np.int64)
+    for start in range(0, rows, per_chunk):
+        chunk = draws[:min(per_chunk, rows - start)]
+        stop = start + len(chunk)
+        arrivals[start:stop], tau[start:stop] = draw_stopping_times(
+            n, lambda row: index_stream(start + row), chunk, cap=max_steps)
+        fresh_indices[start:stop] = np.take_along_axis(
+            chunk, np.minimum(arrivals[start:stop], block - 1), 1)
+    for r in np.flatnonzero(arrivals[:, -1] >= block):
+        drawn = np.append(index_stream(r).integers(0, n, size=max_steps), 0)
+        fresh_indices[r] = drawn[arrivals[r]]
     overrun = tau > max_steps
     tau = np.minimum(tau, max_steps)
     steps = int(tau.max())
-
-    # Fresh indices are read at the arrivals, redrawn for a row whose
-    # arrivals pass its first block. An overrun row's missing arrivals read
-    # max_steps: index 0, and the spare last row of the (steps + 1, R) mask.
-    fresh_indices = np.take_along_axis(draws, np.minimum(arrivals, draws.shape[1] - 1), 1)
-    for r in np.flatnonzero(arrivals[:, -1] >= draws.shape[1]):
-        drawn = np.append(index_stream(r).integers(0, n, size=max_steps), 0)
-        fresh_indices[r] = drawn[arrivals[r]]
     fresh = np.zeros((steps + 1, rows), dtype=bool)
     fresh[arrivals, np.arange(rows)[:, None]] = True
-    del draws, arrivals   # arrivals is a view of the (R, n) sort buffer
+    del draws, arrivals
     # Per row: the flat slot of its next fresh step, and its fresh data rows.
     next_slot = np.arange(0, rows * target, target)
     fresh_data = (fresh_indices + np.arange(0, rows * n, n)[:, None]).ravel()
@@ -348,92 +361,39 @@ class BaselineResult:
     w: np.ndarray
     error_bound: float
     budget_steps: int
-    holdout_size: int
 
 
-def _row_sum(weights, features):
-    """weights.T @ features for (m,) or (m, k) weights and (m, d) features.
+def baseline_minimizer(population, oracle, feasible_set, budget_steps):
+    """Non-private reference point: a certified minimizer of the population risk.
 
-    One BLAS call over all m rows may split the sum between threads, and
-    then its last bits depend on the thread count. Here each BLAS call
-    covers one block of rows with at most SUM_BLOCK_ENTRIES feature
-    entries, small enough for BLAS to run it on one thread, and the blocks
-    are added in a fixed order, so the bits do not depend on the thread
-    count. Shape (d,) for (m,) weights, else (k, d).
-    """
-    m, d = features.shape
-    rows = max(1, SUM_BLOCK_ENTRIES // d)
-    whole = m - m % rows
-    weights_2d = weights.reshape(m, -1)
-    blocks = np.matmul(weights_2d[:whole].reshape(-1, rows, weights_2d.shape[1])
-                       .transpose(0, 2, 1), features[:whole].reshape(-1, rows, d))
-    total = blocks.sum(axis=0) + weights_2d[whole:].T @ features[whole:]
-    return total.reshape(weights.shape[1:] + (d,))
+    Minimizes the population risk F (losses.population_risk) over the
+    feasible set K by accelerated projected gradient (FISTA, Beck &
+    Teboulle 2009) from the projection of 0, with step 1/beta, beta =
+    losses.risk_curvature, a bound on the Lipschitz constant of grad F. F
+    is differentiable on both populations, so no loss is smoothed.
 
-
-def baseline_minimizer(population, oracle, feasible_set, budget_steps, seed=0):
-    """Non-private reference point: a certified minimizer of a holdout's risk.
-
-    Draws a holdout of m = max(10^5, budget_steps) points and minimizes
-    its empirical risk F_m over the feasible set K by accelerated projected
-    gradient (FISTA, Beck & Teboulle 2009) on the whole (m, d) holdout:
-    each step is the two matvecs X @ v and X' @ s / m. Hinge and absolute
-    losses are replaced by their Huber smoothing F_mu
-    (LossOracle.smoothed_slope_at, Nesterov 2005) with mu the stopping
-    target below, so F_mu <= F_m <= F_mu + mu/2; the squared loss is
-    already smooth and takes mu = 0. The step size is 1/beta with beta =
-    lambda_max(X'X/m)/mu (lambda_max(X'X/m) for squared): labels lie in
-    [-1, 1], so beta bounds the curvature of every smoothed loss.
-
-    Certificate. For w in K and g the gradient of F_mu at w, convexity of
-    F_mu gives
-        F_m(w) - min_K F_m <= mu/2 + F_mu(w) - min_K F_mu <= mu/2 + gap(w),
-    with the Frank-Wolfe gap gap(w) = max_{u in K} <g, w - u>
-    (FeasibleSet.frank_wolfe_gap). The bound holds whatever the step size,
-    so the result's accuracy rests on it alone. It is computed every
-    CERTIFICATE_EVERY steps, and the run stops once it is at most
-    D*L/(10*sqrt(m)), a tenth of the statistical term. budget_steps caps
-    the steps; a run that reaches the cap reports the certificate it has.
-
-    error_bound = D*L/sqrt(m) + certificate bounds the population excess
-    risk F(w) - F(w*) of the result w in expectation over the holdout, with
-    w* the minimizer of the population risk F over K. Split
-        F(w) - F(w*) = [F(w) - F_m(w)] + [F_m(w) - F_m(w*)] + [F_m(w*) - F(w*)].
-    The middle term is at most the certificate, and the last has mean 0
-    since w* is fixed. The first is at most sup_K (F - F_m), whose mean is
-    at most twice the Rademacher complexity of the loss class
-    (symmetrization). Every loss is L_phi-Lipschitz in the margin z over K:
-    L_phi = 1 for hinge and absolute as |y| <= 1, and |z - y| <= W*X + 1
-    for squared, with X the feature norm bound and W the largest norm on K.
-    Talagrand's contraction bounds the complexity by L_phi times that of
-    {x -> <w, x> : w in K}. K lies in a ball of radius D/2 about some
-    centre c, whose own term has mean 0, so that complexity is at most
-    (D/2)*X/sqrt(m) (Bartlett & Mendelson 2002). In total
-    2*L_phi*(D/2)*X/sqrt(m) = D*L/sqrt(m), as lipschitz_certificate gives
-    L = L_phi*X for all three losses and both set kinds. The bound is in
-    expectation, not a high-probability bound.
+    Certificate. For w in K and g = grad F(w), convexity of F gives
+        F(w) - min_K F <= gap(w) = max_{u in K} <g, w - u>,
+    the Frank-Wolfe gap (FeasibleSet.frank_wolfe_gap). The gap is computed
+    from the quadrature gradient g~, whose coordinates are within
+    eps = RISK_QUADRATURE_BOUND * B * (1 + B*||w||) of g's, so
+        F(w) - min_K F <= gap~(w) + D*sqrt(d)*eps,
+    whatever the step size. error_bound is that sum. The gap is computed
+    every CERTIFICATE_EVERY steps, and the run stops once it is at most
+    BASELINE_TOLERANCE * D * L. budget_steps caps the steps (at least
+    10^4); a run that reaches the cap reports the certificate it has.
     """
     if budget_steps < 10_000:
         raise ConfigurationError("baseline_minimizer: budget_steps must be >= 10^4")
-    holdout_size = max(100_000, budget_steps)
     D = feasible_set.diameter()
-    L = oracle.lipschitz_L
-    d = feasible_set.dimension
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=[seed, 0x6261]))
-    features, labels = draw_arrays(population, holdout_size, rng)
-
-    statistical = D * L / math.sqrt(holdout_size)
-    target = statistical / 10.0
-    mu = 0.0 if oracle.kind == SQUARED else target
-    curvature = float(np.linalg.eigvalsh(_row_sum(features, features) / holdout_size)[-1])
-    step = (mu or 1.0) / curvature
+    target = BASELINE_TOLERANCE * D * oracle.lipschitz_L
+    step = 1.0 / risk_curvature(population, oracle)
 
     def gradient(w):
-        slopes = oracle.smoothed_slope_at(features @ w, labels, mu)
-        return _row_sum(slopes, features) / holdout_size
+        return population_risk(population, oracle, w)[1]
 
     project = feasible_set.project_rows
-    w = y = project(np.zeros(d))
+    w = y = project(np.zeros(feasible_set.dimension))
     t = 1.0
     for k in range(1, budget_steps + 1):
         w_next = project(y - step * gradient(y))
@@ -441,9 +401,12 @@ def baseline_minimizer(population, oracle, feasible_set, budget_steps, seed=0):
         y = w_next + ((t - 1.0) / t_next) * (w_next - w)
         w, t = w_next, t_next
         if k % CERTIFICATE_EVERY == 0 or k == budget_steps:
-            certificate = mu / 2.0 + feasible_set.frank_wolfe_gap(w, gradient(w))
+            certificate = feasible_set.frank_wolfe_gap(w, gradient(w))
             if certificate <= target:
                 break
 
-    return BaselineResult(w=w, error_bound=statistical + certificate,
-                          budget_steps=budget_steps, holdout_size=holdout_size)
+    bound = population.feature_bound
+    quadrature = (D * math.sqrt(feasible_set.dimension) * RISK_QUADRATURE_BOUND
+                  * bound * (1.0 + bound * math.sqrt(w.dot(w))))
+    return BaselineResult(w=w, error_bound=certificate + quadrature,
+                          budget_steps=budget_steps)

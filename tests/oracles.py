@@ -157,34 +157,15 @@ def points_away_from_kinks(rng, count):
     return w[:count], feats[:count], labels[:count]
 
 
-def empirical_risks(kind, points, features, labels, block=16):
-    """Mean loss over an (m, d) sample of each row of points (k, d).
+def grid_minimum(risks, inside, lower, upper, points, rounds=6):
+    """Smallest risk found on grids of a set K: at least min over K.
 
-    The losses are written out from their closed forms; block rows of
-    points are scored at a time to keep the (m, block) margins small.
-    """
-    risks = np.empty(len(points))
-    y = labels[:, None]
-    for start in range(0, len(points), block):
-        z = features @ points[start:start + block].T
-        if kind == "hinge":
-            values = np.maximum(0.0, 1.0 - y * z)
-        elif kind == "absolute":
-            values = np.abs(z - y)
-        else:
-            values = 0.5 * (z - y) ** 2
-        risks[start:start + block] = values.mean(axis=0)
-    return risks
-
-
-def grid_minimum(kind, inside, lower, upper, features, labels, points, rounds=6):
-    """Smallest empirical risk found on grids of a set K: at least min over K.
-
-    The first grid has `points` points per axis across the bounding box
-    [lower, upper] of K; each later round centres a grid of the same size
-    and a third of the width on the best point so far. Only grid points
-    with inside(points) true are scored, so the result is the risk of a
-    point of K and never below the minimum over K.
+    risks maps a (k, d) array of points to their k risks. The first grid
+    has `points` points per axis across the bounding box [lower, upper] of
+    K; each later round centres a grid of the same size and a third of the
+    width on the best point so far. Only grid points with inside(points)
+    true are scored, so the result is the risk of a point of K and never
+    below the minimum over K.
     """
     best, centre = math.inf, (np.asarray(lower) + np.asarray(upper)) / 2.0
     half = (np.asarray(upper) - np.asarray(lower)) / 2.0
@@ -192,8 +173,116 @@ def grid_minimum(kind, inside, lower, upper, features, labels, points, rounds=6)
         axes = [np.linspace(c - h, c + h, points) for c, h in zip(centre, half)]
         grid = np.stack(np.meshgrid(*axes), axis=-1).reshape(-1, len(axes))
         grid = grid[inside(grid)]
-        risks = empirical_risks(kind, grid, features, labels)
-        if len(risks) and risks.min() < best:
-            best, centre = float(risks.min()), grid[np.argmin(risks)]
+        values = np.asarray(risks(grid))
+        if len(values) and values.min() < best:
+            best, centre = float(values.min()), grid[np.argmin(values)]
         half = half / 3.0
     return best
+
+
+def plain_losses(kind, z, y):
+    """Loss and z-slope at one margin z and label y, written out from the
+    closed forms (the slope is 0 at a kink)."""
+    if kind == "hinge":
+        return (1.0 - y * z, -y) if y * z < 1.0 else (0.0, 0.0)
+    if kind == "absolute":
+        return abs(z - y), (z > y) - (z < y)
+    return 0.5 * (z - y) ** 2, z - y
+
+
+def quadrature_risk(spec, kind, w, tol=1e-11):
+    """Population risk and gradient of w by scipy's adaptive quadrature.
+
+    x/B, B = feature_bound, is uniform in the unit d-ball. In Cartesian
+    coordinates (s, t) on w's direction and the direction across it in the
+    plane of w and w_true, (s, t) has the density
+    (d/2pi)(1 - s^2 - t^2)^((d-2)/2) on the unit disk for d >= 2, s alone
+    the density proportional to (1 - s^2)^((d-1)/2), and the loss depends
+    on x only through the margin B*|w|*s. Sign labels (linear_margin) flip
+    on the line <w_true, x> = 0; uniform labels y are a second coordinate
+    on (-1, 1). Each integral is a sum of dblquad calls over regions cut
+    where the integrand has a kink or jump: the loss kinks in s (or in y),
+    and the label line, as the inner limit t_c(s). For d = 1 the risk is a
+    quad integral over s. The gradient is B*(E[slope*s] on w's direction +
+    E[slope*t] across); no other direction contributes, by symmetry.
+    Shares no code with dpmirror.
+    """
+    from scipy import integrate
+
+    d, bound = spec.dimension, spec.feature_bound
+    w = np.asarray(w, dtype=float)
+    norm = math.sqrt(float(w @ w))
+    k = bound * norm
+    signed = spec.generator == "linear_margin"
+    true_norm = math.sqrt(float(spec.w_true @ spec.w_true)) if signed else 0.0
+    axis = spec.w_true / true_norm if true_norm > 0 else None
+    e_s = w / norm if norm > 0 else (axis if axis is not None else np.eye(d)[0])
+    cuts = {-1.0, 0.0, 1.0} | ({-1.0 / k, 1.0 / k} if k > 1 else set())
+    cos_a, sin_a, e_t = 1.0, 0.0, np.zeros(d)
+    if axis is not None:
+        cos_a = float(axis @ e_s)
+        across = axis - cos_a * e_s
+        sin_a = math.sqrt(float(across @ across))
+        if sin_a > 0:
+            e_t = across / sin_a
+            cuts |= {-sin_a, sin_a}
+    cuts = sorted(cuts)
+    p = spec.noise_rate
+    opts = {"epsabs": tol, "epsrel": tol}
+
+    if not signed:
+        total = integrate.quad(lambda s: (1.0 - s * s) ** ((d - 1) / 2.0), -1, 1,
+                               epsabs=tol, epsrel=tol)[0]
+
+        def kink(s):   # the y at which the loss of margin k*s bends
+            z = k * s
+            y = z if kind == "absolute" else (1.0 / z if abs(z) > 1 else 1.0)
+            return min(1.0, max(-1.0, y))
+
+        moments = []
+        for part in range(2):
+            def f(y, s):
+                value, slope = plain_losses(kind, k * s, y)
+                weight = (1.0 - s * s) ** ((d - 1) / 2.0) / (2.0 * total)
+                return weight * (value if part == 0 else bound * slope * s)
+            moments.append(sum(
+                integrate.dblquad(f, lo, hi, -1.0, kink, **opts)[0]
+                + integrate.dblquad(f, lo, hi, kink, 1.0, **opts)[0]
+                for lo, hi in zip(cuts[:-1], cuts[1:])))
+        return moments[0], moments[1] * e_s
+
+    def mixed(s, t):
+        # Loss and slope at margin k*s, averaged over the label's flip; the
+        # label before the flip is +1 where <w_true, x> >= 0.
+        sign = 1.0 if axis is None or s * cos_a + t * sin_a >= 0.0 else -1.0
+        first, first_slope = plain_losses(kind, k * s, sign)
+        second, second_slope = plain_losses(kind, k * s, -sign)
+        return (1 - p) * first + p * second, (1 - p) * first_slope + p * second_slope
+
+    def edge(s):
+        return math.sqrt(max(1.0 - s * s, 0.0))
+
+    def t_c(s):   # the label line, clipped to the chord
+        if sin_a == 0:
+            return edge(s)
+        return min(edge(s), max(-edge(s), -s * cos_a / sin_a))
+
+    moments = []
+    for part in range(3):
+        def f(t, s):
+            value, slope = mixed(s, t)
+            if d == 1:
+                weight = 0.5
+            else:
+                weight = d / (2 * math.pi) * max(1.0 - s * s - t * t, 0.0) ** ((d - 2) / 2.0)
+            return weight * (value, bound * slope * s, bound * slope * t)[part]
+
+        total = 0.0
+        for lo, hi in zip(cuts[:-1], cuts[1:]):
+            if d == 1:
+                total += integrate.quad(lambda s: f(0.0, s), lo, hi, **opts)[0]
+                continue
+            total += integrate.dblquad(f, lo, hi, lambda s: -edge(s), t_c, **opts)[0]
+            total += integrate.dblquad(f, lo, hi, t_c, edge, **opts)[0]
+        moments.append(total)
+    return moments[0], moments[1] * e_s + moments[2] * e_t

@@ -16,7 +16,7 @@ from oracles import (closed_form_cell_violations, partial_coupon_sum,
                      project_box)
 
 from dpmirror.geometry import FeasibleSet
-from dpmirror.losses import LossOracle, PopulationSpec, draw_dataset
+from dpmirror.losses import LossOracle, PopulationSpec, draw_dataset, population_risk
 from dpmirror.optimizer import (RunConfig, baseline_minimizer, estimate_regret,
                                 estimate_risk, private_sgd, private_sgd_batch)
 from dpmirror.privacy import (audit_single_step, calibrate_sigma, end_to_end,
@@ -61,10 +61,8 @@ def private_run_grid():
                                     noise_rate=0.1)
         feasible = FeasibleSet.l2_ball(0.5, dimension=d)
         oracle = LossOracle.hinge(1.0)
-        baseline = baseline_minimizer(population, oracle, feasible,
-                                      100_000, seed=17)
-        base_risk = estimate_risk(baseline.w, population, oracle, 200_000,
-                                  rng=derived_rng(d, 0xBA5E))
+        baseline = baseline_minimizer(population, oracle, feasible, 100_000)
+        base_risk = population_risk(population, oracle, baseline.w)[0]
         for n in GRID_NS:
             eps = 1.0 / (2.0 * math.sqrt(n))
             plan = end_to_end(n, eps, DELTA, DELTA_PRIME, L=1.0, D=1.0, d=d)
@@ -83,7 +81,7 @@ def private_run_grid():
             for r in range(GRID_REPEATS):
                 risk = estimate_risk(batch.output[r], population, oracle, 2000,
                                      rng=derived_rng(d, n, r, 2))
-                excesses.append(risk.mean - base_risk.mean)
+                excesses.append(risk.mean - base_risk)
             excesses = np.array(excesses)
             cells[(d, n)] = {
                 "sigma": plan.sigma,
@@ -91,7 +89,7 @@ def private_run_grid():
                 "regrets": regrets,
                 "mean_excess": float(excesses.mean()),
                 "run_stderr": float(excesses.std(ddof=1) / math.sqrt(GRID_REPEATS)),
-                "oracle_error": baseline.error_bound + base_risk.stderr,
+                "oracle_error": baseline.error_bound,
             }
     cells["elapsed"] = time.time() - started
     return cells

@@ -172,8 +172,10 @@ class TestRunCommand:
 
     def test_traced_call_sites(self, tmp_path, monkeypatch):
         # The benchmark's tracer times the reference minimizer by wrapping
-        # harness.baseline_minimizer, and its holdout draw by wrapping
-        # optimizer.draw_arrays; both names must stay the call sites.
+        # harness.baseline_minimizer, and the risk draws by wrapping
+        # optimizer.draw_arrays; both names must stay the call sites. The
+        # reference minimizer works on the exact risk and draws nothing;
+        # the only draws left are one eval_samples draw per finished run.
         calls = {"baseline": 0, "draws": [], "in_baseline": False}
         baseline, draw = harness_mod.baseline_minimizer, optimizer_mod.draw_arrays
 
@@ -191,10 +193,9 @@ class TestRunCommand:
 
         monkeypatch.setattr(harness_mod, "baseline_minimizer", counting_baseline)
         monkeypatch.setattr(optimizer_mod, "draw_arrays", counting_draw)
-        harness_mod.run_experiment(build_spec(base_overrides(tmp_path)))
+        harness_mod.run_experiment(build_spec(base_overrides(tmp_path, repeats="3")))
         assert calls["baseline"] == 1
-        holdout = [n for n, inside in calls["draws"] if inside]
-        assert holdout == [100_000]    # max(10^5, baseline_steps)
+        assert calls["draws"] == [(200, False)] * 3
 
     def test_real_overruns_left_out_of_means(self, tmp_path, monkeypatch, capsys):
         # Under a 16-step cap at n = 16 (MAX_STEPS_FACTOR = 1), a run falls
@@ -524,14 +525,17 @@ class TestGoldenOutputs:
     # baseline_risk/baseline_error line and the mean_regret,
     # mean_excess_risk and stderr columns moved. The box run's were
     # re-pinned again when box runs began to echo their lower and upper
-    # corners: only those two echo entries were added.
+    # corners: only those two echo entries were added. Both re-pinned when
+    # the reference minimizer moved to the exact population risk: only the
+    # baseline_risk/baseline_error line and the mean_regret,
+    # mean_excess_risk and stderr columns moved.
     RUN_DIGESTS = {
         "hinge-ball": [
-            "a7f08fd8ed19bc69098e6fc8faed9346e668ea454199be4125f95877ccf55998",
-            "523d26448d1f252b0833bd52b92702953107f4563f793f22b94689be43a12913"],
+            "07df8346f116e124597c2dbac5ad2a56e8fffab815cfb807fed07d0763588a40",
+            "7a3afbd3c455d03caa5ebef1eeb5f9ab63680e0565f5a66c6268be5e45cb09ac"],
         "squared-box-sigma-override": [
-            "f27b0ebebe3d8424d5c7b3c1a67931af618ad84a96c23fc9967ed5f7e509d14b",
-            "5044dad1fb01ec1c3f2cd789a6f87dda41646813d74344dc394a0385ed90a7be"],
+            "ff8c89533e7f81339228c19e6f8a870912fa7aee6e7d2e493a26a17bf2974ac8",
+            "320d61488a6b09128c5aef37e41df3bc0518f900b1604aa7f37c71cf1ec56fb8"],
     }
     CALIBRATE = {
         "eps": ["--n", "10000", "--eps", "0.005", "--delta", "1e-6",

@@ -5,10 +5,11 @@ import pytest
 
 from dpmirror.errors import ConfigurationError
 from dpmirror.geometry import FeasibleSet
-from dpmirror.losses import (LossOracle, PopulationSpec, draw_arrays,
-                             draw_dataset, lipschitz_certificate)
+from dpmirror.losses import (RISK_QUADRATURE_BOUND, LossOracle, PopulationSpec,
+                             draw_arrays, draw_dataset, lipschitz_certificate,
+                             population_risk, risk_curvature)
 from oracles import (plain_loss, plain_subgradient, points_away_from_kinks,
-                     population_point)
+                     population_point, quadrature_risk)
 
 
 def row_losses(oracle, w, features, labels):
@@ -150,39 +151,122 @@ class TestSubgradients:
             assert np.all(np.linalg.norm(g, axis=1) <= oracle.lipschitz_L + 1e-9)
 
 
-def huber_smoothed(kind, z, y, mu):
-    """Huber smoothing of max(0, 1 - y*z) (hinge) or |z - y| (absolute), written out."""
-    if kind == "hinge":
-        u = 1.0 - y * z
-        return np.where(u <= 0.0, 0.0, np.where(u <= mu, u * u / (2.0 * mu), u - mu / 2.0))
-    r = np.abs(z - y)
-    return np.where(r <= mu, r * r / (2.0 * mu), r - mu / 2.0)
+def risk_case(kind, population, d):
+    """(spec, oracle, w) for one population_risk case; B*|w| > 1, so the
+    loss kinks cross the ball, and feature_bound != 1 for odd d."""
+    rng = np.random.default_rng([d, len(kind), len(population)])
+    bound = 1.3 if d % 2 else 0.7
+    if population == "uniform_ball":
+        spec = PopulationSpec("uniform_ball", d, bound)
+    else:
+        w_true = np.zeros(d) if population == "w_true-zero" else rng.standard_normal(d)
+        spec = PopulationSpec("linear_margin", d, bound, w_true=w_true, noise_rate=0.15)
+    w = rng.standard_normal(d)
+    w *= 1.6 / np.linalg.norm(w)
+    fs = FeasibleSet.l2_ball(2.0, dimension=d)
+    oracle = (LossOracle.squared(bound, fs) if kind == "squared"
+              else getattr(LossOracle, kind)(bound))
+    return spec, oracle, w
 
 
-class TestSmoothedSlopes:
-    def test_derivative_of_the_huber_smoothing(self):
-        # Margins straddle both ends of each smoothing band. The reference
-        # minimizer's certificate relies on f_mu <= f <= f_mu + mu/2, and
-        # its step size on the slope being 1/mu-Lipschitz for |y| <= 1.
-        rng = np.random.default_rng(71)
-        mu, h = 0.05, 1e-7
-        z = rng.uniform(-2.0, 2.0, size=5000)
-        y = rng.uniform(-1.0, 1.0, size=5000)
-        for oracle in (LossOracle.hinge(1.0), LossOracle.absolute(1.0)):
-            f_mu = huber_smoothed(oracle.kind, z, y, mu)
-            f = oracle.loss_at(z, y)
-            assert np.all(f_mu <= f) and np.all(f <= f_mu + mu / 2.0 + 1e-12)
-            slope = oracle.smoothed_slope_at(z, y, mu)
-            fd = (huber_smoothed(oracle.kind, z + h, y, mu)
-                  - huber_smoothed(oracle.kind, z - h, y, mu)) / (2.0 * h)
-            np.testing.assert_allclose(slope, fd, rtol=0.0, atol=1e-5)
-            order = np.argsort(z)
-            for label in (-1.0, -0.3, 1.0):
-                s = oracle.smoothed_slope_at(z[order], label, mu)
-                assert np.all(np.abs(np.diff(s)) <= np.diff(z[order]) / mu + 1e-12)
-        squared = LossOracle.squared(1.0, FeasibleSet.l2_ball(1.0, dimension=1))
-        np.testing.assert_array_equal(squared.smoothed_slope_at(z, y, 0.0),
-                                      squared.slope_at(z, y))
+RISK_CASES = pytest.mark.parametrize(
+    "kind,population,d",
+    [(kind, population, d) for kind in ("hinge", "absolute", "squared")
+     for population in ("linear_margin", "w_true-zero", "uniform_ball")
+     for d in (1, 2, 3, 10)])
+
+
+class TestPopulationRisk:
+    """population_risk against oracles that share none of its code."""
+
+    @RISK_CASES
+    def test_matches_dblquad(self, kind, population, d):
+        pytest.importorskip("scipy")
+        spec, oracle, w = risk_case(kind, population, d)
+        value, gradient = population_risk(spec, oracle, w)
+        want_value, want_gradient = quadrature_risk(spec, kind, w)
+        scale = 1.0 + spec.feature_bound * np.linalg.norm(w)
+        assert abs(value - want_value) <= RISK_QUADRATURE_BOUND * scale ** 2
+        assert np.all(np.abs(gradient - want_gradient)
+                      <= RISK_QUADRATURE_BOUND * spec.feature_bound * scale)
+
+    @RISK_CASES
+    def test_matches_monte_carlo(self, kind, population, d):
+        # 10^6 draws from the library's sampler, in four blocks; the loss
+        # and its gradient rows are written out from the closed forms.
+        spec, oracle, w = risk_case(kind, population, d)
+        value, gradient = population_risk(spec, oracle, w)
+        rng = np.random.default_rng(12)
+        sums = np.zeros((2, d + 1))
+        for _ in range(4):
+            features, labels = draw_arrays(spec, 250_000, rng)
+            z = features @ w
+            if kind == "hinge":
+                loss, slope = np.maximum(0.0, 1.0 - labels * z), -labels * (labels * z < 1.0)
+            elif kind == "absolute":
+                loss, slope = np.abs(z - labels), np.sign(z - labels)
+            else:
+                loss, slope = 0.5 * (z - labels) ** 2, z - labels
+            rows = np.column_stack([loss, slope[:, None] * features])
+            sums += [rows.sum(axis=0), (rows * rows).sum(axis=0)]
+        mean = sums[0] / 1e6
+        stderr = np.sqrt((sums[1] / 1e6 - mean ** 2) / (1e6 - 1.0))
+        got = np.concatenate([[value], gradient])
+        assert np.all(np.abs(got - mean) <= 4.0 * stderr + 1e-12), (got - mean) / stderr
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 10])
+    def test_closed_forms(self, d):
+        # At w = 0 the margin is 0: squared loss E y^2/2 = 1/6 and absolute
+        # E|y| = 1/2 under uniform labels, and hinge 1 under any labels.
+        # Squared loss under uniform labels is B^2|w|^2/(2(d+2)) + 1/6 at
+        # every w (E[xx'] = B^2/(d+2) I). Hinge under sign labels while
+        # B|w| <= 1 is 1 - (1 - 2 flip) <w, E[sign(<w_true, x>) x]>, and
+        # E|x_1| is 1/2, 4/(3 pi) and 3/8 in the unit ball at d = 1, 2, 3.
+        zero = np.zeros(d)
+        uniform = PopulationSpec("uniform_ball", d, 1.7)
+        signs = PopulationSpec("linear_margin", d, 0.6, w_true=np.eye(d)[0], noise_rate=0.2)
+        fs = FeasibleSet.l2_ball(1.0, dimension=d)
+        squared = LossOracle.squared(1.7, fs)
+        assert population_risk(uniform, squared, zero)[0] == pytest.approx(1 / 6, abs=1e-14)
+        assert population_risk(uniform, LossOracle.absolute(1.7), zero)[0] == pytest.approx(
+            0.5, abs=1e-14)
+        for spec in (uniform, signs):
+            assert population_risk(spec, LossOracle.hinge(1.7), zero)[0] == pytest.approx(
+                1.0, abs=1e-14)
+        w = np.linspace(0.3, -0.5, d)
+        value, gradient = population_risk(uniform, squared, w)
+        assert value == pytest.approx(1.7 ** 2 * (w @ w) / (2 * (d + 2)) + 1 / 6, abs=1e-13)
+        np.testing.assert_allclose(gradient, 1.7 ** 2 * w / (d + 2), rtol=0, atol=1e-13)
+        mean_abs = {1: 0.5, 2: 4.0 / (3.0 * math.pi), 3: 3.0 / 8.0}
+        if d in mean_abs:
+            slope = (1.0 - 2 * 0.2) * 0.6 * mean_abs[d]
+            w = np.full(d, 0.9 / math.sqrt(d))
+            value, gradient = population_risk(signs, LossOracle.hinge(0.6), w)
+            assert value == pytest.approx(1.0 - slope * w[0], abs=1e-13)
+            np.testing.assert_allclose(gradient, -slope * np.eye(d)[0], rtol=0, atol=1e-13)
+
+    @RISK_CASES
+    def test_gradient_matches_finite_differences(self, kind, population, d):
+        spec, oracle, w = risk_case(kind, population, d)
+        gradient = population_risk(spec, oracle, w)[1]
+        h = 1e-6
+        for i in range(d):
+            step = h * np.eye(d)[i]
+            slope = (population_risk(spec, oracle, w + step)[0]
+                     - population_risk(spec, oracle, w - step)[0]) / (2 * h)
+            assert slope == pytest.approx(gradient[i], abs=1e-7)
+
+    @RISK_CASES
+    def test_curvature_bounds_gradient_changes(self, kind, population, d):
+        # The FISTA step of the reference minimizer is 1/risk_curvature.
+        spec, oracle, w = risk_case(kind, population, d)
+        beta = risk_curvature(spec, oracle)
+        rng = np.random.default_rng(d)
+        for _ in range(20):
+            v, u = rng.standard_normal((2, d)) * rng.uniform(0.0, 3.0, size=(2, 1))
+            change = np.linalg.norm(population_risk(spec, oracle, v)[1]
+                                    - population_risk(spec, oracle, u)[1])
+            assert change <= beta * np.linalg.norm(v - u) * (1 + 1e-9) + 1e-12
 
 
 class TestMaxSubgradientNorm:

@@ -6,6 +6,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
@@ -61,3 +63,43 @@ def test_benchmark_configs_use_only_run_keys():
         for text in plan.configs.values():
             keys = {line.split("=", 1)[0].strip() for line in text.splitlines()}
             assert keys <= set(RUN_KEYS), keys - set(RUN_KEYS)
+
+
+@pytest.mark.parametrize("workload", ["grid", "grid-box"])
+def test_traced_grid_passes_run_clean(workload, tmp_path, monkeypatch):
+    # spans.py wraps harness.baseline_minimizer and reads .budget_steps off
+    # its result, and wraps estimate_risk, draw_dataset and the draws. A
+    # tiny traced pass of each `run` workload, from config files written
+    # by the benchmark itself, must exit 0 and pass every output check.
+    sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+    try:
+        import workloads
+    finally:
+        sys.path.pop(0)
+    monkeypatch.chdir(tmp_path)
+    workloads.write_configs(workloads.make_plan(workload, 3, "tiny"))
+    proc = subprocess.run(
+        [sys.executable, os.path.join(ROOT, "perfbench", "worker.py"),
+         "--workload", workload, "--seed", "3", "--sizes", "tiny", "--trace"],
+        cwd=tmp_path, env=benchmark_env(), capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["exits"] and set(result["exits"].values()) == {0}, result["exits"]
+    failed = [check for check in result["checks"] if not check[1]]
+    assert result["checks"] and not failed, failed
+    runs = len(result["exits"])
+    assert result["trace"]["counts"]["optimizer.baseline_steps"] == 10_000 * runs
+
+
+def test_cli_import_loads_neither_scipy_nor_numpy_polynomial():
+    # The benchmark times start-up through `import dpmirror.cli`; the
+    # population risk's quadrature nodes come from numpy.linalg on first
+    # use, and scipy is only a test dependency.
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, dpmirror.cli; "
+         "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith(('scipy.', "
+         "'numpy.polynomial'))))"],
+        env=benchmark_env(), capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
