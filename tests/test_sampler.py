@@ -215,15 +215,28 @@ class TestSimulateTau:
         }
 
         class StubStream:
+            """Serves values from its start, as integers(0, n) or as raw words."""
+
             def __init__(self, values):
                 self.values, self.pos = values, 0
+                self.bit_generator = self
 
-            def integers(self, low, high, size):
-                assert (low, high) == (0, n)
+            def take(self, size):
                 out = self.values[self.pos:self.pos + size]
                 assert out.size == size, "stub stream ran dry"
                 self.pos += size
                 return out
+
+            def integers(self, low, high, size):
+                assert (low, high) == (0, n)
+                return self.take(size)
+
+            def random_raw(self, size):
+                # n = 16 divides 2**32, so Lemire's method maps a 32-bit
+                # output x to x >> 28 and rejects none: value v is output
+                # v << 28, two outputs to a word, low half first.
+                halves = self.take(2 * size).astype(np.uint64) << np.uint64(28)
+                return halves[0::2] | halves[1::2] << np.uint64(32)
 
         class StubStreams(TrialStreams):
             def stream(self, trial):
@@ -289,6 +302,104 @@ class TestTrialStreams:
                 got = streams.stream(trial).integers(0, n, size=101)
                 want = fresh_stream(seed, trial).integers(0, n, size=101)
                 assert np.array_equal(got, want), (trial, n)
+
+
+class TestValidation:
+    """Seeds and trial counts that SeedSequence([seed, t]) cannot take as
+    one seed word list and one trial word are refused where they enter."""
+
+    @pytest.mark.parametrize("seed", [-1, -(2 ** 40), 1.5, "3", None, True])
+    def test_bad_seed(self, seed):
+        with pytest.raises(ConfigurationError, match="seed"):
+            simulate_tau(16, 10, seed=seed)
+        with pytest.raises(ConfigurationError, match="seed"):
+            TrialStreams(seed, 10)
+
+    @pytest.mark.parametrize("trials", [0, -3, 2 ** 32 + 1, 1.5, 10.0])
+    def test_bad_trials(self, trials):
+        with pytest.raises(ConfigurationError, match="trials"):
+            simulate_tau(16, trials, seed=0)
+        with pytest.raises(ConfigurationError, match="trials"):
+            TrialStreams(0, trials)
+
+    def test_numpy_integer_arguments(self):
+        got = simulate_tau(16, np.int64(40), seed=np.uint64(7)).tau_samples
+        assert np.array_equal(got, simulate_tau(16, 40, seed=7).tau_samples)
+
+
+class TestRawWordDraws:
+    """fill_first_blocks against numpy's own integers on the same stream."""
+
+    N_VALUES = [1, 2, 3, 16, 1000, 1024, 2 ** 31 + 1, 3 * 2 ** 30 + 7, 2 ** 32 - 5, 2 ** 32]
+
+    @staticmethod
+    def fill(n, k, rows=40, seed=5):
+        """(draws, rows that drew through integers) of fresh trial streams."""
+        fallback = set()
+
+        class Watched:
+            def __init__(self, row):
+                self.row, self.rng = row, fresh_stream(seed, row)
+                self.bit_generator = self.rng.bit_generator
+
+            def integers(self, *args, **kwargs):
+                fallback.add(self.row)
+                return self.rng.integers(*args, **kwargs)
+
+        draws = np.full((rows, k), -1, dtype=np.int64)
+        sampler.fill_first_blocks(n, Watched, draws)
+        return draws, fallback
+
+    @pytest.mark.parametrize("n", N_VALUES)
+    @pytest.mark.parametrize("k", [1, 2, 7, 36])
+    def test_equals_integers(self, n, k):
+        draws, _ = self.fill(n, k)
+        for row in range(draws.shape[0]):
+            want = fresh_stream(5, row).integers(0, n, size=k)
+            assert np.array_equal(draws[row], want), (n, k, row)
+
+    def test_rejection_falls_back(self):
+        # 2**32 mod (2**31 + 1) = 2**31 - 1: about half of all outputs are
+        # rejected, so some one-draw rows fall back and some do not.
+        draws, fallback = self.fill(2 ** 31 + 1, 1)
+        assert 0 < len(fallback) < draws.shape[0]
+        draws, fallback = self.fill(3 * 2 ** 30 + 7, 36)
+        assert len(fallback) == draws.shape[0]
+        for n in (1, 16, 1024, 2 ** 32):
+            assert self.fill(n, 37)[1] == set(), n
+
+    def test_above_32_bits_draws_through_integers(self):
+        n = 2 ** 33 + 5
+        draws, fallback = self.fill(n, 9, rows=6)
+        assert fallback == set(range(6))
+        for row in range(6):
+            assert np.array_equal(draws[row], fresh_stream(5, row).integers(0, n, size=9))
+
+
+class TestVectorSeeding:
+    """TrialStreams' seeding against numpy's SeedSequence and PCG64."""
+
+    SEEDS = [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 63 - 1, 2 ** 95 + 7, 2 ** 130 + 1]
+
+    @staticmethod
+    def numpy_state(seed, trial):
+        return np.random.PCG64(np.random.SeedSequence([seed, trial])).state
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_streams_start_at_numpy_state(self, seed):
+        trials = 1000
+        streams = TrialStreams(seed, trials)
+        for trial in [*range(50), trials - 1]:
+            assert streams.stream(trial).bit_generator.state == self.numpy_state(seed, trial)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_high_trial_words(self, seed):
+        trials = np.array([2 ** 32 - 1, 2 ** 31, 65_537, 12_345_678], dtype=np.uint32)
+        packed = sampler._pcg64_states(seed, trials)
+        for row, trial in zip(packed.tolist(), trials.tolist()):
+            state = self.numpy_state(seed, trial)["state"]
+            assert row == [state["state"] >> 64, state["state"] & (2 ** 64 - 1),
+                           state["inc"] >> 64, state["inc"] & (2 ** 64 - 1)], trial
 
 
 class TestFirstArrivalsKernel:
