@@ -7,13 +7,13 @@ the matching accountant (calibration, subsampling amplification, advanced
 composition, end-to-end parameter solving) and an empirical audit.
 """
 
-from .errors import ConfigurationError, OverrunError, RegimeError
+from .errors import ConfigurationError, RegimeError
 from .geometry import FeasibleSet, mirror_step
 from .losses import (LossOracle, PopulationSpec, draw_arrays, draw_dataset,
                      lipschitz_certificate, population_risk)
 from .optimizer import (BaselineResult, RiskEstimate, RunBatch, RunConfig,
-                        RunTrace, baseline_minimizer, estimate_regret,
-                        estimate_risk, private_sgd, private_sgd_batch)
+                        baseline_minimizer, estimate_regret, estimate_risk,
+                        private_sgd, private_sgd_batch)
 from .privacy import (AuditResult, EndToEndPlan, InternalBudget, PrivacyReport,
                       StepPrivacy, amplify_by_subsampling, audit_single_step,
                       calibrate_sigma, compose, end_to_end, from_target)
@@ -22,11 +22,11 @@ from .sampler import TauStats, expected_tau, sample_index, simulate_tau
 __version__ = "0.1.0"
 
 __all__ = [
-    "ConfigurationError", "OverrunError", "RegimeError",
+    "ConfigurationError", "RegimeError",
     "FeasibleSet", "mirror_step",
     "LossOracle", "PopulationSpec", "draw_arrays", "draw_dataset",
     "lipschitz_certificate", "population_risk",
-    "BaselineResult", "RiskEstimate", "RunBatch", "RunConfig", "RunTrace",
+    "BaselineResult", "RiskEstimate", "RunBatch", "RunConfig",
     "baseline_minimizer", "estimate_regret", "estimate_risk", "private_sgd",
     "private_sgd_batch",
     "AuditResult", "EndToEndPlan", "InternalBudget", "PrivacyReport",

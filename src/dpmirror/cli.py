@@ -4,7 +4,8 @@ Subcommands: run (experiment grid), tau-sim (stopping-time Monte Carlo),
 calibrate (accountant queries), audit (single-step DP audit).
 
 Exit codes: 0 success, 2 configuration error, 3 regime violation,
-4 statistically significant audit violation, 5 runtime overrun.
+4 statistically significant audit violation, 5 degraded run (more than 1%
+of a cell's runs overran their step cap).
 """
 
 import argparse
@@ -14,7 +15,7 @@ import secrets
 import sys
 from dataclasses import asdict
 
-from .errors import ConfigurationError, OverrunError, RegimeError
+from .errors import ConfigurationError, RegimeError
 from .harness import RUN_KEYS, build_spec, default_output_dir, experiment_dir, \
     parse_kv_file, run_and_write, run_tau_sim
 from .privacy import audit_single_step, calibrate_sigma, end_to_end, from_target, \
@@ -182,9 +183,6 @@ def main(argv=None):
     except RegimeError as exc:
         print(f"regime violation: {exc}", file=sys.stderr)
         return EXIT_REGIME
-    except OverrunError as exc:
-        print(f"runtime overrun: {exc}", file=sys.stderr)
-        return EXIT_OVERRUN
 
 
 if __name__ == "__main__":

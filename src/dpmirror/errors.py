@@ -1,8 +1,9 @@
 """Exception types shared across the package.
 
 The CLI maps these onto process exit codes: ConfigurationError -> 2,
-RegimeError -> 3, OverrunError -> 5. Audit violations are reported as
-results, not exceptions (exit 4 is decided by the audit command).
+RegimeError -> 3. Audit violations and overruns are reported as results,
+not exceptions: exit 4 is decided by the audit command, and exit 5 by a
+degraded run, one in which more than 1% of a cell's runs overran.
 """
 
 
@@ -17,15 +18,3 @@ class RegimeError(ValueError):
     reported privacy guarantee is valid (e.g. a per-step epsilon too large
     for the linearization used in composition).
     """
-
-
-class OverrunError(RuntimeError):
-    """The optimizer hit its safety cap before the stopping rule fired.
-
-    Carries the partial trace on the ``trace`` attribute so callers can
-    inspect how far the run got.
-    """
-
-    def __init__(self, message, trace=None):
-        super().__init__(message)
-        self.trace = trace

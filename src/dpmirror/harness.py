@@ -98,7 +98,8 @@ RUN_KEYS = {
     "sigma_override": RunKey(_checked(float, "finite and >= 0",
                                       lambda v: math.isfinite(v) and v >= 0.0), None,
                              "noise scale replacing the calibrated one (0 = no noise)"),
-    "seed": RunKey(int, None, "master seed (default: drawn from entropy)"),
+    "seed": RunKey(_checked(int, ">= 0", lambda v: v >= 0), None,
+                   "master seed (default: drawn from entropy)"),
     "output_dir": RunKey(str, None,
                          f"where <output_dir>/<name>/ is written "
                          f"(default: ${OUTPUT_DIR_ENV} or runs)"),

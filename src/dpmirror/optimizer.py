@@ -18,10 +18,15 @@ first block of about 3n/4 indices per run; only the projected-step
 recursion is sequential. private_sgd_batch runs it for R runs at once
 (repeats that differ in seed and dataset) on (R, d) arrays, rows in seed
 order, every row stepping up to the largest stopping time; private_sgd is
-its R = 1 case. Each run draws its noise from its own generator in chunks
+its R = 1 call. Each run draws its noise from its own generator in chunks
 of NOISE_CHUNK_STEPS steps. The values equal one standard_normal(d) draw
 per step, and memory stays O(R * chunk * d) rather than O(R * max_steps * d).
 Every run is reproducible from its seed alone, whatever batch it runs in.
+
+A run's result is the RunBatch arrays and nothing per step: tau, the
+overrun flag, the output, and the index and iterate of each fresh step.
+A run that overruns its cap is reported by its overrun flag (tau = cap,
+NaN output), never by an exception.
 
 baseline_minimizer, the non-private reference point, minimizes the exact
 population risk (losses.population_risk, a quadrature with a stated error
@@ -36,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, OverrunError
+from .errors import ConfigurationError
 # mirror_step, sample_index and draw_dataset are not called here; they stay
 # importable from this module because perfbench/spans.py wraps them by name.
 from .geometry import mirror_step  # noqa: F401
@@ -86,35 +91,6 @@ class RunConfig:
 
 
 @dataclass
-class RunTrace:
-    """One private run as arrays over its steps t = 0, ..., tau - 1.
-
-    indices      (tau,) dataset index drawn at each step
-    fresh        (tau,) True where that index is drawn for the first time
-    iterates     (tau, d) iterate held before each step; a fresh step takes
-                 its subgradient here
-    noise_norms  (tau,) Euclidean norm of each step's noise vector
-    tau          steps taken; max_steps when the run overran
-    output       (d,) mean of iterates[fresh]; None when the run overran
-    """
-
-    indices: np.ndarray
-    fresh: np.ndarray
-    iterates: np.ndarray
-    noise_norms: np.ndarray
-    tau: int
-    output: np.ndarray
-
-    @property
-    def fresh_indices(self):
-        return self.indices[self.fresh]
-
-    @property
-    def fresh_iterates(self):
-        return self.iterates[self.fresh]
-
-
-@dataclass
 class RunBatch:
     """R runs from private_sgd_batch; row r is the run with seeds[r].
 
@@ -128,7 +104,6 @@ class RunBatch:
                     m = n//2+1; 0 past an overrun row's last fresh step
     fresh_iterates  (R, m, d) iterate held at each fresh step; NaN past an
                     overrun row's last fresh step
-    traces          per-row RunTrace list with record=True, else None
     """
 
     tau: np.ndarray
@@ -136,7 +111,6 @@ class RunBatch:
     output: np.ndarray
     fresh_indices: np.ndarray
     fresh_iterates: np.ndarray
-    traces: list = None
 
 
 @dataclass(frozen=True)
@@ -157,35 +131,13 @@ def run_streams(seed):
 
 
 def private_sgd(config, seed, dataset):
-    """One private run with the given seed on a dataset of exactly config.n points.
-
-    dataset is a (features, labels) pair of shape (n, d) and (n,). Each
-    step: draw an index; if unseen, step against the noisy subgradient at
-    the current iterate and mark it seen; otherwise step against noise
-    alone. Every step is projected back onto the feasible set.
-
-    Returns a RunTrace whose output is the average of the iterates at fresh
-    steps (the iterate the subgradient was evaluated at, not the updated
-    one). Fully deterministic given the seed; the R = 1 case of
-    private_sgd_batch.
-
-    Raises OverrunError (carrying the partial trace) if the stopping rule
-    has not fired within max_steps.
-    """
-    features, labels = dataset
-    batch = private_sgd_batch(config, [seed],
-                              np.asarray(features, dtype=float)[None],
-                              np.asarray(labels, dtype=float)[None], record=True)
-    trace = batch.traces[0]
-    if batch.overrun[0]:
-        raise OverrunError(
-            f"private_sgd: no stop after max_steps={trace.tau} "
-            f"({int(trace.fresh.sum())}/{fresh_target(config.n)} fresh)", trace=trace)
-    return trace
+    """private_sgd_batch for one seed on one (features, labels) dataset."""
+    return private_sgd_batch(config, [seed],
+                             *(np.asarray(a, dtype=float)[None] for a in dataset))
 
 
-def private_sgd_batch(config, seeds, features, labels, record=False):
-    """private_sgd for R = len(seeds) runs at once, in lockstep.
+def private_sgd_batch(config, seeds, features, labels):
+    """R = len(seeds) private runs at once, in lockstep.
 
     Row r is the run of config with seed seeds[r] on the dataset
     (features[r], labels[r]); features is (R, n, d) and labels (R, n). Each
@@ -195,16 +147,12 @@ def private_sgd_batch(config, seeds, features, labels, record=False):
     taking noise-only steps from its own noise generator, and nothing reads
     them: all of its fresh steps come before its tau, and those noise draws
     come after every value it uses. Per-row results therefore do not depend
-    on the other rows; a per-step statistic over the batch must mask to
-    t < tau[r], and record=True cuts each row's trace at its tau.
+    on the other rows.
 
     Inputs are checked once here rather than per step: the config
     (RunConfig.validate), the array shapes, finite features and labels, and
     that no row's subgradient norm on the feasible set can exceed
     oracle.lipschitz_L, the sensitivity the accountant prices.
-    record=True also keeps every iterate and noise norm, O(R * max_steps * d)
-    memory, redraws each row's indices up to its tau from its own stream,
-    and returns them as per-row RunTraces.
     """
     config.validate()
     n, d, rows = config.n, config.feasible_set.dimension, len(seeds)
@@ -271,9 +219,6 @@ def private_sgd_batch(config, seeds, features, labels, record=False):
     eta, sigma = config.eta, config.sigma
     oracle, feasible_set = config.oracle, config.feasible_set
     w = np.tile(np.asarray(config.w1, dtype=float), (rows, 1))
-    if record:
-        iterates = np.empty((steps, rows, d))
-        noise_norms = np.empty((steps, rows))
 
     for t in range(steps):
         if t % NOISE_CHUNK_STEPS == 0:
@@ -282,12 +227,7 @@ def private_sgd_batch(config, seeds, features, labels, record=False):
             for r, (_, noise_rng) in enumerate(streams):
                 chunk[:, r] = noise_rng.standard_normal((chunk.shape[0], d))
             noise = sigma * chunk
-            if record:
-                noise_norms[t:t + chunk.shape[0]] = np.sqrt(
-                    np.einsum("...i,...i->...", noise, noise))
         xi = noise[t - chunk_start]
-        if record:
-            iterates[t] = w
         at = fresh[t].nonzero()[0]
         if at.size:
             dest = next_slot[at]
@@ -306,42 +246,29 @@ def private_sgd_batch(config, seeds, features, labels, record=False):
     total = np.zeros((rows, d))
     for slot in range(target):
         total += fresh_iterates[:, slot]
-    batch = RunBatch(tau=tau, overrun=overrun, output=total / target,
-                     fresh_indices=fresh_indices,
-                     fresh_iterates=fresh_iterates)
-    if record:
-        batch.traces = []
-        for r in range(rows):
-            last = int(tau[r])
-            batch.traces.append(RunTrace(
-                indices=index_stream(r).integers(0, n, size=last),
-                fresh=fresh[:last, r].copy(), iterates=iterates[:last, r].copy(),
-                noise_norms=noise_norms[:last, r].copy(), tau=last,
-                output=None if overrun[r] else batch.output[r]))
-    return batch
+    return RunBatch(tau=tau, overrun=overrun, output=total / target,
+                    fresh_indices=fresh_indices, fresh_iterates=fresh_iterates)
 
 
-def estimate_regret(trace, dataset, comparator, config):
-    """Sum over fresh steps of f(w_t, x_t) - f(u, x_t).
+def estimate_regret(batch, dataset, comparator, config):
+    """Per row, the sum over fresh steps of f(w_t, x_t) - f(u, x_t).
 
     Stale steps contribute nothing: their loss is a pure noise linear term
     with zero mean, so only the fresh-step losses carry signal.
 
-    trace is a RunTrace with its (features, labels) dataset, giving a float,
-    or a RunBatch with the stacked (R, n, d), (R, n) arrays it ran on,
-    giving an (R,) array that is NaN in overrun rows.
+    batch is a RunBatch and dataset the stacked (R, n, d), (R, n) arrays it
+    ran on; the result is an (R,) array that is NaN in overrun rows.
     """
     u = np.asarray(comparator, dtype=float)
     if not config.feasible_set.contains(u):
         raise ConfigurationError("estimate_regret: comparator lies outside the set")
     features, labels = (np.asarray(a, dtype=float) for a in dataset)
-    idx = trace.fresh_indices
-    x = np.take_along_axis(features, idx[..., None], axis=-2)
-    y = np.take_along_axis(labels, idx, axis=-1)
-    z = np.einsum("...i,...i->...", trace.fresh_iterates, x)
+    idx = batch.fresh_indices
+    x = np.take_along_axis(features, idx[..., None], axis=1)
+    y = np.take_along_axis(labels, idx, axis=1)
+    z = np.einsum("...i,...i->...", batch.fresh_iterates, x)
     oracle = config.oracle
-    total = (oracle.loss_at(z, y) - oracle.batch_values(u, x, y)).sum(axis=-1)
-    return float(total) if total.ndim == 0 else total
+    return (oracle.loss_at(z, y) - oracle.batch_values(u, x, y)).sum(axis=-1)
 
 
 def estimate_risk(w, population, oracle, eval_samples, rng):

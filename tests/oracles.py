@@ -135,6 +135,42 @@ def plain_subgradient(kind, w, features, label):
     return (z - label) * features
 
 
+def stepwise_run(n, eta, sigma, w1, seed, features, labels, project, subgradient):
+    """One private run as the per-step loop: the paper's algorithm, one step
+    at a time.
+
+    The index and noise streams are the two children of
+    np.random.SeedSequence(seed).spawn(2). Each step draws one index by
+    integers(0, n) and one standard_normal(d) noise vector. An index not yet
+    in the Python set of seen indices is fresh: the step takes
+    subgradient(w, x, y) + noise at the current iterate w, which is kept. A
+    repeat steps against the noise alone. Every step ends with project(w).
+    The run stops once more than n/2 indices are seen.
+
+    Returns (tau, fresh indices, fresh-step iterates, output), where the
+    output is the mean of the fresh-step iterates, summed in step order.
+    """
+    index_seq, noise_seq = np.random.SeedSequence(seed).spawn(2)
+    index_rng = np.random.default_rng(index_seq)
+    noise_rng = np.random.default_rng(noise_seq)
+    w = np.array(w1, dtype=float)
+    seen, fresh_indices, fresh_iterates, tau = set(), [], [], 0
+    while len(seen) <= n // 2:
+        i = int(index_rng.integers(0, n))
+        g = sigma * noise_rng.standard_normal(len(w))
+        if i not in seen:
+            seen.add(i)
+            fresh_indices.append(i)
+            fresh_iterates.append(w)
+            g = subgradient(w, features[i], labels[i]) + g
+        w = project(w - eta * g)
+        tau += 1
+    total = np.zeros(len(w))
+    for iterate in fresh_iterates:
+        total = total + iterate
+    return tau, np.array(fresh_indices), np.array(fresh_iterates), total / len(seen)
+
+
 def points_away_from_kinks(rng, count):
     """count (w, x, y) rows, stacked, whose margin is 1e-3 clear of both kinks.
 

@@ -13,7 +13,7 @@ import pytest
 
 from oracles import (closed_form_cell_violations, partial_coupon_sum,
                      plain_subgradient, points_away_from_kinks, project_ball,
-                     project_box)
+                     project_box, stepwise_run)
 
 from dpmirror.geometry import FeasibleSet
 from dpmirror.losses import LossOracle, PopulationSpec, draw_dataset, population_risk
@@ -224,7 +224,7 @@ def test_criterion_6_single_step_audit():
 
 def test_criterion_7_noiseless_equivalence():
     rng = np.random.default_rng(MASTER_SEED + 7)
-    worst = 0.0
+    worst, same_steps = 0.0, True
     for case in range(100):
         d = int(rng.integers(1, 6))
         n = int(rng.integers(16, 64))
@@ -256,21 +256,18 @@ def test_criterion_7_noiseless_equivalence():
         w1 = project(rng.normal(scale=0.5, size=d))
         config = RunConfig(n=n, eta=eta, sigma=0.0, feasible_set=feasible,
                            oracle=oracle, w1=w1)
-        trace = private_sgd(config, derived_seed(7, case), (features, labels))
-
-        w = w1.copy()
-        for t in range(trace.tau):
-            worst = max(worst, float(np.max(np.abs(trace.iterates[t] - w))))
-            if trace.fresh[t]:
-                i = trace.indices[t]
-                g = plain_subgradient(kind, w, features[i], labels[i])
-                w = project(w - eta * g)
-            else:
-                w = project(w)
-        replay_out = np.mean(trace.iterates[trace.fresh], axis=0)
-        worst = max(worst, float(np.max(np.abs(trace.output - replay_out))))
-    check(7, "noiseless trajectory equivalence", worst <= 1e-12,
-          f"max per-coordinate gap {worst:.2e} over 100 configs")
+        seed = derived_seed(7, case)
+        run = private_sgd(config, seed, (features, labels))
+        tau, indices, iterates, output = stepwise_run(
+            n, eta, 0.0, w1, seed, features, labels, project,
+            lambda w, x, y: plain_subgradient(kind, w, x, y))
+        same_steps &= (run.tau.tolist() == [tau] and not run.overrun[0]
+                       and np.array_equal(run.fresh_indices[0], indices))
+        worst = max(worst, float(np.max(np.abs(run.fresh_iterates[0] - iterates))),
+                    float(np.max(np.abs(run.output[0] - output))))
+    check(7, "noiseless trajectory equivalence", same_steps and worst <= 1e-12,
+          f"same tau and fresh indices: {same_steps}; max per-coordinate gap "
+          f"{worst:.2e} over 100 configs")
 
 
 def row_losses(oracle, w, features, labels):

@@ -81,6 +81,13 @@ class TestConfig:
         with pytest.raises(ConfigurationError):
             build_spec(base_overrides(tmp_path, n_values="8"))
 
+    def test_negative_seed_rejected_where_parsed(self, tmp_path):
+        # np.random.SeedSequence takes only non-negative seeds; the key is
+        # checked when it is parsed, not left to fail inside a run.
+        with pytest.raises(ConfigurationError,
+                           match="config field seed: must be >= 0, got -1"):
+            build_spec(base_overrides(tmp_path, seed="-1"))
+
     def test_box_set(self, tmp_path):
         spec = build_spec(base_overrides(
             tmp_path, set="box", lower="-0.5,-0.5", upper="0.5,0.5"))

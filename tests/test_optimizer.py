@@ -7,16 +7,15 @@ import pytest
 
 import dpmirror.optimizer as optimizer_mod
 from dpmirror import sampler
-from dpmirror.errors import ConfigurationError, OverrunError
+from dpmirror.errors import ConfigurationError
 from dpmirror.geometry import FeasibleSet
 from dpmirror.losses import (RISK_QUADRATURE_BOUND, LossOracle, PopulationSpec, draw_dataset,
                              population_risk)
 from dpmirror.optimizer import (NOISE_CHUNK_STEPS, RunConfig, baseline_minimizer,
                                 estimate_regret, estimate_risk, private_sgd,
-                                private_sgd_batch, run_streams)
-from dpmirror.sampler import fresh_target
+                                private_sgd_batch)
 
-from oracles import grid_minimum
+from oracles import grid_minimum, plain_subgradient, project_ball, stepwise_run
 
 
 def hinge_setup(n, d, sigma, eta, seed, radius=0.5, noise_rate=0.1):
@@ -46,104 +45,69 @@ class TestPrivateSgd:
         data = (np.array([[0.8], [0.5]]), np.array([1.0, -1.0]))
         config = RunConfig(n=2, eta=0.25, sigma=0.0, feasible_set=fs,
                            oracle=LossOracle.hinge(1.0), w1=np.zeros(1))
-        trace = private_sgd(config, 1, data)
-        assert trace.tau == 2
-        assert trace.indices.tolist() == [0, 1]
-        np.testing.assert_allclose(trace.iterates[0], [0.0], atol=1e-15)
-        np.testing.assert_allclose(trace.iterates[1], [0.2], atol=1e-12)
-        np.testing.assert_allclose(trace.output, [0.1], atol=1e-12)
+        run = private_sgd(config, 1, data)
+        assert run.tau.tolist() == [2]
+        assert run.fresh_indices[0].tolist() == [0, 1]
+        np.testing.assert_allclose(run.fresh_iterates[0, 0], [0.0], atol=1e-15)
+        np.testing.assert_allclose(run.fresh_iterates[0, 1], [0.2], atol=1e-12)
+        np.testing.assert_allclose(run.output[0], [0.1], atol=1e-12)
 
     def test_vanishing_step_size_keeps_w1(self):
         _, data, config = hinge_setup(20, 2, sigma=1.0, eta=1e-12, seed=3)
-        trace = private_sgd(config, 3, data)
-        assert np.linalg.norm(trace.output - config.w1) <= 1e-6
+        run = private_sgd(config, 3, data)
+        assert np.linalg.norm(run.output[0] - config.w1) <= 1e-6
 
     def test_fixed_seed_is_bitwise_deterministic(self):
         _, data, config = hinge_setup(32, 3, sigma=0.8, eta=0.05, seed=7)
         a = private_sgd(config, 7, data)
         b = private_sgd(config, 7, data)
-        assert a.tau == b.tau
-        np.testing.assert_array_equal(a.output, b.output)
-        for field in ("indices", "fresh", "iterates", "noise_norms"):
-            np.testing.assert_array_equal(getattr(a, field), getattr(b, field))
+        for field in ("tau", "overrun", "output", "fresh_indices", "fresh_iterates"):
+            assert getattr(a, field).tobytes() == getattr(b, field).tobytes(), field
 
     def test_trace_invariants(self):
-        _, data, config = hinge_setup(50, 2, sigma=2.0, eta=0.1, seed=11)
-        trace = private_sgd(config, 11, data)
-        assert trace.tau == len(trace.indices) == len(trace.fresh)
-        assert trace.iterates.shape == (trace.tau, 2)
-        assert trace.noise_norms.shape == (trace.tau,)
-        assert int(trace.fresh.sum()) == 50 // 2 + 1
-        assert trace.fresh[-1]                  # the stopping step is fresh
-        for w in trace.iterates:
+        n = 50
+        _, data, config = hinge_setup(n, 2, sigma=2.0, eta=0.1, seed=11)
+        run = private_sgd(config, 11, data)
+        assert run.overrun.tolist() == [False]
+        assert run.fresh_indices.shape == (1, n // 2 + 1)
+        assert len(set(run.fresh_indices[0].tolist())) == n // 2 + 1
+        assert run.fresh_iterates.shape == (1, n // 2 + 1, 2)
+        for w in run.fresh_iterates[0]:
             assert config.feasible_set.contains(w)
-        np.testing.assert_allclose(trace.output, trace.iterates[trace.fresh].mean(axis=0),
+        np.testing.assert_allclose(run.output[0], run.fresh_iterates[0].mean(axis=0),
                                    atol=1e-12)
-        assert config.feasible_set.contains(trace.output)
-        # fresh flags in the trace agree with first occurrences
-        seen = set()
-        for idx, fresh in zip(trace.indices.tolist(), trace.fresh.tolist()):
-            assert fresh == (idx not in seen)
-            seen.add(idx)
-
-    def test_noise_norms_match_sigma(self):
-        # Each step's noise is N(0, sigma^2 I): E||xi||^2 = sigma^2 * d.
-        _, data, config = hinge_setup(400, 3, sigma=2.0, eta=0.01, seed=12)
-        trace = private_sgd(config, 12, data)
-        mean_sq = float(np.mean(trace.noise_norms ** 2))
-        assert abs(mean_sq - 4.0 * 3) <= 0.15 * 12.0
+        assert config.feasible_set.contains(run.output[0])
 
     def test_noiseless_matches_plain_projected_sgd(self):
         # Independent replay: plain projected subgradient steps on the
-        # recorded index stream, with projection and subgradients written
-        # out longhand.
+        # run's index stream, with the projection and the subgradients
+        # written out longhand in tests/oracles.py.
         _, (features, labels), config = hinge_setup(40, 3, sigma=0.0, eta=0.07, seed=13)
-        trace = private_sgd(config, 13, (features, labels))
-        w = config.w1.copy()
-        r = config.feasible_set.radius
-        for t in range(trace.tau):
-            assert np.max(np.abs(trace.iterates[t] - w)) <= 1e-12
-            if trace.fresh[t]:
-                x, y = features[trace.indices[t]], labels[trace.indices[t]]
-                margin = y * float(w @ x)
-                g = -y * x if margin <= 1.0 else np.zeros(3)
-                w = w - config.eta * g
-                norm = math.sqrt(float(w @ w))
-                if norm > r:
-                    w = w * (r / norm)
-        assert np.all(trace.noise_norms == 0.0)
+        self.check_against_reference(config, 13, features, labels)
 
     def test_noisy_matches_stepwise_reference(self):
         # The per-step loop as the reference: one integers() draw and one
         # standard_normal(d) draw per step from the run's two streams, a
         # Python set of seen indices, projection written out. At n = 300
         # the run crosses noise-chunk boundaries.
-        n, d = 300, 3
-        _, (features, labels), config = hinge_setup(n, d, sigma=0.7, eta=0.05, seed=17)
-        trace = private_sgd(config, 17, (features, labels))
-        idx_rng, noise_rng = run_streams(17)
+        _, (features, labels), config = hinge_setup(300, 3, sigma=0.7, eta=0.05, seed=17)
+        run = self.check_against_reference(config, 17, features, labels)
+        assert run.tau[0] > NOISE_CHUNK_STEPS
+
+    @staticmethod
+    def check_against_reference(config, seed, features, labels):
         r = config.feasible_set.radius
-        w = config.w1.copy()
-        seen, fresh_sum, t = set(), np.zeros(d), 0
-        while len(seen) <= n // 2:
-            i = int(idx_rng.integers(0, n))
-            xi = config.sigma * noise_rng.standard_normal(d)
-            assert i == trace.indices[t]
-            assert np.max(np.abs(trace.iterates[t] - w)) <= 1e-12
-            assert abs(trace.noise_norms[t] - np.linalg.norm(xi)) <= 1e-12
-            g = xi
-            if i not in seen:
-                seen.add(i)
-                fresh_sum += w
-                x, y = features[i], labels[i]
-                g = (-y * x if y * float(w @ x) <= 1.0 else np.zeros(d)) + xi
-            w = w - config.eta * g
-            norm = math.sqrt(float(w @ w))
-            if norm > r:
-                w = w * (r / norm)
-            t += 1
-        assert trace.tau == t > NOISE_CHUNK_STEPS
-        assert np.max(np.abs(trace.output - fresh_sum / len(seen))) <= 1e-12
+        tau, indices, iterates, output = stepwise_run(
+            config.n, config.eta, config.sigma, config.w1, seed, features, labels,
+            lambda x: project_ball(np.zeros(len(x)), r, x),
+            lambda w, x, y: plain_subgradient("hinge", w, x, y))
+        run = private_sgd(config, seed, (features, labels))
+        assert run.tau.tolist() == [tau]
+        assert run.overrun.tolist() == [False]
+        np.testing.assert_array_equal(run.fresh_indices[0], indices)
+        assert np.max(np.abs(run.fresh_iterates[0] - iterates)) <= 1e-12
+        assert np.max(np.abs(run.output[0] - output)) <= 1e-12
+        return run
 
     def test_wrong_dataset_size(self):
         _, (features, labels), config = hinge_setup(30, 2, sigma=0.0, eta=0.1, seed=5)
@@ -157,22 +121,22 @@ class TestPrivateSgd:
         with pytest.raises(ConfigurationError):
             private_sgd(config, 0, constant_dataset(16, 2))
 
-    def test_overrun_carries_partial_trace(self, monkeypatch):
+    def test_overrun_is_flagged_with_nan_output(self, monkeypatch):
         # Seed 26 yields at most 8 distinct indices in the first 16 draws
         # for n=16, so a cap of 16 steps (MAX_STEPS_FACTOR = 1) cannot reach
-        # the 9 fresh draws the stopping rule needs.
+        # the 9 fresh draws the stopping rule needs. The overrun is the
+        # row's flag, not an exception.
         monkeypatch.setattr(optimizer_mod, "MAX_STEPS_FACTOR", 1)
         fs = FeasibleSet.box([-1.0], [1.0])
         config = RunConfig(n=16, eta=0.1, sigma=0.0, feasible_set=fs,
                            oracle=LossOracle.hinge(1.0), w1=np.zeros(1))
-        with pytest.raises(OverrunError) as err:
-            private_sgd(config, 26, constant_dataset(16, 1, value=0.1))
-        partial = err.value.trace
-        assert partial.tau == 16
-        assert len(partial.indices) == 16
-        assert partial.iterates.shape == (16, 1)
-        assert int(partial.fresh.sum()) < fresh_target(16)
-        assert partial.output is None
+        run = private_sgd(config, 26, constant_dataset(16, 1, value=0.1))
+        assert run.overrun.tolist() == [True]
+        assert run.tau.tolist() == [16]
+        assert np.all(np.isnan(run.output))
+        # Slots past the last fresh step read index 0 and a NaN iterate.
+        assert np.isnan(run.fresh_iterates[0, -1]).all()
+        assert run.fresh_indices[0, -1] == 0
 
 
 class TestInputChecks:
@@ -246,7 +210,7 @@ class TestInputChecks:
         with pytest.raises(ConfigurationError, match="certified L"):
             private_sgd(config, 0, (features, labels))
         labels[2] = 1.0   # the same row at label 1 sits exactly on L and runs
-        assert private_sgd(config, 0, (features, labels)).tau >= 9
+        assert private_sgd(config, 0, (features, labels)).tau[0] >= 9
 
     def test_batch_row_count_mismatch(self):
         features, labels = constant_dataset(16, 2)
@@ -261,40 +225,28 @@ def stacked_datasets(population, n, rows, first_seed):
     return np.stack([f for f, _ in data]), np.stack([y for _, y in data])
 
 
-def single_runs(config, seeds, features, labels):
-    """Each row on its own, through private_sgd (overruns kept as partial traces)."""
-    traces = []
-    for r, seed in enumerate(seeds):
-        try:
-            traces.append(private_sgd(config, seed, (features[r], labels[r])))
-        except OverrunError as err:
-            traces.append(err.trace)
-    return traces
-
-
 class TestBatchEquivalence:
-    """R rows of private_sgd_batch equal R independent single-row runs."""
+    """R rows of private_sgd_batch equal R independent R = 1 runs."""
 
     def check(self, config, seeds, features, labels, comparator):
-        batch = private_sgd_batch(config, seeds, features, labels, record=True)
-        singles = single_runs(config, seeds, features, labels)
+        batch = private_sgd_batch(config, seeds, features, labels)
         regrets = estimate_regret(batch, (features, labels), comparator, config)
-        for r, single in enumerate(singles):
-            row = batch.traces[r]
-            assert row.tau == single.tau == batch.tau[r]
-            np.testing.assert_array_equal(row.indices, single.indices)
-            np.testing.assert_array_equal(row.fresh, single.fresh)
-            assert np.max(np.abs(row.iterates - single.iterates)) <= 1e-12
-            assert np.max(np.abs(row.noise_norms - single.noise_norms)) <= 1e-12
-            if single.output is None:
-                assert batch.overrun[r]
+        for r, seed in enumerate(seeds):
+            single = private_sgd(config, seed, (features[r], labels[r]))
+            assert single.tau[0] == batch.tau[r]
+            assert single.overrun[0] == batch.overrun[r]
+            np.testing.assert_array_equal(batch.fresh_indices[r], single.fresh_indices[0])
+            # An overrun row's NaN slots must line up; assert_allclose takes
+            # NaN as equal to NaN.
+            np.testing.assert_allclose(batch.fresh_iterates[r], single.fresh_iterates[0],
+                                       rtol=0, atol=1e-12)
+            single_regret = estimate_regret(single, (features[r:r + 1], labels[r:r + 1]),
+                                            comparator, config)[0]
+            if single.overrun[0]:
                 assert np.all(np.isnan(batch.output[r])) and math.isnan(regrets[r])
+                assert np.all(np.isnan(single.output)) and math.isnan(single_regret)
                 continue
-            assert not batch.overrun[r]
-            assert np.max(np.abs(batch.output[r] - single.output)) <= 1e-12
-            np.testing.assert_array_equal(batch.output[r], row.output)
-            single_regret = estimate_regret(single, (features[r], labels[r]),
-                                            comparator, config)
+            assert np.max(np.abs(batch.output[r] - single.output[0])) <= 1e-12
             assert abs(regrets[r] - single_regret) <= 1e-12
         return batch
 
@@ -335,7 +287,7 @@ class TestBatchEquivalence:
 
     def test_overrunning_row_beside_finishing_rows(self, monkeypatch):
         # Seed 26 overruns a 16-step cap at n = 16 (see
-        # test_overrun_carries_partial_trace); seeds 27-29 finish within it,
+        # test_overrun_is_flagged_with_nan_output); seeds 27-29 finish within it,
         # and seed 43 on its last step.
         monkeypatch.setattr(optimizer_mod, "MAX_STEPS_FACTOR", 1)
         n, d = 16, 1
@@ -449,12 +401,18 @@ class TestBatchMemory:
         assert peak < 22 * rows * n
 
 
+def stacked(dataset):
+    """One (features, labels) dataset as the (1, n, d), (1, n) stack of an R = 1 run."""
+    features, labels = dataset
+    return features[None], labels[None]
+
+
 class TestRegret:
     def test_finite_for_own_output(self):
         _, data, config = hinge_setup(24, 2, sigma=0.4, eta=0.1, seed=23)
-        trace = private_sgd(config, 23, data)
-        value = estimate_regret(trace, data, trace.output, config)
-        assert math.isfinite(value)
+        run = private_sgd(config, 23, data)
+        value = estimate_regret(run, stacked(data), run.output[0], config)
+        assert value.shape == (1,) and math.isfinite(value[0])
 
     def test_constant_loss_gives_zero(self):
         # zero features make the hinge identically one
@@ -462,28 +420,28 @@ class TestRegret:
         data = constant_dataset(16, 2)
         config = RunConfig(n=16, eta=0.1, sigma=0.0, feasible_set=fs,
                            oracle=LossOracle.hinge(1.0), w1=np.zeros(2))
-        trace = private_sgd(config, 4, data)
-        assert estimate_regret(trace, data, np.array([0.3, 0.0]), config) == 0.0
+        run = private_sgd(config, 4, data)
+        assert estimate_regret(run, stacked(data), np.array([0.3, 0.0]),
+                               config).tolist() == [0.0]
 
     def test_comparator_must_be_feasible(self):
         _, data, config = hinge_setup(16, 2, sigma=0.0, eta=0.1, seed=5)
-        trace = private_sgd(config, 5, data)
+        run = private_sgd(config, 5, data)
         with pytest.raises(ConfigurationError):
-            estimate_regret(trace, data, np.array([5.0, 0.0]), config)
+            estimate_regret(run, stacked(data), np.array([5.0, 0.0]), config)
 
     def test_matches_direct_sum(self):
         _, (features, labels), config = hinge_setup(30, 2, sigma=0.6, eta=0.05, seed=29)
-        trace = private_sgd(config, 29, (features, labels))
+        run = private_sgd(config, 29, (features, labels))
         u = np.array([0.2, -0.1])
         total = 0.0
-        for t in np.flatnonzero(trace.fresh):
-            x, y = features[trace.indices[t]], labels[trace.indices[t]]
-            wt = trace.iterates[t]
+        for i, wt in zip(run.fresh_indices[0], run.fresh_iterates[0]):
+            x, y = features[i], labels[i]
             total += max(0.0, 1.0 - y * float(wt @ x))
             total -= max(0.0, 1.0 - y * float(u @ x))
-        value = estimate_regret(trace, (features, labels), u, config)
-        assert isinstance(value, float)
-        assert value == pytest.approx(total, abs=1e-12)
+        value = estimate_regret(run, stacked((features, labels)), u, config)
+        assert value.shape == (1,)
+        assert value[0] == pytest.approx(total, abs=1e-12)
 
 
 def uniform_interval_density(ts, d, radius):
