@@ -85,18 +85,14 @@ class FeasibleSet:
 
         No input checks: this is the per-step projection of the optimizer
         and of the reference minimizer, whose inputs are checked once at
-        entry. If every row is already in the set, points itself is returned.
+        entry. Returns a new array: rows already in the set keep their bits.
         """
         if self.kind == L2_BALL:
             offset = points - self.center
             norms = np.sqrt(np.einsum("...i,...i->...", offset, offset))
-            outside = norms > self.radius
-            if not outside.any():
-                return points
-            projected = points.copy()
-            projected[outside] = self.center + offset[outside] * (
-                self.radius / norms[outside])[:, None]
-            return projected
+            scale = self.radius / np.maximum(norms, self.radius)
+            return np.where((norms > self.radius)[..., None],
+                            self.center + offset * scale[..., None], points)
         return points.clip(self.lower, self.upper)
 
     def max_norm(self):

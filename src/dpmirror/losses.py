@@ -318,7 +318,7 @@ def population_risk(spec, oracle, w):
                   if sin_angle > 0.0 else np.zeros(d))
         cuts += [-sin_angle, sin_angle]
     t, t_weights = _mapped_rule(RISK_NODES)
-    cuts = np.arcsin(np.unique(cuts))
+    cuts = np.arcsin(sorted(set(cuts)))
     lo, hi = cuts[:-1, None], cuts[1:, None]
     psi = (lo + (hi - lo) * t).ravel()
     s, cos = np.sin(psi), np.cos(psi)

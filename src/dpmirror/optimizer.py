@@ -13,20 +13,17 @@ A run is fixed by its RunConfig (n, eta, sigma, the feasible set, the
 oracle and w1), the seed passed beside it and its dataset, and takes at
 most max_steps = MAX_STEPS_FACTOR * n steps. The index stream does not
 depend on the iterates, so every run's stopping time and fresh steps are
-read up front by sampler.draw_stopping_times, simulate_tau's path, from a
-first block of about 3n/4 indices per run; only the projected-step
-recursion is sequential. private_sgd_batch runs it for R runs at once
-(repeats that differ in seed and dataset) on (R, d) arrays, rows in seed
-order, every row stepping up to the largest stopping time; private_sgd is
-its R = 1 call. Each run draws its noise from its own generator in chunks
-of NOISE_CHUNK_STEPS steps. The values equal one standard_normal(d) draw
-per step, and memory stays O(R * chunk * d) rather than O(R * max_steps * d).
-Every run is reproducible from its seed alone, whatever batch it runs in.
+read up front by sampler.draw_stopping_times, simulate_tau's path; only
+the projected-step recursion is sequential. private_sgd_batch runs it for
+R runs at once (repeats that differ in seed and dataset) on (R, d) arrays,
+every row stepping up to the largest stopping time; private_sgd is its
+R = 1 call. Per chunk of NOISE_CHUNK_STEPS steps, each run draws its noise
+from its own generator and the fresh steps' data are gathered under the
+fresh mask, so a step updates every row alike and indexes nothing. Every
+run is reproducible from its seed alone, whatever batch it runs in.
 
-A run's result is the RunBatch arrays and nothing per step: tau, the
-overrun flag, the output, and the index and iterate of each fresh step.
-A run that overruns its cap is reported by its overrun flag (tau = cap,
-NaN output), never by an exception.
+A run's result is the RunBatch arrays and nothing per step. A run that
+overruns its cap is reported by its overrun flag, never by an exception.
 
 baseline_minimizer, the non-private reference point, minimizes the exact
 population risk (losses.population_risk, a quadrature with a stated error
@@ -143,11 +140,17 @@ def private_sgd_batch(config, seeds, features, labels):
     (features[r], labels[r]); features is (R, n, d) and labels (R, n). Each
     row gives the same result as running it alone.
 
-    All rows step in lockstep up to max(tau). A row past its own tau keeps
-    taking noise-only steps from its own noise generator, and nothing reads
-    them: all of its fresh steps come before its tau, and those noise draws
-    come after every value it uses. Per-row results therefore do not depend
-    on the other rows.
+    Rows step in lockstep up to max(tau). A row past its own tau takes
+    noise-only steps that nothing reads, with noise drawn after every value
+    it uses, so no row's result depends on the others.
+
+    Per chunk of NOISE_CHUNK_STEPS steps, each run draws its noise from its
+    own generator (the values of one standard_normal(d) draw per step), and
+    one nonzero of the (steps + 1, R) fresh mask gives the fresh (step, row)
+    pairs. Their data fill a (chunk, R, d) array, with a zero row (label 1)
+    at noise-only steps, where g = subgradient + noise is exactly the noise;
+    the iterates held at fresh steps go to fresh_iterates in one scatter
+    per chunk. Memory stays O(R * chunk * d), not O(R * max_steps * d).
 
     Inputs are checked once here rather than per step: the config
     (RunConfig.validate), the array shapes, finite features and labels, and
@@ -210,39 +213,34 @@ def private_sgd_batch(config, seeds, features, labels):
     fresh = np.zeros((steps + 1, rows), dtype=bool)
     fresh[arrivals, np.arange(rows)[:, None]] = True
     del draws, arrivals
-    # Per row: the flat slot of its next fresh step, and its fresh data rows.
-    next_slot = np.arange(0, rows * target, target)
-    fresh_data = (fresh_indices + np.arange(0, rows * n, n)[:, None]).ravel()
-    flat_x = features.reshape(rows * n, d)
-    flat_y = labels.reshape(rows * n)
-    fresh_iterates = np.full((rows * target, d), np.nan)
-    eta, sigma = config.eta, config.sigma
-    oracle, feasible_set = config.oracle, config.feasible_set
+    seen = 0
+    fresh_iterates = np.full((rows, target, d), np.nan)
+    eta, oracle, feasible_set = config.eta, config.oracle, config.feasible_set
     w = np.tile(np.asarray(config.w1, dtype=float), (rows, 1))
 
-    for t in range(steps):
-        if t % NOISE_CHUNK_STEPS == 0:
-            chunk_start = t
-            chunk = np.empty((min(NOISE_CHUNK_STEPS, steps - t), rows, d))
-            for r, (_, noise_rng) in enumerate(streams):
-                chunk[:, r] = noise_rng.standard_normal((chunk.shape[0], d))
-            noise = sigma * chunk
-        xi = noise[t - chunk_start]
-        at = fresh[t].nonzero()[0]
-        if at.size:
-            dest = next_slot[at]
-            next_slot[at] = dest + 1
-            data = fresh_data[dest]
-            w_at = w[at]
-            fresh_iterates[dest] = w_at
-            g = xi.copy()
-            g[at] = oracle.subgradient(w_at, flat_x[data], flat_y[data]) + xi[at]
-        else:
-            g = xi
-        w = feasible_set.project_rows(w - eta * g)
+    for chunk_start in range(0, steps, NOISE_CHUNK_STEPS):
+        k = min(NOISE_CHUNK_STEPS, steps - chunk_start)
+        noise = config.sigma * np.stack([rng.standard_normal((k, d)) for _, rng in streams], 1)
+        # A noise-only step reads a zero row with label 1: slope -1 under
+        # each loss, so a -0.0 subgradient, which keeps every bit of the noise.
+        mask = fresh[chunk_start:chunk_start + k]
+        counts = mask.cumsum(axis=0) + seen
+        at_step, at_row = mask.nonzero()
+        slots = counts[at_step, at_row] - 1
+        seen = counts[-1]
+        data = fresh_indices[at_row, slots]
+        x = np.zeros((k, rows, d))
+        x[at_step, at_row] = features[at_row, data]
+        y = np.ones((k, rows))
+        y[at_step, at_row] = labels[at_row, data]
+        held = []
+        for x_t, y_t, xi in zip(x, y, noise):
+            held.append(w)
+            g = oracle.subgradient(w, x_t, y_t) + xi
+            w = feasible_set.project_rows(w - eta * g)
+        fresh_iterates[at_row, slots] = np.stack(held)[at_step, at_row]
 
     # The fresh-iterate sum, accumulated in step order.
-    fresh_iterates = fresh_iterates.reshape(rows, target, d)
     total = np.zeros((rows, d))
     for slot in range(target):
         total += fresh_iterates[:, slot]
@@ -264,6 +262,11 @@ def estimate_regret(batch, dataset, comparator, config):
         raise ConfigurationError("estimate_regret: comparator lies outside the set")
     features, labels = (np.asarray(a, dtype=float) for a in dataset)
     idx = batch.fresh_indices
+    shape = (len(idx), config.n, config.feasible_set.dimension)
+    if features.shape != shape or labels.shape != shape[:2]:
+        raise ConfigurationError(
+            f"estimate_regret: need the stacked features (R, n, d) = {shape} and labels "
+            f"(R, n) = {shape[:2]} the batch ran on; got {features.shape} and {labels.shape}")
     x = np.take_along_axis(features, idx[..., None], axis=1)
     y = np.take_along_axis(labels, idx, axis=1)
     z = np.einsum("...i,...i->...", batch.fresh_iterates, x)

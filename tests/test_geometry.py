@@ -79,6 +79,44 @@ class TestProjection:
             inside = middle + 0.01 * rng.uniform(-1.0, 1.0, size=(5, 3))
             np.testing.assert_array_equal(s.project_rows(inside), inside)
 
+    @staticmethod
+    def boolean_index_projection(ball, points):
+        """The ball projection as a copy with the outside rows rescaled by
+        boolean indexing, the formula the branch-free one replaced."""
+        offset = points - ball.center
+        norms = np.sqrt(np.einsum("...i,...i->...", offset, offset))
+        outside = norms > ball.radius
+        projected = points.copy()
+        projected[outside] = ball.center + offset[outside] * (
+            ball.radius / norms[outside])[:, None]
+        return projected
+
+    @pytest.mark.parametrize("center, radius, rows", [
+        # inside, exactly on the sphere (offset (3, 4)), outside, the centre
+        ([1.0, -2.0], 5.0, [[2.0, -1.0], [4.0, 2.0], [10.0, 10.0], [1.0, -2.0]]),
+        # the same kinds of row around the origin, with signed zeros
+        ([0.0, 0.0], 1.0, [[0.5, -0.0], [-0.0, -1.0], [3.0, -4.0], [-0.0, -0.0]]),
+    ], ids=["off-centre", "origin"])
+    def test_ball_matches_boolean_index_formula_bytewise(self, center, radius, rows):
+        ball = FeasibleSet.l2_ball(radius, center=np.array(center))
+        rows = np.array(rows)
+        offset = rows[1] - ball.center
+        assert math.sqrt(offset @ offset) == radius      # the second row is on the sphere
+        with np.errstate(all="raise"):
+            for point in rows:
+                got = ball.project_rows(point)
+                assert got.shape == point.shape
+                assert got.tobytes() == self.boolean_index_projection(ball, point).tobytes()
+            for stack in (rows, rows[::-1], np.stack([rows, rows[[2, 0, 3, 1]]])):
+                want = self.boolean_index_projection(ball, stack.reshape(-1, 2))
+                got = ball.project_rows(stack)
+                assert got.shape == stack.shape
+                assert got.tobytes() == want.tobytes()
+        # Rows inside or on the sphere keep their bits; the outside row moves.
+        got = ball.project_rows(rows)
+        assert got[[0, 1, 3]].tobytes() == rows[[0, 1, 3]].tobytes()
+        assert np.linalg.norm(got[2] - ball.center) == pytest.approx(radius, rel=1e-15)
+
     def test_diameter(self):
         assert FeasibleSet.l2_ball(1.5, dimension=3).diameter() == 3.0
         box = FeasibleSet.box([0.0, 0.0], [3.0, 4.0])

@@ -1,6 +1,9 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -246,6 +249,22 @@ class TestRunCommand:
 
 
 class TestCli:
+    def test_run_leaves_numpy_ma_unimported(self, tmp_path):
+        # numpy.ma costs a run about 17 ms and 1 MB to import, and np.unique
+        # imports it on its first call; a run must not. A fresh interpreter
+        # runs a tiny grid with src on the import path.
+        code = ("import sys\n"
+                "from dpmirror import cli\n"
+                "assert cli.main(['run', '--n-values', '16', '--epsilon-values', 'max',"
+                " '--repeats', '2', '--seed', '1', '--baseline-steps', '10000',"
+                f" '--output-dir', {str(tmp_path)!r}]) == 0\n"
+                "print('numpy.ma' in sys.modules)\n")
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=src), timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split()[-1] == "False"
+
     def test_calibrate_direct(self, capsys):
         rc = cli.main(["calibrate", "--n", "10000", "--eps", "0.005",
                        "--delta", "1e-6", "--L", "1", "--D", "1", "--d", "10"])

@@ -15,7 +15,8 @@ from dpmirror.optimizer import (NOISE_CHUNK_STEPS, RunConfig, baseline_minimizer
                                 estimate_regret, estimate_risk, private_sgd,
                                 private_sgd_batch)
 
-from oracles import grid_minimum, plain_subgradient, project_ball, stepwise_run
+from oracles import (grid_minimum, plain_subgradient, project_ball, project_box,
+                     stepwise_run)
 
 
 def hinge_setup(n, d, sigma, eta, seed, radius=0.5, noise_rate=0.1):
@@ -380,11 +381,86 @@ class TestBatchGolden:
             assert getattr(permuted, field).tobytes() == want.tobytes(), field
 
 
+class TestCornerBytes:
+    """Engine rows equal the stepwise reference bit for bit where the update
+    meets exact zeros: sigma = 0 from w1 = (-0.0, -0.0), on data whose second
+    coordinate is +0.0 or -0.0, so that coordinate of every iterate stays a
+    signed zero, with and without a row that overruns its cap. Each dot
+    product then has one nonzero term, so the reference's arithmetic is the
+    engine's to the bit (at sigma > 0 its ball norms may round differently)."""
+
+    N, D = 16, 2
+
+    def case(self, kind, set_kind):
+        rng = np.random.default_rng(9)
+        features = np.zeros((5, self.N, self.D))
+        features[..., 0] = rng.uniform(-1.0, 1.0, size=(5, self.N))
+        features[..., 1] = np.where(rng.random((5, self.N)) < 0.5, 0.0, -0.0)
+        if kind == "hinge":
+            labels = rng.choice([-1.0, 1.0], size=(5, self.N))
+        else:
+            labels = rng.uniform(-1.0, 1.0, size=(5, self.N))
+        if set_kind == "ball":
+            fs = FeasibleSet.l2_ball(0.5, dimension=self.D)
+            project = lambda x: project_ball(fs.center, fs.radius, x)  # noqa: E731
+        else:
+            fs = FeasibleSet.box([-0.5] * self.D, [0.5] * self.D)
+            project = lambda x: project_box(fs.lower, fs.upper, x)  # noqa: E731
+        oracle = (LossOracle.squared(1.0, fs) if kind == "squared"
+                  else getattr(LossOracle, kind)(1.0))
+        config = RunConfig(n=self.N, eta=0.3, sigma=0.0, feasible_set=fs,
+                           oracle=oracle, w1=np.array([-0.0, -0.0]))
+        return config, features, labels, project
+
+    def check(self, kind, set_kind, seeds, cap):
+        config, features, labels, project = self.case(kind, set_kind)
+        batch = private_sgd_batch(config, seeds, features, labels)
+        for r, seed in enumerate(seeds):
+            tau, indices, iterates, output = stepwise_run(
+                config.n, config.eta, 0.0, config.w1, seed, features[r], labels[r],
+                project, lambda w, x, y: plain_subgradient(kind, w, x, y))
+            # The fresh steps among the first cap draws, one integers() call
+            # per step as in the reference.
+            index_rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(2)[0])
+            reached = len({int(index_rng.integers(0, config.n)) for _ in range(cap)})
+            if tau <= cap:
+                assert not batch.overrun[r] and batch.tau[r] == tau
+                assert batch.output[r].tobytes() == output.tobytes()
+            else:
+                assert batch.overrun[r] and batch.tau[r] == cap
+                assert reached < len(indices) and np.isnan(batch.output[r]).all()
+                assert np.isnan(batch.fresh_iterates[r, reached:]).all()
+                assert not batch.fresh_indices[r, reached:].any()
+            assert batch.fresh_indices[r, :reached].tobytes() == indices[:reached].tobytes()
+            assert batch.fresh_iterates[r, :reached].tobytes() == iterates[:reached].tobytes()
+        return batch
+
+    @pytest.mark.parametrize("set_kind", ["ball", "box"])
+    @pytest.mark.parametrize("kind", ["hinge", "absolute", "squared"])
+    def test_noiseless_from_negative_zero(self, kind, set_kind):
+        batch = self.check(kind, set_kind, [11, 12, 13, 14, 15],
+                           cap=optimizer_mod.MAX_STEPS_FACTOR * self.N)
+        # The second coordinate stays a signed zero, and both signs occur.
+        second = batch.fresh_iterates[..., 1]
+        assert not second.any() and np.signbit(second).any() and not np.signbit(second).all()
+
+    @pytest.mark.parametrize("set_kind", ["ball", "box"])
+    @pytest.mark.parametrize("kind", ["hinge", "absolute", "squared"])
+    def test_overrun_row_beside_finishing_rows(self, kind, set_kind, monkeypatch):
+        # Seed 26 overruns a 16-step cap at n = 16 (see
+        # test_overrun_is_flagged_with_nan_output); its missing fresh steps
+        # point at the spare last row of the fresh mask, which no step reads.
+        monkeypatch.setattr(optimizer_mod, "MAX_STEPS_FACTOR", 1)
+        batch = self.check(kind, set_kind, [26, 27, 28, 29, 43], cap=self.N)
+        assert batch.overrun.tolist() == [True, False, False, False, False]
+
+
 class TestBatchMemory:
     def test_peak_stays_linear_in_what_tau_reaches(self):
-        # Per R*n, the run's own arrays peak at about 18.5 bytes with the
-        # stopping-time kernel read in row chunks; reading all first blocks
-        # at once took about 28, and drawing a 4n block per row about 112.
+        # Per R*n, the run's own arrays peak at about 16.4 bytes with the
+        # stopping-time kernel read in row chunks and the data gathered per
+        # noise chunk; a flat per-row data index took it to 18.5, reading
+        # all first blocks at once to 28, drawing a 4n block per row to 112.
         n, rows, d = 20_000, 4, 2
         population = PopulationSpec("linear_margin", d, 1.0, w_true=np.eye(d)[0],
                                     noise_rate=0.1)
@@ -429,6 +505,13 @@ class TestRegret:
         run = private_sgd(config, 5, data)
         with pytest.raises(ConfigurationError):
             estimate_regret(run, stacked(data), np.array([5.0, 0.0]), config)
+
+    def test_unstacked_dataset_rejected(self):
+        # The (n, d), (n,) dataset of private_sgd, passed without its run axis.
+        _, data, config = hinge_setup(16, 2, sigma=0.3, eta=0.1, seed=5)
+        run = private_sgd(config, 5, data)
+        with pytest.raises(ConfigurationError, match=r"\(R, n, d\) = \(1, 16, 2\)"):
+            estimate_regret(run, data, np.zeros(2), config)
 
     def test_matches_direct_sum(self):
         _, (features, labels), config = hinge_setup(30, 2, sigma=0.6, eta=0.05, seed=29)
