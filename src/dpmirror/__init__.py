@@ -3,8 +3,9 @@
 The optimizer takes one uniform sample per step, does a noisy subgradient
 step the first time an index appears and a noise-only step on repeats, and
 stops once more than half the dataset has been touched. privacy provides
-the matching accountant (calibration, subsampling amplification, advanced
-composition, end-to-end parameter solving) and an empirical audit.
+the matching accountant (per-step calibration, the end-to-end run
+parameters and guarantee, and the split of an overall target) and an
+empirical audit.
 """
 
 from .errors import ConfigurationError, RegimeError
@@ -15,8 +16,7 @@ from .optimizer import (BaselineResult, RiskEstimate, RunBatch, RunConfig,
                         baseline_minimizer, estimate_regret, estimate_risk,
                         private_sgd, private_sgd_batch)
 from .privacy import (AuditResult, EndToEndPlan, InternalBudget, PrivacyReport,
-                      StepPrivacy, amplify_by_subsampling, audit_single_step,
-                      calibrate_sigma, compose, end_to_end, from_target)
+                      audit_single_step, calibrate_sigma, end_to_end, from_target)
 from .sampler import TauStats, expected_tau, sample_index, simulate_tau
 
 __version__ = "0.1.0"
@@ -30,7 +30,6 @@ __all__ = [
     "baseline_minimizer", "estimate_regret", "estimate_risk", "private_sgd",
     "private_sgd_batch",
     "AuditResult", "EndToEndPlan", "InternalBudget", "PrivacyReport",
-    "StepPrivacy", "amplify_by_subsampling", "audit_single_step",
-    "calibrate_sigma", "compose", "end_to_end", "from_target",
+    "audit_single_step", "calibrate_sigma", "end_to_end", "from_target",
     "TauStats", "expected_tau", "sample_index", "simulate_tau",
 ]

@@ -15,6 +15,6 @@ class RegimeError(ValueError):
     """A guarantee's precondition fails; we refuse rather than clamp.
 
     Raised by the accountant when parameters leave the regime where the
-    reported privacy guarantee is valid (e.g. a per-step epsilon too large
-    for the linearization used in composition).
+    reported privacy guarantee is valid (e.g. a per-record epsilon above
+    end_to_end's limit 1/(2*sqrt(n))).
     """

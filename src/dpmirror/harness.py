@@ -26,7 +26,7 @@ from .losses import (ABSOLUTE, HINGE, LINEAR_MARGIN, SQUARED, UNIFORM_BALL,
 from .optimizer import (RunConfig, baseline_minimizer, estimate_regret,  # noqa: F401
                         estimate_risk, private_sgd, private_sgd_batch)
 from .privacy import end_to_end, epsilon_limit, step_size
-from .sampler import TrialStreams, simulate_tau
+from .sampler import simulate_tau
 
 OUTPUT_DIR_ENV = "DPMIRROR_OUTPUT_DIR"
 EXCESS_RISK_CONSTANT = 2.5
@@ -420,17 +420,24 @@ def write_cells_csv(result, path):
             fh.write(",".join(_fmt(getattr(cell, col)) for col in CELL_COLUMNS) + "\n")
 
 
+def _json_value(value):
+    """A non-finite float as None (null), which strict JSON parsers accept."""
+    return None if isinstance(value, float) and not math.isfinite(value) else value
+
+
 def write_summary_json(result, path):
+    """cells.csv's records as strict JSON: a NaN there is null here."""
     payload = {
         "config": result.spec_echo,
         "baseline": {"risk": result.baseline_risk, "error": result.baseline_error},
         "degraded": result.degraded,
         "cells": [
-            {col: getattr(cell, col) for col in CELL_COLUMNS} for cell in result.cells
+            {col: _json_value(getattr(cell, col)) for col in CELL_COLUMNS}
+            for cell in result.cells
         ],
     }
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 
@@ -454,13 +461,11 @@ def run_tau_sim(n_values, trials, seed, output_dir, name="tau-sim"):
 
     tau.csv gets an extra leading n column so several sizes share one file;
     the per-n summaries land in tau_summary.json. Every n is simulated
-    before anything is written, so a bad n leaves no files behind. The
-    trials' streams are seeded once and shared by every n.
+    before anything is written, so a bad n leaves no files behind.
     """
     if trials < 1000:
         raise ConfigurationError(f"tau-sim: trials must be >= 1000, got {trials}")
-    streams = TrialStreams(seed, trials)
-    all_stats = [simulate_tau(n, trials, seed, streams) for n in n_values]
+    all_stats = [simulate_tau(n, trials, seed) for n in n_values]
     outdir = experiment_dir(output_dir, name)
     with open(os.path.join(outdir, "tau.csv"), "w") as fh:
         fh.write(f"# n_values={list(n_values)} trials={trials} seed={seed}\n")

@@ -45,7 +45,7 @@ from .geometry import mirror_step  # noqa: F401
 from .losses import (RISK_QUADRATURE_BOUND, draw_arrays, draw_dataset,  # noqa: F401
                      population_risk, risk_curvature)
 from . import sampler
-from .sampler import draw_stopping_times, fresh_target, sample_index  # noqa: F401
+from .sampler import check_seed, draw_stopping_times, fresh_target, sample_index  # noqa: F401
 
 MAX_STEPS_FACTOR = 4
 NOISE_CHUNK_STEPS = 128
@@ -153,9 +153,10 @@ def private_sgd_batch(config, seeds, features, labels):
     per chunk. Memory stays O(R * chunk * d), not O(R * max_steps * d).
 
     Inputs are checked once here rather than per step: the config
-    (RunConfig.validate), the array shapes, finite features and labels, and
-    that no row's subgradient norm on the feasible set can exceed
-    oracle.lipschitz_L, the sensitivity the accountant prices.
+    (RunConfig.validate), the seeds (sampler.check_seed), the array shapes,
+    finite features and labels, and that no row's subgradient norm on the
+    feasible set can exceed oracle.lipschitz_L, the sensitivity the
+    accountant prices.
     """
     config.validate()
     n, d, rows = config.n, config.feasible_set.dimension, len(seeds)
@@ -163,6 +164,8 @@ def private_sgd_batch(config, seeds, features, labels):
     labels = np.asarray(labels, dtype=float)
     if rows < 1:
         raise ConfigurationError("private_sgd_batch: need at least one seed")
+    for seed in seeds:
+        check_seed(seed, "private_sgd")
     if features.shape != (rows, n, d) or labels.shape != (rows, n):
         raise ConfigurationError(
             f"private_sgd: {rows} run(s) need features of shape (n, d) = ({n}, {d}) "

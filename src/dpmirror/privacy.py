@@ -1,18 +1,10 @@
 """Privacy accountant for the noisy-SGD loop, plus an empirical audit.
 
-The accounting pipeline has four stages:
-
-  per-step      a single noisy gradient step with Gaussian noise of scale
-                sigma = L*sqrt(3*ln(1/delta))/eps_tilde is (eps_tilde, delta)-DP
-  subsampled    drawing the gradient index uniformly amplifies one step to
-                ((m/n)*(e^eps_tilde - 1), (m/n)*delta)-DP
-  composed      advanced composition over tau fixed steps, using
-                e^eps_tilde - 1 <= 2*eps_tilde (valid for eps_tilde <= 1.256):
-                eps = 2*eps_tilde*sqrt(2*tau*ln(1/delta_prime))/n
-                      + 4*tau*eps_tilde^2/n^2,
-                delta = tau*delta/n + delta_prime
-  end-to-end    the whole run at tau = 2n with the stopping-time failure
-                mass 2*exp(-n/16) folded into delta.
+calibrate_sigma gives the noise scale that makes one gradient step
+(eps_tilde, delta)-DP, the claim the audit checks. end_to_end gives the
+whole run's sigma, eta and closed-form guarantee, with the stopping-time
+failure mass 2*exp(-n/16) folded into delta. from_target splits an overall
+(eps_bar, delta_bar) target into the parameters end_to_end takes.
 
 All logarithms are natural. Out-of-regime parameters raise RegimeError
 instead of being clamped: a clamped answer would misstate the guarantee.
@@ -30,13 +22,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, RegimeError
+from .sampler import check_seed
 
-STAGE_SUBSAMPLED = "subsampled"
-STAGE_COMPOSED = "composed"
 STAGE_END_TO_END = "end_to_end"
-
-# e^x - 1 <= 2x holds exactly up to this point.
-LINEARIZATION_LIMIT = 1.256
 
 # Audit needs this many trials per grid cell for stable tail estimates.
 MIN_TRIALS_PER_CELL = 2000
@@ -44,17 +32,6 @@ MAX_GRID_CELLS = 500
 # Interior grid half-width in noise units; everything beyond is lumped into
 # the two outermost cells so no event has near-zero expected count.
 AUDIT_RANGE_SIGMAS = 3.0
-
-
-@dataclass(frozen=True)
-class StepPrivacy:
-    """Per-step guarantee before amplification: (epsilon_tilde, delta)-DP
-    for a mechanism touching m of the n records."""
-
-    epsilon_tilde: float
-    delta: float
-    n: int
-    m: int = 1
 
 
 @dataclass(frozen=True)
@@ -88,59 +65,6 @@ def calibrate_sigma(L, delta, epsilon_tilde):
     return L * math.sqrt(3.0 * math.log(1.0 / delta)) / epsilon_tilde
 
 
-def amplify_by_subsampling(step):
-    """Amplify a per-step guarantee by the uniform-subsampling factor m/n."""
-    if step.m > step.n:
-        raise ConfigurationError(
-            f"subsample size m={step.m} exceeds dataset size n={step.n}"
-        )
-    if step.m < 1 or step.n < 1:
-        raise ConfigurationError("m and n must be >= 1")
-    _check_positive("epsilon_tilde", step.epsilon_tilde)
-    _check_delta(step.delta)
-    rate = step.m / step.n
-    return PrivacyReport(
-        epsilon=rate * math.expm1(step.epsilon_tilde),
-        delta_total=rate * step.delta,
-        stage=STAGE_SUBSAMPLED,
-    )
-
-
-def compose(step, tau, delta_prime):
-    """Advanced composition of tau subsampled steps (m = 1).
-
-    Valid only while e^eps_tilde - 1 <= 2*eps_tilde, i.e. eps_tilde <= 1.256,
-    and for tau fixed in advance; both assumptions are recorded on the
-    report. tau = 0 is allowed and gives the empty composition (0, delta').
-    """
-    if step.m != 1:
-        raise ConfigurationError(
-            f"compose covers the m=1 sampling scheme, got m={step.m}"
-        )
-    if tau < 0:
-        raise ConfigurationError(f"tau must be >= 0, got {tau}")
-    _check_positive("epsilon_tilde", step.epsilon_tilde)
-    if step.epsilon_tilde > LINEARIZATION_LIMIT:
-        raise RegimeError(
-            f"epsilon_tilde={step.epsilon_tilde} > {LINEARIZATION_LIMIT}: "
-            "the linearization e^x - 1 <= 2x fails, composed bound invalid"
-        )
-    _check_delta(step.delta)
-    _check_delta(delta_prime, "delta_prime")
-    n = step.n
-    eps = (2.0 * step.epsilon_tilde * math.sqrt(2.0 * tau * math.log(1.0 / delta_prime)) / n
-           + 4.0 * tau * step.epsilon_tilde ** 2 / n ** 2)
-    return PrivacyReport(
-        epsilon=eps,
-        delta_total=tau * step.delta / n + delta_prime,
-        stage=STAGE_COMPOSED,
-        assumptions=(
-            f"e^x - 1 <= 2x linearization (requires epsilon_tilde <= {LINEARIZATION_LIMIT})",
-            "tau fixed in advance, not data-dependent",
-        ),
-    )
-
-
 def epsilon_limit(n):
     """Largest per-record epsilon the end-to-end guarantee covers: 1/(2*sqrt(n))."""
     return 1.0 / (2.0 * math.sqrt(n))
@@ -162,7 +86,8 @@ class EndToEndPlan:
 def end_to_end(n, epsilon, delta, delta_prime, L, D, d):
     """Full-run parameters and guarantee for a target per-record epsilon.
 
-    Requires n >= 16 and epsilon <= 1/(2*sqrt(n)). Returns
+    Requires n >= 16 and epsilon <= 1/(2*sqrt(n)), which already keeps the
+    per-step epsilon_tilde = sqrt(n)*epsilon composed over the run <= 1/2. Returns
       sigma = 8*L*sqrt(ln(1/delta)) / (sqrt(n)*epsilon)
       eta   = D / (sqrt(n)*(L + sigma*sqrt(d)))
     and the guarantee (4*epsilon*(sqrt(ln(1/delta')) + 2),
@@ -289,12 +214,14 @@ def audit_single_step(sigma, L, epsilon_tilde, delta, trials,
     significance test; splitting the far tails into slivers of a few counts
     would make false positives routine.
 
-    Requires trials >= 2000 per grid cell (10^6 at the 500-cell default).
+    Requires trials >= 2000 per grid cell (10^6 at the 500-cell default)
+    and a seed that is a non-negative int.
     """
     _check_positive("sigma", sigma)
     _check_positive("L", L)
     _check_positive("epsilon_tilde", epsilon_tilde)
     _check_delta(delta)
+    check_seed(seed, "audit_single_step")
     if grid_cells < 3 or grid_cells > MAX_GRID_CELLS:
         raise ConfigurationError(
             f"grid_cells must lie in [3, {MAX_GRID_CELLS}], got {grid_cells}"

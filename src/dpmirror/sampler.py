@@ -30,6 +30,12 @@ import numpy as np
 from .errors import ConfigurationError
 
 
+def check_seed(seed, where):
+    """Refuse all but a non-negative int seed (np.integer yes, bool no)."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ConfigurationError(f"{where}: seed must be a non-negative int, got {seed!r}")
+
+
 def sample_index(rng, n):
     """Uniform draw from {0, ..., n-1}."""
     if n < 1:
@@ -227,15 +233,11 @@ class TrialStreams:
     """
 
     def __init__(self, seed, trials):
-        if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
-            raise ConfigurationError(
-                f"TrialStreams: seed must be a non-negative int, got {seed!r}")
+        check_seed(seed, "TrialStreams")
         if (isinstance(trials, bool) or not isinstance(trials, (int, np.integer))
                 or not 1 <= trials <= 1 << 32):
             raise ConfigurationError(
                 f"TrialStreams: trials must be an int in [1, 2**32], got {trials!r}")
-        self.seed = seed
-        self.trials = trials
         self._packed = _pcg64_states(int(seed), np.arange(trials, dtype=np.uint32))
         self._bit_generator = np.random.PCG64(0)
         self._rng = np.random.Generator(self._bit_generator)
@@ -305,16 +307,15 @@ def draw_stopping_times(n, stream, draws, cap=math.inf):
     return arrivals, tau
 
 
-def simulate_tau(n, trials, seed, streams=None):
+def simulate_tau(n, trials, seed):
     """Monte-Carlo sample of the stopping time over independent trials.
 
     Trial t draws its indices from its own PCG64 stream,
     default_rng(SeedSequence([seed, t])), so trials are individually
-    reproducible and order-independent. streams, a TrialStreams(seed,
-    trials), holds those streams, all seeded at once (32 bytes of packed
-    state per trial); pass one to share it between several n, or leave it
-    None to build one here. seed must be a non-negative int and trials an
-    int in [1, 2**32]; anything else raises ConfigurationError.
+    reproducible and order-independent. A TrialStreams(seed, trials) holds
+    those streams, all seeded at once (32 bytes of packed state per trial).
+    seed must be a non-negative int and trials an int in [1, 2**32];
+    anything else raises ConfigurationError.
 
     Each trial draws a first block of first_block(n) indices, about 3n/4,
     decoded by Lemire's method from ceil(first_block(n) / 2) raw words of
@@ -326,12 +327,7 @@ def simulate_tau(n, trials, seed, streams=None):
     """
     if n < 1:
         raise ConfigurationError(f"simulate_tau: n must be >= 1, got {n}")
-    if streams is None:
-        streams = TrialStreams(seed, trials)
-    elif (streams.seed, streams.trials) != (seed, trials):
-        raise ConfigurationError(
-            f"simulate_tau: streams are for seed {streams.seed} and "
-            f"{streams.trials} trials, not {seed} and {trials}")
+    streams = TrialStreams(seed, trials)
     block = first_block(n)
     per_chunk = max(1, CHUNK_DRAWS // block)
     samples = np.empty(trials, dtype=np.int64)

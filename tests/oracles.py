@@ -101,10 +101,22 @@ def population_point(spec, rng):
     return x, label
 
 
+def dot(a, b):
+    """<a, b> as plain Python floats, summed left to right from 0.0.
+
+    For d <= 2 this rounds exactly as the engine's np.einsum dot products
+    do, signed zeros included; at d = 3 einsum may sum in another order.
+    """
+    total = 0.0
+    for x, y in zip(np.asarray(a, dtype=float).tolist(), np.asarray(b, dtype=float).tolist()):
+        total += x * y
+    return total
+
+
 def project_ball(center, radius, x):
     """Euclidean projection onto a ball: radial scaling of x - center."""
     off = x - center
-    norm = math.sqrt(float(off @ off))
+    norm = math.sqrt(dot(off, off))
     if norm <= radius:
         return x
     return center + off * (radius / norm)
@@ -127,7 +139,7 @@ def plain_loss(kind, w, features, label):
 
 def plain_subgradient(kind, w, features, label):
     """Subgradient in w at one (w, x, y) point; the extreme -y*x at the hinge kink."""
-    z = float(w @ features)
+    z = dot(w, features)
     if kind == "hinge":
         return -label * features if label * z <= 1.0 else np.zeros_like(features)
     if kind == "absolute":

@@ -247,6 +247,26 @@ class TestRunCommand:
         text = (tmp_path / "t" / "cells.csv").read_text()
         assert "nan" in text
 
+    def test_summary_is_strict_json(self, tmp_path, monkeypatch):
+        # The report columns under sigma_override and the means of a cell
+        # whose runs all overran are NaN; summary.json writes them as null,
+        # which a parser that refuses NaN and Infinity accepts.
+        def refuse(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        spec = build_spec(base_overrides(tmp_path, sigma_override="0.2"))
+        run_and_write(spec)
+        cell = json.loads((tmp_path / "t" / "summary.json").read_text(),
+                          parse_constant=refuse)["cells"][0]
+        assert cell["report_epsilon"] is None and cell["report_delta_total"] is None
+        assert cell["mean_excess_risk"] is not None
+        monkeypatch.setattr(harness_mod, "private_sgd_batch", always_overruns)
+        run_and_write(build_spec(base_overrides(tmp_path, repeats="2")))
+        cell = json.loads((tmp_path / "t" / "summary.json").read_text(),
+                          parse_constant=refuse)["cells"][0]
+        assert cell["mean_tau"] is None and cell["mean_excess_risk"] is None
+        assert cell["report_epsilon"] is not None
+
 
 class TestCli:
     def test_run_leaves_numpy_ma_unimported(self, tmp_path):
@@ -554,14 +574,16 @@ class TestGoldenOutputs:
     # corners: only those two echo entries were added. Both re-pinned when
     # the reference minimizer moved to the exact population risk: only the
     # baseline_risk/baseline_error line and the mean_regret,
-    # mean_excess_risk and stderr columns moved.
+    # mean_excess_risk and stderr columns moved. The box run's summary.json
+    # was re-pinned when summary.json became strict JSON: only its
+    # report_epsilon and report_delta_total moved, from NaN to null.
     RUN_DIGESTS = {
         "hinge-ball": [
             "07df8346f116e124597c2dbac5ad2a56e8fffab815cfb807fed07d0763588a40",
             "7a3afbd3c455d03caa5ebef1eeb5f9ab63680e0565f5a66c6268be5e45cb09ac"],
         "squared-box-sigma-override": [
             "ff8c89533e7f81339228c19e6f8a870912fa7aee6e7d2e493a26a17bf2974ac8",
-            "320d61488a6b09128c5aef37e41df3bc0518f900b1604aa7f37c71cf1ec56fb8"],
+            "ff082101c0da88031e0683218656695071b4af7f8846e69762abd971a50e6d97"],
     }
     CALIBRATE = {
         "eps": ["--n", "10000", "--eps", "0.005", "--delta", "1e-6",

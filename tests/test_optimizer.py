@@ -103,6 +103,8 @@ class TestPrivateSgd:
             lambda x: project_ball(np.zeros(len(x)), r, x),
             lambda w, x, y: plain_subgradient("hinge", w, x, y))
         run = private_sgd(config, seed, (features, labels))
+        # At d = 3 einsum may sum a dot product in another order than
+        # oracles.dot, so iterates agree to 1e-12, not bit for bit.
         assert run.tau.tolist() == [tau]
         assert run.overrun.tolist() == [False]
         np.testing.assert_array_equal(run.fresh_indices[0], indices)
@@ -218,6 +220,20 @@ class TestInputChecks:
         with pytest.raises(ConfigurationError, match="shape"):
             private_sgd_batch(self.config(), [1, 2, 3], np.stack([features] * 2),
                               np.stack([labels] * 2))
+
+    @pytest.mark.parametrize("seed", [None, True, -1, 1.5, "3"])
+    def test_bad_seed(self, seed):
+        # None would seed from OS entropy and True run as seed 1.
+        features, labels = constant_dataset(16, 2, value=0.1)
+        with pytest.raises(ConfigurationError, match="seed"):
+            private_sgd_batch(self.config(), [4, seed], np.stack([features] * 2),
+                              np.stack([labels] * 2))
+
+    def test_numpy_integer_seed(self):
+        features, labels = constant_dataset(16, 2, value=0.1)
+        a = private_sgd(self.config(), np.uint64(9), (features, labels))
+        b = private_sgd(self.config(), 9, (features, labels))
+        assert a.fresh_iterates.tobytes() == b.fresh_iterates.tobytes()
 
 
 def stacked_datasets(population, n, rows, first_seed):
@@ -381,13 +397,55 @@ class TestBatchGolden:
             assert getattr(permuted, field).tobytes() == want.tobytes(), field
 
 
+class TestNoisyBytes:
+    """At sigma > 0 and d <= 2, engine rows equal the stepwise reference bit
+    for bit: the reference's dot products (oracles.dot) sum in coordinate
+    order, as the engine's einsum does at d <= 2. n = 300 crosses noise
+    chunks, and both sets' projections are active along the way."""
+
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("set_kind", ["ball", "box"])
+    @pytest.mark.parametrize("kind", ["hinge", "absolute", "squared"])
+    def test_matches_stepwise_reference(self, kind, set_kind, d):
+        n, seeds = 300, [31, 32]
+        if kind == "hinge":
+            population = PopulationSpec("linear_margin", d, 1.0, w_true=np.eye(d)[0],
+                                        noise_rate=0.1)
+        else:
+            population = PopulationSpec("uniform_ball", d, 1.0)
+        features, labels = stacked_datasets(population, n, len(seeds), first_seed=40)
+        if set_kind == "ball":
+            fs = FeasibleSet.l2_ball(0.5, dimension=d)
+            project = lambda x: project_ball(fs.center, fs.radius, x)  # noqa: E731
+            on_boundary = lambda w: abs(math.hypot(*w) - 0.5) < 1e-12  # noqa: E731
+        else:
+            fs = FeasibleSet.box([-0.5] * d, [0.5] * d)
+            project = lambda x: project_box(fs.lower, fs.upper, x)  # noqa: E731
+            on_boundary = lambda w: bool(np.any(np.abs(w) == 0.5))  # noqa: E731
+        oracle = (LossOracle.squared(1.0, fs) if kind == "squared"
+                  else getattr(LossOracle, kind)(1.0))
+        config = RunConfig(n=n, eta=0.1, sigma=0.7, feasible_set=fs, oracle=oracle,
+                           w1=np.zeros(d))
+        batch = private_sgd_batch(config, seeds, features, labels)
+        boundary_iterates = 0
+        for r, seed in enumerate(seeds):
+            tau, indices, iterates, output = stepwise_run(
+                n, config.eta, config.sigma, config.w1, seed, features[r], labels[r],
+                project, lambda w, x, y: plain_subgradient(kind, w, x, y))
+            assert batch.tau[r] == tau > NOISE_CHUNK_STEPS
+            assert batch.fresh_indices[r].tobytes() == indices.tobytes()
+            assert batch.fresh_iterates[r].tobytes() == iterates.tobytes()
+            assert batch.output[r].tobytes() == output.tobytes()
+            boundary_iterates += sum(on_boundary(w) for w in iterates)
+        assert boundary_iterates > 0
+
+
 class TestCornerBytes:
     """Engine rows equal the stepwise reference bit for bit where the update
     meets exact zeros: sigma = 0 from w1 = (-0.0, -0.0), on data whose second
     coordinate is +0.0 or -0.0, so that coordinate of every iterate stays a
-    signed zero, with and without a row that overruns its cap. Each dot
-    product then has one nonzero term, so the reference's arithmetic is the
-    engine's to the bit (at sigma > 0 its ball norms may round differently)."""
+    signed zero, with and without a row that overruns its cap. TestNoisyBytes
+    covers sigma > 0."""
 
     N, D = 16, 2
 

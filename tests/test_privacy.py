@@ -10,9 +10,7 @@ from oracles import audit_cells_reference, closed_form_cell_violations
 
 from dpmirror import cli
 from dpmirror.errors import ConfigurationError, RegimeError
-from dpmirror.privacy import (LINEARIZATION_LIMIT, StepPrivacy,
-                              amplify_by_subsampling, audit_single_step,
-                              calibrate_sigma, compose, end_to_end,
+from dpmirror.privacy import (audit_single_step, calibrate_sigma, end_to_end,
                               from_target, write_audit_csv)
 
 
@@ -49,78 +47,6 @@ class TestCalibrateSigma:
                 calibrate_sigma(bad, 1e-6, 1.0)
             with pytest.raises(ConfigurationError):
                 calibrate_sigma(1.0, 1e-6, bad)
-
-
-class TestAmplification:
-    def test_full_batch_no_amplification(self):
-        report = amplify_by_subsampling(StepPrivacy(0.3, 1e-7, n=50, m=50))
-        assert report.epsilon == pytest.approx(math.e ** 0.3 - 1.0)
-        assert report.delta_total == pytest.approx(1e-7)
-        assert report.stage == "subsampled"
-
-    def test_vanishing_epsilon(self):
-        report = amplify_by_subsampling(StepPrivacy(1e-9, 1e-7, n=10, m=1))
-        assert report.epsilon == pytest.approx(1e-10, rel=1e-6)
-
-    def test_reference_value(self):
-        report = amplify_by_subsampling(StepPrivacy(0.5, 1e-6, n=100, m=1))
-        assert report.epsilon == pytest.approx((math.e ** 0.5 - 1.0) / 100.0, rel=1e-12)
-        assert report.epsilon == pytest.approx(0.0064872, abs=1e-7)
-        assert report.delta_total == pytest.approx(1e-8)
-
-    def test_linearized_envelope(self):
-        rng = np.random.default_rng(61)
-        for _ in range(2000):
-            eps = float(rng.uniform(1e-4, LINEARIZATION_LIMIT))
-            report = amplify_by_subsampling(StepPrivacy(eps, 1e-7, n=20, m=20))
-            assert report.epsilon <= 2.0 * eps
-
-    def test_oversized_subsample(self):
-        with pytest.raises(ConfigurationError):
-            amplify_by_subsampling(StepPrivacy(0.5, 1e-6, n=10, m=11))
-
-
-class TestComposition:
-    def test_empty_composition(self):
-        report = compose(StepPrivacy(0.1, 1e-8, n=100), 0, 1e-6)
-        assert report.epsilon == 0.0
-        assert report.delta_total == pytest.approx(1e-6)
-
-    def test_reference_value(self):
-        report = compose(StepPrivacy(0.05, 1e-8, n=100), 200, 1e-6)
-        # independent arithmetic: 0.001*sqrt(400*ln(10^6)) + 0.0002
-        expected_eps = 0.001 * math.sqrt(400.0 * 6.0 * math.log(10.0)) + 2e-4
-        assert report.epsilon == pytest.approx(expected_eps, rel=1e-12)
-        assert report.epsilon == pytest.approx(0.074538, abs=1e-6)
-        assert report.delta_total == pytest.approx(1.02e-6, rel=1e-9)
-
-    def test_monotone_in_tau_and_epsilon(self):
-        rng = np.random.default_rng(67)
-        for _ in range(10_000):
-            n = int(rng.integers(10, 1000))
-            eps = float(rng.uniform(1e-4, 1.2))
-            tau = int(rng.integers(0, 4 * n))
-            dp = float(rng.uniform(1e-9, 1e-3))
-            step = StepPrivacy(eps, 1e-9, n=n)
-            base = compose(step, tau, dp)
-            assert compose(step, tau + 1, dp).epsilon >= base.epsilon
-            assert compose(step, tau + 1, dp).delta_total >= base.delta_total
-            bigger = StepPrivacy(min(eps * 1.1, LINEARIZATION_LIMIT), 1e-9, n=n)
-            assert compose(bigger, tau, dp).epsilon >= base.epsilon
-
-    def test_linearization_regime_enforced(self):
-        with pytest.raises(RegimeError):
-            compose(StepPrivacy(1.3, 1e-8, n=100), 10, 1e-6)
-
-    def test_minibatch_not_supported(self):
-        with pytest.raises(ConfigurationError):
-            compose(StepPrivacy(0.1, 1e-8, n=100, m=2), 10, 1e-6)
-
-    def test_assumptions_recorded(self):
-        report = compose(StepPrivacy(0.1, 1e-8, n=100), 10, 1e-6)
-        joined = " ".join(report.assumptions)
-        assert "1.256" in joined
-        assert "tau" in joined
 
 
 class TestEndToEnd:
@@ -160,7 +86,6 @@ class TestEndToEnd:
         b = end_to_end(400, 0.02, 1e-6, 1e-6, L=1.0, D=1.0, d=3)
         assert a == b
 
-
     def test_non_finite_rejected(self):
         for bad in (math.nan, math.inf):
             with pytest.raises(ConfigurationError):
@@ -171,10 +96,6 @@ class TestEndToEnd:
                 end_to_end(400, 0.02, 1e-6, 1e-6, L=1.0, D=bad, d=3)
             with pytest.raises(ConfigurationError):
                 from_target(bad, 3e-6, 400)
-            with pytest.raises(ConfigurationError):
-                compose(StepPrivacy(bad, 1e-8, n=100), 10, 1e-6)
-            with pytest.raises(ConfigurationError):
-                amplify_by_subsampling(StepPrivacy(bad, 1e-8, n=100))
 
 
 class TestFromTarget:
@@ -271,6 +192,16 @@ class TestAudit:
             for args in ((bad, 1.0, 0.5), (1.0, bad, 0.5), (1.0, 1.0, bad)):
                 with pytest.raises(ConfigurationError):
                     audit_single_step(*args, 1e-6, 2_000_000)
+
+    @pytest.mark.parametrize("seed", [None, True, -1, 1.5])
+    def test_bad_seed(self, seed):
+        with pytest.raises(ConfigurationError, match="seed"):
+            audit_single_step(1.0, 1.0, 0.5, 1e-3, 100_000, grid_cells=50, seed=seed)
+
+    def test_numpy_integer_seed(self):
+        a = audit_single_step(1.0, 1.0, 0.5, 1e-3, 100_000, grid_cells=50, seed=np.int64(3))
+        b = audit_single_step(1.0, 1.0, 0.5, 1e-3, 100_000, grid_cells=50, seed=3)
+        assert a.p_s.tobytes() == b.p_s.tobytes()
 
     def test_grid_cap(self):
         with pytest.raises(ConfigurationError):

@@ -201,7 +201,7 @@ class TestSimulateTau:
                 assert np.array_equal(simulate_tau(n, 300, seed=11).tau_samples, whole)
             monkeypatch.undo()
 
-    def test_short_first_block_continues_its_stream(self):
+    def test_short_first_block_continues_its_stream(self, monkeypatch):
         # Trials 1 and 3 get stub streams whose first blocks hold too few
         # distinct values. Trial 1 stops inside its first 4n replay block,
         # trial 3 only in the third; both must be walked along their own
@@ -244,35 +244,27 @@ class TestSimulateTau:
                     return StubStream(stubs[trial])
                 return super().stream(trial)
 
-        stats = simulate_tau(n, trials, seed, StubStreams(seed, trials))
+        plain = simulate_tau(n, trials, seed).tau_samples
+        monkeypatch.setattr(sampler, "TrialStreams", StubStreams)
+        stats = simulate_tau(n, trials, seed)
         taus = {trial: set_walk_tau(values, n) for trial, values in stubs.items()}
         assert block < taus[1] <= 4 * n
         assert taus[3] > 2 * 4 * n
         for trial, tau in taus.items():
             assert stats.tau_samples[trial] == tau
-        plain = simulate_tau(n, trials, seed).tau_samples
         keep = [t for t in range(trials) if t not in stubs]
         assert np.array_equal(stats.tau_samples[keep], plain[keep])
 
     def test_matches_fresh_stream_walk(self):
-        # One TrialStreams serves every n, in mixed order and twice for
-        # n = 1024; each trial's tau must still be the set walk over its
-        # freshly built stream, so no state leaks from one n to the next.
+        # Every n in mixed order, and n = 1024 twice: each trial's tau must
+        # be the set walk over its freshly built stream.
         trials, seed = 300, 20260
-        streams = TrialStreams(seed, trials)
         reference = {}
         for n in (1024, 16, 1024, 1, 2, 3, 5, 33):
             if n not in reference:
                 reference[n] = [fresh_stream_tau(seed, t, n) for t in range(trials)]
-            got = simulate_tau(n, trials, seed, streams).tau_samples
+            got = simulate_tau(n, trials, seed).tau_samples
             assert got.tolist() == reference[n], n
-
-    def test_streams_must_match_seed_and_trials(self):
-        streams = TrialStreams(3, 10)
-        with pytest.raises(ConfigurationError):
-            simulate_tau(16, 10, 4, streams)
-        with pytest.raises(ConfigurationError):
-            simulate_tau(16, 9, 3, streams)
 
 
 class TestTrialStreams:
