@@ -12,9 +12,8 @@ from .errors import ConfigurationError, RegimeError
 from .geometry import FeasibleSet, mirror_step
 from .losses import (LossOracle, PopulationSpec, draw_arrays, draw_dataset,
                      lipschitz_certificate, population_risk)
-from .optimizer import (BaselineResult, RiskEstimate, RunBatch, RunConfig,
-                        baseline_minimizer, estimate_regret, estimate_risk,
-                        private_sgd, private_sgd_batch)
+from .optimizer import (BaselineResult, RunBatch, RunConfig, baseline_minimizer,
+                        estimate_regret, private_sgd, private_sgd_batch)
 from .privacy import (AuditResult, EndToEndPlan, InternalBudget, PrivacyReport,
                       audit_single_step, calibrate_sigma, end_to_end, from_target)
 from .sampler import TauStats, expected_tau, sample_index, simulate_tau
@@ -26,9 +25,8 @@ __all__ = [
     "FeasibleSet", "mirror_step",
     "LossOracle", "PopulationSpec", "draw_arrays", "draw_dataset",
     "lipschitz_certificate", "population_risk",
-    "BaselineResult", "RiskEstimate", "RunBatch", "RunConfig",
-    "baseline_minimizer", "estimate_regret", "estimate_risk", "private_sgd",
-    "private_sgd_batch",
+    "BaselineResult", "RunBatch", "RunConfig",
+    "baseline_minimizer", "estimate_regret", "private_sgd", "private_sgd_batch",
     "AuditResult", "EndToEndPlan", "InternalBudget", "PrivacyReport",
     "audit_single_step", "calibrate_sigma", "end_to_end", "from_target",
     "TauStats", "expected_tau", "sample_index", "simulate_tau",

@@ -17,7 +17,7 @@ from dataclasses import asdict
 
 from .errors import ConfigurationError, RegimeError
 from .harness import RUN_KEYS, build_spec, default_output_dir, experiment_dir, \
-    parse_kv_file, run_and_write, run_tau_sim
+    json_value, parse_kv_file, run_and_write, run_tau_sim
 from .privacy import audit_single_step, calibrate_sigma, end_to_end, from_target, \
     write_audit_csv
 
@@ -114,8 +114,10 @@ def _cmd_audit(args):
     outdir = experiment_dir(args.output_dir or default_output_dir(), args.name)
     write_audit_csv(result, os.path.join(outdir, "audit.csv"))
     summary = dict(result.to_dict(), sigma=sigma, seed=seed)
+    # A worst cell at a lumped tail has an infinite edge, written as null.
+    summary = {key: json_value(value) for key, value in summary.items()}
     with open(os.path.join(outdir, "audit_summary.json"), "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
+        json.dump(summary, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
     print(json.dumps(summary))
     return EXIT_AUDIT if result.significant else EXIT_OK

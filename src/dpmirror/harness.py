@@ -19,10 +19,11 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .geometry import BOX, L2_BALL, FeasibleSet
-from .losses import (ABSOLUTE, HINGE, LINEAR_MARGIN, SQUARED, UNIFORM_BALL,
-                     LossOracle, PopulationSpec, draw_dataset, lipschitz_certificate,
-                     population_risk)
-# private_sgd is not called here; perfbench/spans.py wraps it by this name.
+from .losses import (ABSOLUTE, HINGE, LINEAR_MARGIN, RISK_QUADRATURE_BOUND, SQUARED,
+                     UNIFORM_BALL, LossOracle, PopulationSpec, draw_dataset,
+                     lipschitz_certificate, population_risk)
+# private_sgd and estimate_risk are not called here; perfbench/spans.py
+# wraps them by these names.
 from .optimizer import (RunConfig, baseline_minimizer, estimate_regret,  # noqa: F401
                         estimate_risk, private_sgd, private_sgd_batch)
 from .privacy import end_to_end, epsilon_limit, step_size
@@ -92,7 +93,9 @@ RUN_KEYS = {
     "delta": RunKey(_PROBABILITY, "1e-6", "accountant delta"),
     "delta_prime": RunKey(_PROBABILITY, "1e-6", "accountant delta prime"),
     "repeats": RunKey(_AT_LEAST_ONE, "20", "runs per (n, epsilon) cell"),
-    "eval_samples": RunKey(_AT_LEAST_ONE, "2000", "Monte-Carlo draws per risk estimate"),
+    "eval_samples": RunKey(_AT_LEAST_ONE, "2000",
+                           "not read: each run's risk is exact (accepted until "
+                           "ROADMAP.md item 1 deletes it)"),
     "baseline_steps": RunKey(_checked(int, ">= 10000", lambda v: v >= 10_000), "100000",
                              "step cap for the reference minimizer"),
     "sigma_override": RunKey(_checked(float, "finite and >= 0",
@@ -129,7 +132,6 @@ class ExperimentSpec:
     repeats: int
     seed: int
     output_dir: str
-    eval_samples: int
     baseline_steps: int
     sigma_override: float   # None: the calibrated sigma
 
@@ -248,7 +250,6 @@ def build_spec(overrides):
         seed=seed,
         output_dir=(default_output_dir() if kv["output_dir"] is None
                     else kv["output_dir"]),
-        eval_samples=kv["eval_samples"],
         baseline_steps=kv["baseline_steps"],
         sigma_override=kv["sigma_override"],
     )
@@ -279,7 +280,6 @@ def spec_echo(spec):
         "delta": spec.delta,
         "delta_prime": spec.delta_prime,
         "repeats": spec.repeats,
-        "eval_samples": spec.eval_samples,
         "baseline_steps": spec.baseline_steps,
         "seed": spec.seed,
         "output_dir": spec.output_dir,
@@ -304,16 +304,18 @@ def run_experiment(spec):
 
     The reference minimizer and its exact population risk (baseline_risk,
     from losses.population_risk) come first. Per repeat: draw a fresh
-    dataset, run the private optimizer, estimate the output's risk by
-    Monte Carlo on eval_samples draws, and measure regret against the
-    reference minimizer; a run's excess risk is that estimate minus
-    baseline_risk. The repeats of a cell run together in one
-    private_sgd_batch call; each uses seeds derived from (seed, cell,
-    repeat), so results do not depend on execution order. A repeat that
-    overruns its step cap is counted in overrun_runs and left out of the
-    cell's means. Reported stderr is the runs' standard error plus the
-    reference minimizer's own error bound (certificate plus quadrature),
-    so bound checks stay honest.
+    dataset, run the private optimizer, take the output's exact population
+    risk (losses.population_risk), and measure regret against the
+    reference minimizer; a run's excess risk is that risk minus
+    baseline_risk. No evaluation data are drawn: the datasets are the only
+    draws. The repeats of a cell run together in one private_sgd_batch
+    call; each uses seeds derived from (seed, cell, repeat), so results do
+    not depend on execution order. A repeat that overruns its step cap is
+    counted in overrun_runs and left out of the cell's means. Reported
+    stderr is the runs' standard error plus the reference minimizer's own
+    error bound (certificate plus quadrature) plus the largest stated
+    quadrature bound of the finished runs' risks,
+    RISK_QUADRATURE_BOUND * (1 + B*||w||)^2, so bound checks stay honest.
 
     Each cell is checked against bound_value = 2.5*D*(L + sigma*sqrt(d))/sqrt(n).
     end_to_end's risk_bound, 5LD/sqrt(n) + 20LD*sqrt(d*ln(1/delta))/(eps*n),
@@ -359,19 +361,17 @@ def run_experiment(spec):
             overruns = spec.repeats - finished.size
             taus = batch.tau[finished].tolist()
             regrets = all_regrets[finished].tolist()
-            excesses = []
-            for r in finished.tolist():
-                risk = estimate_risk(
-                    batch.output[r], spec.population, spec.oracle, spec.eval_samples,
-                    rng=np.random.default_rng(
-                        np.random.SeedSequence(entropy=[spec.seed, n_idx, e_idx, r, 2])))
-                excesses.append(risk.mean - base_risk)
-
+            outputs = batch.output[finished]
+            excesses = [population_risk(spec.population, spec.oracle, w)[0] - base_risk
+                        for w in outputs]
             completed = len(excesses)
+            # population_risk's stated error bound at the output farthest from 0
+            scale = 1.0 + spec.population.feature_bound * np.linalg.norm(outputs, axis=1)
+            quadrature = RISK_QUADRATURE_BOUND * float(scale.max()) ** 2 if completed else 0.0
             mean_excess = float(np.mean(excesses)) if completed else math.nan
             run_stderr = (float(np.std(excesses, ddof=1) / math.sqrt(completed))
                           if completed > 1 else 0.0)
-            stderr = run_stderr + baseline.error_bound
+            stderr = run_stderr + baseline.error_bound + quadrature
             bound_value = EXCESS_RISK_CONSTANT * D * (L + sigma * math.sqrt(d)) / math.sqrt(n)
             cells.append(CellResult(
                 n=n, epsilon=eps, sigma=sigma, eta=eta,
@@ -420,7 +420,7 @@ def write_cells_csv(result, path):
             fh.write(",".join(_fmt(getattr(cell, col)) for col in CELL_COLUMNS) + "\n")
 
 
-def _json_value(value):
+def json_value(value):
     """A non-finite float as None (null), which strict JSON parsers accept."""
     return None if isinstance(value, float) and not math.isfinite(value) else value
 
@@ -432,7 +432,7 @@ def write_summary_json(result, path):
         "baseline": {"risk": result.baseline_risk, "error": result.baseline_error},
         "degraded": result.degraded,
         "cells": [
-            {col: _json_value(getattr(cell, col)) for col in CELL_COLUMNS}
+            {col: json_value(getattr(cell, col)) for col in CELL_COLUMNS}
             for cell in result.cells
         ],
     }

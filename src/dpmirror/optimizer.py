@@ -110,12 +110,6 @@ class RunBatch:
     fresh_iterates: np.ndarray
 
 
-@dataclass(frozen=True)
-class RiskEstimate:
-    mean: float
-    stderr: float
-
-
 def run_streams(seed):
     """Two independent generators (index draws, noise draws) from one seed.
 
@@ -275,6 +269,15 @@ def estimate_regret(batch, dataset, comparator, config):
     z = np.einsum("...i,...i->...", batch.fresh_iterates, x)
     oracle = config.oracle
     return (oracle.loss_at(z, y) - oracle.batch_values(u, x, y)).sum(axis=-1)
+
+
+# Nothing in dpmirror calls estimate_risk (a run's risk is population_risk's
+# exact value); it and RiskEstimate stay because perfbench/spans.py wraps
+# harness.estimate_risk by name (ROADMAP.md, item 1).
+@dataclass(frozen=True)
+class RiskEstimate:
+    mean: float
+    stderr: float
 
 
 def estimate_risk(w, population, oracle, eval_samples, rng):

@@ -9,12 +9,15 @@ import time
 import numpy as np
 import pytest
 
+from oracles import quadrature_risk
+
 import dpmirror.harness as harness_mod
 import dpmirror.optimizer as optimizer_mod
 from dpmirror import cli
 from dpmirror.errors import ConfigurationError
 from dpmirror.harness import (CELL_COLUMNS, build_spec, parse_kv_file,
                               run_and_write, run_tau_sim)
+from dpmirror.losses import RISK_QUADRATURE_BOUND, population_risk
 from dpmirror.optimizer import private_sgd_batch
 from dpmirror.sampler import simulate_tau
 
@@ -182,30 +185,71 @@ class TestRunCommand:
 
     def test_traced_call_sites(self, tmp_path, monkeypatch):
         # The benchmark's tracer times the reference minimizer by wrapping
-        # harness.baseline_minimizer, and the risk draws by wrapping
-        # optimizer.draw_arrays; both names must stay the call sites. The
-        # reference minimizer works on the exact risk and draws nothing;
-        # the only draws left are one eval_samples draw per finished run.
-        calls = {"baseline": 0, "draws": [], "in_baseline": False}
-        baseline, draw = harness_mod.baseline_minimizer, optimizer_mod.draw_arrays
+        # harness.baseline_minimizer and the datasets by wrapping
+        # harness.draw_dataset; both names must stay the call sites. Each
+        # run's risk is exact, so a run draws one dataset per repeat and no
+        # evaluation data: optimizer.draw_arrays and estimate_risk are never
+        # called.
+        calls = {"baseline": 0, "datasets": []}
+        baseline, dataset = harness_mod.baseline_minimizer, harness_mod.draw_dataset
 
         def counting_baseline(*args, **kwargs):
             calls["baseline"] += 1
-            calls["in_baseline"] = True
-            try:
-                return baseline(*args, **kwargs)
-            finally:
-                calls["in_baseline"] = False
+            return baseline(*args, **kwargs)
 
-        def counting_draw(spec, n, rng):
-            calls["draws"].append((n, calls["in_baseline"]))
-            return draw(spec, n, rng)
+        def counting_dataset(spec, n, rng):
+            calls["datasets"].append(n)
+            return dataset(spec, n, rng)
+
+        def not_called(*args, **kwargs):
+            raise AssertionError("a run drew evaluation data")
 
         monkeypatch.setattr(harness_mod, "baseline_minimizer", counting_baseline)
-        monkeypatch.setattr(optimizer_mod, "draw_arrays", counting_draw)
-        harness_mod.run_experiment(build_spec(base_overrides(tmp_path, repeats="3")))
+        monkeypatch.setattr(harness_mod, "draw_dataset", counting_dataset)
+        monkeypatch.setattr(optimizer_mod, "draw_arrays", not_called)
+        monkeypatch.setattr(optimizer_mod, "estimate_risk", not_called)
+        monkeypatch.setattr(harness_mod, "estimate_risk", not_called)
+        harness_mod.run_experiment(build_spec(base_overrides(
+            tmp_path, repeats="3", n_values="16,32")))
         assert calls["baseline"] == 1
-        assert calls["draws"] == [(200, False)] * 3
+        assert calls["datasets"] == [16] * 3 + [32] * 3
+
+    @pytest.mark.parametrize("extra", [
+        {"loss": "hinge"},
+        {"loss": "squared", "generator": "uniform_ball", "set": "box",
+         "lower": "-0.5,-0.4", "upper": "0.5,0.3"},
+    ], ids=["hinge-ball", "squared-box"])
+    def test_excess_is_exact_risk_of_outputs(self, extra, tmp_path, monkeypatch):
+        # Each cell's mean_excess_risk, recomputed from the run's RunBatch
+        # outputs by scipy's adaptive quadrature (an oracle that shares no
+        # code with population_risk), agrees within the stated quadrature
+        # bound RISK_QUADRATURE_BOUND * (1 + B*|w|)^2 of the farthest output.
+        # stderr is the standard error of the runs' exact excesses plus
+        # baseline_error plus that bound.
+        pytest.importorskip("scipy")
+        batches = []
+
+        def keep_batch(*args):
+            batches.append(private_sgd_batch(*args))
+            return batches[-1]
+
+        monkeypatch.setattr(harness_mod, "private_sgd_batch", keep_batch)
+        spec = build_spec(base_overrides(tmp_path, dimension="2", n_values="16,64",
+                                         repeats="3", **extra))
+        result = harness_mod.run_experiment(spec)
+        for cell, batch in zip(result.cells, batches, strict=True):
+            assert not batch.overrun.any()
+            excesses = np.array([quadrature_risk(spec.population, extra["loss"], w)[0]
+                                 for w in batch.output]) - result.baseline_risk
+            scale = 1.0 + spec.population.feature_bound * np.linalg.norm(
+                batch.output, axis=1).max()
+            bound = RISK_QUADRATURE_BOUND * scale ** 2
+            assert abs(cell.mean_excess_risk - excesses.mean()) <= bound
+            exact = np.array([population_risk(spec.population, spec.oracle, w)[0]
+                              for w in batch.output]) - result.baseline_risk
+            assert cell.stderr == pytest.approx(
+                exact.std(ddof=1) / math.sqrt(3) + result.baseline_error + bound,
+                rel=1e-12)
 
     def test_real_overruns_left_out_of_means(self, tmp_path, monkeypatch, capsys):
         # Under a 16-step cap at n = 16 (MAX_STEPS_FACTOR = 1), a run falls
@@ -517,6 +561,22 @@ class TestCli:
         cli.main(args)
         assert (tmp_path / "det" / "audit.csv").read_bytes() == first
 
+    def test_audit_summary_is_strict_json(self, tmp_path, capsys):
+        # At this seed the worst cell is the lumped lower tail, whose lower
+        # edge is -inf; audit_summary.json writes it as null, which a parser
+        # that refuses NaN and Infinity accepts, and so does stdout.
+        def refuse(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        rc = cli.main(["audit", "--L", "1", "--eps-tilde", "0.5", "--delta", "1e-6",
+                       "--trials", "200000", "--grid", "50", "--seed", "2",
+                       "--output-dir", str(tmp_path), "--name", "tail"])
+        assert rc == 0
+        summary = json.loads((tmp_path / "tail" / "audit_summary.json").read_text(),
+                             parse_constant=refuse)
+        assert summary["worst_lo"] is None and math.isfinite(summary["worst_hi"])
+        assert json.loads(capsys.readouterr().out, parse_constant=refuse) == summary
+
     def test_tau_sim_cli(self, tmp_path, capsys):
         rc = cli.main(["tau-sim", "--n", "16", "--trials", "1000", "--seed", "3",
                        "--output-dir", str(tmp_path), "--name", "ts"])
@@ -576,14 +636,18 @@ class TestGoldenOutputs:
     # baseline_risk/baseline_error line and the mean_regret,
     # mean_excess_risk and stderr columns moved. The box run's summary.json
     # was re-pinned when summary.json became strict JSON: only its
-    # report_epsilon and report_delta_total moved, from NaN to null.
+    # report_epsilon and report_delta_total moved, from NaN to null. Both
+    # re-pinned when each run's excess became its exact population risk
+    # minus baseline_risk: only the mean_excess_risk and stderr columns
+    # moved, and the eval_samples echo line (the key is no longer read)
+    # went; no bound_satisfied flipped.
     RUN_DIGESTS = {
         "hinge-ball": [
-            "07df8346f116e124597c2dbac5ad2a56e8fffab815cfb807fed07d0763588a40",
-            "7a3afbd3c455d03caa5ebef1eeb5f9ab63680e0565f5a66c6268be5e45cb09ac"],
+            "f96b8883a873d6e73a7e2cd52bbcca6842ec5e336c12ed6107f44aedf9741602",
+            "0f0ead1343a2e3430298749c79467d1188b87d6ad50f184907100631d3aed614"],
         "squared-box-sigma-override": [
-            "ff8c89533e7f81339228c19e6f8a870912fa7aee6e7d2e493a26a17bf2974ac8",
-            "ff082101c0da88031e0683218656695071b4af7f8846e69762abd971a50e6d97"],
+            "9681c818d7768ae6eb7bc8f82b9ea75f6afe7004a92bc89ee6e8715bcba45f58",
+            "3426ae896ddae51e2e6f06cacefb53af63bbeefd361bc79b55799861ebf16710"],
     }
     CALIBRATE = {
         "eps": ["--n", "10000", "--eps", "0.005", "--delta", "1e-6",
