@@ -74,14 +74,24 @@ def _cmd_tau_sim(args):
     return EXIT_OK
 
 
+def _flags(dests):
+    return ", ".join("--" + dest.replace("_", "-") for dest in dests)
+
+
 def _cmd_calibrate(args):
     target_group = args.eps_bar is not None or args.delta_bar is not None
-    direct_group = args.eps is not None
-    if target_group == direct_group:
-        raise ConfigurationError(
-            "provide either --eps (with --delta/--delta-prime) or "
-            "--eps-bar/--delta-bar, not both"
-        )
+    if target_group == (args.eps is not None):
+        raise ConfigurationError("provide either --eps (with --delta/--delta-prime) or "
+                                 "--eps-bar/--delta-bar, not both")
+    # A flag the chosen mode does not read, or part of the --L/--D/--d
+    # triple, is an error, not a silent no-op.
+    unread = [f for f in ("delta", "delta_prime") if getattr(args, f) is not None]
+    if target_group and unread:
+        raise ConfigurationError(f"{_flags(unread)} not read with --eps-bar/--delta-bar")
+    missing = [f for f in ("L", "D", "d") if getattr(args, f) is None]
+    if missing and not (target_group and len(missing) == 3):
+        raise ConfigurationError(f"missing {_flags(missing)}: --L, --D and --d go together"
+                                 + ("" if target_group else ", and are required with --eps"))
     payload = {}
     if target_group:
         if args.eps_bar is None or args.delta_bar is None or args.n is None:
@@ -94,11 +104,9 @@ def _cmd_calibrate(args):
             raise ConfigurationError("--n and --delta are required with --eps")
         eps, delta = args.eps, args.delta
         delta_prime = args.delta_prime if args.delta_prime is not None else args.delta
-    if args.L is not None and args.D is not None and args.d is not None:
+    if not missing:
         plan = end_to_end(args.n, eps, delta, delta_prime, args.L, args.D, args.d)
         payload.update(asdict(plan))
-    elif not target_group:
-        raise ConfigurationError("--L, --D and --d are required with --eps")
     print(json.dumps(payload, indent=2, sort_keys=True))
     return EXIT_OK
 

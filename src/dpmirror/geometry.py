@@ -22,6 +22,16 @@ L2_BALL = "l2_ball"
 BOX = "box"
 
 
+# Reductions on a run's path sum by add.reduce, not by BLAS (ndarray.dot, @,
+# np.linalg.norm of a vector), whose last bits depend on the OpenBLAS kernel.
+def dot(a, b):
+    return np.add.reduce(a * b, axis=-1)
+
+
+def _norm(x):
+    return math.sqrt(dot(x, x))
+
+
 def _as_vector(x, dim, name):
     v = np.asarray(x, dtype=float)
     if v.ndim != 1 or v.shape[0] != dim:
@@ -74,7 +84,7 @@ class FeasibleSet:
     def diameter(self):
         if self.kind == L2_BALL:
             return 2.0 * self.radius
-        return float(np.linalg.norm(self.upper - self.lower))
+        return _norm(self.upper - self.lower)
 
     def project(self, point):
         """Euclidean-nearest point of the set."""
@@ -98,8 +108,8 @@ class FeasibleSet:
     def max_norm(self):
         """Largest Euclidean norm attained on the set (exact for both kinds)."""
         if self.kind == L2_BALL:
-            return float(np.linalg.norm(self.center)) + self.radius
-        return float(np.linalg.norm(np.maximum(np.abs(self.lower), np.abs(self.upper))))
+            return _norm(self.center) + self.radius
+        return _norm(np.maximum(np.abs(self.lower), np.abs(self.upper)))
 
     def frank_wolfe_gap(self, w, g):
         """max over u in the set of <g, w - u>, in closed form; no input checks.
@@ -110,13 +120,13 @@ class FeasibleSet:
         at w, f(w) - min over the set of f is at most this gap.
         """
         if self.kind == L2_BALL:
-            return float(g.dot(w - self.center) + self.radius * math.sqrt(g.dot(g)))
+            return float(dot(g, w - self.center) + self.radius * _norm(g))
         return float(np.maximum(g * (w - self.lower), g * (w - self.upper)).sum())
 
     def contains(self, point):
         p = _as_vector(point, self.dimension, "contains: point")
         if self.kind == L2_BALL:
-            return np.linalg.norm(p - self.center) <= self.radius + MEMBERSHIP_TOL
+            return _norm(p - self.center) <= self.radius + MEMBERSHIP_TOL
         return bool(np.all(p >= self.lower - MEMBERSHIP_TOL)
                     and np.all(p <= self.upper + MEMBERSHIP_TOL))
 

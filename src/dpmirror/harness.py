@@ -27,14 +27,10 @@ from .losses import (ABSOLUTE, HINGE, LINEAR_MARGIN, RISK_QUADRATURE_BOUND, SQUA
 from .optimizer import (RunConfig, baseline_minimizer, estimate_regret,  # noqa: F401
                         estimate_risk, private_sgd, private_sgd_batch)
 from .privacy import end_to_end, epsilon_limit, step_size
-from .sampler import simulate_tau
+from .sampler import derived_seeds, seeded_streams, simulate_tau
 
 OUTPUT_DIR_ENV = "DPMIRROR_OUTPUT_DIR"
 EXCESS_RISK_CONSTANT = 2.5
-
-
-def _floats(text):
-    return tuple(float(v) for v in text.split(",") if v.strip())
 
 
 def _checked(convert, rule, ok):
@@ -79,12 +75,12 @@ RUN_KEYS = {
     "feature_bound": RunKey(float, "1.0", "norm bound on generated features "
                             "(also L for hinge/absolute)"),
     "noise_rate": RunKey(float, "0.1", "label flip probability for linear_margin"),
-    "w_true": RunKey(_floats, None, "comma-separated floats for linear_margin "
+    "w_true": RunKey(_each(float), None, "comma-separated floats for linear_margin "
                      "(default: first basis vector)"),
     "set": RunKey(_one_of(L2_BALL, BOX), L2_BALL, "l2_ball | box"),
     "radius": RunKey(float, "0.5", "ball radius, centred at 0"),
-    "lower": RunKey(_floats, None, "comma-separated lower box corner (box only)"),
-    "upper": RunKey(_floats, None, "comma-separated upper box corner (box only)"),
+    "lower": RunKey(_each(float), None, "comma-separated lower box corner (box only)"),
+    "upper": RunKey(_each(float), None, "comma-separated upper box corner (box only)"),
     "n_values": RunKey(_each(_checked(int, ">= 16", lambda v: v >= 16)), None,
                        "comma-separated dataset sizes, each >= 16 (required)"),
     "epsilon_values": RunKey(_each(_EPSILON), None,
@@ -294,27 +290,21 @@ def spec_echo(spec):
     return echo
 
 
-def _run_seed(master, *context):
-    ss = np.random.SeedSequence(entropy=[master, *context])
-    return int(ss.generate_state(1, dtype=np.uint64)[0])
-
-
 def run_experiment(spec):
     """Execute every (n, epsilon) cell and aggregate per-cell statistics.
 
     The reference minimizer and its exact population risk (baseline_risk,
-    from losses.population_risk) come first. Per repeat: draw a fresh
-    dataset, run the private optimizer, take the output's exact population
-    risk (losses.population_risk), and measure regret against the
-    reference minimizer; a run's excess risk is that risk minus
-    baseline_risk. No evaluation data are drawn: the datasets are the only
-    draws. The repeats of a cell run together in one private_sgd_batch
-    call; each uses seeds derived from (seed, cell, repeat), so results do
-    not depend on execution order. A repeat that overruns its step cap is
-    counted in overrun_runs and left out of the cell's means. Reported
-    stderr is the runs' standard error plus the reference minimizer's own
-    error bound (certificate plus quadrature) plus the largest stated
-    quadrature bound of the finished runs' risks,
+    from losses.population_risk) come first. Each cell runs its repeats in
+    one private_sgd_batch call; repeat r of cell (n_idx, e_idx) draws its
+    dataset from the SeedSequence of [seed, n_idx, e_idx, r, 0] and runs
+    with the seed that generate_state(1, uint64) gives for [seed, n_idx,
+    e_idx, r, 1], all seeded at once by sampler, so no result depends on
+    execution order. A run's excess risk is its output's exact population
+    risk minus baseline_risk, its regret is measured against the reference
+    minimizer, and no evaluation data are drawn. A repeat that overruns its
+    step cap is counted in overrun_runs and left out of the cell's means.
+    stderr adds to the runs' standard error the reference minimizer's error
+    bound and the largest quadrature bound of the finished runs' risks,
     RISK_QUADRATURE_BOUND * (1 + B*||w||)^2, so bound checks stay honest.
 
     Each cell is checked against bound_value = 2.5*D*(L + sigma*sqrt(d))/sqrt(n).
@@ -345,14 +335,12 @@ def run_experiment(spec):
                 report_eps = plan.report.epsilon
                 report_delta = plan.report.delta_total
 
-            features = np.empty((spec.repeats, n, d))
-            labels = np.empty((spec.repeats, n))
-            for r in range(spec.repeats):
-                data_rng = np.random.default_rng(
-                    np.random.SeedSequence(entropy=[spec.seed, n_idx, e_idx, r, 0]))
-                features[r], labels[r] = draw_dataset(spec.population, n, data_rng)
-            seeds = [_run_seed(spec.seed, n_idx, e_idx, r, 1)
-                     for r in range(spec.repeats)]
+            features, labels = np.empty((spec.repeats, n, d)), np.empty((spec.repeats, n))
+            repeats = np.arange(spec.repeats)
+            data = seeded_streams(spec.seed, n_idx, e_idx, repeats, 0)
+            for r in repeats:
+                features[r], labels[r] = draw_dataset(spec.population, n, data.stream(r))
+            seeds = derived_seeds(spec.seed, n_idx, e_idx, repeats, 1)
             config = RunConfig(n=n, eta=eta, sigma=sigma, feasible_set=spec.feasible_set,
                                oracle=spec.oracle, w1=w1)
             batch = private_sgd_batch(config, seeds, features, labels)

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError
+from .geometry import dot
 
 HINGE = "hinge"
 ABSOLUTE = "absolute"
@@ -125,12 +126,10 @@ class LossOracle:
         return float(worst.max())
 
     def batch_values(self, w, features, labels):
-        """Loss values for one w against a stacked (..., d) feature array.
-
-        Vectorized convenience for Monte-Carlo risk evaluation: loss_at at
-        the margins features @ w.
-        """
-        z = np.asarray(features, dtype=float) @ np.asarray(w, dtype=float)
+        """loss_at at the margins <x, w> of one w against stacked (..., d)
+        features, summed by einsum, not BLAS (see geometry.dot)."""
+        z = np.einsum("...i,i->...", np.asarray(features, dtype=float),
+                      np.asarray(w, dtype=float))
         return self.loss_at(z, np.asarray(labels, dtype=float))
 
 
@@ -189,7 +188,7 @@ def draw_arrays(spec, n, rng):
     features *= radii[:, None] / norms
     if spec.generator == UNIFORM_BALL:
         return features, rng.uniform(-1.0, 1.0, size=n)
-    labels = np.where(features @ spec.w_true >= 0.0, 1.0, -1.0)
+    labels = np.where(np.einsum("ij,j->i", features, spec.w_true) >= 0.0, 1.0, -1.0)
     if spec.noise_rate > 0.0:
         flips = rng.random(n) < spec.noise_rate
         labels = np.where(flips, -labels, labels)
@@ -300,20 +299,20 @@ def population_risk(spec, oracle, w):
     """
     w = np.asarray(w, dtype=float)
     d, bound = spec.dimension, spec.feature_bound
-    norm = math.sqrt(w.dot(w))
+    norm = math.sqrt(dot(w, w))
     scale = bound * norm
     label_axis = None
     if spec.generator == LINEAR_MARGIN and spec.w_true.any():
-        label_axis = spec.w_true / math.sqrt(spec.w_true.dot(spec.w_true))
+        label_axis = spec.w_true / math.sqrt(dot(spec.w_true, spec.w_true))
     along = w / norm if norm > 0.0 else (
         label_axis if label_axis is not None else np.eye(d)[0])
     cuts = [-1.0, 0.0, 1.0]
     if scale > 1.0:
         cuts += [-1.0 / scale, 1.0 / scale]
     if label_axis is not None:
-        cos_angle = float(along.dot(label_axis))
+        cos_angle = float(dot(along, label_axis))
         rest = along - cos_angle * label_axis
-        sin_angle = math.sqrt(rest.dot(rest))
+        sin_angle = math.sqrt(dot(rest, rest))
         across = (-sin_angle * label_axis + cos_angle * rest / sin_angle
                   if sin_angle > 0.0 else np.zeros(d))
         cuts += [-sin_angle, sin_angle]
@@ -349,10 +348,10 @@ def population_risk(spec, oracle, w):
         value = p_up * up_value + (1.0 - p_up) * down_value
         slope = p_up * up_slope + (1.0 - p_up) * down_slope
 
-    gradient = bound * float(density.dot(s * slope)) * along
+    gradient = bound * float(dot(density, s * slope)) * along
     if across_slope is not None:
-        gradient = gradient + bound * float(density.dot(across_slope)) * across
-    return float(density.dot(value)), gradient
+        gradient = gradient + bound * float(dot(density, across_slope)) * across
+    return float(dot(density, value)), gradient
 
 
 def risk_curvature(spec, oracle):

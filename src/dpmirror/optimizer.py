@@ -9,21 +9,13 @@ and outputs the average of the iterates held at the fresh steps.
 Noise convention: sigma is the per-coordinate standard deviation, i.e.
 noise is N(0, sigma^2 * I). This matches the accountant in privacy.py.
 
-A run is fixed by its RunConfig (n, eta, sigma, the feasible set, the
-oracle and w1), the seed passed beside it and its dataset, and takes at
-most max_steps = MAX_STEPS_FACTOR * n steps. The index stream does not
-depend on the iterates, so every run's stopping time and fresh steps are
-read up front by sampler.draw_stopping_times, simulate_tau's path; only
-the projected-step recursion is sequential. private_sgd_batch runs it for
-R runs at once (repeats that differ in seed and dataset) on (R, d) arrays,
-every row stepping up to the largest stopping time; private_sgd is its
-R = 1 call. Per chunk of NOISE_CHUNK_STEPS steps, each run draws its noise
-from its own generator and the fresh steps' data are gathered under the
-fresh mask, so a step updates every row alike and indexes nothing. Every
-run is reproducible from its seed alone, whatever batch it runs in.
-
-A run's result is the RunBatch arrays and nothing per step. A run that
-overruns its cap is reported by its overrun flag, never by an exception.
+A run is fixed by its RunConfig, its seed and its dataset, and takes at
+most max_steps = MAX_STEPS_FACTOR * n steps. Its index and noise streams
+are the two children SeedSequence spawns from its seed (spawned_streams),
+so its index stream depends neither on sigma nor on the iterates: stopping
+times and fresh steps are read up front by sampler.draw_stopping_times,
+simulate_tau's reader, and private_sgd_batch runs the projected-step
+recursion for R runs at once. A run's result is the RunBatch arrays.
 
 baseline_minimizer, the non-private reference point, minimizes the exact
 population risk (losses.population_risk, a quadrature with a stated error
@@ -41,11 +33,11 @@ import numpy as np
 from .errors import ConfigurationError
 # mirror_step, sample_index and draw_dataset are not called here; they stay
 # importable from this module because perfbench/spans.py wraps them by name.
-from .geometry import mirror_step  # noqa: F401
+from .geometry import dot, mirror_step  # noqa: F401
 from .losses import (RISK_QUADRATURE_BOUND, draw_arrays, draw_dataset,  # noqa: F401
                      population_risk, risk_curvature)
-from . import sampler
-from .sampler import check_seed, draw_stopping_times, fresh_target, sample_index  # noqa: F401
+from .sampler import (check_seed, draw_stopping_times, fresh_target,  # noqa: F401
+                      sample_index, spawned_streams)
 
 MAX_STEPS_FACTOR = 4
 NOISE_CHUNK_STEPS = 128
@@ -110,17 +102,6 @@ class RunBatch:
     fresh_iterates: np.ndarray
 
 
-def run_streams(seed):
-    """Two independent generators (index draws, noise draws) from one seed.
-
-    Keeping the streams separate means the sampled index sequence is
-    invariant to sigma, so noisy and noiseless runs with the same seed see
-    the same data order.
-    """
-    idx_ss, noise_ss = np.random.SeedSequence(seed).spawn(2)
-    return np.random.default_rng(idx_ss), np.random.default_rng(noise_ss)
-
-
 def private_sgd(config, seed, dataset):
     """private_sgd_batch for one seed on one (features, labels) dataset."""
     return private_sgd_batch(config, [seed],
@@ -131,20 +112,18 @@ def private_sgd_batch(config, seeds, features, labels):
     """R = len(seeds) private runs at once, in lockstep.
 
     Row r is the run of config with seed seeds[r] on the dataset
-    (features[r], labels[r]); features is (R, n, d) and labels (R, n). Each
-    row gives the same result as running it alone.
+    (features[r], labels[r]); features is (R, n, d) and labels (R, n). Rows
+    step in lockstep up to max(tau); a row past its own tau takes noise-only
+    steps that nothing reads, drawn after every value it uses, so each row
+    equals the run made alone.
 
-    Rows step in lockstep up to max(tau). A row past its own tau takes
-    noise-only steps that nothing reads, with noise drawn after every value
-    it uses, so no row's result depends on the others.
-
-    Per chunk of NOISE_CHUNK_STEPS steps, each run draws its noise from its
-    own generator (the values of one standard_normal(d) draw per step), and
-    one nonzero of the (steps + 1, R) fresh mask gives the fresh (step, row)
-    pairs. Their data fill a (chunk, R, d) array, with a zero row (label 1)
-    at noise-only steps, where g = subgradient + noise is exactly the noise;
-    the iterates held at fresh steps go to fresh_iterates in one scatter
-    per chunk. Memory stays O(R * chunk * d), not O(R * max_steps * d).
+    Per chunk of NOISE_CHUNK_STEPS steps, each run's noise stream draws
+    standard_normal((k, d)) and keeps its place, and one nonzero of the
+    (steps + 1, R) fresh mask gives the fresh (step, row) pairs, whose data
+    fill a (chunk, R, d) array with a zero row (label 1) at noise-only
+    steps, where g = subgradient + noise is exactly the noise. The iterates
+    held at fresh steps go to fresh_iterates in one scatter per chunk, so
+    memory stays O(R * chunk * d).
 
     Inputs are checked once here rather than per step: the config
     (RunConfig.validate), the seeds (sampler.check_seed), the array shapes,
@@ -174,42 +153,18 @@ def private_sgd_batch(config, seeds, features, labels):
     max_steps = MAX_STEPS_FACTOR * n
     target = fresh_target(n)
 
-    # Index streams, stopping times and fresh steps, before any iterate.
-    streams = [run_streams(seed) for seed in seeds]
-    starts = [index_rng.bit_generator.state for index_rng, _ in streams]
-
-    def index_stream(r):
-        streams[r][0].bit_generator.state = starts[r]
-        return streams[r][0]
-
-    # Rows go through draw_stopping_times in chunks of at most CHUNK_DRAWS
-    # first-block draws, as in simulate_tau, so its (rows, n) temporaries
-    # stay small. Fresh indices are read at the arrivals, redrawn for a row
-    # whose arrivals pass its first block. An overrun row's missing
-    # arrivals read max_steps: index 0, and the spare last row of the
-    # (steps + 1, R) mask.
-    block = min(sampler.first_block(n), max_steps)
-    per_chunk = max(1, sampler.CHUNK_DRAWS // block)
-    draws = np.empty((min(per_chunk, rows), block), dtype=np.int64)
-    arrivals = np.empty((rows, target), dtype=np.int64)
-    fresh_indices = np.empty((rows, target), dtype=np.int64)
-    tau = np.empty(rows, dtype=np.int64)
-    for start in range(0, rows, per_chunk):
-        chunk = draws[:min(per_chunk, rows - start)]
-        stop = start + len(chunk)
-        arrivals[start:stop], tau[start:stop] = draw_stopping_times(
-            n, lambda row: index_stream(start + row), chunk, cap=max_steps)
-        fresh_indices[start:stop] = np.take_along_axis(
-            chunk, np.minimum(arrivals[start:stop], block - 1), 1)
-    for r in np.flatnonzero(arrivals[:, -1] >= block):
-        drawn = np.append(index_stream(r).integers(0, n, size=max_steps), 0)
-        fresh_indices[r] = drawn[arrivals[r]]
+    # Index streams, stopping times and fresh steps, before any iterate. An
+    # overrun row's missing arrivals read max_steps: index 0, and the spare
+    # last row of the (steps + 1, R) mask.
+    index_streams, noise_streams = spawned_streams(seeds)
+    tau, arrivals, fresh_indices = draw_stopping_times(n, index_streams, cap=max_steps,
+                                                       fresh=True)
     overrun = tau > max_steps
     tau = np.minimum(tau, max_steps)
     steps = int(tau.max())
     fresh = np.zeros((steps + 1, rows), dtype=bool)
     fresh[arrivals, np.arange(rows)[:, None]] = True
-    del draws, arrivals
+    del arrivals
     seen = 0
     fresh_iterates = np.full((rows, target, d), np.nan)
     eta, oracle, feasible_set = config.eta, config.oracle, config.feasible_set
@@ -217,7 +172,7 @@ def private_sgd_batch(config, seeds, features, labels):
 
     for chunk_start in range(0, steps, NOISE_CHUNK_STEPS):
         k = min(NOISE_CHUNK_STEPS, steps - chunk_start)
-        noise = config.sigma * np.stack([rng.standard_normal((k, d)) for _, rng in streams], 1)
+        noise = config.sigma * noise_streams.standard_normal((k, d)).swapaxes(0, 1)
         # A noise-only step reads a zero row with label 1: slope -1 under
         # each loss, so a -0.0 subgradient, which keeps every bit of the noise.
         mask = fresh[chunk_start:chunk_start + k]
@@ -343,6 +298,6 @@ def baseline_minimizer(population, oracle, feasible_set, budget_steps):
 
     bound = population.feature_bound
     quadrature = (D * math.sqrt(feasible_set.dimension) * RISK_QUADRATURE_BOUND
-                  * bound * (1.0 + bound * math.sqrt(w.dot(w))))
+                  * bound * (1.0 + bound * math.sqrt(dot(w, w))))
     return BaselineResult(w=w, error_bound=certificate + quadrature,
                           budget_steps=budget_steps)

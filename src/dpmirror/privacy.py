@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, RegimeError
-from .sampler import check_seed
+from .sampler import check_seed, seeded_streams
 
 STAGE_END_TO_END = "end_to_end"
 
@@ -232,7 +232,7 @@ def audit_single_step(sigma, L, epsilon_tilde, delta, trials,
             f"{MIN_TRIALS_PER_CELL * grid_cells}, got {trials}"
         )
 
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=[seed, 0xA0D1]))
+    rng = seeded_streams(seed, 0xA0D1).stream(0)
     out_s = sigma * rng.standard_normal(trials)
     out_sprime = L + sigma * rng.standard_normal(trials)
 

@@ -1,25 +1,23 @@
-"""Uniform index sampling, stopping times, and stopping-time Monte Carlo.
+"""Uniform index sampling, stopping times, stopping-time Monte Carlo, seeding.
 
 The optimizer stops once more than half of the dataset indices have been
 drawn at least once: its stopping time tau is the 1-based step at which
-the (floor(n/2)+1)-th distinct index arrives. simulate_tau measures the
-distribution of tau.
+the (floor(n/2)+1)-th distinct index arrives. The optimizer and
+simulate_tau read tau on one path, draw_stopping_times: each row (a run,
+or a trial) draws a first block of about 3n/4 indices from its own PCG64
+stream, stopping_times reads all rows at once, and only the rare row whose
+tau falls past its block draws more. Integer draws of one generator
+concatenate, so tau does not depend on how a stream is cut into blocks.
 
-The optimizer and simulate_tau read tau on one path, draw_stopping_times:
-each row (a run, or a trial) draws a first block of about 3n/4 indices
-from its own PCG64 stream, stopping_times reads all rows at once, and only
-the rare row whose tau falls past its block draws more. Integer draws of
-one generator concatenate (integers(0, n, a) then integers(0, n, b) equals
-integers(0, n, a + b)), so tau does not depend on how a stream is cut into
-blocks.
-
-No per-row Generator call is needed on the common path. First blocks are
-decoded from each stream's raw 64-bit words with the bounded-integer
-method numpy's integers uses (Lemire, "Fast random integer generation in
-an interval", ACM TOMACS 2019), and TrialStreams computes every trial's
-SeedSequence and PCG64 seeding as array arithmetic. Both reproduce numpy
-bit for bit, and numpy's own integers stays the path for any row the
-shortcut does not cover.
+Every seed in dpmirror becomes its streams here: _pcg64_states repeats
+numpy's SeedSequence and PCG64 seeding bit for bit as array arithmetic,
+one entropy column per stream (simulate_tau's trials, the engine's index
+and noise streams, the harness's data streams and run seeds, the audit's
+stream). TrialStreams keeps the states packed and restores one row at a
+time into one reused Generator. First blocks need no Generator call: they
+are decoded from raw 64-bit words with the bounded-integer method numpy's
+integers uses (Lemire, "Fast random integer generation in an interval",
+ACM TOMACS 2019).
 """
 
 import math
@@ -76,13 +74,8 @@ class TauStats:
         return float((self.tau_samples > 2 * self.n).mean())
 
     def summary(self):
-        return {
-            "n": self.n,
-            "trials": self.trials,
-            "mean_tau": self.mean_tau,
-            "max_tau": self.max_tau,
-            "frac_exceed_2n": self.frac_exceed_2n,
-        }
+        return {"n": self.n, "trials": self.trials, "mean_tau": self.mean_tau,
+                "max_tau": self.max_tau, "frac_exceed_2n": self.frac_exceed_2n}
 
 
 def stopping_times(draws, n):
@@ -119,9 +112,9 @@ def first_block(n):
     return (3 * n) // 4 + 4 * math.isqrt(n) + 8
 
 
-# simulate_tau stacks its trials' first blocks into chunks of at most this
-# many draws (128 KB of int64) for one stopping_times call each. On n in
-# {16, ..., 1024}, 2**13 and 2**15 were both slower.
+# draw_stopping_times stacks first blocks into chunks of at most this many
+# draws (128 KB of int64) for one stopping_times call each. On n in
+# {16, ..., 1024}, simulate_tau was slower at 2**13 and 2**15.
 CHUNK_DRAWS = 1 << 14
 
 _MASK32 = (1 << 32) - 1
@@ -173,25 +166,26 @@ def _mul128(a, constant):
     return _carry(columns)
 
 
-def _pcg64_states(seed, trials):
-    """PCG64(SeedSequence([seed, t])) state for each t of a uint32 array, packed.
+def _words(value):
+    """An int as SeedSequence reads it: its uint32 words, least significant first."""
+    return [value >> 32 * k & _MASK32 for k in range(max(1, (value.bit_length() + 31) // 32))]
 
-    Row i is [state >> 64, state & mask, inc >> 64, inc & mask] of trial
-    trials[i], as uint64. SeedSequence hashes its entropy words (seed's
-    uint32 words, least significant first, then t's one word) into a pool
-    of four words and hashes those out as generate_state(4, uint64); PCG64
-    then sets inc = (initseq << 1) | 1 and state = (inc + initstate) * M +
-    inc, mod 2**128. Every step is fixed uint32 or 128-bit arithmetic, done
-    here on one column per trial.
-    """
-    words = [seed & _MASK32]
-    while seed > _MASK32:
-        seed >>= 32
-        words.append(seed & _MASK32)
-    # Entropy shorter than the pool hashes zeros into the rest of it.
-    entropy = np.zeros((max(len(words) + 1, 4), len(trials)), dtype=np.uint32)
-    entropy[:len(words)] = np.array(words, dtype=np.uint32)[:, None]
-    entropy[len(words)] = trials
+
+def _entropy(parts):
+    """SeedSequence's entropy for [*parts] as (words, columns) uint32, one column
+    per stream: an int part gives its words to every column, an array part one
+    word (below 2**32) per column; zeros pad it to the pool's four words."""
+    rows = [row for part in parts
+            for row in ([part] if isinstance(part, np.ndarray) else _words(int(part)))]
+    rows += [0] * (4 - len(rows))
+    return np.array(np.broadcast_arrays(*rows), dtype=np.uint32).reshape(len(rows), -1)
+
+
+def _generate_state(entropy):
+    """SeedSequence's generate_state(8) for each entropy column, as eight
+    uint64 arrays of uint32 words: the first four entropy words are hashed
+    into the pool, each later word mixed into every pool word, and the pool
+    hashed out in turn."""
     hashmix = _hasher(_INIT_A, _MULT_A)
     pool = [hashmix(word) for word in entropy[:4]]
     for src in range(4):
@@ -202,7 +196,18 @@ def _pcg64_states(seed, trials):
         for dst in range(4):
             pool[dst] = _mix(pool[dst], hashmix(word))
     hashmix = _hasher(_INIT_B, _MULT_B)
-    out = [hashmix(pool[i % 4]).astype(np.uint64) for i in range(8)]
+    return [hashmix(pool[i % 4]).astype(np.uint64) for i in range(8)]
+
+
+def _pcg64_states(entropy):
+    """The PCG64 state SeedSequence seeds from each column of an assembled
+    (words, streams) uint32 entropy array, packed: row i is [state >> 64,
+    state & mask, inc >> 64, inc & mask] of stream i, as uint64.
+
+    PCG64 reads generate_state(4, uint64) and sets inc = (initseq << 1) | 1
+    and state = (inc + initstate) * M + inc, mod 2**128.
+    """
+    out = _generate_state(entropy)
     # generate_state's uint64 words k are out[2k] | out[2k + 1] << 32;
     # initstate = k0 << 64 | k1 and initseq = k2 << 64 | k3.
     initstate = [out[2], out[3], out[0], out[1]]
@@ -211,7 +216,7 @@ def _pcg64_states(seed, trials):
         (initseq[k] << 1 | initseq[k - 1] >> 31) & _MASK32 for k in (1, 2, 3)]
     start = _mul128(_carry([x + y for x, y in zip(inc, initstate)]), _PCG64_MULT)
     state = _carry([x + y for x, y in zip(start, inc)])
-    packed = np.empty((len(trials), 4), dtype=np.uint64)
+    packed = np.empty((entropy.shape[1], 4), dtype=np.uint64)
     for col, (hi, lo) in enumerate([(state[3], state[2]), (state[1], state[0]),
                                     (inc[3], inc[2]), (inc[1], inc[0])]):
         packed[:, col] = hi << 32 | lo
@@ -219,53 +224,77 @@ def _pcg64_states(seed, trials):
 
 
 class TrialStreams:
-    """The index streams of trials 0..trials-1 under one seed, seeded once.
+    """Packed PCG64 streams (state and increment, 32 bytes a row) read through
+    one shared Generator: stream(r) restores row r, which then draws what a
+    generator seeded the same way would; standard_normal draws each row's
+    next normals and stores its state back (normals buffer no half-word)."""
 
-    Trial t's stream is default_rng(SeedSequence([seed, t])), a PCG64
-    generator. The constructor computes every trial's PCG64 state at once
-    with numpy's own seeding arithmetic (_pcg64_states) and keeps it packed:
-    the 128-bit state and increment as four uint64 words, 32 bytes per
-    trial. stream(t) restores row t into one reused Generator, which then
-    draws exactly what the freshly built generator would.
-
-    seed must be a non-negative int and trials an int in [1, 2**32], so
-    that SeedSequence reads t as one uint32 word.
-    """
-
-    def __init__(self, seed, trials):
-        check_seed(seed, "TrialStreams")
-        if (isinstance(trials, bool) or not isinstance(trials, (int, np.integer))
-                or not 1 <= trials <= 1 << 32):
-            raise ConfigurationError(
-                f"TrialStreams: trials must be an int in [1, 2**32], got {trials!r}")
-        self._packed = _pcg64_states(int(seed), np.arange(trials, dtype=np.uint32))
+    def __init__(self, packed):
+        self._packed = packed
         self._bit_generator = np.random.PCG64(0)
         self._rng = np.random.Generator(self._bit_generator)
 
-    def stream(self, trial):
-        """Trial's generator at the start of its stream.
+    def __len__(self):
+        return len(self._packed)
 
-        The one Generator is shared: a later stream() call moves it.
-        """
-        hi, lo, inc_hi, inc_lo = self._packed[trial].tolist()
+    def stream(self, row):
+        hi, lo, inc_hi, inc_lo = self._packed[row].tolist()
         self._bit_generator.state = {
             "bit_generator": "PCG64",
             "state": {"state": hi << 64 | lo, "inc": inc_hi << 64 | inc_lo},
             "has_uint32": 0, "uinteger": 0}
         return self._rng
 
+    def standard_normal(self, shape):
+        """Each row's next standard_normal(shape), as (rows, *shape)."""
+        out = np.empty((len(self), *shape))
+        for row in range(len(self)):
+            self.stream(row).standard_normal(out=out[row])
+            state = self._bit_generator.state["state"]["state"]
+            self._packed[row, :2] = divmod(state, 1 << 64)
+        return out
+
+
+def seeded_streams(*parts):
+    """TrialStreams of the default_rng streams of SeedSequence entropy
+    [*parts], one row per column of _entropy(parts)."""
+    return TrialStreams(_pcg64_states(_entropy(parts)))
+
+
+def derived_seeds(*parts):
+    """SeedSequence's generate_state(1, uint64)[0] for entropy [*parts], one
+    int per column of _entropy(parts)."""
+    out = _generate_state(_entropy(parts))
+    return (out[0] | out[1] << np.uint64(32)).tolist()
+
+
+def spawned_streams(seeds):
+    """(child 0, child 1) TrialStreams: row r of child k is the default_rng
+    stream of child k of SeedSequence.spawn(2) on seeds[r], whose entropy is
+    the seed's words zero-padded to the pool size of 4, then k. Seeds of more
+    than four words assemble longer entropy; each length is seeded apart."""
+    words = [seed_words + [0] * (4 - len(seed_words))
+             for seed_words in (_words(int(seed)) for seed in seeds)]
+    width = np.array([len(seed_words) for seed_words in words])
+    children = np.empty((2, len(words), 4), dtype=np.uint64)
+    for size in set(width.tolist()):
+        rows = np.flatnonzero(width == size)
+        columns = np.array([words[r] for r in rows], dtype=np.uint32).T
+        for key in (0, 1):
+            children[key, rows] = _pcg64_states(_entropy([*columns, key]))
+    return TrialStreams(children[0]), TrialStreams(children[1])
+
 
 def fill_first_blocks(n, stream, draws):
     """Fill row r of draws with stream(r).integers(0, n, draws.shape[1]).
 
-    stream(r) returns row r's generator, a PCG64 Generator at the start of
-    its stream with no 32-bit half-word buffered. For n <= 2**32, numpy's
-    integers(0, n) is Lemire's method on the stream's 32-bit outputs, the
-    low half of each 64-bit word first: output x gives index (x * n) >> 32,
-    unless (x * n) mod 2**32 < 2**32 mod n rejects it and the next output
-    is used. So each row reads only ceil(block / 2) raw words, and all rows
-    are decoded at once. A row with a rejected output in its block, and
-    every row when n > 2**32, draws through integers.
+    stream(r) is row r's PCG64 Generator at its stream start. For n <= 2**32,
+    integers(0, n) is Lemire's method on 32-bit outputs, low half of each
+    64-bit word first: output x gives index (x * n) >> 32, unless (x * n)
+    mod 2**32 < 2**32 mod n rejects it for the next output. So each row
+    reads ceil(block / 2) raw words, and all rows are decoded at once; a
+    row with a rejection in its block, and every row when n > 2**32, draws
+    through integers.
     """
     rows, block = draws.shape
     redraw = range(rows)
@@ -283,57 +312,66 @@ def fill_first_blocks(n, stream, draws):
         draws[row] = stream(row).integers(0, n, size=block)
 
 
-def draw_stopping_times(n, stream, draws, cap=math.inf):
-    """(arrivals, tau) of rows of index streams, read off their first blocks.
+def draw_stopping_times(n, streams, cap=math.inf, fresh=False):
+    """tau of each row of a TrialStreams; with fresh, (tau, arrivals, indices).
 
-    stream(r) returns row r's generator at the start of its stream, as
-    fill_first_blocks takes it. Row r of draws, a caller-owned (rows, block)
-    int64 buffer, gets the first block of stream r, and one stopping_times
-    call reads all rows. A row whose tau falls past its block is redrawn
-    alone from its stream start, in blocks of max(4n, 8), until tau falls
-    inside or cap draws are used. A row that has not stopped within cap
-    draws holds cap in its missing arrivals and gets tau = cap + 1.
+    Rows go CHUNK_DRAWS // block at a time (block = min(first_block(n),
+    cap); both are read at call time) through one reused buffer of first
+    blocks (fill_first_blocks) and one stopping_times call. A row whose tau
+    falls past its block is redrawn alone from its stream start, in blocks
+    of max(4n, 8), until tau falls inside or cap draws are used (then its
+    missing arrivals read cap and tau = cap + 1). Only fresh keeps
+    arrivals, the (rows, n//2+1) steps of each row's first draws of a
+    value, and indices, the values drawn there (0 at missing arrivals).
     """
-    block = draws.shape[1]
-    fill_first_blocks(n, stream, draws)
-    arrivals, tau = stopping_times(draws, n)
+    rows, target = len(streams), fresh_target(n)
+    block = min(first_block(n), cap)
+    per_chunk = max(1, CHUNK_DRAWS // block)
+    draws = np.empty((min(per_chunk, rows), block), dtype=np.int64)
+    tau = np.empty(rows, dtype=np.int64)
+    if fresh:
+        # Two arrays, so that the engine can free arrivals and keep indices.
+        arrivals, indices = (np.empty((rows, target), dtype=np.int64) for _ in range(2))
+    for start in range(0, rows, per_chunk):
+        chunk = draws[:min(per_chunk, rows - start)]
+        stop = start + len(chunk)
+        fill_first_blocks(n, lambda row: streams.stream(start + row), chunk)
+        # Each branch frees stopping_times' (rows, n) sort buffer at once.
+        if fresh:   # a row replayed below gets its values there
+            arrivals[start:stop], tau[start:stop] = stopping_times(chunk, n)
+            indices[start:stop] = np.take_along_axis(
+                chunk, np.minimum(arrivals[start:stop], block - 1), 1)
+        else:
+            tau[start:stop] = stopping_times(chunk, n)[1]
     for row in np.flatnonzero(tau > block):
-        rng, drawn = stream(row), np.empty(0, dtype=np.int64)
+        rng, drawn = streams.stream(row), np.empty(0, dtype=np.int64)
         while tau[row] > drawn.size and drawn.size < cap:
             more = rng.integers(0, n, size=min(max(4 * n, 8), cap - drawn.size))
             drawn = np.concatenate([drawn, more])
             row_arrivals, row_tau = stopping_times(drawn[None], n)
-            arrivals[row], tau[row] = row_arrivals[0], row_tau[0]
-    return arrivals, tau
+            tau[row] = row_tau[0]
+        if fresh:
+            arrivals[row] = row_arrivals[0]
+            indices[row] = np.append(drawn, 0)[row_arrivals[0]]
+    return (tau, arrivals, indices) if fresh else tau
 
 
 def simulate_tau(n, trials, seed):
     """Monte-Carlo sample of the stopping time over independent trials.
 
-    Trial t draws its indices from its own PCG64 stream,
-    default_rng(SeedSequence([seed, t])), so trials are individually
-    reproducible and order-independent. A TrialStreams(seed, trials) holds
-    those streams, all seeded at once (32 bytes of packed state per trial).
-    seed must be a non-negative int and trials an int in [1, 2**32];
-    anything else raises ConfigurationError.
-
-    Each trial draws a first block of first_block(n) indices, about 3n/4,
-    decoded by Lemire's method from ceil(first_block(n) / 2) raw words of
-    its stream (fill_first_blocks). draw_stopping_times reads up to
-    CHUNK_DRAWS // first_block(n) trials at a time into one reused buffer,
-    and replays the rare trial whose tau falls past its first block
-    (probability at most 2.4e-4, below 1e-6 for n >= 16) along its own
-    stream.
+    Trial t draws its indices from its own stream, the default_rng stream
+    of SeedSequence entropy [seed, t], so trials are individually
+    reproducible and order-independent; all are seeded at once
+    (seeded_streams) and read by draw_stopping_times. seed must be a
+    non-negative int and trials an int in [1, 2**32], so that t is one
+    uint32 word; anything else raises ConfigurationError.
     """
     if n < 1:
         raise ConfigurationError(f"simulate_tau: n must be >= 1, got {n}")
-    streams = TrialStreams(seed, trials)
-    block = first_block(n)
-    per_chunk = max(1, CHUNK_DRAWS // block)
-    samples = np.empty(trials, dtype=np.int64)
-    draws = np.empty((per_chunk, block), dtype=np.int64)
-    for start in range(0, trials, per_chunk):
-        chunk = draws[:min(per_chunk, trials - start)]
-        samples[start:start + len(chunk)] = draw_stopping_times(
-            n, lambda row: streams.stream(start + row), chunk)[1]
-    return TauStats(n=n, trials=trials, tau_samples=samples)
+    check_seed(seed, "simulate_tau")
+    if (isinstance(trials, bool) or not isinstance(trials, (int, np.integer))
+            or not 1 <= trials <= 1 << 32):
+        raise ConfigurationError(
+            f"simulate_tau: trials must be an int in [1, 2**32], got {trials!r}")
+    streams = seeded_streams(seed, np.arange(trials, dtype=np.uint32))
+    return TauStats(n=n, trials=trials, tau_samples=draw_stopping_times(n, streams))

@@ -286,7 +286,7 @@ class TestTrialStreams:
 
     def test_restored_stream_draws_as_fresh(self):
         seed = 11
-        streams = TrialStreams(seed, 6)
+        streams = sampler.seeded_streams(seed, np.arange(6, dtype=np.uint32))
         for trial in (5, 0, 3, 3, 1):
             for n in (16, 1025, 2 ** 33 + 5):
                 # An odd draw first leaves the shared generator mid-output.
@@ -304,15 +304,11 @@ class TestValidation:
     def test_bad_seed(self, seed):
         with pytest.raises(ConfigurationError, match="seed"):
             simulate_tau(16, 10, seed=seed)
-        with pytest.raises(ConfigurationError, match="seed"):
-            TrialStreams(seed, 10)
 
     @pytest.mark.parametrize("trials", [0, -3, 2 ** 32 + 1, 1.5, 10.0])
     def test_bad_trials(self, trials):
         with pytest.raises(ConfigurationError, match="trials"):
             simulate_tau(16, trials, seed=0)
-        with pytest.raises(ConfigurationError, match="trials"):
-            TrialStreams(0, trials)
 
     def test_numpy_integer_arguments(self):
         got = simulate_tau(16, np.int64(40), seed=np.uint64(7)).tau_samples
@@ -369,7 +365,9 @@ class TestRawWordDraws:
 
 
 class TestVectorSeeding:
-    """TrialStreams' seeding against numpy's SeedSequence and PCG64."""
+    """sampler's seeding against numpy's own SeedSequence and PCG64: trial
+    streams, the engine's spawned children, the harness's data streams and
+    run seeds, the audit's stream, and a saved stream's continuation."""
 
     SEEDS = [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 63 - 1, 2 ** 95 + 7, 2 ** 130 + 1]
 
@@ -380,18 +378,63 @@ class TestVectorSeeding:
     @pytest.mark.parametrize("seed", SEEDS)
     def test_streams_start_at_numpy_state(self, seed):
         trials = 1000
-        streams = TrialStreams(seed, trials)
+        streams = sampler.seeded_streams(seed, np.arange(trials, dtype=np.uint32))
         for trial in [*range(50), trials - 1]:
             assert streams.stream(trial).bit_generator.state == self.numpy_state(seed, trial)
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_high_trial_words(self, seed):
         trials = np.array([2 ** 32 - 1, 2 ** 31, 65_537, 12_345_678], dtype=np.uint32)
-        packed = sampler._pcg64_states(seed, trials)
+        packed = sampler._pcg64_states(sampler._entropy([seed, trials]))
         for row, trial in zip(packed.tolist(), trials.tolist()):
             state = self.numpy_state(seed, trial)["state"]
             assert row == [state["state"] >> 64, state["state"] & (2 ** 64 - 1),
                            state["inc"] >> 64, state["inc"] & (2 ** 64 - 1)], trial
+
+    # Spawned seeds of one, two, three and five words (2**128 makes the
+    # entropy longer than the pool), and numpy integers, in one batch.
+    SPAWN_SEEDS = [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64 - 1, 2 ** 95 + 7, 2 ** 128,
+                   np.uint64(9), np.int64(2 ** 40 + 3)]
+
+    def test_spawned_children(self):
+        children = sampler.spawned_streams(self.SPAWN_SEEDS)
+        for key, streams in enumerate(children):
+            assert len(streams) == len(self.SPAWN_SEEDS)
+            for row, seed in enumerate(self.SPAWN_SEEDS):
+                want = np.random.PCG64(np.random.SeedSequence(seed).spawn(2)[key]).state
+                assert streams.stream(row).bit_generator.state == want, (key, seed)
+
+    @pytest.mark.parametrize("master", [0, 7, 2 ** 32 - 1, 2 ** 40 + 3, 2 ** 63 - 5, 2 ** 128])
+    def test_harness_context(self, master):
+        # The harness's data stream [seed, n_idx, e_idx, r, 0], run seed
+        # [seed, n_idx, e_idx, r, 1] and the audit's [seed, 0xA0D1].
+        repeats = np.arange(6)
+        data = sampler.seeded_streams(master, 2, 1, repeats, 0)
+        seeds = sampler.derived_seeds(master, 2, 1, repeats, 1)
+        for r in range(6):
+            want = np.random.PCG64(np.random.SeedSequence([master, 2, 1, r, 0])).state
+            assert data.stream(r).bit_generator.state == want
+            sequence = np.random.SeedSequence([master, 2, 1, r, 1])
+            assert seeds[r] == int(sequence.generate_state(1, np.uint64)[0])
+            assert type(seeds[r]) is int
+        audit = sampler.seeded_streams(master, 0xA0D1).stream(0)
+        want = np.random.default_rng(np.random.SeedSequence([master, 0xA0D1]))
+        assert np.array_equal(audit.standard_normal(50), want.standard_normal(50))
+
+    def test_saved_stream_continues(self):
+        # Normals drawn in pieces, with other draws on the shared Generator
+        # between them, equal one draw of the freshly built child.
+        seeds = [4, 2 ** 33]
+        noise = sampler.spawned_streams(seeds)[1]
+        pieces = []
+        for size in (3, 128, 1, 40):
+            pieces.append(noise.standard_normal((size, 2)))
+            noise.stream(1).integers(0, 5, size=3)   # moves the shared Generator only
+        for row, seed in enumerate(seeds):
+            fresh = np.random.default_rng(np.random.SeedSequence(seed).spawn(2)[1])
+            want = fresh.standard_normal((172, 2))
+            got = np.concatenate([piece[row] for piece in pieces])
+            assert got.tobytes() == want.tobytes()
 
 
 class TestFirstArrivalsKernel:
