@@ -300,7 +300,8 @@ def run_experiment(spec):
     with the seed that generate_state(1, uint64) gives for [seed, n_idx,
     e_idx, r, 1], all seeded at once by sampler, so no result depends on
     execution order. A run's excess risk is its output's exact population
-    risk minus baseline_risk, its regret is measured against the reference
+    risk minus baseline_risk (one population_risk call scores a cell's
+    finished rows), its regret is measured against the reference
     minimizer, and no evaluation data are drawn. A repeat that overruns its
     step cap is counted in overrun_runs and left out of the cell's means.
     stderr adds to the runs' standard error the reference minimizer's error
@@ -350,8 +351,7 @@ def run_experiment(spec):
             taus = batch.tau[finished].tolist()
             regrets = all_regrets[finished].tolist()
             outputs = batch.output[finished]
-            excesses = [population_risk(spec.population, spec.oracle, w)[0] - base_risk
-                        for w in outputs]
+            excesses = population_risk(spec.population, spec.oracle, outputs)[0] - base_risk
             completed = len(excesses)
             # population_risk's stated error bound at the output farthest from 0
             scale = 1.0 + spec.population.feature_bound * np.linalg.norm(outputs, axis=1)

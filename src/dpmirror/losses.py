@@ -266,8 +266,10 @@ def _marginal_constant(d):
 def population_risk(spec, oracle, w):
     """Exact population risk F(w) = E loss(<w, x>, y) of spec, and its gradient.
 
-    Returns (F(w), grad F(w)) for a (d,) point w. Both populations draw x
-    uniform in the ball of radius B = spec.feature_bound. Let s = <x, w>/(B||w||)
+    Returns (F(w), grad F(w)) for a (d,) point w, and the (R,) values and
+    (R, d) gradients for stacked (R, d) rows; a point is the R = 1 case.
+    Both populations draw x uniform in the ball of radius
+    B = spec.feature_bound. Let s = <x, w>/(B||w||)
     and, in the plane of w and w_true, t the coordinate of x/B across w.
     Labels depend on x only through sign(<w_true, x>) (linear_margin) or
     not at all (uniform_ball, and linear_margin with w_true = 0, whose
@@ -295,63 +297,71 @@ def population_risk(spec, oracle, w):
     to 50, and w placed so that a kink and the label line's end lie 1e-8
     apart. The stated bound, with a margin, is RISK_QUADRATURE_BOUND times
     (1 + B||w||)^2 for F and times B(1 + B||w||) for each gradient
-    coordinate; tests check it against scipy's dblquad.
+    coordinate; tests check it against scipy's dblquad. Rows with the same
+    number of pieces share one pass; rows are not padded to one length, as
+    padding would change add.reduce's pairwise sums, and so the bits.
     """
     w = np.asarray(w, dtype=float)
     d, bound = spec.dimension, spec.feature_bound
-    norm = math.sqrt(dot(w, w))
+    rows = np.atleast_2d(w)
+    norm = np.sqrt(dot(rows, rows))[:, None]
     scale = bound * norm
     label_axis = None
     if spec.generator == LINEAR_MARGIN and spec.w_true.any():
         label_axis = spec.w_true / math.sqrt(dot(spec.w_true, spec.w_true))
-    along = w / norm if norm > 0.0 else (
-        label_axis if label_axis is not None else np.eye(d)[0])
-    cuts = [-1.0, 0.0, 1.0]
-    if scale > 1.0:
-        cuts += [-1.0 / scale, 1.0 / scale]
+    along = np.where(norm > 0.0, rows / np.where(norm > 0.0, norm, 1.0),
+                     label_axis if label_axis is not None else np.eye(d)[0])
+    # Each row's cuts; one that does not apply is a +-0.0, a repeat of 0.
+    inverse = np.where(scale > 1.0, 1.0 / np.maximum(scale, 1.0), 0.0)
+    cuts = [np.broadcast_to([-1.0, 0.0, 1.0], (len(rows), 3)), -inverse, inverse]
     if label_axis is not None:
-        cos_angle = float(dot(along, label_axis))
+        cos_angle = dot(along, label_axis)[:, None]
         rest = along - cos_angle * label_axis
-        sin_angle = math.sqrt(dot(rest, rest))
-        across = (-sin_angle * label_axis + cos_angle * rest / sin_angle
-                  if sin_angle > 0.0 else np.zeros(d))
+        sin_angle = np.sqrt(dot(rest, rest))[:, None]
+        across = np.where(sin_angle > 0.0, -sin_angle * label_axis + cos_angle * rest
+                          / np.where(sin_angle > 0.0, sin_angle, 1.0), 0.0)
         cuts += [-sin_angle, sin_angle]
+    cuts = np.sort(np.hstack(cuts), axis=1)
+    distinct = np.diff(cuts, axis=1, prepend=-2.0) > 0.0
+    sizes = distinct.sum(axis=1)
     t, t_weights = _mapped_rule(RISK_NODES)
-    cuts = np.arcsin(sorted(set(cuts)))
-    lo, hi = cuts[:-1, None], cuts[1:, None]
-    psi = (lo + (hi - lo) * t).ravel()
-    s, cos = np.sin(psi), np.cos(psi)
     c_d = _marginal_constant(d)
-    density = ((hi - lo) * t_weights).ravel() * c_d * cos ** d
-    z = scale * s
-
-    across_slope = None
-    if spec.generator == UNIFORM_BALL:
-        value, slope = _uniform_label_loss(oracle.kind, z)
-    else:
-        flip = spec.noise_rate
-        up_value, up_slope = oracle.loss_at(z, 1.0), oracle.slope_at(z, 1.0)
-        down_value, down_slope = oracle.loss_at(z, -1.0), oracle.slope_at(z, -1.0)
-        p_up = 1.0 - flip
+    risk, gradient = np.empty(len(rows)), np.empty_like(rows)
+    for size in np.flatnonzero(np.bincount(sizes)):
+        group = np.flatnonzero(sizes == size)
+        edges = np.arcsin(cuts[group][distinct[group]].reshape(-1, size))
+        lo, hi = edges[:, :-1, None], edges[:, 1:, None]
+        psi = (lo + (hi - lo) * t).reshape(len(group), -1)
+        s, cos = np.sin(psi), np.cos(psi)
+        density = ((hi - lo) * t_weights).reshape(len(group), -1) * c_d * cos ** d
+        z = scale[group] * s
+        if spec.generator == UNIFORM_BALL:
+            value, slope = _uniform_label_loss(oracle.kind, z)
+        else:
+            flip = spec.noise_rate
+            up_value, up_slope = oracle.loss_at(z, 1.0), oracle.slope_at(z, 1.0)
+            down_value, down_slope = oracle.loss_at(z, -1.0), oracle.slope_at(z, -1.0)
+            p_up = 1.0 - flip
+            if label_axis is not None:
+                # sin(psi_c) = s*cot(angle)/sqrt(1 - s^2), clipped where the
+                # label line misses the chord; the chord's side <w_true, x> > 0
+                # is psi < psi_c.
+                with np.errstate(divide="ignore"):
+                    psi_c = np.arcsin(np.clip(s * cos_angle[group] / (sin_angle[group] * cos),
+                                              -1.0, 1.0))
+                # The whole chord's integral of cos^(d-1) is 2*pi*c_d/d.
+                chord = 2.0 * math.pi * c_d / d
+                p_up = flip + (1.0 - 2.0 * flip) * _cos_power_integral(d - 1, psi_c) / chord
+                # E[t; label +1 | s] = -(1 - 2 flip) cos(psi) cos^d(psi_c)/(d * chord).
+                mean_t_up = -(1.0 - 2.0 * flip) * cos * np.cos(psi_c) ** d / (d * chord)
+                across_slope = mean_t_up * (up_slope - down_slope)
+            value = p_up * up_value + (1.0 - p_up) * down_value
+            slope = p_up * up_slope + (1.0 - p_up) * down_slope
+        risk[group] = dot(density, value)
+        gradient[group] = (bound * dot(density, s * slope))[:, None] * along[group]
         if label_axis is not None:
-            # sin(psi_c) = s*cot(angle)/sqrt(1 - s^2), clipped where the
-            # label line misses the chord; the chord's side <w_true, x> > 0
-            # is psi < psi_c.
-            with np.errstate(divide="ignore"):
-                psi_c = np.arcsin(np.clip(s * cos_angle / (sin_angle * cos), -1.0, 1.0))
-            # The whole chord's integral of cos^(d-1) is 2*pi*c_d/d.
-            chord = 2.0 * math.pi * c_d / d
-            p_up = flip + (1.0 - 2.0 * flip) * _cos_power_integral(d - 1, psi_c) / chord
-            # E[t; label +1 | s] = -(1 - 2 flip) cos(psi) cos^d(psi_c)/(d * chord).
-            mean_t_up = -(1.0 - 2.0 * flip) * cos * np.cos(psi_c) ** d / (d * chord)
-            across_slope = mean_t_up * (up_slope - down_slope)
-        value = p_up * up_value + (1.0 - p_up) * down_value
-        slope = p_up * up_slope + (1.0 - p_up) * down_slope
-
-    gradient = bound * float(dot(density, s * slope)) * along
-    if across_slope is not None:
-        gradient = gradient + bound * float(dot(density, across_slope)) * across
-    return float(dot(density, value)), gradient
+            gradient[group] += (bound * dot(density, across_slope))[:, None] * across[group]
+    return (float(risk[0]), gradient[0]) if w.ndim == 1 else (risk, gradient)
 
 
 def risk_curvature(spec, oracle):

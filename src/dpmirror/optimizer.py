@@ -118,12 +118,15 @@ def private_sgd_batch(config, seeds, features, labels):
     equals the run made alone.
 
     Per chunk of NOISE_CHUNK_STEPS steps, each run's noise stream draws
-    standard_normal((k, d)) and keeps its place, and one nonzero of the
-    (steps + 1, R) fresh mask gives the fresh (step, row) pairs, whose data
-    fill a (chunk, R, d) array with a zero row (label 1) at noise-only
-    steps, where g = subgradient + noise is exactly the noise. The iterates
-    held at fresh steps go to fresh_iterates in one scatter per chunk, so
-    memory stays O(R * chunk * d).
+    standard_normal((k, d)) and keeps its place. A running cumsum of the
+    (steps + 1, R) fresh mask gives every (step, row) of the chunk its flat
+    slot r*m + count - 1 and flat data row r*n + index; one take each
+    gathers the (chunk, R, d) features and (chunk, R) labels, with a zero
+    row (label 1) at noise-only steps, where g = subgradient + noise is
+    exactly the noise. The iterates held at fresh steps go to
+    fresh_iterates in one scatter per chunk and into the output's sum by
+    one cumsum over the chunk's steps, in step order, so memory stays
+    O(R * chunk * d).
 
     Inputs are checked once here rather than per step: the config
     (RunConfig.validate), the seeds (sampler.check_seed), the array shapes,
@@ -169,6 +172,10 @@ def private_sgd_batch(config, seeds, features, labels):
     fresh_iterates = np.full((rows, target, d), np.nan)
     eta, oracle, feasible_set = config.eta, config.oracle, config.feasible_set
     w = np.tile(np.asarray(config.w1, dtype=float), (rows, 1))
+    # Row r's slot j is flat slot r*target + j, and its data row i is r*n + i.
+    flat_slots, flat_data = np.arange(rows) * target - 1, np.arange(rows) * n
+    flat_x, flat_iterates = features.reshape(-1, d), fresh_iterates.reshape(-1, d)
+    total = np.zeros((rows, d))
 
     for chunk_start in range(0, steps, NOISE_CHUNK_STEPS):
         k = min(NOISE_CHUNK_STEPS, steps - chunk_start)
@@ -177,25 +184,26 @@ def private_sgd_batch(config, seeds, features, labels):
         # each loss, so a -0.0 subgradient, which keeps every bit of the noise.
         mask = fresh[chunk_start:chunk_start + k]
         counts = mask.cumsum(axis=0) + seen
-        at_step, at_row = mask.nonzero()
-        slots = counts[at_step, at_row] - 1
         seen = counts[-1]
-        data = fresh_indices[at_row, slots]
-        x = np.zeros((k, rows, d))
-        x[at_step, at_row] = features[at_row, data]
-        y = np.ones((k, rows))
-        y[at_step, at_row] = labels[at_row, data]
+        slots = counts + flat_slots
+        data = fresh_indices.take(slots) + flat_data
+        x = np.where(mask[..., None], flat_x.take(data, axis=0), 0.0)
+        y = np.where(mask, labels.take(data), 1.0)
         held = []
         for x_t, y_t, xi in zip(x, y, noise):
             held.append(w)
             g = oracle.subgradient(w, x_t, y_t) + xi
             w = feasible_set.project_rows(w - eta * g)
-        fresh_iterates[at_row, slots] = np.stack(held)[at_step, at_row]
+        held = np.stack(held)
+        at = np.flatnonzero(mask)
+        flat_iterates[slots.ravel()[at]] = held.reshape(-1, d)[at]
+        # The fresh-iterate sum in step order; adding +0.0 at the other steps
+        # is exact, as a sum from +0.0 is never -0.0. cumsum, not add.reduce,
+        # which sums pairwise when rows * d = 1.
+        total = np.cumsum(np.concatenate([total[None], np.where(mask[..., None], held, 0.0)]),
+                          axis=0)[-1]
 
-    # The fresh-iterate sum, accumulated in step order.
-    total = np.zeros((rows, d))
-    for slot in range(target):
-        total += fresh_iterates[:, slot]
+    total[overrun] = np.nan
     return RunBatch(tau=tau, overrun=overrun, output=total / target,
                     fresh_indices=fresh_indices, fresh_iterates=fresh_iterates)
 
@@ -219,8 +227,9 @@ def estimate_regret(batch, dataset, comparator, config):
         raise ConfigurationError(
             f"estimate_regret: need the stacked features (R, n, d) = {shape} and labels "
             f"(R, n) = {shape[:2]} the batch ran on; got {features.shape} and {labels.shape}")
-    x = np.take_along_axis(features, idx[..., None], axis=1)
-    y = np.take_along_axis(labels, idx, axis=1)
+    flat = idx + (np.arange(len(idx)) * config.n)[:, None]
+    x = features.reshape(-1, shape[2]).take(flat, axis=0)
+    y = labels.take(flat)
     z = np.einsum("...i,...i->...", batch.fresh_iterates, x)
     oracle = config.oracle
     return (oracle.loss_at(z, y) - oracle.batch_values(u, x, y)).sum(axis=-1)

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -267,6 +268,78 @@ class TestPopulationRisk:
             change = np.linalg.norm(population_risk(spec, oracle, v)[1]
                                     - population_risk(spec, oracle, u)[1])
             assert change <= beta * np.linalg.norm(v - u) * (1 + 1e-9) + 1e-12
+
+
+def risk_rows_case(kind, population, d):
+    """(spec, oracle) for a stacked population_risk case: sign labels about a
+    random w_true, about w_true = 2 e_1 (so rows along and across it are
+    exact), about w_true = 0, or uniform labels."""
+    bound = 1.3 if d % 2 else 0.7
+    w_true = {"linear_margin": np.random.default_rng([d, 5]).standard_normal(d),
+              "axis_margin": 2.0 * np.eye(d)[0], "w_true-zero": np.zeros(d)}.get(population)
+    spec = (PopulationSpec("uniform_ball", d, bound) if w_true is None else
+            PopulationSpec("linear_margin", d, bound, w_true=w_true, noise_rate=0.15))
+    return spec, LossOracle(kind, 1.0)
+
+
+def risk_rows(spec):
+    """Rows in every group of population_risk's piece counts: w = 0, B|w| below
+    and above 1, along w_true and against it, and across it (d > 1)."""
+    d, bound = spec.dimension, spec.feature_bound
+    axis = spec.w_true if spec.w_true is not None and spec.w_true.any() else np.eye(d)[0]
+    # Sums by np.sum, not BLAS, so the rows do not depend on the OpenBLAS kernel.
+    axis = axis / np.sqrt(np.sum(axis * axis))
+    unit = np.random.default_rng([d, 6]).standard_normal((3, d))
+    unit /= np.sqrt(np.sum(unit * unit, axis=1, keepdims=True))
+    rows = [np.zeros(d), 0.5 / bound * unit[0], 2.5 / bound * unit[1], 1.0 / bound * unit[2],
+            3.0 / bound * axis, -0.4 / bound * axis, 2.0 * np.eye(d)[0]]
+    if d > 1:
+        across = unit[0] - np.sum(unit[0] * axis) * axis
+        across /= np.sqrt(np.sum(across * across))
+        rows += [2.0 / bound * across, 0.3 / bound * across, 1.5 * np.eye(d)[1]]
+    return np.array(rows)
+
+
+ROWS_CASES = [(kind, population, d) for kind in ("hinge", "absolute", "squared")
+              for population in ("linear_margin", "axis_margin", "w_true-zero", "uniform_ball")
+              for d in (1, 2, 3, 10)]
+# sha256 of every ROWS_CASES row's one-point (F, grad F) bytes, in order, from
+# the one-point population_risk before it took stacked rows: with numpy's
+# AVX-512 loops, and without them (NPY_DISABLE_CPU_FEATURES="X86_V4
+# AVX512_ICL AVX512_SPR", also with X86_V3 off), where arcsin rounds otherwise.
+POINT_RISKS_SHA256 = {"6f201e458d845f23d098b607865c652de8363b295fa1b4c9a5655a9656ad57a7",
+                      "260ea26e44092a2c31b5663f3d9859d15236be625ec3e9d180ccc5590ada9b0e"}
+
+
+class TestRiskRowsBytes:
+    """population_risk of stacked (R, d) rows equals its one-point calls bit
+    for bit: the rows are grouped by piece count, never padded."""
+
+    @pytest.mark.parametrize("kind,population,d", ROWS_CASES)
+    def test_rows_match_points(self, kind, population, d):
+        spec, oracle = risk_rows_case(kind, population, d)
+        rows = risk_rows(spec)
+        values, gradients = population_risk(spec, oracle, rows)
+        points = [population_risk(spec, oracle, w) for w in rows]
+        assert values.tobytes() == np.array([value for value, _ in points]).tobytes()
+        assert gradients.tobytes() == np.array([gradient for _, gradient in points]).tobytes()
+
+    @pytest.mark.parametrize("d", [1, 10])
+    def test_no_rows(self, d):
+        # A cell whose repeats all overran scores no rows.
+        spec, oracle = risk_rows_case("hinge", "linear_margin", d)
+        values, gradients = population_risk(spec, oracle, np.empty((0, d)))
+        assert values.shape == (0,) and gradients.shape == (0, d)
+
+    def test_points_digest(self):
+        digest = hashlib.sha256()
+        for kind, population, d in ROWS_CASES:
+            spec, oracle = risk_rows_case(kind, population, d)
+            for w in risk_rows(spec):
+                value, gradient = population_risk(spec, oracle, w)
+                assert isinstance(value, float) and gradient.shape == (d,)
+                digest.update(np.float64(value).tobytes() + gradient.tobytes())
+        assert digest.hexdigest() in POINT_RISKS_SHA256
 
 
 class TestMaxSubgradientNorm:

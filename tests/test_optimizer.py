@@ -407,7 +407,14 @@ class TestNoisyBytes:
     @pytest.mark.parametrize("set_kind", ["ball", "box"])
     @pytest.mark.parametrize("kind", ["hinge", "absolute", "squared"])
     def test_matches_stepwise_reference(self, kind, set_kind, d):
-        n, seeds = 300, [31, 32]
+        self.check(kind, set_kind, d, [31, 32])
+
+    def test_one_row_in_one_dimension(self):
+        # rows * d = 1, where numpy's add.reduce over steps sums pairwise.
+        self.check("squared", "box", 1, [31])
+
+    def check(self, kind, set_kind, d, seeds):
+        n = 300
         if kind == "hinge":
             population = PopulationSpec("linear_margin", d, 1.0, w_true=np.eye(d)[0],
                                         noise_rate=0.1)
