@@ -26,11 +26,10 @@ from .losses import (ABSOLUTE, HINGE, LINEAR_MARGIN, RISK_QUADRATURE_BOUND, SQUA
 # wraps them by these names.
 from .optimizer import (RunConfig, baseline_minimizer, estimate_regret,  # noqa: F401
                         estimate_risk, private_sgd, private_sgd_batch)
-from .privacy import end_to_end, epsilon_limit, step_size
+from .privacy import end_to_end, epsilon_limit, risk_bound, step_size
 from .sampler import derived_seeds, seeded_streams, simulate_tau
 
 OUTPUT_DIR_ENV = "DPMIRROR_OUTPUT_DIR"
-EXCESS_RISK_CONSTANT = 2.5
 
 
 def _checked(convert, rule, ok):
@@ -307,11 +306,8 @@ def run_experiment(spec):
     stderr adds to the runs' standard error the reference minimizer's error
     bound and the largest quadrature bound of the finished runs' risks,
     RISK_QUADRATURE_BOUND * (1 + B*||w||)^2, so bound checks stay honest.
-
-    Each cell is checked against bound_value = 2.5*D*(L + sigma*sqrt(d))/sqrt(n).
-    end_to_end's risk_bound, 5LD/sqrt(n) + 20LD*sqrt(d*ln(1/delta))/(eps*n),
-    exceeds it by exactly 2.5*L*D/sqrt(n) at the calibrated sigma. Choosing
-    one is open (ROADMAP.md, item 3).
+    A cell's sigma is end_to_end's or sigma_override; eta and bound_value
+    are step_size and privacy.risk_bound at that sigma.
     """
     d = spec.population.dimension
     D = spec.feasible_set.diameter()
@@ -326,15 +322,13 @@ def run_experiment(spec):
     for n_idx, n in enumerate(spec.n_values):
         for e_idx, eps_value in enumerate(spec.epsilon_values):
             eps = epsilon_limit(n) if eps_value == "max" else eps_value
-            if spec.sigma_override is not None:
-                sigma = spec.sigma_override
-                eta = step_size(n, sigma, L, D, d)
-                report_eps, report_delta = math.nan, math.nan
-            else:
+            sigma, report_eps, report_delta = spec.sigma_override, math.nan, math.nan
+            if sigma is None:
                 plan = end_to_end(n, eps, spec.delta, spec.delta_prime, L, D, d)
-                sigma, eta = plan.sigma, plan.eta
-                report_eps = plan.report.epsilon
-                report_delta = plan.report.delta_total
+                sigma, report = plan.sigma, plan.report
+                report_eps, report_delta = report.epsilon, report.delta_total
+            eta = step_size(n, sigma, L, D, d)
+            bound_value = risk_bound(n, sigma, L, D, d)
 
             features, labels = np.empty((spec.repeats, n, d)), np.empty((spec.repeats, n))
             repeats = np.arange(spec.repeats)
@@ -348,8 +342,6 @@ def run_experiment(spec):
             all_regrets = estimate_regret(batch, (features, labels), baseline.w, config)
             finished = np.flatnonzero(~batch.overrun)
             overruns = spec.repeats - finished.size
-            taus = batch.tau[finished].tolist()
-            regrets = all_regrets[finished].tolist()
             outputs = batch.output[finished]
             excesses = population_risk(spec.population, spec.oracle, outputs)[0] - base_risk
             completed = len(excesses)
@@ -360,11 +352,10 @@ def run_experiment(spec):
             run_stderr = (float(np.std(excesses, ddof=1) / math.sqrt(completed))
                           if completed > 1 else 0.0)
             stderr = run_stderr + baseline.error_bound + quadrature
-            bound_value = EXCESS_RISK_CONSTANT * D * (L + sigma * math.sqrt(d)) / math.sqrt(n)
             cells.append(CellResult(
                 n=n, epsilon=eps, sigma=sigma, eta=eta,
-                mean_tau=float(np.mean(taus)) if taus else math.nan,
-                mean_regret=float(np.mean(regrets)) if regrets else math.nan,
+                mean_tau=float(np.mean(batch.tau[finished])) if completed else math.nan,
+                mean_regret=float(np.mean(all_regrets[finished])) if completed else math.nan,
                 mean_excess_risk=mean_excess,
                 stderr=stderr,
                 bound_value=bound_value,
@@ -393,14 +384,9 @@ def _fmt(value):
     return str(value)
 
 
-def _echo_lines(echo):
-    return [f"# {k}={json.dumps(echo[k])}" for k in sorted(echo)]
-
-
 def write_cells_csv(result, path):
     with open(path, "w") as fh:
-        for line in _echo_lines(result.spec_echo):
-            fh.write(line + "\n")
+        fh.writelines(f"# {k}={json.dumps(v)}\n" for k, v in sorted(result.spec_echo.items()))
         fh.write(f"# baseline_risk={_fmt(result.baseline_risk)}"
                  f" baseline_error={_fmt(result.baseline_error)}\n")
         fh.write(",".join(CELL_COLUMNS) + "\n")
@@ -413,9 +399,16 @@ def json_value(value):
     return None if isinstance(value, float) and not math.isfinite(value) else value
 
 
+def write_json(payload, path):
+    """payload as strict JSON (no NaN or inf), indented, keys sorted, newline-ended."""
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
+        fh.write("\n")
+
+
 def write_summary_json(result, path):
     """cells.csv's records as strict JSON: a NaN there is null here."""
-    payload = {
+    write_json({
         "config": result.spec_echo,
         "baseline": {"risk": result.baseline_risk, "error": result.baseline_error},
         "degraded": result.degraded,
@@ -423,10 +416,7 @@ def write_summary_json(result, path):
             {col: json_value(getattr(cell, col)) for col in CELL_COLUMNS}
             for cell in result.cells
         ],
-    }
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
-        fh.write("\n")
+    }, path)
 
 
 def experiment_dir(output_dir, name):
@@ -463,8 +453,6 @@ def run_tau_sim(n_values, trials, seed, output_dir, name="tau-sim"):
             # join of the whole n would hold 10^4 line strings at once.
             for trial, tau in enumerate(stats.tau_samples.tolist()):
                 fh.write(f"{stats.n},{trial},{tau}\n")
-    with open(os.path.join(outdir, "tau_summary.json"), "w") as fh:
-        json.dump({"seed": seed, "results": [s.summary() for s in all_stats]},
-                  fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json({"seed": seed, "results": [s.summary() for s in all_stats]},
+               os.path.join(outdir, "tau_summary.json"))
     return all_stats

@@ -3,8 +3,9 @@
 calibrate_sigma gives the noise scale that makes one gradient step
 (eps_tilde, delta)-DP, the claim the audit checks. end_to_end gives the
 whole run's sigma, eta and closed-form guarantee, with the stopping-time
-failure mass 2*exp(-n/16) folded into delta. from_target splits an overall
-(eps_bar, delta_bar) target into the parameters end_to_end takes.
+failure mass 2*exp(-n/16) folded into delta. step_size and risk_bound give
+eta and the one excess-risk bound at any sigma. from_target splits an
+overall (eps_bar, delta_bar) target into the parameters end_to_end takes.
 
 All logarithms are natural. Out-of-regime parameters raise RegimeError
 instead of being clamped: a clamped answer would misstate the guarantee.
@@ -23,8 +24,6 @@ import numpy as np
 
 from .errors import ConfigurationError, RegimeError
 from .sampler import check_seed, seeded_streams
-
-STAGE_END_TO_END = "end_to_end"
 
 # Audit needs this many trials per grid cell for stable tail estimates.
 MIN_TRIALS_PER_CELL = 2000
@@ -51,6 +50,8 @@ def _check_positive(name, value):
 def _check_delta(delta, name="delta"):
     if not 0.0 < delta < 1.0:
         raise ConfigurationError(f"{name} must lie in (0, 1), got {delta}")
+    if not math.isfinite(1.0 / delta):
+        raise ConfigurationError(f"{name} = {delta} is too small: its reciprocal overflows")
 
 
 def calibrate_sigma(L, delta, epsilon_tilde):
@@ -62,7 +63,11 @@ def calibrate_sigma(L, delta, epsilon_tilde):
     _check_positive("L", L)
     _check_positive("epsilon_tilde", epsilon_tilde)
     _check_delta(delta)
-    return L * math.sqrt(3.0 * math.log(1.0 / delta)) / epsilon_tilde
+    sigma = L * math.sqrt(3.0 * math.log(1.0 / delta)) / epsilon_tilde
+    if not math.isfinite(sigma):
+        raise ConfigurationError(
+            f"L={L}, delta={delta}, epsilon_tilde={epsilon_tilde} give sigma={sigma}")
+    return sigma
 
 
 def epsilon_limit(n):
@@ -73,6 +78,17 @@ def epsilon_limit(n):
 def step_size(n, sigma, L, D, d):
     """The run's step size eta = D / (sqrt(n)*(L + sigma*sqrt(d)))."""
     return D / (math.sqrt(n) * (L + sigma * math.sqrt(d)))
+
+
+def risk_bound(n, sigma, L, D, d):
+    """The run's excess-risk bound 2.5*D*(2*L + sigma*sqrt(d))/sqrt(n).
+
+    At end_to_end's sigma it is exactly the accountant's closed form
+    5LD/sqrt(n) + 20LD*sqrt(d*ln(1/delta))/(epsilon*n), which end_to_end
+    states as the paper's; written in sigma, it is also defined for a
+    sigma_override run, where that epsilon form means nothing.
+    """
+    return 2.5 * D * (2.0 * L + sigma * math.sqrt(d)) / math.sqrt(n)
 
 
 @dataclass(frozen=True)
@@ -92,11 +108,14 @@ def end_to_end(n, epsilon, delta, delta_prime, L, D, d):
       eta   = D / (sqrt(n)*(L + sigma*sqrt(d)))
     and the guarantee (4*epsilon*(sqrt(ln(1/delta')) + 2),
     delta + delta' + 2*exp(-n/16)), where the exponential term is the
-    probability the run fails to stop within 2n steps. risk_bound is the
-    matching excess-risk value 5LD/sqrt(n) + 20LD*sqrt(d*ln(1/delta))/(eps*n).
-    The harness checks its cells against a different formula, bound_value =
-    2.5*D*(L + sigma*sqrt(d))/sqrt(n); at this sigma, risk_bound exceeds it
-    by exactly 2.5*L*D/sqrt(n). Choosing one is open (ROADMAP.md, item 3).
+    probability the run fails to stop within 2n steps, and risk_bound at
+    this sigma. A sigma, reported epsilon or risk_bound that overflows, or
+    an eta that underflows to 0, is refused rather than printed.
+
+    Regime: at the grid's epsilon = 1/(2*sqrt(n)) the privacy term
+    20LD*sqrt(d*ln(1/delta))/(epsilon*n) is 40LD*sqrt(d*ln(1/delta))/sqrt(n)
+    and shrinks like 1/sqrt(n). At epsilon proportional to 1/n, the regime
+    of the paper's optimal rate, it is constant in n.
     """
     if n < 16:
         raise ConfigurationError(f"end_to_end requires n >= 16, got {n}")
@@ -115,20 +134,23 @@ def end_to_end(n, epsilon, delta, delta_prime, L, D, d):
         raise ConfigurationError(f"d must be >= 1, got {d}")
 
     sigma = 8.0 * L * math.sqrt(math.log(1.0 / delta)) / (math.sqrt(n) * epsilon)
-    eta = step_size(n, sigma, L, D, d)
     report = PrivacyReport(
         epsilon=4.0 * epsilon * (math.sqrt(math.log(1.0 / delta_prime)) + 2.0),
         delta_total=delta + delta_prime + 2.0 * math.exp(-n / 16.0),
-        stage=STAGE_END_TO_END,
+        stage="end_to_end",
         assumptions=(
             "conditioned on stopping within 2n steps; failure mass "
             "2*exp(-n/16) added to delta",
             "per-step epsilon_tilde = sqrt(n)*epsilon composed over tau = 2n",
         ),
     )
-    risk_bound = (5.0 * L * D / math.sqrt(n)
-                  + 20.0 * L * D * math.sqrt(d * math.log(1.0 / delta)) / (epsilon * n))
-    return EndToEndPlan(sigma=sigma, eta=eta, report=report, risk_bound=risk_bound)
+    eta, bound = step_size(n, sigma, L, D, d), risk_bound(n, sigma, L, D, d)
+    if not (all(map(math.isfinite, (sigma, report.epsilon, bound))) and eta > 0.0):
+        raise ConfigurationError(
+            f"n={n}, epsilon={epsilon}, delta={delta}, delta_prime={delta_prime}, L={L}, "
+            f"D={D}, d={d} give sigma={sigma}, eta={eta}, report epsilon={report.epsilon} "
+            f"and risk_bound={bound}; each must be finite and eta positive")
+    return EndToEndPlan(sigma=sigma, eta=eta, report=report, risk_bound=bound)
 
 
 @dataclass(frozen=True)
@@ -158,6 +180,7 @@ def from_target(eps_bar, delta_bar, n):
             f"<= delta_bar <= 3*e^-4 = {ceiling:.6g}"
         )
     delta = delta_bar / 3.0
+    _check_delta(delta, "delta_bar/3")
     epsilon = eps_bar / (8.0 * math.sqrt(math.log(1.0 / delta)))
     limit = epsilon_limit(n)
     if epsilon > limit:
@@ -189,15 +212,6 @@ class AuditResult:
     p_s: np.ndarray
     p_sprime: np.ndarray
     violation: np.ndarray
-
-    def to_dict(self):
-        return {
-            "max_violation": self.max_violation,
-            "max_violation_stderr": self.max_violation_stderr,
-            "significant": self.significant,
-            "worst_lo": self.worst_lo,
-            "worst_hi": self.worst_hi,
-        }
 
 
 def audit_single_step(sigma, L, epsilon_tilde, delta, trials,

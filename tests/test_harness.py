@@ -21,6 +21,7 @@ from dpmirror.harness import (CELL_COLUMNS, build_spec, parse_kv_file,
                               run_and_write, run_tau_sim)
 from dpmirror.losses import RISK_QUADRATURE_BOUND, LossOracle, population_risk
 from dpmirror.optimizer import RunConfig, private_sgd_batch
+from dpmirror.privacy import risk_bound
 from dpmirror.sampler import simulate_tau
 
 
@@ -422,6 +423,38 @@ class TestCli:
         captured = capsys.readouterr()
         assert message in captured.err and captured.out == ""
 
+    def test_run_subnormal_delta_prime_exit_2(self, tmp_path, capsys):
+        # 1/delta' overflows, so the reported epsilon would be inf: refused
+        # before any file is written.
+        rc = cli.main(["run", "--n-values", "16", "--epsilon-values", "max",
+                       "--repeats", "2", "--seed", "1", "--baseline-steps", "10000",
+                       "--delta-prime", "1e-320", "--output-dir", str(tmp_path),
+                       "--name", "tiny"])
+        assert rc == 2
+        assert "delta_prime = 1e-320" in capsys.readouterr().err
+        assert not (tmp_path / "tiny" / "summary.json").exists()
+
+    @pytest.mark.parametrize("eps, delta, message", [
+        ("1e-320", "1e-6", "n=1600, epsilon=1e-320, delta=1e-06, delta_prime=1e-06, "
+                           "L=1.0, D=1.0, d=2 give sigma=inf, eta=0.0"),
+        ("0.001", "1e-320", "delta = 1e-320 is too small"),
+    ], ids=["eps", "delta"])
+    def test_calibrate_subnormal_exit_2(self, capsys, eps, delta, message):
+        # Printing "sigma": Infinity and "eta": 0.0 would be neither a
+        # guarantee nor strict JSON.
+        rc = cli.main(["calibrate", "--n", "1600", "--eps", eps, "--delta", delta,
+                       "--L", "1", "--D", "1", "--d", "2"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert message in captured.err and captured.out == ""
+
+    def test_audit_subnormal_delta_names_delta(self, tmp_path, capsys):
+        rc = cli.main(["audit", "--L", "1", "--eps-tilde", "0.5", "--delta", "1e-320",
+                       "--trials", "1000000", "--seed", "1", "--output-dir", str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "delta = 1e-320 is too small" in err and "sigma" not in err
+
     def test_calibrate_direct_names_missing_flags(self, capsys):
         rc = cli.main(["calibrate", "--n", "10000", "--eps", "0.005", "--delta", "1e-6",
                        "--D", "1"])
@@ -701,6 +734,37 @@ def digest_run_outputs(outdir):
     return [hashlib.sha256(t.encode()).hexdigest() for t in (csv, text)]
 
 
+class TestOneBound:
+    """bound_value and calibrate's risk_bound are one expression, privacy.risk_bound."""
+
+    def run_cell(self, tmp_path, *extra):
+        assert cli.main(["run", "--n-values", "100", "--epsilon-values", "max",
+                         "--repeats", "2", "--seed", "1", "--baseline-steps", "10000",
+                         "--output-dir", str(tmp_path), "--name", "one", *extra]) == 0
+        return json.loads((tmp_path / "one" / "summary.json").read_text())
+
+    def test_calibrated_bound_is_calibrates_risk_bound(self, tmp_path, capsys):
+        summary = self.run_cell(tmp_path)
+        config, cell = summary["config"], summary["cells"][0]
+        capsys.readouterr()
+        assert cli.main(["calibrate", "--n", "100", "--eps", repr(cell["epsilon"]),
+                         "--delta", repr(config["delta"]),
+                         "--delta-prime", repr(config["delta_prime"]),
+                         "--L", repr(config["lipschitz_L"]),
+                         "--D", repr(config["diameter"]),
+                         "--d", str(config["dimension"])]) == 0
+        printed = json.loads(capsys.readouterr().out)
+        assert (cell["sigma"], cell["eta"]) == (printed["sigma"], printed["eta"])
+        assert cell["bound_value"].hex() == printed["risk_bound"].hex()
+
+    def test_sigma_override_bound_is_risk_bound(self, tmp_path, capsys):
+        summary = self.run_cell(tmp_path, "--sigma-override", "0.3")
+        config, cell = summary["config"], summary["cells"][0]
+        expected = risk_bound(100, 0.3, config["lipschitz_L"], config["diameter"],
+                              config["dimension"])
+        assert cell["bound_value"].hex() == expected.hex()
+
+
 class TestGoldenOutputs:
     """Seeded `run` and `calibrate` outputs, pinned byte for byte."""
 
@@ -730,22 +794,27 @@ class TestGoldenOutputs:
     # left BLAS, whose last bits depended on the OpenBLAS kernel: only the
     # mean_excess_risk and stderr columns moved, and the box run's
     # baseline_risk; the digests are now the same under the SkylakeX,
-    # Haswell, Sandybridge and Nehalem kernels.
+    # Haswell, Sandybridge and Nehalem kernels. Both re-pinned when
+    # bound_value became privacy.risk_bound, 2.5*D*(2L + sigma*sqrt(d))/sqrt(n):
+    # only the bound_value column moved, up by 2.5*L*D/sqrt(n); no
+    # bound_satisfied flipped.
     RUN_DIGESTS = {
         "hinge-ball": [
-            "9105d5903562547f85deeb9d6ccdf5ae24b04a700f699bdd1e1e1b5b1136a41c",
-            "27a8faecedd4564dc407533ac81aac36ddf53e0cc73580fde2bfaa612c164ff8"],
+            "4b699cf246261e11097cd4af3751515856edde70f33c54a6591c47d3414fdad6",
+            "7e0b6e6758b8924f34f7d6dcf3df642039bd672fbe630f870ee0a9cc56db32d2"],
         "squared-box-sigma-override": [
-            "ce17932f2637e3f8c9aa77ef4b8f8e5e4127528d16c690b5c2461ae1bd9b61e4",
-            "f996ee5ebf744b7446556e550ba846269c5ce435a4cc418c809f718d9971f407"],
+            "52b55d8f05efea54a03e96c73b8be373115102f75900d32ee36c6b2ffdbb1838",
+            "d8ae62e3de4db890b8cd11d00bb387b902da624671bcc9d918383e3def8d2523"],
     }
     CALIBRATE = {
         "eps": ["--n", "10000", "--eps", "0.005", "--delta", "1e-6",
                 "--L", "1", "--D", "1", "--d", "10"],
         "eps-bar": ["--eps-bar", "0.1", "--delta-bar", "3e-6", "--n", "400"],
     }
+    # "eps" re-pinned when risk_bound became privacy.risk_bound at the
+    # calibrated sigma: only risk_bound moved, in its last digits.
     CALIBRATE_DIGESTS = {
-        "eps": "8acc38366bb4c228e3a560f36033864079b590ae286385fdc25e49682563668c",
+        "eps": "7b341b6e5417eb6a4a3d938d37a36ee2047878a215e78b82a34cfd5ecef81913",
         "eps-bar": "f992ac6f5dd37c9423a41fe154552fab8a4548d44ed154a830be981e274fbb99",
     }
 

@@ -11,7 +11,7 @@ from oracles import audit_cells_reference, closed_form_cell_violations
 from dpmirror import cli
 from dpmirror.errors import ConfigurationError, RegimeError
 from dpmirror.privacy import (audit_single_step, calibrate_sigma, end_to_end,
-                              from_target, write_audit_csv)
+                              from_target, risk_bound, write_audit_csv)
 
 
 class TestCalibrateSigma:
@@ -47,6 +47,29 @@ class TestCalibrateSigma:
                 calibrate_sigma(bad, 1e-6, 1.0)
             with pytest.raises(ConfigurationError):
                 calibrate_sigma(1.0, 1e-6, bad)
+
+
+    def test_overflow_refused(self):
+        # 1/delta overflows for a subnormal delta; a subnormal epsilon_tilde
+        # makes sigma overflow. Neither may come back as sigma = inf.
+        with pytest.raises(ConfigurationError, match="delta = 1e-320 is too small"):
+            calibrate_sigma(1.0, 1e-320, 1.0)
+        with pytest.raises(ConfigurationError, match="epsilon_tilde=1e-310 give sigma=inf"):
+            calibrate_sigma(1.0, 1e-6, 1e-310)
+
+
+class TestRiskBound:
+    def test_reference_value(self):
+        # 2.5 * 2 * (2*1.5 + 4*sqrt(9)) / sqrt(100) = 7.5
+        assert risk_bound(100, 4.0, 1.5, 2.0, 9) == pytest.approx(7.5, rel=1e-15)
+
+    def test_noiseless_bound_is_5LD_over_sqrt_n(self):
+        assert risk_bound(400, 0.0, 1.3, 0.8, 7) == pytest.approx(
+            5.0 * 1.3 * 0.8 / 20.0, rel=1e-15)
+
+    def test_end_to_end_reports_it(self):
+        plan = end_to_end(1600, 0.01, 1e-6, 1e-7, L=1.3, D=0.8, d=7)
+        assert plan.risk_bound == risk_bound(1600, plan.sigma, 1.3, 0.8, 7)
 
 
 class TestEndToEnd:
@@ -96,6 +119,20 @@ class TestEndToEnd:
                 end_to_end(400, 0.02, 1e-6, 1e-6, L=1.0, D=bad, d=3)
             with pytest.raises(ConfigurationError):
                 from_target(bad, 3e-6, 400)
+
+    @pytest.mark.parametrize("args, message", [
+        ((1600, 1e-320, 1e-6, 1e-6, 1.0, 1.0, 2), "epsilon=1e-320, .* give sigma=inf, eta=0.0"),
+        ((1600, 0.001, 1e-6, 1e-320, 1.0, 1.0, 2), "delta_prime = 1e-320 is too small"),
+        ((1600, 0.001, 1e-6, 1e-6, 1.0, 1e-320, 2), "D=1e-320, d=2 give .*, eta=0.0,"),
+    ], ids=["epsilon", "delta_prime", "D"])
+    def test_overflow_refused(self, args, message):
+        with pytest.raises(ConfigurationError, match=message):
+            end_to_end(*args)
+
+    def test_from_target_subnormal_delta_refused(self):
+        # delta_bar/3 is subnormal; the derived epsilon would be 0.
+        with pytest.raises(ConfigurationError, match="delta_bar/3"):
+            from_target(0.1, 1e-320, 20_000)
 
 
 class TestFromTarget:

@@ -93,8 +93,9 @@ def test_traced_grid_passes_run_clean(workload, tmp_path, monkeypatch):
 
 def test_cli_import_loads_neither_scipy_nor_numpy_polynomial():
     # The benchmark times start-up through `import dpmirror.cli`; the
-    # population risk's quadrature nodes come from numpy.linalg on first
-    # use, and scipy is only a test dependency.
+    # population risk's quadrature nodes come from losses._mapped_rule's own
+    # Newton iteration, not numpy.polynomial, and scipy is only a test
+    # dependency.
     proc = subprocess.run(
         [sys.executable, "-c",
          "import sys, dpmirror.cli; "
