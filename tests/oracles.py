@@ -183,6 +183,29 @@ def stepwise_run(n, eta, sigma, w1, seed, features, labels, project, subgradient
     return tau, np.array(fresh_indices), np.array(fresh_iterates), total / len(seen)
 
 
+def run_repeat_streams(seed, n_idx, e_idx, repeat):
+    """A `run` repeat's dataset generator and run seed, by numpy's own seeding.
+
+    As the README states them: the dataset is drawn from
+    default_rng(SeedSequence([seed, n_idx, e_idx, repeat, 0])), and the run
+    seed is SeedSequence([seed, n_idx, e_idx, repeat, 1]).generate_state(1,
+    uint64)[0]. Returns (generator, run seed as a Python int).
+    """
+    key = [seed, n_idx, e_idx, repeat]
+    data = np.random.default_rng(np.random.SeedSequence(key + [0]))
+    run_seed = np.random.SeedSequence(key + [1]).generate_state(1, np.uint64)[0]
+    return data, int(run_seed)
+
+
+def read_cells_csv(path):
+    """cells.csv as (baseline_risk, [one dict of column -> text per cell])."""
+    lines = open(path).read().splitlines()
+    (baseline,) = [line for line in lines if line.startswith("# baseline_risk=")]
+    baseline_risk = float(baseline.split()[1].partition("=")[2])
+    header, *rows = [line.split(",") for line in lines if not line.startswith("#")]
+    return baseline_risk, [dict(zip(header, row, strict=True)) for row in rows]
+
+
 def points_away_from_kinks(rng, count):
     """count (w, x, y) rows, stacked, whose margin is 1e-3 clear of both kinks.
 

@@ -10,7 +10,8 @@ import time
 import numpy as np
 import pytest
 
-from oracles import quadrature_risk
+from oracles import (plain_subgradient, project_ball, quadrature_risk, read_cells_csv,
+                     run_repeat_streams, stepwise_run)
 
 import dpmirror.harness as harness_mod
 import dpmirror.optimizer as optimizer_mod
@@ -19,7 +20,8 @@ from dpmirror.errors import ConfigurationError
 from dpmirror.geometry import FeasibleSet
 from dpmirror.harness import (CELL_COLUMNS, build_spec, parse_kv_file,
                               run_and_write, run_tau_sim)
-from dpmirror.losses import RISK_QUADRATURE_BOUND, LossOracle, population_risk
+from dpmirror.losses import (RISK_QUADRATURE_BOUND, LossOracle, PopulationSpec, draw_dataset,
+                             population_risk)
 from dpmirror.optimizer import RunConfig, private_sgd_batch
 from dpmirror.privacy import risk_bound
 from dpmirror.sampler import simulate_tau
@@ -313,6 +315,47 @@ class TestRunCommand:
                           parse_constant=refuse)["cells"][0]
         assert cell["mean_tau"] is None and cell["mean_excess_risk"] is None
         assert cell["report_epsilon"] is not None
+
+
+class TestReplayRun:
+    """`run` replayed from what it prints. Each repeat is rebuilt from the
+    documented entropy with numpy's own seeding, run one step at a time by
+    oracles.stepwise_run at the sigma and eta that cells.csv prints, and
+    scored by scipy's quadrature. So a run whose engine used another sigma
+    or eta than the printed one fails here, not only in a digest."""
+
+    def test_cells_replay_from_printed_sigma_and_eta(self, tmp_path, capsys):
+        pytest.importorskip("scipy")
+        seed, repeats, radius = 4, 3, 0.5
+        assert cli.main(["run", "--n-values", "32,64", "--epsilon-values", "max,0.05",
+                         "--dimension", "2", "--repeats", str(repeats), "--seed", str(seed),
+                         "--baseline-steps", "10000", "--output-dir", str(tmp_path),
+                         "--name", "replay"]) == 0
+        # The run's defaults: hinge loss, features in the unit disk labelled
+        # by the first axis with 10% flips, the ball of radius 0.5 at 0.
+        population = PopulationSpec("linear_margin", 2, 1.0, w_true=np.array([1.0, 0.0]),
+                                    noise_rate=0.1)
+        baseline_risk, cells = read_cells_csv(tmp_path / "replay" / "cells.csv")
+        assert len(cells) == 4
+        for index, cell in enumerate(cells):
+            n_idx, e_idx = divmod(index, 2)
+            n, sigma, eta = int(cell["n"]), float(cell["sigma"]), float(cell["eta"])
+            assert n == (32, 64)[n_idx] and sigma > 0 and cell["overrun_runs"] == "0"
+            taus, outputs = [], []
+            for r in range(repeats):
+                data, run_seed = run_repeat_streams(seed, n_idx, e_idx, r)
+                features, labels = draw_dataset(population, n, data)
+                tau, _, _, output = stepwise_run(
+                    n, eta, sigma, np.zeros(2), run_seed, features, labels,
+                    lambda x: project_ball(np.zeros(2), radius, x),
+                    lambda w, x, y: plain_subgradient("hinge", w, x, y))
+                taus.append(tau)
+                outputs.append(output)
+            assert float(cell["mean_tau"]) == float(np.mean(taus))
+            risks = [quadrature_risk(population, "hinge", w)[0] for w in outputs]
+            scale = 1.0 + population.feature_bound * max(np.linalg.norm(outputs, axis=1))
+            assert abs(float(cell["mean_excess_risk"]) - (np.mean(risks) - baseline_risk)) \
+                <= RISK_QUADRATURE_BOUND * scale ** 2
 
 
 class TestSeedingPerCall:
