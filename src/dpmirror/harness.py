@@ -4,15 +4,14 @@ Config files are flat key=value text ('#' starts a comment); CLI flags
 override file values. RUN_KEYS lists every key with its parser, default
 and meaning; any other key is a configuration error, and so is a key
 that READ_ONLY_UNDER ties to a set or generator the run does not use.
-Per-cell CSV columns are CELL_COLUMNS, in CellResult's field order. Floats
-are printed with 17 significant digits so rerunning with the same seed
-reproduces files byte for byte.
+Per-cell CSV columns are CELL_COLUMNS; floats get 17 significant digits,
+so a rerun with the same seed reproduces files byte for byte.
 """
 
 import json
 import math
 import os
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -131,25 +130,37 @@ class ExperimentSpec:
     sigma_override: float   # None: the calibrated sigma
 
 
+class CellPlan(NamedTuple):
+    """A cell's accountant output. config, the RunConfig the engine runs, is the
+    one holder of its n, sigma and eta; the report is NaN under sigma_override."""
+
+    epsilon: float
+    config: RunConfig
+    bound_value: float
+    report_epsilon: float
+    report_delta_total: float
+
+
 @dataclass
 class CellResult:
-    n: int
-    epsilon: float
-    sigma: float
-    eta: float
+    plan: CellPlan
     mean_tau: float
     mean_regret: float
     mean_excess_risk: float
     stderr: float
-    bound_value: float
     bound_satisfied: bool
-    report_epsilon: float
-    report_delta_total: float
     overrun_runs: int
     degraded: bool
 
+    def columns(self):
+        """The cell's CELL_COLUMNS values; n, sigma and eta are its RunConfig's."""
+        values = {**vars(self.plan.config), **self.plan._asdict(), **vars(self)}
+        return [values[col] for col in CELL_COLUMNS]
 
-CELL_COLUMNS = tuple(f.name for f in fields(CellResult) if f.name != "degraded")
+
+CELL_COLUMNS = ("n", "epsilon", "sigma", "eta", "mean_tau", "mean_regret",
+                "mean_excess_risk", "stderr", "bound_value", "bound_satisfied",
+                "report_epsilon", "report_delta_total", "overrun_runs")
 
 
 @dataclass
@@ -219,7 +230,6 @@ def build_spec(overrides):
         if feasible.dimension != dimension:
             raise ConfigurationError("config field lower/upper: wrong dimension")
 
-    seed = _given(kv, "seed")
     w_true, noise_rate = None, 0.0
     if kv["generator"] == LINEAR_MARGIN:
         w_true, noise_rate = kv["w_true"], kv["noise_rate"]
@@ -232,7 +242,7 @@ def build_spec(overrides):
     oracle = LossOracle(kv["loss"], lipschitz_certificate(
         kv["loss"], kv["feature_bound"], feasible))
 
-    spec = ExperimentSpec(
+    return ExperimentSpec(
         name=kv["name"],
         population=population,
         oracle=oracle,
@@ -242,20 +252,11 @@ def build_spec(overrides):
         delta=kv["delta"],
         delta_prime=kv["delta_prime"],
         repeats=kv["repeats"],
-        seed=seed,
-        output_dir=(default_output_dir() if kv["output_dir"] is None
-                    else kv["output_dir"]),
+        seed=_given(kv, "seed"),
+        output_dir=default_output_dir() if kv["output_dir"] is None else kv["output_dir"],
         baseline_steps=kv["baseline_steps"],
         sigma_override=kv["sigma_override"],
     )
-
-    for n in spec.n_values:
-        for value in spec.epsilon_values:
-            if value != "max" and value > epsilon_limit(n):
-                raise ConfigurationError(
-                    f"config field epsilon_values: epsilon={value} exceeds "
-                    f"1/(2*sqrt(n)) for n={n}")
-    return spec
 
 
 def spec_echo(spec):
@@ -289,91 +290,90 @@ def spec_echo(spec):
     return echo
 
 
-def run_experiment(spec):
-    """Execute every (n, epsilon) cell and aggregate per-cell statistics.
+def plan_cells(spec):
+    """Every cell's CellPlan, keyed by (n_idx, e_idx) in run order; draws nothing.
 
-    The reference minimizer and its exact population risk (baseline_risk,
-    from losses.population_risk) come first. Each cell runs its repeats in
-    one private_sgd_batch call; repeat r of cell (n_idx, e_idx) draws its
-    dataset from the SeedSequence of [seed, n_idx, e_idx, r, 0] and runs
-    with the seed that generate_state(1, uint64) gives for [seed, n_idx,
-    e_idx, r, 1], all seeded at once by sampler, so no result depends on
-    execution order. A run's excess risk is its output's exact population
-    risk minus baseline_risk (one population_risk call scores a cell's
-    finished rows), its regret is measured against the reference
-    minimizer, and no evaluation data are drawn. A repeat that overruns its
-    step cap is counted in overrun_runs and left out of the cell's means.
-    stderr adds to the runs' standard error the reference minimizer's error
-    bound and the largest quadrature bound of the finished runs' risks,
-    RISK_QUADRATURE_BOUND * (1 + B*||w||)^2, so bound checks stay honest.
-    A cell's sigma is end_to_end's or sigma_override; eta and bound_value
-    are step_size and privacy.risk_bound at that sigma.
+    sigma is end_to_end's or sigma_override, and eta and bound_value are
+    step_size and risk_bound at that sigma. Each RunConfig is validated
+    here, so every cell's ConfigurationError or RegimeError comes first.
     """
-    d = spec.population.dimension
-    D = spec.feasible_set.diameter()
-    L = spec.oracle.lipschitz_L
+    D, L, d = spec.feasible_set.diameter(), spec.oracle.lipschitz_L, spec.population.dimension
     w1 = spec.feasible_set.project(np.zeros(d))
+    plans = {}
+    for n_idx, n in enumerate(spec.n_values):
+        for e_idx, eps_value in enumerate(spec.epsilon_values):
+            eps = epsilon_limit(n) if eps_value == "max" else eps_value
+            if eps > epsilon_limit(n):
+                raise ConfigurationError(f"config field epsilon_values: epsilon={eps} exceeds "
+                                         f"1/(2*sqrt(n)) for n={n}")
+            sigma, report = spec.sigma_override, (math.nan, math.nan)
+            if sigma is None:
+                accountant = end_to_end(n, eps, spec.delta, spec.delta_prime, L, D, d)
+                sigma = accountant.sigma
+                report = (accountant.report.epsilon, accountant.report.delta_total)
+            config = RunConfig(n=n, eta=step_size(n, sigma, L, D, d), sigma=sigma,
+                               feasible_set=spec.feasible_set, oracle=spec.oracle, w1=w1)
+            config.validate()
+            plans[n_idx, e_idx] = CellPlan(eps, config, risk_bound(n, sigma, L, D, d), *report)
+    return plans
 
+
+def run_experiment(spec):
+    """Plan every (n, epsilon) cell, then run each and aggregate its statistics.
+
+    plan_cells comes first, so a cell the accountant or RunConfig refuses
+    stops the command before any work. Then the reference minimizer and its
+    exact population risk (baseline_risk, from losses.population_risk).
+    Each cell runs its repeats in one private_sgd_batch call on its plan's
+    RunConfig, whose sigma and eta cells.csv prints; repeat r of cell
+    (n_idx, e_idx) draws its dataset and run seed from the entropy [seed,
+    n_idx, e_idx, r, 0 | 1] (README, "seeds"), all seeded at once by
+    sampler, so no result depends on execution order. A run's excess risk
+    is its output's exact population risk minus baseline_risk, its regret
+    is measured against the reference minimizer, and no evaluation data
+    are drawn. A repeat that overruns its step cap is counted in
+    overrun_runs and left out of the cell's means. stderr adds to the runs'
+    standard error the reference minimizer's error bound and the largest
+    quadrature bound of the finished runs' risks, RISK_QUADRATURE_BOUND *
+    (1 + B*||w||)^2, so bound checks stay honest.
+    """
+    plans = plan_cells(spec)
     baseline = baseline_minimizer(spec.population, spec.oracle, spec.feasible_set,
                                   spec.baseline_steps)
     base_risk = population_risk(spec.population, spec.oracle, baseline.w)[0]
 
     cells = []
-    for n_idx, n in enumerate(spec.n_values):
-        for e_idx, eps_value in enumerate(spec.epsilon_values):
-            eps = epsilon_limit(n) if eps_value == "max" else eps_value
-            sigma, report_eps, report_delta = spec.sigma_override, math.nan, math.nan
-            if sigma is None:
-                plan = end_to_end(n, eps, spec.delta, spec.delta_prime, L, D, d)
-                sigma, report = plan.sigma, plan.report
-                report_eps, report_delta = report.epsilon, report.delta_total
-            eta = step_size(n, sigma, L, D, d)
-            bound_value = risk_bound(n, sigma, L, D, d)
+    for (n_idx, e_idx), plan in plans.items():
+        n, d = plan.config.n, spec.population.dimension
+        features, labels = np.empty((spec.repeats, n, d)), np.empty((spec.repeats, n))
+        repeats = np.arange(spec.repeats)
+        data = seeded_streams(spec.seed, n_idx, e_idx, repeats, 0)
+        for r in repeats:
+            features[r], labels[r] = draw_dataset(spec.population, n, data.stream(r))
+        seeds = derived_seeds(spec.seed, n_idx, e_idx, repeats, 1)
+        batch = private_sgd_batch(plan.config, seeds, features, labels)
+        all_regrets = estimate_regret(batch, (features, labels), baseline.w, plan.config)
+        finished = np.flatnonzero(~batch.overrun)
+        overruns = spec.repeats - finished.size
+        outputs = batch.output[finished]
+        excesses = population_risk(spec.population, spec.oracle, outputs)[0] - base_risk
+        completed = len(excesses)
+        # population_risk's stated error bound at the output farthest from 0
+        scale = 1.0 + spec.population.feature_bound * np.linalg.norm(outputs, axis=1)
+        quadrature = RISK_QUADRATURE_BOUND * float(scale.max()) ** 2 if completed else 0.0
+        mean_excess = float(np.mean(excesses)) if completed else math.nan
+        run_stderr = np.std(excesses, ddof=1) / math.sqrt(completed) if completed > 1 else 0.0
+        stderr = float(run_stderr) + baseline.error_bound + quadrature
+        cells.append(CellResult(
+            plan=plan, mean_tau=float(np.mean(batch.tau[finished])) if completed else math.nan,
+            mean_regret=float(np.mean(all_regrets[finished])) if completed else math.nan,
+            mean_excess_risk=mean_excess, stderr=stderr,
+            bound_satisfied=bool(completed and mean_excess <= plan.bound_value + 3.0 * stderr),
+            overrun_runs=overruns, degraded=overruns > 0.01 * spec.repeats,
+        ))
 
-            features, labels = np.empty((spec.repeats, n, d)), np.empty((spec.repeats, n))
-            repeats = np.arange(spec.repeats)
-            data = seeded_streams(spec.seed, n_idx, e_idx, repeats, 0)
-            for r in repeats:
-                features[r], labels[r] = draw_dataset(spec.population, n, data.stream(r))
-            seeds = derived_seeds(spec.seed, n_idx, e_idx, repeats, 1)
-            config = RunConfig(n=n, eta=eta, sigma=sigma, feasible_set=spec.feasible_set,
-                               oracle=spec.oracle, w1=w1)
-            batch = private_sgd_batch(config, seeds, features, labels)
-            all_regrets = estimate_regret(batch, (features, labels), baseline.w, config)
-            finished = np.flatnonzero(~batch.overrun)
-            overruns = spec.repeats - finished.size
-            outputs = batch.output[finished]
-            excesses = population_risk(spec.population, spec.oracle, outputs)[0] - base_risk
-            completed = len(excesses)
-            # population_risk's stated error bound at the output farthest from 0
-            scale = 1.0 + spec.population.feature_bound * np.linalg.norm(outputs, axis=1)
-            quadrature = RISK_QUADRATURE_BOUND * float(scale.max()) ** 2 if completed else 0.0
-            mean_excess = float(np.mean(excesses)) if completed else math.nan
-            run_stderr = (float(np.std(excesses, ddof=1) / math.sqrt(completed))
-                          if completed > 1 else 0.0)
-            stderr = run_stderr + baseline.error_bound + quadrature
-            cells.append(CellResult(
-                n=n, epsilon=eps, sigma=sigma, eta=eta,
-                mean_tau=float(np.mean(batch.tau[finished])) if completed else math.nan,
-                mean_regret=float(np.mean(all_regrets[finished])) if completed else math.nan,
-                mean_excess_risk=mean_excess,
-                stderr=stderr,
-                bound_value=bound_value,
-                bound_satisfied=bool(completed and
-                                     mean_excess <= bound_value + 3.0 * stderr),
-                report_epsilon=report_eps,
-                report_delta_total=report_delta,
-                overrun_runs=overruns,
-                degraded=overruns > 0.01 * spec.repeats,
-            ))
-
-    return ExperimentResult(
-        spec_echo=spec_echo(spec),
-        cells=cells,
-        baseline_error=baseline.error_bound,
-        baseline_risk=base_risk,
-        degraded=any(c.degraded for c in cells),
-    )
+    return ExperimentResult(spec_echo(spec), cells, baseline_error=baseline.error_bound,
+                            baseline_risk=base_risk, degraded=any(c.degraded for c in cells))
 
 
 def _fmt(value):
@@ -391,7 +391,7 @@ def write_cells_csv(result, path):
                  f" baseline_error={_fmt(result.baseline_error)}\n")
         fh.write(",".join(CELL_COLUMNS) + "\n")
         for cell in result.cells:
-            fh.write(",".join(_fmt(getattr(cell, col)) for col in CELL_COLUMNS) + "\n")
+            fh.write(",".join(map(_fmt, cell.columns())) + "\n")
 
 
 def json_value(value):
@@ -413,7 +413,7 @@ def write_summary_json(result, path):
         "baseline": {"risk": result.baseline_risk, "error": result.baseline_error},
         "degraded": result.degraded,
         "cells": [
-            {col: json_value(getattr(cell, col)) for col in CELL_COLUMNS}
+            dict(zip(CELL_COLUMNS, map(json_value, cell.columns())))
             for cell in result.cells
         ],
     }, path)

@@ -18,7 +18,7 @@ import dpmirror.optimizer as optimizer_mod
 from dpmirror import cli
 from dpmirror.errors import ConfigurationError
 from dpmirror.geometry import FeasibleSet
-from dpmirror.harness import (CELL_COLUMNS, build_spec, parse_kv_file,
+from dpmirror.harness import (CELL_COLUMNS, build_spec, parse_kv_file, plan_cells,
                               run_and_write, run_tau_sim)
 from dpmirror.losses import (RISK_QUADRATURE_BOUND, LossOracle, PopulationSpec, draw_dataset,
                              population_risk)
@@ -84,9 +84,12 @@ class TestConfig:
         assert "loss" in str(err.value)
 
     def test_epsilon_regime_checked_per_n(self, tmp_path):
-        with pytest.raises(ConfigurationError) as err:
-            build_spec(base_overrides(tmp_path, epsilon_values="0.2"))
-        assert "epsilon" in str(err.value)
+        # Checked where the cells are planned, also under sigma_override.
+        for extra in ({}, {"sigma_override": "0.5"}):
+            spec = build_spec(base_overrides(tmp_path, epsilon_values="0.1,0.2", **extra))
+            with pytest.raises(ConfigurationError) as err:
+                plan_cells(spec)
+            assert "epsilon=0.2 exceeds 1/(2*sqrt(n)) for n=16" in str(err.value)
 
     def test_small_n_rejected(self, tmp_path):
         with pytest.raises(ConfigurationError):
@@ -113,9 +116,9 @@ class TestRunCommand:
         assert time.time() - started < 1.0
         assert len(result.cells) == 1
         cell = result.cells[0]
-        assert cell.n == 16
-        assert cell.epsilon == pytest.approx(1.0 / (2.0 * math.sqrt(16)))
-        assert len(result.cells[0].__dict__) >= len(CELL_COLUMNS)
+        assert cell.plan.config.n == 16
+        assert cell.plan.epsilon == pytest.approx(1.0 / (2.0 * math.sqrt(16)))
+        assert len(cell.columns()) == len(CELL_COLUMNS)
         outdir = tmp_path / "t"
         assert (outdir / "cells.csv").exists()
         assert (outdir / "summary.json").exists()
@@ -143,8 +146,8 @@ class TestRunCommand:
     def test_sigma_override_zero(self, tmp_path):
         spec = build_spec(base_overrides(tmp_path, sigma_override="0.0"))
         result = run_and_write(spec)
-        assert result.cells[0].sigma == 0.0
-        assert math.isnan(result.cells[0].report_epsilon)
+        assert result.cells[0].plan.config.sigma == 0.0
+        assert math.isnan(result.cells[0].plan.report_epsilon)
 
     def test_noiseless_risk_curve_scaling(self, tmp_path):
         # sigma = 0 across n in {64, ..., 4096}: excess risk should fall like
@@ -159,7 +162,7 @@ class TestRunCommand:
             "output_dir": str(tmp_path),
         })
         result = run_and_write(spec)
-        ns = np.array([c.n for c in result.cells], dtype=float)
+        ns = np.array([c.plan.config.n for c in result.cells], dtype=float)
         excess = np.array([c.mean_excess_risk for c in result.cells])
         assert np.all(excess > 0)
         slope, log_c = np.polyfit(np.log(ns), np.log(excess), 1)
@@ -676,6 +679,37 @@ class TestCli:
                        "--output-dir", str(tmp_path), *flags])
         assert rc == 2
         assert message in capsys.readouterr().err
+        assert not (tmp_path / "experiment").exists()
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--epsilon-values", "max,1e-320"], "epsilon=1e-320"),
+        (["--epsilon-values", "1e-320"], "epsilon=1e-320"),
+        (["--epsilon-values", "max", "--sigma-override", "1e308", "--dimension", "10"],
+         "RunConfig: eta must be finite and positive, got 0.0"),
+    ], ids=["max-then-subnormal", "subnormal", "sigma-override-eta-0"])
+    def test_run_refused_cell_exits_before_any_work(self, tmp_path, capsys, monkeypatch,
+                                                    flags, message):
+        # Every cell is planned, and its RunConfig validated, before the
+        # reference minimizer or any cell runs: a cell the accountant refuses
+        # (sigma overflows, or eta underflows to 0) stops the command with
+        # no work done, even when it comes after a good cell.
+        calls = collections.Counter()
+
+        def counted(name):
+            work = getattr(harness_mod, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return work(*args, **kwargs)
+            return wrapper
+
+        for name in ("baseline_minimizer", "private_sgd_batch"):
+            monkeypatch.setattr(harness_mod, name, counted(name))
+        rc = cli.main(["run", "--n-values", "1600", "--repeats", "200", "--seed", "1",
+                       "--output-dir", str(tmp_path), *flags])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+        assert calls == {}
         assert not (tmp_path / "experiment").exists()
 
     def test_run_smoke_exit_0(self, tmp_path, capsys):
