@@ -438,11 +438,15 @@ def run_tau_sim(n_values, trials, seed, output_dir, name="tau-sim"):
     """Stopping-time Monte Carlo for several n; writes tau.csv and summaries.
 
     tau.csv gets an extra leading n column so several sizes share one file;
-    the per-n summaries land in tau_summary.json. Every n is simulated
-    before anything is written, so a bad n leaves no files behind.
+    the per-n summaries land in tau_summary.json. Every n is checked
+    before any is simulated, and simulated before anything is written, so
+    a bad n costs no work and leaves no files behind.
     """
     if trials < 1000:
         raise ConfigurationError(f"tau-sim: trials must be >= 1000, got {trials}")
+    for n in n_values:
+        if n < 1:
+            raise ConfigurationError(f"tau-sim: n must be >= 1, got {n}")
     all_stats = [simulate_tau(n, trials, seed) for n in n_values]
     outdir = experiment_dir(output_dir, name)
     with open(os.path.join(outdir, "tau.csv"), "w") as fh:

@@ -187,6 +187,17 @@ class TestRunCommand:
             run_tau_sim([16, 0], 1000, seed=3, output_dir=str(tmp_path), name="tau")
         assert not (tmp_path / "tau").exists()
 
+    def test_tau_sim_checks_every_n_first(self, tmp_path, capsys, monkeypatch):
+        # n = 0 comes after a large n: refused before any n is simulated.
+        calls = []
+        monkeypatch.setattr(harness_mod, "simulate_tau", lambda *args: calls.append(args))
+        rc = cli.main(["tau-sim", "--n", "4096,0", "--trials", "100000", "--seed", "1",
+                       "--output-dir", str(tmp_path), "--name", "tau"])
+        assert rc == 2
+        assert "tau-sim: n must be >= 1, got 0" in capsys.readouterr().err
+        assert calls == []
+        assert not (tmp_path / "tau").exists()
+
     def test_tau_sim_trial_floor(self, tmp_path):
         with pytest.raises(ConfigurationError):
             run_tau_sim([16], 10, seed=3, output_dir=str(tmp_path))
