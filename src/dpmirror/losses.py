@@ -12,6 +12,12 @@ batch_values scores one w against a feature array. A dataset is the
 (features, labels) array pair. population_risk gives the exact population
 risk of a point and its gradient, and risk_curvature a bound on that
 gradient's Lipschitz constant.
+
+Seeded outputs must not depend on the CPU features numpy dispatches to.
+Arithmetic, sqrt, sin, cos, hypot and float_power give the same float64
+bits with and without numpy's AVX-512 loops, and so does math.asin, which
+_arcsin applies elementwise; numpy's power (bar its ** 2 and ** 0.5 fast
+paths), exp, log, arcsin and their kin do not, so none is used here.
 """
 
 import functools
@@ -29,6 +35,13 @@ SQUARED = "squared"
 
 LINEAR_MARGIN = "linear_margin"
 UNIFORM_BALL = "uniform_ball"
+
+
+def _arcsin(x):
+    """math.asin of each element of x clipped to [-1, 1]: np.arcsin without
+    numpy's CPU dispatch (see the module docstring)."""
+    x = np.clip(x, -1.0, 1.0)
+    return np.fromiter(map(math.asin, x.ravel().tolist()), float, x.size).reshape(x.shape)
 
 
 def lipschitz_certificate(kind, feature_bound, feasible_set=None):
@@ -183,7 +196,7 @@ def draw_arrays(spec, n, rng):
     features = rng.standard_normal((n, spec.dimension))
     norms = np.linalg.norm(features, axis=1, keepdims=True)
     norms[norms == 0.0] = 1.0
-    radii = spec.feature_bound * rng.random(n) ** (1.0 / spec.dimension)
+    radii = spec.feature_bound * np.float_power(rng.random(n), 1.0 / spec.dimension)
     # Scaled in place: the same products, without a second (n, d) array.
     features *= radii[:, None] / norms
     if spec.generator == UNIFORM_BALL:
@@ -238,7 +251,7 @@ def _cos_power_integral(n, psi):
     sin, cos = np.sin(psi), np.cos(psi)
     total, first = (psi + np.pi / 2.0, 2) if n % 2 == 0 else (sin + 1.0, 3)
     for j in range(first, n + 1, 2):
-        total = cos ** (j - 1) * sin / j + (j - 1) / j * total
+        total = np.float_power(cos, j - 1) * sin / j + (j - 1) / j * total
     return total
 
 
@@ -329,11 +342,11 @@ def population_risk(spec, oracle, w):
     risk, gradient = np.empty(len(rows)), np.empty_like(rows)
     for size in np.flatnonzero(np.bincount(sizes)):
         group = np.flatnonzero(sizes == size)
-        edges = np.arcsin(cuts[group][distinct[group]].reshape(-1, size))
+        edges = _arcsin(cuts[group][distinct[group]].reshape(-1, size))
         lo, hi = edges[:, :-1, None], edges[:, 1:, None]
         psi = (lo + (hi - lo) * t).reshape(len(group), -1)
         s, cos = np.sin(psi), np.cos(psi)
-        density = ((hi - lo) * t_weights).reshape(len(group), -1) * c_d * cos ** d
+        density = ((hi - lo) * t_weights).reshape(len(group), -1) * c_d * np.float_power(cos, d)
         z = scale[group] * s
         if spec.generator == UNIFORM_BALL:
             value, slope = _uniform_label_loss(oracle.kind, z)
@@ -343,17 +356,17 @@ def population_risk(spec, oracle, w):
             down_value, down_slope = oracle.loss_at(z, -1.0), oracle.slope_at(z, -1.0)
             p_up = 1.0 - flip
             if label_axis is not None:
-                # sin(psi_c) = s*cot(angle)/sqrt(1 - s^2), clipped where the
-                # label line misses the chord; the chord's side <w_true, x> > 0
-                # is psi < psi_c.
+                # sin(psi_c) = s*cot(angle)/sqrt(1 - s^2), clipped (by
+                # _arcsin) where the label line misses the chord; the chord's
+                # side <w_true, x> > 0 is psi < psi_c.
                 with np.errstate(divide="ignore"):
-                    psi_c = np.arcsin(np.clip(s * cos_angle[group] / (sin_angle[group] * cos),
-                                              -1.0, 1.0))
+                    psi_c = _arcsin(s * cos_angle[group] / (sin_angle[group] * cos))
                 # The whole chord's integral of cos^(d-1) is 2*pi*c_d/d.
                 chord = 2.0 * math.pi * c_d / d
                 p_up = flip + (1.0 - 2.0 * flip) * _cos_power_integral(d - 1, psi_c) / chord
                 # E[t; label +1 | s] = -(1 - 2 flip) cos(psi) cos^d(psi_c)/(d * chord).
-                mean_t_up = -(1.0 - 2.0 * flip) * cos * np.cos(psi_c) ** d / (d * chord)
+                mean_t_up = (-(1.0 - 2.0 * flip) * cos * np.float_power(np.cos(psi_c), d)
+                             / (d * chord))
                 across_slope = mean_t_up * (up_slope - down_slope)
             value = p_up * up_value + (1.0 - p_up) * down_value
             slope = p_up * up_slope + (1.0 - p_up) * down_slope

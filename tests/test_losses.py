@@ -304,11 +304,10 @@ ROWS_CASES = [(kind, population, d) for kind in ("hinge", "absolute", "squared")
               for population in ("linear_margin", "axis_margin", "w_true-zero", "uniform_ball")
               for d in (1, 2, 3, 10)]
 # sha256 of every ROWS_CASES row's one-point (F, grad F) bytes, in order, from
-# the one-point population_risk before it took stacked rows: with numpy's
-# AVX-512 loops, and without them (NPY_DISABLE_CPU_FEATURES="X86_V4
-# AVX512_ICL AVX512_SPR", also with X86_V3 off), where arcsin rounds otherwise.
-POINT_RISKS_SHA256 = {"6f201e458d845f23d098b607865c652de8363b295fa1b4c9a5655a9656ad57a7",
-                      "260ea26e44092a2c31b5663f3d9859d15236be625ec3e9d180ccc5590ada9b0e"}
+# the one-point population_risk before it took stacked rows. One value under
+# every numpy CPU dispatch: losses takes arcsin by math.asin, so this is the
+# value the old code gave without numpy's AVX-512 loops.
+POINT_RISKS_SHA256 = "260ea26e44092a2c31b5663f3d9859d15236be625ec3e9d180ccc5590ada9b0e"
 
 
 class TestRiskRowsBytes:
@@ -339,7 +338,7 @@ class TestRiskRowsBytes:
                 value, gradient = population_risk(spec, oracle, w)
                 assert isinstance(value, float) and gradient.shape == (d,)
                 digest.update(np.float64(value).tobytes() + gradient.tobytes())
-        assert digest.hexdigest() in POINT_RISKS_SHA256
+        assert digest.hexdigest() == POINT_RISKS_SHA256
 
 
 class TestMaxSubgradientNorm:

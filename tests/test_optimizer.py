@@ -354,11 +354,14 @@ class TestBatchGolden:
     its rows sorted by falling tau and froze each row at its own tau."""
 
     # sha256 of the tau, overrun, output and fresh_iterates bytes, in order.
+    # squared-box-d10 re-pinned when draw_arrays took U**(1/d) by
+    # float_power, which rounds alike with and without numpy's AVX-512
+    # loops: the new digest is the old code's without them.
     GOLDEN = {
         "hinge-ball-d2":
             "36dc3ab3c3c2ee2af4cd02061bfc56dbc94b9f25ed455e0f63cb8ee12c01391a",
         "squared-box-d10":
-            "0d504c6165757aa1e9d9ee9675454d64e3dabe8c909e5516c2ced465165f9f59",
+            "c366480443f628cb207ddd6ed761232cf17bfd8f16fc8ce9c2547e7195f78b30",
         "hinge-box-d1-overrun":
             "bdb7716c301853703d27388726326c118f6abc205933fcedb424fa55e481dbff",
     }

@@ -1,8 +1,11 @@
 """The traced benchmark wraps dpmirror names; they must all still exist, and
-a traced pass must count the work it ran."""
+a traced pass must count the work it ran. The seeded modules call no numpy
+ufunc whose bits depend on numpy's CPU dispatch."""
 
+import ast
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -104,3 +107,50 @@ def test_cli_import_loads_neither_scipy_nor_numpy_polynomial():
         env=benchmark_env(), capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+# The modules whose arithmetic reaches seeded outputs (run, tau-sim, audit).
+SEEDED_MODULES = ("geometry", "harness", "losses", "optimizer", "privacy", "sampler")
+# numpy ufuncs whose float64 bits change with numpy's CPU dispatch (its
+# AVX-512 loops on or off); sqrt, sin, cos, hypot and float_power do not.
+DISPATCHED = re.compile(r"power|exp|exp2|expm1|log\w*|arc\w+|cbrt|tanh")
+# Exponents numpy takes by a fast path instead of power: 2 is square, 0.5
+# sqrt, -1 a division, 0 and 1 exact.
+FAST_EXPONENTS = (-1, 0, 0.5, 1, 2)
+# (module, source text) -> why that use stays. Empty: nothing is exempt.
+EXEMPT = {}
+
+
+def dispatched_uses(source):
+    """Source text of every np.<dispatched ufunc>, and of every ** whose
+    exponent is not a literal of FAST_EXPONENTS, in the given Python source."""
+    def literal(node):
+        try:
+            return ast.literal_eval(node)
+        except ValueError:
+            return None
+
+    return [ast.get_source_segment(source, node) for node in ast.walk(ast.parse(source))
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in ("np", "numpy") and DISPATCHED.fullmatch(node.attr))
+            or (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow)
+                and literal(node.right) not in FAST_EXPONENTS)]
+
+
+@pytest.mark.parametrize("module", SEEDED_MODULES)
+def test_seeded_modules_use_no_dispatched_ufunc(module):
+    # Seeded bytes must be the same on every CPU numpy dispatches to (see
+    # losses' module docstring); CI reruns the byte tests with numpy's
+    # AVX-512 loops off.
+    with open(os.path.join(ROOT, "src", "dpmirror", f"{module}.py")) as fh:
+        uses = dispatched_uses(fh.read())
+    assert [use for use in uses if (module, use) not in EXEMPT] == []
+    assert [use for mod, use in EXEMPT if mod == module and use not in uses] == []
+
+
+def test_dispatched_uses_are_found():
+    source = ("import numpy as np\n"
+              "x = np.exp(y) + np.arcsin(y) + np.log1p(y) + y ** d + y ** 3 + y ** -2\n"
+              "z = y ** 2 + y ** 0.5 + y ** -1 + np.float_power(y, d) + np.sqrt(y)\n")
+    assert sorted(dispatched_uses(source)) == sorted(
+        ["np.exp", "np.arcsin", "np.log1p", "y ** d", "y ** 3", "y ** -2"])
