@@ -182,7 +182,7 @@ class TestRunCommand:
         assert [r["n"] for r in summary["results"]] == [16, 32]
 
     def test_tau_sim_bad_n_writes_nothing(self, tmp_path):
-        # The bad n comes last, after a good one has been simulated.
+        # The bad n comes last, after a good one.
         with pytest.raises(ConfigurationError):
             run_tau_sim([16, 0], 1000, seed=3, output_dir=str(tmp_path), name="tau")
         assert not (tmp_path / "tau").exists()
