@@ -199,7 +199,8 @@ def run_repeat_streams(seed, n_idx, e_idx, repeat):
 
 def read_cells_csv(path):
     """cells.csv as (baseline_risk, [one dict of column -> text per cell])."""
-    lines = open(path).read().splitlines()
+    with open(path) as fh:
+        lines = fh.read().splitlines()
     (baseline,) = [line for line in lines if line.startswith("# baseline_risk=")]
     baseline_risk = float(baseline.split()[1].partition("=")[2])
     header, *rows = [line.split(",") for line in lines if not line.startswith("#")]
