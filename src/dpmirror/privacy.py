@@ -14,7 +14,9 @@ Accountant functions are pure and safe to call concurrently.
 audit_single_step checks the per-step claim by Monte Carlo: it histograms
 the two neighbouring outputs on a fixed grid and scores every cell in both
 directions at once, as arrays; the per-cell table it returns is those
-arrays.
+arrays. The draws stream through one block of AUDIT_BLOCK values, so the
+audit's memory does not grow with its trial count; its counts equal those
+of one whole draw per side (see audit_single_step).
 """
 
 import math
@@ -31,6 +33,9 @@ MAX_GRID_CELLS = 500
 # Interior grid half-width in noise units; everything beyond is lumped into
 # the two outermost cells so no event has near-zero expected count.
 AUDIT_RANGE_SIGMAS = 3.0
+# Draws per histogram pass: the audit's memory is one block of this many
+# float64s, whatever the trial count.
+AUDIT_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -230,6 +235,13 @@ def audit_single_step(sigma, L, epsilon_tilde, delta, trials,
 
     Requires trials >= 2000 per grid cell (10^6 at the 500-cell default)
     and a seed that is a non-negative int.
+
+    Each side's draws pass through one reused block of AUDIT_BLOCK float64s
+    (512 KB), so memory does not depend on trials. The result is that of
+    one standard_normal(trials) draw per side, byte for byte: the Generator
+    keeps no normal between calls, so the blocks concatenate to that draw;
+    scaling in place rounds as the whole-array expression does; and the
+    blocks' integer counts add exactly.
     """
     _check_positive("sigma", sigma)
     _check_positive("L", L)
@@ -246,21 +258,30 @@ def audit_single_step(sigma, L, epsilon_tilde, delta, trials,
             f"{MIN_TRIALS_PER_CELL * grid_cells}, got {trials}"
         )
 
-    rng = seeded_streams(seed, 0xA0D1).stream(0)
-    out_s = sigma * rng.standard_normal(trials)
-    out_sprime = L + sigma * rng.standard_normal(trials)
-
     lo, hi = audit_grid_range(sigma, L)
     interior = np.linspace(lo, hi, grid_cells - 1)
     edges = np.concatenate([[-np.inf], interior, [np.inf]])
-    p_s = np.histogram(out_s, bins=edges)[0] / trials
-    p_sp = np.histogram(out_sprime, bins=edges)[0] / trials
+
+    # S's draws first, then S''s, block by block; z*sigma (+ L) rounds as
+    # sigma*z (+ L) does.
+    rng = seeded_streams(seed, 0xA0D1).stream(0)
+    block = np.empty(min(trials, AUDIT_BLOCK))
+    counts = np.zeros((2, grid_cells), dtype=np.int64)
+    for side in (0, 1):
+        for start in range(0, trials, AUDIT_BLOCK):
+            part = block[:min(AUDIT_BLOCK, trials - start)]
+            rng.standard_normal(out=part)
+            part *= sigma
+            if side:
+                part += L
+            counts[side] += np.histogram(part, bins=edges)[0]
 
     # Row 0 tests each cell as "S against e^eps * S' + delta", row 1 the
     # reverse, each with the binomial stderr of that difference. Variances
     # are clipped at zero: cumulative probabilities can round a hair past 1.
     amp = math.exp(epsilon_tilde)
-    p = np.stack([p_s, p_sp])
+    p = counts / trials
+    p_s, p_sp = p
     var = np.maximum(p * (1.0 - p), 0.0) / trials
     directed = p - amp * p[::-1] - delta
     directed_se = np.sqrt(var + amp * amp * var[::-1])
@@ -290,7 +311,7 @@ def write_audit_csv(result, path):
     """Columns: interval_lo,interval_hi,p_S,p_Sprime,violation."""
     with open(path, "w") as fh:
         fh.write("interval_lo,interval_hi,p_S,p_Sprime,violation\n")
-        for row in zip(result.edges[:-1].tolist(), result.edges[1:].tolist(),
-                       result.p_s.tolist(), result.p_sprime.tolist(),
-                       result.violation.tolist()):
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+        fh.writelines("%.17g,%.17g,%.17g,%.17g,%.17g\n" % row
+                      for row in zip(result.edges[:-1].tolist(), result.edges[1:].tolist(),
+                                     result.p_s.tolist(), result.p_sprime.tolist(),
+                                     result.violation.tolist()))

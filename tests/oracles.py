@@ -71,6 +71,20 @@ def audit_cells_reference(p_s, p_sprime, edges, eps, delta, trials):
     return np.array(violations), (*best, significant)
 
 
+def audit_counts_reference(sigma, L, trials, edges, seed):
+    """The audit's (p_S, p_S') from one draw per side, by numpy's own seeding.
+
+    As the README states it: both sides come from
+    default_rng(SeedSequence([seed, 0xA0D1])), trials normals for S and then
+    trials for S', drawn whole and histogrammed on the audit's edges.
+    """
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 0xA0D1]))
+    out_s = sigma * rng.standard_normal(trials)
+    out_sprime = L + sigma * rng.standard_normal(trials)
+    return (np.histogram(out_s, bins=edges)[0] / trials,
+            np.histogram(out_sprime, bins=edges)[0] / trials)
+
+
 def partial_coupon_sum(n):
     """Exact expected stopping time: sum of n/(n-k) for k = 0..floor(n/2)."""
     total = 0.0
