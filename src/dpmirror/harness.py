@@ -23,8 +23,9 @@ from .losses import (ABSOLUTE, HINGE, LINEAR_MARGIN, RISK_QUADRATURE_BOUND, SQUA
                      lipschitz_certificate, population_risk)
 # private_sgd and estimate_risk are not called here; perfbench/spans.py
 # wraps them by these names.
-from .optimizer import (RunConfig, baseline_minimizer, estimate_regret,  # noqa: F401
-                        estimate_risk, private_sgd, private_sgd_batch)
+from .optimizer import (RunConfig, baseline_minimizer, check_rows,  # noqa: F401
+                        draw_fresh_steps, estimate_regret, estimate_risk, private_sgd,
+                        run_steps)
 from .privacy import end_to_end, epsilon_limit, risk_bound, step_size
 from .sampler import derived_seeds, seeded_streams, simulate_tau
 
@@ -323,57 +324,69 @@ def run_experiment(spec):
 
     plan_cells comes first, so a cell the accountant or RunConfig refuses
     stops the command before any work. Then the reference minimizer and its
-    exact population risk (baseline_risk, from losses.population_risk).
-    Each cell runs its repeats in one private_sgd_batch call on its plan's
-    RunConfig, whose sigma and eta cells.csv prints; repeat r of cell
-    (n_idx, e_idx) draws its dataset and run seed from the entropy [seed,
-    n_idx, e_idx, r, 0 | 1] (README, "seeds"), all seeded at once by
-    sampler, so no result depends on execution order. A run's excess risk
-    is its output's exact population risk minus baseline_risk, its regret
-    is measured against the reference minimizer, and no evaluation data
-    are drawn. A repeat that overruns its step cap is counted in
-    overrun_runs and left out of the cell's means. stderr adds to the runs'
-    standard error the reference minimizer's error bound and the largest
-    quadrature bound of the finished runs' risks, RISK_QUADRATURE_BOUND *
-    (1 + B*||w||)^2, so bound checks stay honest.
+    exact population risk (baseline_risk, from losses.population_risk), and
+    the cells one at a time (run_cell).
     """
     plans = plan_cells(spec)
     baseline = baseline_minimizer(spec.population, spec.oracle, spec.feasible_set,
                                   spec.baseline_steps)
     base_risk = population_risk(spec.population, spec.oracle, baseline.w)[0]
-
-    cells = []
-    for (n_idx, e_idx), plan in plans.items():
-        n, d = plan.config.n, spec.population.dimension
-        features, labels = np.empty((spec.repeats, n, d)), np.empty((spec.repeats, n))
-        repeats = np.arange(spec.repeats)
-        data = seeded_streams(spec.seed, n_idx, e_idx, repeats, 0)
-        for r in repeats:
-            features[r], labels[r] = draw_dataset(spec.population, n, data.stream(r))
-        seeds = derived_seeds(spec.seed, n_idx, e_idx, repeats, 1)
-        batch = private_sgd_batch(plan.config, seeds, features, labels)
-        all_regrets = estimate_regret(batch, (features, labels), baseline.w, plan.config)
-        finished = np.flatnonzero(~batch.overrun)
-        overruns = spec.repeats - finished.size
-        outputs = batch.output[finished]
-        excesses = population_risk(spec.population, spec.oracle, outputs)[0] - base_risk
-        completed = len(excesses)
-        # population_risk's stated error bound at the output farthest from 0
-        scale = 1.0 + spec.population.feature_bound * np.linalg.norm(outputs, axis=1)
-        quadrature = RISK_QUADRATURE_BOUND * float(scale.max()) ** 2 if completed else 0.0
-        mean_excess = float(np.mean(excesses)) if completed else math.nan
-        run_stderr = np.std(excesses, ddof=1) / math.sqrt(completed) if completed > 1 else 0.0
-        stderr = float(run_stderr) + baseline.error_bound + quadrature
-        cells.append(CellResult(
-            plan=plan, mean_tau=float(np.mean(batch.tau[finished])) if completed else math.nan,
-            mean_regret=float(np.mean(all_regrets[finished])) if completed else math.nan,
-            mean_excess_risk=mean_excess, stderr=stderr,
-            bound_satisfied=bool(completed and mean_excess <= plan.bound_value + 3.0 * stderr),
-            overrun_runs=overruns, degraded=overruns > 0.01 * spec.repeats,
-        ))
-
+    cells = [run_cell(spec, key, plan, baseline, base_risk) for key, plan in plans.items()]
     return ExperimentResult(spec_echo(spec), cells, baseline_error=baseline.error_bound,
                             baseline_risk=base_risk, degraded=any(c.degraded for c in cells))
+
+
+def run_cell(spec, key, plan, baseline, base_risk):
+    """The CellResult of the repeats of cell key = (n_idx, e_idx) under plan.
+
+    Repeat r draws its dataset and run seed from the entropy [seed, n_idx,
+    e_idx, r, 0 | 1] (README, "seeds"), all seeded at once by sampler, so
+    no result depends on execution order. The runs' fresh steps are read
+    first (draw_fresh_steps); then each repeat's dataset is drawn, checked
+    whole as private_sgd_batch checks it (check_rows), and only the m =
+    n//2 + 1 rows its fresh steps read are kept, in step order. run_steps
+    runs the repeats on those rows, on the plan's RunConfig, whose sigma
+    and eta cells.csv prints, and estimate_regret scores the same rows
+    against the reference minimizer. A run's excess risk is its output's
+    exact population risk minus base_risk; no evaluation data are drawn. A
+    repeat that overruns its step cap is counted in overrun_runs and left
+    out of the cell's means. stderr adds to the runs' standard error the
+    reference minimizer's error bound and the largest quadrature bound of
+    the finished runs' risks, RISK_QUADRATURE_BOUND * (1 + B*||w||)^2, so
+    bound checks stay honest.
+    """
+    config, repeats = plan.config, np.arange(spec.repeats)
+    steps = draw_fresh_steps(config.n, derived_seeds(spec.seed, *key, repeats, 1))
+    (rows, target), d = steps.fresh_indices.shape, spec.population.dimension
+    features, labels = np.empty((rows, target, d)), np.empty((rows, target))
+    data = seeded_streams(spec.seed, *key, repeats, 0)
+    for r in repeats:
+        drawn_features, drawn_labels = draw_dataset(spec.population, config.n, data.stream(r))
+        check_rows(config, drawn_features, drawn_labels)
+        drawn_features.take(steps.fresh_indices[r], axis=0, out=features[r])
+        drawn_labels.take(steps.fresh_indices[r], out=labels[r])
+        del drawn_features, drawn_labels   # before the next repeat draws
+    batch = run_steps(config, steps, features.reshape(-1, d), labels.reshape(-1),
+                      np.arange(rows * target).reshape(rows, target))
+    all_regrets = estimate_regret(batch, (features, labels), baseline.w, config)
+    finished = np.flatnonzero(~batch.overrun)
+    overruns = spec.repeats - finished.size
+    outputs = batch.output[finished]
+    excesses = population_risk(spec.population, spec.oracle, outputs)[0] - base_risk
+    completed = len(excesses)
+    # population_risk's stated error bound at the output farthest from 0
+    scale = 1.0 + spec.population.feature_bound * np.linalg.norm(outputs, axis=1)
+    quadrature = RISK_QUADRATURE_BOUND * float(scale.max()) ** 2 if completed else 0.0
+    mean_excess = float(np.mean(excesses)) if completed else math.nan
+    run_stderr = np.std(excesses, ddof=1) / math.sqrt(completed) if completed > 1 else 0.0
+    stderr = float(run_stderr) + baseline.error_bound + quadrature
+    return CellResult(
+        plan=plan, mean_tau=float(np.mean(batch.tau[finished])) if completed else math.nan,
+        mean_regret=float(np.mean(all_regrets[finished])) if completed else math.nan,
+        mean_excess_risk=mean_excess, stderr=stderr,
+        bound_satisfied=bool(completed and mean_excess <= plan.bound_value + 3.0 * stderr),
+        overrun_runs=overruns, degraded=overruns > 0.01 * spec.repeats,
+    )
 
 
 def _fmt(value):

@@ -12,10 +12,12 @@ noise is N(0, sigma^2 * I). This matches the accountant in privacy.py.
 A run is fixed by its RunConfig, its seed and its dataset, and takes at
 most max_steps = MAX_STEPS_FACTOR * n steps. Its index and noise streams
 are the two children SeedSequence spawns from its seed (spawned_streams),
-so its index stream depends neither on sigma nor on the iterates: stopping
-times and fresh steps are read up front by sampler.draw_stopping_times,
-simulate_tau's reader, and private_sgd_batch runs the projected-step
-recursion for R runs at once. A run's result is the RunBatch arrays.
+so its index stream depends neither on sigma nor on the iterates, nor on
+the data: draw_fresh_steps reads R runs' stopping times and fresh steps
+before any data, and run_steps runs the projected-step recursion for the
+R runs at once, reading each fresh step's data row through a row map.
+private_sgd_batch maps the steps into R full datasets; the harness maps
+them into the fresh rows it keeps. A run's result is the RunBatch arrays.
 
 baseline_minimizer, the non-private reference point, minimizes the exact
 population risk (losses.population_risk, a quadrature with a stated error
@@ -36,8 +38,8 @@ from .errors import ConfigurationError
 from .geometry import dot, mirror_step  # noqa: F401
 from .losses import (RISK_QUADRATURE_BOUND, draw_arrays, draw_dataset,  # noqa: F401
                      population_risk, risk_curvature)
-from .sampler import (check_seed, draw_stopping_times, fresh_target,  # noqa: F401
-                      sample_index, spawned_streams)
+from .sampler import (check_seed, draw_stopping_times, sample_index,  # noqa: F401
+                      spawned_streams)
 
 MAX_STEPS_FACTOR = 4
 NOISE_CHUNK_STEPS = 128
@@ -108,31 +110,70 @@ def private_sgd(config, seed, dataset):
                              *(np.asarray(a, dtype=float)[None] for a in dataset))
 
 
+@dataclass
+class FreshSteps:
+    """What R runs read of their datasets, fixed by their seeds alone.
+
+    tau, overrun    as in RunBatch
+    fresh           (max(tau) + 1, R) True at each row's fresh steps; an
+                    overrun row's missing arrivals mark the spare last row
+    fresh_indices   (R, m) dataset index of each fresh step in step order,
+                    m = n//2+1; 0 past an overrun row's last fresh step
+    noise_streams   the rows' noise streams (sampler.TrialStreams); run_steps
+                    reads them, so a FreshSteps runs once
+    """
+
+    tau: np.ndarray
+    overrun: np.ndarray
+    fresh: np.ndarray
+    fresh_indices: np.ndarray
+    noise_streams: object
+
+
+def draw_fresh_steps(n, seeds):
+    """The FreshSteps of R = len(seeds) runs on n records, before any data.
+
+    A run's index and noise streams are the two children its seed spawns
+    (sampler.spawned_streams), so its stopping time and fresh steps are
+    read up front by sampler.draw_stopping_times, simulate_tau's reader.
+    The caller checks the seeds (private_sgd_batch).
+    """
+    rows = len(seeds)
+    max_steps = MAX_STEPS_FACTOR * n
+    index_streams, noise_streams = spawned_streams(seeds)
+    tau, arrivals, fresh_indices = draw_stopping_times(n, index_streams, cap=max_steps,
+                                                       fresh=True)
+    overrun = tau > max_steps
+    tau = np.minimum(tau, max_steps)
+    # An overrun row's missing arrivals read max_steps, the spare last row.
+    fresh = np.zeros((int(tau.max()) + 1, rows), dtype=bool)
+    fresh[arrivals, np.arange(rows)[:, None]] = True
+    return FreshSteps(tau, overrun, fresh, fresh_indices, noise_streams)
+
+
+def check_rows(config, features, labels):
+    """Raise ConfigurationError unless every (..., d) feature row and (...,)
+    label is finite and no row's subgradient norm on the feasible set can
+    exceed oracle.lipschitz_L, the sensitivity the accountant prices."""
+    if not (np.isfinite(features).all() and np.isfinite(labels).all()):
+        raise ConfigurationError("private_sgd: features and labels must be finite")
+    worst = config.oracle.max_subgradient_norm(features, labels, config.feasible_set)
+    if worst > config.oracle.lipschitz_L * (1.0 + 1e-9):
+        raise ConfigurationError(
+            f"private_sgd: a data row gives subgradients of norm up to {worst:.6g} on "
+            f"the feasible set, above the certified L = {config.oracle.lipschitz_L:.6g}")
+
+
 def private_sgd_batch(config, seeds, features, labels):
     """R = len(seeds) private runs at once, in lockstep.
 
     Row r is the run of config with seed seeds[r] on the dataset
-    (features[r], labels[r]); features is (R, n, d) and labels (R, n). Rows
-    step in lockstep up to max(tau); a row past its own tau takes noise-only
-    steps that nothing reads, drawn after every value it uses, so each row
-    equals the run made alone.
-
-    Per chunk of NOISE_CHUNK_STEPS steps, each run's noise stream draws
-    standard_normal((k, d)) and keeps its place. A running cumsum of the
-    (steps + 1, R) fresh mask gives every (step, row) of the chunk its flat
-    slot r*m + count - 1 and flat data row r*n + index; one take each
-    gathers the (chunk, R, d) features and (chunk, R) labels, with a zero
-    row (label 1) at noise-only steps, where g = subgradient + noise is
-    exactly the noise. The iterates held at fresh steps go to
-    fresh_iterates in one scatter per chunk and into the output's sum by
-    one cumsum over the chunk's steps, in step order, so memory stays
-    O(R * chunk * d).
-
-    Inputs are checked once here rather than per step: the config
-    (RunConfig.validate), the seeds (sampler.check_seed), the array shapes,
-    finite features and labels, and that no row's subgradient norm on the
-    feasible set can exceed oracle.lipschitz_L, the sensitivity the
-    accountant prices.
+    (features[r], labels[r]); features is (R, n, d) and labels (R, n).
+    Inputs are checked before any draw: the config (RunConfig.validate),
+    the seeds (sampler.check_seed), the array shapes and every data row
+    (check_rows). Then draw_fresh_steps reads every run's fresh steps, and
+    run_steps reads row r's fresh index i at flat data row r*n + i, so
+    nothing is gathered.
     """
     config.validate()
     n, d, rows = config.n, config.feasible_set.dimension, len(seeds)
@@ -146,93 +187,99 @@ def private_sgd_batch(config, seeds, features, labels):
         raise ConfigurationError(
             f"private_sgd: {rows} run(s) need features of shape (n, d) = ({n}, {d}) "
             f"and labels of shape ({n},) each; got {features.shape} and {labels.shape}")
-    if not (np.isfinite(features).all() and np.isfinite(labels).all()):
-        raise ConfigurationError("private_sgd: features and labels must be finite")
-    worst = config.oracle.max_subgradient_norm(features, labels, config.feasible_set)
-    if worst > config.oracle.lipschitz_L * (1.0 + 1e-9):
-        raise ConfigurationError(
-            f"private_sgd: a data row gives subgradients of norm up to {worst:.6g} on "
-            f"the feasible set, above the certified L = {config.oracle.lipschitz_L:.6g}")
-    max_steps = MAX_STEPS_FACTOR * n
-    target = fresh_target(n)
+    check_rows(config, features, labels)
+    steps = draw_fresh_steps(n, seeds)
+    data_rows = steps.fresh_indices + (np.arange(rows) * n)[:, None]
+    return run_steps(config, steps, features.reshape(-1, d), labels.reshape(-1), data_rows)
 
-    # Index streams, stopping times and fresh steps, before any iterate. An
-    # overrun row's missing arrivals read max_steps: index 0, and the spare
-    # last row of the (steps + 1, R) mask.
-    index_streams, noise_streams = spawned_streams(seeds)
-    tau, arrivals, fresh_indices = draw_stopping_times(n, index_streams, cap=max_steps,
-                                                       fresh=True)
-    overrun = tau > max_steps
-    tau = np.minimum(tau, max_steps)
-    steps = int(tau.max())
-    fresh = np.zeros((steps + 1, rows), dtype=bool)
-    fresh[arrivals, np.arange(rows)[:, None]] = True
-    del arrivals
-    seen = 0
-    fresh_iterates = np.full((rows, target, d), np.nan)
+
+def run_steps(config, steps, features, labels, data_rows):
+    """The projected-step recursion of the runs steps fixes, as a RunBatch.
+
+    features (N, d) and labels (N,) are flat data rows; data_rows (R, m)
+    holds the one read at each row's fresh step j. Rows step in lockstep up
+    to max(tau); a row past its own tau takes noise-only steps that nothing
+    reads, drawn after every value it uses, so each row equals the run made
+    alone. The data are not checked here (check_rows).
+
+    Per chunk of NOISE_CHUNK_STEPS steps, each run's noise stream draws
+    standard_normal((k, d)) and keeps its place. A running cumsum of the
+    chunk's fresh mask gives every (step, row) its flat slot r*m + count - 1,
+    and one take each gathers its (chunk, R, d) features and (chunk, R)
+    labels, set to a zero row (label 1) at noise-only steps, where
+    g = subgradient + noise is exactly the noise. The iterates held at fresh
+    steps go to fresh_iterates in one scatter per chunk and into the
+    output's sum in step order, so memory stays O(R * chunk * d).
+    """
+    rows, target = steps.fresh_indices.shape
+    d = config.feasible_set.dimension
     eta, oracle, feasible_set = config.eta, config.oracle, config.feasible_set
+    fresh_iterates = np.full((rows, target, d), np.nan)
+    flat_iterates, flat_rows = fresh_iterates.reshape(-1, d), data_rows.reshape(-1)
+    slot_base = np.arange(rows) * target - 1
     w = np.tile(np.asarray(config.w1, dtype=float), (rows, 1))
-    # Row r's slot j is flat slot r*target + j, and its data row i is r*n + i.
-    flat_slots, flat_data = np.arange(rows) * target - 1, np.arange(rows) * n
-    flat_x, flat_iterates = features.reshape(-1, d), fresh_iterates.reshape(-1, d)
     total = np.zeros((rows, d))
-
-    for chunk_start in range(0, steps, NOISE_CHUNK_STEPS):
-        k = min(NOISE_CHUNK_STEPS, steps - chunk_start)
-        noise = config.sigma * noise_streams.standard_normal((k, d)).swapaxes(0, 1)
-        # A noise-only step reads a zero row with label 1: slope -1 under
-        # each loss, so a -0.0 subgradient, which keeps every bit of the noise.
-        mask = fresh[chunk_start:chunk_start + k]
+    steps_taken = len(steps.fresh) - 1
+    held = np.empty((min(NOISE_CHUNK_STEPS, steps_taken), rows, d))
+    seen = 0
+    for chunk_start in range(0, steps_taken, NOISE_CHUNK_STEPS):
+        k = min(NOISE_CHUNK_STEPS, steps_taken - chunk_start)
+        noise = steps.noise_streams.standard_normal((k, d))
+        noise *= config.sigma
+        mask = steps.fresh[chunk_start:chunk_start + k]
+        stale = ~mask[..., None]
         counts = mask.cumsum(axis=0) + seen
         seen = counts[-1]
-        slots = counts + flat_slots
-        data = fresh_indices.take(slots) + flat_data
-        x = np.where(mask[..., None], flat_x.take(data, axis=0), 0.0)
+        slots = counts + slot_base
+        data = flat_rows.take(slots)
+        # A noise-only step reads a zero row with label 1: slope -1 under
+        # each loss, so a -0.0 subgradient, which keeps every bit of the noise.
+        x = features.take(data, axis=0)
+        np.copyto(x, 0.0, where=stale)
         y = np.where(mask, labels.take(data), 1.0)
-        held = []
-        for x_t, y_t, xi in zip(x, y, noise):
-            held.append(w)
+        for t, (x_t, y_t, xi) in enumerate(zip(x, y, noise.swapaxes(0, 1))):
+            held[t] = w
             g = oracle.subgradient(w, x_t, y_t) + xi
             w = feasible_set.project_rows(w - eta * g)
-        held = np.stack(held)
+        chunk = held[:k]
         at = np.flatnonzero(mask)
-        flat_iterates[slots.ravel()[at]] = held.reshape(-1, d)[at]
-        # The fresh-iterate sum in step order; adding +0.0 at the other steps
-        # is exact, as a sum from +0.0 is never -0.0. cumsum, not add.reduce,
-        # which sums pairwise when rows * d = 1.
-        total = np.cumsum(np.concatenate([total[None], np.where(mask[..., None], held, 0.0)]),
-                          axis=0)[-1]
+        flat_iterates[slots.ravel()[at]] = chunk.reshape(-1, d)[at]
+        # The fresh-iterate sum, added in step order as by a running add;
+        # adding +0.0 at the other steps is exact, as a sum from +0.0 is
+        # never -0.0. Not add.reduce, which sums pairwise when rows * d = 1.
+        np.copyto(chunk, 0.0, where=stale)
+        chunk[0] += total
+        np.cumsum(chunk, axis=0, out=chunk)
+        total = chunk[-1].copy()
 
-    total[overrun] = np.nan
-    return RunBatch(tau=tau, overrun=overrun, output=total / target,
-                    fresh_indices=fresh_indices, fresh_iterates=fresh_iterates)
+    total[steps.overrun] = np.nan
+    return RunBatch(tau=steps.tau, overrun=steps.overrun, output=total / target,
+                    fresh_indices=steps.fresh_indices, fresh_iterates=fresh_iterates)
 
 
-def estimate_regret(batch, dataset, comparator, config):
+def estimate_regret(batch, rows, comparator, config):
     """Per row, the sum over fresh steps of f(w_t, x_t) - f(u, x_t).
 
     Stale steps contribute nothing: their loss is a pure noise linear term
     with zero mean, so only the fresh-step losses carry signal.
 
-    batch is a RunBatch and dataset the stacked (R, n, d), (R, n) arrays it
-    ran on; the result is an (R,) array that is NaN in overrun rows.
+    batch is a RunBatch and rows the (R, m, d) features and (R, m) labels
+    its fresh steps read, in step order (m = n//2+1); the result is an (R,)
+    array that is NaN in overrun rows.
     """
     u = np.asarray(comparator, dtype=float)
     if not config.feasible_set.contains(u):
         raise ConfigurationError("estimate_regret: comparator lies outside the set")
-    features, labels = (np.asarray(a, dtype=float) for a in dataset)
-    idx = batch.fresh_indices
-    shape = (len(idx), config.n, config.feasible_set.dimension)
-    if features.shape != shape or labels.shape != shape[:2]:
+    x, y = (np.asarray(a, dtype=float) for a in rows)
+    shape = batch.fresh_iterates.shape
+    if x.shape != shape or y.shape != shape[:2]:
         raise ConfigurationError(
-            f"estimate_regret: need the stacked features (R, n, d) = {shape} and labels "
-            f"(R, n) = {shape[:2]} the batch ran on; got {features.shape} and {labels.shape}")
-    flat = idx + (np.arange(len(idx)) * config.n)[:, None]
-    x = features.reshape(-1, shape[2]).take(flat, axis=0)
-    y = labels.take(flat)
-    z = np.einsum("...i,...i->...", batch.fresh_iterates, x)
+            f"estimate_regret: need the (R, m, d) = {shape} features and (R, m) = "
+            f"{shape[:2]} labels the batch's fresh steps read; got {x.shape} and {y.shape}")
     oracle = config.oracle
-    return (oracle.loss_at(z, y) - oracle.batch_values(u, x, y)).sum(axis=-1)
+    regret = oracle.loss_at(np.einsum("...i,...i->...", batch.fresh_iterates, x), y)
+    regret -= oracle.batch_values(u, x, y)
+    return regret.sum(axis=-1)
 
 
 # Nothing in dpmirror calls estimate_risk (a run's risk is population_risk's

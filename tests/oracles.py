@@ -211,6 +211,14 @@ def run_repeat_streams(seed, n_idx, e_idx, repeat):
     return data, int(run_seed)
 
 
+def fresh_rows(batch, features, labels):
+    """The (R, m, d) features and (R, m) labels each fresh step of batch read
+    from the stacked (R, n, d), (R, n) datasets it ran on, in step order."""
+    index = np.asarray(batch.fresh_indices)
+    return (np.take_along_axis(np.asarray(features), index[..., None], axis=1),
+            np.take_along_axis(np.asarray(labels), index, axis=1))
+
+
 def read_cells_csv(path):
     """cells.csv as (baseline_risk, [one dict of column -> text per cell])."""
     with open(path) as fh:

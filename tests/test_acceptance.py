@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from oracles import (closed_form_cell_violations, partial_coupon_sum,
+from oracles import (closed_form_cell_violations, fresh_rows, partial_coupon_sum,
                      plain_subgradient, points_away_from_kinks, project_ball,
                      project_box, stepwise_run)
 
@@ -77,7 +77,8 @@ def private_run_grid():
             batch = private_sgd_batch(config, seeds, features, labels)
             assert not batch.overrun.any()
             taus = batch.tau
-            regrets = estimate_regret(batch, (features, labels), baseline.w, config)
+            regrets = estimate_regret(batch, fresh_rows(batch, features, labels),
+                                      baseline.w, config)
             excesses = np.array([population_risk(population, oracle, w)[0]
                                  for w in batch.output]) - base_risk
             farthest = np.linalg.norm(batch.output, axis=1).max()

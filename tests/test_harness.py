@@ -6,12 +6,13 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from oracles import (plain_subgradient, project_ball, quadrature_risk, read_cells_csv,
-                     run_repeat_streams, stepwise_run)
+from oracles import (fresh_rows, plain_subgradient, project_ball, quadrature_risk,
+                     read_cells_csv, run_repeat_streams, stepwise_run)
 
 import dpmirror.harness as harness_mod
 import dpmirror.optimizer as optimizer_mod
@@ -22,14 +23,14 @@ from dpmirror.harness import (CELL_COLUMNS, build_spec, parse_kv_file, plan_cell
                               run_and_write, run_tau_sim)
 from dpmirror.losses import (RISK_QUADRATURE_BOUND, LossOracle, PopulationSpec, draw_dataset,
                              population_risk)
-from dpmirror.optimizer import RunConfig, private_sgd_batch
+from dpmirror.optimizer import RunConfig, estimate_regret, private_sgd_batch, run_steps
 from dpmirror.privacy import risk_bound
 from dpmirror.sampler import simulate_tau
 
 
-def always_overruns(config, seeds, features, labels):
-    """The harness's batch engine with every run reported as an overrun."""
-    batch = private_sgd_batch(config, seeds, features, labels)
+def always_overruns(*args):
+    """The harness's step loop with every run reported as an overrun."""
+    batch = run_steps(*args)
     batch.overrun[:] = True
     batch.output[:] = np.nan
     return batch
@@ -249,10 +250,10 @@ class TestRunCommand:
         batches = []
 
         def keep_batch(*args):
-            batches.append(private_sgd_batch(*args))
+            batches.append(run_steps(*args))
             return batches[-1]
 
-        monkeypatch.setattr(harness_mod, "private_sgd_batch", keep_batch)
+        monkeypatch.setattr(harness_mod, "run_steps", keep_batch)
         spec = build_spec(base_overrides(tmp_path, dimension="2", n_values="16,64",
                                          repeats="3", **extra))
         result = harness_mod.run_experiment(spec)
@@ -278,10 +279,10 @@ class TestRunCommand:
         batches = []
 
         def keep_batch(*args):
-            batches.append(private_sgd_batch(*args))
+            batches.append(run_steps(*args))
             return batches[-1]
 
-        monkeypatch.setattr(harness_mod, "private_sgd_batch", keep_batch)
+        monkeypatch.setattr(harness_mod, "run_steps", keep_batch)
         rc = cli.main(["run", "--n-values", "16", "--epsilon-values", "max",
                        "--repeats", "100", "--seed", "5", "--eval-samples", "200",
                        "--baseline-steps", "10000", "--output-dir", str(tmp_path)])
@@ -297,7 +298,7 @@ class TestRunCommand:
         assert math.isfinite(cell["mean_excess_risk"])
 
     def test_overrunning_cells_marked_degraded(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(harness_mod, "private_sgd_batch", always_overruns)
+        monkeypatch.setattr(harness_mod, "run_steps", always_overruns)
         spec = build_spec(base_overrides(tmp_path, repeats="4"))
         result = run_and_write(spec)
         cell = result.cells[0]
@@ -323,7 +324,7 @@ class TestRunCommand:
                           parse_constant=refuse)["cells"][0]
         assert cell["report_epsilon"] is None and cell["report_delta_total"] is None
         assert cell["mean_excess_risk"] is not None
-        monkeypatch.setattr(harness_mod, "private_sgd_batch", always_overruns)
+        monkeypatch.setattr(harness_mod, "run_steps", always_overruns)
         run_and_write(build_spec(base_overrides(tmp_path, repeats="2")))
         cell = json.loads((tmp_path / "t" / "summary.json").read_text(),
                           parse_constant=refuse)["cells"][0]
@@ -370,6 +371,122 @@ class TestReplayRun:
             scale = 1.0 + population.feature_bound * max(np.linalg.norm(outputs, axis=1))
             assert abs(float(cell["mean_excess_risk"]) - (np.mean(risks) - baseline_risk)) \
                 <= RISK_QUADRATURE_BOUND * scale ** 2
+
+
+class TestFreshRows:
+    """A `run` cell holds only the rows its runs read: each repeat's dataset
+    is drawn and checked whole, and its fresh rows are kept in step order."""
+
+    BOX10 = {"loss": "squared", "generator": "uniform_ball", "dimension": "10",
+             "set": "box", "lower": ",".join(["-0.5"] * 10),
+             "upper": ",".join(["0.5"] * 10)}
+
+    @pytest.mark.parametrize("extra, seed", [
+        ({"dimension": "2"}, 4),
+        (BOX10, 7),
+    ], ids=["hinge-ball-d2", "squared-box-d10"])
+    def test_equals_engine_on_full_datasets(self, extra, seed, tmp_path, monkeypatch):
+        # Under a 16-step cap at n = 16 (MAX_STEPS_FACTOR = 1, as in
+        # TestCornerBytes), one of these 4 repeats overruns. The harness's
+        # batch and regrets equal private_sgd_batch's on the full datasets,
+        # rebuilt by numpy's own seeding, byte for byte.
+        monkeypatch.setattr(optimizer_mod, "MAX_STEPS_FACTOR", 1)
+        batches, regrets = [], []
+
+        def keep_batch(*args):
+            batches.append(run_steps(*args))
+            return batches[-1]
+
+        def keep_regrets(*args):
+            regrets.append((args[2], estimate_regret(*args)))
+            return regrets[-1][1]
+
+        monkeypatch.setattr(harness_mod, "run_steps", keep_batch)
+        monkeypatch.setattr(harness_mod, "estimate_regret", keep_regrets)
+        spec = build_spec(base_overrides(tmp_path, repeats="4", seed=str(seed), **extra))
+        harness_mod.run_experiment(spec)
+        (batch,), ((comparator, got_regrets),) = batches, regrets
+        streams = [run_repeat_streams(seed, 0, 0, r) for r in range(4)]
+        datasets = [draw_dataset(spec.population, 16, data) for data, _ in streams]
+        features = np.stack([f for f, _ in datasets])
+        labels = np.stack([y for _, y in datasets])
+        config = plan_cells(spec)[0, 0].config
+        full = private_sgd_batch(config, [run_seed for _, run_seed in streams],
+                                 features, labels)
+        assert full.overrun.sum() == 1
+        for field in ("tau", "overrun", "output", "fresh_indices", "fresh_iterates"):
+            got, want = getattr(batch, field), getattr(full, field)
+            assert got.dtype == want.dtype and got.shape == want.shape, field
+            assert got.tobytes() == want.tobytes(), field
+        want_regrets = estimate_regret(full, fresh_rows(full, features, labels),
+                                       comparator, config)
+        assert np.isnan(got_regrets[full.overrun]).all()
+        assert got_regrets.tobytes() == want_regrets.tobytes()
+
+    @pytest.mark.parametrize("fault, message", [
+        ("over-bound-row", "certified L"),
+        ("non-finite-label", "must be finite"),
+    ])
+    def test_unread_bad_row_refused(self, fault, message, tmp_path, capsys, monkeypatch):
+        # The bad row sits in the second repeat's dataset at an index that
+        # repeat never reads, found from the documented index stream: child
+        # 0 of SeedSequence(run seed).spawn(2), read until n//2 + 1 distinct
+        # indices. The run still exits 2 before any private step.
+        n, seed = 64, 1
+        _, run_seed = run_repeat_streams(seed, 0, 0, 1)
+        index_rng = np.random.default_rng(np.random.SeedSequence(run_seed).spawn(2)[0])
+        read = set()
+        while len(read) < n // 2 + 1:
+            read.add(int(index_rng.integers(0, n)))
+        unread = min(set(range(n)) - read)
+        drawn, subgradients = [], []
+        real_draw, real_subgradient = harness_mod.draw_dataset, LossOracle.subgradient
+
+        def bad_dataset(population, size, rng):
+            features, labels = real_draw(population, size, rng)
+            if drawn:
+                if fault == "over-bound-row":
+                    features[unread] = [2.0, 0.0]
+                else:
+                    labels[unread] = math.nan
+            drawn.append(size)
+            return features, labels
+
+        def counted_subgradient(*args):
+            subgradients.append(1)
+            return real_subgradient(*args)
+
+        monkeypatch.setattr(harness_mod, "draw_dataset", bad_dataset)
+        monkeypatch.setattr(LossOracle, "subgradient", counted_subgradient)
+        rc = cli.main(["run", "--n-values", str(n), "--epsilon-values", "max",
+                       "--repeats", "2", "--seed", str(seed), "--baseline-steps", "10000",
+                       "--output-dir", str(tmp_path)])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+        assert drawn == [n, n] and subgradients == []
+        assert not (tmp_path / "experiment").exists()
+
+    def test_cell_peak_holds_no_full_dataset(self, tmp_path):
+        # Per R*n at d = 2, a cell holds its fresh rows (12 B), the fresh
+        # iterates (8 B), the fresh indices (4 B) and the fresh mask (about
+        # 0.7 B), and scoring the regrets adds four (R, m) arrays (16 B): a
+        # traced peak of 40.9 B. Holding the full datasets took it to 72.2 B
+        # (24 B for the datasets, 12 B for the gathered copy that scored
+        # the regrets). A small run first loads what a first run caches.
+        n, rows = 20_000, 4
+
+        def cell(size):
+            return build_spec(base_overrides(tmp_path, n_values=str(size),
+                                             repeats=str(rows), dimension="2"))
+
+        harness_mod.run_experiment(cell(16))
+        tracemalloc.start()
+        try:
+            harness_mod.run_experiment(cell(n))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 48 * rows * n
 
 
 class TestSeedingPerCall:
@@ -714,7 +831,7 @@ class TestCli:
                 return work(*args, **kwargs)
             return wrapper
 
-        for name in ("baseline_minimizer", "private_sgd_batch"):
+        for name in ("baseline_minimizer", "draw_fresh_steps", "draw_dataset", "run_steps"):
             monkeypatch.setattr(harness_mod, name, counted(name))
         rc = cli.main(["run", "--n-values", "1600", "--repeats", "200", "--seed", "1",
                        "--output-dir", str(tmp_path), *flags])
@@ -752,7 +869,7 @@ class TestCli:
         assert rc == 4
 
     def test_run_exit_5_when_degraded(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(harness_mod, "private_sgd_batch", always_overruns)
+        monkeypatch.setattr(harness_mod, "run_steps", always_overruns)
         rc = cli.main(["run", "--n-values", "16", "--epsilon-values", "max",
                        "--repeats", "2", "--seed", "5", "--eval-samples", "200",
                        "--baseline-steps", "10000", "--output-dir", str(tmp_path)])

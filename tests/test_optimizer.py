@@ -15,7 +15,7 @@ from dpmirror.optimizer import (NOISE_CHUNK_STEPS, RunConfig, baseline_minimizer
                                 estimate_regret, estimate_risk, private_sgd,
                                 private_sgd_batch)
 
-from oracles import (grid_minimum, plain_subgradient, project_ball, project_box,
+from oracles import (fresh_rows, grid_minimum, plain_subgradient, project_ball, project_box,
                      stepwise_run)
 
 
@@ -247,7 +247,8 @@ class TestBatchEquivalence:
 
     def check(self, config, seeds, features, labels, comparator):
         batch = private_sgd_batch(config, seeds, features, labels)
-        regrets = estimate_regret(batch, (features, labels), comparator, config)
+        regrets = estimate_regret(batch, fresh_rows(batch, features, labels),
+                                  comparator, config)
         for r, seed in enumerate(seeds):
             single = private_sgd(config, seed, (features[r], labels[r]))
             assert single.tau[0] == batch.tau[r]
@@ -257,8 +258,9 @@ class TestBatchEquivalence:
             # NaN as equal to NaN.
             np.testing.assert_allclose(batch.fresh_iterates[r], single.fresh_iterates[0],
                                        rtol=0, atol=1e-12)
-            single_regret = estimate_regret(single, (features[r:r + 1], labels[r:r + 1]),
-                                            comparator, config)[0]
+            single_regret = estimate_regret(
+                single, fresh_rows(single, features[r:r + 1], labels[r:r + 1]),
+                comparator, config)[0]
             if single.overrun[0]:
                 assert np.all(np.isnan(batch.output[r])) and math.isnan(regrets[r])
                 assert np.all(np.isnan(single.output)) and math.isnan(single_regret)
@@ -525,10 +527,12 @@ class TestCornerBytes:
 
 class TestBatchMemory:
     def test_peak_stays_linear_in_what_tau_reaches(self):
-        # Per R*n, the run's own arrays peak at about 16.4 bytes with the
-        # stopping-time kernel read in row chunks and the data gathered per
-        # noise chunk; a flat per-row data index took it to 18.5, reading
-        # all first blocks at once to 28, drawing a 4n block per row to 112.
+        # Per R*n, the run's own arrays peak at about 17.7 bytes with the
+        # stopping-time kernel read in row chunks, the data gathered per
+        # noise chunk and run_steps' (R, m) row map into the full datasets
+        # (16.3 without it); a flat per-row data index took it to 18.5,
+        # reading all first blocks at once to 28, drawing a 4n block per row
+        # to 112.
         n, rows, d = 20_000, 4, 2
         population = PopulationSpec("linear_margin", d, 1.0, w_true=np.eye(d)[0],
                                     noise_rate=0.1)
@@ -545,17 +549,18 @@ class TestBatchMemory:
         assert peak < 22 * rows * n
 
 
-def stacked(dataset):
-    """One (features, labels) dataset as the (1, n, d), (1, n) stack of an R = 1 run."""
+def read_rows(run, dataset):
+    """The rows an R = 1 run's fresh steps read from its (features, labels)
+    dataset, as the (1, m, d), (1, m) stack estimate_regret takes."""
     features, labels = dataset
-    return features[None], labels[None]
+    return fresh_rows(run, features[None], labels[None])
 
 
 class TestRegret:
     def test_finite_for_own_output(self):
         _, data, config = hinge_setup(24, 2, sigma=0.4, eta=0.1, seed=23)
         run = private_sgd(config, 23, data)
-        value = estimate_regret(run, stacked(data), run.output[0], config)
+        value = estimate_regret(run, read_rows(run, data), run.output[0], config)
         assert value.shape == (1,) and math.isfinite(value[0])
 
     def test_constant_loss_gives_zero(self):
@@ -565,20 +570,21 @@ class TestRegret:
         config = RunConfig(n=16, eta=0.1, sigma=0.0, feasible_set=fs,
                            oracle=LossOracle.hinge(1.0), w1=np.zeros(2))
         run = private_sgd(config, 4, data)
-        assert estimate_regret(run, stacked(data), np.array([0.3, 0.0]),
+        assert estimate_regret(run, read_rows(run, data), np.array([0.3, 0.0]),
                                config).tolist() == [0.0]
 
     def test_comparator_must_be_feasible(self):
         _, data, config = hinge_setup(16, 2, sigma=0.0, eta=0.1, seed=5)
         run = private_sgd(config, 5, data)
         with pytest.raises(ConfigurationError):
-            estimate_regret(run, stacked(data), np.array([5.0, 0.0]), config)
+            estimate_regret(run, read_rows(run, data), np.array([5.0, 0.0]), config)
 
     def test_unstacked_dataset_rejected(self):
-        # The (n, d), (n,) dataset of private_sgd, passed without its run axis.
+        # The (n, d), (n,) dataset of private_sgd, passed instead of the
+        # (1, m, d), (1, m) rows its fresh steps read.
         _, data, config = hinge_setup(16, 2, sigma=0.3, eta=0.1, seed=5)
         run = private_sgd(config, 5, data)
-        with pytest.raises(ConfigurationError, match=r"\(R, n, d\) = \(1, 16, 2\)"):
+        with pytest.raises(ConfigurationError, match=r"\(R, m, d\) = \(1, 9, 2\)"):
             estimate_regret(run, data, np.zeros(2), config)
 
     def test_matches_direct_sum(self):
@@ -590,7 +596,7 @@ class TestRegret:
             x, y = features[i], labels[i]
             total += max(0.0, 1.0 - y * float(wt @ x))
             total -= max(0.0, 1.0 - y * float(u @ x))
-        value = estimate_regret(run, stacked((features, labels)), u, config)
+        value = estimate_regret(run, read_rows(run, (features, labels)), u, config)
         assert value.shape == (1,)
         assert value[0] == pytest.approx(total, abs=1e-12)
 
