@@ -9,25 +9,24 @@ empirical audit.
 """
 
 from .errors import ConfigurationError, RegimeError
-from .geometry import FeasibleSet, mirror_step
-from .losses import (LossOracle, PopulationSpec, draw_arrays, draw_dataset,
-                     lipschitz_certificate, population_risk)
+from .geometry import FeasibleSet
+from .losses import (LossOracle, PopulationSpec, draw_dataset, lipschitz_certificate,
+                     population_risk)
 from .optimizer import (BaselineResult, RunBatch, RunConfig, baseline_minimizer,
                         estimate_regret, private_sgd, private_sgd_batch)
 from .privacy import (AuditResult, EndToEndPlan, InternalBudget, PrivacyReport,
                       audit_single_step, calibrate_sigma, end_to_end, from_target)
-from .sampler import TauStats, expected_tau, sample_index, simulate_tau
+from .sampler import TauStats, simulate_tau
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ConfigurationError", "RegimeError",
-    "FeasibleSet", "mirror_step",
-    "LossOracle", "PopulationSpec", "draw_arrays", "draw_dataset",
+    "FeasibleSet", "LossOracle", "PopulationSpec", "draw_dataset",
     "lipschitz_certificate", "population_risk",
     "BaselineResult", "RunBatch", "RunConfig",
     "baseline_minimizer", "estimate_regret", "private_sgd", "private_sgd_batch",
     "AuditResult", "EndToEndPlan", "InternalBudget", "PrivacyReport",
     "audit_single_step", "calibrate_sigma", "end_to_end", "from_target",
-    "TauStats", "expected_tau", "sample_index", "simulate_tau",
+    "TauStats", "simulate_tau",
 ]

@@ -43,7 +43,12 @@ def _as_vector(x, dim, name):
 
 @dataclass(frozen=True)
 class FeasibleSet:
-    """Closed bounded convex constraint set with a closed-form projection."""
+    """Closed bounded convex constraint set with a closed-form projection.
+
+    Checked when built, by l2_ball, box or directly: kind is L2_BALL or
+    BOX, dimension >= 1, and the kind's radius, center or bounds are
+    finite. Its vectors are read-only copies, so no check can be undone.
+    """
 
     kind: str
     dimension: int
@@ -52,34 +57,47 @@ class FeasibleSet:
     lower: np.ndarray = None
     upper: np.ndarray = None
 
+    def __post_init__(self):
+        if self.dimension < 1:
+            raise ConfigurationError(f"FeasibleSet: dimension must be >= 1, got {self.dimension}")
+        if self.kind == L2_BALL:
+            if not math.isfinite(self.radius) or self.radius <= 0:
+                raise ConfigurationError(
+                    f"l2_ball: radius must be finite and positive, got {self.radius}")
+            self._hold_vector("center", "center")
+        elif self.kind == BOX:
+            lower = self._hold_vector("lower", "lower/upper")
+            if np.any(self._hold_vector("upper", "lower/upper") < lower):
+                raise ConfigurationError("box: upper must dominate lower coordinatewise")
+        else:
+            raise ConfigurationError(
+                f"FeasibleSet: kind must be {L2_BALL!r} or {BOX!r}, got {self.kind!r}")
+
+    def _hold_vector(self, field, label):
+        """Store field as a read-only copy, a finite float vector of the set's dimension."""
+        v = np.array(getattr(self, field), dtype=float)
+        if v.shape != (self.dimension,):
+            raise ConfigurationError(
+                f"{self.kind}: {label} must have shape ({self.dimension},)")
+        if not np.isfinite(v).all():
+            raise ConfigurationError(f"{self.kind}: {label} must be finite")
+        v.flags.writeable = False
+        object.__setattr__(self, field, v)
+        return v
+
     @classmethod
     def l2_ball(cls, radius, center=None, dimension=None):
-        if not math.isfinite(radius) or radius <= 0:
-            raise ConfigurationError(
-                f"l2_ball: radius must be finite and positive, got {radius}")
         if center is None:
             if dimension is None:
                 raise ConfigurationError("l2_ball: need a center or a dimension")
             center = np.zeros(dimension)
-        center = np.asarray(center, dtype=float)
-        if dimension is not None and center.shape[0] != dimension:
-            raise ConfigurationError("l2_ball: center does not match dimension")
-        if not np.isfinite(center).all():
-            raise ConfigurationError("l2_ball: center must be finite")
-        return cls(kind=L2_BALL, dimension=center.shape[0],
-                   radius=float(radius), center=center)
+        if dimension is None:
+            dimension = np.size(center)
+        return cls(kind=L2_BALL, dimension=dimension, radius=float(radius), center=center)
 
     @classmethod
     def box(cls, lower, upper):
-        lower = np.asarray(lower, dtype=float)
-        upper = np.asarray(upper, dtype=float)
-        if lower.shape != upper.shape or lower.ndim != 1:
-            raise ConfigurationError("box: lower/upper must be vectors of equal length")
-        if not (np.isfinite(lower).all() and np.isfinite(upper).all()):
-            raise ConfigurationError("box: lower/upper must be finite")
-        if np.any(upper < lower):
-            raise ConfigurationError("box: upper must dominate lower coordinatewise")
-        return cls(kind=BOX, dimension=lower.shape[0], lower=lower, upper=upper)
+        return cls(kind=BOX, dimension=np.size(lower), lower=lower, upper=upper)
 
     def diameter(self):
         if self.kind == L2_BALL:

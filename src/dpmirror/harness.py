@@ -227,9 +227,8 @@ def build_spec(overrides):
     if kv["set"] == L2_BALL:
         feasible = FeasibleSet.l2_ball(kv["radius"], dimension=dimension)
     else:
-        feasible = FeasibleSet.box(_given(kv, "lower"), _given(kv, "upper"))
-        if feasible.dimension != dimension:
-            raise ConfigurationError("config field lower/upper: wrong dimension")
+        feasible = FeasibleSet(BOX, dimension, lower=_given(kv, "lower"),
+                               upper=_given(kv, "upper"))
 
     w_true, noise_rate = None, 0.0
     if kv["generator"] == LINEAR_MARGIN:
@@ -295,8 +294,8 @@ def plan_cells(spec):
     """Every cell's CellPlan, keyed by (n_idx, e_idx) in run order; draws nothing.
 
     sigma is end_to_end's or sigma_override, and eta and bound_value are
-    step_size and risk_bound at that sigma. Each RunConfig is validated
-    here, so every cell's ConfigurationError or RegimeError comes first.
+    step_size and risk_bound at that sigma. A RunConfig checks itself when
+    built, so every cell's ConfigurationError or RegimeError comes first.
     """
     D, L, d = spec.feasible_set.diameter(), spec.oracle.lipschitz_L, spec.population.dimension
     w1 = spec.feasible_set.project(np.zeros(d))
@@ -314,7 +313,6 @@ def plan_cells(spec):
                 report = (accountant.report.epsilon, accountant.report.delta_total)
             config = RunConfig(n=n, eta=step_size(n, sigma, L, D, d), sigma=sigma,
                                feasible_set=spec.feasible_set, oracle=spec.oracle, w1=w1)
-            config.validate()
             plans[n_idx, e_idx] = CellPlan(eps, config, risk_bound(n, sigma, L, D, d), *report)
     return plans
 

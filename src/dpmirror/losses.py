@@ -72,10 +72,22 @@ def lipschitz_certificate(kind, feature_bound, feasible_set=None):
 
 @dataclass(frozen=True)
 class LossOracle:
-    """A loss family together with its certified Lipschitz constant."""
+    """A loss family together with its certified Lipschitz constant.
+
+    Built with a kind loss_at does not know (it would score it as squared)
+    or an L that is not finite and positive (check_rows would pass every
+    row at a NaN L), it raises ConfigurationError.
+    """
 
     kind: str
     lipschitz_L: float
+
+    def __post_init__(self):
+        if self.kind not in (HINGE, ABSOLUTE, SQUARED):
+            raise ConfigurationError(f"unknown loss kind {self.kind!r}")
+        if not (math.isfinite(self.lipschitz_L) and self.lipschitz_L > 0):
+            raise ConfigurationError(
+                f"LossOracle: lipschitz_L must be finite and positive, got {self.lipschitz_L}")
 
     @classmethod
     def hinge(cls, feature_bound):

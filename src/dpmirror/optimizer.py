@@ -51,6 +51,7 @@ BASELINE_TOLERANCE = 1e-6
 class RunConfig:
     """The parameters of one private run; the dimension is feasible_set.dimension.
 
+    The fields are checked when built, and w1 is held as a read-only copy.
     A run that has not stopped after MAX_STEPS_FACTOR * n steps is an
     overrun, reported rather than silently truncated (the stopping rule
     makes it exponentially unlikely at that cap).
@@ -63,22 +64,24 @@ class RunConfig:
     oracle: object
     w1: np.ndarray
 
-    def validate(self):
-        if self.n < 1:
-            raise ConfigurationError(f"RunConfig: n must be >= 1, got {self.n}")
+    def __post_init__(self):
+        if not isinstance(self.n, (int, np.integer)) or self.n < 1:
+            raise ConfigurationError(f"RunConfig: n must be an integer >= 1, got {self.n!r}")
         if not math.isfinite(self.eta) or self.eta <= 0:
             raise ConfigurationError(
                 f"RunConfig: eta must be finite and positive, got {self.eta}")
         if not math.isfinite(self.sigma) or self.sigma < 0:
             raise ConfigurationError(
                 f"RunConfig: sigma must be finite and >= 0, got {self.sigma}")
-        w1 = np.asarray(self.w1, dtype=float)
+        w1 = np.array(self.w1, dtype=float)
         if w1.shape != (self.feasible_set.dimension,):
             raise ConfigurationError("RunConfig: w1 does not match the set's dimension")
         if not np.all(np.isfinite(w1)):
             raise ConfigurationError("RunConfig: w1 must be finite")
         if not self.feasible_set.contains(w1):
             raise ConfigurationError("RunConfig: w1 lies outside the feasible set")
+        w1.flags.writeable = False
+        object.__setattr__(self, "w1", w1)
 
 
 @dataclass
@@ -169,13 +172,12 @@ def private_sgd_batch(config, seeds, features, labels):
 
     Row r is the run of config with seed seeds[r] on the dataset
     (features[r], labels[r]); features is (R, n, d) and labels (R, n).
-    Inputs are checked before any draw: the config (RunConfig.validate),
-    the seeds (sampler.check_seed), the array shapes and every data row
+    Inputs are checked before any draw (config when built): the seeds
+    (sampler.check_seed), the array shapes and every data row
     (check_rows). Then draw_fresh_steps reads every run's fresh steps, and
     run_steps reads row r's fresh index i at flat data row r*n + i, so
     nothing is gathered.
     """
-    config.validate()
     n, d, rows = config.n, config.feasible_set.dimension, len(seeds)
     features = np.asarray(features, dtype=float)
     labels = np.asarray(labels, dtype=float)
@@ -217,7 +219,7 @@ def run_steps(config, steps, features, labels, data_rows):
     fresh_iterates = np.full((rows, target, d), np.nan)
     flat_iterates, flat_rows = fresh_iterates.reshape(-1, d), data_rows.reshape(-1)
     slot_base = np.arange(rows) * target - 1
-    w = np.tile(np.asarray(config.w1, dtype=float), (rows, 1))
+    w = np.tile(config.w1, (rows, 1))
     total = np.zeros((rows, d))
     steps_taken = len(steps.fresh) - 1
     held = np.empty((min(NOISE_CHUNK_STEPS, steps_taken), rows, d))

@@ -224,3 +224,34 @@ def test_non_finite_set_parameters_rejected(build):
     # would reach the projection and the accountant's D unchecked.
     with pytest.raises(ConfigurationError):
         build()
+
+
+@pytest.mark.parametrize("fields", [
+    dict(kind="ball", dimension=2, radius=1.0),
+    dict(kind="l2_ball", dimension=2, radius=1.0),
+    dict(kind="l2_ball", dimension=3, radius=1.0, center=[0.0, 0.0]),
+    dict(kind="box", dimension=2, lower=[0.0, 0.0]),
+    dict(kind="l2_ball", dimension=0, radius=1.0, center=[]),
+], ids=["unknown-kind", "ball-without-center", "center-dimension", "box-without-upper",
+        "dimension-0"])
+def test_direct_construction_checked(fields):
+    # A "ball" set would be taken for a box with no bounds: project_rows
+    # returned its input unprojected, and contains raised TypeError.
+    with pytest.raises(ConfigurationError):
+        FeasibleSet(**fields)
+
+
+def test_set_holds_read_only_copies():
+    lower = np.array([-1.0, -1.0])
+    box = FeasibleSet.box(lower, [1.0, 1.0])
+    lower[0] = 5.0
+    assert box.lower.tolist() == [-1.0, -1.0]
+    with pytest.raises(ValueError):
+        box.upper[0] = -5.0
+
+
+def test_direct_construction_projects():
+    ball = FeasibleSet("l2_ball", 2, radius=1.0, center=[0, 0])
+    np.testing.assert_array_equal(ball.project_rows(np.array([3.0, 0.0])), [1.0, 0.0])
+    box = FeasibleSet("box", 2, lower=[0, 0], upper=[1, 1])
+    np.testing.assert_array_equal(box.project_rows(np.array([3.0, -1.0])), [1.0, 0.0])

@@ -770,7 +770,9 @@ class TestCli:
         (["--radius", "inf"], "radius must be finite"),
         (["--set", "box", "--dimension", "2", "--lower", "nan,-1", "--upper", "1,1"],
          "lower/upper must be finite"),
-    ], ids=["radius-nan", "radius-inf", "box-lower-nan"])
+        (["--set", "box", "--dimension", "2", "--lower=-1,-1,-1", "--upper=1,1,1"],
+         "lower/upper must have shape (2,)"),
+    ], ids=["radius-nan", "radius-inf", "box-lower-nan", "box-wrong-dimension"])
     def test_run_non_finite_set_exit_2(self, tmp_path, capsys, flags, message):
         # Rejected where the set is built, before any projection or accounting.
         rc = cli.main(["run", "--n-values", "16", "--epsilon-values", "max",

@@ -489,3 +489,13 @@ class TestPopulations:
         with pytest.raises(ConfigurationError):
             draw_dataset(PopulationSpec("uniform_ball", 2, 1.0), 0, np.random.default_rng(0))
 
+
+@pytest.mark.parametrize("kind, lipschitz_L", [
+    ("Hinge", 1.0), ("logistic", 1.0), ("hinge", math.nan), ("hinge", math.inf),
+    ("absolute", 0.0), ("squared", -1.0),
+])
+def test_oracle_refuses_unknown_kind_and_bad_constant(kind, lipschitz_L):
+    # "Hinge" would score as the squared loss (loss_at(2, 1) = 0.5, where
+    # hinge gives 0), and a NaN L would let check_rows pass rows of any norm.
+    with pytest.raises(ConfigurationError):
+        LossOracle(kind, lipschitz_L)

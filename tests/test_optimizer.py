@@ -119,10 +119,9 @@ class TestPrivateSgd:
 
     def test_w1_outside_set_rejected(self):
         fs = FeasibleSet.l2_ball(0.5, dimension=2)
-        config = RunConfig(n=16, eta=0.1, sigma=0.0, feasible_set=fs,
-                           oracle=LossOracle.hinge(1.0), w1=np.array([1.0, 0.0]))
         with pytest.raises(ConfigurationError):
-            private_sgd(config, 0, constant_dataset(16, 2))
+            RunConfig(n=16, eta=0.1, sigma=0.0, feasible_set=fs,
+                      oracle=LossOracle.hinge(1.0), w1=np.array([1.0, 0.0]))
 
     def test_overrun_is_flagged_with_nan_output(self, monkeypatch):
         # Seed 26 yields at most 8 distinct indices in the first 16 draws
@@ -143,7 +142,8 @@ class TestPrivateSgd:
 
 
 class TestInputChecks:
-    """Bad inputs raise ConfigurationError once, at run entry."""
+    """Bad inputs raise ConfigurationError once: a config when built,
+    the seeds and data at run entry."""
 
     def config(self, **changes):
         fs = FeasibleSet.l2_ball(0.5, dimension=2)
@@ -152,21 +152,36 @@ class TestInputChecks:
         values.update(changes)
         return RunConfig(**values)
 
+    @pytest.mark.parametrize("changes", [
+        dict(n=0), dict(n=16.0), dict(eta=0.0), dict(sigma=-1.0), dict(w1=np.zeros(3)),
+    ], ids=["n-0", "n-float", "eta-0", "sigma-negative", "w1-dimension"])
+    def test_config_checked_when_built(self, changes):
+        with pytest.raises(ConfigurationError):
+            self.config(**changes)
+
+    def test_config_holds_a_read_only_copy_of_w1(self):
+        # A checked w1 cannot be moved outside the set afterwards.
+        w1 = np.zeros(2)
+        config = self.config(w1=w1)
+        w1[0] = 5.0
+        assert config.w1.tolist() == [0.0, 0.0]
+        with pytest.raises(ValueError):
+            config.w1[0] = 5.0
+
     @pytest.mark.parametrize("eta", [math.nan, math.inf])
     def test_non_finite_eta(self, eta):
         with pytest.raises(ConfigurationError, match="eta"):
-            private_sgd(self.config(eta=eta), 0, constant_dataset(16, 2))
+            self.config(eta=eta)
 
     @pytest.mark.parametrize("sigma", [math.nan, math.inf])
     def test_non_finite_sigma(self, sigma):
         with pytest.raises(ConfigurationError, match="sigma"):
-            private_sgd(self.config(sigma=sigma), 0, constant_dataset(16, 2))
+            self.config(sigma=sigma)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_non_finite_w1(self, value):
         with pytest.raises(ConfigurationError, match="w1"):
-            private_sgd(self.config(w1=np.array([value, 0.0])), 0,
-                        constant_dataset(16, 2))
+            self.config(w1=np.array([value, 0.0]))
 
     def test_non_finite_features(self):
         features, labels = constant_dataset(16, 2, value=0.1)

@@ -3,8 +3,7 @@
 A name in dpmirror.__all__ passes if another dpmirror module uses it
 (found with ast; an import does not count), if a public function of the
 package returns it, or if the README's "Library API" section lists it in
-a bullet. EXCEPTIONS holds the names that pass none of these yet, each
-with the ROADMAP item that settles it; the list may only shrink.
+a bullet. There are no exceptions.
 """
 
 import ast
@@ -17,15 +16,6 @@ import dpmirror
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src", "dpmirror")
-
-EXCEPTIONS = {
-    "mirror_step": "item 1: kept only for the benchmark's wrappers",
-    "sample_index": "item 1: kept only for the benchmark's wrappers",
-    "private_sgd": "item 1: kept only for the benchmark's wrappers",
-    "expected_tau": "item 8: the exact stopping-time law",
-}
-# EXCEPTIONS as the guard was introduced; a name may leave it, none may join.
-FIRST_EXCEPTIONS = frozenset({"mirror_step", "sample_index", "private_sgd", "expected_tau"})
 
 
 def modules():
@@ -77,26 +67,11 @@ def readme_listed():
 LISTED = readme_listed()
 
 
-def has_reason(name):
-    return used_elsewhere(name) or returned_by_public_function(name) or name in LISTED
-
-
-@pytest.mark.parametrize("name", sorted(set(dpmirror.__all__) - set(EXCEPTIONS)))
+@pytest.mark.parametrize("name", sorted(dpmirror.__all__))
 def test_public_name_has_a_reason(name):
-    assert has_reason(name), (
+    assert used_elsewhere(name) or returned_by_public_function(name) or name in LISTED, (
         f"{name} is exported but no other module uses it, no public function "
         "returns it and the README's Library API section does not list it")
-
-
-@pytest.mark.parametrize("name", sorted(EXCEPTIONS))
-def test_exception_still_needed(name):
-    # An exception that is gone or has gained a reason leaves the list.
-    assert name in dpmirror.__all__
-    assert not has_reason(name)
-
-
-def test_exceptions_only_shrink():
-    assert set(EXCEPTIONS) <= FIRST_EXCEPTIONS
 
 
 def test_readme_lists_only_public_names():
