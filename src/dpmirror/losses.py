@@ -101,13 +101,26 @@ class LossOracle:
     def squared(cls, feature_bound, feasible_set):
         return cls(SQUARED, lipschitz_certificate(SQUARED, feature_bound, feasible_set))
 
-    def loss_at(self, z, labels):
-        """Loss as a function of the margin z = <w, x>, elementwise."""
+    def loss_at(self, z, labels, out=None):
+        """Loss as a function of the margin z = <w, x>, elementwise.
+
+        Written into out (it may be z itself) or one new array: each ufunc
+        works in place there, so scoring a batch holds one array of the
+        margins' shape, not one per operation. Scalars give a scalar.
+        """
+        if out is None:
+            out = np.empty(np.broadcast(z, labels).shape)
         if self.kind == HINGE:
-            return np.maximum(0.0, 1.0 - labels * z)
-        if self.kind == ABSOLUTE:
-            return np.abs(z - labels)
-        return 0.5 * (z - labels) ** 2
+            np.multiply(labels, z, out=out)
+            np.subtract(1.0, out, out=out)
+            np.maximum(0.0, out, out=out)
+        elif self.kind == ABSOLUTE:
+            np.abs(np.subtract(z, labels, out=out), out=out)
+        else:
+            # numpy computes ** 2 as square.
+            np.square(np.subtract(z, labels, out=out), out=out)
+            np.multiply(0.5, out, out=out)
+        return out[()]
 
     def slope_at(self, z, labels):
         """d loss / d z at the margin z, elementwise; a subgradient in w is slope * x.
@@ -153,9 +166,9 @@ class LossOracle:
     def batch_values(self, w, features, labels):
         """loss_at at the margins <x, w> of one w against stacked (..., d)
         features, summed by einsum, not BLAS (see geometry.dot)."""
-        z = np.einsum("...i,i->...", np.asarray(features, dtype=float),
-                      np.asarray(w, dtype=float))
-        return self.loss_at(z, np.asarray(labels, dtype=float))
+        z = np.asarray(np.einsum("...i,i->...", np.asarray(features, dtype=float),
+                                 np.asarray(w, dtype=float)))
+        return self.loss_at(z, np.asarray(labels, dtype=float), out=z)
 
 
 @dataclass(frozen=True)

@@ -279,7 +279,9 @@ def estimate_regret(batch, rows, comparator, config):
             f"estimate_regret: need the (R, m, d) = {shape} features and (R, m) = "
             f"{shape[:2]} labels the batch's fresh steps read; got {x.shape} and {y.shape}")
     oracle = config.oracle
-    regret = oracle.loss_at(np.einsum("...i,...i->...", batch.fresh_iterates, x), y)
+    # Two (R, m) arrays at most: the margins, scored in place, and u's losses.
+    margins = np.einsum("...i,...i->...", batch.fresh_iterates, x)
+    regret = oracle.loss_at(margins, y, out=margins)
     regret -= oracle.batch_values(u, x, y)
     return regret.sum(axis=-1)
 

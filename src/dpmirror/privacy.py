@@ -14,9 +14,10 @@ Accountant functions are pure and safe to call concurrently.
 audit_single_step checks the per-step claim by Monte Carlo: it histograms
 the two neighbouring outputs on a fixed grid and scores every cell in both
 directions at once, as arrays; the per-cell table it returns is those
-arrays. The draws stream through one block of AUDIT_BLOCK values, so the
-audit's memory does not grow with its trial count; its counts equal those
-of one whole draw per side (see audit_single_step).
+arrays. The draws stream through one block of AUDIT_BLOCK values, sorted in
+place and counted with one searchsorted against the interior edges, so the
+audit's memory is that one block whatever its trial count. Its counts equal
+np.histogram's over one whole draw per side (see audit_single_step).
 """
 
 import math
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, RegimeError
-from .sampler import check_seed, seeded_streams
+from .sampler import check_seed, is_int, seeded_streams
 
 # Audit needs this many trials per grid cell for stable tail estimates.
 MIN_TRIALS_PER_CELL = 2000
@@ -233,25 +234,32 @@ def audit_single_step(sigma, L, epsilon_tilde, delta, trials,
     significance test; splitting the far tails into slivers of a few counts
     would make false positives routine.
 
-    Requires trials >= 2000 per grid cell (10^6 at the 500-cell default)
-    and a seed that is a non-negative int.
+    Requires int trials >= 2000 per grid cell (10^6 at the 500-cell
+    default), an int grid_cells in [3, 500] and a seed that is a
+    non-negative int; anything else raises ConfigurationError.
 
     Each side's draws pass through one reused block of AUDIT_BLOCK float64s
-    (512 KB), so memory does not depend on trials. The result is that of
+    (512 KB), so memory does not depend on trials. Each block is sorted in
+    place (np.histogram would sort a copy) and counted with one
+    searchsorted of the interior edges. The counts are np.histogram's over
     one standard_normal(trials) draw per side, byte for byte: the Generator
     keeps no normal between calls, so the blocks concatenate to that draw;
-    scaling in place rounds as the whole-array expression does; and the
-    blocks' integer counts add exactly.
+    scaling in place rounds as the whole-array expression does; cell k
+    holds edges[k] <= x < edges[k + 1] in both (np.histogram also closes
+    the last cell at +inf, which no finite draw reaches); and the blocks'
+    integer counts add exactly.
     """
     _check_positive("sigma", sigma)
     _check_positive("L", L)
     _check_positive("epsilon_tilde", epsilon_tilde)
     _check_delta(delta)
     check_seed(seed, "audit_single_step")
-    if grid_cells < 3 or grid_cells > MAX_GRID_CELLS:
+    if not is_int(grid_cells) or not 3 <= grid_cells <= MAX_GRID_CELLS:
         raise ConfigurationError(
-            f"grid_cells must lie in [3, {MAX_GRID_CELLS}], got {grid_cells}"
+            f"grid_cells must be an int in [3, {MAX_GRID_CELLS}], got {grid_cells!r}"
         )
+    if not is_int(trials):
+        raise ConfigurationError(f"trials must be an int, got {trials!r}")
     if trials < MIN_TRIALS_PER_CELL * grid_cells:
         raise ConfigurationError(
             f"insufficient trials for {grid_cells} grid cells: need at least "
@@ -274,7 +282,8 @@ def audit_single_step(sigma, L, epsilon_tilde, delta, trials,
             part *= sigma
             if side:
                 part += L
-            counts[side] += np.histogram(part, bins=edges)[0]
+            part.sort()
+            counts[side] += np.diff(part.searchsorted(interior), prepend=0, append=part.size)
 
     # Row 0 tests each cell as "S against e^eps * S' + delta", row 1 the
     # reverse, each with the binomial stderr of that difference. Variances

@@ -28,9 +28,14 @@ import numpy as np
 from .errors import ConfigurationError
 
 
+def is_int(value):
+    """True for an int or np.integer, False for a bool or anything else."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def check_seed(seed, where):
     """Refuse all but a non-negative int seed (np.integer yes, bool no)."""
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+    if not is_int(seed) or seed < 0:
         raise ConfigurationError(f"{where}: seed must be a non-negative int, got {seed!r}")
 
 
@@ -78,7 +83,7 @@ class TauStats:
                 "max_tau": self.max_tau, "frac_exceed_2n": self.frac_exceed_2n}
 
 
-def stopping_times(draws, n):
+def stopping_times(draws, n, first=None):
     """(arrivals, tau) of each row of a (rows, steps) index block.
 
     draws holds values in {0, ..., n-1}. Row r of arrivals lists the first
@@ -89,10 +94,13 @@ def stopping_times(draws, n):
     A scatter-minimum of each draw's position onto its (row, value) slot
     gives every value's first position in its row; sorting the slots puts
     them in step order. The whole row is sorted: np.partition at n//2 plus
-    a sort of the head was slower at every n from 64 to 4096.
+    a sort of the head was slower at every n from 64 to 4096. The slots go
+    in first, an int64 buffer of at least rows * n, if given (arrivals
+    then views it), else in a new array.
     """
     rows, steps = draws.shape
-    first = np.full(rows * n, steps, dtype=np.int64)
+    first = np.empty(rows * n, dtype=np.int64) if first is None else first[:rows * n]
+    first.fill(steps)
     # Keys and positions go in flat and of equal length: on numpy 2.4,
     # ufunc.at with a 2-D index and a broadcast operand reads garbage.
     keys = (draws + np.arange(0, rows * n, n)[:, None]).ravel()
@@ -116,6 +124,19 @@ def first_block(n):
 # draws (128 KB of int64) for one stopping_times call each. On n in
 # {16, ..., 1024}, simulate_tau was slower at 2**13 and 2**15.
 CHUNK_DRAWS = 1 << 14
+
+# simulate_tau seeds about this many trials at a time, rounded down to whole
+# row chunks (at least one): seeding costs about 230 bytes a trial, so a
+# block holds about 1 MB whatever the trial count. At n = 16, blocks of
+# exactly 4096 trials, each ending in a partial row chunk, were 15% slower.
+TAU_BLOCK_TRIALS = 1 << 12
+
+
+def rows_per_chunk(n, cap=math.inf):
+    """Rows draw_stopping_times stacks into one chunk, and their block length."""
+    block = min(first_block(n), cap)
+    return max(1, CHUNK_DRAWS // block), block
+
 
 _MASK32 = (1 << 32) - 1
 
@@ -317,17 +338,21 @@ def draw_stopping_times(n, streams, cap=math.inf, fresh=False):
 
     Rows go CHUNK_DRAWS // block at a time (block = min(first_block(n),
     cap); both are read at call time) through one reused buffer of first
-    blocks (fill_first_blocks) and one stopping_times call. A row whose tau
-    falls past its block is redrawn alone from its stream start, in blocks
-    of max(4n, 8), until tau falls inside or cap draws are used (then its
-    missing arrivals read cap and tau = cap + 1). Only fresh keeps
-    arrivals, the (rows, n//2+1) steps of each row's first draws of a
-    value, and indices, the values drawn there (0 at missing arrivals).
+    blocks (fill_first_blocks) and one stopping_times call, which sorts in
+    one reused buffer of slots. A row whose tau falls past its block is
+    redrawn alone from its stream start, in blocks of max(4n, 8), until tau
+    falls inside or cap draws are used (then its missing arrivals read cap
+    and tau = cap + 1). Only fresh keeps arrivals, the (rows, n//2+1)
+    steps of each row's first draws of a value, and indices, the values
+    drawn there (0 at missing arrivals).
     """
     rows, target = len(streams), fresh_target(n)
-    block = min(first_block(n), cap)
-    per_chunk = max(1, CHUNK_DRAWS // block)
+    per_chunk, block = rows_per_chunk(n, cap)
     draws = np.empty((min(per_chunk, rows), block), dtype=np.int64)
+    # One slot buffer for every chunk: a new one per chunk, at n = 1024 above
+    # glibc's 128 KB mmap threshold, was mapped and faulted in anew each time
+    # (7129 page faults per simulate_tau(1024, 10**4), 266 with one buffer).
+    slots = np.empty(len(draws) * n, dtype=np.int64)
     tau = np.empty(rows, dtype=np.int64)
     if fresh:
         # Two arrays, so that the engine can free arrivals and keep indices.
@@ -336,13 +361,12 @@ def draw_stopping_times(n, streams, cap=math.inf, fresh=False):
         chunk = draws[:min(per_chunk, rows - start)]
         stop = start + len(chunk)
         fill_first_blocks(n, lambda row: streams.stream(start + row), chunk)
-        # Each branch frees stopping_times' (rows, n) sort buffer at once.
         if fresh:   # a row replayed below gets its values there
-            arrivals[start:stop], tau[start:stop] = stopping_times(chunk, n)
+            arrivals[start:stop], tau[start:stop] = stopping_times(chunk, n, slots)
             indices[start:stop] = np.take_along_axis(
                 chunk, np.minimum(arrivals[start:stop], block - 1), 1)
         else:
-            tau[start:stop] = stopping_times(chunk, n)[1]
+            tau[start:stop] = stopping_times(chunk, n, slots)[1]
     for row in np.flatnonzero(tau > block):
         rng, drawn = streams.stream(row), np.empty(0, dtype=np.int64)
         while tau[row] > drawn.size and drawn.size < cap:
@@ -361,17 +385,24 @@ def simulate_tau(n, trials, seed):
 
     Trial t draws its indices from its own stream, the default_rng stream
     of SeedSequence entropy [seed, t], so trials are individually
-    reproducible and order-independent; all are seeded at once
-    (seeded_streams) and read by draw_stopping_times. seed must be a
-    non-negative int and trials an int in [1, 2**32], so that t is one
+    reproducible and order-independent. They are seeded (seeded_streams)
+    and read by draw_stopping_times one block at a time: about
+    TAU_BLOCK_TRIALS trials, a whole number of its row chunks. So memory
+    beyond the 8-byte-a-trial result does not grow with trials. seed must
+    be a non-negative int and trials an int in [1, 2**32], so that t is one
     uint32 word; anything else raises ConfigurationError.
     """
     if n < 1:
         raise ConfigurationError(f"simulate_tau: n must be >= 1, got {n}")
     check_seed(seed, "simulate_tau")
-    if (isinstance(trials, bool) or not isinstance(trials, (int, np.integer))
-            or not 1 <= trials <= 1 << 32):
+    if not is_int(trials) or not 1 <= trials <= 1 << 32:
         raise ConfigurationError(
             f"simulate_tau: trials must be an int in [1, 2**32], got {trials!r}")
-    streams = seeded_streams(seed, np.arange(trials, dtype=np.uint32))
-    return TauStats(n=n, trials=trials, tau_samples=draw_stopping_times(n, streams))
+    per_chunk = rows_per_chunk(n)[0]
+    block = per_chunk * max(1, TAU_BLOCK_TRIALS // per_chunk)
+    tau = np.empty(trials, dtype=np.int64)
+    for start in range(0, trials, block):
+        stop = min(start + block, trials)
+        streams = seeded_streams(seed, np.arange(start, stop, dtype=np.uint32))
+        tau[start:stop] = draw_stopping_times(n, streams)
+    return TauStats(n=n, trials=trials, tau_samples=tau)

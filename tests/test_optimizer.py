@@ -563,6 +563,30 @@ class TestBatchMemory:
             tracemalloc.stop()
         assert peak < 22 * rows * n
 
+    @pytest.mark.parametrize("kind", ["hinge", "absolute", "squared"])
+    def test_regret_holds_two_score_arrays(self, kind):
+        # loss_at scores the margins in place, so estimate_regret holds at
+        # most two (R, m) float64 arrays, 16 bytes per R*m; one array per
+        # ufunc held four (32 bytes).
+        n, rows, d = 8000, 4, 2
+        population = PopulationSpec("linear_margin", d, 1.0, w_true=np.eye(d)[0],
+                                    noise_rate=0.1)
+        features, labels = stacked_datasets(population, n, rows, first_seed=85)
+        fs = FeasibleSet.l2_ball(0.5, dimension=d)
+        oracle = (LossOracle.squared(1.0, fs) if kind == "squared"
+                  else getattr(LossOracle, kind)(1.0))
+        config = RunConfig(n=n, eta=0.01, sigma=1.0, feasible_set=fs, oracle=oracle,
+                           w1=np.zeros(d))
+        batch = private_sgd_batch(config, [86, 87, 88, 89], features, labels)
+        read = fresh_rows(batch, features, labels)
+        tracemalloc.start()
+        try:
+            estimate_regret(batch, read, np.array([0.3, 0.1]), config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20 * rows * (n // 2 + 1)
+
 
 def read_rows(run, dataset):
     """The rows an R = 1 run's fresh steps read from its (features, labels)

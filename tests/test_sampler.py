@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -265,6 +266,43 @@ class TestSimulateTau:
                 reference[n] = [fresh_stream_tau(seed, t, n) for t in range(trials)]
             got = simulate_tau(n, trials, seed).tau_samples
             assert got.tolist() == reference[n], n
+
+
+class TestTrialBlocks:
+    """simulate_tau seeds and reads its trials one block at a time."""
+
+    @staticmethod
+    def trial_block(n):
+        per_chunk = sampler.rows_per_chunk(n)[0]
+        return per_chunk * max(1, sampler.TAU_BLOCK_TRIALS // per_chunk)
+
+    @pytest.mark.parametrize("n", [2, 16, 1024])
+    def test_blocks_match_one_block(self, n):
+        # Two whole blocks and a partial third: each trial t is still the
+        # stream of entropy [seed, t], read as one block of every trial reads it.
+        seed = 31
+        block = self.trial_block(n)
+        assert block % sampler.rows_per_chunk(n)[0] == 0
+        trials = 2 * block + 123
+        one_block = sampler.draw_stopping_times(
+            n, sampler.seeded_streams(seed, np.arange(trials, dtype=np.uint32)))
+        assert simulate_tau(n, trials, seed).tau_samples.tobytes() == one_block.tobytes()
+
+    def test_traced_peak_does_not_grow_with_trials(self):
+        # Seeding every trial at once held about 230 bytes a trial (23 MB at
+        # 10^5 trials); by blocks, the peak past the 8-byte-a-trial result is
+        # about 1.1 MB at 10^4 trials and at 10^5. A first small call keeps
+        # one-off allocations out of the trace.
+        simulate_tau(16, 10, 5)
+        extra = []
+        for trials in (10**4, 10**5):
+            tracemalloc.start()
+            try:
+                simulate_tau(16, trials, 5)
+                extra.append(tracemalloc.get_traced_memory()[1] - 8 * trials)
+            finally:
+                tracemalloc.stop()
+        assert max(extra) <= 1.5 * 2**20, extra
 
 
 class TestTrialStreams:
