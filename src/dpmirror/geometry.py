@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, check_count, check_real, check_vector
 
 MEMBERSHIP_TOL = 1e-9
 
@@ -30,15 +30,6 @@ def dot(a, b):
 
 def _norm(x):
     return math.sqrt(dot(x, x))
-
-
-def _as_vector(x, dim, name):
-    v = np.asarray(x, dtype=float)
-    if v.ndim != 1 or v.shape[0] != dim:
-        raise ConfigurationError(
-            f"{name}: expected vector of dimension {dim}, got shape {v.shape}"
-        )
-    return v
 
 
 @dataclass(frozen=True)
@@ -58,42 +49,30 @@ class FeasibleSet:
     upper: np.ndarray = None
 
     def __post_init__(self):
-        if self.dimension < 1:
-            raise ConfigurationError(f"FeasibleSet: dimension must be >= 1, got {self.dimension}")
+        d = check_count(self.dimension, "FeasibleSet: dimension")
         if self.kind == L2_BALL:
-            if not math.isfinite(self.radius) or self.radius <= 0:
-                raise ConfigurationError(
-                    f"l2_ball: radius must be finite and positive, got {self.radius}")
-            self._hold_vector("center", "center")
+            fields = {"radius": check_real(self.radius, "l2_ball: radius"),
+                      "center": check_vector(self.center, d, "l2_ball: center")}
         elif self.kind == BOX:
-            lower = self._hold_vector("lower", "lower/upper")
-            if np.any(self._hold_vector("upper", "lower/upper") < lower):
+            fields = {end: check_vector(getattr(self, end), d, "box: lower/upper")
+                      for end in ("lower", "upper")}
+            if np.any(fields["upper"] < fields["lower"]):
                 raise ConfigurationError("box: upper must dominate lower coordinatewise")
         else:
             raise ConfigurationError(
                 f"FeasibleSet: kind must be {L2_BALL!r} or {BOX!r}, got {self.kind!r}")
-
-    def _hold_vector(self, field, label):
-        """Store field as a read-only copy, a finite float vector of the set's dimension."""
-        v = np.array(getattr(self, field), dtype=float)
-        if v.shape != (self.dimension,):
-            raise ConfigurationError(
-                f"{self.kind}: {label} must have shape ({self.dimension},)")
-        if not np.isfinite(v).all():
-            raise ConfigurationError(f"{self.kind}: {label} must be finite")
-        v.flags.writeable = False
-        object.__setattr__(self, field, v)
-        return v
+        for field, value in {**fields, "dimension": d}.items():
+            object.__setattr__(self, field, value)
 
     @classmethod
     def l2_ball(cls, radius, center=None, dimension=None):
         if center is None:
             if dimension is None:
                 raise ConfigurationError("l2_ball: need a center or a dimension")
-            center = np.zeros(dimension)
+            center = np.zeros(check_count(dimension, "l2_ball: dimension"))
         if dimension is None:
             dimension = np.size(center)
-        return cls(kind=L2_BALL, dimension=dimension, radius=float(radius), center=center)
+        return cls(kind=L2_BALL, dimension=dimension, radius=radius, center=center)
 
     @classmethod
     def box(cls, lower, upper):
@@ -106,7 +85,7 @@ class FeasibleSet:
 
     def project(self, point):
         """Euclidean-nearest point of the set."""
-        return self.project_rows(_as_vector(point, self.dimension, "project: point"))
+        return self.project_rows(check_vector(point, self.dimension, "project: point"))
 
     def project_rows(self, points):
         """project() applied to each row of a (d,) or stacked (..., d) float array.
@@ -142,9 +121,11 @@ class FeasibleSet:
         return float(np.maximum(g * (w - self.lower), g * (w - self.upper)).sum())
 
     def contains(self, point):
-        p = _as_vector(point, self.dimension, "contains: point")
+        p = check_vector(point, self.dimension, "contains: point")
         if self.kind == L2_BALL:
-            return _norm(p - self.center) <= self.radius + MEMBERSHIP_TOL
+            # A distance that overflows to inf is correctly outside.
+            with np.errstate(over="ignore"):
+                return _norm(p - self.center) <= self.radius + MEMBERSHIP_TOL
         return bool(np.all(p >= self.lower - MEMBERSHIP_TOL)
                     and np.all(p <= self.upper + MEMBERSHIP_TOL))
 
@@ -155,10 +136,8 @@ def mirror_step(feasible_set, w, g, eta):
     Under the Euclidean potential 0.5*||x||^2, the only one used here, the
     mirror-descent update with Bregman projection is exactly this step.
     """
-    if not math.isfinite(eta) or eta <= 0:
-        raise ConfigurationError(
-            f"mirror_step: eta must be finite and positive, got {eta}")
+    eta = check_real(eta, "mirror_step: eta")
     d = feasible_set.dimension
-    w = _as_vector(w, d, "mirror_step: w")
-    g = _as_vector(g, d, "mirror_step: g")
+    w = check_vector(w, d, "mirror_step: w")
+    g = check_vector(g, d, "mirror_step: g")
     return feasible_set.project(w - eta * g)

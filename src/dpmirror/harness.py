@@ -16,7 +16,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, check_count
 from .geometry import BOX, L2_BALL, FeasibleSet
 from .losses import (ABSOLUTE, HINGE, LINEAR_MARGIN, RISK_QUADRATURE_BOUND, SQUARED,
                      UNIFORM_BALL, LossOracle, PopulationSpec, draw_dataset,
@@ -453,11 +453,8 @@ def run_tau_sim(n_values, trials, seed, output_dir, name="tau-sim"):
     before any is simulated, and simulated before anything is written, so
     a bad n costs no work and leaves no files behind.
     """
-    if trials < 1000:
-        raise ConfigurationError(f"tau-sim: trials must be >= 1000, got {trials}")
-    for n in n_values:
-        if n < 1:
-            raise ConfigurationError(f"tau-sim: n must be >= 1, got {n}")
+    trials = check_count(trials, "tau-sim: trials", low=1000)
+    n_values = [check_count(n, "tau-sim: n") for n in n_values]
     all_stats = [simulate_tau(n, trials, seed) for n in n_values]
     outdir = experiment_dir(output_dir, name)
     with open(os.path.join(outdir, "tau.csv"), "w") as fh:

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, as_real, check_count, check_real, check_vector
 from .geometry import dot
 
 HINGE = "hinge"
@@ -54,12 +54,9 @@ def lipschitz_certificate(kind, feature_bound, feasible_set=None):
     is only valid on that set; max_subgradient_norm checks a run's actual
     rows against it.
     """
-    if not (math.isfinite(feature_bound) and feature_bound > 0):
-        raise ConfigurationError(
-            "lipschitz_certificate: feature_bound must be finite and positive, "
-            f"got {feature_bound}")
+    feature_bound = check_real(feature_bound, "lipschitz_certificate: feature_bound")
     if kind in (HINGE, ABSOLUTE):
-        return float(feature_bound)
+        return feature_bound
     if kind == SQUARED:
         if feasible_set is None:
             raise ConfigurationError(
@@ -85,9 +82,8 @@ class LossOracle:
     def __post_init__(self):
         if self.kind not in (HINGE, ABSOLUTE, SQUARED):
             raise ConfigurationError(f"unknown loss kind {self.kind!r}")
-        if not (math.isfinite(self.lipschitz_L) and self.lipschitz_L > 0):
-            raise ConfigurationError(
-                f"LossOracle: lipschitz_L must be finite and positive, got {self.lipschitz_L}")
+        object.__setattr__(self, "lipschitz_L",
+                           check_real(self.lipschitz_L, "LossOracle: lipschitz_L"))
 
     @classmethod
     def hinge(cls, feature_bound):
@@ -190,22 +186,18 @@ class PopulationSpec:
     def __post_init__(self):
         if self.generator not in (LINEAR_MARGIN, UNIFORM_BALL):
             raise ConfigurationError(f"unknown generator {self.generator!r}")
-        if self.dimension < 1:
-            raise ConfigurationError("population dimension must be >= 1")
-        if not (math.isfinite(self.feature_bound) and self.feature_bound > 0):
-            raise ConfigurationError(
-                f"feature_bound must be finite and positive, got {self.feature_bound}")
-        if not 0.0 <= self.noise_rate <= 1.0:
-            raise ConfigurationError("noise_rate must lie in [0, 1]")
+        d = check_count(self.dimension, "PopulationSpec: dimension")
+        fields = {"dimension": d,
+                  "feature_bound": check_real(self.feature_bound, "feature_bound"),
+                  "noise_rate": as_real(self.noise_rate, "noise_rate")}
+        if not 0.0 <= fields["noise_rate"] <= 1.0:
+            raise ConfigurationError(f"noise_rate must lie in [0, 1], got {self.noise_rate!r}")
         if self.generator == LINEAR_MARGIN:
             if self.w_true is None:
                 raise ConfigurationError("linear_margin requires w_true")
-            w = np.asarray(self.w_true, dtype=float)
-            if w.shape != (self.dimension,):
-                raise ConfigurationError("w_true does not match dimension")
-            if not np.isfinite(w).all():
-                raise ConfigurationError("w_true must be finite")
-            object.__setattr__(self, "w_true", w)
+            fields["w_true"] = check_vector(self.w_true, d, "w_true")
+        for field, value in fields.items():
+            object.__setattr__(self, field, value)
 
 
 def draw_arrays(spec, n, rng):
@@ -216,8 +208,7 @@ def draw_arrays(spec, n, rng):
     spec.feature_bound: a Gaussian direction scaled to radius
     feature_bound * U**(1/d).
     """
-    if n < 1:
-        raise ConfigurationError(f"draw_arrays: n must be >= 1, got {n}")
+    check_count(n, "draw_arrays: n")
     features = rng.standard_normal((n, spec.dimension))
     norms = np.linalg.norm(features, axis=1, keepdims=True)
     norms[norms == 0.0] = 1.0

@@ -32,14 +32,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, as_real, check_count, check_real, check_vector
 # mirror_step, sample_index and draw_dataset are not called here; they stay
 # importable from this module because perfbench/spans.py wraps them by name.
 from .geometry import dot, mirror_step  # noqa: F401
 from .losses import (RISK_QUADRATURE_BOUND, draw_arrays, draw_dataset,  # noqa: F401
                      population_risk, risk_curvature)
-from .sampler import (check_seed, draw_stopping_times, sample_index,  # noqa: F401
-                      spawned_streams)
+from .sampler import draw_stopping_times, sample_index, spawned_streams  # noqa: F401
 
 MAX_STEPS_FACTOR = 4
 NOISE_CHUNK_STEPS = 128
@@ -65,23 +64,17 @@ class RunConfig:
     w1: np.ndarray
 
     def __post_init__(self):
-        if not isinstance(self.n, (int, np.integer)) or self.n < 1:
-            raise ConfigurationError(f"RunConfig: n must be an integer >= 1, got {self.n!r}")
-        if not math.isfinite(self.eta) or self.eta <= 0:
+        fields = {"n": check_count(self.n, "RunConfig: n"),
+                  "eta": check_real(self.eta, "RunConfig: eta"),
+                  "sigma": as_real(self.sigma, "RunConfig: sigma"),
+                  "w1": check_vector(self.w1, self.feasible_set.dimension, "RunConfig: w1")}
+        if not 0.0 <= fields["sigma"] < math.inf:
             raise ConfigurationError(
-                f"RunConfig: eta must be finite and positive, got {self.eta}")
-        if not math.isfinite(self.sigma) or self.sigma < 0:
-            raise ConfigurationError(
-                f"RunConfig: sigma must be finite and >= 0, got {self.sigma}")
-        w1 = np.array(self.w1, dtype=float)
-        if w1.shape != (self.feasible_set.dimension,):
-            raise ConfigurationError("RunConfig: w1 does not match the set's dimension")
-        if not np.all(np.isfinite(w1)):
-            raise ConfigurationError("RunConfig: w1 must be finite")
-        if not self.feasible_set.contains(w1):
+                f"RunConfig: sigma must be finite and >= 0, got {self.sigma!r}")
+        if not self.feasible_set.contains(fields["w1"]):
             raise ConfigurationError("RunConfig: w1 lies outside the feasible set")
-        w1.flags.writeable = False
-        object.__setattr__(self, "w1", w1)
+        for field, value in fields.items():
+            object.__setattr__(self, field, value)
 
 
 @dataclass
@@ -173,7 +166,7 @@ def private_sgd_batch(config, seeds, features, labels):
     Row r is the run of config with seed seeds[r] on the dataset
     (features[r], labels[r]); features is (R, n, d) and labels (R, n).
     Inputs are checked before any draw (config when built): the seeds
-    (sampler.check_seed), the array shapes and every data row
+    (each a non-negative int), the array shapes and every data row
     (check_rows). Then draw_fresh_steps reads every run's fresh steps, and
     run_steps reads row r's fresh index i at flat data row r*n + i, so
     nothing is gathered.
@@ -181,10 +174,9 @@ def private_sgd_batch(config, seeds, features, labels):
     n, d, rows = config.n, config.feasible_set.dimension, len(seeds)
     features = np.asarray(features, dtype=float)
     labels = np.asarray(labels, dtype=float)
-    if rows < 1:
-        raise ConfigurationError("private_sgd_batch: need at least one seed")
+    check_count(rows, "private_sgd_batch: the number of seeds")
     for seed in seeds:
-        check_seed(seed, "private_sgd")
+        check_count(seed, "private_sgd: seed", low=0)
     if features.shape != (rows, n, d) or labels.shape != (rows, n):
         raise ConfigurationError(
             f"private_sgd: {rows} run(s) need features of shape (n, d) = ({n}, {d}) "
@@ -297,8 +289,7 @@ class RiskEstimate:
 
 def estimate_risk(w, population, oracle, eval_samples, rng):
     """Monte-Carlo mean and standard error of the loss at w on draws from rng."""
-    if eval_samples < 1:
-        raise ConfigurationError("estimate_risk: eval_samples must be >= 1")
+    check_count(eval_samples, "estimate_risk: eval_samples")
     features, labels = draw_arrays(population, eval_samples, rng)
     values = oracle.batch_values(np.asarray(w, dtype=float), features, labels)
     stderr = float(values.std(ddof=1) / math.sqrt(eval_samples)) if eval_samples > 1 else 0.0
@@ -334,8 +325,7 @@ def baseline_minimizer(population, oracle, feasible_set, budget_steps):
     BASELINE_TOLERANCE * D * L. budget_steps caps the steps (at least
     10^4); a run that reaches the cap reports the certificate it has.
     """
-    if budget_steps < 10_000:
-        raise ConfigurationError("baseline_minimizer: budget_steps must be >= 10^4")
+    check_count(budget_steps, "baseline_minimizer: budget_steps", low=10_000)
     D = feasible_set.diameter()
     target = BASELINE_TOLERANCE * D * oracle.lipschitz_L
     step = 1.0 / risk_curvature(population, oracle)

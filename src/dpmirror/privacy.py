@@ -25,8 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, RegimeError
-from .sampler import check_seed, is_int, seeded_streams
+from .errors import ConfigurationError, RegimeError, as_real, check_count, check_real
+from .sampler import seeded_streams
 
 # Audit needs this many trials per grid cell for stable tail estimates.
 MIN_TRIALS_PER_CELL = 2000
@@ -47,17 +47,14 @@ class PrivacyReport:
     assumptions: tuple = ()
 
 
-def _check_positive(name, value):
-    # "not value > 0" alone lets inf through; NaN fails every comparison.
-    if not (math.isfinite(value) and value > 0):
-        raise ConfigurationError(f"{name} must be finite and positive, got {value}")
-
-
 def _check_delta(delta, name="delta"):
-    if not 0.0 < delta < 1.0:
-        raise ConfigurationError(f"{name} must lie in (0, 1), got {delta}")
-    if not math.isfinite(1.0 / delta):
-        raise ConfigurationError(f"{name} = {delta} is too small: its reciprocal overflows")
+    """delta as a float in (0, 1) whose reciprocal is finite."""
+    real = as_real(delta, name)
+    if not 0.0 < real < 1.0:
+        raise ConfigurationError(f"{name} must lie in (0, 1), got {delta!r}")
+    if not math.isfinite(1.0 / real):
+        raise ConfigurationError(f"{name} = {real} is too small: its reciprocal overflows")
+    return real
 
 
 def calibrate_sigma(L, delta, epsilon_tilde):
@@ -66,9 +63,8 @@ def calibrate_sigma(L, delta, epsilon_tilde):
     sigma = L * sqrt(3 * ln(1/delta)) / epsilon_tilde, with L the bound on
     gradient norms (the step's sensitivity).
     """
-    _check_positive("L", L)
-    _check_positive("epsilon_tilde", epsilon_tilde)
-    _check_delta(delta)
+    L, epsilon_tilde = check_real(L, "L"), check_real(epsilon_tilde, "epsilon_tilde")
+    delta = _check_delta(delta)
     sigma = L * math.sqrt(3.0 * math.log(1.0 / delta)) / epsilon_tilde
     if not math.isfinite(sigma):
         raise ConfigurationError(
@@ -123,21 +119,17 @@ def end_to_end(n, epsilon, delta, delta_prime, L, D, d):
     and shrinks like 1/sqrt(n). At epsilon proportional to 1/n, the regime
     of the paper's optimal rate, it is constant in n.
     """
-    if n < 16:
-        raise ConfigurationError(f"end_to_end requires n >= 16, got {n}")
+    n = check_count(n, "end_to_end: n", low=16)
     limit = epsilon_limit(n)
-    _check_positive("epsilon", epsilon)
+    epsilon = check_real(epsilon, "epsilon")
     if epsilon > limit:
         raise RegimeError(
             f"epsilon={epsilon} violates epsilon <= 1/(2*sqrt(n)) = {limit}; "
             "the end-to-end guarantee only covers this regime"
         )
-    _check_delta(delta)
-    _check_delta(delta_prime, "delta_prime")
-    _check_positive("L", L)
-    _check_positive("D", D)
-    if d < 1:
-        raise ConfigurationError(f"d must be >= 1, got {d}")
+    delta, delta_prime = _check_delta(delta), _check_delta(delta_prime, "delta_prime")
+    L, D = check_real(L, "L"), check_real(D, "D")
+    d = check_count(d, "d")
 
     sigma = 8.0 * L * math.sqrt(math.log(1.0 / delta)) / (math.sqrt(n) * epsilon)
     report = PrivacyReport(
@@ -174,10 +166,8 @@ def from_target(eps_bar, delta_bar, n):
     provided 6*exp(-n/16) <= delta_bar <= 3*e^-4 and the derived epsilon
     stays within end_to_end's regime epsilon <= 1/(2*sqrt(n)).
     """
-    _check_positive("eps_bar", eps_bar)
-    _check_positive("delta_bar", delta_bar)
-    if n < 16:
-        raise ConfigurationError(f"from_target requires n >= 16, got {n}")
+    eps_bar, delta_bar = check_real(eps_bar, "eps_bar"), check_real(delta_bar, "delta_bar")
+    n = check_count(n, "from_target: n", low=16)
     floor = 6.0 * math.exp(-n / 16.0)
     ceiling = 3.0 * math.exp(-4.0)
     if not floor <= delta_bar <= ceiling:
@@ -235,8 +225,9 @@ def audit_single_step(sigma, L, epsilon_tilde, delta, trials,
     would make false positives routine.
 
     Requires int trials >= 2000 per grid cell (10^6 at the 500-cell
-    default), an int grid_cells in [3, 500] and a seed that is a
-    non-negative int; anything else raises ConfigurationError.
+    default), an int grid_cells in [3, 500], a seed that is a non-negative
+    int, and a sigma and L that audit_grid_range takes; anything else raises
+    ConfigurationError.
 
     Each side's draws pass through one reused block of AUDIT_BLOCK float64s
     (512 KB), so memory does not depend on trials. Each block is sorted in
@@ -249,23 +240,12 @@ def audit_single_step(sigma, L, epsilon_tilde, delta, trials,
     the last cell at +inf, which no finite draw reaches); and the blocks'
     integer counts add exactly.
     """
-    _check_positive("sigma", sigma)
-    _check_positive("L", L)
-    _check_positive("epsilon_tilde", epsilon_tilde)
-    _check_delta(delta)
-    check_seed(seed, "audit_single_step")
-    if not is_int(grid_cells) or not 3 <= grid_cells <= MAX_GRID_CELLS:
-        raise ConfigurationError(
-            f"grid_cells must be an int in [3, {MAX_GRID_CELLS}], got {grid_cells!r}"
-        )
-    if not is_int(trials):
-        raise ConfigurationError(f"trials must be an int, got {trials!r}")
-    if trials < MIN_TRIALS_PER_CELL * grid_cells:
-        raise ConfigurationError(
-            f"insufficient trials for {grid_cells} grid cells: need at least "
-            f"{MIN_TRIALS_PER_CELL * grid_cells}, got {trials}"
-        )
-
+    sigma, L = check_real(sigma, "sigma"), check_real(L, "L")
+    epsilon_tilde, delta = check_real(epsilon_tilde, "epsilon_tilde"), _check_delta(delta)
+    seed = check_count(seed, "audit_single_step: seed", low=0)
+    grid_cells = check_count(grid_cells, "grid_cells", low=3, high=MAX_GRID_CELLS)
+    trials = check_count(trials, f"trials for {grid_cells} grid cells",
+                         low=MIN_TRIALS_PER_CELL * grid_cells)
     lo, hi = audit_grid_range(sigma, L)
     interior = np.linspace(lo, hi, grid_cells - 1)
     edges = np.concatenate([[-np.inf], interior, [np.inf]])
@@ -311,7 +291,17 @@ def audit_single_step(sigma, L, epsilon_tilde, delta, trials,
 
 
 def audit_grid_range(sigma, L):
-    """Interior grid span used by the audit: 3 noise units past both means."""
+    """Interior grid span used by the audit: 3 noise units past both means.
+
+    A sigma and L whose span, or whose draws z*sigma + L, could overflow
+    raise ConfigurationError: numpy's standard_normal never returns |z| >= 14
+    (the tail of its ziggurat reaches r - ln(2**-53)/r = 13.71, r = 3.654),
+    so |L| + 14*sigma bounds both.
+    """
+    if not math.isfinite(abs(L) + 14.0 * sigma):
+        raise ConfigurationError(
+            f"sigma={sigma} with L={L}: the audit's grid or its draws would overflow; "
+            "|L| + 14*sigma must be finite")
     margin = AUDIT_RANGE_SIGMAS * sigma
     return min(0.0, L) - margin, max(0.0, L) + margin
 

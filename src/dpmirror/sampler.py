@@ -25,24 +25,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError
-
-
-def is_int(value):
-    """True for an int or np.integer, False for a bool or anything else."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
-def check_seed(seed, where):
-    """Refuse all but a non-negative int seed (np.integer yes, bool no)."""
-    if not is_int(seed) or seed < 0:
-        raise ConfigurationError(f"{where}: seed must be a non-negative int, got {seed!r}")
+from .errors import check_count
 
 
 def sample_index(rng, n):
     """Uniform draw from {0, ..., n-1}."""
-    if n < 1:
-        raise ConfigurationError(f"sample_index: n must be >= 1, got {n}")
+    check_count(n, "sample_index: n")
     return int(rng.integers(0, n))
 
 
@@ -392,12 +380,8 @@ def simulate_tau(n, trials, seed):
     be a non-negative int and trials an int in [1, 2**32], so that t is one
     uint32 word; anything else raises ConfigurationError.
     """
-    if n < 1:
-        raise ConfigurationError(f"simulate_tau: n must be >= 1, got {n}")
-    check_seed(seed, "simulate_tau")
-    if not is_int(trials) or not 1 <= trials <= 1 << 32:
-        raise ConfigurationError(
-            f"simulate_tau: trials must be an int in [1, 2**32], got {trials!r}")
+    n, seed = check_count(n, "simulate_tau: n"), check_count(seed, "simulate_tau: seed", low=0)
+    trials = check_count(trials, "simulate_tau: trials", high=1 << 32)
     per_chunk = rows_per_chunk(n)[0]
     block = per_chunk * max(1, TAU_BLOCK_TRIALS // per_chunk)
     tau = np.empty(trials, dtype=np.int64)

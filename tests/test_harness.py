@@ -195,7 +195,7 @@ class TestRunCommand:
         rc = cli.main(["tau-sim", "--n", "4096,0", "--trials", "100000", "--seed", "1",
                        "--output-dir", str(tmp_path), "--name", "tau"])
         assert rc == 2
-        assert "tau-sim: n must be >= 1, got 0" in capsys.readouterr().err
+        assert "tau-sim: n must be an int >= 1, got 0" in capsys.readouterr().err
         assert calls == []
         assert not (tmp_path / "tau").exists()
 

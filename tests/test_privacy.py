@@ -2,7 +2,9 @@ import contextlib
 import hashlib
 import io
 import math
+import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -337,6 +339,44 @@ class TestAudit:
         digests = tuple(hashlib.sha256((tmp_path / "a" / name).read_bytes()).hexdigest()
                         for name in ("audit.csv", "audit_summary.json"))
         assert digests == self.GOLDEN_FILES[scale]
+
+    @pytest.mark.parametrize("L, sigma", [
+        ("1.0", "1e308"), ("1e308", "1e308"), ("1.7e308", "1e307")],
+        ids=["sigma", "sigma-and-L", "L"])
+    def test_overflowing_grid_or_draws_exit_2(self, L, sigma, tmp_path, capsys):
+        # A 3-sigma margin of inf once made the edges -inf, nan, ... and the
+        # command exited 4, a significant violation, after overflow warnings.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rc = cli.main(["audit", "--L", L, "--eps-tilde", "0.5", "--delta", "1e-06",
+                           "--trials", "1000000", "--seed", "7", "--sigma", sigma,
+                           "--output-dir", str(tmp_path)])
+        assert rc == 2
+        assert f"sigma={float(sigma)!r} with L={float(L)!r}" in capsys.readouterr().err
+        assert not (tmp_path / "audit").exists()
+
+    def test_largest_accepted_sigma_gives_finite_edges(self):
+        def accepted(sigma):
+            try:
+                privacy.audit_grid_range(sigma, 1.0)
+            except ConfigurationError:
+                return False
+            return True
+
+        # Bisect down to the one ulp between the last sigma accepted and
+        # the first refused.
+        sigma, refused = sys.float_info.max / 16.0, sys.float_info.max / 13.0
+        assert accepted(sigma) and not accepted(refused)
+        while math.nextafter(sigma, math.inf) < refused:
+            middle = sigma + (refused - sigma) / 2.0
+            sigma, refused = (middle, refused) if accepted(middle) else (sigma, middle)
+        assert sigma > sys.float_info.max / 14.5
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            result = audit_single_step(sigma, 1.0, 0.5, 1e-6, 6000, grid_cells=3, seed=7)
+        assert np.isfinite(result.edges[1:-1]).all()
+        assert np.all(np.diff(result.edges) > 0.0)
+        assert result.p_s.sum() == pytest.approx(1.0) == result.p_sprime.sum()
 
     def test_csv_export(self, tmp_path):
         result = audit_single_step(2.0, 1.0, 0.5, 1e-3, 100_000, grid_cells=50, seed=3)
