@@ -96,7 +96,7 @@ def test_check_real_and_as_real(value):
     real = outcome(as_real, value, "real")
     assert (real is not REFUSED) == is_real(value)
     if is_real(value):
-        assert type(real) is float and real == float(value) or math.isnan(real)
+        assert type(real) is float and (real == float(value) or math.isnan(real))
     positive = outcome(check_real, value, "real")
     assert (positive is not REFUSED) == finite_positive(value)
     if finite_positive(value):
