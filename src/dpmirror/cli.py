@@ -18,8 +18,8 @@ from dataclasses import asdict
 from .errors import ConfigurationError, RegimeError
 from .harness import RUN_KEYS, build_spec, default_output_dir, experiment_dir, \
     json_value, parse_kv_file, run_and_write, run_tau_sim, write_json
-from .privacy import audit_single_step, calibrate_sigma, end_to_end, from_target, \
-    write_audit_csv
+from .privacy import MAX_GRID_CELLS, MIN_TRIALS_PER_CELL, audit_single_step, \
+    calibrate_sigma, end_to_end, from_target, write_audit_csv
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -29,22 +29,13 @@ EXIT_OVERRUN = 5
 
 
 def _resolve_seed(seed):
-    # Reproducible mode needs an explicit --seed (an int) or a config file's
-    # seed line (a string); otherwise draw one from entropy and record it in
-    # every output. Seeds feed np.random.SeedSequence, which takes only
-    # non-negative integers.
-    if seed is not None:
-        try:
-            value = int(seed)
-        except ValueError:
-            raise ConfigurationError(
-                f"seed: expected a non-negative integer, got {seed!r}") from None
-        if value < 0:
-            raise ConfigurationError(f"seed: expected a non-negative integer, got {value}")
-        return value
-    drawn = secrets.randbits(63)
-    print(f"seed not given; drawn from entropy: {drawn}", file=sys.stderr)
-    return drawn
+    # Reproducible mode needs --seed or a config file's seed line; otherwise
+    # draw one from entropy and record it in every output. The seed is checked
+    # where it is read: by its run key, simulate_tau or audit_single_step.
+    if seed is None:
+        seed = secrets.randbits(63)
+        print(f"seed not given; drawn from entropy: {seed}", file=sys.stderr)
+    return seed
 
 
 def _cmd_run(args):
@@ -140,8 +131,7 @@ def build_parser():
     for key, (_, default, meaning) in RUN_KEYS.items():
         if default is not None:
             meaning += f" (default: {default})"
-        run.add_argument("--" + key.replace("_", "-"), dest=key,
-                         type=int if key == "seed" else None, help=meaning)
+        run.add_argument("--" + key.replace("_", "-"), dest=key, help=meaning)
     run.set_defaults(func=_cmd_run)
 
     tau = sub.add_parser("tau-sim", help="stopping-time Monte Carlo")
@@ -169,8 +159,8 @@ def build_parser():
     audit.add_argument("--L", type=float, required=True)
     audit.add_argument("--eps-tilde", dest="eps_tilde", type=float, required=True)
     audit.add_argument("--delta", type=float, required=True)
-    audit.add_argument("--trials", type=int, default=1_000_000)
-    audit.add_argument("--grid", type=int, default=500)
+    audit.add_argument("--trials", type=int, default=MIN_TRIALS_PER_CELL * MAX_GRID_CELLS)
+    audit.add_argument("--grid", type=int, default=MAX_GRID_CELLS)
     audit.add_argument("--seed", type=int)
     audit.add_argument("--name", default="audit")
     audit.add_argument("--output-dir", dest="output_dir")

@@ -29,8 +29,10 @@ class RegimeError(ValueError):
     """
 
 
-def check_count(value, name, low=1, high=None):
-    """int(value) for an int or numpy integer (never a bool) in [low, high]."""
+def check_count(value, name, low=1, high=1 << 53):
+    """int(value) for an int or numpy integer (never a bool) in [low, high].
+    The default high, 2**53, is the largest int a float holds exactly (the
+    accountant computes with float(n)); a seed passes high=None."""
     if (isinstance(value, (int, np.integer)) and not isinstance(value, bool)
             and low <= value and (high is None or value <= high)):
         return int(value)

@@ -37,8 +37,9 @@ class FeasibleSet:
     """Closed bounded convex constraint set with a closed-form projection.
 
     Checked when built, by l2_ball, box or directly: kind is L2_BALL or
-    BOX, dimension >= 1, and the kind's radius, center or bounds are
-    finite. Its vectors are read-only copies, so no check can be undone.
+    BOX, dimension >= 1, the kind's radius, center or bounds are finite,
+    and so are its diameter and largest norm. Its vectors are read-only
+    copies, so no check can be undone.
     """
 
     kind: str
@@ -63,6 +64,9 @@ class FeasibleSet:
                 f"FeasibleSet: kind must be {L2_BALL!r} or {BOX!r}, got {self.kind!r}")
         for field, value in {**fields, "dimension": d}.items():
             object.__setattr__(self, field, value)
+        with np.errstate(over="ignore"):
+            if not all(map(math.isfinite, (self.diameter(), self.max_norm()))):
+                raise ConfigurationError(f"{self.kind}: its diameter or largest norm overflows")
 
     @classmethod
     def l2_ball(cls, radius, center=None, dimension=None):

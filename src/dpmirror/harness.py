@@ -11,7 +11,7 @@ so a rerun with the same seed reproduces files byte for byte.
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, is_dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -80,8 +80,8 @@ RUN_KEYS = {
     "radius": RunKey(float, "0.5", "ball radius, centred at 0"),
     "lower": RunKey(_each(float), None, "comma-separated lower box corner (box only)"),
     "upper": RunKey(_each(float), None, "comma-separated upper box corner (box only)"),
-    "n_values": RunKey(_each(_checked(int, ">= 16", lambda v: v >= 16)), None,
-                       "comma-separated dataset sizes, each >= 16 (required)"),
+    "n_values": RunKey(_each(lambda text: check_count(int(text), "each n", low=16)), None,
+                       "comma-separated dataset sizes, each in [16, 2**53] (required)"),
     "epsilon_values": RunKey(_each(_EPSILON), None,
                              "comma-separated floats, or max for 1/(2*sqrt(n)) "
                              "(required)"),
@@ -260,34 +260,18 @@ def build_spec(overrides):
 
 
 def spec_echo(spec):
-    """Fully resolved configuration for embedding in output files."""
-    echo = {
-        "name": spec.name,
-        "loss": spec.oracle.kind,
-        "lipschitz_L": spec.oracle.lipschitz_L,
-        "generator": spec.population.generator,
-        "dimension": spec.population.dimension,
-        "feature_bound": spec.population.feature_bound,
-        "noise_rate": spec.population.noise_rate,
-        "set": spec.feasible_set.kind,
-        "diameter": spec.feasible_set.diameter(),
-        "n_values": list(spec.n_values),
-        "epsilon_values": [v if v == "max" else float(v) for v in spec.epsilon_values],
-        "delta": spec.delta,
-        "delta_prime": spec.delta_prime,
-        "repeats": spec.repeats,
-        "baseline_steps": spec.baseline_steps,
-        "seed": spec.seed,
-        "output_dir": spec.output_dir,
-    }
-    if spec.population.w_true is not None:
-        echo["w_true"] = [float(v) for v in spec.population.w_true]
-    if spec.sigma_override is not None:
-        echo["sigma_override"] = spec.sigma_override
-    if spec.feasible_set.kind == BOX:
-        echo["lower"] = spec.feasible_set.lower.tolist()
-        echo["upper"] = spec.feasible_set.upper.tolist()
-    return echo
+    """The resolved configuration the output files echo: every ExperimentSpec
+    value that is set, the population's fields that are set, the loss and
+    set kinds with the certified L and the diameter, and a box's corners."""
+    oracle, feasible = spec.oracle, spec.feasible_set
+    echo = {key: value for part in (vars(spec), vars(spec.population))
+            for key, value in part.items() if value is not None and not is_dataclass(value)}
+    echo.update(loss=oracle.kind, lipschitz_L=oracle.lipschitz_L, set=feasible.kind,
+                diameter=feasible.diameter())
+    if feasible.kind == BOX:
+        echo.update(lower=feasible.lower, upper=feasible.upper)
+    return {key: value.tolist() if isinstance(value, np.ndarray) else value
+            for key, value in echo.items()}
 
 
 def plan_cells(spec):

@@ -22,6 +22,7 @@ paths), exp, log, arcsin and their kin do not, so none is used here.
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -192,10 +193,19 @@ class PopulationSpec:
                   "noise_rate": as_real(self.noise_rate, "noise_rate")}
         if not 0.0 <= fields["noise_rate"] <= 1.0:
             raise ConfigurationError(f"noise_rate must lie in [0, 1], got {self.noise_rate!r}")
+        # risk_curvature squares the bound, and population_risk divides
+        # w_true by its norm.
+        bound = fields["feature_bound"]
+        if not sys.float_info.min <= bound * bound < math.inf:
+            raise ConfigurationError(f"feature_bound={bound}: its square must be a normal float")
         if self.generator == LINEAR_MARGIN:
             if self.w_true is None:
                 raise ConfigurationError("linear_margin requires w_true")
-            fields["w_true"] = check_vector(self.w_true, d, "w_true")
+            w_true = fields["w_true"] = check_vector(self.w_true, d, "w_true")
+            with np.errstate(over="ignore"):
+                if w_true.any() and not 0.0 < dot(w_true, w_true) < math.inf:
+                    raise ConfigurationError("w_true: its squared norm underflows to 0 "
+                                             "or overflows")
         for field, value in fields.items():
             object.__setattr__(self, field, value)
 

@@ -176,7 +176,7 @@ def private_sgd_batch(config, seeds, features, labels):
     labels = np.asarray(labels, dtype=float)
     check_count(rows, "private_sgd_batch: the number of seeds")
     for seed in seeds:
-        check_count(seed, "private_sgd: seed", low=0)
+        check_count(seed, "private_sgd: seed", low=0, high=None)
     if features.shape != (rows, n, d) or labels.shape != (rows, n):
         raise ConfigurationError(
             f"private_sgd: {rows} run(s) need features of shape (n, d) = ({n}, {d}) "

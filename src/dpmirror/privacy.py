@@ -143,7 +143,7 @@ def end_to_end(n, epsilon, delta, delta_prime, L, D, d):
         ),
     )
     eta, bound = step_size(n, sigma, L, D, d), risk_bound(n, sigma, L, D, d)
-    if not (all(map(math.isfinite, (sigma, report.epsilon, bound))) and eta > 0.0):
+    if not (all(map(math.isfinite, (sigma, eta, report.epsilon, bound))) and eta > 0.0):
         raise ConfigurationError(
             f"n={n}, epsilon={epsilon}, delta={delta}, delta_prime={delta_prime}, L={L}, "
             f"D={D}, d={d} give sigma={sigma}, eta={eta}, report epsilon={report.epsilon} "
@@ -226,7 +226,8 @@ def audit_single_step(sigma, L, epsilon_tilde, delta, trials,
 
     Requires int trials >= 2000 per grid cell (10^6 at the 500-cell
     default), an int grid_cells in [3, 500], a seed that is a non-negative
-    int, and a sigma and L that audit_grid_range takes; anything else raises
+    int, an epsilon_tilde whose e^(2*epsilon_tilde) is finite, and a sigma
+    and L that audit_grid_range takes; anything else raises
     ConfigurationError.
 
     Each side's draws pass through one reused block of AUDIT_BLOCK float64s
@@ -242,10 +243,15 @@ def audit_single_step(sigma, L, epsilon_tilde, delta, trials,
     """
     sigma, L = check_real(sigma, "sigma"), check_real(L, "L")
     epsilon_tilde, delta = check_real(epsilon_tilde, "epsilon_tilde"), _check_delta(delta)
-    seed = check_count(seed, "audit_single_step: seed", low=0)
+    seed = check_count(seed, "audit_single_step: seed", low=0, high=None)
     grid_cells = check_count(grid_cells, "grid_cells", low=3, high=MAX_GRID_CELLS)
     trials = check_count(trials, f"trials for {grid_cells} grid cells",
                          low=MIN_TRIALS_PER_CELL * grid_cells)
+    # The stderr weighs a variance by e^(2*epsilon_tilde); math.exp itself
+    # overflows past 709.78.
+    amp = math.exp(min(epsilon_tilde, 709.0))
+    if not math.isfinite(amp * amp):
+        raise ConfigurationError(f"epsilon_tilde={epsilon_tilde}: e^(2*epsilon_tilde) overflows")
     lo, hi = audit_grid_range(sigma, L)
     interior = np.linspace(lo, hi, grid_cells - 1)
     edges = np.concatenate([[-np.inf], interior, [np.inf]])
@@ -268,7 +274,6 @@ def audit_single_step(sigma, L, epsilon_tilde, delta, trials,
     # Row 0 tests each cell as "S against e^eps * S' + delta", row 1 the
     # reverse, each with the binomial stderr of that difference. Variances
     # are clipped at zero: cumulative probabilities can round a hair past 1.
-    amp = math.exp(epsilon_tilde)
     p = counts / trials
     p_s, p_sp = p
     var = np.maximum(p * (1.0 - p), 0.0) / trials

@@ -380,7 +380,8 @@ def simulate_tau(n, trials, seed):
     be a non-negative int and trials an int in [1, 2**32], so that t is one
     uint32 word; anything else raises ConfigurationError.
     """
-    n, seed = check_count(n, "simulate_tau: n"), check_count(seed, "simulate_tau: seed", low=0)
+    n = check_count(n, "simulate_tau: n")
+    seed = check_count(seed, "simulate_tau: seed", low=0, high=None)
     trials = check_count(trials, "simulate_tau: trials", high=1 << 32)
     per_chunk = rows_per_chunk(n)[0]
     block = per_chunk * max(1, TAU_BLOCK_TRIALS // per_chunk)

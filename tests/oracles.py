@@ -93,6 +93,11 @@ def partial_coupon_sum(n):
     return total
 
 
+def row_losses(oracle, w, features, labels):
+    """The oracle's loss for each stacked (w, x, y) row."""
+    return oracle.loss_at(np.einsum("...i,...i->...", w, features), labels)
+
+
 def population_point(spec, rng):
     """One draw from a PopulationSpec's distribution, one point at a time.
 

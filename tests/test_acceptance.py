@@ -13,7 +13,7 @@ import pytest
 
 from oracles import (closed_form_cell_violations, fresh_rows, partial_coupon_sum,
                      plain_subgradient, points_away_from_kinks, project_ball,
-                     project_box, stepwise_run)
+                     project_box, row_losses, stepwise_run)
 
 from dpmirror.geometry import FeasibleSet
 from dpmirror.losses import (RISK_QUADRATURE_BOUND, LossOracle, PopulationSpec,
@@ -270,11 +270,6 @@ def test_criterion_7_noiseless_equivalence():
     check(7, "noiseless trajectory equivalence", same_steps and worst <= 1e-12,
           f"same tau and fresh indices: {same_steps}; max per-coordinate gap "
           f"{worst:.2e} over 100 configs")
-
-
-def row_losses(oracle, w, features, labels):
-    """The oracle's loss for each stacked (w, x, y) row."""
-    return oracle.loss_at(np.einsum("...i,...i->...", w, features), labels)
 
 
 def test_criterion_8_property_suites():

@@ -1,6 +1,6 @@
-"""Property tests of the input checkers (src/dpmirror/errors.py) and of the
-constructors that use them: RunConfig, FeasibleSet, LossOracle and
-PopulationSpec.
+"""Property tests of the input checkers (src/dpmirror/errors.py), of the
+constructors that use them (RunConfig, FeasibleSet, LossOracle and
+PopulationSpec), and of every CLI command.
 
 Every input is drawn from bools, Python and numpy scalars, +-0.0,
 subnormals, +-inf, NaN, 1e308, ints past 2**63, short strings and None.
@@ -12,16 +12,31 @@ statement is written with the numbers ABCs, not with the checkers' own
 isinstance tests. Nothing here does work in proportion to a value, so a
 huge accepted count costs nothing. Runs are derandomized and keep no
 example database, so every run tries the same inputs.
+
+The CLI tests give each command's numeric flags the same classes written
+as text, through cli.main. A call must exit 2 or 3 (argparse's own
+refusal counts as 2), or exit as its printed verdict says with every
+printed number finite; a traceback or a warning fails the test. Flags that
+size the work (--trials, --repeats, --n-values, tau-sim's --n, --dimension,
+--baseline-steps) get only small accepted values: a huge accepted one
+would never finish.
 """
 
+import contextlib
+import io
+import json
 import math
 import numbers
+import sys
+import tempfile
 import warnings
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dpmirror import cli
 from dpmirror.errors import ConfigurationError, as_real, check_count, check_real, check_vector
 from dpmirror.geometry import FeasibleSet
 from dpmirror.losses import LossOracle, PopulationSpec
@@ -73,6 +88,11 @@ def finite_positive(value):
     return is_real(value) and 0 < value < math.inf
 
 
+def has_normal_square(value):
+    square = float(value) * float(value)
+    return sys.float_info.min <= square < math.inf
+
+
 def held_vector(vector, dimension):
     """Whether vector is a finite, read-only float64 vector of shape (dimension,)."""
     return (isinstance(vector, np.ndarray) and vector.dtype == np.float64
@@ -120,7 +140,7 @@ def test_run_config(n, eta, sigma, w1):
     ball = FeasibleSet.l2_ball(0.5, dimension=2)
     config = outcome(RunConfig, n=n, eta=eta, sigma=sigma, feasible_set=ball,
                      oracle=LossOracle.hinge(1.0), w1=w1)
-    scalars_ok = (is_count(n) and n >= 1 and finite_positive(eta)
+    scalars_ok = (is_count(n) and 1 <= n <= 2**53 and finite_positive(eta)
                   and is_real(sigma) and 0 <= sigma < math.inf)
     if w1 is ORIGIN:
         assert (config is not REFUSED) == scalars_ok
@@ -152,7 +172,8 @@ def test_feasible_set(kind, dimension, radius, first, second):
 @given(SCALARS, st.integers(1, 3))
 def test_l2_ball(radius, dimension):
     fs = outcome(FeasibleSet.l2_ball, radius, dimension=dimension)
-    assert (fs is not REFUSED) == finite_positive(radius)
+    # The diameter 2*radius must be finite too.
+    assert (fs is not REFUSED) == (finite_positive(radius) and 2.0 * float(radius) < math.inf)
     if fs is not REFUSED:
         assert fs.radius == float(radius) and held_vector(fs.center, dimension)
 
@@ -175,7 +196,8 @@ def test_loss_oracle(kind, lipschitz_L):
 def test_population_spec(generator, dimension, feature_bound, noise_rate, w_true):
     spec = outcome(PopulationSpec, generator, dimension, feature_bound, w_true=w_true,
                    noise_rate=noise_rate)
-    scalars_ok = (is_count(dimension) and dimension >= 1 and finite_positive(feature_bound)
+    scalars_ok = (is_count(dimension) and 1 <= dimension <= 2**53
+                  and finite_positive(feature_bound) and has_normal_square(feature_bound)
                   and is_real(noise_rate) and 0 <= noise_rate <= 1)
     if generator == "uniform_ball" or (w_true is AXIS and dimension == 2):
         assert (spec is not REFUSED) == scalars_ok
@@ -184,3 +206,171 @@ def test_population_spec(generator, dimension, feature_bound, noise_rate, w_true
         assert type(spec.feature_bound) is float and type(spec.noise_rate) is float
         if generator == "linear_margin":
             assert held_vector(spec.w_true, spec.dimension)
+
+
+# The classes above as command-line text, one branch each, so every class
+# is as likely as any other.
+CLASSES = {
+    "bool": ["True", "False"],
+    "zero": ["0", "0.0", "-0.0"],
+    "subnormal": ["5e-324", "-5e-324", "1e-310", "2e-308"],
+    "infinite": ["inf", "-inf"],
+    "nan": ["nan", "-nan"],
+    "huge": ["1e308", "-1e308", repr(sys.float_info.max)],
+    "past 2**63": [str(2**63), str(2**64 + 1), str(2**70), str(-(2**63) - 1)],
+    "not a number": ["", "abc", "0x10", "None", "1e", "--1"],
+}
+TEXT_BRANCHES = [*map(st.sampled_from, CLASSES.values()), st.floats().map(repr),
+                 st.integers(-(2**70), 2**70).map(str), st.text(max_size=3)]
+TEXT = st.one_of(TEXT_BRANCHES)
+CLI_FUZZ = settings(derandomize=True, database=None, max_examples=150, deadline=None)
+
+
+def text_or(*good):
+    """A good value, or text from one of the classes, each as likely."""
+    return st.one_of(st.sampled_from(good), *TEXT_BRANCHES)
+
+
+def text_list(size, *good):
+    """A comma list of size entries: one fuzzed text repeated, or each entry
+    good or fuzzed on its own."""
+    return st.one_of(TEXT.map(lambda text: ",".join([text] * size)),
+                     st.lists(text_or(*good), min_size=size, max_size=size).map(",".join))
+
+
+def run_flags(loss, generator, kind, dimension):
+    """run's good flags for this choice, and each numeric flag that sizes no
+    work as (good values, entries in its comma list)."""
+    good = {"loss": loss, "generator": generator, "set": kind, "dimension": str(dimension),
+            "n-values": "16", "epsilon-values": "max", "repeats": "2",
+            "baseline-steps": "10000", "seed": "7"}
+    numeric = {"feature-bound": (("1.0", "0.5"), 1), "epsilon-values": (("max", "0.01"), 2),
+               "delta": (("1e-6", "0.5"), 1), "delta-prime": (("1e-6", "0.5"), 1),
+               "eval-samples": (("10",), 1), "sigma-override": (("0", "0.3"), 1),
+               "seed": (("7",), 1)}
+    if generator == "linear_margin":
+        numeric.update({"noise-rate": (("0.1", "0"), 1), "w-true": (("1", "0", "-2"), dimension)})
+    if kind == "l2_ball":
+        numeric["radius"] = (("0.5", "2"), 1)
+    else:
+        good.update(lower=",".join(["-0.5"] * dimension), upper=",".join(["0.5"] * dimension))
+        numeric.update(lower=(("-0.5", "-1"), dimension), upper=(("0.5", "1"), dimension))
+    return good, numeric
+
+
+def calibrate_flags(target_mode, with_plan):
+    """calibrate's good flags in one mode, and its numeric flags; --n sizes
+    no work here, so it is fuzzed with the rest."""
+    mode = ({"eps-bar": ("0.1", "0.5"), "delta-bar": ("3e-6", "1e-4")} if target_mode else
+            {"eps": ("0.005", "0.02"), "delta": ("1e-6",), "delta-prime": ("1e-6", "1e-3")})
+    if with_plan or not target_mode:
+        mode.update({"L": ("1", "2"), "D": ("1", "0.5"), "d": ("2", "10")})
+    numeric = {flag: (values, 1) for flag, values in {"n": ("400",), **mode}.items()}
+    return {flag: values[0] for flag, (values, _) in numeric.items()}, numeric
+
+
+def audit_flags(calibrated):
+    """audit's good flags, with --sigma unless calibrated, and its numeric flags."""
+    numeric = {"L": ("1", "2.5"), "eps-tilde": ("0.5", "2"), "delta": ("1e-6", "0.01"),
+               "grid": ("3",), "seed": ("7",), **({} if calibrated else {"sigma": ("6", "0.5")})}
+    numeric = {flag: (values, 1) for flag, values in numeric.items()}
+    good = {flag: values[0] for flag, (values, _) in numeric.items()}
+    return {**good, "trials": "6000"}, numeric
+
+
+def tau_sim_flags(n, trials):
+    """tau-sim's flags at a small --n and --trials; only --seed is fuzzed."""
+    return {"n": n, "trials": trials, "seed": "7"}, {"seed": (("7",), 1)}
+
+
+VERDICT = {"run": lambda printed: 5 if printed["degraded"] else 0,
+           "tau-sim": lambda printed: 0, "calibrate": lambda printed: 0,
+           "audit": lambda printed: 4 if printed["significant"] else 0}
+
+
+def finite_numbers(value):
+    """Whether every number in a parsed JSON value is finite."""
+    if isinstance(value, dict):
+        return all(map(finite_numbers, value.values()))
+    if isinstance(value, list):
+        return all(map(finite_numbers, value))
+    return not isinstance(value, float) or math.isfinite(value)
+
+
+def cli_outcome(command, flags):
+    """Run `dpmirror command --flag=text ...` and check how it ends: exit 2
+    or 3, or the exit its printed verdict gives, with every number it
+    prints finite."""
+    argv = [command] + [f"--{flag}={text}" for flag, text in flags.items()]
+    out = io.StringIO()
+    with tempfile.TemporaryDirectory() as outdir, warnings.catch_warnings(), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        warnings.simplefilter("error")
+        try:
+            code = cli.main(argv if command == "calibrate" else [*argv, f"--output-dir={outdir}"])
+        except SystemExit as exc:   # argparse refuses a flag's text
+            code = exc.code
+    if code in (2, 3):
+        return
+    printed = json.loads(out.getvalue(), parse_constant=lambda name: math.nan)
+    assert finite_numbers(printed), (argv, printed)
+    assert code == VERDICT[command](printed), (argv, code, printed)
+
+
+def fuzz_some(command, data, flags):
+    """cli_outcome of good flags with one or two numeric flags fuzzed."""
+    good, numeric = flags
+    chosen = data.draw(st.lists(st.sampled_from(sorted(numeric)), min_size=1, max_size=2,
+                                unique=True))
+    cli_outcome(command, {**good, **{flag: data.draw(text_list(numeric[flag][1],
+                                                               *numeric[flag][0]), label=flag)
+                                     for flag in chosen}})
+
+
+@CLI_FUZZ
+@given(st.sampled_from(["hinge", "absolute", "squared"]),
+       st.sampled_from(["linear_margin", "uniform_ball"]), st.sampled_from(["l2_ball", "box"]),
+       st.integers(1, 2), st.data())
+def test_run_command(loss, generator, kind, dimension, data):
+    fuzz_some("run", data, run_flags(loss, generator, kind, dimension))
+
+
+@CLI_FUZZ
+@given(st.sampled_from(["16", "17,64"]), st.sampled_from(["1000", "2000"]), st.data())
+def test_tau_sim_command(n, trials, data):
+    fuzz_some("tau-sim", data, tau_sim_flags(n, trials))
+
+
+@CLI_FUZZ
+@given(st.booleans(), st.booleans(), st.data())
+def test_calibrate_command(target_mode, with_plan, data):
+    fuzz_some("calibrate", data, calibrate_flags(target_mode, with_plan))
+
+
+@CLI_FUZZ
+@given(st.booleans(), st.data())
+def test_audit_command(calibrated, data):
+    fuzz_some("audit", data, audit_flags(calibrated))
+
+
+# Random draws can miss a class at a flag, so every class value also
+# reaches every numeric flag of each command once, the flag's comma list
+# holding that value in every entry.
+SWEEPS = {
+    "run-hinge-ball": ("run", run_flags("hinge", "linear_margin", "l2_ball", 2)),
+    "run-squared-box": ("run", run_flags("squared", "uniform_ball", "box", 2)),
+    "tau-sim": ("tau-sim", tau_sim_flags("16", "1000")),
+    "calibrate": ("calibrate", calibrate_flags(False, True)),
+    "calibrate-target": ("calibrate", calibrate_flags(True, True)),
+    "audit": ("audit", audit_flags(False)),
+    "audit-calibrated": ("audit", audit_flags(True)),
+}
+
+
+@pytest.mark.parametrize("sweep", SWEEPS)
+def test_every_class_reaches_every_numeric_flag(sweep):
+    command, (good, numeric) = SWEEPS[sweep]
+    for flag, (_, entries) in numeric.items():
+        for values in CLASSES.values():
+            for text in values:
+                cli_outcome(command, {**good, flag: ",".join([text] * entries)})

@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -224,6 +225,22 @@ def test_non_finite_set_parameters_rejected(build):
     # would reach the projection and the accountant's D unchecked.
     with pytest.raises(ConfigurationError):
         build()
+
+
+@pytest.mark.parametrize("build, kind", [
+    (lambda: FeasibleSet.box([-1e308, -1e308], [1e308, 1e308]), "box"),
+    (lambda: FeasibleSet.l2_ball(1.0, center=[1e200, 1e200]), "l2_ball"),
+    (lambda: FeasibleSet.l2_ball(1e308, dimension=2), "l2_ball"),
+], ids=["box-1e308", "ball-huge-center", "ball-huge-radius"])
+def test_set_whose_diameter_or_norm_overflows_rejected(build, kind):
+    # Every bound is finite, but the box's diameter, the centre's norm and
+    # 2*radius overflow: refused when built, naming the set, with no
+    # RuntimeWarning, where the set once built and its diameter() and
+    # max_norm() warned and returned inf.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ConfigurationError, match=f"{kind}: its diameter or largest norm"):
+            build()
 
 
 @pytest.mark.parametrize("fields", [

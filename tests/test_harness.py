@@ -7,6 +7,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -195,7 +196,8 @@ class TestRunCommand:
         rc = cli.main(["tau-sim", "--n", "4096,0", "--trials", "100000", "--seed", "1",
                        "--output-dir", str(tmp_path), "--name", "tau"])
         assert rc == 2
-        assert "tau-sim: n must be an int >= 1, got 0" in capsys.readouterr().err
+        assert "tau-sim: n must be an int in [1, 9007199254740992], got 0" \
+            in capsys.readouterr().err
         assert calls == []
         assert not (tmp_path / "tau").exists()
 
@@ -644,34 +646,88 @@ class TestCli:
         assert payload["internal"]["epsilon"] == pytest.approx(0.0033630, abs=1e-7)
         assert payload["report"]["stage"] == "end_to_end" and payload["sigma"] > 0
 
-    @pytest.mark.parametrize("argv", [
-        ["run", "--n-values", "16", "--epsilon-values", "max", "--repeats", "1",
-         "--baseline-steps", "10000"],
-        ["tau-sim", "--n", "16", "--trials", "1000"],
-        ["audit", "--L", "1", "--eps-tilde", "0.5", "--delta", "1e-6",
-         "--trials", "1000"],
+    # Each command's seed is checked where it is read, with the bound named:
+    # by run's seed key, by simulate_tau and by audit_single_step.
+    @pytest.mark.parametrize("argv, message", [
+        (["run", "--n-values", "16", "--epsilon-values", "max", "--repeats", "1",
+          "--baseline-steps", "10000"], "config field seed: must be >= 0, got -1"),
+        (["tau-sim", "--n", "16", "--trials", "1000"],
+         "simulate_tau: seed must be an int >= 0, got -1"),
+        (["audit", "--L", "1", "--eps-tilde", "0.5", "--delta", "1e-6", "--trials", "1000"],
+         "audit_single_step: seed must be an int >= 0, got -1"),
     ], ids=["run", "tau-sim", "audit"])
-    def test_negative_seed_exit_2(self, argv, tmp_path, capsys):
+    def test_negative_seed_exit_2(self, argv, message, tmp_path, capsys):
         rc = cli.main([*argv, "--seed", "-1", "--output-dir", str(tmp_path)])
         assert rc == 2
-        assert "seed: expected a non-negative integer, got -1" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
 
     def test_negative_config_seed_exit_2(self, tmp_path, capsys):
         cfg = tmp_path / "exp.cfg"
         cfg.write_text("n_values = 16\nepsilon_values = max\nrepeats = 1\n"
                        f"seed = -1\noutput_dir = {tmp_path}\n")
         assert cli.main(["run", "--config", str(cfg)]) == 2
-        assert "seed: expected a non-negative integer" in capsys.readouterr().err
+        assert "config field seed: must be >= 0, got -1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("from_file", [False, True], ids=["flag", "config-line"])
+    def test_non_integer_seed_exit_2(self, from_file, tmp_path, capsys):
+        # run's --seed is text, parsed by its key as a config file's line is.
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(f"n_values = 16\nepsilon_values = max\noutput_dir = {tmp_path}\n"
+                       + ("seed = abc\n" if from_file else ""))
+        argv = ["run", "--config", str(cfg)] + ([] if from_file else ["--seed", "abc"])
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert "bad value for config field seed: invalid literal for int()" in err
+        assert "'abc'" in err and "drawn from entropy" not in err
+        assert not (tmp_path / "experiment").exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["calibrate", "--n", str(10**400), "--eps", "1e-300", "--delta", "1e-6",
+          "--L", "1", "--D", "1", "--d", "2"], "end_to_end: n must be an int in [16, "),
+        (["run", "--n-values", str(2**70)], "config field n_values: each n must be an int"),
+        (["run", "--n-values", "16", "--dimension", str(2**70)],
+         "l2_ball: dimension must be an int in [1, "),
+        (["run", "--n-values", "16", "--loss", "squared", "--generator", "uniform_ball",
+          "--set", "box", "--dimension", "2", "--lower=-1e308,-1e308", "--upper=1e308,1e308"],
+         "box: its diameter or largest norm overflows"),
+    ], ids=["calibrate-n-10**400", "run-n-2**70", "run-dimension-2**70", "run-box-1e308"])
+    def test_count_or_set_past_float_range_exit_2(self, argv, message, tmp_path, capsys,
+                                                  monkeypatch):
+        # Each once ended in OverflowError, numpy's ValueError after the
+        # reference minimizer had run, or a RuntimeWarning and a refusal
+        # that blamed L. Now each exits 2 before any work, naming the count
+        # or the set.
+        monkeypatch.setattr(harness_mod, "baseline_minimizer", None)
+        if argv[0] == "run":
+            argv = [*argv, "--epsilon-values", "max", "--seed", "1",
+                    "--output-dir", str(tmp_path)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert cli.main(argv) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "experiment").exists()
+
+    # The feature bounds and w_true past float range once ended in a
+    # ZeroDivisionError, an OverflowError or a RuntimeWarning inside the
+    # reference minimizer or population_risk; tests/test_fuzz.py found them.
     @pytest.mark.parametrize("flags, message", [
         (["--dimension", "0"], "dimension: must be >= 1"),
         (["--w-true", "nan,0"], "w_true must be finite"),
         (["--feature-bound", "inf"], "feature_bound must be finite and positive"),
-    ], ids=["dimension-0", "w-true-nan", "feature-bound-inf"])
-    def test_run_bad_population_exit_2(self, tmp_path, capsys, flags, message):
-        rc = cli.main(["run", "--n-values", "16", "--epsilon-values", "max",
-                       "--repeats", "1", "--seed", "1", "--baseline-steps", "10000",
-                       "--output-dir", str(tmp_path), *flags])
+        (["--feature-bound", "1e-310"], "feature_bound=1e-310: its square"),
+        (["--feature-bound", "1e-160"], "feature_bound=1e-160: its square"),
+        (["--feature-bound", "1e200"], "feature_bound=1e+200: its square"),
+        (["--w-true", "5e-324,0"], "w_true: its squared norm"),
+        (["--w-true", "1e308,0"], "w_true: its squared norm"),
+    ], ids=["dimension-0", "w-true-nan", "feature-bound-inf", "feature-bound-1e-310",
+            "feature-bound-1e-160", "feature-bound-1e200", "w-true-subnormal", "w-true-1e308"])
+    def test_run_bad_population_exit_2(self, tmp_path, capsys, monkeypatch, flags, message):
+        monkeypatch.setattr(harness_mod, "baseline_minimizer", None)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rc = cli.main(["run", "--n-values", "16", "--epsilon-values", "max",
+                           "--repeats", "1", "--seed", "1", "--baseline-steps", "10000",
+                           "--output-dir", str(tmp_path), *flags])
         assert rc == 2
         assert message in capsys.readouterr().err
         assert not (tmp_path / "experiment").exists()

@@ -155,3 +155,28 @@ def test_point_checked(call):
     for bad in ([math.nan, 0.0], [0.0, math.inf], ["1", "0"], [0.0, 0.0, 0.0]):
         with pytest.raises(ConfigurationError):
             call(bad)
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda: end_to_end_with(n=10**400), "end_to_end: n"),
+    (lambda: end_to_end_with(d=2**70), "d"),
+    (lambda: from_target(0.1, 3e-6, 10**400), "from_target: n"),
+    (lambda: FeasibleSet.l2_ball(1.0, dimension=2**70), "l2_ball: dimension"),
+    (lambda: PopulationSpec("uniform_ball", 2**70, 1.0), "PopulationSpec: dimension"),
+    (lambda: run_config(n=2**70), "RunConfig: n"),
+], ids=["end_to_end-n", "end_to_end-d", "from_target-n", "l2_ball-dimension",
+        "PopulationSpec-dimension", "RunConfig-n"])
+def test_count_past_float_range_refused(call, name):
+    # n, d and every dimension are at most 2**53, the largest integer a float
+    # holds exactly. Past it the accountant's float(n) overflowed
+    # (OverflowError) and numpy refused the array (ValueError).
+    with pytest.raises(ConfigurationError, match=rf"^{name} must be an int in \[\d+, {2**53}\]"):
+        call()
+
+
+def test_seed_takes_any_non_negative_int():
+    # Seeds are the one count with no upper bound.
+    big = 2**70
+    assert simulate_tau(16, 10, big).trials == 10
+    assert audit_with(seed=big).edges.size == 4
+    assert one_run(big).tau.shape == (1,)

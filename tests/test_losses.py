@@ -1,5 +1,6 @@
 import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,12 +11,7 @@ from dpmirror.losses import (RISK_QUADRATURE_BOUND, LossOracle, PopulationSpec,
                              draw_arrays, draw_dataset, lipschitz_certificate,
                              population_risk, risk_curvature)
 from oracles import (plain_loss, plain_subgradient, points_away_from_kinks,
-                     population_point, quadrature_risk)
-
-
-def row_losses(oracle, w, features, labels):
-    """The oracle's loss for each stacked (w, x, y) row."""
-    return oracle.loss_at(np.einsum("...i,...i->...", w, features), labels)
+                     population_point, quadrature_risk, row_losses)
 
 
 def three_oracles(feasible_set):
@@ -421,6 +417,31 @@ class TestPopulations:
     def spec(self, noise=0.0):
         return PopulationSpec("linear_margin", 2, 1.0, w_true=np.array([1.0, 0.0]),
                               noise_rate=noise)
+
+    @pytest.mark.parametrize("bound", [1e-310, 1e-160, 1e200])
+    def test_feature_bound_whose_square_is_not_normal_refused(self, bound):
+        # risk_curvature squares the bound: a square of 0 made the reference
+        # minimizer's step 1/0 (ZeroDivisionError), a subnormal one made it
+        # inf (RuntimeWarning), and an overflowing one raised OverflowError.
+        # Found by tests/test_fuzz.py.
+        for generator, w_true in (("uniform_ball", None), ("linear_margin", [1.0, 0.0])):
+            with pytest.raises(ConfigurationError, match="feature_bound=.*its square"):
+                PopulationSpec(generator, 2, bound, w_true=w_true)
+        PopulationSpec("uniform_ball", 2, 1e-150)
+        PopulationSpec("uniform_ball", 2, 1e150)
+
+    @pytest.mark.parametrize("w_true", [[5e-324, 0.0], [1e-310, 1e-310], [1e308, 0.0],
+                                        [1e154, 1e154]])
+    def test_w_true_whose_squared_norm_under_or_overflows_refused(self, w_true):
+        # population_risk divides w_true by its norm: a squared norm that
+        # underflowed to 0 divided by zero, and one that overflowed warned.
+        # Found by tests/test_fuzz.py. w_true = 0 stays accepted.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ConfigurationError, match="w_true: its squared norm"):
+                PopulationSpec("linear_margin", 2, 1.0, w_true=w_true)
+            PopulationSpec("linear_margin", 2, 1.0, w_true=[0.0, 0.0])
+            PopulationSpec("linear_margin", 2, 1.0, w_true=[1e-160, 0.0])
 
     def test_noiseless_labels_agree_with_margin(self):
         spec = self.spec()

@@ -127,7 +127,10 @@ class TestEndToEnd:
         ((1600, 1e-320, 1e-6, 1e-6, 1.0, 1.0, 2), "epsilon=1e-320, .* give sigma=inf, eta=0.0"),
         ((1600, 0.001, 1e-6, 1e-320, 1.0, 1.0, 2), "delta_prime = 1e-320 is too small"),
         ((1600, 0.001, 1e-6, 1e-6, 1.0, 1e-320, 2), "D=1e-320, d=2 give .*, eta=0.0,"),
-    ], ids=["epsilon", "delta_prime", "D"])
+        # A subnormal L makes sigma subnormal and eta overflow: calibrate
+        # once printed "eta": Infinity and exited 0 (found by test_fuzz.py).
+        ((400, 0.005, 1e-6, 1e-6, 5e-324, 1.0, 2), "L=5e-324, .* give .*, eta=inf,"),
+    ], ids=["epsilon", "delta_prime", "D", "L-subnormal"])
     def test_overflow_refused(self, args, message):
         with pytest.raises(ConfigurationError, match=message):
             end_to_end(*args)
@@ -354,6 +357,28 @@ class TestAudit:
         assert rc == 2
         assert f"sigma={float(sigma)!r} with L={float(L)!r}" in capsys.readouterr().err
         assert not (tmp_path / "audit").exists()
+
+    @pytest.mark.parametrize("eps_tilde", ["400", "710", "1e308"])
+    def test_epsilon_tilde_whose_weight_overflows_exit_2(self, eps_tilde, tmp_path, capsys):
+        # e^(2*epsilon_tilde) weighs the reverse variance: past about 354.9 it
+        # overflowed, and inf * 0 warned "invalid value"; past 709.78
+        # math.exp raised OverflowError. Found by tests/test_fuzz.py.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rc = cli.main(["audit", "--L", "1", "--eps-tilde", eps_tilde, "--delta", "1e-6",
+                           "--trials", "6000", "--grid", "3", "--seed", "7",
+                           "--output-dir", str(tmp_path)])
+        assert rc == 2
+        assert f"epsilon_tilde={float(eps_tilde)!r}: e^(2*epsilon_tilde) overflows" \
+            in capsys.readouterr().err
+        assert not (tmp_path / "audit").exists()
+
+    def test_large_accepted_epsilon_tilde_gives_finite_output(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            result = audit_single_step(6.0, 1.0, 354.0, 1e-6, 6000, grid_cells=3, seed=7)
+        assert math.isfinite(result.max_violation + result.max_violation_stderr)
+        assert np.isfinite(result.violation).all() and not result.significant
 
     def test_largest_accepted_sigma_gives_finite_edges(self):
         def accepted(sigma):

@@ -4,6 +4,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from oracles import partial_coupon_sum
+
 from dpmirror import sampler
 from dpmirror.errors import ConfigurationError
 from dpmirror.sampler import (TrialStreams, expected_tau, first_block, fresh_target,
@@ -11,14 +13,6 @@ from dpmirror.sampler import (TrialStreams, expected_tau, first_block, fresh_tar
 
 # 99.9% quantile of chi-square with 9 degrees of freedom (standard tables).
 CHI2_9DOF_999 = 27.877
-
-
-def partial_coupon_sum(n):
-    # Independent copy of the exact mean stopping time for cross-checking.
-    total = 0.0
-    for k in range(n // 2 + 1):
-        total += n / (n - k)
-    return total
 
 
 class TestSampleIndex:
