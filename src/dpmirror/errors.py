@@ -8,7 +8,7 @@ degraded run, one in which more than 1% of a cell's runs overran.
 Every public entry point checks its counts, reals and vectors here, so a
 bool, a float count, a string or a non-finite value is refused the same
 way everywhere: check_count, check_real (with as_real, its type test, for
-a one-off range) and check_vector.
+a one-off range), check_vector and, for data arrays, check_reals.
 """
 
 import math
@@ -29,6 +29,15 @@ class RegimeError(ValueError):
     """
 
 
+def _shown(value):
+    """repr(value), or a description of an int too long for repr (Python
+    refuses to format one of more than 4300 digits)."""
+    try:
+        return repr(value)
+    except ValueError:
+        return f"an int of {value.bit_length()} bits"
+
+
 def check_count(value, name, low=1, high=1 << 53):
     """int(value) for an int or numpy integer (never a bool) in [low, high].
     The default high, 2**53, is the largest int a float holds exactly (the
@@ -37,7 +46,7 @@ def check_count(value, name, low=1, high=1 << 53):
             and low <= value and (high is None or value <= high)):
         return int(value)
     bounds = f">= {low}" if high is None else f"in [{low}, {high}]"
-    raise ConfigurationError(f"{name} must be an int {bounds}, got {value!r}")
+    raise ConfigurationError(f"{name} must be an int {bounds}, got {_shown(value)}")
 
 
 def as_real(value, name):
@@ -48,7 +57,7 @@ def as_real(value, name):
             return float(value)
         except OverflowError:
             pass
-    raise ConfigurationError(f"{name} must be a real number, got {value!r}")
+    raise ConfigurationError(f"{name} must be a real number, got {_shown(value)}")
 
 
 def check_real(value, name):
@@ -57,6 +66,26 @@ def check_real(value, name):
     if not 0.0 < real < math.inf:   # NaN fails every comparison
         raise ConfigurationError(f"{name} must be finite and positive, got {value!r}")
     return real
+
+
+def check_reals(value, name):
+    """value as a float64 array: an array or rectangular nesting of finite
+    reals, of numpy's int, uint or float dtypes or with every entry passing
+    as_real. A bool or text array is refused; a bool among numbers is
+    numpy's 0 or 1. The shape is the caller's to check."""
+    try:
+        array = np.asarray(value)
+    except ValueError:   # a ragged nesting
+        raise ConfigurationError(f"{name} must be a rectangular array") from None
+    if array.dtype.kind == "O":   # ints past 2**64, or entries numpy cannot type
+        entries = [as_real(entry, f"{name} entry") for entry in array.ravel().tolist()]
+        array = np.array(entries, dtype=float).reshape(array.shape)
+    elif array.dtype.kind not in "iuf":
+        raise ConfigurationError(f"{name} must hold real numbers, got dtype {array.dtype}")
+    array = array.astype(float, copy=False)
+    if not np.isfinite(array).all():
+        raise ConfigurationError(f"{name} must be finite")
+    return array
 
 
 def check_vector(value, dimension, name):

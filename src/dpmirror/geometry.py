@@ -11,6 +11,7 @@ stacked (R, d) iterates with project_rows.
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -88,8 +89,19 @@ class FeasibleSet:
         return _norm(self.upper - self.lower)
 
     def project(self, point):
-        """Euclidean-nearest point of the set."""
-        return self.project_rows(check_vector(point, self.dimension, "project: point"))
+        """Euclidean-nearest point of the set.
+
+        On the ball, a point whose squared distance from the centre
+        overflows is refused: project_rows would scale it by r/inf = 0.
+        """
+        point = check_vector(point, self.dimension, "project: point")
+        if self.kind == L2_BALL:
+            with np.errstate(over="ignore"):
+                offset = point - self.center
+                if not np.einsum("i,i->", offset, offset) < math.inf:
+                    raise ConfigurationError(
+                        "project: the point's squared distance from the centre overflows")
+        return self.project_rows(point)
 
     def project_rows(self, points):
         """project() applied to each row of a (d,) or stacked (..., d) float array.
@@ -111,6 +123,54 @@ class FeasibleSet:
         if self.kind == L2_BALL:
             return _norm(self.center) + self.radius
         return _norm(np.maximum(np.abs(self.lower), np.abs(self.upper)))
+
+    def reach(self, features):
+        """Each row's bound on |<w, x>| as np.einsum computes it, for stacked
+        (..., d) rows x and every w that contains() accepts or project_rows
+        returns, so for every iterate a run holds; inf where it overflows.
+
+        With n~ = sqrt(einsum(x, x)) as computed, M = max_norm() as computed
+        and tau = MEMBERSHIP_TOL, the bound is fl(fl(n~ + 2^-510) * W) for
+            W = (M + tau*(isqrt(d) + 1) + 2^-47) * (1 + (d + 4)*2^-49),
+        rounded up to a float. Proof, for every d <= 2^53, in the standard
+        model: with u = 2^-53, a = 1/(1 - u), b = 1 + u, a float operation
+        returns (p op q)(1 + delta) + e with |delta| <= u, |e| <= 2^-1075
+        and e = 0 for + and -; a sum of d terms rounds at most d - 1 times
+        in any order (einsum and add.reduce may pair terms); and
+        theta = 2^-511 >= sqrt(d * 2^-1075).
+        1. A computed norm n~ of a d-vector v has ||v|| <= a^(d/2+1)(n~ + theta):
+           the computed square sum is at least (1 - u)^d ||v||^2 - d*2^-1075.
+        2. Every such w has ||w|| <= b^3 a^(d+4) (M + tau sqrt(d)) + 2^-48.
+           contains() bounds fl(w - c), whose coordinates are within relative
+           u of w - c, by fl(r + tau) on the ball (so 1 applies) and by the
+           corners +- tau on the box. project_rows clips to the box; on the
+           ball it keeps a point whose computed offset norm is at most r, or
+           returns fl(c + fl(o*s)) with s = fl(r/n~), n~ > r, which is
+           within b^3 a^(d/2+1)(r + theta) + u||c|| + 2^-50 of c (the last
+           term if s underflows, as ||o|| < 2^1025). By 1 and
+           M >= (1 - u)(||c||~ + r), or M = the corner's computed norm, each
+           case is within the bound.
+        3. einsum gives |<w, x>|~ <= b^d (||w|| ||x|| + d*2^-1075), at most
+           b^d (||w|| + theta)(||x|| + theta).
+        4. LossOracle.fixed_slopes needs b*|<w, x>|~ <= reach: the hinge's
+           fl(y*z) <= 1 holds once |y*z| <= 1, and fl(|y| * reach) <= 1
+           gives |y| * reach <= 1 + u; fl(z - y) has the sign of z - y.
+        By 1-3, with the two roundings of the bound itself,
+        b*|<w, x>|~ <= b^(d+4) a^(3d/2+7) (M + tau sqrt(d) + 2^-47) fl(n~ + 2^-510).
+        The powers are at most e^t with t <= (2.5d + 12)u/(1 - u) <= 2.6,
+        and e^t <= 1 + 5t <= 1 + (d + 4)*2^-49 there.
+        """
+        d = self.dimension
+        exact = ((Fraction(self.max_norm()) + Fraction(MEMBERSHIP_TOL) * (math.isqrt(d) + 1)
+                  + Fraction(1, 1 << 47)) * (1 + Fraction(d + 4, 1 << 49)))
+        scale = float(exact)
+        if Fraction(scale) < exact:
+            scale = math.nextafter(scale, math.inf)
+        reach = np.sqrt(np.einsum("...i,...i->...", features, features))
+        reach += math.ldexp(1.0, -510)
+        with np.errstate(over="ignore"):
+            reach *= scale
+        return reach
 
     def frank_wolfe_gap(self, w, g):
         """max over u in the set of <g, w - u>, in closed form; no input checks.
@@ -144,4 +204,8 @@ def mirror_step(feasible_set, w, g, eta):
     d = feasible_set.dimension
     w = check_vector(w, d, "mirror_step: w")
     g = check_vector(g, d, "mirror_step: g")
-    return feasible_set.project(w - eta * g)
+    with np.errstate(over="ignore"):
+        point = w - eta * g
+    if not np.isfinite(point).all():
+        raise ConfigurationError("mirror_step: w - eta * g overflows")
+    return feasible_set.project(point)

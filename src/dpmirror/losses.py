@@ -27,7 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, as_real, check_count, check_real, check_vector
+from .errors import (ConfigurationError, as_real, check_count, check_real, check_reals,
+                     check_vector)
 from .geometry import dot
 
 HINGE = "hinge"
@@ -132,6 +133,25 @@ class LossOracle:
             return np.sign(z - labels)
         return z - labels
 
+    def fixed_slopes(self, labels, reach):
+        """The slope slope_at gives every row at every w the set holds, or None.
+
+        reach() returns each row's bound on |<w, x>| (FeasibleSet.reach).
+        Where every row has |y| * reach <= 1, the hinge is linear in w on the
+        set, with slope -y; where every row has reach < |y|, so is the
+        absolute loss, with slope sign(-y). Otherwise, and always for the
+        squared loss, whose slope follows w, the result is None; the squared
+        loss never calls reach.
+        """
+        if self.kind == SQUARED:
+            return None
+        size = np.abs(labels)
+        if self.kind == HINGE:
+            with np.errstate(invalid="ignore"):   # 0 * an overflowed reach
+                fixed = (size * reach() <= 1.0).all()
+            return -labels if fixed else None
+        return np.sign(-labels) if (reach() < size).all() else None
+
     def subgradient(self, w, features, labels):
         """slope_at(<w, x>, y) * x, an element of the subdifferential in w.
 
@@ -149,16 +169,18 @@ class LossOracle:
         Per row: |y|*||x|| for hinge, ||x|| for absolute, and
         (set.max_norm()*||x|| + |y|)*||x|| for squared. A row above
         lipschitz_L would break the sensitivity the accountant assumes.
-        One pass over stacked (..., d) features and (...,) labels.
+        One pass over stacked (..., d) features and (...,) labels; a norm
+        that overflows gives inf, or NaN beside a zero label.
         """
         norms = np.sqrt(np.einsum("...i,...i->...", features, features))
-        if self.kind == HINGE:
-            worst = np.abs(labels) * norms
-        elif self.kind == ABSOLUTE:
-            worst = norms
-        else:
-            worst = (feasible_set.max_norm() * norms + np.abs(labels)) * norms
-        return float(worst.max())
+        with np.errstate(over="ignore", invalid="ignore"):
+            if self.kind == HINGE:
+                worst = np.abs(labels) * norms
+            elif self.kind == ABSOLUTE:
+                worst = norms
+            else:
+                worst = (feasible_set.max_norm() * norms + np.abs(labels)) * norms
+            return float(worst.max())
 
     def batch_values(self, w, features, labels):
         """loss_at at the margins <x, w> of one w against stacked (..., d)
@@ -339,17 +361,32 @@ def population_risk(spec, oracle, w):
     coordinate; tests check it against scipy's dblquad. Rows with the same
     number of pieces share one pass; rows are not padded to one length, as
     padding would change add.reduce's pairwise sums, and so the bits.
+
+    w must be finite (check_reals) and of shape (d,) or (R, d), and a w
+    whose risk or gradient overflows raises ConfigurationError.
     """
-    w = np.asarray(w, dtype=float)
+    w = check_reals(w, "population_risk: w")
+    d = spec.dimension
+    if w.ndim not in (1, 2) or w.shape[-1] != d:
+        raise ConfigurationError(
+            f"population_risk: w must be a ({d},) point or (R, {d}) rows, got shape {w.shape}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        risk, gradient = _risk_rows(spec, oracle, np.atleast_2d(w))
+    if not (np.isfinite(risk).all() and np.isfinite(gradient).all()):
+        raise ConfigurationError("population_risk: the risk or its gradient at w overflows")
+    return (float(risk[0]), gradient[0]) if w.ndim == 1 else (risk, gradient)
+
+
+def _risk_rows(spec, oracle, rows):
+    """population_risk's (R,) values and (R, d) gradients at (R, d) rows."""
     d, bound = spec.dimension, spec.feature_bound
-    rows = np.atleast_2d(w)
     norm = np.sqrt(dot(rows, rows))[:, None]
     scale = bound * norm
     label_axis = None
     if spec.generator == LINEAR_MARGIN and spec.w_true.any():
         label_axis = spec.w_true / math.sqrt(dot(spec.w_true, spec.w_true))
     along = np.where(norm > 0.0, rows / np.where(norm > 0.0, norm, 1.0),
-                     label_axis if label_axis is not None else np.eye(d)[0])
+                     label_axis if label_axis is not None else np.eye(1, d)[0])
     # Each row's cuts; one that does not apply is a +-0.0, a repeat of 0.
     inverse = np.where(scale > 1.0, 1.0 / np.maximum(scale, 1.0), 0.0)
     cuts = [np.broadcast_to([-1.0, 0.0, 1.0], (len(rows), 3)), -inverse, inverse]
@@ -400,7 +437,7 @@ def population_risk(spec, oracle, w):
         gradient[group] = (bound * dot(density, s * slope))[:, None] * along[group]
         if label_axis is not None:
             gradient[group] += (bound * dot(density, across_slope))[:, None] * across[group]
-    return (float(risk[0]), gradient[0]) if w.ndim == 1 else (risk, gradient)
+    return risk, gradient
 
 
 def risk_curvature(spec, oracle):
@@ -416,10 +453,19 @@ def risk_curvature(spec, oracle):
     times the weight times f(1) + f(-1), where f is the density of z:
     c_d (1 - (z/k)^2)^((d-1)/2)/k with k = B||w||, nonzero at +-1 only for
     k >= 1, hence at most c_d. That gives 2 c_d B^2 and 4 c_d B^2.
+
+    The reference minimizer steps by 1/beta, so a beta whose reciprocal
+    overflows (a small B, or a large d) raises ConfigurationError.
     """
     d, square = spec.dimension, spec.feature_bound ** 2
     if oracle.kind == SQUARED or (spec.generator == UNIFORM_BALL and oracle.kind == ABSOLUTE):
-        return square / (d + 2.0)
-    if spec.generator == UNIFORM_BALL:
-        return square / (2.0 * (d + 2.0))
-    return (2.0 if oracle.kind == HINGE else 4.0) * _marginal_constant(d) * square
+        beta = square / (d + 2.0)
+    elif spec.generator == UNIFORM_BALL:
+        beta = square / (2.0 * (d + 2.0))
+    else:
+        beta = (2.0 if oracle.kind == HINGE else 4.0) * _marginal_constant(d) * square
+    if not (beta > 0.0 and 1.0 / beta < math.inf):
+        raise ConfigurationError(
+            f"feature_bound={spec.feature_bound!r}: the risk curvature {beta:.3g} is too "
+            f"small for the reference minimizer's step 1/curvature to be finite")
+    return beta

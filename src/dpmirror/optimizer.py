@@ -32,7 +32,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, as_real, check_count, check_real, check_vector
+from .errors import (ConfigurationError, as_real, check_count, check_real, check_reals,
+                     check_vector)
 # mirror_step, sample_index and draw_dataset are not called here; they stay
 # importable from this module because perfbench/spans.py wraps them by name.
 from .geometry import dot, mirror_step  # noqa: F401
@@ -103,7 +104,7 @@ class RunBatch:
 def private_sgd(config, seed, dataset):
     """private_sgd_batch for one seed on one (features, labels) dataset."""
     return private_sgd_batch(config, [seed],
-                             *(np.asarray(a, dtype=float)[None] for a in dataset))
+                             *(check_reals(a, "private_sgd: dataset")[None] for a in dataset))
 
 
 @dataclass
@@ -154,7 +155,7 @@ def check_rows(config, features, labels):
     if not (np.isfinite(features).all() and np.isfinite(labels).all()):
         raise ConfigurationError("private_sgd: features and labels must be finite")
     worst = config.oracle.max_subgradient_norm(features, labels, config.feasible_set)
-    if worst > config.oracle.lipschitz_L * (1.0 + 1e-9):
+    if not worst <= config.oracle.lipschitz_L * (1.0 + 1e-9):   # NaN: 0 * an inf norm
         raise ConfigurationError(
             f"private_sgd: a data row gives subgradients of norm up to {worst:.6g} on "
             f"the feasible set, above the certified L = {config.oracle.lipschitz_L:.6g}")
@@ -166,14 +167,14 @@ def private_sgd_batch(config, seeds, features, labels):
     Row r is the run of config with seed seeds[r] on the dataset
     (features[r], labels[r]); features is (R, n, d) and labels (R, n).
     Inputs are checked before any draw (config when built): the seeds
-    (each a non-negative int), the array shapes and every data row
-    (check_rows). Then draw_fresh_steps reads every run's fresh steps, and
-    run_steps reads row r's fresh index i at flat data row r*n + i, so
-    nothing is gathered.
+    (each a non-negative int), the arrays' entries (check_reals) and
+    shapes, and every data row (check_rows). Then draw_fresh_steps reads
+    every run's fresh steps, and run_steps reads row r's fresh index i at
+    flat data row r*n + i, so nothing is gathered.
     """
     n, d, rows = config.n, config.feasible_set.dimension, len(seeds)
-    features = np.asarray(features, dtype=float)
-    labels = np.asarray(labels, dtype=float)
+    features = check_reals(features, "private_sgd: features")
+    labels = check_reals(labels, "private_sgd: labels")
     check_count(rows, "private_sgd_batch: the number of seeds")
     for seed in seeds:
         check_count(seed, "private_sgd: seed", low=0, high=None)
@@ -201,7 +202,11 @@ def run_steps(config, steps, features, labels, data_rows):
     chunk's fresh mask gives every (step, row) its flat slot r*m + count - 1,
     and one take each gathers its (chunk, R, d) features and (chunk, R)
     labels, set to a zero row (label 1) at noise-only steps, where
-    g = subgradient + noise is exactly the noise. The iterates held at fresh
+    g = subgradient + noise is exactly the noise. Where the oracle certifies
+    that no iterate the set holds can change a chunk's slopes
+    (LossOracle.fixed_slopes), the chunk's eta * g is formed at once in the
+    gathered features, and each step is one projection; the bits are those
+    of the step by step path. The iterates held at fresh
     steps go to fresh_iterates in one scatter per chunk and into the
     output's sum in step order, so memory stays O(R * chunk * d).
     """
@@ -231,10 +236,22 @@ def run_steps(config, steps, features, labels, data_rows):
         x = features.take(data, axis=0)
         np.copyto(x, 0.0, where=stale)
         y = np.where(mask, labels.take(data), 1.0)
-        for t, (x_t, y_t, xi) in enumerate(zip(x, y, noise.swapaxes(0, 1))):
-            held[t] = w
-            g = oracle.subgradient(w, x_t, y_t) + xi
-            w = feasible_set.project_rows(w - eta * g)
+        noise = noise.swapaxes(0, 1)
+        slopes = oracle.fixed_slopes(y, lambda: feasible_set.reach(x))
+        if slopes is None:
+            for t, (x_t, y_t, xi) in enumerate(zip(x, y, noise)):
+                held[t] = w
+                g = oracle.subgradient(w, x_t, y_t) + xi
+                w = feasible_set.project_rows(w - eta * g)
+        else:
+            # eta * (slope * x + noise), formed in x by the same operations
+            # per value, in the same order, as the step above.
+            x *= slopes[..., None]
+            x += noise
+            x *= eta
+            for t, step in enumerate(x):
+                held[t] = w
+                w = feasible_set.project_rows(w - step)
         chunk = held[:k]
         at = np.flatnonzero(mask)
         flat_iterates[slots.ravel()[at]] = chunk.reshape(-1, d)[at]
@@ -261,10 +278,10 @@ def estimate_regret(batch, rows, comparator, config):
     its fresh steps read, in step order (m = n//2+1); the result is an (R,)
     array that is NaN in overrun rows.
     """
-    u = np.asarray(comparator, dtype=float)
+    u = check_vector(comparator, config.feasible_set.dimension, "estimate_regret: comparator")
     if not config.feasible_set.contains(u):
         raise ConfigurationError("estimate_regret: comparator lies outside the set")
-    x, y = (np.asarray(a, dtype=float) for a in rows)
+    x, y = (check_reals(a, "estimate_regret: rows") for a in rows)
     shape = batch.fresh_iterates.shape
     if x.shape != shape or y.shape != shape[:2]:
         raise ConfigurationError(
@@ -272,10 +289,14 @@ def estimate_regret(batch, rows, comparator, config):
             f"{shape[:2]} labels the batch's fresh steps read; got {x.shape} and {y.shape}")
     oracle = config.oracle
     # Two (R, m) arrays at most: the margins, scored in place, and u's losses.
-    margins = np.einsum("...i,...i->...", batch.fresh_iterates, x)
-    regret = oracle.loss_at(margins, y, out=margins)
-    regret -= oracle.batch_values(u, x, y)
-    return regret.sum(axis=-1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        margins = np.einsum("...i,...i->...", batch.fresh_iterates, x)
+        regret = oracle.loss_at(margins, y, out=margins)
+        regret -= oracle.batch_values(u, x, y)
+        regret = regret.sum(axis=-1)
+    if not np.isfinite(regret[~batch.overrun]).all():
+        raise ConfigurationError("estimate_regret: a loss on these rows overflows")
+    return regret
 
 
 # Nothing in dpmirror calls estimate_risk (a run's risk is population_risk's

@@ -1,6 +1,8 @@
 """Property tests of the input checkers (src/dpmirror/errors.py), of the
 constructors that use them (RunConfig, FeasibleSet, LossOracle and
-PopulationSpec), and of every CLI command.
+PopulationSpec), of the numeric inputs of private_sgd_batch,
+population_risk, mirror_step, simulate_tau, draw_dataset and
+estimate_regret, and of every CLI command.
 
 Every input is drawn from bools, Python and numpy scalars, +-0.0,
 subnormals, +-inf, NaN, 1e308, ints past 2**63, short strings and None.
@@ -9,9 +11,13 @@ with ConfigurationError: any other exception, and any warning, fails the
 test. Where the rule is a plain statement about the value, the test also
 checks that the value is accepted exactly when the rule holds; the
 statement is written with the numbers ABCs, not with the checkers' own
-isinstance tests. Nothing here does work in proportion to a value, so a
-huge accepted count costs nothing. Runs are derandomized and keep no
-example database, so every run tries the same inputs.
+isinstance tests. A function's result must be finite. Nothing here does
+work in proportion to a value, so a huge accepted count costs nothing;
+the counts that size a function's work (simulate_tau's n and trials,
+draw_dataset's n) fold an accepted count to at most 40. Data arrays get
+one or two entries from the classes among good ones. Runs are
+derandomized and keep no example database, so every run tries the same
+inputs.
 
 The CLI tests give each command's numeric flags the same classes written
 as text, through cli.main. A call must exit 2 or 3 (argparse's own
@@ -23,6 +29,7 @@ would never finish.
 """
 
 import contextlib
+import functools
 import io
 import json
 import math
@@ -38,9 +45,10 @@ from hypothesis import strategies as st
 
 from dpmirror import cli
 from dpmirror.errors import ConfigurationError, as_real, check_count, check_real, check_vector
-from dpmirror.geometry import FeasibleSet
-from dpmirror.losses import LossOracle, PopulationSpec
-from dpmirror.optimizer import RunConfig
+from dpmirror.geometry import FeasibleSet, mirror_step
+from dpmirror.losses import LossOracle, PopulationSpec, draw_dataset, population_risk
+from dpmirror.optimizer import RunConfig, estimate_regret, private_sgd_batch
+from dpmirror.sampler import simulate_tau
 
 FUZZ = settings(derandomize=True, database=None, max_examples=200, deadline=None)
 
@@ -206,6 +214,140 @@ def test_population_spec(generator, dimension, feature_bound, noise_rate, w_true
         assert type(spec.feature_bound) is float and type(spec.noise_rate) is float
         if generator == "linear_margin":
             assert held_vector(spec.w_true, spec.dimension)
+
+
+def sized(high=40):
+    """SCALARS for a count that sizes the work: an accepted count above high
+    is folded to at most high, so that no call runs long."""
+    return SCALARS.map(lambda v: v % (high + 1) if is_count(v) and high < v <= 2**53 else v)
+
+
+def fuzzed(data, shape, good):
+    """A nested list of the given shape whose entries are good, bar one or
+    two drawn from SCALARS."""
+    entries = [good] * math.prod(shape)
+    for index in data.draw(st.lists(st.integers(0, len(entries) - 1), min_size=1, max_size=2)):
+        entries[index] = data.draw(SCALARS)
+    return np.array(entries, dtype=object).reshape(shape).tolist()
+
+
+def finite(*arrays):
+    return all(np.isfinite(np.asarray(a, dtype=float)).all() for a in arrays)
+
+
+def real_entries(nested):
+    """Whether every entry of a nested list is a finite real (or a bool,
+    which numpy takes as 0 or 1 among reals)."""
+    return all(isinstance(v, (bool, np.bool_)) or (is_real(v) and math.isfinite(v))
+               for v in np.array(nested, dtype=object).ravel())
+
+
+LOSSES = st.sampled_from(["hinge", "absolute", "squared"])
+
+
+def oracle_for(kind, feasible_set):
+    if kind == "squared":
+        return LossOracle.squared(1.0, feasible_set)
+    return getattr(LossOracle, kind)(1.0)
+
+
+@FUZZ
+@given(LOSSES, st.lists(SCALARS, min_size=1, max_size=2), st.booleans(), st.data())
+def test_private_sgd_batch(kind, seeds, fuzz_labels, data):
+    n, d, rows = 4, 2, len(seeds)
+    ball = FeasibleSet.l2_ball(0.5, dimension=d)
+    config = RunConfig(n=n, eta=0.1, sigma=0.5, feasible_set=ball,
+                       oracle=oracle_for(kind, ball), w1=ORIGIN)
+    features = [[[0.3, -0.2]] * n] * rows
+    labels = [[1.0] * n] * rows
+    if fuzz_labels:
+        labels = fuzzed(data, (rows, n), 0.5)
+    else:
+        features = fuzzed(data, (rows, n, d), 0.25)
+    batch = outcome(private_sgd_batch, config, seeds, features, labels)
+    if batch is REFUSED:
+        return
+    assert all(is_count(seed) and seed >= 0 for seed in seeds)
+    assert real_entries(features) and real_entries(labels)
+    done = ~batch.overrun
+    assert finite(batch.output[done], batch.fresh_iterates[done])
+
+
+@FUZZ
+@given(st.sampled_from(["linear_margin", "uniform_ball"]), LOSSES,
+       st.lists(VECTORS, min_size=1, max_size=2), st.booleans())
+def test_population_risk(generator, kind, points, stacked):
+    spec = PopulationSpec(generator, 2, 1.0, w_true=AXIS if generator == "linear_margin" else None)
+    oracle = oracle_for(kind, FeasibleSet.l2_ball(0.5, dimension=2))
+    result = outcome(population_risk, spec, oracle, points if stacked else points[0])
+    if result is REFUSED:
+        return
+    used = points if stacked else points[:1]
+    assert all(len(point) == 2 and real_entries(point) for point in used)
+    assert finite(*result)
+
+
+@FUZZ
+@given(st.sampled_from(["l2_ball", "box"]), st.one_of(st.just(AXIS), VECTORS),
+       st.one_of(st.just(AXIS), VECTORS), SCALARS)
+def test_mirror_step(kind, w, g, eta):
+    fs = (FeasibleSet.l2_ball(0.5, dimension=2) if kind == "l2_ball"
+          else FeasibleSet.box([-0.5, -0.5], [0.5, 0.5]))
+    result = outcome(mirror_step, fs, w, g, eta)
+    if w is AXIS and g is AXIS:
+        assert (result is not REFUSED) == finite_positive(eta)
+    if result is not REFUSED:
+        assert finite_positive(eta) and finite(result) and fs.contains(result)
+
+
+@FUZZ
+@given(sized(), sized(), SCALARS)
+def test_simulate_tau(n, trials, seed):
+    stats = outcome(simulate_tau, n, trials, seed)
+    rule = (is_count(n) and 1 <= n <= 2**53 and is_count(trials) and 1 <= trials <= 2**32
+            and is_count(seed) and seed >= 0)
+    assert (stats is not REFUSED) == rule
+    if rule:
+        assert stats.tau_samples.shape == (trials,) and finite_numbers(stats.summary())
+
+
+@FUZZ
+@given(sized(), st.sampled_from(["linear_margin", "uniform_ball"]))
+def test_draw_dataset(n, generator):
+    spec = PopulationSpec(generator, 2, 1.0, w_true=AXIS if generator == "linear_margin" else None)
+    dataset = outcome(draw_dataset, spec, n, np.random.default_rng(0))
+    assert (dataset is not REFUSED) == (is_count(n) and 1 <= n <= 2**53)
+    if dataset is not REFUSED:
+        features, labels = dataset
+        assert features.shape == (n, 2) and labels.shape == (n,) and finite(features, labels)
+        assert (np.einsum("ij,ij->i", features, features) <= 1.0 + 1e-12).all()
+
+
+@functools.cache
+def regret_case(kind):
+    """(config, batch) of one run on eight rows (0.25, 0.25) labelled 0.5."""
+    n, d = 8, 2
+    ball = FeasibleSet.l2_ball(0.5, dimension=d)
+    config = RunConfig(n=n, eta=0.1, sigma=0.5, feasible_set=ball,
+                       oracle=oracle_for(kind, ball), w1=ORIGIN)
+    return config, private_sgd_batch(config, [3], np.full((1, n, d), 0.25), np.full((1, n), 0.5))
+
+
+@FUZZ
+@given(LOSSES, st.sampled_from(["features", "labels", "comparator"]), st.data())
+def test_estimate_regret(kind, fuzz, data):
+    config, batch = regret_case(kind)
+    m, d = batch.fresh_indices.shape[1], 2
+    features, labels, comparator = [[[0.25] * d] * m], [[0.5] * m], ORIGIN
+    if fuzz == "features":
+        features = fuzzed(data, (1, m, d), 0.25)
+    elif fuzz == "labels":
+        labels = fuzzed(data, (1, m), 0.5)
+    else:
+        comparator = data.draw(VECTORS)
+    regret = outcome(estimate_regret, batch, (features, labels), comparator, config)
+    if regret is not REFUSED:
+        assert real_entries(features) and real_entries(labels) and finite(regret)
 
 
 # The classes above as command-line text, one branch each, so every class

@@ -199,6 +199,28 @@ class TestMirrorStep:
         with pytest.raises(ConfigurationError):
             mirror_step(ball, np.zeros(2), np.zeros(2), 0.1)
 
+    @pytest.mark.parametrize("w, g, eta", [([0.5, 0.0], [1e308, 0.0], 1e308),
+                                           ([1e308, 0.0], [-1e308, 0.0], 1.0)],
+                             ids=["product", "difference"])
+    def test_overflowing_step_refused(self, w, g, eta):
+        # w - eta * g overflowed with a RuntimeWarning. Found by reading the
+        # cases tests/test_fuzz.py draws.
+        ball = FeasibleSet.l2_ball(0.5, dimension=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ConfigurationError, match="overflows"):
+                mirror_step(ball, w, g, eta)
+
+    def test_point_whose_squared_distance_overflows_refused(self):
+        # project_rows scales such a point by r/inf = 0, so project once
+        # returned the centre for (1e308, 1e308) instead of a boundary point.
+        ball = FeasibleSet.l2_ball(0.5, dimension=2)
+        with pytest.raises(ConfigurationError, match="overflows"):
+            ball.project([1e308, 1e308])
+        with pytest.raises(ConfigurationError, match="overflows"):
+            mirror_step(ball, [1e308, 1e308], [0.0, 0.0], 1.0)
+        np.testing.assert_allclose(ball.project([1e150, 1e150]), [0.5**1.5, 0.5**1.5])
+
 
 def test_invalid_set_construction():
     with pytest.raises(ConfigurationError):

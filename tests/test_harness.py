@@ -748,6 +748,22 @@ class TestCli:
             in capsys.readouterr().err
         assert not (tmp_path / "experiment").exists()
 
+    def test_run_curvature_without_finite_step_exit_2(self, tmp_path, capsys):
+        # B = 1.52e-154 has a normal square, but the hinge's curvature
+        # B^2/6 = 3.85e-309 made the reference minimizer's step inf: a
+        # RuntimeWarning, then a refusal that blamed a non-finite point.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rc = cli.main(["run", "--loss", "hinge", "--generator", "uniform_ball",
+                           "--dimension", "1", "--feature-bound", "1.52e-154",
+                           "--n-values", "16", "--epsilon-values", "max", "--repeats", "1",
+                           "--seed", "1", "--baseline-steps", "10000",
+                           "--output-dir", str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "feature_bound=1.52e-154" in err and "curvature 3.85e-309" in err
+        assert not (tmp_path / "experiment").exists()
+
     def test_audit_nan_sigma_exit_2(self, tmp_path, capsys):
         rc = cli.main(["audit", "--sigma", "nan", "--L", "1", "--eps-tilde", "0.5",
                        "--delta", "1e-6", "--seed", "1", "--output-dir", str(tmp_path)])

@@ -17,7 +17,7 @@ import math
 import numpy as np
 import pytest
 
-from dpmirror.errors import ConfigurationError
+from dpmirror.errors import ConfigurationError, as_real, check_count
 from dpmirror.geometry import FeasibleSet, mirror_step
 from dpmirror.harness import run_tau_sim
 from dpmirror.losses import LossOracle, PopulationSpec, draw_arrays, lipschitz_certificate
@@ -180,3 +180,11 @@ def test_seed_takes_any_non_negative_int():
     assert simulate_tau(16, 10, big).trials == 10
     assert audit_with(seed=big).edges.size == 4
     assert one_run(big).tau.shape == (1,)
+
+
+def test_int_too_long_to_print_refused():
+    # Python refuses to format an int of more than 4300 digits, so the
+    # refusal's own message once raised ValueError.
+    for check in (lambda v: check_count(v, "n"), lambda v: as_real(v, "eta")):
+        with pytest.raises(ConfigurationError, match="an int of 16610 bits"):
+            check(10**5000)

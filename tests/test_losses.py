@@ -1,9 +1,12 @@
 import hashlib
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dpmirror.errors import ConfigurationError
 from dpmirror.geometry import FeasibleSet
@@ -520,3 +523,118 @@ def test_oracle_refuses_unknown_kind_and_bad_constant(kind, lipschitz_L):
     # hinge gives 0), and a NaN L would let check_rows pass rows of any norm.
     with pytest.raises(ConfigurationError):
         LossOracle(kind, lipschitz_L)
+
+
+class TestCertificateBytes:
+    """LossOracle.fixed_slopes, fed FeasibleSet.reach, certifies a slope only
+    where slope_at gives that slope, bit for bit, at every iterate."""
+
+    def test_hinge_at_the_threshold(self):
+        oracle = LossOracle.hinge(1.0)
+        labels = np.array([2.0, -4.0, 0.0])
+        reach = np.array([0.5, 0.25, 7.0])   # |y| * reach = 1, 1 and 0
+        assert oracle.fixed_slopes(labels, lambda: reach).tobytes() == (-labels).tobytes()
+        reach[0] = np.nextafter(0.5, 1.0)
+        assert oracle.fixed_slopes(labels, lambda: reach) is None
+
+    def test_absolute_with_reach_equal_to_the_label(self):
+        oracle = LossOracle.absolute(1.0)
+        labels = np.array([1.0, -0.5])
+        assert oracle.fixed_slopes(labels, lambda: np.abs(labels)) is None
+        below = np.nextafter(np.abs(labels), 0.0)
+        assert oracle.fixed_slopes(labels, lambda: below).tolist() == [-1.0, 1.0]
+
+    def test_squared_computes_no_reach(self):
+        def reach():
+            raise AssertionError("the squared loss asked for a norm")
+
+        fs = FeasibleSet.l2_ball(0.5, dimension=2)
+        assert LossOracle.squared(1.0, fs).fixed_slopes(np.ones(3), reach) is None
+
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(st.integers(1, 64), st.sampled_from(["hinge", "absolute"]),
+           st.sampled_from(["ball", "box"]), st.integers(-30, 30), st.integers(-30, 30),
+           st.integers(0, 2**32 - 1))
+    def test_certified_slopes_are_slope_at(self, d, kind, set_kind, set_scale, label_scale,
+                                           seed):
+        # Rows sized so that their reach sits just inside the certificate,
+        # against iterates the projection returns on the boundary point
+        # along each row (the largest margin there) and inside the set.
+        rng, rows = np.random.default_rng(seed), 8
+        scale = math.ldexp(1.0, set_scale)
+        if set_kind == "ball":
+            center = scale * rng.normal(size=d) * rng.integers(0, 2)
+            fs = FeasibleSet.l2_ball(scale * rng.uniform(0.1, 1.0), center=center)
+            direction = rng.normal(size=(rows, d))
+        else:
+            lower = scale * rng.uniform(-1.0, 0.5, size=d)
+            fs = FeasibleSet.box(lower, lower + scale * rng.uniform(0.0, 1.0, size=d))
+            corner = np.maximum(np.abs(fs.lower), np.abs(fs.upper))
+            direction = (corner * np.where(np.abs(fs.upper) >= np.abs(fs.lower), 1.0, -1.0)
+                         + scale * 1e-3 * rng.normal(size=(rows, d)))
+        labels = (rng.choice([-1.0, 1.0], size=rows) * math.ldexp(1.0, label_scale)
+                  * rng.uniform(0.5, 1.0, size=rows))
+        oracle = getattr(LossOracle, kind)(1.0)
+        limit = 1.0 / np.abs(labels) if kind == "hinge" else np.abs(labels)
+        features = direction * (limit * (1.0 - 2.0 ** -50) / fs.reach(direction))[:, None]
+        slopes = oracle.fixed_slopes(labels, lambda: fs.reach(features))
+        assert slopes is not None
+        far = features / np.linalg.norm(features, axis=1)[:, None] * 4.0 * fs.max_norm()
+        for points in (fs.center if set_kind == "ball" else 0.0) + far, far * rng.uniform(
+                size=(rows, 1)) / 4.0:
+            w = fs.project_rows(points)
+            margins = np.einsum("...i,...i->...", w, features)
+            assert oracle.slope_at(margins, labels).tobytes() == slopes.tobytes()
+
+
+class TestRiskMemory:
+    @pytest.mark.parametrize("generator, w_true", [("uniform_ball", None),
+                                                   ("linear_margin", "zero")])
+    def test_population_without_a_label_axis_holds_no_identity(self, generator, w_true):
+        # population_risk once built np.eye(d)[0] for the direction of w = 0
+        # whenever the population had no label axis: 68.7 MB at d = 3000.
+        d = 3000
+        spec = PopulationSpec(generator, d, 1.0,
+                              w_true=None if w_true is None else np.zeros(d))
+        oracle = LossOracle.hinge(1.0)
+        w = np.full(d, 0.01)
+        population_risk(spec, oracle, w)
+        tracemalloc.start()
+        try:
+            population_risk(spec, oracle, w)
+            population_risk(spec, oracle, np.zeros(d))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000
+
+
+class TestRiskInputs:
+    @pytest.mark.parametrize("w, message", [
+        ([[0.1], [0.2, 0.3]], "rectangular"),
+        ([0.1, 0.2, 0.3], "shape"),
+        ([[[0.1, 0.2]]], "shape"),
+        ([0.1, math.nan], "finite"),
+        (["0.1", "0.2"], "real numbers"),
+        ([1e200, 0.0], "overflows"),
+    ], ids=["ragged", "wrong-length", "three-axes", "nan", "text", "overflowing-risk"])
+    def test_bad_point_refused(self, w, message):
+        # Each once ended in numpy's ValueError, a NaN risk or a
+        # RuntimeWarning. Found by tests/test_fuzz.py.
+        spec = PopulationSpec("uniform_ball", 2, 1.0)
+        fs = FeasibleSet.l2_ball(0.5, dimension=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ConfigurationError, match=message):
+                population_risk(spec, LossOracle.squared(1.0, fs), w)
+
+    def test_curvature_whose_reciprocal_overflows_refused(self):
+        # B = 1.52e-154 has a normal square, but B^2/6 does not, and the
+        # reference minimizer's step 1/beta was inf. A large d does the same.
+        with pytest.raises(ConfigurationError, match="feature_bound=1.52e-154.*curvature"):
+            risk_curvature(PopulationSpec("uniform_ball", 1, 1.52e-154), LossOracle.hinge(1.0))
+        with pytest.raises(ConfigurationError, match="curvature 0"):
+            risk_curvature(PopulationSpec("uniform_ball", 2**53, 1.5e-154),
+                           LossOracle.hinge(1.0))
+        assert risk_curvature(PopulationSpec("uniform_ball", 1, 1e-153),
+                              LossOracle.hinge(1.0)) > 0.0

@@ -1,10 +1,12 @@
 import hashlib
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
+import dpmirror.harness as harness_mod
 import dpmirror.optimizer as optimizer_mod
 from dpmirror import sampler
 from dpmirror.errors import ConfigurationError
@@ -229,6 +231,31 @@ class TestInputChecks:
             private_sgd(config, 0, (features, labels))
         labels[2] = 1.0   # the same row at label 1 sits exactly on L and runs
         assert private_sgd(config, 0, (features, labels)).tau[0] >= 9
+
+    @pytest.mark.parametrize("entry", ["", "0.1", [0.1]],
+                             ids=["empty-text", "number-text", "nested"])
+    def test_data_entry_that_is_not_a_real(self, entry):
+        # Text once ended in numpy's ValueError (and "0.1" ran as 0.1), and a
+        # ragged nesting in a ValueError too. Found by tests/test_fuzz.py.
+        features = np.full((1, 16, 2), 0.1).tolist()
+        features[0][3][1] = entry
+        labels = np.ones((1, 16)).tolist()
+        with pytest.raises(ConfigurationError, match="features"):
+            private_sgd_batch(self.config(), [1], features, labels)
+        labels[0][5] = entry
+        with pytest.raises(ConfigurationError, match="labels"):
+            private_sgd_batch(self.config(), [1], np.full((1, 16, 2), 0.1), labels)
+
+    def test_zero_label_beside_an_overflowing_feature_norm(self):
+        # A hinge row labelled 0 has a zero subgradient, but a feature row
+        # whose squared norm overflows made the certificate check 0 * inf
+        # (a RuntimeWarning, then a NaN that passed the comparison).
+        features, labels = constant_dataset(16, 2, value=0.1)
+        features[4], labels[4] = [1e200, 0.0], 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ConfigurationError, match="certified L"):
+                private_sgd(self.config(), 0, (features, labels))
 
     def test_batch_row_count_mismatch(self):
         features, labels = constant_dataset(16, 2)
@@ -540,6 +567,108 @@ class TestCornerBytes:
         assert batch.overrun.tolist() == [True, False, False, False, False]
 
 
+def record_fixed_slopes(monkeypatch):
+    """A list that gets, per noise chunk, whether LossOracle.fixed_slopes
+    certified its slopes."""
+    fixed, certify = [], LossOracle.fixed_slopes
+
+    def recorded(self, labels, reach):
+        slopes = certify(self, labels, reach)
+        fixed.append(slopes is not None)
+        return slopes
+
+    monkeypatch.setattr(LossOracle, "fixed_slopes", recorded)
+    return fixed
+
+
+class TestFixedSlopeBytes:
+    """Chunks whose slopes LossOracle.fixed_slopes certifies form their steps
+    in one pass, and equal the stepwise reference bit for bit, as the
+    chunks it does not certify do. The hinge cases of TestNoisyBytes and
+    TestCornerBytes are certified too (|y| = 1, ||x|| <= 1, sets of largest
+    norm at most 0.5*sqrt(2))."""
+
+    def check(self, kind, config, seeds, features, labels):
+        fs = config.feasible_set
+        if fs.kind == "l2_ball":
+            project = lambda x: project_ball(fs.center, fs.radius, x)  # noqa: E731
+        else:
+            project = lambda x: project_box(fs.lower, fs.upper, x)  # noqa: E731
+        batch = private_sgd_batch(config, seeds, features, labels)
+        for r, seed in enumerate(seeds):
+            tau, indices, iterates, output = stepwise_run(
+                config.n, config.eta, config.sigma, config.w1, seed, features[r], labels[r],
+                project, lambda w, x, y: plain_subgradient(kind, w, x, y))
+            assert batch.tau[r] == tau > NOISE_CHUNK_STEPS
+            assert batch.fresh_indices[r].tobytes() == indices.tobytes()
+            assert batch.fresh_iterates[r].tobytes() == iterates.tobytes()
+            assert batch.output[r].tobytes() == output.tobytes()
+
+    @pytest.mark.parametrize("sigma", [0.0, 0.7])
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("set_kind", ["ball", "box"])
+    def test_absolute_loss_with_unit_labels(self, set_kind, d, sigma, monkeypatch):
+        # |y| = 1 exceeds every margin on both sets, so every chunk is
+        # certified, with slope sign(-y).
+        n, seeds = 300, [31, 32]
+        features, _ = stacked_datasets(PopulationSpec("uniform_ball", d, 1.0), n, len(seeds),
+                                       first_seed=90)
+        labels = np.random.default_rng(91).choice([-1.0, 1.0], size=(len(seeds), n))
+        fs = (FeasibleSet.l2_ball(0.5, dimension=d) if set_kind == "ball"
+              else FeasibleSet.box([-0.5] * d, [0.5] * d))
+        config = RunConfig(n=n, eta=0.1, sigma=sigma, feasible_set=fs,
+                           oracle=LossOracle.absolute(1.0), w1=np.full(d, -0.0))
+        fixed = record_fixed_slopes(monkeypatch)
+        self.check("absolute", config, seeds, features, labels)
+        assert len(fixed) >= 2 and all(fixed)
+
+    def test_both_paths_alternate_within_a_row(self, monkeypatch):
+        # Two rows of norm 3 > 1/(|y| * 0.5), read fresh in the second and
+        # the fourth noise chunk, send those chunks down the step by step
+        # path; the first and third are certified.
+        n, d, seed = 600, 2, 41
+        features, labels = stacked_datasets(
+            PopulationSpec("linear_margin", d, 1.0, w_true=np.eye(d)[0], noise_rate=0.1),
+            n, 1, first_seed=92)
+        steps = optimizer_mod.draw_fresh_steps(n, [seed])
+        chunk = np.flatnonzero(steps.fresh[:-1, 0]) // NOISE_CHUNK_STEPS
+        assert chunk.max() >= 3
+        for c in (1, 3):
+            row = features[0, steps.fresh_indices[0, np.argmax(chunk == c)]]
+            row *= 3.0 / np.linalg.norm(row)
+        config = RunConfig(n=n, eta=0.1, sigma=0.7,
+                           feasible_set=FeasibleSet.l2_ball(0.5, dimension=d),
+                           oracle=LossOracle.hinge(3.0), w1=np.zeros(d))
+        fixed = record_fixed_slopes(monkeypatch)
+        self.check("hinge", config, [seed], features, labels)
+        assert fixed == [True, False, True, False] + [True] * (len(fixed) - 4)
+
+    @pytest.mark.parametrize("workload", ["grid", "grid-box"])
+    def test_grid_cell_calls_subgradient_only_off_the_certificate(self, workload,
+                                                                  monkeypatch):
+        # A grid-shaped cell (hinge, features of norm at most 1, the ball of
+        # radius 0.5) runs without LossOracle.subgradient; a grid-box-shaped
+        # cell (squared loss on the box) still calls it at every step.
+        keys = {"dimension": "10", "n_values": "100", "epsilon_values": "max",
+                "repeats": "4", "seed": "5", "baseline_steps": "10000"}
+        if workload == "grid-box":
+            keys.update(loss="squared", generator="uniform_ball", set="box",
+                        lower=",".join(["-0.5"] * 10), upper=",".join(["0.5"] * 10))
+        calls, subgradient = [], LossOracle.subgradient
+
+        def counted(self, w, features, labels):
+            assert workload == "grid-box", "the certified grid cell called subgradient"
+            calls.append(len(w))
+            return subgradient(self, w, features, labels)
+
+        monkeypatch.setattr(LossOracle, "subgradient", counted)
+        (cell,) = harness_mod.run_experiment(harness_mod.build_spec(keys)).cells
+        assert cell.overrun_runs == 0 and math.isfinite(cell.mean_excess_risk)
+        # Else one call per lockstep step of the 4 rows.
+        assert (not calls) if workload == "grid" else (len(calls) >= cell.mean_tau
+                                                      and set(calls) == {4})
+
+
 class TestBatchMemory:
     def test_peak_stays_linear_in_what_tau_reaches(self):
         # Per R*n, the run's own arrays peak at about 17.7 bytes with the
@@ -617,6 +746,34 @@ class TestRegret:
         run = private_sgd(config, 5, data)
         with pytest.raises(ConfigurationError):
             estimate_regret(run, read_rows(run, data), np.array([5.0, 0.0]), config)
+
+    @pytest.mark.parametrize("part, value, message", [
+        ("labels", math.inf, "finite"), ("features", math.nan, "finite"),
+        ("features", "x", "real numbers"), ("comparator", ["", 0.0], "comparator"),
+        ("labels", 1e300, "overflows"),
+    ], ids=["inf-label", "nan-feature", "text-feature", "text-comparator",
+            "overflowing-loss"])
+    def test_bad_rows_or_comparator_refused(self, part, value, message):
+        # An infinite label or a NaN feature once gave a RuntimeWarning or a
+        # NaN regret, text a ValueError, and a label of 1e300 an overflowing
+        # squared loss. Found by tests/test_fuzz.py.
+        fs = FeasibleSet.l2_ball(0.5, dimension=2)
+        config = RunConfig(n=16, eta=0.1, sigma=0.4, feasible_set=fs,
+                           oracle=LossOracle.squared(1.0, fs), w1=np.zeros(2))
+        features, labels = constant_dataset(16, 2, value=0.1, label=0.5)
+        run = private_sgd(config, 3, (features, labels))
+        x, y = (a.tolist() for a in read_rows(run, (features, labels)))
+        comparator = [0.0, 0.0]
+        if part == "labels":
+            y[0][2] = value
+        elif part == "features":
+            x[0][2][0] = value
+        else:
+            comparator = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ConfigurationError, match=message):
+                estimate_regret(run, (x, y), comparator, config)
 
     def test_unstacked_dataset_rejected(self):
         # The (n, d), (n,) dataset of private_sgd, passed instead of the

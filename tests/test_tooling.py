@@ -154,3 +154,54 @@ def test_dispatched_uses_are_found():
               "z = y ** 2 + y ** 0.5 + y ** -1 + np.float_power(y, d) + np.sqrt(y)\n")
     assert sorted(dispatched_uses(source)) == sorted(
         ["np.exp", "np.arcsin", "np.log1p", "y ** d", "y ** 3", "y ** -2"])
+
+
+# Classes and tests whose bytes are pinned; a rename that drops one of these
+# from the -k expression below fails test_dispatch_reruns_select_every_byte_test.
+BYTE_CLASSES = {"TestBatchGolden", "TestNoisyBytes", "TestCornerBytes", "TestFixedSlopeBytes",
+                "TestCertificateBytes", "TestRiskRowsBytes", "TestGoldenOutputs"}
+
+
+def byte_tests():
+    """(file, class, test) of every test method of a *Bytes or *Golden class
+    and every test named *digest* or *golden* in tests/, by reading the
+    source."""
+    found = set()
+    tests_dir = os.path.join(ROOT, "tests")
+    for name in sorted(os.listdir(tests_dir)):
+        if not (name.startswith("test_") and name.endswith(".py")):
+            continue
+        with open(os.path.join(tests_dir, name)) as fh:
+            tree = ast.parse(fh.read())
+        for node in tree.body:
+            owner = node.name if isinstance(node, ast.ClassDef) else None
+            members = node.body if owner else [node]
+            pinned = owner is not None and ("Bytes" in owner or "Golden" in owner)
+            for member in members:
+                if isinstance(member, ast.FunctionDef) and member.name.startswith("test") and (
+                        pinned or "digest" in member.name or "golden" in member.name):
+                    found.add((f"tests/{name}", owner, member.name))
+    return found
+
+
+def test_dispatch_reruns_select_every_byte_test():
+    # CI reruns the byte tests under other OpenBLAS kernels and with numpy's
+    # AVX-512 loops off, selected by one -k expression; every pinned test
+    # must be among them.
+    with open(os.path.join(ROOT, ".github", "workflows", "tier1.yml")) as fh:
+        workflow = fh.read()
+    step = workflow.split("- name: Byte-identity tests", 1)[1].split("- name:", 1)[0]
+    (expression,) = set(re.findall(r'-k "([^"]+)"', step))
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "--collect-only", "-q", "-p", "no:cacheprovider",
+         "-k", expression, "tests"],
+        cwd=ROOT, env=benchmark_env(), capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    selected = set()
+    for line in proc.stdout.splitlines():
+        parts = line.split("[", 1)[0].split("::")
+        if len(parts) >= 2:
+            selected.add((parts[0], parts[1] if len(parts) == 3 else None, parts[-1]))
+    wanted = byte_tests()
+    assert BYTE_CLASSES <= {owner for _, owner, _ in wanted}
+    assert sorted(wanted - selected) == []
