@@ -664,9 +664,10 @@ class TestFixedSlopeBytes:
         monkeypatch.setattr(LossOracle, "subgradient", counted)
         (cell,) = harness_mod.run_experiment(harness_mod.build_spec(keys)).cells
         assert cell.overrun_runs == 0 and math.isfinite(cell.mean_excess_risk)
-        # Else one call per lockstep step of the 4 rows.
-        assert (not calls) if workload == "grid" else (len(calls) >= cell.mean_tau
-                                                      and set(calls) == {4})
+        if workload == "grid":
+            assert not calls
+        else:   # one call per lockstep step of the 4 rows
+            assert len(calls) >= cell.mean_tau and set(calls) == {4}
 
 
 class TestBatchMemory:
