@@ -71,12 +71,17 @@ def check_real(value, name):
 def check_reals(value, name):
     """value as a float64 array: an array or rectangular nesting of finite
     reals, of numpy's int, uint or float dtypes or with every entry passing
-    as_real. A bool or text array is refused; a bool among numbers is
-    numpy's 0 or 1. The shape is the caller's to check."""
+    as_real. A bool or text array is refused, and so is a nesting with a
+    bool entry, which numpy would read as 0 or 1 among numbers. The shape
+    is the caller's to check."""
     try:
         array = np.asarray(value)
     except ValueError:   # a ragged nesting
         raise ConfigurationError(f"{name} must be a rectangular array") from None
+    if (not isinstance(value, np.ndarray) and array.dtype.kind in "iuf"
+            and any(isinstance(entry, (bool, np.bool_))
+                    for entry in np.asarray(value, dtype=object).ravel().tolist())):
+        raise ConfigurationError(f"{name} must hold real numbers, got a bool entry")
     if array.dtype.kind == "O":   # ints past 2**64, or entries numpy cannot type
         entries = [as_real(entry, f"{name} entry") for entry in array.ravel().tolist()]
         array = np.array(entries, dtype=float).reshape(array.shape)

@@ -55,6 +55,14 @@ class RunConfig:
     A run that has not stopped after MAX_STEPS_FACTOR * n steps is an
     overrun, reported rather than silently truncated (the stopping rule
     makes it exponentially unlikely at that cap).
+
+    No step checks for overflow, so eta and sigma are refused unless every
+    offset w - eta*g - c a step projects (w and c in the set) squares to a
+    finite norm: the subgradient's norm is at most L = oracle.lipschitz_L
+    (check_rows) and the noise's 14*sigma*sqrt(d) (|z| < 14, see
+    privacy.audit_grid_range), so (2B)^2 must be finite for B =
+    2*max_norm() + eta*(L + 14*sigma*sqrt(d)), the factor 2 covering every
+    rounding (relative error below (d + 8) * 2^-53).
     """
 
     n: int
@@ -74,6 +82,13 @@ class RunConfig:
                 f"RunConfig: sigma must be finite and >= 0, got {self.sigma!r}")
         if not self.feasible_set.contains(fields["w1"]):
             raise ConfigurationError("RunConfig: w1 lies outside the feasible set")
+        noise_norm = 14.0 * fields["sigma"] * math.sqrt(self.feasible_set.dimension)
+        step_bound = 2.0 * (2.0 * self.feasible_set.max_norm()
+                            + fields["eta"] * (self.oracle.lipschitz_L + noise_norm))
+        if not step_bound * step_bound < math.inf:
+            raise ConfigurationError(
+                f"RunConfig: eta={fields['eta']} and sigma={fields['sigma']} allow a step "
+                "whose squared norm overflows")
         for field, value in fields.items():
             object.__setattr__(self, field, value)
 
@@ -117,7 +132,7 @@ class FreshSteps:
     fresh_indices   (R, m) dataset index of each fresh step in step order,
                     m = n//2+1; 0 past an overrun row's last fresh step
     noise_streams   the rows' noise streams (sampler.TrialStreams); run_steps
-                    reads them, so a FreshSteps runs once
+                    starts each at its stream start, so a FreshSteps can run again
     """
 
     tau: np.ndarray
@@ -197,18 +212,21 @@ def run_steps(config, steps, features, labels, data_rows):
     reads, drawn after every value it uses, so each row equals the run made
     alone. The data are not checked here (check_rows).
 
-    Per chunk of NOISE_CHUNK_STEPS steps, each run's noise stream draws
-    standard_normal((k, d)) and keeps its place. A running cumsum of the
-    chunk's fresh mask gives every (step, row) its flat slot r*m + count - 1,
-    and one take each gathers its (chunk, R, d) features and (chunk, R)
-    labels, set to a zero row (label 1) at noise-only steps, where
-    g = subgradient + noise is exactly the noise. Where the oracle certifies
+    Each run's noise Generator is built once and kept live, about 0.75 KB
+    (less than its (k, d) chunk of normals) until run_steps returns: per
+    chunk of NOISE_CHUNK_STEPS steps it draws standard_normal((k, d)) where
+    its last chunk stopped, into one (R, k, d) buffer reused by every
+    chunk. A running cumsum of the chunk's fresh mask gives every (step,
+    row) its flat slot r*m + count - 1, and one take each gathers its
+    (chunk, R, d) features, into another reused buffer, and (chunk, R)
+    labels, set to a zero row (label 1) at noise-only steps, where g =
+    subgradient + noise is exactly the noise. Where the oracle certifies
     that no iterate the set holds can change a chunk's slopes
     (LossOracle.fixed_slopes), the chunk's eta * g is formed at once in the
     gathered features, and each step is one projection; the bits are those
-    of the step by step path. The iterates held at fresh
-    steps go to fresh_iterates in one scatter per chunk and into the
-    output's sum in step order, so memory stays O(R * chunk * d).
+    of the step by step path. The iterates held at fresh steps go to
+    fresh_iterates in one scatter per chunk and into the output's sum in
+    step order, so memory stays O(R * chunk * d).
     """
     rows, target = steps.fresh_indices.shape
     d = config.feasible_set.dimension
@@ -220,10 +238,14 @@ def run_steps(config, steps, features, labels, data_rows):
     total = np.zeros((rows, d))
     steps_taken = len(steps.fresh) - 1
     held = np.empty((min(NOISE_CHUNK_STEPS, steps_taken), rows, d))
+    noise_rngs = [steps.noise_streams.stream(r) for r in range(rows)]
+    noise_buffer, x_buffer = (np.empty(rows * len(held) * d) for _ in range(2))
     seen = 0
     for chunk_start in range(0, steps_taken, NOISE_CHUNK_STEPS):
         k = min(NOISE_CHUNK_STEPS, steps_taken - chunk_start)
-        noise = steps.noise_streams.standard_normal((k, d))
+        noise = noise_buffer[:rows * k * d].reshape(rows, k, d)
+        for rng, row_noise in zip(noise_rngs, noise):
+            rng.standard_normal(out=row_noise)
         noise *= config.sigma
         mask = steps.fresh[chunk_start:chunk_start + k]
         stale = ~mask[..., None]
@@ -233,7 +255,10 @@ def run_steps(config, steps, features, labels, data_rows):
         data = flat_rows.take(slots)
         # A noise-only step reads a zero row with label 1: slope -1 under
         # each loss, so a -0.0 subgradient, which keeps every bit of the noise.
-        x = features.take(data, axis=0)
+        # Every index is a data row, so mode="clip" changes nothing but lets
+        # take write to out unbuffered.
+        x = features.take(data, axis=0, mode="clip",
+                          out=x_buffer[:k * rows * d].reshape(k, rows, d))
         np.copyto(x, 0.0, where=stale)
         y = np.where(mask, labels.take(data), 1.0)
         noise = noise.swapaxes(0, 1)

@@ -21,6 +21,7 @@ np.histogram's over one whole draw per side (see audit_single_step).
 """
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,12 +62,13 @@ def calibrate_sigma(L, delta, epsilon_tilde):
     """Noise scale making one gradient step (epsilon_tilde, delta)-DP.
 
     sigma = L * sqrt(3 * ln(1/delta)) / epsilon_tilde, with L the bound on
-    gradient norms (the step's sensitivity).
+    gradient norms (the step's sensitivity). A sigma that overflows or is
+    below the smallest normal float (imprecise, or 0: no noise) is refused.
     """
     L, epsilon_tilde = check_real(L, "L"), check_real(epsilon_tilde, "epsilon_tilde")
     delta = _check_delta(delta)
     sigma = L * math.sqrt(3.0 * math.log(1.0 / delta)) / epsilon_tilde
-    if not math.isfinite(sigma):
+    if not sys.float_info.min <= sigma < math.inf:
         raise ConfigurationError(
             f"L={L}, delta={delta}, epsilon_tilde={epsilon_tilde} give sigma={sigma}")
     return sigma
@@ -111,8 +113,9 @@ def end_to_end(n, epsilon, delta, delta_prime, L, D, d):
     and the guarantee (4*epsilon*(sqrt(ln(1/delta')) + 2),
     delta + delta' + 2*exp(-n/16)), where the exponential term is the
     probability the run fails to stop within 2n steps, and risk_bound at
-    this sigma. A sigma, reported epsilon or risk_bound that overflows, or
-    an eta that underflows to 0, is refused rather than printed.
+    this sigma. A sigma, reported epsilon or risk_bound that overflows, an
+    eta that underflows to 0, and a sigma or risk_bound below the smallest
+    normal float (imprecise, or 0) are refused rather than printed.
 
     Regime: at the grid's epsilon = 1/(2*sqrt(n)) the privacy term
     20LD*sqrt(d*ln(1/delta))/(epsilon*n) is 40LD*sqrt(d*ln(1/delta))/sqrt(n)
@@ -143,11 +146,13 @@ def end_to_end(n, epsilon, delta, delta_prime, L, D, d):
         ),
     )
     eta, bound = step_size(n, sigma, L, D, d), risk_bound(n, sigma, L, D, d)
-    if not (all(map(math.isfinite, (sigma, eta, report.epsilon, bound))) and eta > 0.0):
+    if not (all(map(math.isfinite, (sigma, eta, report.epsilon, bound))) and eta > 0.0
+            and min(sigma, bound) >= sys.float_info.min):
         raise ConfigurationError(
             f"n={n}, epsilon={epsilon}, delta={delta}, delta_prime={delta_prime}, L={L}, "
             f"D={D}, d={d} give sigma={sigma}, eta={eta}, report epsilon={report.epsilon} "
-            f"and risk_bound={bound}; each must be finite and eta positive")
+            f"and risk_bound={bound}; each must be finite, eta positive, and sigma and "
+            "risk_bound normal floats")
     return EndToEndPlan(sigma=sigma, eta=eta, report=report, risk_bound=bound)
 
 
@@ -178,6 +183,9 @@ def from_target(eps_bar, delta_bar, n):
     delta = delta_bar / 3.0
     _check_delta(delta, "delta_bar/3")
     epsilon = eps_bar / (8.0 * math.sqrt(math.log(1.0 / delta)))
+    if epsilon < sys.float_info.min:   # rounded by up to half, or to 0
+        raise ConfigurationError(f"eps_bar={eps_bar} gives epsilon={epsilon}, "
+                                 "below the smallest normal float")
     limit = epsilon_limit(n)
     if epsilon > limit:
         raise RegimeError(
@@ -232,8 +240,9 @@ def audit_single_step(sigma, L, epsilon_tilde, delta, trials,
 
     Each side's draws pass through one reused block of AUDIT_BLOCK float64s
     (512 KB), so memory does not depend on trials. Each block is sorted in
-    place (np.histogram would sort a copy) and counted with one
-    searchsorted of the interior edges. The counts are np.histogram's over
+    place (np.histogram would sort a copy); its searchsorted of the interior
+    edges adds to the side's counts below each edge, and one diff per side
+    gives the cells. The counts are np.histogram's over
     one standard_normal(trials) draw per side, byte for byte: the Generator
     keeps no normal between calls, so the blocks concatenate to that draw;
     scaling in place rounds as the whole-array expression does; cell k
@@ -260,7 +269,7 @@ def audit_single_step(sigma, L, epsilon_tilde, delta, trials,
     # sigma*z (+ L) does.
     rng = seeded_streams(seed, 0xA0D1).stream(0)
     block = np.empty(min(trials, AUDIT_BLOCK))
-    counts = np.zeros((2, grid_cells), dtype=np.int64)
+    below = np.zeros((2, grid_cells - 1), dtype=np.int64)   # draws below each interior edge
     for side in (0, 1):
         for start in range(0, trials, AUDIT_BLOCK):
             part = block[:min(AUDIT_BLOCK, trials - start)]
@@ -269,7 +278,8 @@ def audit_single_step(sigma, L, epsilon_tilde, delta, trials,
             if side:
                 part += L
             part.sort()
-            counts[side] += np.diff(part.searchsorted(interior), prepend=0, append=part.size)
+            below[side] += part.searchsorted(interior)
+    counts = np.diff(below, prepend=0, append=trials)
 
     # Row 0 tests each cell as "S against e^eps * S' + delta", row 1 the
     # reverse, each with the binomial stderr of that difference. Variances

@@ -9,15 +9,15 @@ stream, stopping_times reads all rows at once, and only the rare row whose
 tau falls past its block draws more. Integer draws of one generator
 concatenate, so tau does not depend on how a stream is cut into blocks.
 
-Every seed in dpmirror becomes its streams here: _pcg64_states repeats
-numpy's SeedSequence and PCG64 seeding bit for bit as array arithmetic,
-one entropy column per stream (simulate_tau's trials, the engine's index
-and noise streams, the harness's data streams and run seeds, the audit's
-stream). TrialStreams keeps the states packed and restores one row at a
-time into one reused Generator. First blocks need no Generator call: they
-are decoded from raw 64-bit words with the bounded-integer method numpy's
-integers uses (Lemire, "Fast random integer generation in an interval",
-ACM TOMACS 2019).
+Every seed in dpmirror becomes its streams here: _generate_state repeats
+numpy's SeedSequence as array arithmetic, one entropy column per stream
+(simulate_tau's trials, the engine's index and noise streams, the
+harness's data streams and run seeds, the audit's stream), and
+TrialStreams keeps each stream as the generate_state words its PCG64 is
+seeded from. First blocks need no Generator call: they are decoded from
+raw 64-bit words with the bounded-integer method numpy's integers uses
+(Lemire, "Fast random integer generation in an interval", ACM TOMACS
+2019).
 """
 
 import math
@@ -128,12 +128,11 @@ def rows_per_chunk(n, cap=math.inf):
 
 _MASK32 = (1 << 32) - 1
 
-# numpy's SeedSequence (O'Neill's seed_seq_fe: hashmix, mix and
-# generate_state) and PCG64 seeding (pcg_setseq_128_srandom_r) constants.
+# numpy's SeedSequence constants (O'Neill's seed_seq_fe: hashmix, mix and
+# generate_state).
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 
 def _hasher(multiplier, step):
@@ -152,29 +151,6 @@ def _mix(x, y):
     return result ^ (result >> np.uint32(16))
 
 
-# 128-bit numbers are four 32-bit limbs, low first, each a uint64 array.
-def _carry(columns):
-    """Column sums (column k weighs 2**(32k)) as 32-bit limbs, mod 2**128."""
-    limbs, carry = [], 0
-    for column in columns:
-        total = column + carry
-        limbs.append(total & _MASK32)
-        carry = total >> 32
-    return limbs
-
-
-def _mul128(a, constant):
-    """a * constant mod 2**128."""
-    columns = [0] * 4
-    for i in range(4):
-        for j in range(4 - i):
-            product = a[i] * ((constant >> 32 * j) & _MASK32)
-            columns[i + j] = columns[i + j] + (product & _MASK32)
-            if i + j < 3:
-                columns[i + j + 1] = columns[i + j + 1] + (product >> 32)
-    return _carry(columns)
-
-
 def _words(value):
     """An int as SeedSequence reads it: its uint32 words, least significant first."""
     return [value >> 32 * k & _MASK32 for k in range(max(1, (value.bit_length() + 31) // 32))]
@@ -191,10 +167,10 @@ def _entropy(parts):
 
 
 def _generate_state(entropy):
-    """SeedSequence's generate_state(8) for each entropy column, as eight
-    uint64 arrays of uint32 words: the first four entropy words are hashed
-    into the pool, each later word mixed into every pool word, and the pool
-    hashed out in turn."""
+    """SeedSequence's generate_state(4, uint64) for each entropy column, as a
+    (columns, 4) uint64 array: the first four entropy words are hashed into
+    the pool, each later word mixed into every pool word, and the pool
+    hashed out in turn into eight uint32 words, which pair up low word first."""
     hashmix = _hasher(_INIT_A, _MULT_A)
     pool = [hashmix(word) for word in entropy[:4]]
     for src in range(4):
@@ -205,76 +181,58 @@ def _generate_state(entropy):
         for dst in range(4):
             pool[dst] = _mix(pool[dst], hashmix(word))
     hashmix = _hasher(_INIT_B, _MULT_B)
-    return [hashmix(pool[i % 4]).astype(np.uint64) for i in range(8)]
+    out = np.stack([hashmix(pool[i % 4]) for i in range(8)], axis=1)
+    return out.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
 
 
-def _pcg64_states(entropy):
-    """The PCG64 state SeedSequence seeds from each column of an assembled
-    (words, streams) uint32 entropy array, packed: row i is [state >> 64,
-    state & mask, inc >> 64, inc & mask] of stream i, as uint64.
+class SeedWords:
+    """A stream's SeedSequence as PCG64 reads it: the (4,) uint64 words of
+    its generate_state(4, uint64). TrialStreams registers it as numpy's
+    ISeedSequence when first built, so that import dpmirror leaves
+    numpy.random unimported; PCG64 then seeds itself from the words in C."""
 
-    PCG64 reads generate_state(4, uint64) and sets inc = (initseq << 1) | 1
-    and state = (inc + initstate) * M + inc, mod 2**128.
-    """
-    out = _generate_state(entropy)
-    # generate_state's uint64 words k are out[2k] | out[2k + 1] << 32;
-    # initstate = k0 << 64 | k1 and initseq = k2 << 64 | k3.
-    initstate = [out[2], out[3], out[0], out[1]]
-    initseq = [out[6], out[7], out[4], out[5]]
-    inc = [(initseq[0] << 1 | 1) & _MASK32] + [
-        (initseq[k] << 1 | initseq[k - 1] >> 31) & _MASK32 for k in (1, 2, 3)]
-    start = _mul128(_carry([x + y for x, y in zip(inc, initstate)]), _PCG64_MULT)
-    state = _carry([x + y for x, y in zip(start, inc)])
-    packed = np.empty((entropy.shape[1], 4), dtype=np.uint64)
-    for col, (hi, lo) in enumerate([(state[3], state[2]), (state[1], state[0]),
-                                    (inc[3], inc[2]), (inc[1], inc[0])]):
-        packed[:, col] = hi << 32 | lo
-    return packed
+    __slots__ = ("words",)
+
+    def __init__(self, words):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        """SeedSequence's generate_state(n_words, dtype), for the uint64 words held."""
+        if np.dtype(dtype) != np.uint64 or n_words > len(self.words):
+            raise ValueError(f"SeedWords holds {len(self.words)} uint64 words")
+        return self.words[:n_words]
 
 
 class TrialStreams:
-    """Packed PCG64 streams (state and increment, 32 bytes a row) read through
-    one shared Generator: stream(r) restores row r, which then draws what a
-    generator seeded the same way would; standard_normal draws each row's
-    next normals and stores its state back (normals buffer no half-word)."""
+    """Streams as the generate_state(4, uint64) words of their
+    SeedSequences, 32 bytes a row. stream(r) builds row r's Generator at its
+    stream start, Generator(PCG64(SeedWords(words))), which draws what
+    default_rng of that SeedSequence draws."""
 
-    def __init__(self, packed):
-        self._packed = packed
-        self._bit_generator = np.random.PCG64(0)
-        self._rng = np.random.Generator(self._bit_generator)
+    def __init__(self, words):
+        from numpy.random.bit_generator import ISeedSequence
+        ISeedSequence.register(SeedWords)   # a no-op once registered
+        words.flags.writeable = False   # SeedWords hands PCG64 views of it
+        self._words = words
 
     def __len__(self):
-        return len(self._packed)
+        return len(self._words)
 
     def stream(self, row):
-        hi, lo, inc_hi, inc_lo = self._packed[row].tolist()
-        self._bit_generator.state = {
-            "bit_generator": "PCG64",
-            "state": {"state": hi << 64 | lo, "inc": inc_hi << 64 | inc_lo},
-            "has_uint32": 0, "uinteger": 0}
-        return self._rng
-
-    def standard_normal(self, shape):
-        """Each row's next standard_normal(shape), as (rows, *shape)."""
-        out = np.empty((len(self), *shape))
-        for row in range(len(self)):
-            self.stream(row).standard_normal(out=out[row])
-            state = self._bit_generator.state["state"]["state"]
-            self._packed[row, :2] = divmod(state, 1 << 64)
-        return out
+        return np.random.Generator(np.random.PCG64(SeedWords(self._words[row])))
 
 
 def seeded_streams(*parts):
     """TrialStreams of the default_rng streams of SeedSequence entropy
     [*parts], one row per column of _entropy(parts)."""
-    return TrialStreams(_pcg64_states(_entropy(parts)))
+    return TrialStreams(_generate_state(_entropy(parts)))
 
 
 def derived_seeds(*parts):
-    """SeedSequence's generate_state(1, uint64)[0] for entropy [*parts], one
-    int per column of _entropy(parts)."""
-    out = _generate_state(_entropy(parts))
-    return (out[0] | out[1] << np.uint64(32)).tolist()
+    """SeedSequence's generate_state(1, uint64)[0] for entropy [*parts], the
+    first of its generate_state(4, uint64) words, one int per column of
+    _entropy(parts)."""
+    return _generate_state(_entropy(parts))[:, 0].tolist()
 
 
 def spawned_streams(seeds):
@@ -290,7 +248,7 @@ def spawned_streams(seeds):
         rows = np.flatnonzero(width == size)
         columns = np.array([words[r] for r in rows], dtype=np.uint32).T
         for key in (0, 1):
-            children[key, rows] = _pcg64_states(_entropy([*columns, key]))
+            children[key, rows] = _generate_state(_entropy([*columns, key]))
     return TrialStreams(children[0]), TrialStreams(children[1])
 
 

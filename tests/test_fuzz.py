@@ -2,19 +2,21 @@
 constructors that use them (RunConfig, FeasibleSet, LossOracle and
 PopulationSpec), of the numeric inputs of private_sgd_batch,
 population_risk, mirror_step, simulate_tau, draw_dataset and
-estimate_regret, and of every CLI command.
+estimate_regret, of the accountant's calibrate_sigma, end_to_end,
+from_target and audit_single_step, and of every CLI command.
 
 Every input is drawn from bools, Python and numpy scalars, +-0.0,
 subnormals, +-inf, NaN, 1e308, ints past 2**63, short strings and None.
 Each call must either be accepted with its rule holding or be refused
-with ConfigurationError: any other exception, and any warning, fails the
-test. Where the rule is a plain statement about the value, the test also
+with ConfigurationError (or, by the accountant, RegimeError): any other
+exception, and any warning, fails the test. Where the rule is a plain statement about the value, the test also
 checks that the value is accepted exactly when the rule holds; the
 statement is written with the numbers ABCs, not with the checkers' own
 isinstance tests. A function's result must be finite. Nothing here does
 work in proportion to a value, so a huge accepted count costs nothing;
 the counts that size a function's work (simulate_tau's n and trials,
-draw_dataset's n) fold an accepted count to at most 40. Data arrays get
+draw_dataset's n, audit_single_step's trials) fold an accepted count to
+at most 40, or 7000 trials. Data arrays get
 one or two entries from the classes among good ones. Runs are
 derandomized and keep no example database, so every run tries the same
 inputs.
@@ -44,10 +46,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dpmirror import cli
-from dpmirror.errors import ConfigurationError, as_real, check_count, check_real, check_vector
+from dpmirror.errors import (ConfigurationError, RegimeError, as_real, check_count, check_real,
+                             check_vector)
 from dpmirror.geometry import FeasibleSet, mirror_step
 from dpmirror.losses import LossOracle, PopulationSpec, draw_dataset, population_risk
 from dpmirror.optimizer import RunConfig, estimate_regret, private_sgd_batch
+from dpmirror.privacy import audit_single_step, calibrate_sigma, end_to_end, from_target
 from dpmirror.sampler import simulate_tau
 
 FUZZ = settings(derandomize=True, database=None, max_examples=200, deadline=None)
@@ -150,6 +154,11 @@ def test_run_config(n, eta, sigma, w1):
                      oracle=LossOracle.hinge(1.0), w1=w1)
     scalars_ok = (is_count(n) and 1 <= n <= 2**53 and finite_positive(eta)
                   and is_real(sigma) and 0 <= sigma < math.inf)
+    if scalars_ok:
+        # A step's offset from the centre has norm at most 2*0.5 + eta*(L +
+        # 14*sigma*sqrt(2)) (L = 1); twice that must square to a finite float.
+        bound = 2.0 * (1.0 + float(eta) * (1.0 + 14.0 * float(sigma) * math.sqrt(2.0)))
+        scalars_ok = bound * bound < math.inf
     if w1 is ORIGIN:
         assert (config is not REFUSED) == scalars_ok
     if config is not REFUSED:
@@ -236,10 +245,8 @@ def finite(*arrays):
 
 
 def real_entries(nested):
-    """Whether every entry of a nested list is a finite real (or a bool,
-    which numpy takes as 0 or 1 among reals)."""
-    return all(isinstance(v, (bool, np.bool_)) or (is_real(v) and math.isfinite(v))
-               for v in np.array(nested, dtype=object).ravel())
+    """Whether every entry of a nested list is a finite real (never a bool)."""
+    return all(is_real(v) and math.isfinite(v) for v in np.array(nested, dtype=object).ravel())
 
 
 LOSSES = st.sampled_from(["hinge", "absolute", "squared"])
@@ -348,6 +355,104 @@ def test_estimate_regret(kind, fuzz, data):
     regret = outcome(estimate_regret, batch, (features, labels), comparator, config)
     if regret is not REFUSED:
         assert real_entries(features) and real_entries(labels) and finite(regret)
+
+
+def accounted(call, **kwargs):
+    """call(**kwargs), or REFUSED on a ConfigurationError or RegimeError; a
+    warning raises."""
+    try:
+        return outcome(call, **kwargs)
+    except RegimeError:
+        return REFUSED
+
+
+def fuzz_keywords(data, good, sizes=None):
+    """good with one or two of its keywords drawn from SCALARS (from sizes[key]
+    instead for a keyword that sizes the work)."""
+    sizes = sizes or {}
+    chosen = data.draw(st.lists(st.sampled_from(sorted(good)), min_size=1, max_size=2,
+                                unique=True))
+    return {**good, **{key: data.draw(sizes.get(key, SCALARS), label=key) for key in chosen}}
+
+
+def in_unit_interval(value):
+    return is_real(value) and 0 < value < 1
+
+
+@FUZZ
+@given(st.data())
+def test_calibrate_sigma(data):
+    args = fuzz_keywords(data, {"L": 1.0, "delta": 1e-6, "epsilon_tilde": 0.5})
+    sigma = accounted(calibrate_sigma, **args)
+    if sigma is not REFUSED:
+        assert finite_positive(args["L"]) and finite_positive(args["epsilon_tilde"])
+        assert in_unit_interval(args["delta"])
+        assert type(sigma) is float and finite_positive(sigma)
+
+
+END_TO_END = {"n": 400, "epsilon": 0.02, "delta": 1e-6, "delta_prime": 1e-6,
+              "L": 1.0, "D": 1.0, "d": 2}
+
+
+def plan_numbers(plan):
+    return [plan.sigma, plan.eta, plan.risk_bound, plan.report.epsilon,
+            plan.report.delta_total]
+
+
+@FUZZ
+@given(st.data())
+def test_end_to_end(data):
+    args = fuzz_keywords(data, END_TO_END)
+    plan = accounted(end_to_end, **args)
+    if plan is not REFUSED:
+        assert is_count(args["n"]) and 16 <= args["n"] <= 2**53
+        assert is_count(args["d"]) and 1 <= args["d"] <= 2**53
+        assert all(map(finite_positive, (args["epsilon"], args["L"], args["D"])))
+        assert in_unit_interval(args["delta"]) and in_unit_interval(args["delta_prime"])
+        assert all(type(v) is float and finite_positive(v) for v in plan_numbers(plan))
+
+
+@FUZZ
+@given(st.data())
+def test_from_target(data):
+    # An accepted split fed to end_to_end gives a report within the target,
+    # or end_to_end refuses it as it refuses any other input.
+    args = fuzz_keywords(data, {"eps_bar": 0.5, "delta_bar": 1e-4, "n": 400})
+    budget = accounted(from_target, **args)
+    if budget is REFUSED:
+        return
+    assert finite_positive(args["eps_bar"]) and finite_positive(args["delta_bar"])
+    assert is_count(args["n"]) and 16 <= args["n"] <= 2**53
+    assert type(budget.epsilon) is float and finite_positive(budget.epsilon)
+    assert in_unit_interval(budget.delta) and budget.delta_prime == budget.delta
+    plan = accounted(end_to_end, **{**END_TO_END, "n": args["n"], "epsilon": budget.epsilon,
+                                    "delta": budget.delta, "delta_prime": budget.delta_prime})
+    if plan is not REFUSED:
+        assert plan.report.epsilon <= args["eps_bar"] * (1 + 1e-12)
+        assert plan.report.delta_total <= args["delta_bar"] * (1 + 1e-12)
+
+
+AUDIT = {"sigma": 6.0, "L": 1.0, "epsilon_tilde": 0.5, "delta": 1e-6, "trials": 6000,
+         "grid_cells": 3, "seed": 7}
+AUDIT_TRIALS = SCALARS.map(lambda v: 6000 + v % 1000 if is_count(v) and 7000 < v else v)
+
+
+@FUZZ
+@given(st.data())
+def test_audit_single_step(data):
+    args = fuzz_keywords(data, AUDIT, {"trials": AUDIT_TRIALS})
+    result = accounted(audit_single_step, **args)
+    if result is REFUSED:
+        return
+    assert all(map(finite_positive, (args["sigma"], args["L"], args["epsilon_tilde"])))
+    assert in_unit_interval(args["delta"]) and is_count(args["seed"]) and args["seed"] >= 0
+    cells = args["grid_cells"]
+    assert is_count(cells) and 3 <= cells <= 500 and args["trials"] >= 2000 * cells
+    assert finite(result.max_violation, result.max_violation_stderr, result.violation,
+                  result.p_s, result.p_sprime, result.edges[1:-1])
+    assert result.edges.shape == (cells + 1,) and np.all(np.diff(result.edges) > 0)
+    for p in (result.p_s, result.p_sprime):
+        assert math.isclose(p.sum(), 1.0, rel_tol=1e-12)
 
 
 # The classes above as command-line text, one branch each, so every class

@@ -26,7 +26,7 @@ from dpmirror.losses import (RISK_QUADRATURE_BOUND, LossOracle, PopulationSpec, 
                              population_risk)
 from dpmirror.optimizer import RunConfig, estimate_regret, private_sgd_batch, run_steps
 from dpmirror.privacy import risk_bound
-from dpmirror.sampler import simulate_tau
+from dpmirror.sampler import SeedWords, simulate_tau
 
 
 def always_overruns(*args):
@@ -492,8 +492,10 @@ class TestFreshRows:
 
 
 class TestSeedingPerCall:
-    """Every stream is a row of packed state in sampler: the generators that
-    one private_sgd_batch call or one run cell builds do not grow with R."""
+    """Every stream is a row of SeedSequence words in sampler, and a stream
+    is started as one PCG64 seeded from its row's words, in one Generator:
+    no SeedSequence or default_rng is built, and no PCG64 is seeded from an
+    int or from entropy."""
 
     @staticmethod
     def constructions(monkeypatch, call):
@@ -502,32 +504,51 @@ class TestSeedingPerCall:
             for name in ("SeedSequence", "default_rng", "PCG64", "Generator"):
                 def counting(*args, _name=name, _build=getattr(np.random, name), **kwargs):
                     counts[_name] += 1
+                    if _name == "PCG64":
+                        assert not kwargs and [type(a) for a in args] == [SeedWords]
                     return _build(*args, **kwargs)
                 patch.setattr(np.random, name, counting)
             call()
         return counts
 
+    # At n = 16 no first-block draw is rejected (16 divides 2**32), and at
+    # these seeds no run's tau falls past its first block, so no stream is
+    # started a second time.
     def test_engine_call(self, monkeypatch):
+        # One stream start per index stream and one per noise stream.
         fs = FeasibleSet.l2_ball(0.5, dimension=2)
         config = RunConfig(n=16, eta=0.1, sigma=0.5, feasible_set=fs,
                            oracle=LossOracle.hinge(1.0), w1=np.zeros(2))
         rng = np.random.default_rng(3)
         features = rng.uniform(-0.5, 0.5, size=(200, 16, 2))
         labels = rng.choice([-1.0, 1.0], size=(200, 16))
-        one, many = (self.constructions(monkeypatch, lambda rows=rows: private_sgd_batch(
-            config, list(range(rows)), features[:rows], labels[:rows])) for rows in (1, 200))
-        assert one == many
-        assert one["SeedSequence"] == one["default_rng"] == 0
+        for rows in (1, 200):
+            counts = self.constructions(monkeypatch, lambda: private_sgd_batch(
+                config, list(range(rows)), features[:rows], labels[:rows]))
+            assert counts == collections.Counter(PCG64=2 * rows, Generator=2 * rows)
 
     def test_run_cell(self, monkeypatch, tmp_path):
-        one, many = (self.constructions(monkeypatch, lambda spec=build_spec(base_overrides(
-            tmp_path, repeats=str(repeats))): harness_mod.run_experiment(spec))
-            for repeats in (1, 200))
-        assert one == many
-        assert one["SeedSequence"] == one["default_rng"] == 0
+        # One more per repeat's data stream.
+        for repeats in (1, 200):
+            spec = build_spec(base_overrides(tmp_path, repeats=str(repeats)))
+            counts = self.constructions(monkeypatch, lambda: harness_mod.run_experiment(spec))
+            assert counts == collections.Counter(PCG64=3 * repeats, Generator=3 * repeats)
 
 
 class TestCli:
+    def test_import_leaves_numpy_random_unimported(self):
+        # numpy.random costs about 10 ms to import; it is imported when a
+        # command first starts a stream, so import dpmirror and its CLI
+        # module leave it out.
+        code = ("import sys\n"
+                "import dpmirror, dpmirror.cli\n"
+                "print('numpy.random' in sys.modules)\n")
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=src), timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split()[-1] == "False"
+
     def test_run_leaves_numpy_ma_unimported(self, tmp_path):
         # numpy.ma costs a run about 17 ms and 1 MB to import, and np.unique
         # imports it on its first call; a run must not. A fresh interpreter

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import tracemalloc
+import types
 import warnings
 
 import numpy as np
@@ -160,6 +161,39 @@ class TestInputChecks:
     def test_config_checked_when_built(self, changes):
         with pytest.raises(ConfigurationError):
             self.config(**changes)
+
+    @pytest.mark.parametrize("changes", [dict(eta=1e160), dict(eta=1.0, sigma=1e160),
+                                         dict(sigma=1e307)],
+                             ids=["eta", "sigma", "noise-norm"])
+    def test_step_that_could_overflow_refused(self, changes):
+        # On the ball of radius 0.5 a step of eta = 1e160 once ran with no
+        # warning and held (0, 0) at every step: project_rows maps a point
+        # whose squared norm overflows to the centre.
+        with pytest.raises(ConfigurationError, match="overflows"):
+            self.config(**changes)
+
+    def test_largest_steps_stay_on_the_sphere(self):
+        # Steps of norm about 1e152 are accepted: their squares are finite,
+        # so every iterate is projected onto the sphere, with no warning.
+        features, labels = constant_dataset(16, 2, value=0.1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            run = private_sgd(self.config(eta=1e150), 0, (features, labels))
+        norms = np.linalg.norm(run.fresh_iterates[0, 1:], axis=1)
+        assert np.allclose(norms, 0.5, rtol=1e-12)
+
+    def test_bool_data_entry_refused(self):
+        # A bool among numbers in a nested list once ran as 0 or 1; an
+        # ndarray of bool dtype was refused already.
+        features, labels = constant_dataset(16, 2, value=0.1)
+        rows = features.tolist()
+        rows[0][0] = True
+        for bad in ([rows, labels], [features, [np.True_] + labels.tolist()[1:]],
+                    [features.astype(bool), labels]):
+            with pytest.raises(ConfigurationError, match="real numbers"):
+                private_sgd(self.config(), 0, bad)
+        run = private_sgd(self.config(), 0, (features.tolist(), labels.tolist()))
+        assert np.isfinite(run.output).all()
 
     def test_config_holds_a_read_only_copy_of_w1(self):
         # A checked w1 cannot be moved outside the set afterwards.
@@ -492,6 +526,62 @@ class TestNoisyBytes:
             assert batch.output[r].tobytes() == output.tobytes()
             boundary_iterates += sum(on_boundary(w) for w in iterates)
         assert boundary_iterates > 0
+
+
+class TestLiveNoiseGenerators:
+    def test_each_run_draws_one_stream_across_chunks(self, monkeypatch):
+        # run_steps starts each run's noise stream once and keeps its
+        # Generator live: the normals it draws chunk by chunk, with the
+        # other runs drawing between them, are one standard_normal draw of
+        # the freshly built child, at any chunk length.
+        n, d, seeds = 40, 2, [4, 2 ** 33, 7]
+        features = np.full((len(seeds) * n, d), 0.1)
+        labels = np.ones(len(seeds) * n)
+        config = RunConfig(n=n, eta=0.1, sigma=0.7,
+                           feasible_set=FeasibleSet.l2_ball(0.5, dimension=d),
+                           oracle=LossOracle.hinge(1.0), w1=np.zeros(d))
+        outputs = []
+        for chunk in (3, 7, NOISE_CHUNK_STEPS):
+            monkeypatch.setattr(optimizer_mod, "NOISE_CHUNK_STEPS", chunk)
+            steps = optimizer_mod.draw_fresh_steps(n, seeds)
+            started, pieces = [], {row: [] for row in range(len(seeds))}
+
+            def watched(row, streams=steps.noise_streams):
+                started.append(row)
+                rng = streams.stream(row)
+
+                def standard_normal(out):
+                    rng.standard_normal(out=out)
+                    pieces[row].append(out.copy())
+                return types.SimpleNamespace(standard_normal=standard_normal)
+
+            steps.noise_streams = types.SimpleNamespace(stream=watched)
+            data_rows = steps.fresh_indices + (np.arange(len(seeds)) * n)[:, None]
+            outputs.append(optimizer_mod.run_steps(config, steps, features, labels,
+                                                   data_rows).output.tobytes())
+            assert started == list(range(len(seeds)))
+            total = len(steps.fresh) - 1
+            assert total > 2 * chunk or chunk == NOISE_CHUNK_STEPS
+            for row, seed in enumerate(seeds):
+                assert [len(piece) for piece in pieces[row]] == (
+                    [chunk] * (total // chunk) + [total % chunk] * (total % chunk > 0))
+                fresh = np.random.default_rng(np.random.SeedSequence(seed).spawn(2)[1])
+                want = fresh.standard_normal((total, d))
+                assert np.concatenate(pieces[row]).tobytes() == want.tobytes(), (chunk, seed)
+        assert outputs[0] == outputs[1] == outputs[2]
+
+    def test_fresh_steps_run_again(self):
+        # run_steps starts every noise stream afresh, so one FreshSteps run
+        # twice gives the same batch.
+        n, d = 300, 2
+        features, labels = np.full((n, d), 0.1), np.ones(n)
+        _, _, config = hinge_setup(n, d, sigma=0.7, eta=0.05, seed=17)
+        steps = optimizer_mod.draw_fresh_steps(n, [17, 18])
+        data_rows = steps.fresh_indices % n
+        first, second = (optimizer_mod.run_steps(config, steps, features, labels, data_rows)
+                         for _ in range(2))
+        assert first.fresh_iterates.tobytes() == second.fresh_iterates.tobytes()
+        assert first.output.tobytes() == second.output.tobytes()
 
 
 class TestCornerBytes:

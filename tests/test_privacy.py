@@ -61,6 +61,17 @@ class TestCalibrateSigma:
             calibrate_sigma(1.0, 1e-6, 1e-310)
 
 
+    def test_underflow_refused(self):
+        # A subnormal L with delta near 1 once gave sigma = 0.0, a step with
+        # no noise, and L = 1e-310 a subnormal sigma that keeps only a few
+        # bits (found by test_fuzz.py's accountant cases).
+        with pytest.raises(ConfigurationError, match="give sigma=0.0"):
+            calibrate_sigma(5e-324, 1 - 2**-53, 0.5)
+        with pytest.raises(ConfigurationError, match="L=1e-310"):
+            calibrate_sigma(1e-310, 1e-6, 1.0)
+        assert calibrate_sigma(1e-300, 1e-6, 1.0) > sys.float_info.min
+
+
 class TestRiskBound:
     def test_reference_value(self):
         # 2.5 * 2 * (2*1.5 + 4*sqrt(9)) / sqrt(100) = 7.5
@@ -135,6 +146,17 @@ class TestEndToEnd:
         with pytest.raises(ConfigurationError, match=message):
             end_to_end(*args)
 
+    @pytest.mark.parametrize("args, message", [
+        ((16, 0.125, 1 - 2**-53, 1e-6, 5e-324, 1e-300, 1), "give sigma=0.0,"),
+        ((400, 0.02, 1e-6, 1e-6, 5e-324, 1e-15, 2), "and risk_bound=0.0;"),
+    ], ids=["sigma", "risk_bound"])
+    def test_underflow_refused(self, args, message):
+        # Each once came back as a plan: sigma = 0.0 (a run with no noise)
+        # with a finite guarantee, and a risk bound of 0.0 (found by
+        # test_fuzz.py's accountant cases).
+        with pytest.raises(ConfigurationError, match=message):
+            end_to_end(*args)
+
     def test_from_target_subnormal_delta_refused(self):
         # delta_bar/3 is subnormal; the derived epsilon would be 0.
         with pytest.raises(ConfigurationError, match="delta_bar/3"):
@@ -171,6 +193,14 @@ class TestFromTarget:
             assert plan.report.epsilon <= eps_bar * (1 + 1e-12)
             assert plan.report.delta_total <= delta_bar * (1 + 1e-12)
             done += 1
+
+    def test_underflowing_epsilon_refused(self):
+        # eps_bar = 5e-324 once gave the internal epsilon 0.0, and calibrate
+        # printed it with exit 0.
+        with pytest.raises(ConfigurationError, match="gives epsilon=0.0"):
+            from_target(5e-324, 1e-4, 400)
+        with pytest.raises(ConfigurationError, match="below the smallest normal"):
+            from_target(1e-307, 1e-4, 400)
 
     def test_delta_window_enforced(self):
         with pytest.raises(RegimeError) as err:

@@ -321,7 +321,8 @@ class TestTrialStreams:
         streams = sampler.seeded_streams(seed, np.arange(6, dtype=np.uint32))
         for trial in (5, 0, 3, 3, 1):
             for n in (16, 1025, 2 ** 33 + 5):
-                # An odd draw first leaves the shared generator mid-output.
+                # An odd draw on another row first, which leaves its own
+                # Generator mid-output.
                 streams.stream((trial + 1) % 6).integers(0, 16, size=3)
                 got = streams.stream(trial).integers(0, n, size=101)
                 want = fresh_stream(seed, trial).integers(0, n, size=101)
@@ -398,8 +399,8 @@ class TestRawWordDraws:
 
 class TestVectorSeeding:
     """sampler's seeding against numpy's own SeedSequence and PCG64: trial
-    streams, the engine's spawned children, the harness's data streams and
-    run seeds, the audit's stream, and a saved stream's continuation."""
+    streams, their words, the engine's spawned children, the harness's data
+    streams and run seeds, and the audit's stream."""
 
     SEEDS = [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 63 - 1, 2 ** 95 + 7, 2 ** 130 + 1]
 
@@ -417,11 +418,24 @@ class TestVectorSeeding:
     @pytest.mark.parametrize("seed", SEEDS)
     def test_high_trial_words(self, seed):
         trials = np.array([2 ** 32 - 1, 2 ** 31, 65_537, 12_345_678], dtype=np.uint32)
-        packed = sampler._pcg64_states(sampler._entropy([seed, trials]))
-        for row, trial in zip(packed.tolist(), trials.tolist()):
-            state = self.numpy_state(seed, trial)["state"]
-            assert row == [state["state"] >> 64, state["state"] & (2 ** 64 - 1),
-                           state["inc"] >> 64, state["inc"] & (2 ** 64 - 1)], trial
+        words = sampler._generate_state(sampler._entropy([seed, trials]))
+        assert words.dtype == np.uint64 and words.shape == (len(trials), 4)
+        for row, trial in zip(words, trials.tolist()):
+            want = np.random.SeedSequence([seed, trial]).generate_state(4, np.uint64)
+            assert row.tobytes() == want.tobytes(), trial
+
+    def test_seed_words_generate_state(self):
+        # SeedWords answers generate_state as SeedSequence does, for every
+        # count of the uint64 words it holds, and refuses anything else.
+        sequence = np.random.SeedSequence([2 ** 40 + 3, 9])
+        held = sampler.SeedWords(sequence.generate_state(4, np.uint64))
+        for n_words in range(5):
+            got = held.generate_state(n_words, np.uint64)
+            want = sequence.generate_state(n_words, np.uint64)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        for n_words, dtype in ((5, np.uint64), (2, np.uint32), (2, np.int64)):
+            with pytest.raises(ValueError, match="holds 4 uint64 words"):
+                held.generate_state(n_words, dtype)
 
     # Spawned seeds of one, two, three and five words (2**128 makes the
     # entropy longer than the pool), and numpy integers, in one batch.
@@ -452,21 +466,6 @@ class TestVectorSeeding:
         audit = sampler.seeded_streams(master, 0xA0D1).stream(0)
         want = np.random.default_rng(np.random.SeedSequence([master, 0xA0D1]))
         assert np.array_equal(audit.standard_normal(50), want.standard_normal(50))
-
-    def test_saved_stream_continues(self):
-        # Normals drawn in pieces, with other draws on the shared Generator
-        # between them, equal one draw of the freshly built child.
-        seeds = [4, 2 ** 33]
-        noise = sampler.spawned_streams(seeds)[1]
-        pieces = []
-        for size in (3, 128, 1, 40):
-            pieces.append(noise.standard_normal((size, 2)))
-            noise.stream(1).integers(0, 5, size=3)   # moves the shared Generator only
-        for row, seed in enumerate(seeds):
-            fresh = np.random.default_rng(np.random.SeedSequence(seed).spawn(2)[1])
-            want = fresh.standard_normal((172, 2))
-            got = np.concatenate([piece[row] for piece in pieces])
-            assert got.tobytes() == want.tobytes()
 
 
 class TestFirstArrivalsKernel:
