@@ -128,10 +128,9 @@ def build_parser():
 
     run = sub.add_parser("run", help="run an experiment grid")
     run.add_argument("--config", help="flat key=value config file")
-    for key, (_, default, meaning) in RUN_KEYS.items():
-        if default is not None:
-            meaning += f" (default: {default})"
-        run.add_argument("--" + key.replace("_", "-"), dest=key, help=meaning)
+    for key, spec in RUN_KEYS.items():
+        default = "" if spec.default is None else f" (default: {spec.default})"
+        run.add_argument("--" + key.replace("_", "-"), dest=key, help=spec.meaning + default)
     run.set_defaults(func=_cmd_run)
 
     tau = sub.add_parser("tau-sim", help="stopping-time Monte Carlo")

@@ -8,7 +8,9 @@ degraded run, one in which more than 1% of a cell's runs overran.
 Every public entry point checks its counts, reals and vectors here, so a
 bool, a float count, a string or a non-finite value is refused the same
 way everywhere: check_count, check_real (with as_real, its type test, for
-a one-off range), check_vector and, for data arrays, check_reals.
+a one-off range), check_probability (a delta), and check_reals for
+arrays, which check_vector adds a shape test to. Each rule is written
+once, here.
 """
 
 import math
@@ -60,11 +62,22 @@ def as_real(value, name):
     raise ConfigurationError(f"{name} must be a real number, got {_shown(value)}")
 
 
-def check_real(value, name):
-    """as_real(value), which must be finite and positive."""
+def check_real(value, name, zero=False):
+    """as_real(value), which must be finite and positive, or 0 with zero."""
     real = as_real(value, name)
-    if not 0.0 < real < math.inf:   # NaN fails every comparison
-        raise ConfigurationError(f"{name} must be finite and positive, got {value!r}")
+    if not (0.0 < real < math.inf or zero and real == 0.0):   # NaN fails every comparison
+        raise ConfigurationError(
+            f"{name} must be finite and {'>= 0' if zero else 'positive'}, got {value!r}")
+    return real
+
+
+def check_probability(value, name):
+    """as_real(value), a delta: in (0, 1), with the finite 1/delta that ln takes."""
+    real = as_real(value, name)
+    if not 0.0 < real < 1.0:
+        raise ConfigurationError(f"{name} must lie in (0, 1), got {value!r}")
+    if not 1.0 / real < math.inf:
+        raise ConfigurationError(f"{name} = {real} is too small: its reciprocal overflows")
     return real
 
 
@@ -94,16 +107,9 @@ def check_reals(value, name):
 
 
 def check_vector(value, dimension, name):
-    """A read-only float copy of value, a finite vector of shape (dimension,)
-    whose every entry passes as_real."""
-    try:
-        shape = np.shape(value)
-    except ValueError:   # a ragged nesting
-        shape = None
-    if shape != (dimension,):
-        raise ConfigurationError(f"{name} must have shape ({dimension},), got {shape}")
-    v = np.array([as_real(entry, f"{name} entry") for entry in value])
-    if not np.isfinite(v).all():
-        raise ConfigurationError(f"{name} must be finite")
-    v.flags.writeable = False
-    return v
+    """A read-only float copy of check_reals(value), of shape (dimension,)."""
+    vector = np.array(check_reals(value, name))
+    if vector.shape != (dimension,):
+        raise ConfigurationError(f"{name} must have shape ({dimension},), got {vector.shape}")
+    vector.flags.writeable = False
+    return vector

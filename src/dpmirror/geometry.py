@@ -195,7 +195,8 @@ class FeasibleSet:
 
 
 def mirror_step(feasible_set, w, g, eta):
-    """The projected gradient step project(w - eta * g).
+    """The projected gradient step project(w - eta * g); project refuses a
+    w - eta * g that overflows.
 
     Under the Euclidean potential 0.5*||x||^2, the only one used here, the
     mirror-descent update with Bregman projection is exactly this step.
@@ -206,6 +207,4 @@ def mirror_step(feasible_set, w, g, eta):
     g = check_vector(g, d, "mirror_step: g")
     with np.errstate(over="ignore"):
         point = w - eta * g
-    if not np.isfinite(point).all():
-        raise ConfigurationError("mirror_step: w - eta * g overflows")
     return feasible_set.project(point)

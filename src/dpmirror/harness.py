@@ -1,9 +1,10 @@
 """Experiment orchestration: grids of private runs, bound checks, file outputs.
 
 Config files are flat key=value text ('#' starts a comment); CLI flags
-override file values. RUN_KEYS lists every key with its parser, default
-and meaning; any other key is a configuration error, and so is a key
-that READ_ONLY_UNDER ties to a set or generator the run does not use.
+override file values. RUN_KEYS lists every key with its converter, its
+checker from errors.py, its default and its meaning; any other key is a
+configuration error, and so is a key that READ_ONLY_UNDER ties to a set
+or generator the run does not use.
 Per-cell CSV columns are CELL_COLUMNS; floats get 17 significant digits,
 so a rerun with the same seed reproduces files byte for byte.
 """
@@ -12,93 +13,80 @@ import json
 import math
 import os
 from dataclasses import dataclass, is_dataclass
+from functools import partial
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import ConfigurationError, check_count
+from .errors import ConfigurationError, check_count, check_probability, check_real
 from .geometry import BOX, L2_BALL, FeasibleSet
-from .losses import (ABSOLUTE, HINGE, LINEAR_MARGIN, RISK_QUADRATURE_BOUND, SQUARED,
-                     UNIFORM_BALL, LossOracle, PopulationSpec, draw_dataset,
-                     lipschitz_certificate, population_risk)
+from .losses import (HINGE, LINEAR_MARGIN, RISK_QUADRATURE_BOUND, LossOracle, PopulationSpec,
+                     draw_dataset, lipschitz_certificate, population_risk)
 # private_sgd and estimate_risk are not called here; perfbench/spans.py
 # wraps them by these names.
 from .optimizer import (RunConfig, baseline_minimizer, check_rows,  # noqa: F401
                         draw_fresh_steps, estimate_regret, estimate_risk, private_sgd,
                         run_steps)
 from .privacy import end_to_end, epsilon_limit, risk_bound, step_size
-from .sampler import derived_seeds, seeded_streams, simulate_tau
+from .sampler import INDEXED_STREAMS, derived_seeds, seeded_streams, simulate_tau
 
 OUTPUT_DIR_ENV = "DPMIRROR_OUTPUT_DIR"
 
 
-def _checked(convert, rule, ok):
-    def parse(text):
-        value = convert(text)
-        if not ok(value):
-            raise ValueError(f"must be {rule}, got {value}")
-        return value
-    return parse
+def _listed(convert):
+    """A comma list's converter: convert applied to each entry, as a tuple."""
+    return lambda text: tuple(convert(v.strip()) for v in text.split(","))
 
 
-def _each(parse):
-    return lambda text: tuple(parse(v.strip()) for v in text.split(","))
-
-
-def _one_of(*choices):
-    return _checked(str, " | ".join(choices), lambda v: v in choices)
-
-
-_AT_LEAST_ONE = _checked(int, ">= 1", lambda v: v >= 1)
-_PROBABILITY = _checked(float, "in (0, 1)", lambda v: 0.0 < v < 1.0)
-_EPSILON = _checked(lambda text: text if text == "max" else float(text),
-                    "max or finite and positive",
-                    lambda v: v == "max" or (math.isfinite(v) and v > 0.0))
+def _each(check):
+    """A comma list's checker: check applied to each entry under the key's name."""
+    return lambda values, name: tuple(check(v, name) for v in values)
 
 
 class RunKey(NamedTuple):
-    parse: Callable
-    default: str    # raw text as in a config file; None: no default
+    convert: Callable   # the key's text to its value
+    check: Callable     # an errors.py checker of (value, name); None: none here
+    default: str        # raw text as in a config file; None: no default
     meaning: str
 
 
 # Every key `run` takes, as a config file line or as a --flag (underscores
-# as dashes); a flag wins over the file.
+# as dashes); a flag wins over the file. A loss, generator or set kind, and
+# a key with no check here, are checked by the object built from it.
 RUN_KEYS = {
-    "name": RunKey(str, "experiment", "experiment name (output subdirectory)"),
-    "loss": RunKey(_one_of(HINGE, ABSOLUTE, SQUARED), HINGE,
-                   "hinge | absolute | squared"),
-    "generator": RunKey(_one_of(LINEAR_MARGIN, UNIFORM_BALL), LINEAR_MARGIN,
-                        "linear_margin | uniform_ball"),
-    "dimension": RunKey(_AT_LEAST_ONE, "2", "feature dimension d"),
-    "feature_bound": RunKey(float, "1.0", "norm bound on generated features "
+    "name": RunKey(str, None, "experiment", "experiment name (output subdirectory)"),
+    "loss": RunKey(str, None, HINGE, "hinge | absolute | squared"),
+    "generator": RunKey(str, None, LINEAR_MARGIN, "linear_margin | uniform_ball"),
+    "dimension": RunKey(int, check_count, "2", "feature dimension d"),
+    "feature_bound": RunKey(float, None, "1.0", "norm bound on generated features "
                             "(also L for hinge/absolute)"),
-    "noise_rate": RunKey(float, "0.1", "label flip probability for linear_margin"),
-    "w_true": RunKey(_each(float), None, "comma-separated floats for linear_margin "
+    "noise_rate": RunKey(float, None, "0.1", "label flip probability for linear_margin"),
+    "w_true": RunKey(_listed(float), None, None, "comma-separated floats for linear_margin "
                      "(default: first basis vector)"),
-    "set": RunKey(_one_of(L2_BALL, BOX), L2_BALL, "l2_ball | box"),
-    "radius": RunKey(float, "0.5", "ball radius, centred at 0"),
-    "lower": RunKey(_each(float), None, "comma-separated lower box corner (box only)"),
-    "upper": RunKey(_each(float), None, "comma-separated upper box corner (box only)"),
-    "n_values": RunKey(_each(lambda text: check_count(int(text), "each n", low=16)), None,
+    "set": RunKey(str, None, L2_BALL, "l2_ball | box"),
+    "radius": RunKey(float, None, "0.5", "ball radius, centred at 0"),
+    "lower": RunKey(_listed(float), None, None, "comma-separated lower box corner (box only)"),
+    "upper": RunKey(_listed(float), None, None, "comma-separated upper box corner (box only)"),
+    "n_values": RunKey(_listed(int), _each(partial(check_count, low=16)), None,
                        "comma-separated dataset sizes, each in [16, 2**53] (required)"),
-    "epsilon_values": RunKey(_each(_EPSILON), None,
-                             "comma-separated floats, or max for 1/(2*sqrt(n)) "
+    "epsilon_values": RunKey(_listed(lambda text: text if text == "max" else float(text)),
+                             _each(lambda v, name: v if v == "max" else check_real(v, name)),
+                             None, "comma-separated floats, or max for 1/(2*sqrt(n)) "
                              "(required)"),
-    "delta": RunKey(_PROBABILITY, "1e-6", "accountant delta"),
-    "delta_prime": RunKey(_PROBABILITY, "1e-6", "accountant delta prime"),
-    "repeats": RunKey(_AT_LEAST_ONE, "20", "runs per (n, epsilon) cell"),
-    "eval_samples": RunKey(_AT_LEAST_ONE, "2000",
+    "delta": RunKey(float, check_probability, "1e-6", "accountant delta"),
+    "delta_prime": RunKey(float, check_probability, "1e-6", "accountant delta prime"),
+    "repeats": RunKey(int, partial(check_count, high=INDEXED_STREAMS), "20",
+                      "runs per (n, epsilon) cell, at most 2**32"),
+    "eval_samples": RunKey(int, check_count, "2000",
                            "not read: each run's risk is exact (accepted until "
                            "ROADMAP.md item 1 deletes it)"),
-    "baseline_steps": RunKey(_checked(int, ">= 10000", lambda v: v >= 10_000), "100000",
+    "baseline_steps": RunKey(int, partial(check_count, low=10_000), "100000",
                              "step cap for the reference minimizer"),
-    "sigma_override": RunKey(_checked(float, "finite and >= 0",
-                                      lambda v: math.isfinite(v) and v >= 0.0), None,
+    "sigma_override": RunKey(float, partial(check_real, zero=True), None,
                              "noise scale replacing the calibrated one (0 = no noise)"),
-    "seed": RunKey(_checked(int, ">= 0", lambda v: v >= 0), None,
+    "seed": RunKey(int, partial(check_count, low=0, high=None), None,
                    "master seed (default: drawn from entropy)"),
-    "output_dir": RunKey(str, None,
+    "output_dir": RunKey(str, None, None,
                          f"where <output_dir>/<name>/ is written "
                          f"(default: ${OUTPUT_DIR_ENV} or runs)"),
 }
@@ -193,24 +181,20 @@ def parse_kv_file(path):
 
 
 def _read_keys(overrides):
-    """Each RUN_KEYS value parsed once from its text or default; None if neither."""
+    """Each RUN_KEYS value converted once from its text or default, then
+    checked under its key's name; None if neither."""
     unknown = sorted(set(overrides) - set(RUN_KEYS))
     if unknown:
         raise ConfigurationError(f"unknown config field(s): {', '.join(unknown)}")
     values = {}
-    for key, (parse, default, _) in RUN_KEYS.items():
-        text = overrides.get(key)
-        text = default if text is None else text
+    for key, (convert, check, default, _) in RUN_KEYS.items():
+        text = default if overrides.get(key) is None else overrides[key]
         try:
-            values[key] = None if text is None else parse(text)
+            values[key] = None if text is None else convert(text)
         except (TypeError, ValueError) as exc:
             raise ConfigurationError(f"bad value for config field {key}: {exc}") from exc
-    for key in sorted(set(overrides) & set(READ_ONLY_UNDER)):
-        chooser, choice = READ_ONLY_UNDER[key]
-        if values[chooser] != choice:
-            raise ConfigurationError(
-                f"config field {key} is not read with {chooser} = {values[chooser]} "
-                f"(only with {chooser} = {choice})")
+        if check is not None and values[key] is not None:
+            values[key] = check(values[key], f"config field {key}")
     return values
 
 
@@ -221,14 +205,16 @@ def _given(values, key):
 
 
 def build_spec(overrides):
-    """Assemble and validate an ExperimentSpec from string key-values."""
+    """Assemble and validate an ExperimentSpec from string key-values; an
+    unknown kind is refused by its constructor, before READ_ONLY_UNDER's rule."""
     kv = _read_keys(overrides)
     dimension = kv["dimension"]
-    if kv["set"] == L2_BALL:
-        feasible = FeasibleSet.l2_ball(kv["radius"], dimension=dimension)
-    else:
+    if kv["set"] == BOX:
         feasible = FeasibleSet(BOX, dimension, lower=_given(kv, "lower"),
                                upper=_given(kv, "upper"))
+    else:
+        feasible = FeasibleSet(kv["set"], dimension, radius=kv["radius"],
+                               center=np.zeros(dimension))
 
     w_true, noise_rate = None, 0.0
     if kv["generator"] == LINEAR_MARGIN:
@@ -241,6 +227,12 @@ def build_spec(overrides):
         feature_bound=kv["feature_bound"], w_true=w_true, noise_rate=noise_rate)
     oracle = LossOracle(kv["loss"], lipschitz_certificate(
         kv["loss"], kv["feature_bound"], feasible))
+    for key in sorted(set(overrides) & set(READ_ONLY_UNDER)):
+        chooser, choice = READ_ONLY_UNDER[key]
+        if kv[chooser] != choice:
+            raise ConfigurationError(
+                f"config field {key} is not read with {chooser} = {kv[chooser]} "
+                f"(only with {chooser} = {choice})")
 
     return ExperimentSpec(
         name=kv["name"],

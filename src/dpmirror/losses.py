@@ -46,27 +46,36 @@ def _arcsin(x):
     return np.fromiter(map(math.asin, x.ravel().tolist()), float, x.size).reshape(x.shape)
 
 
+def _worst_subgradient(kind, norms, labels, feasible_set):
+    """Largest subgradient norm at any w in the set of a row with feature norm
+    ||x|| and label y: |y|*||x|| for hinge, ||x|| for absolute, and
+    (set.max_norm()*||x|| + |y|)*||x|| for squared."""
+    if kind == HINGE:
+        return abs(labels) * norms
+    if kind == ABSOLUTE:
+        return norms
+    return (feasible_set.max_norm() * norms + abs(labels)) * norms
+
+
 def lipschitz_certificate(kind, feature_bound, feasible_set=None):
     """Uniform bound on subgradient norms for the given loss family.
 
-    Hinge and absolute losses have subgradients of norm at most the feature
-    bound, everywhere. The squared loss has no global Lipschitz constant;
-    its certificate (max|<w,x> - y| * ||x||, maximized over the given
-    iterate set and labels in [-1, 1], the range both populations draw)
-    is only valid on that set; max_subgradient_norm checks a run's actual
-    rows against it.
+    It is the bound max_subgradient_norm applies to a row, by the same
+    operations, at ||x|| = feature_bound and |y| = 1, the largest label
+    either population draws. Hinge and absolute losses are globally
+    Lipschitz once features are bounded; the squared loss is not, so its
+    certificate needs the iterate set and is valid only on it. A certificate
+    that overflows is refused.
     """
     feature_bound = check_real(feature_bound, "lipschitz_certificate: feature_bound")
-    if kind in (HINGE, ABSOLUTE):
-        return feature_bound
-    if kind == SQUARED:
-        if feasible_set is None:
-            raise ConfigurationError(
-                "squared loss has no global Lipschitz constant; pass the feasible set"
-            )
-        w_max = feasible_set.max_norm()
-        return float((w_max * feature_bound + 1.0) * feature_bound)
-    raise ConfigurationError(f"unknown loss kind {kind!r}")
+    if kind == SQUARED and feasible_set is None:
+        raise ConfigurationError(
+            "squared loss has no global Lipschitz constant; pass the feasible set")
+    if kind not in (HINGE, ABSOLUTE, SQUARED):
+        raise ConfigurationError(f"unknown loss kind {kind!r}")
+    return check_real(_worst_subgradient(kind, feature_bound, 1.0, feasible_set),
+                      f"lipschitz_certificate: the {kind} loss's L at "
+                      f"feature_bound={feature_bound}")
 
 
 @dataclass(frozen=True)
@@ -166,21 +175,14 @@ class LossOracle:
     def max_subgradient_norm(self, features, labels, feasible_set):
         """Largest subgradient norm any (x, y) row can give at any w in the set.
 
-        Per row: |y|*||x|| for hinge, ||x|| for absolute, and
-        (set.max_norm()*||x|| + |y|)*||x|| for squared. A row above
-        lipschitz_L would break the sensitivity the accountant assumes.
-        One pass over stacked (..., d) features and (...,) labels; a norm
-        that overflows gives inf, or NaN beside a zero label.
+        A row above lipschitz_L would break the sensitivity the accountant
+        assumes. One pass over stacked (..., d) features and (...,) labels; a
+        norm that overflows gives inf, or NaN beside a zero label.
         """
         norms = np.sqrt(np.einsum("...i,...i->...", features, features))
         with np.errstate(over="ignore", invalid="ignore"):
-            if self.kind == HINGE:
-                worst = np.abs(labels) * norms
-            elif self.kind == ABSOLUTE:
-                worst = norms
-            else:
-                worst = (feasible_set.max_norm() * norms + np.abs(labels)) * norms
-            return float(worst.max())
+            return float(_worst_subgradient(self.kind, norms, np.asarray(labels),
+                                            feasible_set).max())
 
     def batch_values(self, w, features, labels):
         """loss_at at the margins <x, w> of one w against stacked (..., d)

@@ -32,14 +32,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (ConfigurationError, as_real, check_count, check_real, check_reals,
-                     check_vector)
+from .errors import ConfigurationError, check_count, check_real, check_reals, check_vector
 # mirror_step, sample_index and draw_dataset are not called here; they stay
 # importable from this module because perfbench/spans.py wraps them by name.
 from .geometry import dot, mirror_step  # noqa: F401
 from .losses import (RISK_QUADRATURE_BOUND, draw_arrays, draw_dataset,  # noqa: F401
                      population_risk, risk_curvature)
-from .sampler import draw_stopping_times, sample_index, spawned_streams  # noqa: F401
+from .sampler import (NORMAL_BOUND, draw_stopping_times, sample_index,  # noqa: F401
+                      spawned_streams)
 
 MAX_STEPS_FACTOR = 4
 NOISE_CHUNK_STEPS = 128
@@ -59,10 +59,9 @@ class RunConfig:
     No step checks for overflow, so eta and sigma are refused unless every
     offset w - eta*g - c a step projects (w and c in the set) squares to a
     finite norm: the subgradient's norm is at most L = oracle.lipschitz_L
-    (check_rows) and the noise's 14*sigma*sqrt(d) (|z| < 14, see
-    privacy.audit_grid_range), so (2B)^2 must be finite for B =
-    2*max_norm() + eta*(L + 14*sigma*sqrt(d)), the factor 2 covering every
-    rounding (relative error below (d + 8) * 2^-53).
+    (check_rows) and the noise's sampler.NORMAL_BOUND*sigma*sqrt(d), so (2B)^2
+    must be finite for B = 2*max_norm() + eta*(L + NORMAL_BOUND*sigma*sqrt(d)),
+    the factor 2 covering every rounding (relative error below (d + 8) * 2^-53).
     """
 
     n: int
@@ -75,14 +74,11 @@ class RunConfig:
     def __post_init__(self):
         fields = {"n": check_count(self.n, "RunConfig: n"),
                   "eta": check_real(self.eta, "RunConfig: eta"),
-                  "sigma": as_real(self.sigma, "RunConfig: sigma"),
+                  "sigma": check_real(self.sigma, "RunConfig: sigma", zero=True),
                   "w1": check_vector(self.w1, self.feasible_set.dimension, "RunConfig: w1")}
-        if not 0.0 <= fields["sigma"] < math.inf:
-            raise ConfigurationError(
-                f"RunConfig: sigma must be finite and >= 0, got {self.sigma!r}")
         if not self.feasible_set.contains(fields["w1"]):
             raise ConfigurationError("RunConfig: w1 lies outside the feasible set")
-        noise_norm = 14.0 * fields["sigma"] * math.sqrt(self.feasible_set.dimension)
+        noise_norm = NORMAL_BOUND * fields["sigma"] * math.sqrt(self.feasible_set.dimension)
         step_bound = 2.0 * (2.0 * self.feasible_set.max_norm()
                             + fields["eta"] * (self.oracle.lipschitz_L + noise_norm))
         if not step_bound * step_bound < math.inf:
@@ -371,7 +367,7 @@ def baseline_minimizer(population, oracle, feasible_set, budget_steps):
     BASELINE_TOLERANCE * D * L. budget_steps caps the steps (at least
     10^4); a run that reaches the cap reports the certificate it has.
     """
-    check_count(budget_steps, "baseline_minimizer: budget_steps", low=10_000)
+    budget_steps = check_count(budget_steps, "baseline_minimizer: budget_steps", low=10_000)
     D = feasible_set.diameter()
     target = BASELINE_TOLERANCE * D * oracle.lipschitz_L
     step = 1.0 / risk_curvature(population, oracle)

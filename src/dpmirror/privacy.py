@@ -26,8 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, RegimeError, as_real, check_count, check_real
-from .sampler import seeded_streams
+from .errors import ConfigurationError, RegimeError, check_count, check_probability, check_real
+from .sampler import NORMAL_BOUND, seeded_streams
 
 # Audit needs this many trials per grid cell for stable tail estimates.
 MIN_TRIALS_PER_CELL = 2000
@@ -48,16 +48,6 @@ class PrivacyReport:
     assumptions: tuple = ()
 
 
-def _check_delta(delta, name="delta"):
-    """delta as a float in (0, 1) whose reciprocal is finite."""
-    real = as_real(delta, name)
-    if not 0.0 < real < 1.0:
-        raise ConfigurationError(f"{name} must lie in (0, 1), got {delta!r}")
-    if not math.isfinite(1.0 / real):
-        raise ConfigurationError(f"{name} = {real} is too small: its reciprocal overflows")
-    return real
-
-
 def calibrate_sigma(L, delta, epsilon_tilde):
     """Noise scale making one gradient step (epsilon_tilde, delta)-DP.
 
@@ -66,7 +56,7 @@ def calibrate_sigma(L, delta, epsilon_tilde):
     below the smallest normal float (imprecise, or 0: no noise) is refused.
     """
     L, epsilon_tilde = check_real(L, "L"), check_real(epsilon_tilde, "epsilon_tilde")
-    delta = _check_delta(delta)
+    delta = check_probability(delta, "delta")
     sigma = L * math.sqrt(3.0 * math.log(1.0 / delta)) / epsilon_tilde
     if not sys.float_info.min <= sigma < math.inf:
         raise ConfigurationError(
@@ -113,9 +103,10 @@ def end_to_end(n, epsilon, delta, delta_prime, L, D, d):
     and the guarantee (4*epsilon*(sqrt(ln(1/delta')) + 2),
     delta + delta' + 2*exp(-n/16)), where the exponential term is the
     probability the run fails to stop within 2n steps, and risk_bound at
-    this sigma. A sigma, reported epsilon or risk_bound that overflows, an
-    eta that underflows to 0, and a sigma or risk_bound below the smallest
-    normal float (imprecise, or 0) are refused rather than printed.
+    this sigma. A delta total of 1 or more rules nothing out, and is
+    refused; so are a sigma, reported epsilon or risk_bound that overflows,
+    an eta that underflows to 0, and a sigma or risk_bound below the
+    smallest normal float (imprecise, or 0).
 
     Regime: at the grid's epsilon = 1/(2*sqrt(n)) the privacy term
     20LD*sqrt(d*ln(1/delta))/(epsilon*n) is 40LD*sqrt(d*ln(1/delta))/sqrt(n)
@@ -130,14 +121,20 @@ def end_to_end(n, epsilon, delta, delta_prime, L, D, d):
             f"epsilon={epsilon} violates epsilon <= 1/(2*sqrt(n)) = {limit}; "
             "the end-to-end guarantee only covers this regime"
         )
-    delta, delta_prime = _check_delta(delta), _check_delta(delta_prime, "delta_prime")
+    delta = check_probability(delta, "delta")
+    delta_prime = check_probability(delta_prime, "delta_prime")
+    delta_total = delta + delta_prime + 2.0 * math.exp(-n / 16.0)
+    if not delta_total < 1.0:
+        raise ConfigurationError(
+            f"delta={delta}, delta_prime={delta_prime} and n={n} give delta_total="
+            f"{delta_total} (delta + delta_prime + 2*exp(-n/16)), which must be below 1")
     L, D = check_real(L, "L"), check_real(D, "D")
     d = check_count(d, "d")
 
     sigma = 8.0 * L * math.sqrt(math.log(1.0 / delta)) / (math.sqrt(n) * epsilon)
     report = PrivacyReport(
         epsilon=4.0 * epsilon * (math.sqrt(math.log(1.0 / delta_prime)) + 2.0),
-        delta_total=delta + delta_prime + 2.0 * math.exp(-n / 16.0),
+        delta_total=delta_total,
         stage="end_to_end",
         assumptions=(
             "conditioned on stopping within 2n steps; failure mass "
@@ -181,7 +178,7 @@ def from_target(eps_bar, delta_bar, n):
             f"<= delta_bar <= 3*e^-4 = {ceiling:.6g}"
         )
     delta = delta_bar / 3.0
-    _check_delta(delta, "delta_bar/3")
+    check_probability(delta, "delta_bar/3")
     epsilon = eps_bar / (8.0 * math.sqrt(math.log(1.0 / delta)))
     if epsilon < sys.float_info.min:   # rounded by up to half, or to 0
         raise ConfigurationError(f"eps_bar={eps_bar} gives epsilon={epsilon}, "
@@ -251,7 +248,8 @@ def audit_single_step(sigma, L, epsilon_tilde, delta, trials,
     integer counts add exactly.
     """
     sigma, L = check_real(sigma, "sigma"), check_real(L, "L")
-    epsilon_tilde, delta = check_real(epsilon_tilde, "epsilon_tilde"), _check_delta(delta)
+    epsilon_tilde = check_real(epsilon_tilde, "epsilon_tilde")
+    delta = check_probability(delta, "delta")
     seed = check_count(seed, "audit_single_step: seed", low=0, high=None)
     grid_cells = check_count(grid_cells, "grid_cells", low=3, high=MAX_GRID_CELLS)
     trials = check_count(trials, f"trials for {grid_cells} grid cells",
@@ -309,14 +307,13 @@ def audit_grid_range(sigma, L):
     """Interior grid span used by the audit: 3 noise units past both means.
 
     A sigma and L whose span, or whose draws z*sigma + L, could overflow
-    raise ConfigurationError: numpy's standard_normal never returns |z| >= 14
-    (the tail of its ziggurat reaches r - ln(2**-53)/r = 13.71, r = 3.654),
-    so |L| + 14*sigma bounds both.
+    raise ConfigurationError: no standard normal reaches sampler.NORMAL_BOUND,
+    so |L| + NORMAL_BOUND*sigma bounds both.
     """
-    if not math.isfinite(abs(L) + 14.0 * sigma):
+    if not math.isfinite(abs(L) + NORMAL_BOUND * sigma):
         raise ConfigurationError(
             f"sigma={sigma} with L={L}: the audit's grid or its draws would overflow; "
-            "|L| + 14*sigma must be finite")
+            f"|L| + {NORMAL_BOUND:g}*sigma must be finite")
     margin = AUDIT_RANGE_SIGMAS * sigma
     return min(0.0, L) - margin, max(0.0, L) + margin
 

@@ -27,6 +27,12 @@ import numpy as np
 
 from .errors import check_count
 
+# numpy's standard_normal never returns |z| >= NORMAL_BOUND: the tail of its
+# ziggurat reaches r - ln(2**-53)/r = 13.71, r = 3.654.
+NORMAL_BOUND = 14.0
+# A stream's index (a trial or a repeat) is one uint32 word of its entropy.
+INDEXED_STREAMS = 1 << 32
+
 
 def sample_index(rng, n):
     """Uniform draw from {0, ..., n-1}."""
@@ -335,12 +341,12 @@ def simulate_tau(n, trials, seed):
     and read by draw_stopping_times one block at a time: about
     TAU_BLOCK_TRIALS trials, a whole number of its row chunks. So memory
     beyond the 8-byte-a-trial result does not grow with trials. seed must
-    be a non-negative int and trials an int in [1, 2**32], so that t is one
-    uint32 word; anything else raises ConfigurationError.
+    be a non-negative int and trials an int in [1, INDEXED_STREAMS], so that
+    t is one uint32 word; anything else raises ConfigurationError.
     """
     n = check_count(n, "simulate_tau: n")
     seed = check_count(seed, "simulate_tau: seed", low=0, high=None)
-    trials = check_count(trials, "simulate_tau: trials", high=1 << 32)
+    trials = check_count(trials, "simulate_tau: trials", high=INDEXED_STREAMS)
     per_chunk = rows_per_chunk(n)[0]
     block = per_chunk * max(1, TAU_BLOCK_TRIALS // per_chunk)
     tau = np.empty(trials, dtype=np.int64)

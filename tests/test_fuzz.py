@@ -1,9 +1,10 @@
 """Property tests of the input checkers (src/dpmirror/errors.py), of the
 constructors that use them (RunConfig, FeasibleSet, LossOracle and
 PopulationSpec), of the numeric inputs of private_sgd_batch,
-population_risk, mirror_step, simulate_tau, draw_dataset and
-estimate_regret, of the accountant's calibrate_sigma, end_to_end,
-from_target and audit_single_step, and of every CLI command.
+population_risk, mirror_step, simulate_tau, draw_dataset,
+estimate_regret, lipschitz_certificate and baseline_minimizer, of the
+accountant's calibrate_sigma, end_to_end, from_target and
+audit_single_step, and of every CLI command.
 
 Every input is drawn from bools, Python and numpy scalars, +-0.0,
 subnormals, +-inf, NaN, 1e308, ints past 2**63, short strings and None.
@@ -15,19 +16,19 @@ statement is written with the numbers ABCs, not with the checkers' own
 isinstance tests. A function's result must be finite. Nothing here does
 work in proportion to a value, so a huge accepted count costs nothing;
 the counts that size a function's work (simulate_tau's n and trials,
-draw_dataset's n, audit_single_step's trials) fold an accepted count to
-at most 40, or 7000 trials. Data arrays get
-one or two entries from the classes among good ones. Runs are
-derandomized and keep no example database, so every run tries the same
-inputs.
+draw_dataset's n, audit_single_step's trials, baseline_minimizer's
+budget_steps) fold an accepted count to at most 40, or 7000 trials, or
+10 100 steps. Data arrays get one or two entries from the classes among
+good ones. Runs are derandomized and keep no example database, so every
+run tries the same inputs.
 
 The CLI tests give each command's numeric flags the same classes written
 as text, through cli.main. A call must exit 2 or 3 (argparse's own
 refusal counts as 2), or exit as its printed verdict says with every
 printed number finite; a traceback or a warning fails the test. Flags that
-size the work (--trials, --repeats, --n-values, tau-sim's --n, --dimension,
---baseline-steps) get only small accepted values: a huge accepted one
-would never finish.
+size the work (SIZING_FLAGS) get only small accepted values: a huge
+accepted one would never finish. Each of them also gets every class
+value outside its accepted range, which must exit 2 before any work.
 """
 
 import contextlib
@@ -45,12 +46,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dpmirror import cli
+from dpmirror import cli, harness, privacy, sampler
 from dpmirror.errors import (ConfigurationError, RegimeError, as_real, check_count, check_real,
                              check_vector)
 from dpmirror.geometry import FeasibleSet, mirror_step
-from dpmirror.losses import LossOracle, PopulationSpec, draw_dataset, population_risk
-from dpmirror.optimizer import RunConfig, estimate_regret, private_sgd_batch
+from dpmirror.losses import (LossOracle, PopulationSpec, draw_dataset, lipschitz_certificate,
+                             population_risk)
+from dpmirror.optimizer import RunConfig, baseline_minimizer, estimate_regret, private_sgd_batch
 from dpmirror.privacy import audit_single_step, calibrate_sigma, end_to_end, from_target
 from dpmirror.sampler import simulate_tau
 
@@ -357,6 +359,54 @@ def test_estimate_regret(kind, fuzz, data):
         assert real_entries(features) and real_entries(labels) and finite(regret)
 
 
+SETS = {"l2_ball": FeasibleSet.l2_ball(0.5, dimension=2),
+        "box": FeasibleSet.box([-0.5, -0.5], [0.5, 0.5]), None: None}
+
+
+@FUZZ
+@given(st.sampled_from(["hinge", "absolute", "squared", "Hinge"]), SCALARS,
+       st.sampled_from(sorted(SETS, key=str)))
+def test_lipschitz_certificate(kind, feature_bound, set_kind):
+    fs = SETS[set_kind]
+    L = outcome(lipschitz_certificate, kind, feature_bound, fs)
+    if kind in ("hinge", "absolute", "Hinge"):
+        assert (L is not REFUSED) == (kind != "Hinge" and finite_positive(feature_bound))
+    if L is REFUSED:
+        return
+    assert finite_positive(feature_bound) and (kind != "squared" or fs is not None)
+    assert type(L) is float and finite_positive(L)
+    if has_normal_square(feature_bound):
+        # L is the bound check_rows applies, at a row of norm feature_bound
+        # (sqrt of a normal square is exact) and label size 1.
+        row = np.array([[float(feature_bound), 0.0]])
+        for label in (1.0, -1.0):
+            assert LossOracle(kind, L).max_subgradient_norm(row, np.array([label]), fs) == L
+
+
+BUDGET_STEPS = SCALARS.map(lambda v: 10_000 + v % 101 if is_count(v) and 10_100 < v else v)
+
+
+# Each example can run the reference minimizer, so there are half as many.
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(LOSSES, st.sampled_from(["linear_margin", "uniform_ball"]),
+       st.sampled_from(["l2_ball", "box"]), st.one_of(st.just(1.0), SCALARS),
+       st.one_of(st.just(10_000), BUDGET_STEPS))
+def test_baseline_minimizer(kind, generator, set_kind, feature_bound, budget_steps):
+    fs = SETS[set_kind]
+    population = outcome(PopulationSpec, generator, 2, feature_bound,
+                         w_true=AXIS if generator == "linear_margin" else None)
+    L = outcome(lipschitz_certificate, kind, feature_bound, fs)
+    if population is REFUSED or L is REFUSED:
+        return
+    result = outcome(baseline_minimizer, population, LossOracle(kind, L), fs, budget_steps)
+    if result is REFUSED:
+        return
+    assert is_count(budget_steps) and 10_000 <= budget_steps <= 2**53
+    assert type(result.budget_steps) is int and result.budget_steps == budget_steps
+    assert result.w.shape == (2,) and finite(result.w) and fs.contains(result.w)
+    assert type(result.error_bound) is float and 0 <= result.error_bound < math.inf
+
+
 def accounted(call, **kwargs):
     """call(**kwargs), or REFUSED on a ConfigurationError or RegimeError; a
     warning raises."""
@@ -410,6 +460,7 @@ def test_end_to_end(data):
         assert all(map(finite_positive, (args["epsilon"], args["L"], args["D"])))
         assert in_unit_interval(args["delta"]) and in_unit_interval(args["delta_prime"])
         assert all(type(v) is float and finite_positive(v) for v in plan_numbers(plan))
+        assert plan.report.delta_total < 1
 
 
 @FUZZ
@@ -492,7 +543,7 @@ def run_flags(loss, generator, kind, dimension):
             "n-values": "16", "epsilon-values": "max", "repeats": "2",
             "baseline-steps": "10000", "seed": "7"}
     numeric = {"feature-bound": (("1.0", "0.5"), 1), "epsilon-values": (("max", "0.01"), 2),
-               "delta": (("1e-6", "0.5"), 1), "delta-prime": (("1e-6", "0.5"), 1),
+               "delta": (("1e-6", "0.1"), 1), "delta-prime": (("1e-6", "0.1"), 1),
                "eval-samples": (("10",), 1), "sigma-override": (("0", "0.3"), 1),
                "seed": (("7",), 1)}
     if generator == "linear_margin":
@@ -544,10 +595,8 @@ def finite_numbers(value):
     return not isinstance(value, float) or math.isfinite(value)
 
 
-def cli_outcome(command, flags):
-    """Run `dpmirror command --flag=text ...` and check how it ends: exit 2
-    or 3, or the exit its printed verdict gives, with every number it
-    prints finite."""
+def run_cli(command, flags):
+    """(exit code, stdout) of `dpmirror command --flag=text ...`; a warning raises."""
     argv = [command] + [f"--{flag}={text}" for flag, text in flags.items()]
     out = io.StringIO()
     with tempfile.TemporaryDirectory() as outdir, warnings.catch_warnings(), \
@@ -557,9 +606,17 @@ def cli_outcome(command, flags):
             code = cli.main(argv if command == "calibrate" else [*argv, f"--output-dir={outdir}"])
         except SystemExit as exc:   # argparse refuses a flag's text
             code = exc.code
+    return code, out.getvalue()
+
+
+def cli_outcome(command, flags):
+    """Run `dpmirror command --flag=text ...` and check how it ends: exit 2
+    or 3, or the exit its printed verdict gives, with every number it
+    prints finite."""
+    code, out = run_cli(command, flags)
     if code in (2, 3):
         return
-    printed = json.loads(out.getvalue(), parse_constant=lambda name: math.nan)
+    printed = json.loads(out, parse_constant=lambda name: math.nan)
     assert finite_numbers(printed), (argv, printed)
     assert code == VERDICT[command](printed), (argv, code, printed)
 
@@ -621,3 +678,37 @@ def test_every_class_reaches_every_numeric_flag(sweep):
         for values in CLASSES.values():
             for text in values:
                 cli_outcome(command, {**good, flag: ",".join([text] * entries)})
+
+
+# Every flag that sizes the work, with the range of counts it accepts, and
+# where each command's work starts.
+SIZING_FLAGS = {
+    ("run", "repeats"): (1, 2**32), ("run", "n-values"): (16, 2**53),
+    ("run", "dimension"): (1, 2**53), ("run", "baseline-steps"): (10_000, 2**53),
+    ("run", "eval-samples"): (1, 2**53), ("tau-sim", "n"): (1, 2**53),
+    ("tau-sim", "trials"): (1000, 2**32), ("audit", "trials"): (6000, 2**53),
+    ("audit", "grid"): (3, 500),
+}
+WORK_STARTS = {"run": (harness, "baseline_minimizer"),
+               "tau-sim": (sampler, "draw_stopping_times"), "audit": (privacy, "seeded_streams")}
+GOOD_FLAGS = {"run": run_flags("hinge", "linear_margin", "l2_ball", 2)[0],
+              "tau-sim": tau_sim_flags("16", "1000")[0], "audit": audit_flags(False)[0]}
+
+
+def no_work(*args, **kwargs):
+    raise AssertionError("a refused count reached the command's work")
+
+
+@pytest.mark.parametrize("command, flag", SIZING_FLAGS,
+                         ids=[f"{command}--{flag}" for command, flag in SIZING_FLAGS])
+def test_sizing_flag_refuses_every_count_outside_its_range(command, flag, monkeypatch):
+    # Only values the flag must refuse: a count inside its range would
+    # allocate, or run for as long as it asks. Every class value is one.
+    low, high = SIZING_FLAGS[command, flag]
+    monkeypatch.setattr(*WORK_STARTS[command], no_work)
+    texts = [text for values in CLASSES.values() for text in values]
+    texts += ["-1", "-16", "1.5", "16.0", "1e4", str(low - 1), str(high + 1)]
+    for text in texts:
+        with contextlib.suppress(ValueError):
+            assert not low <= int(text) <= high, text
+        assert run_cli(command, {**GOOD_FLAGS[command], flag: text})[0] == 2, (flag, text)

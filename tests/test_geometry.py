@@ -204,11 +204,11 @@ class TestMirrorStep:
                              ids=["product", "difference"])
     def test_overflowing_step_refused(self, w, g, eta):
         # w - eta * g overflowed with a RuntimeWarning. Found by reading the
-        # cases tests/test_fuzz.py draws.
+        # cases tests/test_fuzz.py draws. project refuses the overflowed point.
         ball = FeasibleSet.l2_ball(0.5, dimension=2)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            with pytest.raises(ConfigurationError, match="overflows"):
+            with pytest.raises(ConfigurationError, match="project: point must be finite"):
                 mirror_step(ball, w, g, eta)
 
     def test_point_whose_squared_distance_overflows_refused(self):

@@ -101,7 +101,7 @@ class TestConfig:
         # np.random.SeedSequence takes only non-negative seeds; the key is
         # checked when it is parsed, not left to fail inside a run.
         with pytest.raises(ConfigurationError,
-                           match="config field seed: must be >= 0, got -1"):
+                           match="config field seed must be an int >= 0, got -1"):
             build_spec(base_overrides(tmp_path, seed="-1"))
 
     def test_box_set(self, tmp_path):
@@ -667,11 +667,20 @@ class TestCli:
         assert payload["internal"]["epsilon"] == pytest.approx(0.0033630, abs=1e-7)
         assert payload["report"]["stage"] == "end_to_end" and payload["sigma"] > 0
 
+    def test_calibrate_delta_total_of_one_or_more_exit_2(self, capsys):
+        # Once printed delta_total 2.536 with exit 0: a guarantee that rules
+        # nothing out.
+        rc = cli.main(["calibrate", "--n", "16", "--eps", "0.125", "--delta", "0.9",
+                       "--delta-prime", "0.9", "--L", "1", "--D", "1", "--d", "1"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert "give delta_total=2.5357" in captured.err and captured.out == ""
+
     # Each command's seed is checked where it is read, with the bound named:
     # by run's seed key, by simulate_tau and by audit_single_step.
     @pytest.mark.parametrize("argv, message", [
         (["run", "--n-values", "16", "--epsilon-values", "max", "--repeats", "1",
-          "--baseline-steps", "10000"], "config field seed: must be >= 0, got -1"),
+          "--baseline-steps", "10000"], "config field seed must be an int >= 0, got -1"),
         (["tau-sim", "--n", "16", "--trials", "1000"],
          "simulate_tau: seed must be an int >= 0, got -1"),
         (["audit", "--L", "1", "--eps-tilde", "0.5", "--delta", "1e-6", "--trials", "1000"],
@@ -687,7 +696,7 @@ class TestCli:
         cfg.write_text("n_values = 16\nepsilon_values = max\nrepeats = 1\n"
                        f"seed = -1\noutput_dir = {tmp_path}\n")
         assert cli.main(["run", "--config", str(cfg)]) == 2
-        assert "config field seed: must be >= 0, got -1" in capsys.readouterr().err
+        assert "config field seed must be an int >= 0, got -1" in capsys.readouterr().err
 
     @pytest.mark.parametrize("from_file", [False, True], ids=["flag", "config-line"])
     def test_non_integer_seed_exit_2(self, from_file, tmp_path, capsys):
@@ -705,9 +714,9 @@ class TestCli:
     @pytest.mark.parametrize("argv, message", [
         (["calibrate", "--n", str(10**400), "--eps", "1e-300", "--delta", "1e-6",
           "--L", "1", "--D", "1", "--d", "2"], "end_to_end: n must be an int in [16, "),
-        (["run", "--n-values", str(2**70)], "config field n_values: each n must be an int"),
+        (["run", "--n-values", str(2**70)], "config field n_values must be an int in [16, "),
         (["run", "--n-values", "16", "--dimension", str(2**70)],
-         "l2_ball: dimension must be an int in [1, "),
+         "config field dimension must be an int in [1, "),
         (["run", "--n-values", "16", "--loss", "squared", "--generator", "uniform_ball",
           "--set", "box", "--dimension", "2", "--lower=-1e308,-1e308", "--upper=1e308,1e308"],
          "box: its diameter or largest norm overflows"),
@@ -732,7 +741,7 @@ class TestCli:
     # ZeroDivisionError, an OverflowError or a RuntimeWarning inside the
     # reference minimizer or population_risk; tests/test_fuzz.py found them.
     @pytest.mark.parametrize("flags, message", [
-        (["--dimension", "0"], "dimension: must be >= 1"),
+        (["--dimension", "0"], "config field dimension must be an int in [1, "),
         (["--w-true", "nan,0"], "w_true must be finite"),
         (["--feature-bound", "inf"], "feature_bound must be finite and positive"),
         (["--feature-bound", "1e-310"], "feature_bound=1e-310: its square"),
@@ -876,19 +885,32 @@ class TestCli:
 
     @pytest.mark.parametrize("flags, message", [
         (["--sigma-override", "0.5", "--delta", "5"],
-         "config field delta: must be in (0, 1), got 5.0"),
-        (["--delta-prime", "0"], "config field delta_prime: must be in (0, 1), got 0.0"),
+         "config field delta must lie in (0, 1), got 5.0"),
+        (["--delta-prime", "0"], "config field delta_prime must lie in (0, 1), got 0.0"),
         (["--sigma-override", "0.5", "--epsilon-values", "-0.01"],
-         "config field epsilon_values: must be max or finite and positive, got -0.01"),
+         "config field epsilon_values must be finite and positive, got -0.01"),
         (["--epsilon-values", "max,nan"],
-         "config field epsilon_values: must be max or finite and positive, got nan"),
-        (["--eval-samples", "0"], "config field eval_samples: must be >= 1, got 0"),
+         "config field epsilon_values must be finite and positive, got nan"),
+        (["--eval-samples", "0"],
+         "config field eval_samples must be an int in [1, 9007199254740992], got 0"),
         (["--baseline-steps", "5000"],
-         "config field baseline_steps: must be >= 10000, got 5000"),
+         "config field baseline_steps must be an int in [10000, 9007199254740992], got 5000"),
         (["--sigma-override", "-1"],
-         "config field sigma_override: must be finite and >= 0, got -1.0"),
+         "config field sigma_override must be finite and >= 0, got -1.0"),
+        # These three were once accepted: 2**32 + 1 repeats ran the reference
+        # minimizer and then failed in numpy (repeat 2**32 + r would share
+        # repeat r's seed word), 2**70 eval samples exited 0, and a subnormal
+        # delta passed wherever sigma_override kept the accountant out.
+        (["--repeats", str(2**32 + 1)],
+         "config field repeats must be an int in [1, 4294967296], got 4294967297"),
+        (["--eval-samples", str(2**70)],
+         "config field eval_samples must be an int in [1, 9007199254740992], got "
+         "1180591620717411303424"),
+        (["--sigma-override", "0.5", "--delta", "1e-310"],
+         "config field delta = 1e-310 is too small: its reciprocal overflows"),
     ], ids=["delta-5", "delta-prime-0", "epsilon-negative", "epsilon-nan",
-            "eval-samples-0", "baseline-steps-5000", "sigma-override-negative"])
+            "eval-samples-0", "baseline-steps-5000", "sigma-override-negative",
+            "repeats-2**32+1", "eval-samples-2**70", "delta-subnormal-under-override"])
     def test_run_key_out_of_range_exit_2(self, tmp_path, capsys, monkeypatch, flags,
                                          message):
         # Rejected where the key is parsed, named in the message, before the
@@ -909,7 +931,11 @@ class TestCli:
         (["--epsilon-values", "1e-320"], "epsilon=1e-320"),
         (["--epsilon-values", "max", "--sigma-override", "1e308", "--dimension", "10"],
          "RunConfig: eta must be finite and positive, got 0.0"),
-    ], ids=["max-then-subnormal", "subnormal", "sigma-override-eta-0"])
+        # Once written to cells.csv as report_delta_total 1.736, with exit 0.
+        (["--n-values", "16", "--epsilon-values", "max", "--delta", "0.5",
+          "--delta-prime", "0.5"],
+         "give delta_total=1.7357"),
+    ], ids=["max-then-subnormal", "subnormal", "sigma-override-eta-0", "delta-total-above-1"])
     def test_run_refused_cell_exits_before_any_work(self, tmp_path, capsys, monkeypatch,
                                                     flags, message):
         # Every cell is planned, and its RunConfig validated, before the

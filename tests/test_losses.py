@@ -401,6 +401,16 @@ class TestLipschitzCertificates:
         with pytest.raises(ConfigurationError):
             lipschitz_certificate("squared", 1.0)
 
+    def test_squared_certificate_that_overflows_refused(self):
+        # (max_norm*B + 1)*B overflows although B*B does not: the certificate
+        # was once returned as inf (found by test_fuzz.py).
+        box = FeasibleSet.box([-0.5, -0.5], [0.5, 0.5])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigurationError, match="squared loss's L at "
+                                                         "feature_bound=1.6e.154"):
+                lipschitz_certificate("squared", 1.6e154, box)
+
     def test_convexity_along_segments(self):
         rng = np.random.default_rng(61)
         fs = FeasibleSet.l2_ball(2.0, dimension=3)

@@ -997,6 +997,14 @@ class TestBaseline:
         assert result.budget_steps == 10_000
         assert not hasattr(result, "holdout_size")
 
+    def test_numpy_budget_held_as_int(self):
+        # A numpy count was once held as given (found by test_fuzz.py's
+        # baseline_minimizer cases); every other entry point holds an int.
+        spec = PopulationSpec("uniform_ball", 2, 1.0)
+        fs = FeasibleSet.l2_ball(0.5, dimension=2)
+        result = baseline_minimizer(spec, LossOracle.hinge(1.0), fs, np.int64(10_000))
+        assert type(result.budget_steps) is int and result.budget_steps == 10_000
+
 
 class TestBaselineOracles:
     """The reference minimizer against optima found without library code."""

@@ -147,15 +147,28 @@ class TestEndToEnd:
             end_to_end(*args)
 
     @pytest.mark.parametrize("args, message", [
-        ((16, 0.125, 1 - 2**-53, 1e-6, 5e-324, 1e-300, 1), "give sigma=0.0,"),
+        ((16_000, 0.003, 1 - 2**-53, 1e-300, 5e-324, 1e-300, 1), "give sigma=0.0,"),
         ((400, 0.02, 1e-6, 1e-6, 5e-324, 1e-15, 2), "and risk_bound=0.0;"),
     ], ids=["sigma", "risk_bound"])
     def test_underflow_refused(self, args, message):
         # Each once came back as a plan: sigma = 0.0 (a run with no noise)
         # with a finite guarantee, and a risk bound of 0.0 (found by
-        # test_fuzz.py's accountant cases).
+        # test_fuzz.py's accountant cases). The sigma case's n keeps its
+        # delta total, 1 - 2**-53, below 1.
         with pytest.raises(ConfigurationError, match=message):
             end_to_end(*args)
+
+    @pytest.mark.parametrize("n, epsilon, delta, delta_prime", [
+        (16, 0.125, 0.9, 0.9), (16, 0.125, 0.5, 1e-6), (1600, 0.0125, 0.5, 0.5)])
+    def test_delta_total_of_one_or_more_refused(self, n, epsilon, delta, delta_prime):
+        # delta + delta_prime + 2*exp(-n/16) is 2.54, 1.24 and 1.0: each was
+        # once reported as a guarantee.
+        with pytest.raises(ConfigurationError, match="which must be below 1"):
+            end_to_end(n, epsilon, delta, delta_prime, 1.0, 1.0, 1)
+
+    def test_delta_total_just_below_one_accepted(self):
+        plan = end_to_end(16, 0.125, 0.1, 0.1, 1.0, 1.0, 1)
+        assert plan.report.delta_total == 0.2 + 2.0 * math.exp(-1.0) < 1.0
 
     def test_from_target_subnormal_delta_refused(self):
         # delta_bar/3 is subnormal; the derived epsilon would be 0.

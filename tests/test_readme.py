@@ -52,9 +52,9 @@ def test_run_help_prints_every_meaning(capsys):
     assert exit_info.value.code == 0
     # argparse rewraps help text, so compare with all whitespace removed.
     text = "".join(capsys.readouterr().out.split())
-    for key, (_, _, meaning) in RUN_KEYS.items():
+    for key, spec in RUN_KEYS.items():
         assert "--" + key.replace("_", "-") in text
-        assert "".join(meaning.split()) in text
+        assert "".join(spec.meaning.split()) in text
 
 
 def documented_echo_keys():
