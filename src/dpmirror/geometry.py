@@ -15,7 +15,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import ConfigurationError, check_count, check_real, check_vector
+from .errors import (ConfigurationError, check_count, check_parameter_vector, check_real,
+                     check_vector)
 
 MEMBERSHIP_TOL = 1e-9
 
@@ -38,9 +39,9 @@ class FeasibleSet:
     """Closed bounded convex constraint set with a closed-form projection.
 
     Checked when built, by l2_ball, box or directly: kind is L2_BALL or
-    BOX, dimension >= 1, the kind's radius, center or bounds are finite,
-    and so are its diameter and largest norm. Its vectors are read-only
-    copies, so no check can be undone.
+    BOX, dimension >= 1, and the kind's radius, center or bounds are real
+    parameters (errors.py). Its vectors are read-only copies, so no check
+    can be undone.
     """
 
     kind: str
@@ -54,9 +55,9 @@ class FeasibleSet:
         d = check_count(self.dimension, "FeasibleSet: dimension")
         if self.kind == L2_BALL:
             fields = {"radius": check_real(self.radius, "l2_ball: radius"),
-                      "center": check_vector(self.center, d, "l2_ball: center")}
+                      "center": check_parameter_vector(self.center, d, "l2_ball: center")}
         elif self.kind == BOX:
-            fields = {end: check_vector(getattr(self, end), d, "box: lower/upper")
+            fields = {end: check_parameter_vector(getattr(self, end), d, "box: lower/upper")
                       for end in ("lower", "upper")}
             if np.any(fields["upper"] < fields["lower"]):
                 raise ConfigurationError("box: upper must dominate lower coordinatewise")
@@ -65,9 +66,6 @@ class FeasibleSet:
                 f"FeasibleSet: kind must be {L2_BALL!r} or {BOX!r}, got {self.kind!r}")
         for field, value in {**fields, "dimension": d}.items():
             object.__setattr__(self, field, value)
-        with np.errstate(over="ignore"):
-            if not all(map(math.isfinite, (self.diameter(), self.max_norm()))):
-                raise ConfigurationError(f"{self.kind}: its diameter or largest norm overflows")
 
     @classmethod
     def l2_ball(cls, radius, center=None, dimension=None):

@@ -22,13 +22,12 @@ paths), exp, log, arcsin and their kin do not, so none is used here.
 
 import functools
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (ConfigurationError, as_real, check_count, check_real, check_reals,
-                     check_vector)
+from .errors import (ConfigurationError, as_real, check_count, check_parameter_vector,
+                     check_real, check_reals)
 from .geometry import dot
 
 HINGE = "hinge"
@@ -65,7 +64,7 @@ def lipschitz_certificate(kind, feature_bound, feasible_set=None):
     either population draws. Hinge and absolute losses are globally
     Lipschitz once features are bounded; the squared loss is not, so its
     certificate needs the iterate set and is valid only on it. A certificate
-    that overflows is refused.
+    outside the range of a real parameter (errors.check_real) is refused.
     """
     feature_bound = check_real(feature_bound, "lipschitz_certificate: feature_bound")
     if kind == SQUARED and feasible_set is None:
@@ -217,19 +216,10 @@ class PopulationSpec:
                   "noise_rate": as_real(self.noise_rate, "noise_rate")}
         if not 0.0 <= fields["noise_rate"] <= 1.0:
             raise ConfigurationError(f"noise_rate must lie in [0, 1], got {self.noise_rate!r}")
-        # risk_curvature squares the bound, and population_risk divides
-        # w_true by its norm.
-        bound = fields["feature_bound"]
-        if not sys.float_info.min <= bound * bound < math.inf:
-            raise ConfigurationError(f"feature_bound={bound}: its square must be a normal float")
         if self.generator == LINEAR_MARGIN:
             if self.w_true is None:
                 raise ConfigurationError("linear_margin requires w_true")
-            w_true = fields["w_true"] = check_vector(self.w_true, d, "w_true")
-            with np.errstate(over="ignore"):
-                if w_true.any() and not 0.0 < dot(w_true, w_true) < math.inf:
-                    raise ConfigurationError("w_true: its squared norm underflows to 0 "
-                                             "or overflows")
+            fields["w_true"] = check_parameter_vector(self.w_true, d, "w_true")
         for field, value in fields.items():
             object.__setattr__(self, field, value)
 
@@ -456,18 +446,12 @@ def risk_curvature(spec, oracle):
     c_d (1 - (z/k)^2)^((d-1)/2)/k with k = B||w||, nonzero at +-1 only for
     k >= 1, hence at most c_d. That gives 2 c_d B^2 and 4 c_d B^2.
 
-    The reference minimizer steps by 1/beta, so a beta whose reciprocal
-    overflows (a small B, or a large d) raises ConfigurationError.
+    The reference minimizer steps by 1/beta, which the range of B keeps
+    finite (errors.py, "curvature").
     """
     d, square = spec.dimension, spec.feature_bound ** 2
     if oracle.kind == SQUARED or (spec.generator == UNIFORM_BALL and oracle.kind == ABSOLUTE):
-        beta = square / (d + 2.0)
-    elif spec.generator == UNIFORM_BALL:
-        beta = square / (2.0 * (d + 2.0))
-    else:
-        beta = (2.0 if oracle.kind == HINGE else 4.0) * _marginal_constant(d) * square
-    if not (beta > 0.0 and 1.0 / beta < math.inf):
-        raise ConfigurationError(
-            f"feature_bound={spec.feature_bound!r}: the risk curvature {beta:.3g} is too "
-            f"small for the reference minimizer's step 1/curvature to be finite")
-    return beta
+        return square / (d + 2.0)
+    if spec.generator == UNIFORM_BALL:
+        return square / (2.0 * (d + 2.0))
+    return (2.0 if oracle.kind == HINGE else 4.0) * _marginal_constant(d) * square

@@ -38,8 +38,7 @@ from .errors import ConfigurationError, check_count, check_real, check_reals, ch
 from .geometry import dot, mirror_step  # noqa: F401
 from .losses import (RISK_QUADRATURE_BOUND, draw_arrays, draw_dataset,  # noqa: F401
                      population_risk, risk_curvature)
-from .sampler import (NORMAL_BOUND, draw_stopping_times, sample_index,  # noqa: F401
-                      spawned_streams)
+from .sampler import draw_stopping_times, sample_index, spawned_streams  # noqa: F401
 
 MAX_STEPS_FACTOR = 4
 NOISE_CHUNK_STEPS = 128
@@ -54,14 +53,9 @@ class RunConfig:
     The fields are checked when built, and w1 is held as a read-only copy.
     A run that has not stopped after MAX_STEPS_FACTOR * n steps is an
     overrun, reported rather than silently truncated (the stopping rule
-    makes it exponentially unlikely at that cap).
-
-    No step checks for overflow, so eta and sigma are refused unless every
-    offset w - eta*g - c a step projects (w and c in the set) squares to a
-    finite norm: the subgradient's norm is at most L = oracle.lipschitz_L
-    (check_rows) and the noise's sampler.NORMAL_BOUND*sigma*sqrt(d), so (2B)^2
-    must be finite for B = 2*max_norm() + eta*(L + NORMAL_BOUND*sigma*sqrt(d)),
-    the factor 2 covering every rounding (relative error below (d + 8) * 2^-53).
+    makes it exponentially unlikely at that cap). No step checks for
+    overflow: the range of eta, sigma, L and the set keeps every offset a
+    step projects finite (errors.py, "step").
     """
 
     n: int
@@ -78,13 +72,6 @@ class RunConfig:
                   "w1": check_vector(self.w1, self.feasible_set.dimension, "RunConfig: w1")}
         if not self.feasible_set.contains(fields["w1"]):
             raise ConfigurationError("RunConfig: w1 lies outside the feasible set")
-        noise_norm = NORMAL_BOUND * fields["sigma"] * math.sqrt(self.feasible_set.dimension)
-        step_bound = 2.0 * (2.0 * self.feasible_set.max_norm()
-                            + fields["eta"] * (self.oracle.lipschitz_L + noise_norm))
-        if not step_bound * step_bound < math.inf:
-            raise ConfigurationError(
-                f"RunConfig: eta={fields['eta']} and sigma={fields['sigma']} allow a step "
-                "whose squared norm overflows")
         for field, value in fields.items():
             object.__setattr__(self, field, value)
 

@@ -21,13 +21,12 @@ np.histogram's over one whole draw per side (see audit_single_step).
 """
 
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigurationError, RegimeError, check_count, check_probability, check_real
-from .sampler import NORMAL_BOUND, seeded_streams
+from .sampler import seeded_streams
 
 # Audit needs this many trials per grid cell for stable tail estimates.
 MIN_TRIALS_PER_CELL = 2000
@@ -52,16 +51,16 @@ def calibrate_sigma(L, delta, epsilon_tilde):
     """Noise scale making one gradient step (epsilon_tilde, delta)-DP.
 
     sigma = L * sqrt(3 * ln(1/delta)) / epsilon_tilde, with L the bound on
-    gradient norms (the step's sensitivity). A sigma that overflows or is
-    below the smallest normal float (imprecise, or 0: no noise) is refused.
+    gradient norms (the step's sensitivity), a normal float (errors.py).
+
+    Sensitivity: the claim covers neighbouring datasets whose one differing
+    gradient is at most L apart, the N(0, sigma^2) against N(L, sigma^2)
+    pair that audit_single_step draws. Replace-one neighbours of hinge or
+    absolute-loss data can differ by 2L, and the claim then fails.
     """
     L, epsilon_tilde = check_real(L, "L"), check_real(epsilon_tilde, "epsilon_tilde")
     delta = check_probability(delta, "delta")
-    sigma = L * math.sqrt(3.0 * math.log(1.0 / delta)) / epsilon_tilde
-    if not sys.float_info.min <= sigma < math.inf:
-        raise ConfigurationError(
-            f"L={L}, delta={delta}, epsilon_tilde={epsilon_tilde} give sigma={sigma}")
-    return sigma
+    return L * math.sqrt(3.0 * math.log(1.0 / delta)) / epsilon_tilde
 
 
 def epsilon_limit(n):
@@ -104,9 +103,8 @@ def end_to_end(n, epsilon, delta, delta_prime, L, D, d):
     delta + delta' + 2*exp(-n/16)), where the exponential term is the
     probability the run fails to stop within 2n steps, and risk_bound at
     this sigma. A delta total of 1 or more rules nothing out, and is
-    refused; so are a sigma, reported epsilon or risk_bound that overflows,
-    an eta that underflows to 0, and a sigma or risk_bound below the
-    smallest normal float (imprecise, or 0).
+    refused. Every result is a finite, normal float (errors.py, "sigma",
+    "eta" and "risk_bound").
 
     Regime: at the grid's epsilon = 1/(2*sqrt(n)) the privacy term
     20LD*sqrt(d*ln(1/delta))/(epsilon*n) is 40LD*sqrt(d*ln(1/delta))/sqrt(n)
@@ -142,15 +140,8 @@ def end_to_end(n, epsilon, delta, delta_prime, L, D, d):
             "per-step epsilon_tilde = sqrt(n)*epsilon composed over tau = 2n",
         ),
     )
-    eta, bound = step_size(n, sigma, L, D, d), risk_bound(n, sigma, L, D, d)
-    if not (all(map(math.isfinite, (sigma, eta, report.epsilon, bound))) and eta > 0.0
-            and min(sigma, bound) >= sys.float_info.min):
-        raise ConfigurationError(
-            f"n={n}, epsilon={epsilon}, delta={delta}, delta_prime={delta_prime}, L={L}, "
-            f"D={D}, d={d} give sigma={sigma}, eta={eta}, report epsilon={report.epsilon} "
-            f"and risk_bound={bound}; each must be finite, eta positive, and sigma and "
-            "risk_bound normal floats")
-    return EndToEndPlan(sigma=sigma, eta=eta, report=report, risk_bound=bound)
+    return EndToEndPlan(sigma=sigma, eta=step_size(n, sigma, L, D, d), report=report,
+                        risk_bound=risk_bound(n, sigma, L, D, d))
 
 
 @dataclass(frozen=True)
@@ -177,12 +168,8 @@ def from_target(eps_bar, delta_bar, n):
             f"delta_bar={delta_bar} violates 6*exp(-n/16) = {floor:.6g} "
             f"<= delta_bar <= 3*e^-4 = {ceiling:.6g}"
         )
-    delta = delta_bar / 3.0
-    check_probability(delta, "delta_bar/3")
+    delta = check_probability(delta_bar / 3.0, "delta_bar/3")
     epsilon = eps_bar / (8.0 * math.sqrt(math.log(1.0 / delta)))
-    if epsilon < sys.float_info.min:   # rounded by up to half, or to 0
-        raise ConfigurationError(f"eps_bar={eps_bar} gives epsilon={epsilon}, "
-                                 "below the smallest normal float")
     limit = epsilon_limit(n)
     if epsilon > limit:
         raise RegimeError(
@@ -231,9 +218,8 @@ def audit_single_step(sigma, L, epsilon_tilde, delta, trials,
 
     Requires int trials >= 2000 per grid cell (10^6 at the 500-cell
     default), an int grid_cells in [3, 500], a seed that is a non-negative
-    int, an epsilon_tilde whose e^(2*epsilon_tilde) is finite, and a sigma
-    and L that audit_grid_range takes; anything else raises
-    ConfigurationError.
+    int, and an epsilon_tilde whose e^(2*epsilon_tilde) is finite; anything
+    else raises ConfigurationError.
 
     Each side's draws pass through one reused block of AUDIT_BLOCK float64s
     (512 KB), so memory does not depend on trials. Each block is sorted in
@@ -259,8 +245,8 @@ def audit_single_step(sigma, L, epsilon_tilde, delta, trials,
     amp = math.exp(min(epsilon_tilde, 709.0))
     if not math.isfinite(amp * amp):
         raise ConfigurationError(f"epsilon_tilde={epsilon_tilde}: e^(2*epsilon_tilde) overflows")
-    lo, hi = audit_grid_range(sigma, L)
-    interior = np.linspace(lo, hi, grid_cells - 1)
+    margin = AUDIT_RANGE_SIGMAS * sigma
+    interior = np.linspace(min(0.0, L) - margin, max(0.0, L) + margin, grid_cells - 1)
     edges = np.concatenate([[-np.inf], interior, [np.inf]])
 
     # S's draws first, then S''s, block by block; z*sigma (+ L) rounds as
@@ -301,21 +287,6 @@ def audit_single_step(sigma, L, epsilon_tilde, delta, trials,
                        significant=significant,
                        worst_lo=float(edges[worst]), worst_hi=float(edges[worst + 1]),
                        edges=edges, p_s=p_s, p_sprime=p_sp, violation=violation)
-
-
-def audit_grid_range(sigma, L):
-    """Interior grid span used by the audit: 3 noise units past both means.
-
-    A sigma and L whose span, or whose draws z*sigma + L, could overflow
-    raise ConfigurationError: no standard normal reaches sampler.NORMAL_BOUND,
-    so |L| + NORMAL_BOUND*sigma bounds both.
-    """
-    if not math.isfinite(abs(L) + NORMAL_BOUND * sigma):
-        raise ConfigurationError(
-            f"sigma={sigma} with L={L}: the audit's grid or its draws would overflow; "
-            f"|L| + {NORMAL_BOUND:g}*sigma must be finite")
-    margin = AUDIT_RANGE_SIGMAS * sigma
-    return min(0.0, L) - margin, max(0.0, L) + margin
 
 
 def write_audit_csv(result, path):

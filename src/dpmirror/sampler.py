@@ -27,9 +27,6 @@ import numpy as np
 
 from .errors import check_count
 
-# numpy's standard_normal never returns |z| >= NORMAL_BOUND: the tail of its
-# ziggurat reaches r - ln(2**-53)/r = 13.71, r = 3.654.
-NORMAL_BOUND = 14.0
 # A stream's index (a trial or a repeat) is one uint32 word of its entropy.
 INDEXED_STREAMS = 1 << 32
 

@@ -8,8 +8,6 @@ import math
 
 import numpy as np
 
-from dpmirror.privacy import audit_grid_range
-
 
 def phi(x):
     """Standard normal CDF."""
@@ -19,10 +17,11 @@ def phi(x):
 def closed_form_cell_violations(sigma, L, eps, delta, grid_cells):
     """True per-cell violations of the audit partition, from Gaussian CDFs.
 
-    Returns (violations, cell_lo, cell_hi) aligned with the audit's grid.
+    Returns (violations, cell_lo, cell_hi) aligned with the audit's grid,
+    whose interior spans 3 noise units past both means.
     """
-    lo, hi = audit_grid_range(sigma, L)
-    interior = np.linspace(lo, hi, grid_cells - 1)
+    interior = np.linspace(min(0.0, L) - 3.0 * sigma, max(0.0, L) + 3.0 * sigma,
+                           grid_cells - 1)
     edges = np.concatenate([[-np.inf], interior, [np.inf]])
 
     def cdf(x, mu):

@@ -7,7 +7,9 @@ accountant's calibrate_sigma, end_to_end, from_target and
 audit_single_step, and of every CLI command.
 
 Every input is drawn from bools, Python and numpy scalars, +-0.0,
-subnormals, +-inf, NaN, 1e308, ints past 2**63, short strings and None.
+subnormals, +-inf, NaN, 1e308, ints past 2**63, short strings and None,
+and from both sides of each end of the range of a real parameter
+(errors.py): +-2^-200 and +-2^200, and the next float outside each.
 Each call must either be accepted with its rule holding or be refused
 with ConfigurationError (or, by the accountant, RegimeError): any other
 exception, and any warning, fails the test. Where the rule is a plain statement about the value, the test also
@@ -47,7 +49,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dpmirror import cli, harness, privacy, sampler
-from dpmirror.errors import (ConfigurationError, RegimeError, as_real, check_count, check_real,
+from dpmirror.errors import (ConfigurationError, RegimeError, as_real, check_count,
+                             check_parameter_vector, check_probability, check_real,
                              check_vector)
 from dpmirror.geometry import FeasibleSet, mirror_step
 from dpmirror.losses import (LossOracle, PopulationSpec, draw_dataset, lipschitz_certificate,
@@ -58,6 +61,10 @@ from dpmirror.sampler import simulate_tau
 
 FUZZ = settings(derandomize=True, database=None, max_examples=200, deadline=None)
 
+# The ends of the range of a real parameter, and the next float outside each.
+TINY, HUGE = 2.0**-200, 2.0**200
+EDGES = [TINY, math.nextafter(TINY, 0.0), HUGE, math.nextafter(HUGE, math.inf)]
+EDGES += [-edge for edge in EDGES]
 SCALARS = st.one_of(
     st.booleans(),
     st.integers(-3, 40),
@@ -65,6 +72,7 @@ SCALARS = st.one_of(
     st.floats(),    # NaN, +-inf, +-0.0, subnormals and 1e308 among them
     st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, math.inf, -math.inf,
                      math.nan, 2**63, 2**64 + 1]),
+    st.sampled_from(EDGES),
     st.builds(np.int64, st.integers(-(2**63), 2**63 - 1)),
     st.builds(np.uint64, st.integers(0, 2**64 - 1)),
     st.builds(np.int32, st.integers(-(2**31), 2**31 - 1)),
@@ -98,13 +106,19 @@ def is_count(value):
     return isinstance(value, numbers.Integral) and not isinstance(value, (bool, np.bool_))
 
 
-def finite_positive(value):
-    return is_real(value) and 0 < value < math.inf
+def in_range(value):
+    """Whether value is a real number that is 0 or has magnitude in [2^-200, 2^200]."""
+    return is_real(value) and (value == 0 or TINY <= abs(float(value)) <= HUGE)
 
 
-def has_normal_square(value):
-    square = float(value) * float(value)
-    return sys.float_info.min <= square < math.inf
+def parameter(value, zero=False):
+    """Whether value is a real parameter: in range, and positive, or 0 with zero."""
+    return in_range(value) and (value > 0 or zero and value == 0)
+
+
+def normal(value):
+    """Whether value is a positive float that is normal and finite."""
+    return type(value) is float and sys.float_info.min <= value < math.inf
 
 
 def held_vector(vector, dimension):
@@ -132,9 +146,12 @@ def test_check_real_and_as_real(value):
     if is_real(value):
         assert type(real) is float and (real == float(value) or math.isnan(real))
     positive = outcome(check_real, value, "real")
-    assert (positive is not REFUSED) == finite_positive(value)
-    if finite_positive(value):
+    assert (positive is not REFUSED) == parameter(value)
+    if parameter(value):
         assert type(positive) is float and positive == float(value)
+    assert (outcome(check_real, value, "real", zero=True) is not REFUSED) == parameter(value, True)
+    probability = outcome(check_probability, value, "delta")
+    assert (probability is not REFUSED) == (parameter(value) and value < 1)
 
 
 @FUZZ
@@ -149,18 +166,26 @@ def test_check_vector(values, dimension):
 
 
 @FUZZ
+@given(VECTORS, st.integers(1, 3))
+def test_check_parameter_vector(values, dimension):
+    result = outcome(check_parameter_vector, values, dimension, "vector")
+    rule = len(values) == dimension and all(map(in_range, values))
+    assert (result is not REFUSED) == rule
+    if rule:
+        assert held_vector(result, dimension)
+        assert result.tolist() == [float(v) for v in values]
+
+
+@FUZZ
 @given(SCALARS, SCALARS, SCALARS, st.one_of(st.just(ORIGIN), VECTORS))
 def test_run_config(n, eta, sigma, w1):
     ball = FeasibleSet.l2_ball(0.5, dimension=2)
     config = outcome(RunConfig, n=n, eta=eta, sigma=sigma, feasible_set=ball,
                      oracle=LossOracle.hinge(1.0), w1=w1)
-    scalars_ok = (is_count(n) and 1 <= n <= 2**53 and finite_positive(eta)
-                  and is_real(sigma) and 0 <= sigma < math.inf)
-    if scalars_ok:
-        # A step's offset from the centre has norm at most 2*0.5 + eta*(L +
-        # 14*sigma*sqrt(2)) (L = 1); twice that must square to a finite float.
-        bound = 2.0 * (1.0 + float(eta) * (1.0 + 14.0 * float(sigma) * math.sqrt(2.0)))
-        scalars_ok = bound * bound < math.inf
+    # In range, every step's offset squares to a finite float (errors.py,
+    # "step"), so no other bound applies.
+    scalars_ok = (is_count(n) and 1 <= n <= 2**53 and parameter(eta)
+                  and parameter(sigma, zero=True))
     if w1 is ORIGIN:
         assert (config is not REFUSED) == scalars_ok
     if config is not REFUSED:
@@ -180,19 +205,19 @@ def test_feasible_set(kind, dimension, radius, first, second):
         return
     assert kind in ("l2_ball", "box") and type(fs.dimension) is int and fs.dimension >= 1
     if kind == "l2_ball":
-        assert type(fs.radius) is float and finite_positive(fs.radius)
-        assert held_vector(fs.center, fs.dimension)
+        assert type(fs.radius) is float and parameter(fs.radius)
+        assert held_vector(fs.center, fs.dimension) and all(map(in_range, first))
     else:
         assert held_vector(fs.lower, fs.dimension) and held_vector(fs.upper, fs.dimension)
-        assert np.all(fs.lower <= fs.upper)
+        assert np.all(fs.lower <= fs.upper) and all(map(in_range, first + second))
+    assert math.isfinite(fs.diameter()) and math.isfinite(fs.max_norm())
 
 
 @FUZZ
 @given(SCALARS, st.integers(1, 3))
 def test_l2_ball(radius, dimension):
     fs = outcome(FeasibleSet.l2_ball, radius, dimension=dimension)
-    # The diameter 2*radius must be finite too.
-    assert (fs is not REFUSED) == (finite_positive(radius) and 2.0 * float(radius) < math.inf)
+    assert (fs is not REFUSED) == parameter(radius)
     if fs is not REFUSED:
         assert fs.radius == float(radius) and held_vector(fs.center, dimension)
 
@@ -201,12 +226,12 @@ def test_l2_ball(radius, dimension):
 @given(st.sampled_from(["hinge", "absolute", "squared", "Hinge"]), SCALARS)
 def test_loss_oracle(kind, lipschitz_L):
     oracle = outcome(LossOracle, kind, lipschitz_L)
-    rule = kind != "Hinge" and finite_positive(lipschitz_L)
+    rule = kind != "Hinge" and parameter(lipschitz_L)
     assert (oracle is not REFUSED) == rule
     if rule:
         assert type(oracle.lipschitz_L) is float and oracle.lipschitz_L == float(lipschitz_L)
     for build in (LossOracle.hinge, LossOracle.absolute):
-        assert (outcome(build, lipschitz_L) is not REFUSED) == finite_positive(lipschitz_L)
+        assert (outcome(build, lipschitz_L) is not REFUSED) == parameter(lipschitz_L)
 
 
 @FUZZ
@@ -215,8 +240,7 @@ def test_loss_oracle(kind, lipschitz_L):
 def test_population_spec(generator, dimension, feature_bound, noise_rate, w_true):
     spec = outcome(PopulationSpec, generator, dimension, feature_bound, w_true=w_true,
                    noise_rate=noise_rate)
-    scalars_ok = (is_count(dimension) and 1 <= dimension <= 2**53
-                  and finite_positive(feature_bound) and has_normal_square(feature_bound)
+    scalars_ok = (is_count(dimension) and 1 <= dimension <= 2**53 and parameter(feature_bound)
                   and is_real(noise_rate) and 0 <= noise_rate <= 1)
     if generator == "uniform_ball" or (w_true is AXIS and dimension == 2):
         assert (spec is not REFUSED) == scalars_ok
@@ -224,7 +248,7 @@ def test_population_spec(generator, dimension, feature_bound, noise_rate, w_true
         assert scalars_ok and type(spec.dimension) is int
         assert type(spec.feature_bound) is float and type(spec.noise_rate) is float
         if generator == "linear_margin":
-            assert held_vector(spec.w_true, spec.dimension)
+            assert held_vector(spec.w_true, spec.dimension) and all(map(in_range, w_true))
 
 
 def sized(high=40):
@@ -304,9 +328,9 @@ def test_mirror_step(kind, w, g, eta):
           else FeasibleSet.box([-0.5, -0.5], [0.5, 0.5]))
     result = outcome(mirror_step, fs, w, g, eta)
     if w is AXIS and g is AXIS:
-        assert (result is not REFUSED) == finite_positive(eta)
+        assert (result is not REFUSED) == parameter(eta)
     if result is not REFUSED:
-        assert finite_positive(eta) and finite(result) and fs.contains(result)
+        assert parameter(eta) and finite(result) and fs.contains(result)
 
 
 @FUZZ
@@ -370,17 +394,16 @@ def test_lipschitz_certificate(kind, feature_bound, set_kind):
     fs = SETS[set_kind]
     L = outcome(lipschitz_certificate, kind, feature_bound, fs)
     if kind in ("hinge", "absolute", "Hinge"):
-        assert (L is not REFUSED) == (kind != "Hinge" and finite_positive(feature_bound))
+        assert (L is not REFUSED) == (kind != "Hinge" and parameter(feature_bound))
     if L is REFUSED:
         return
-    assert finite_positive(feature_bound) and (kind != "squared" or fs is not None)
-    assert type(L) is float and finite_positive(L)
-    if has_normal_square(feature_bound):
-        # L is the bound check_rows applies, at a row of norm feature_bound
-        # (sqrt of a normal square is exact) and label size 1.
-        row = np.array([[float(feature_bound), 0.0]])
-        for label in (1.0, -1.0):
-            assert LossOracle(kind, L).max_subgradient_norm(row, np.array([label]), fs) == L
+    assert parameter(feature_bound) and (kind != "squared" or fs is not None)
+    assert type(L) is float and parameter(L)
+    # L is the bound check_rows applies, at a row of norm feature_bound
+    # (sqrt of a normal square is exact) and label size 1.
+    row = np.array([[float(feature_bound), 0.0]])
+    for label in (1.0, -1.0):
+        assert LossOracle(kind, L).max_subgradient_norm(row, np.array([label]), fs) == L
 
 
 BUDGET_STEPS = SCALARS.map(lambda v: 10_000 + v % 101 if is_count(v) and 10_100 < v else v)
@@ -435,9 +458,9 @@ def test_calibrate_sigma(data):
     args = fuzz_keywords(data, {"L": 1.0, "delta": 1e-6, "epsilon_tilde": 0.5})
     sigma = accounted(calibrate_sigma, **args)
     if sigma is not REFUSED:
-        assert finite_positive(args["L"]) and finite_positive(args["epsilon_tilde"])
-        assert in_unit_interval(args["delta"])
-        assert type(sigma) is float and finite_positive(sigma)
+        assert parameter(args["L"]) and parameter(args["epsilon_tilde"])
+        assert in_unit_interval(args["delta"]) and in_range(args["delta"])
+        assert normal(sigma)
 
 
 END_TO_END = {"n": 400, "epsilon": 0.02, "delta": 1e-6, "delta_prime": 1e-6,
@@ -457,9 +480,10 @@ def test_end_to_end(data):
     if plan is not REFUSED:
         assert is_count(args["n"]) and 16 <= args["n"] <= 2**53
         assert is_count(args["d"]) and 1 <= args["d"] <= 2**53
-        assert all(map(finite_positive, (args["epsilon"], args["L"], args["D"])))
-        assert in_unit_interval(args["delta"]) and in_unit_interval(args["delta_prime"])
-        assert all(type(v) is float and finite_positive(v) for v in plan_numbers(plan))
+        assert all(map(parameter, (args["epsilon"], args["L"], args["D"])))
+        for delta in (args["delta"], args["delta_prime"]):
+            assert in_unit_interval(delta) and in_range(delta)
+        assert all(map(normal, plan_numbers(plan)))
         assert plan.report.delta_total < 1
 
 
@@ -472,10 +496,11 @@ def test_from_target(data):
     budget = accounted(from_target, **args)
     if budget is REFUSED:
         return
-    assert finite_positive(args["eps_bar"]) and finite_positive(args["delta_bar"])
+    assert parameter(args["eps_bar"]) and parameter(args["delta_bar"])
     assert is_count(args["n"]) and 16 <= args["n"] <= 2**53
-    assert type(budget.epsilon) is float and finite_positive(budget.epsilon)
-    assert in_unit_interval(budget.delta) and budget.delta_prime == budget.delta
+    assert normal(budget.epsilon)
+    assert in_unit_interval(budget.delta) and in_range(budget.delta)
+    assert budget.delta_prime == budget.delta
     plan = accounted(end_to_end, **{**END_TO_END, "n": args["n"], "epsilon": budget.epsilon,
                                     "delta": budget.delta, "delta_prime": budget.delta_prime})
     if plan is not REFUSED:
@@ -495,8 +520,9 @@ def test_audit_single_step(data):
     result = accounted(audit_single_step, **args)
     if result is REFUSED:
         return
-    assert all(map(finite_positive, (args["sigma"], args["L"], args["epsilon_tilde"])))
-    assert in_unit_interval(args["delta"]) and is_count(args["seed"]) and args["seed"] >= 0
+    assert all(map(parameter, (args["sigma"], args["L"], args["epsilon_tilde"])))
+    assert in_unit_interval(args["delta"]) and in_range(args["delta"])
+    assert is_count(args["seed"]) and args["seed"] >= 0
     cells = args["grid_cells"]
     assert is_count(cells) and 3 <= cells <= 500 and args["trials"] >= 2000 * cells
     assert finite(result.max_violation, result.max_violation_stderr, result.violation,
@@ -515,6 +541,7 @@ CLASSES = {
     "infinite": ["inf", "-inf"],
     "nan": ["nan", "-nan"],
     "huge": ["1e308", "-1e308", repr(sys.float_info.max)],
+    "range edge": list(map(repr, EDGES)),
     "past 2**63": [str(2**63), str(2**64 + 1), str(2**70), str(-(2**63) - 1)],
     "not a number": ["", "abc", "0x10", "None", "1e", "--1"],
 }

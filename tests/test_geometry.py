@@ -199,16 +199,20 @@ class TestMirrorStep:
         with pytest.raises(ConfigurationError):
             mirror_step(ball, np.zeros(2), np.zeros(2), 0.1)
 
-    @pytest.mark.parametrize("w, g, eta", [([0.5, 0.0], [1e308, 0.0], 1e308),
-                                           ([1e308, 0.0], [-1e308, 0.0], 1.0)],
-                             ids=["product", "difference"])
-    def test_overflowing_step_refused(self, w, g, eta):
+    @pytest.mark.parametrize("w, g, eta, message", [
+        ([0.5, 0.0], [1e308, 0.0], 1e308, r"mirror_step: eta must have magnitude in \[2\^-200"),
+        ([0.5, 0.0], [1e308, 0.0], 2.0**200, "project: point must be finite"),
+        ([1e308, 0.0], [-1e308, 0.0], 1.0, "project: point must be finite")],
+        ids=["product", "product-in-range", "difference"])
+    def test_overflowing_step_refused(self, w, g, eta, message):
         # w - eta * g overflowed with a RuntimeWarning. Found by reading the
-        # cases tests/test_fuzz.py draws. project refuses the overflowed point.
+        # cases tests/test_fuzz.py draws. An eta past 2^200 is out of range;
+        # w and g are computed vectors, with no range, so project refuses the
+        # overflowed point.
         ball = FeasibleSet.l2_ball(0.5, dimension=2)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            with pytest.raises(ConfigurationError, match="project: point must be finite"):
+            with pytest.raises(ConfigurationError, match=message):
                 mirror_step(ball, w, g, eta)
 
     def test_point_whose_squared_distance_overflows_refused(self):
@@ -258,10 +262,11 @@ def test_set_whose_diameter_or_norm_overflows_rejected(build, kind):
     # Every bound is finite, but the box's diameter, the centre's norm and
     # 2*radius overflow: refused when built, naming the set, with no
     # RuntimeWarning, where the set once built and its diameter() and
-    # max_norm() warned and returned inf.
+    # max_norm() warned and returned inf. Each bound is past 2^200, the
+    # range that keeps every diameter and norm finite (errors.py, "set").
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        with pytest.raises(ConfigurationError, match=f"{kind}: its diameter or largest norm"):
+        with pytest.raises(ConfigurationError, match=rf"{kind}: .*magnitude in \[2\^-200"):
             build()
 
 

@@ -621,20 +621,20 @@ class TestCli:
         assert message in captured.err and captured.out == ""
 
     def test_run_subnormal_delta_prime_exit_2(self, tmp_path, capsys):
-        # 1/delta' overflows, so the reported epsilon would be inf: refused
-        # before any file is written.
+        # 1/delta' overflows, so the reported epsilon would be inf: refused,
+        # as below 2^-200, before any file is written.
         rc = cli.main(["run", "--n-values", "16", "--epsilon-values", "max",
                        "--repeats", "2", "--seed", "1", "--baseline-steps", "10000",
                        "--delta-prime", "1e-320", "--output-dir", str(tmp_path),
                        "--name", "tiny"])
         assert rc == 2
-        assert "delta_prime = 1e-320" in capsys.readouterr().err
+        assert "delta_prime must have magnitude in [2^-200, 2^200], got 1e-320" \
+            in capsys.readouterr().err
         assert not (tmp_path / "tiny" / "summary.json").exists()
 
     @pytest.mark.parametrize("eps, delta, message", [
-        ("1e-320", "1e-6", "n=1600, epsilon=1e-320, delta=1e-06, delta_prime=1e-06, "
-                           "L=1.0, D=1.0, d=2 give sigma=inf, eta=0.0"),
-        ("0.001", "1e-320", "delta = 1e-320 is too small"),
+        ("1e-320", "1e-6", "epsilon must have magnitude in [2^-200, 2^200], got 1e-320"),
+        ("0.001", "1e-320", "delta must have magnitude in [2^-200, 2^200], got 1e-320"),
     ], ids=["eps", "delta"])
     def test_calibrate_subnormal_exit_2(self, capsys, eps, delta, message):
         # Printing "sigma": Infinity and "eta": 0.0 would be neither a
@@ -650,7 +650,8 @@ class TestCli:
                        "--trials", "1000000", "--seed", "1", "--output-dir", str(tmp_path)])
         assert rc == 2
         err = capsys.readouterr().err
-        assert "delta = 1e-320 is too small" in err and "sigma" not in err
+        assert "delta must have magnitude in [2^-200, 2^200], got 1e-320" in err
+        assert "sigma" not in err
 
     def test_calibrate_direct_names_missing_flags(self, capsys):
         rc = cli.main(["calibrate", "--n", "10000", "--eps", "0.005", "--delta", "1e-6",
@@ -719,7 +720,7 @@ class TestCli:
          "config field dimension must be an int in [1, "),
         (["run", "--n-values", "16", "--loss", "squared", "--generator", "uniform_ball",
           "--set", "box", "--dimension", "2", "--lower=-1e308,-1e308", "--upper=1e308,1e308"],
-         "box: its diameter or largest norm overflows"),
+         "box: lower/upper entries must be 0 or have magnitude in [2^-200, 2^200]"),
     ], ids=["calibrate-n-10**400", "run-n-2**70", "run-dimension-2**70", "run-box-1e308"])
     def test_count_or_set_past_float_range_exit_2(self, argv, message, tmp_path, capsys,
                                                   monkeypatch):
@@ -744,11 +745,11 @@ class TestCli:
         (["--dimension", "0"], "config field dimension must be an int in [1, "),
         (["--w-true", "nan,0"], "w_true must be finite"),
         (["--feature-bound", "inf"], "feature_bound must be finite and positive"),
-        (["--feature-bound", "1e-310"], "feature_bound=1e-310: its square"),
-        (["--feature-bound", "1e-160"], "feature_bound=1e-160: its square"),
-        (["--feature-bound", "1e200"], "feature_bound=1e+200: its square"),
-        (["--w-true", "5e-324,0"], "w_true: its squared norm"),
-        (["--w-true", "1e308,0"], "w_true: its squared norm"),
+        (["--feature-bound", "1e-310"], "feature_bound must have magnitude in [2^-200, 2^200]"),
+        (["--feature-bound", "1e-160"], "feature_bound must have magnitude in [2^-200, 2^200]"),
+        (["--feature-bound", "1e200"], "feature_bound must have magnitude in [2^-200, 2^200]"),
+        (["--w-true", "5e-324,0"], "w_true entries must be 0 or have magnitude in"),
+        (["--w-true", "1e308,0"], "w_true entries must be 0 or have magnitude in"),
     ], ids=["dimension-0", "w-true-nan", "feature-bound-inf", "feature-bound-1e-310",
             "feature-bound-1e-160", "feature-bound-1e200", "w-true-subnormal", "w-true-1e308"])
     def test_run_bad_population_exit_2(self, tmp_path, capsys, monkeypatch, flags, message):
@@ -781,7 +782,8 @@ class TestCli:
     def test_run_curvature_without_finite_step_exit_2(self, tmp_path, capsys):
         # B = 1.52e-154 has a normal square, but the hinge's curvature
         # B^2/6 = 3.85e-309 made the reference minimizer's step inf: a
-        # RuntimeWarning, then a refusal that blamed a non-finite point.
+        # RuntimeWarning, then a refusal that blamed a non-finite point. Such
+        # a B is below 2^-200 (errors.py, "curvature").
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             rc = cli.main(["run", "--loss", "hinge", "--generator", "uniform_ball",
@@ -791,7 +793,7 @@ class TestCli:
                            "--output-dir", str(tmp_path)])
         assert rc == 2
         err = capsys.readouterr().err
-        assert "feature_bound=1.52e-154" in err and "curvature 3.85e-309" in err
+        assert "feature_bound must have magnitude in [2^-200, 2^200], got 1.52e-154" in err
         assert not (tmp_path / "experiment").exists()
 
     def test_audit_nan_sigma_exit_2(self, tmp_path, capsys):
@@ -907,7 +909,7 @@ class TestCli:
          "config field eval_samples must be an int in [1, 9007199254740992], got "
          "1180591620717411303424"),
         (["--sigma-override", "0.5", "--delta", "1e-310"],
-         "config field delta = 1e-310 is too small: its reciprocal overflows"),
+         "config field delta must have magnitude in [2^-200, 2^200], got 1e-310"),
     ], ids=["delta-5", "delta-prime-0", "epsilon-negative", "epsilon-nan",
             "eval-samples-0", "baseline-steps-5000", "sigma-override-negative",
             "repeats-2**32+1", "eval-samples-2**70", "delta-subnormal-under-override"])
@@ -927,21 +929,29 @@ class TestCli:
         assert not (tmp_path / "experiment").exists()
 
     @pytest.mark.parametrize("flags, message", [
-        (["--epsilon-values", "max,1e-320"], "epsilon=1e-320"),
-        (["--epsilon-values", "1e-320"], "epsilon=1e-320"),
+        (["--epsilon-values", "max,1e-320"],
+         "config field epsilon_values must have magnitude in [2^-200, 2^200], got 1e-320"),
+        (["--epsilon-values", "1e-320"],
+         "config field epsilon_values must have magnitude in [2^-200, 2^200], got 1e-320"),
         (["--epsilon-values", "max", "--sigma-override", "1e308", "--dimension", "10"],
-         "RunConfig: eta must be finite and positive, got 0.0"),
+         "config field sigma_override must have magnitude in [2^-200, 2^200], got 1e+308"),
+        # sigma_override is in range, but the eta derived from it, about
+        # 2^-207, is not: the RunConfig that takes it refuses it by name.
+        (["--epsilon-values", "max", "--sigma-override", str(2.0**200), "--dimension", "10"],
+         "RunConfig: eta must have magnitude in [2^-200, 2^200], got "),
         # Once written to cells.csv as report_delta_total 1.736, with exit 0.
         (["--n-values", "16", "--epsilon-values", "max", "--delta", "0.5",
           "--delta-prime", "0.5"],
          "give delta_total=1.7357"),
-    ], ids=["max-then-subnormal", "subnormal", "sigma-override-eta-0", "delta-total-above-1"])
+    ], ids=["max-then-subnormal", "subnormal", "sigma-override-eta-0",
+            "sigma-override-eta-out-of-range", "delta-total-above-1"])
     def test_run_refused_cell_exits_before_any_work(self, tmp_path, capsys, monkeypatch,
                                                     flags, message):
         # Every cell is planned, and its RunConfig validated, before the
-        # reference minimizer or any cell runs: a cell the accountant refuses
-        # (sigma overflows, or eta underflows to 0) stops the command with
-        # no work done, even when it comes after a good cell.
+        # reference minimizer or any cell runs: a cell the accountant or its
+        # RunConfig refuses (an epsilon, a sigma or an eta out of range)
+        # stops the command with no work done, even when it comes after a
+        # good cell.
         calls = collections.Counter()
 
         def counted(name):

@@ -13,10 +13,13 @@ in a TypeError.
 """
 
 import math
+import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from dpmirror import errors
 from dpmirror.errors import ConfigurationError, as_real, check_count
 from dpmirror.geometry import FeasibleSet, mirror_step
 from dpmirror.harness import run_tau_sim
@@ -188,3 +191,43 @@ def test_int_too_long_to_print_refused():
     for check in (lambda v: check_count(v, "n"), lambda v: as_real(v, "eta")):
         with pytest.raises(ConfigurationError, match="an int of 16610 bits"):
             check(10**5000)
+
+
+def range_lines():
+    """errors.py's range inequalities, its docstring's 'name: expression' lines."""
+    return dict(re.findall(r"^    (\w+): (.+)$", errors.__doc__, re.MULTILINE))
+
+
+def holds(line, K, S, RHO=Fraction(2**6)):
+    """A range inequality in exact rational arithmetic at exponent K, with S
+    for sqrt(d) and RHO for the rounding factor."""
+    names = dict(K=K, X=Fraction(2)**K, S=Fraction(S), RHO=Fraction(RHO),
+                 OVER=Fraction(2)**1024, NORMAL=Fraction(1, 2**1022))
+    return eval(line, {"__builtins__": {}}, names)
+
+
+def test_range_inequalities_hold_exactly():
+    # Each line of errors.py's docstring, at K = 200 and d = 2^53, with its
+    # S = 2^27 and with isqrt(d) + 1, both at least sqrt(d).
+    d, lines = 2**53, range_lines()
+    assert set(lines) == {"reciprocal", "set", "squares", "curvature", "step", "sigma", "eta",
+                          "risk_bound", "epsilon", "audit"}
+    assert errors.RANGE_EXPONENT == 200
+    for S in (2**27, math.isqrt(d) + 1):
+        assert S * S >= d
+        for name, line in lines.items():
+            assert holds(line, errors.RANGE_EXPONENT, S) is True, name
+    # RHO = 2^6 bounds 2^55 roundings either way: (1 + u)^k <= e^(k*u) and
+    # (1 - u)^k >= e^(-k*u/(1 - u)), with k*u = 4 and 6*ln(2) > 4.0001.
+    assert 6 * math.log(2) > 4.0001
+
+
+def test_step_bound_first_overflows_at_241():
+    # The step line is the binding one: its exact bound
+    # (2*(2*(sqrt(d) + 1)*X + X*(X + 14*sqrt(d)*X)))^2, taken with RHO = 2,
+    # is below 2^1024 at K = 240 (S = isqrt(d) + 1 >= sqrt(d)) and reaches it
+    # at K = 241 (S = isqrt(d) <= sqrt(d)), at d = 2^53.
+    d, step = 2**53, range_lines()["step"]
+    assert holds(step, 240, math.isqrt(d) + 1, RHO=2) is True
+    assert holds(step, 241, math.isqrt(d), RHO=2) is False
+    assert holds(step, 241, math.isqrt(d), RHO=1) is False

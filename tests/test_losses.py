@@ -1,5 +1,6 @@
 import hashlib
 import math
+import sys
 import tracemalloc
 import warnings
 
@@ -403,13 +404,18 @@ class TestLipschitzCertificates:
 
     def test_squared_certificate_that_overflows_refused(self):
         # (max_norm*B + 1)*B overflows although B*B does not: the certificate
-        # was once returned as inf (found by test_fuzz.py).
+        # was once returned as inf (found by test_fuzz.py). Such a B is now
+        # past 2^200; at B = 2^200 the certificate, about 2^399.5, is itself
+        # out of range, and refused by name.
         box = FeasibleSet.box([-0.5, -0.5], [0.5, 0.5])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ConfigurationError, match="squared loss's L at "
-                                                         "feature_bound=1.6e.154"):
+            with pytest.raises(ConfigurationError, match="lipschitz_certificate: feature_bound "
+                                                         "must have magnitude"):
                 lipschitz_certificate("squared", 1.6e154, box)
+            with pytest.raises(ConfigurationError, match="squared loss's L at "
+                                                         "feature_bound=1.6.*e.60"):
+                lipschitz_certificate("squared", 2.0**200, box)
 
     def test_convexity_along_segments(self):
         rng = np.random.default_rng(61)
@@ -437,24 +443,29 @@ class TestPopulations:
         # minimizer's step 1/0 (ZeroDivisionError), a subnormal one made it
         # inf (RuntimeWarning), and an overflowing one raised OverflowError.
         # Found by tests/test_fuzz.py.
+        # The range [2^-200, 2^200] keeps every square normal (errors.py,
+        # "squares").
         for generator, w_true in (("uniform_ball", None), ("linear_margin", [1.0, 0.0])):
-            with pytest.raises(ConfigurationError, match="feature_bound=.*its square"):
+            with pytest.raises(ConfigurationError, match="feature_bound must have magnitude"):
                 PopulationSpec(generator, 2, bound, w_true=w_true)
-        PopulationSpec("uniform_ball", 2, 1e-150)
-        PopulationSpec("uniform_ball", 2, 1e150)
+        PopulationSpec("uniform_ball", 2, 2.0**-200)
+        PopulationSpec("uniform_ball", 2, 2.0**200)
 
     @pytest.mark.parametrize("w_true", [[5e-324, 0.0], [1e-310, 1e-310], [1e308, 0.0],
                                         [1e154, 1e154]])
     def test_w_true_whose_squared_norm_under_or_overflows_refused(self, w_true):
         # population_risk divides w_true by its norm: a squared norm that
         # underflowed to 0 divided by zero, and one that overflowed warned.
-        # Found by tests/test_fuzz.py. w_true = 0 stays accepted.
+        # Found by tests/test_fuzz.py. Each has an entry outside [2^-200,
+        # 2^200]; w_true = 0 and the range's ends stay accepted.
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            with pytest.raises(ConfigurationError, match="w_true: its squared norm"):
+            with pytest.raises(ConfigurationError, match="w_true entries must be 0 or have "
+                                                         "magnitude"):
                 PopulationSpec("linear_margin", 2, 1.0, w_true=w_true)
             PopulationSpec("linear_margin", 2, 1.0, w_true=[0.0, 0.0])
-            PopulationSpec("linear_margin", 2, 1.0, w_true=[1e-160, 0.0])
+            PopulationSpec("linear_margin", 2, 1.0, w_true=[2.0**-200, 0.0])
+            PopulationSpec("linear_margin", 2, 1.0, w_true=[2.0**200, -2.0**200])
 
     def test_noiseless_labels_agree_with_margin(self):
         spec = self.spec()
@@ -641,10 +652,14 @@ class TestRiskInputs:
     def test_curvature_whose_reciprocal_overflows_refused(self):
         # B = 1.52e-154 has a normal square, but B^2/6 does not, and the
         # reference minimizer's step 1/beta was inf. A large d does the same.
-        with pytest.raises(ConfigurationError, match="feature_bound=1.52e-154.*curvature"):
+        # Both B are below 2^-200, where the smallest beta, at the largest d,
+        # is normal (errors.py, "curvature").
+        with pytest.raises(ConfigurationError, match="feature_bound must have magnitude"):
             risk_curvature(PopulationSpec("uniform_ball", 1, 1.52e-154), LossOracle.hinge(1.0))
-        with pytest.raises(ConfigurationError, match="curvature 0"):
+        with pytest.raises(ConfigurationError, match="feature_bound must have magnitude"):
             risk_curvature(PopulationSpec("uniform_ball", 2**53, 1.5e-154),
                            LossOracle.hinge(1.0))
-        assert risk_curvature(PopulationSpec("uniform_ball", 1, 1e-153),
-                              LossOracle.hinge(1.0)) > 0.0
+        for d in (1, 2**53):
+            beta = risk_curvature(PopulationSpec("uniform_ball", d, 2.0**-200),
+                                  LossOracle.hinge(1.0))
+            assert beta >= sys.float_info.min and 1.0 / beta < math.inf

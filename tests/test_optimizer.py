@@ -168,17 +168,19 @@ class TestInputChecks:
     def test_step_that_could_overflow_refused(self, changes):
         # On the ball of radius 0.5 a step of eta = 1e160 once ran with no
         # warning and held (0, 0) at every step: project_rows maps a point
-        # whose squared norm overflows to the centre.
-        with pytest.raises(ConfigurationError, match="overflows"):
+        # whose squared norm overflows to the centre. Each value is past
+        # 2^200, the range that keeps every step finite (errors.py, "step").
+        with pytest.raises(ConfigurationError, match=r"must have magnitude in \[2\^-200"):
             self.config(**changes)
 
     def test_largest_steps_stay_on_the_sphere(self):
-        # Steps of norm about 1e152 are accepted: their squares are finite,
-        # so every iterate is projected onto the sphere, with no warning.
+        # Steps of norm about 1e60, at the largest eta, are accepted: their
+        # squares are finite, so every iterate is projected onto the sphere,
+        # with no warning.
         features, labels = constant_dataset(16, 2, value=0.1)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            run = private_sgd(self.config(eta=1e150), 0, (features, labels))
+            run = private_sgd(self.config(eta=2.0**200), 0, (features, labels))
         norms = np.linalg.norm(run.fresh_iterates[0, 1:], axis=1)
         assert np.allclose(norms, 0.5, rtol=1e-12)
 

@@ -54,22 +54,25 @@ class TestCalibrateSigma:
 
     def test_overflow_refused(self):
         # 1/delta overflows for a subnormal delta; a subnormal epsilon_tilde
-        # makes sigma overflow. Neither may come back as sigma = inf.
-        with pytest.raises(ConfigurationError, match="delta = 1e-320 is too small"):
+        # makes sigma overflow. Neither may come back as sigma = inf: both
+        # are below 2^-200.
+        with pytest.raises(ConfigurationError, match="delta must have magnitude"):
             calibrate_sigma(1.0, 1e-320, 1.0)
-        with pytest.raises(ConfigurationError, match="epsilon_tilde=1e-310 give sigma=inf"):
+        with pytest.raises(ConfigurationError, match="epsilon_tilde must have magnitude"):
             calibrate_sigma(1.0, 1e-6, 1e-310)
+        assert calibrate_sigma(2.0**200, 2.0**-200, 2.0**-200) < math.inf
 
 
     def test_underflow_refused(self):
         # A subnormal L with delta near 1 once gave sigma = 0.0, a step with
         # no noise, and L = 1e-310 a subnormal sigma that keeps only a few
-        # bits (found by test_fuzz.py's accountant cases).
-        with pytest.raises(ConfigurationError, match="give sigma=0.0"):
+        # bits (found by test_fuzz.py's accountant cases). Both L are below
+        # 2^-200; the smallest sigma in range is normal.
+        with pytest.raises(ConfigurationError, match="L must have magnitude"):
             calibrate_sigma(5e-324, 1 - 2**-53, 0.5)
-        with pytest.raises(ConfigurationError, match="L=1e-310"):
+        with pytest.raises(ConfigurationError, match="L must have magnitude.*1e-310"):
             calibrate_sigma(1e-310, 1e-6, 1.0)
-        assert calibrate_sigma(1e-300, 1e-6, 1.0) > sys.float_info.min
+        assert calibrate_sigma(2.0**-200, 1 - 2**-53, 2.0**200) > sys.float_info.min
 
 
 class TestRiskBound:
@@ -135,28 +138,40 @@ class TestEndToEnd:
                 from_target(bad, 3e-6, 400)
 
     @pytest.mark.parametrize("args, message", [
-        ((1600, 1e-320, 1e-6, 1e-6, 1.0, 1.0, 2), "epsilon=1e-320, .* give sigma=inf, eta=0.0"),
-        ((1600, 0.001, 1e-6, 1e-320, 1.0, 1.0, 2), "delta_prime = 1e-320 is too small"),
-        ((1600, 0.001, 1e-6, 1e-6, 1.0, 1e-320, 2), "D=1e-320, d=2 give .*, eta=0.0,"),
+        ((1600, 1e-320, 1e-6, 1e-6, 1.0, 1.0, 2), "epsilon must have magnitude"),
+        ((1600, 0.001, 1e-6, 1e-320, 1.0, 1.0, 2), "delta_prime must have magnitude"),
+        ((1600, 0.001, 1e-6, 1e-6, 1.0, 1e-320, 2), "D must have magnitude"),
         # A subnormal L makes sigma subnormal and eta overflow: calibrate
         # once printed "eta": Infinity and exited 0 (found by test_fuzz.py).
-        ((400, 0.005, 1e-6, 1e-6, 5e-324, 1.0, 2), "L=5e-324, .* give .*, eta=inf,"),
+        ((400, 0.005, 1e-6, 1e-6, 5e-324, 1.0, 2), "L must have magnitude"),
     ], ids=["epsilon", "delta_prime", "D", "L-subnormal"])
     def test_overflow_refused(self, args, message):
+        # Each value is below 2^-200 (errors.py, "sigma", "eta" and
+        # "risk_bound").
         with pytest.raises(ConfigurationError, match=message):
             end_to_end(*args)
 
     @pytest.mark.parametrize("args, message", [
-        ((16_000, 0.003, 1 - 2**-53, 1e-300, 5e-324, 1e-300, 1), "give sigma=0.0,"),
-        ((400, 0.02, 1e-6, 1e-6, 5e-324, 1e-15, 2), "and risk_bound=0.0;"),
+        ((16_000, 0.003, 1 - 2**-53, 1e-300, 5e-324, 1e-300, 1),
+         "delta_prime must have magnitude"),
+        ((400, 0.02, 1e-6, 1e-6, 5e-324, 1e-15, 2), "L must have magnitude"),
     ], ids=["sigma", "risk_bound"])
     def test_underflow_refused(self, args, message):
         # Each once came back as a plan: sigma = 0.0 (a run with no noise)
         # with a finite guarantee, and a risk bound of 0.0 (found by
         # test_fuzz.py's accountant cases). The sigma case's n keeps its
-        # delta total, 1 - 2**-53, below 1.
+        # delta total, 1 - 2**-53, below 1. Each has a value below 2^-200; at
+        # the range's ends every result is a normal float.
         with pytest.raises(ConfigurationError, match=message):
             end_to_end(*args)
+        tiny, huge = 2.0**-200, 2.0**200
+        for extreme in ((2**53, 0.5 / math.sqrt(2**53), 1 - 2**-53, tiny, tiny, tiny, 1),
+                        (2**53, tiny, tiny, tiny, huge, tiny, 2**53),
+                        (16, 0.125, tiny, tiny, tiny, huge, 1),
+                        (16, tiny, tiny, tiny, huge, huge, 2**53)):
+            plan = end_to_end(*extreme)
+            numbers = (plan.sigma, plan.eta, plan.risk_bound, plan.report.epsilon)
+            assert all(sys.float_info.min <= x < math.inf for x in numbers), extreme
 
     @pytest.mark.parametrize("n, epsilon, delta, delta_prime", [
         (16, 0.125, 0.9, 0.9), (16, 0.125, 0.5, 1e-6), (1600, 0.0125, 0.5, 0.5)])
@@ -171,9 +186,13 @@ class TestEndToEnd:
         assert plan.report.delta_total == 0.2 + 2.0 * math.exp(-1.0) < 1.0
 
     def test_from_target_subnormal_delta_refused(self):
-        # delta_bar/3 is subnormal; the derived epsilon would be 0.
-        with pytest.raises(ConfigurationError, match="delta_bar/3"):
+        # delta_bar/3 is subnormal; the derived epsilon would be 0. delta_bar
+        # is itself below 2^-200, and at delta_bar = 2^-200 its third is
+        # refused by name.
+        with pytest.raises(ConfigurationError, match="delta_bar must have magnitude"):
             from_target(0.1, 1e-320, 20_000)
+        with pytest.raises(ConfigurationError, match="delta_bar/3 must have magnitude"):
+            from_target(0.1, 2.0**-200, 20_000)
 
 
 class TestFromTarget:
@@ -209,11 +228,17 @@ class TestFromTarget:
 
     def test_underflowing_epsilon_refused(self):
         # eps_bar = 5e-324 once gave the internal epsilon 0.0, and calibrate
-        # printed it with exit 0.
-        with pytest.raises(ConfigurationError, match="gives epsilon=0.0"):
+        # printed it with exit 0. Both eps_bar are below 2^-200. The epsilon
+        # derived from eps_bar = 2^-200 is normal but out of range, and the
+        # next call, end_to_end, refuses it by name.
+        with pytest.raises(ConfigurationError, match="eps_bar must have magnitude"):
             from_target(5e-324, 1e-4, 400)
-        with pytest.raises(ConfigurationError, match="below the smallest normal"):
+        with pytest.raises(ConfigurationError, match="eps_bar must have magnitude"):
             from_target(1e-307, 1e-4, 400)
+        budget = from_target(2.0**-200, 1e-4, 400)
+        assert sys.float_info.min <= budget.epsilon < 2.0**-200
+        with pytest.raises(ConfigurationError, match="epsilon must have magnitude"):
+            end_to_end(400, budget.epsilon, budget.delta, budget.delta_prime, 1.0, 1.0, 2)
 
     def test_delta_window_enforced(self):
         with pytest.raises(RegimeError) as err:
@@ -392,28 +417,36 @@ class TestAudit:
     def test_overflowing_grid_or_draws_exit_2(self, L, sigma, tmp_path, capsys):
         # A 3-sigma margin of inf once made the edges -inf, nan, ... and the
         # command exited 4, a significant violation, after overflow warnings.
+        # Each sigma is past 2^200 (errors.py, "audit").
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             rc = cli.main(["audit", "--L", L, "--eps-tilde", "0.5", "--delta", "1e-06",
                            "--trials", "1000000", "--seed", "7", "--sigma", sigma,
                            "--output-dir", str(tmp_path)])
         assert rc == 2
-        assert f"sigma={float(sigma)!r} with L={float(L)!r}" in capsys.readouterr().err
+        assert f"sigma must have magnitude in [2^-200, 2^200], got {float(sigma)!r}" \
+            in capsys.readouterr().err
         assert not (tmp_path / "audit").exists()
 
-    @pytest.mark.parametrize("eps_tilde", ["400", "710", "1e308"])
-    def test_epsilon_tilde_whose_weight_overflows_exit_2(self, eps_tilde, tmp_path, capsys):
+    @pytest.mark.parametrize("eps_tilde, message", [
+        ("400", "epsilon_tilde=400.0: e^(2*epsilon_tilde) overflows"),
+        ("710", "epsilon_tilde=710.0: e^(2*epsilon_tilde) overflows"),
+        ("1e308", "epsilon_tilde must have magnitude in [2^-200, 2^200], got 1e+308")],
+        ids=["400", "710", "1e308"])
+    def test_epsilon_tilde_whose_weight_overflows_exit_2(self, eps_tilde, message, tmp_path,
+                                                         capsys):
         # e^(2*epsilon_tilde) weighs the reverse variance: past about 354.9 it
         # overflowed, and inf * 0 warned "invalid value"; past 709.78
-        # math.exp raised OverflowError. Found by tests/test_fuzz.py.
+        # math.exp raised OverflowError. Found by tests/test_fuzz.py. The
+        # range, up to 2^200, does not cover this, so the audit keeps its
+        # check.
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             rc = cli.main(["audit", "--L", "1", "--eps-tilde", eps_tilde, "--delta", "1e-6",
                            "--trials", "6000", "--grid", "3", "--seed", "7",
                            "--output-dir", str(tmp_path)])
         assert rc == 2
-        assert f"epsilon_tilde={float(eps_tilde)!r}: e^(2*epsilon_tilde) overflows" \
-            in capsys.readouterr().err
+        assert message in capsys.readouterr().err
         assert not (tmp_path / "audit").exists()
 
     def test_large_accepted_epsilon_tilde_gives_finite_output(self):
@@ -423,28 +456,26 @@ class TestAudit:
         assert math.isfinite(result.max_violation + result.max_violation_stderr)
         assert np.isfinite(result.violation).all() and not result.significant
 
-    def test_largest_accepted_sigma_gives_finite_edges(self):
-        def accepted(sigma):
-            try:
-                privacy.audit_grid_range(sigma, 1.0)
-            except ConfigurationError:
-                return False
-            return True
-
-        # Bisect down to the one ulp between the last sigma accepted and
-        # the first refused.
-        sigma, refused = sys.float_info.max / 16.0, sys.float_info.max / 13.0
-        assert accepted(sigma) and not accepted(refused)
-        while math.nextafter(sigma, math.inf) < refused:
-            middle = sigma + (refused - sigma) / 2.0
-            sigma, refused = (middle, refused) if accepted(middle) else (sigma, middle)
-        assert sigma > sys.float_info.max / 14.5
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            result = audit_single_step(sigma, 1.0, 0.5, 1e-6, 6000, grid_cells=3, seed=7)
-        assert np.isfinite(result.edges[1:-1]).all()
-        assert np.all(np.diff(result.edges) > 0.0)
-        assert result.p_s.sum() == pytest.approx(1.0) == result.p_sprime.sum()
+    def test_largest_accepted_sigma_gives_finite_edges(self, tmp_path, capsys):
+        # sigma = 2^200, the largest in range, with L = 1 and with the
+        # largest L: the edges and draws stay finite (errors.py, "audit").
+        # The next float up exits 2, with no file written.
+        sigma = 2.0**200
+        for L in (1.0, sigma):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                result = audit_single_step(sigma, L, 0.5, 1e-6, 6000, grid_cells=3, seed=7)
+            assert np.isfinite(result.edges[1:-1]).all()
+            assert np.all(np.diff(result.edges) > 0.0)
+            assert result.p_s.sum() == pytest.approx(1.0) == result.p_sprime.sum()
+        refused = math.nextafter(sigma, math.inf)
+        rc = cli.main(["audit", "--L", "1", "--eps-tilde", "0.5", "--delta", "1e-6",
+                       "--trials", "6000", "--grid", "3", "--seed", "7",
+                       "--sigma", repr(refused), "--output-dir", str(tmp_path)])
+        assert rc == 2
+        assert f"sigma must have magnitude in [2^-200, 2^200], got {refused!r}" \
+            in capsys.readouterr().err
+        assert not (tmp_path / "audit").exists()
 
     def test_csv_export(self, tmp_path):
         result = audit_single_step(2.0, 1.0, 0.5, 1e-3, 100_000, grid_cells=50, seed=3)

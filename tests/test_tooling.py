@@ -109,6 +109,22 @@ def test_cli_import_loads_neither_scipy_nor_numpy_polynomial():
     assert proc.stdout.strip() == "[]"
 
 
+def test_range_is_read_only_in_errors():
+    # Every real parameter has one range, and errors.py's docstring proves
+    # once that it keeps each function's arithmetic finite and normal. A
+    # module that reads sys.float_info or the range's exponent would be a
+    # per-site range check, which that proof makes unreachable.
+    from dpmirror.errors import RANGE_EXPONENT
+
+    assert RANGE_EXPONENT == 200
+    src = os.path.join(ROOT, "src", "dpmirror")
+    for name in sorted(os.listdir(src)):
+        if name.endswith(".py") and name != "errors.py":
+            with open(os.path.join(src, name)) as fh:
+                text = fh.read()
+            assert "float_info" not in text and "RANGE_EXPONENT" not in text, name
+
+
 # The modules whose arithmetic reaches seeded outputs (run, tau-sim, audit).
 SEEDED_MODULES = ("geometry", "harness", "losses", "optimizer", "privacy", "sampler")
 # numpy ufuncs whose float64 bits change with numpy's CPU dispatch (its
