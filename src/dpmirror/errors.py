@@ -1,9 +1,8 @@
 """Exception types shared across the package, and the input checkers.
 
 The CLI maps these onto process exit codes: ConfigurationError -> 2,
-RegimeError -> 3. Audit violations and overruns are reported as results,
-not exceptions: exit 4 is decided by the audit command, and exit 5 by a
-degraded run, one in which more than 1% of a cell's runs overran.
+RegimeError -> 3. An audit violation is reported as a result, not an
+exception: exit 4 is decided by the audit command.
 
 Every public entry point checks its counts, reals and vectors here, so a
 bool, a float count, a string or a non-finite value is refused the same

@@ -81,7 +81,7 @@ RUN_KEYS = {
                            "not read: each run's risk is exact (accepted until "
                            "ROADMAP.md item 1 deletes it)"),
     "baseline_steps": RunKey(int, partial(check_count, low=10_000), "100000",
-                             "step cap for the reference minimizer"),
+                             "step budget of the reference minimizer"),
     "sigma_override": RunKey(float, partial(check_real, zero=True), None,
                              "noise scale replacing the calibrated one (0 = no noise)"),
     "seed": RunKey(int, partial(check_count, low=0, high=None), None,
@@ -138,12 +138,13 @@ class CellResult:
     mean_excess_risk: float
     stderr: float
     bound_satisfied: bool
-    overrun_runs: int
-    degraded: bool
 
     def columns(self):
         """The cell's CELL_COLUMNS values; n, sigma and eta are its RunConfig's."""
-        values = {**vars(self.plan.config), **self.plan._asdict(), **vars(self)}
+        # overrun_runs is always 0 (a run has no step cap); the column stays
+        # while perfbench/workloads.py reads it (ROADMAP.md, item 1 B1).
+        values = {**vars(self.plan.config), **self.plan._asdict(), **vars(self),
+                  "overrun_runs": 0}
         return [values[col] for col in CELL_COLUMNS]
 
 
@@ -158,7 +159,6 @@ class ExperimentResult:
     cells: list
     baseline_error: float
     baseline_risk: float
-    degraded: bool = False
 
 
 def default_output_dir():
@@ -307,7 +307,7 @@ def run_experiment(spec):
     base_risk = population_risk(spec.population, spec.oracle, baseline.w)[0]
     cells = [run_cell(spec, key, plan, baseline, base_risk) for key, plan in plans.items()]
     return ExperimentResult(spec_echo(spec), cells, baseline_error=baseline.error_bound,
-                            baseline_risk=base_risk, degraded=any(c.degraded for c in cells))
+                            baseline_risk=base_risk)
 
 
 def run_cell(spec, key, plan, baseline, base_risk):
@@ -322,12 +322,10 @@ def run_cell(spec, key, plan, baseline, base_risk):
     runs the repeats on those rows, on the plan's RunConfig, whose sigma
     and eta cells.csv prints, and estimate_regret scores the same rows
     against the reference minimizer. A run's excess risk is its output's
-    exact population risk minus base_risk; no evaluation data are drawn. A
-    repeat that overruns its step cap is counted in overrun_runs and left
-    out of the cell's means. stderr adds to the runs' standard error the
-    reference minimizer's error bound and the largest quadrature bound of
-    the finished runs' risks, RISK_QUADRATURE_BOUND * (1 + B*||w||)^2, so
-    bound checks stay honest.
+    exact population risk minus base_risk; no evaluation data are drawn.
+    stderr adds to the runs' standard error the reference minimizer's error
+    bound and the largest quadrature bound of the runs' risks,
+    RISK_QUADRATURE_BOUND * (1 + B*||w||)^2, so bound checks stay honest.
     """
     config, repeats = plan.config, np.arange(spec.repeats)
     steps = draw_fresh_steps(config.n, derived_seeds(spec.seed, *key, repeats, 1))
@@ -342,24 +340,18 @@ def run_cell(spec, key, plan, baseline, base_risk):
         del drawn_features, drawn_labels   # before the next repeat draws
     batch = run_steps(config, steps, features.reshape(-1, d), labels.reshape(-1),
                       np.arange(rows * target).reshape(rows, target))
-    all_regrets = estimate_regret(batch, (features, labels), baseline.w, config)
-    finished = np.flatnonzero(~batch.overrun)
-    overruns = spec.repeats - finished.size
-    outputs = batch.output[finished]
-    excesses = population_risk(spec.population, spec.oracle, outputs)[0] - base_risk
-    completed = len(excesses)
+    regrets = estimate_regret(batch, (features, labels), baseline.w, config)
+    excesses = population_risk(spec.population, spec.oracle, batch.output)[0] - base_risk
     # population_risk's stated error bound at the output farthest from 0
-    scale = 1.0 + spec.population.feature_bound * np.linalg.norm(outputs, axis=1)
-    quadrature = RISK_QUADRATURE_BOUND * float(scale.max()) ** 2 if completed else 0.0
-    mean_excess = float(np.mean(excesses)) if completed else math.nan
-    run_stderr = np.std(excesses, ddof=1) / math.sqrt(completed) if completed > 1 else 0.0
+    scale = 1.0 + spec.population.feature_bound * np.linalg.norm(batch.output, axis=1)
+    quadrature = RISK_QUADRATURE_BOUND * float(scale.max()) ** 2
+    mean_excess = float(np.mean(excesses))
+    run_stderr = np.std(excesses, ddof=1) / math.sqrt(rows) if rows > 1 else 0.0
     stderr = float(run_stderr) + baseline.error_bound + quadrature
     return CellResult(
-        plan=plan, mean_tau=float(np.mean(batch.tau[finished])) if completed else math.nan,
-        mean_regret=float(np.mean(all_regrets[finished])) if completed else math.nan,
+        plan=plan, mean_tau=float(np.mean(batch.tau)), mean_regret=float(np.mean(regrets)),
         mean_excess_risk=mean_excess, stderr=stderr,
-        bound_satisfied=bool(completed and mean_excess <= plan.bound_value + 3.0 * stderr),
-        overrun_runs=overruns, degraded=overruns > 0.01 * spec.repeats,
+        bound_satisfied=bool(mean_excess <= plan.bound_value + 3.0 * stderr),
     )
 
 
@@ -398,7 +390,6 @@ def write_summary_json(result, path):
     write_json({
         "config": result.spec_echo,
         "baseline": {"risk": result.baseline_risk, "error": result.baseline_error},
-        "degraded": result.degraded,
         "cells": [
             dict(zip(CELL_COLUMNS, map(json_value, cell.columns())))
             for cell in result.cells

@@ -9,15 +9,17 @@ and outputs the average of the iterates held at the fresh steps.
 Noise convention: sigma is the per-coordinate standard deviation, i.e.
 noise is N(0, sigma^2 * I). This matches the accountant in privacy.py.
 
-A run is fixed by its RunConfig, its seed and its dataset, and takes at
-most max_steps = MAX_STEPS_FACTOR * n steps. Its index and noise streams
-are the two children SeedSequence spawns from its seed (spawned_streams),
-so its index stream depends neither on sigma nor on the iterates, nor on
-the data: draw_fresh_steps reads R runs' stopping times and fresh steps
-before any data, and run_steps runs the projected-step recursion for the
-R runs at once, reading each fresh step's data row through a row map.
-private_sgd_batch maps the steps into R full datasets; the harness maps
-them into the fresh rows it keeps. A run's result is the RunBatch arrays.
+A run is fixed by its RunConfig, its seed and its dataset, and, as in the
+paper, runs until it stops: the accountant prices tau > 2n (privacy.py),
+and P(tau > 4n) is 7.0e-16 at n = 16 (README, "Run results"). Its index
+and noise streams are the two children SeedSequence spawns from its seed
+(spawned_streams), so its index stream depends neither on sigma nor on
+the iterates, nor on the data: draw_fresh_steps reads R runs' stopping
+times and fresh steps before any data, and run_steps runs the
+projected-step recursion for the R runs at once, reading each fresh
+step's data row through a row map. private_sgd_batch maps the steps into
+R full datasets; the harness maps them into the fresh rows it keeps. A
+run's result is the RunBatch arrays.
 
 baseline_minimizer, the non-private reference point, minimizes the exact
 population risk (losses.population_risk, a quadrature with a stated error
@@ -40,7 +42,6 @@ from .losses import (RISK_QUADRATURE_BOUND, draw_arrays, draw_dataset,  # noqa: 
                      population_risk, risk_curvature)
 from .sampler import draw_stopping_times, sample_index, spawned_streams  # noqa: F401
 
-MAX_STEPS_FACTOR = 4
 NOISE_CHUNK_STEPS = 128
 CERTIFICATE_EVERY = 5
 BASELINE_TOLERANCE = 1e-6
@@ -51,11 +52,8 @@ class RunConfig:
     """The parameters of one private run; the dimension is feasible_set.dimension.
 
     The fields are checked when built, and w1 is held as a read-only copy.
-    A run that has not stopped after MAX_STEPS_FACTOR * n steps is an
-    overrun, reported rather than silently truncated (the stopping rule
-    makes it exponentially unlikely at that cap). No step checks for
-    overflow: the range of eta, sigma, L and the set keeps every offset a
-    step projects finite (errors.py, "step").
+    No step checks for overflow: the range of eta, sigma, L and the set
+    keeps every offset a step projects finite (errors.py, "step").
     """
 
     n: int
@@ -80,20 +78,14 @@ class RunConfig:
 class RunBatch:
     """R runs from private_sgd_batch; row r is the run with seeds[r].
 
-    tau             (R,) steps taken; max_steps = MAX_STEPS_FACTOR * n in
-                    rows that overran
-    overrun         (R,) True where max_steps draws held fewer than n//2+1
-                    distinct indices. An overrun is reported here, not
-                    raised, and leaves the other rows untouched.
-    output          (R, d) mean iterate at the fresh steps; NaN where overrun
+    tau             (R,) steps taken
+    output          (R, d) mean iterate at the fresh steps
     fresh_indices   (R, m) dataset index of each fresh step in step order,
-                    m = n//2+1; 0 past an overrun row's last fresh step
-    fresh_iterates  (R, m, d) iterate held at each fresh step; NaN past an
-                    overrun row's last fresh step
+                    m = n//2+1
+    fresh_iterates  (R, m, d) iterate held at each fresh step
     """
 
     tau: np.ndarray
-    overrun: np.ndarray
     output: np.ndarray
     fresh_indices: np.ndarray
     fresh_iterates: np.ndarray
@@ -109,17 +101,14 @@ def private_sgd(config, seed, dataset):
 class FreshSteps:
     """What R runs read of their datasets, fixed by their seeds alone.
 
-    tau, overrun    as in RunBatch
-    fresh           (max(tau) + 1, R) True at each row's fresh steps; an
-                    overrun row's missing arrivals mark the spare last row
-    fresh_indices   (R, m) dataset index of each fresh step in step order,
-                    m = n//2+1; 0 past an overrun row's last fresh step
+    tau             as in RunBatch
+    fresh           (max(tau), R) True at each row's fresh steps
+    fresh_indices   as in RunBatch
     noise_streams   the rows' noise streams (sampler.TrialStreams); run_steps
                     starts each at its stream start, so a FreshSteps can run again
     """
 
     tau: np.ndarray
-    overrun: np.ndarray
     fresh: np.ndarray
     fresh_indices: np.ndarray
     noise_streams: object
@@ -134,16 +123,11 @@ def draw_fresh_steps(n, seeds):
     The caller checks the seeds (private_sgd_batch).
     """
     rows = len(seeds)
-    max_steps = MAX_STEPS_FACTOR * n
     index_streams, noise_streams = spawned_streams(seeds)
-    tau, arrivals, fresh_indices = draw_stopping_times(n, index_streams, cap=max_steps,
-                                                       fresh=True)
-    overrun = tau > max_steps
-    tau = np.minimum(tau, max_steps)
-    # An overrun row's missing arrivals read max_steps, the spare last row.
-    fresh = np.zeros((int(tau.max()) + 1, rows), dtype=bool)
+    tau, arrivals, fresh_indices = draw_stopping_times(n, index_streams, fresh=True)
+    fresh = np.zeros((int(tau.max()), rows), dtype=bool)
     fresh[arrivals, np.arange(rows)[:, None]] = True
-    return FreshSteps(tau, overrun, fresh, fresh_indices, noise_streams)
+    return FreshSteps(tau, fresh, fresh_indices, noise_streams)
 
 
 def check_rows(config, features, labels):
@@ -214,12 +198,12 @@ def run_steps(config, steps, features, labels, data_rows):
     rows, target = steps.fresh_indices.shape
     d = config.feasible_set.dimension
     eta, oracle, feasible_set = config.eta, config.oracle, config.feasible_set
-    fresh_iterates = np.full((rows, target, d), np.nan)
+    fresh_iterates = np.empty((rows, target, d))
     flat_iterates, flat_rows = fresh_iterates.reshape(-1, d), data_rows.reshape(-1)
     slot_base = np.arange(rows) * target - 1
     w = np.tile(config.w1, (rows, 1))
     total = np.zeros((rows, d))
-    steps_taken = len(steps.fresh) - 1
+    steps_taken = len(steps.fresh)
     held = np.empty((min(NOISE_CHUNK_STEPS, steps_taken), rows, d))
     noise_rngs = [steps.noise_streams.stream(r) for r in range(rows)]
     noise_buffer, x_buffer = (np.empty(rows * len(held) * d) for _ in range(2))
@@ -271,8 +255,7 @@ def run_steps(config, steps, features, labels, data_rows):
         np.cumsum(chunk, axis=0, out=chunk)
         total = chunk[-1].copy()
 
-    total[steps.overrun] = np.nan
-    return RunBatch(tau=steps.tau, overrun=steps.overrun, output=total / target,
+    return RunBatch(tau=steps.tau, output=total / target,
                     fresh_indices=steps.fresh_indices, fresh_iterates=fresh_iterates)
 
 
@@ -284,7 +267,7 @@ def estimate_regret(batch, rows, comparator, config):
 
     batch is a RunBatch and rows the (R, m, d) features and (R, m) labels
     its fresh steps read, in step order (m = n//2+1); the result is an (R,)
-    array that is NaN in overrun rows.
+    array.
     """
     u = check_vector(comparator, config.feasible_set.dimension, "estimate_regret: comparator")
     if not config.feasible_set.contains(u):
@@ -302,7 +285,7 @@ def estimate_regret(batch, rows, comparator, config):
         regret = oracle.loss_at(margins, y, out=margins)
         regret -= oracle.batch_values(u, x, y)
         regret = regret.sum(axis=-1)
-    if not np.isfinite(regret[~batch.overrun]).all():
+    if not np.isfinite(regret).all():
         raise ConfigurationError("estimate_regret: a loss on these rows overflows")
     return regret
 
@@ -351,8 +334,8 @@ def baseline_minimizer(population, oracle, feasible_set, budget_steps):
         F(w) - min_K F <= gap~(w) + D*sqrt(d)*eps,
     whatever the step size. error_bound is that sum. The gap is computed
     every CERTIFICATE_EVERY steps, and the run stops once it is at most
-    BASELINE_TOLERANCE * D * L. budget_steps caps the steps (at least
-    10^4); a run that reaches the cap reports the certificate it has.
+    BASELINE_TOLERANCE * D * L. budget_steps bounds the steps (at least
+    10^4); a run that uses them all reports the certificate it has.
     """
     budget_steps = check_count(budget_steps, "baseline_minimizer: budget_steps", low=10_000)
     D = feasible_set.diameter()

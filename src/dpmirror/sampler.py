@@ -6,8 +6,9 @@ the (floor(n/2)+1)-th distinct index arrives. The optimizer and
 simulate_tau read tau on one path, draw_stopping_times: each row (a run,
 or a trial) draws a first block of about 3n/4 indices from its own PCG64
 stream, stopping_times reads all rows at once, and only the rare row whose
-tau falls past its block draws more. Integer draws of one generator
-concatenate, so tau does not depend on how a stream is cut into blocks.
+tau falls past its block draws more, until it stops. Integer draws of one
+generator concatenate, so tau does not depend on how a stream is cut into
+blocks.
 
 Every seed in dpmirror becomes its streams here: _generate_state repeats
 numpy's SeedSequence as array arithmetic, one entropy column per stream
@@ -123,9 +124,9 @@ CHUNK_DRAWS = 1 << 14
 TAU_BLOCK_TRIALS = 1 << 12
 
 
-def rows_per_chunk(n, cap=math.inf):
+def rows_per_chunk(n):
     """Rows draw_stopping_times stacks into one chunk, and their block length."""
-    block = min(first_block(n), cap)
+    block = first_block(n)
     return max(1, CHUNK_DRAWS // block), block
 
 
@@ -282,21 +283,19 @@ def fill_first_blocks(n, stream, draws):
         draws[row] = stream(row).integers(0, n, size=block)
 
 
-def draw_stopping_times(n, streams, cap=math.inf, fresh=False):
+def draw_stopping_times(n, streams, fresh=False):
     """tau of each row of a TrialStreams; with fresh, (tau, arrivals, indices).
 
-    Rows go CHUNK_DRAWS // block at a time (block = min(first_block(n),
-    cap); both are read at call time) through one reused buffer of first
-    blocks (fill_first_blocks) and one stopping_times call, which sorts in
-    one reused buffer of slots. A row whose tau falls past its block is
+    Rows go CHUNK_DRAWS // block at a time (block = first_block(n); both
+    are read at call time) through one reused buffer of first blocks
+    (fill_first_blocks) and one stopping_times call, which sorts in one
+    reused buffer of slots. A row whose tau falls past its block is
     redrawn alone from its stream start, in blocks of max(4n, 8), until tau
-    falls inside or cap draws are used (then its missing arrivals read cap
-    and tau = cap + 1). Only fresh keeps arrivals, the (rows, n//2+1)
-    steps of each row's first draws of a value, and indices, the values
-    drawn there (0 at missing arrivals).
+    falls inside. Only fresh keeps arrivals, the (rows, n//2+1) steps of
+    each row's first draws of a value, and indices, the values drawn there.
     """
     rows, target = len(streams), fresh_target(n)
-    per_chunk, block = rows_per_chunk(n, cap)
+    per_chunk, block = rows_per_chunk(n)
     draws = np.empty((min(per_chunk, rows), block), dtype=np.int64)
     # One slot buffer for every chunk: a new one per chunk, at n = 1024 above
     # glibc's 128 KB mmap threshold, was mapped and faulted in anew each time
@@ -318,14 +317,13 @@ def draw_stopping_times(n, streams, cap=math.inf, fresh=False):
             tau[start:stop] = stopping_times(chunk, n, slots)[1]
     for row in np.flatnonzero(tau > block):
         rng, drawn = streams.stream(row), np.empty(0, dtype=np.int64)
-        while tau[row] > drawn.size and drawn.size < cap:
-            more = rng.integers(0, n, size=min(max(4 * n, 8), cap - drawn.size))
-            drawn = np.concatenate([drawn, more])
+        while tau[row] > drawn.size:
+            drawn = np.concatenate([drawn, rng.integers(0, n, size=max(4 * n, 8))])
             row_arrivals, row_tau = stopping_times(drawn[None], n)
             tau[row] = row_tau[0]
         if fresh:
             arrivals[row] = row_arrivals[0]
-            indices[row] = np.append(drawn, 0)[row_arrivals[0]]
+            indices[row] = drawn[row_arrivals[0]]
     return (tau, arrivals, indices) if fresh else tau
 
 

@@ -302,8 +302,7 @@ def test_private_sgd_batch(kind, seeds, fuzz_labels, data):
         return
     assert all(is_count(seed) and seed >= 0 for seed in seeds)
     assert real_entries(features) and real_entries(labels)
-    done = ~batch.overrun
-    assert finite(batch.output[done], batch.fresh_iterates[done])
+    assert finite(batch.output, batch.fresh_iterates)
 
 
 @FUZZ
@@ -608,7 +607,7 @@ def tau_sim_flags(n, trials):
     return {"n": n, "trials": trials, "seed": "7"}, {"seed": (("7",), 1)}
 
 
-VERDICT = {"run": lambda printed: 5 if printed["degraded"] else 0,
+VERDICT = {"run": lambda printed: 0,
            "tau-sim": lambda printed: 0, "calibrate": lambda printed: 0,
            "audit": lambda printed: 4 if printed["significant"] else 0}
 

@@ -65,14 +65,13 @@ class TestPrivateSgd:
         _, data, config = hinge_setup(32, 3, sigma=0.8, eta=0.05, seed=7)
         a = private_sgd(config, 7, data)
         b = private_sgd(config, 7, data)
-        for field in ("tau", "overrun", "output", "fresh_indices", "fresh_iterates"):
+        for field in ("tau", "output", "fresh_indices", "fresh_iterates"):
             assert getattr(a, field).tobytes() == getattr(b, field).tobytes(), field
 
     def test_trace_invariants(self):
         n = 50
         _, data, config = hinge_setup(n, 2, sigma=2.0, eta=0.1, seed=11)
         run = private_sgd(config, 11, data)
-        assert run.overrun.tolist() == [False]
         assert run.fresh_indices.shape == (1, n // 2 + 1)
         assert len(set(run.fresh_indices[0].tolist())) == n // 2 + 1
         assert run.fresh_iterates.shape == (1, n // 2 + 1, 2)
@@ -109,7 +108,6 @@ class TestPrivateSgd:
         # At d = 3 einsum may sum a dot product in another order than
         # oracles.dot, so iterates agree to 1e-12, not bit for bit.
         assert run.tau.tolist() == [tau]
-        assert run.overrun.tolist() == [False]
         np.testing.assert_array_equal(run.fresh_indices[0], indices)
         assert np.max(np.abs(run.fresh_iterates[0] - iterates)) <= 1e-12
         assert np.max(np.abs(run.output[0] - output)) <= 1e-12
@@ -125,23 +123,6 @@ class TestPrivateSgd:
         with pytest.raises(ConfigurationError):
             RunConfig(n=16, eta=0.1, sigma=0.0, feasible_set=fs,
                       oracle=LossOracle.hinge(1.0), w1=np.array([1.0, 0.0]))
-
-    def test_overrun_is_flagged_with_nan_output(self, monkeypatch):
-        # Seed 26 yields at most 8 distinct indices in the first 16 draws
-        # for n=16, so a cap of 16 steps (MAX_STEPS_FACTOR = 1) cannot reach
-        # the 9 fresh draws the stopping rule needs. The overrun is the
-        # row's flag, not an exception.
-        monkeypatch.setattr(optimizer_mod, "MAX_STEPS_FACTOR", 1)
-        fs = FeasibleSet.box([-1.0], [1.0])
-        config = RunConfig(n=16, eta=0.1, sigma=0.0, feasible_set=fs,
-                           oracle=LossOracle.hinge(1.0), w1=np.zeros(1))
-        run = private_sgd(config, 26, constant_dataset(16, 1, value=0.1))
-        assert run.overrun.tolist() == [True]
-        assert run.tau.tolist() == [16]
-        assert np.all(np.isnan(run.output))
-        # Slots past the last fresh step read index 0 and a NaN iterate.
-        assert np.isnan(run.fresh_iterates[0, -1]).all()
-        assert run.fresh_indices[0, -1] == 0
 
 
 class TestInputChecks:
@@ -330,19 +311,12 @@ class TestBatchEquivalence:
         for r, seed in enumerate(seeds):
             single = private_sgd(config, seed, (features[r], labels[r]))
             assert single.tau[0] == batch.tau[r]
-            assert single.overrun[0] == batch.overrun[r]
             np.testing.assert_array_equal(batch.fresh_indices[r], single.fresh_indices[0])
-            # An overrun row's NaN slots must line up; assert_allclose takes
-            # NaN as equal to NaN.
             np.testing.assert_allclose(batch.fresh_iterates[r], single.fresh_iterates[0],
                                        rtol=0, atol=1e-12)
             single_regret = estimate_regret(
                 single, fresh_rows(single, features[r:r + 1], labels[r:r + 1]),
                 comparator, config)[0]
-            if single.overrun[0]:
-                assert np.all(np.isnan(batch.output[r])) and math.isnan(regrets[r])
-                assert np.all(np.isnan(single.output)) and math.isnan(single_regret)
-                continue
             assert np.max(np.abs(batch.output[r] - single.output[0])) <= 1e-12
             assert abs(regrets[r] - single_regret) <= 1e-12
         return batch
@@ -382,29 +356,10 @@ class TestBatchEquivalence:
         batch = self.check(config, [31, 32, 33], features, labels, np.full(d, 0.1))
         assert batch.tau.min() <= NOISE_CHUNK_STEPS < batch.tau.max()
 
-    def test_overrunning_row_beside_finishing_rows(self, monkeypatch):
-        # Seed 26 overruns a 16-step cap at n = 16 (see
-        # test_overrun_is_flagged_with_nan_output); seeds 27-29 finish within it,
-        # and seed 43 on its last step.
-        monkeypatch.setattr(optimizer_mod, "MAX_STEPS_FACTOR", 1)
-        n, d = 16, 1
-        fs = FeasibleSet.box([-1.0], [1.0])
-        config = RunConfig(n=n, eta=0.1, sigma=0.5, feasible_set=fs,
-                           oracle=LossOracle.hinge(1.0), w1=np.zeros(d))
-        seeds = [26, 27, 28, 29, 43]
-        rng = np.random.default_rng(5)
-        features = rng.uniform(-1.0, 1.0, size=(5, n, d))
-        labels = rng.choice([-1.0, 1.0], size=(5, n))
-        batch = self.check(config, seeds, features, labels, np.array([0.2]))
-        assert batch.overrun.tolist() == [True, False, False, False, False]
-        assert batch.tau[-1] == 16
 
-
-def golden_batch_case(name, monkeypatch):
+def golden_batch_case(name):
     """(config, seeds, features, labels) of one pinned five-row batch."""
-    if name == "hinge-box-d1-overrun":
-        # The rows of test_overrunning_row_beside_finishing_rows, 16-step cap.
-        monkeypatch.setattr(optimizer_mod, "MAX_STEPS_FACTOR", 1)
+    if name == "hinge-box-d1-n16":
         fs = FeasibleSet.box([-1.0], [1.0])
         config = RunConfig(n=16, eta=0.1, sigma=0.5, feasible_set=fs,
                            oracle=LossOracle.hinge(1.0), w1=np.zeros(1))
@@ -433,32 +388,32 @@ class TestBatchGolden:
     """Seeded batches pinned bit for bit, fixed while the engine still kept
     its rows sorted by falling tau and froze each row at its own tau."""
 
-    # sha256 of the tau, overrun, output and fresh_iterates bytes, in order.
+    # sha256 of the tau, output and fresh_iterates bytes, in order.
     # squared-box-d10 re-pinned when draw_arrays took U**(1/d) by
     # float_power, which rounds alike with and without numpy's AVX-512
-    # loops: the new digest is the old code's without them.
+    # loops: the new digest is the old code's without them. Each row of
+    # hinge-box-d1-n16 equals oracles.stepwise_run's bit for bit.
     GOLDEN = {
         "hinge-ball-d2":
-            "36dc3ab3c3c2ee2af4cd02061bfc56dbc94b9f25ed455e0f63cb8ee12c01391a",
+            "568443a8d12baa2976fa7af8d267936282895112a57c6a8f315a1d3a7e260be2",
         "squared-box-d10":
-            "c366480443f628cb207ddd6ed761232cf17bfd8f16fc8ce9c2547e7195f78b30",
-        "hinge-box-d1-overrun":
-            "bdb7716c301853703d27388726326c118f6abc205933fcedb424fa55e481dbff",
+            "91ca50a6453e3a9f3839a2e194871e544dd57ec44c03d463371b844f9627fe4b",
+        "hinge-box-d1-n16":
+            "de9c6ea5f6bc7da375e936af8b0f099188fdf2e479d0ebfca9bd6418ef2bf79f",
     }
     # The n = 200 cases run past the first NOISE_CHUNK_STEPS = 128 steps.
     TAU = {
         "hinge-ball-d2": [145, 135, 145, 149, 123],
         "squared-box-d10": [155, 136, 162, 124, 125],
-        "hinge-box-d1-overrun": [16, 14, 14, 15, 16],
+        "hinge-box-d1-n16": [19, 14, 14, 15, 16],
     }
 
     @pytest.mark.parametrize("name", list(GOLDEN))
-    def test_golden_digest(self, name, monkeypatch):
-        batch = private_sgd_batch(*golden_batch_case(name, monkeypatch))
+    def test_golden_digest(self, name):
+        batch = private_sgd_batch(*golden_batch_case(name))
         assert batch.tau.tolist() == self.TAU[name]
-        assert batch.overrun.tolist() == [name.endswith("overrun")] + [False] * 4
         digest = hashlib.sha256()
-        for array in (batch.tau, batch.overrun, batch.output, batch.fresh_iterates):
+        for array in (batch.tau, batch.output, batch.fresh_iterates):
             digest.update(np.ascontiguousarray(array).tobytes())
         assert digest.hexdigest() == self.GOLDEN[name]
 
@@ -466,16 +421,16 @@ class TestBatchGolden:
     def test_golden_digest_past_first_block(self, name, monkeypatch):
         # A first block of one draw sends every row down the redraw path.
         monkeypatch.setattr(sampler, "first_block", lambda n: 1)
-        self.test_golden_digest(name, monkeypatch)
+        self.test_golden_digest(name)
 
     @pytest.mark.parametrize("name", list(GOLDEN))
-    def test_permuting_rows_permutes_results(self, name, monkeypatch):
-        config, seeds, features, labels = golden_batch_case(name, monkeypatch)
+    def test_permuting_rows_permutes_results(self, name):
+        config, seeds, features, labels = golden_batch_case(name)
         perm = np.array([3, 0, 4, 1, 2])
         batch = private_sgd_batch(config, seeds, features, labels)
         permuted = private_sgd_batch(config, np.asarray(seeds)[perm].tolist(),
                                      features[perm], labels[perm])
-        for field in ("tau", "overrun", "output", "fresh_indices", "fresh_iterates"):
+        for field in ("tau", "output", "fresh_indices", "fresh_iterates"):
             want = getattr(batch, field)[perm]
             assert getattr(permuted, field).tobytes() == want.tobytes(), field
 
@@ -562,7 +517,7 @@ class TestLiveNoiseGenerators:
             outputs.append(optimizer_mod.run_steps(config, steps, features, labels,
                                                    data_rows).output.tobytes())
             assert started == list(range(len(seeds)))
-            total = len(steps.fresh) - 1
+            total = len(steps.fresh)
             assert total > 2 * chunk or chunk == NOISE_CHUNK_STEPS
             for row, seed in enumerate(seeds):
                 assert [len(piece) for piece in pieces[row]] == (
@@ -586,24 +541,39 @@ class TestLiveNoiseGenerators:
         assert first.output.tobytes() == second.output.tobytes()
 
 
+def seeds_running_past(n, steps, count):
+    """The first count seeds, in order, whose runs on n records have not
+    stopped after steps steps: the first steps draws of their index streams
+    (child 0 of SeedSequence(seed).spawn(2), one integers() call per step as
+    in oracles.stepwise_run) hold at most n//2 distinct values."""
+    seeds, seed = [], 0
+    while len(seeds) < count:
+        rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(2)[0])
+        if len({int(rng.integers(0, n)) for _ in range(steps)}) <= n // 2:
+            seeds.append(seed)
+        seed += 1
+    return seeds
+
+
 class TestCornerBytes:
     """Engine rows equal the stepwise reference bit for bit where the update
     meets exact zeros: sigma = 0 from w1 = (-0.0, -0.0), on data whose second
     coordinate is +0.0 or -0.0, so that coordinate of every iterate stays a
-    signed zero, with and without a row that overruns its cap. TestNoisyBytes
-    covers sigma > 0."""
+    signed zero. Rows that run past 4n steps do so beside rows that stop
+    early, at sigma = 0 and sigma > 0. TestNoisyBytes covers sigma > 0 at
+    n = 300."""
 
     N, D = 16, 2
 
-    def case(self, kind, set_kind):
+    def case(self, kind, set_kind, rows, n, sigma):
         rng = np.random.default_rng(9)
-        features = np.zeros((5, self.N, self.D))
-        features[..., 0] = rng.uniform(-1.0, 1.0, size=(5, self.N))
-        features[..., 1] = np.where(rng.random((5, self.N)) < 0.5, 0.0, -0.0)
+        features = np.zeros((rows, n, self.D))
+        features[..., 0] = rng.uniform(-1.0, 1.0, size=(rows, n))
+        features[..., 1] = np.where(rng.random((rows, n)) < 0.5, 0.0, -0.0)
         if kind == "hinge":
-            labels = rng.choice([-1.0, 1.0], size=(5, self.N))
+            labels = rng.choice([-1.0, 1.0], size=(rows, n))
         else:
-            labels = rng.uniform(-1.0, 1.0, size=(5, self.N))
+            labels = rng.uniform(-1.0, 1.0, size=(rows, n))
         if set_kind == "ball":
             fs = FeasibleSet.l2_ball(0.5, dimension=self.D)
             project = lambda x: project_ball(fs.center, fs.radius, x)  # noqa: E731
@@ -612,51 +582,48 @@ class TestCornerBytes:
             project = lambda x: project_box(fs.lower, fs.upper, x)  # noqa: E731
         oracle = (LossOracle.squared(1.0, fs) if kind == "squared"
                   else getattr(LossOracle, kind)(1.0))
-        config = RunConfig(n=self.N, eta=0.3, sigma=0.0, feasible_set=fs,
+        config = RunConfig(n=n, eta=0.3, sigma=sigma, feasible_set=fs,
                            oracle=oracle, w1=np.array([-0.0, -0.0]))
         return config, features, labels, project
 
-    def check(self, kind, set_kind, seeds, cap):
-        config, features, labels, project = self.case(kind, set_kind)
+    def check(self, kind, set_kind, seeds, n=N, sigma=0.0):
+        config, features, labels, project = self.case(kind, set_kind, len(seeds), n, sigma)
         batch = private_sgd_batch(config, seeds, features, labels)
         for r, seed in enumerate(seeds):
             tau, indices, iterates, output = stepwise_run(
-                config.n, config.eta, 0.0, config.w1, seed, features[r], labels[r],
+                n, config.eta, sigma, config.w1, seed, features[r], labels[r],
                 project, lambda w, x, y: plain_subgradient(kind, w, x, y))
-            # The fresh steps among the first cap draws, one integers() call
-            # per step as in the reference.
-            index_rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(2)[0])
-            reached = len({int(index_rng.integers(0, config.n)) for _ in range(cap)})
-            if tau <= cap:
-                assert not batch.overrun[r] and batch.tau[r] == tau
-                assert batch.output[r].tobytes() == output.tobytes()
-            else:
-                assert batch.overrun[r] and batch.tau[r] == cap
-                assert reached < len(indices) and np.isnan(batch.output[r]).all()
-                assert np.isnan(batch.fresh_iterates[r, reached:]).all()
-                assert not batch.fresh_indices[r, reached:].any()
-            assert batch.fresh_indices[r, :reached].tobytes() == indices[:reached].tobytes()
-            assert batch.fresh_iterates[r, :reached].tobytes() == iterates[:reached].tobytes()
+            assert batch.tau[r] == tau
+            assert batch.fresh_indices[r].tobytes() == indices.tobytes()
+            assert batch.fresh_iterates[r].tobytes() == iterates.tobytes()
+            assert batch.output[r].tobytes() == output.tobytes()
         return batch
 
     @pytest.mark.parametrize("set_kind", ["ball", "box"])
     @pytest.mark.parametrize("kind", ["hinge", "absolute", "squared"])
     def test_noiseless_from_negative_zero(self, kind, set_kind):
-        batch = self.check(kind, set_kind, [11, 12, 13, 14, 15],
-                           cap=optimizer_mod.MAX_STEPS_FACTOR * self.N)
+        batch = self.check(kind, set_kind, [11, 12, 13, 14, 15])
         # The second coordinate stays a signed zero, and both signs occur.
         second = batch.fresh_iterates[..., 1]
         assert not second.any() and np.signbit(second).any() and not np.signbit(second).all()
 
+    @pytest.mark.parametrize("block", ["first", "redrawn"])
+    @pytest.mark.parametrize("sigma", [0.0, 0.7])
     @pytest.mark.parametrize("set_kind", ["ball", "box"])
     @pytest.mark.parametrize("kind", ["hinge", "absolute", "squared"])
-    def test_overrun_row_beside_finishing_rows(self, kind, set_kind, monkeypatch):
-        # Seed 26 overruns a 16-step cap at n = 16 (see
-        # test_overrun_is_flagged_with_nan_output); its missing fresh steps
-        # point at the spare last row of the fresh mask, which no step reads.
-        monkeypatch.setattr(optimizer_mod, "MAX_STEPS_FACTOR", 1)
-        batch = self.check(kind, set_kind, [26, 27, 28, 29, 43], cap=self.N)
-        assert batch.overrun.tolist() == [True, False, False, False, False]
+    def test_row_past_4n_steps_beside_rows_that_stop_early(self, kind, set_kind, sigma,
+                                                           block, monkeypatch):
+        # At n = 2 a run takes more than 4n = 8 steps with probability 2^-7;
+        # the first two seeds whose index streams do so, 140 and 208 (tau 9
+        # and 10), run to their own stop beside seeds 0 and 1 (tau 3 and 2).
+        # A first block of one draw sends every row down the redraw path,
+        # whose 8-draw blocks the long rows outrun.
+        if block == "redrawn":
+            monkeypatch.setattr(sampler, "first_block", lambda n: 1)
+        batch = self.check(kind, set_kind, seeds_running_past(2, 8, 2) + [0, 1], n=2,
+                           sigma=sigma)
+        assert batch.tau[:2].min() > 8 and batch.tau[2:].max() <= 3
+        assert np.isfinite(batch.output).all()
 
 
 def record_fixed_slopes(monkeypatch):
@@ -723,7 +690,7 @@ class TestFixedSlopeBytes:
             PopulationSpec("linear_margin", d, 1.0, w_true=np.eye(d)[0], noise_rate=0.1),
             n, 1, first_seed=92)
         steps = optimizer_mod.draw_fresh_steps(n, [seed])
-        chunk = np.flatnonzero(steps.fresh[:-1, 0]) // NOISE_CHUNK_STEPS
+        chunk = np.flatnonzero(steps.fresh[:, 0]) // NOISE_CHUNK_STEPS
         assert chunk.max() >= 3
         for c in (1, 3):
             row = features[0, steps.fresh_indices[0, np.argmax(chunk == c)]]
@@ -755,7 +722,7 @@ class TestFixedSlopeBytes:
 
         monkeypatch.setattr(LossOracle, "subgradient", counted)
         (cell,) = harness_mod.run_experiment(harness_mod.build_spec(keys)).cells
-        assert cell.overrun_runs == 0 and math.isfinite(cell.mean_excess_risk)
+        assert math.isfinite(cell.mean_excess_risk)
         if workload == "grid":
             assert not calls
         else:   # one call per lockstep step of the 4 rows

@@ -99,3 +99,12 @@ def test_echo_is_the_documented_keys_with_the_specs_values(feasible, generator,
     assert echo["noise_rate"] == (0.1 if generator == "linear_margin" else 0.0)
     if "w_true" in echo:
         assert echo["w_true"] == ([1.0, 0.0] if w_true is None else [0.6, 0.8])
+
+
+def test_exit_code_sentences_name_exactly_clis_codes():
+    # The README's and cli's "Exit codes: 0 success, 2 ..." sentences name
+    # every cli.EXIT_* code and no other, so a removed code cannot linger.
+    defined = {value for name, value in vars(cli).items() if name.startswith("EXIT_")}
+    for text, code in ((readme(), r"`(\d+)`"), (cli.__doc__, r"\b(\d+) ")):
+        (sentence,) = re.findall(r"Exit codes:(.*?)\.\n", text, re.S)
+        assert {int(value) for value in re.findall(code, sentence)} == defined
