@@ -15,8 +15,8 @@ import sys
 from dataclasses import asdict
 
 from .errors import ConfigurationError, RegimeError
-from .harness import RUN_KEYS, build_spec, default_output_dir, experiment_dir, \
-    json_value, parse_kv_file, run_and_write, run_tau_sim, write_json
+from .harness import RUN_KEYS, build_spec, experiment_dir, json_value, parse_kv_file, \
+    resolve_output_dir, run_and_write, run_tau_sim, write_json
 from .privacy import MAX_GRID_CELLS, MIN_TRIALS_PER_CELL, audit_single_step, \
     calibrate_sigma, end_to_end, from_target, write_audit_csv
 
@@ -56,8 +56,8 @@ def _cmd_tau_sim(args):
         raise ConfigurationError(
             f"--n: expected comma-separated integers, got {args.n!r}") from None
     seed = _resolve_seed(args.seed)
-    stats = run_tau_sim(n_values, args.trials, seed,
-                        args.output_dir or default_output_dir(), name=args.name)
+    stats = run_tau_sim(n_values, args.trials, seed, resolve_output_dir(args.output_dir),
+                        name=args.name)
     print(json.dumps({"seed": seed, "results": [s.summary() for s in stats]}))
     return EXIT_OK
 
@@ -105,7 +105,7 @@ def _cmd_audit(args):
              else calibrate_sigma(args.L, args.delta, args.eps_tilde))
     result = audit_single_step(sigma, args.L, args.eps_tilde, args.delta,
                                args.trials, grid_cells=args.grid, seed=seed)
-    outdir = experiment_dir(args.output_dir or default_output_dir(), args.name)
+    outdir = experiment_dir(resolve_output_dir(args.output_dir), args.name)
     write_audit_csv(result, os.path.join(outdir, "audit.csv"))
     # A worst cell at a lumped tail has an infinite edge, written as null.
     summary = {key: json_value(getattr(result, key)) for key in (

@@ -12,7 +12,7 @@ so a rerun with the same seed reproduces files byte for byte.
 import json
 import math
 import os
-from dataclasses import dataclass, is_dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from functools import partial
 from typing import Callable, NamedTuple
 
@@ -20,14 +20,14 @@ import numpy as np
 
 from .errors import ConfigurationError, check_count, check_probability, check_real
 from .geometry import BOX, L2_BALL, FeasibleSet
-from .losses import (HINGE, LINEAR_MARGIN, RISK_QUADRATURE_BOUND, LossOracle, PopulationSpec,
-                     draw_dataset, lipschitz_certificate, population_risk)
+from .losses import (HINGE, LINEAR_MARGIN, LOSS_KINDS, RISK_QUADRATURE_BOUND, LossOracle,
+                     PopulationSpec, draw_dataset, lipschitz_certificate, population_risk)
 # private_sgd and estimate_risk are not called here; perfbench/spans.py
 # wraps them by these names.
-from .optimizer import (RunConfig, baseline_minimizer, check_rows,  # noqa: F401
-                        draw_fresh_steps, estimate_regret, estimate_risk, private_sgd,
-                        run_steps)
-from .privacy import end_to_end, epsilon_limit, risk_bound, step_size
+from .optimizer import (MIN_BASELINE_STEPS, RunConfig, baseline_minimizer,  # noqa: F401
+                        check_rows, draw_fresh_steps, estimate_regret, estimate_risk,
+                        private_sgd, run_steps)
+from .privacy import MIN_RECORDS, end_to_end, epsilon_limit, risk_bound, step_size
 from .sampler import INDEXED_STREAMS, derived_seeds, seeded_streams, simulate_tau
 
 OUTPUT_DIR_ENV = "DPMIRROR_OUTPUT_DIR"
@@ -55,7 +55,7 @@ class RunKey(NamedTuple):
 # a key with no check here, are checked by the object built from it.
 RUN_KEYS = {
     "name": RunKey(str, None, "experiment", "experiment name (output subdirectory)"),
-    "loss": RunKey(str, None, HINGE, "hinge | absolute | squared"),
+    "loss": RunKey(str, None, HINGE, " | ".join(LOSS_KINDS)),
     "generator": RunKey(str, None, LINEAR_MARGIN, "linear_margin | uniform_ball"),
     "dimension": RunKey(int, check_count, "2", "feature dimension d"),
     "feature_bound": RunKey(float, None, "1.0", "norm bound on generated features "
@@ -67,8 +67,9 @@ RUN_KEYS = {
     "radius": RunKey(float, None, "0.5", "ball radius, centred at 0"),
     "lower": RunKey(_listed(float), None, None, "comma-separated lower box corner (box only)"),
     "upper": RunKey(_listed(float), None, None, "comma-separated upper box corner (box only)"),
-    "n_values": RunKey(_listed(int), _each(partial(check_count, low=16)), None,
-                       "comma-separated dataset sizes, each in [16, 2**53] (required)"),
+    "n_values": RunKey(_listed(int), _each(partial(check_count, low=MIN_RECORDS)), None,
+                       f"comma-separated dataset sizes, each in [{MIN_RECORDS}, 2**53] "
+                       "(required)"),
     "epsilon_values": RunKey(_listed(lambda text: text if text == "max" else float(text)),
                              _each(lambda v, name: v if v == "max" else check_real(v, name)),
                              None, "comma-separated floats, or max for 1/(2*sqrt(n)) "
@@ -80,7 +81,7 @@ RUN_KEYS = {
     "eval_samples": RunKey(int, check_count, "2000",
                            "not read: each run's risk is exact (accepted until "
                            "ROADMAP.md item 1 deletes it)"),
-    "baseline_steps": RunKey(int, partial(check_count, low=10_000), "100000",
+    "baseline_steps": RunKey(int, partial(check_count, low=MIN_BASELINE_STEPS), "100000",
                              "step budget of the reference minimizer"),
     "sigma_override": RunKey(float, partial(check_real, zero=True), None,
                              "noise scale replacing the calibrated one (0 = no noise)"),
@@ -161,8 +162,10 @@ class ExperimentResult:
     baseline_risk: float
 
 
-def default_output_dir():
-    return os.environ.get(OUTPUT_DIR_ENV, "runs")
+def resolve_output_dir(given):
+    """Where a command writes its <name>/ directory: given, or if it is None or
+    empty, $DPMIRROR_OUTPUT_DIR, or runs if that is unset."""
+    return given or os.environ.get(OUTPUT_DIR_ENV, "runs")
 
 
 def parse_kv_file(path):
@@ -206,7 +209,8 @@ def _given(values, key):
 
 def build_spec(overrides):
     """Assemble and validate an ExperimentSpec from string key-values; an
-    unknown kind is refused by its constructor, before READ_ONLY_UNDER's rule."""
+    unknown kind is refused by its constructor, before READ_ONLY_UNDER's rule.
+    Every field but the population, oracle and set is its RUN_KEYS value."""
     kv = _read_keys(overrides)
     dimension = kv["dimension"]
     if kv["set"] == BOX:
@@ -233,22 +237,11 @@ def build_spec(overrides):
             raise ConfigurationError(
                 f"config field {key} is not read with {chooser} = {kv[chooser]} "
                 f"(only with {chooser} = {choice})")
-
-    return ExperimentSpec(
-        name=kv["name"],
-        population=population,
-        oracle=oracle,
-        feasible_set=feasible,
-        n_values=_given(kv, "n_values"),
-        epsilon_values=_given(kv, "epsilon_values"),
-        delta=kv["delta"],
-        delta_prime=kv["delta_prime"],
-        repeats=kv["repeats"],
-        seed=_given(kv, "seed"),
-        output_dir=default_output_dir() if kv["output_dir"] is None else kv["output_dir"],
-        baseline_steps=kv["baseline_steps"],
-        sigma_override=kv["sigma_override"],
-    )
+    for key in ("n_values", "epsilon_values", "seed"):
+        _given(kv, key)
+    kv.update(population=population, oracle=oracle, feasible_set=feasible,
+              output_dir=resolve_output_dir(kv["output_dir"]))
+    return ExperimentSpec(**{field.name: kv[field.name] for field in fields(ExperimentSpec)})
 
 
 def spec_echo(spec):

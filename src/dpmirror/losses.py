@@ -33,6 +33,7 @@ from .geometry import dot
 HINGE = "hinge"
 ABSOLUTE = "absolute"
 SQUARED = "squared"
+LOSS_KINDS = (HINGE, ABSOLUTE, SQUARED)
 
 LINEAR_MARGIN = "linear_margin"
 UNIFORM_BALL = "uniform_ball"
@@ -70,7 +71,7 @@ def lipschitz_certificate(kind, feature_bound, feasible_set=None):
     if kind == SQUARED and feasible_set is None:
         raise ConfigurationError(
             "squared loss has no global Lipschitz constant; pass the feasible set")
-    if kind not in (HINGE, ABSOLUTE, SQUARED):
+    if kind not in LOSS_KINDS:
         raise ConfigurationError(f"unknown loss kind {kind!r}")
     return check_real(_worst_subgradient(kind, feature_bound, 1.0, feasible_set),
                       f"lipschitz_certificate: the {kind} loss's L at "
@@ -90,7 +91,7 @@ class LossOracle:
     lipschitz_L: float
 
     def __post_init__(self):
-        if self.kind not in (HINGE, ABSOLUTE, SQUARED):
+        if self.kind not in LOSS_KINDS:
             raise ConfigurationError(f"unknown loss kind {self.kind!r}")
         object.__setattr__(self, "lipschitz_L",
                            check_real(self.lipschitz_L, "LossOracle: lipschitz_L"))

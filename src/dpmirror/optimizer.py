@@ -45,6 +45,8 @@ from .sampler import draw_stopping_times, sample_index, spawned_streams  # noqa:
 NOISE_CHUNK_STEPS = 128
 CERTIFICATE_EVERY = 5
 BASELINE_TOLERANCE = 1e-6
+# The fewest steps baseline_minimizer is given, and so `run`'s baseline_steps.
+MIN_BASELINE_STEPS = 10_000
 
 
 @dataclass(frozen=True)
@@ -230,20 +232,17 @@ def run_steps(config, steps, features, labels, data_rows):
         y = np.where(mask, labels.take(data), 1.0)
         noise = noise.swapaxes(0, 1)
         slopes = oracle.fixed_slopes(y, lambda: feasible_set.reach(x))
-        if slopes is None:
-            for t, (x_t, y_t, xi) in enumerate(zip(x, y, noise)):
-                held[t] = w
-                g = oracle.subgradient(w, x_t, y_t) + xi
-                w = feasible_set.project_rows(w - eta * g)
-        else:
+        if slopes is not None:
             # eta * (slope * x + noise), formed in x by the same operations
-            # per value, in the same order, as the step above.
+            # per value, in the same order, as the step below.
             x *= slopes[..., None]
             x += noise
             x *= eta
-            for t, step in enumerate(x):
-                held[t] = w
-                w = feasible_set.project_rows(w - step)
+        for t in range(k):
+            held[t] = w
+            step = x[t] if slopes is not None else eta * (
+                oracle.subgradient(w, x[t], y[t]) + noise[t])
+            w = feasible_set.project_rows(w - step)
         chunk = held[:k]
         at = np.flatnonzero(mask)
         flat_iterates[slots.ravel()[at]] = chunk.reshape(-1, d)[at]
@@ -335,9 +334,10 @@ def baseline_minimizer(population, oracle, feasible_set, budget_steps):
     whatever the step size. error_bound is that sum. The gap is computed
     every CERTIFICATE_EVERY steps, and the run stops once it is at most
     BASELINE_TOLERANCE * D * L. budget_steps bounds the steps (at least
-    10^4); a run that uses them all reports the certificate it has.
+    MIN_BASELINE_STEPS); a run that uses them all reports the certificate it has.
     """
-    budget_steps = check_count(budget_steps, "baseline_minimizer: budget_steps", low=10_000)
+    budget_steps = check_count(budget_steps, "baseline_minimizer: budget_steps",
+                               low=MIN_BASELINE_STEPS)
     D = feasible_set.diameter()
     target = BASELINE_TOLERANCE * D * oracle.lipschitz_L
     step = 1.0 / risk_curvature(population, oracle)

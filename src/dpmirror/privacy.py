@@ -28,6 +28,8 @@ import numpy as np
 from .errors import ConfigurationError, RegimeError, check_count, check_probability, check_real
 from .sampler import seeded_streams
 
+# The fewest records end_to_end and from_target cover, and so `run` takes.
+MIN_RECORDS = 16
 # Audit needs this many trials per grid cell for stable tail estimates.
 MIN_TRIALS_PER_CELL = 2000
 MAX_GRID_CELLS = 500
@@ -95,7 +97,7 @@ class EndToEndPlan:
 def end_to_end(n, epsilon, delta, delta_prime, L, D, d):
     """Full-run parameters and guarantee for a target per-record epsilon.
 
-    Requires n >= 16 and epsilon <= 1/(2*sqrt(n)), which already keeps the
+    Requires n >= MIN_RECORDS and epsilon <= 1/(2*sqrt(n)), which already keeps the
     per-step epsilon_tilde = sqrt(n)*epsilon composed over the run <= 1/2. Returns
       sigma = 8*L*sqrt(ln(1/delta)) / (sqrt(n)*epsilon)
       eta   = D / (sqrt(n)*(L + sigma*sqrt(d)))
@@ -111,7 +113,7 @@ def end_to_end(n, epsilon, delta, delta_prime, L, D, d):
     and shrinks like 1/sqrt(n). At epsilon proportional to 1/n, the regime
     of the paper's optimal rate, it is constant in n.
     """
-    n = check_count(n, "end_to_end: n", low=16)
+    n = check_count(n, "end_to_end: n", low=MIN_RECORDS)
     limit = epsilon_limit(n)
     epsilon = check_real(epsilon, "epsilon")
     if epsilon > limit:
@@ -160,7 +162,7 @@ def from_target(eps_bar, delta_bar, n):
     stays within end_to_end's regime epsilon <= 1/(2*sqrt(n)).
     """
     eps_bar, delta_bar = check_real(eps_bar, "eps_bar"), check_real(delta_bar, "delta_bar")
-    n = check_count(n, "from_target: n", low=16)
+    n = check_count(n, "from_target: n", low=MIN_RECORDS)
     floor = 6.0 * math.exp(-n / 16.0)
     ceiling = 3.0 * math.exp(-4.0)
     if not floor <= delta_bar <= ceiling:

@@ -1,12 +1,15 @@
 """Independent reference computations shared by the test modules.
 
 Everything here is deliberately written against closed forms or brute
-force, not against the library code paths it is used to check.
+force, not against the library code paths it is used to check; only
+engine_matches_stepwise runs the engine, to hold it to stepwise_run.
 """
 
 import math
 
 import numpy as np
+
+from dpmirror.optimizer import private_sgd_batch
 
 
 def phi(x):
@@ -199,6 +202,29 @@ def stepwise_run(n, eta, sigma, w1, seed, features, labels, project, subgradient
     for iterate in fresh_iterates:
         total = total + iterate
     return tau, np.array(fresh_indices), np.array(fresh_iterates), total / len(seen)
+
+
+def engine_matches_stepwise(config, seeds, features, labels):
+    """private_sgd_batch of config on the stacked (R, n, d) features and
+    (R, n) labels, after asserting that each row's tau, fresh indices,
+    fresh iterates and output equal stepwise_run's bit for bit. The
+    reference projects onto config's set by project_ball or project_box
+    and steps by plain_subgradient of config's loss kind."""
+    fs, kind = config.feasible_set, config.oracle.kind
+    if fs.kind == "l2_ball":
+        project = lambda x: project_ball(fs.center, fs.radius, x)  # noqa: E731
+    else:
+        project = lambda x: project_box(fs.lower, fs.upper, x)  # noqa: E731
+    batch = private_sgd_batch(config, seeds, features, labels)
+    for r, seed in enumerate(seeds):
+        tau, indices, iterates, output = stepwise_run(
+            config.n, config.eta, config.sigma, config.w1, seed, features[r], labels[r],
+            project, lambda w, x, y: plain_subgradient(kind, w, x, y))
+        assert batch.tau[r] == tau, (seed, batch.tau[r], tau)
+        assert batch.fresh_indices[r].tobytes() == indices.tobytes(), seed
+        assert batch.fresh_iterates[r].tobytes() == iterates.tobytes(), seed
+        assert batch.output[r].tobytes() == output.tobytes(), seed
+    return batch
 
 
 def run_repeat_streams(seed, n_idx, e_idx, repeat):

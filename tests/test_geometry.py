@@ -235,6 +235,11 @@ def test_invalid_set_construction():
         FeasibleSet.box([1.0], [0.0])
 
 
+def test_ball_needs_a_centre_or_a_dimension():
+    with pytest.raises(ConfigurationError, match="^l2_ball: need a center or a dimension$"):
+        FeasibleSet.l2_ball(0.5)
+
+
 @pytest.mark.parametrize("build", [
     lambda: FeasibleSet.l2_ball(math.nan, dimension=2),
     lambda: FeasibleSet.l2_ball(math.inf, dimension=2),

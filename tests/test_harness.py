@@ -532,6 +532,31 @@ class TestCli:
         rc = cli.main(["calibrate", "--eps", "0.005"])
         assert rc == 2
 
+    @pytest.mark.parametrize("flags", [
+        ["--n", "400", "--eps", "0.005", "--eps-bar", "0.1", "--delta", "1e-6"],
+        ["--n", "400", "--L", "1", "--D", "1", "--d", "2"],
+    ], ids=["both-modes", "neither-mode"])
+    def test_calibrate_needs_exactly_one_mode_exit_2(self, capsys, flags):
+        rc = cli.main(["calibrate", *flags])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert ("provide either --eps (with --delta/--delta-prime) or --eps-bar/--delta-bar, "
+                "not both") in captured.err and captured.out == ""
+
+    def test_calibrate_from_target_without_n_exit_2(self, capsys):
+        rc = cli.main(["calibrate", "--eps-bar", "0.1", "--delta-bar", "3e-6"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert "--eps-bar, --delta-bar and --n are all required" in captured.err
+        assert captured.out == ""
+
+    def test_calibrate_direct_without_delta_exit_2(self, capsys):
+        rc = cli.main(["calibrate", "--n", "10000", "--eps", "0.005",
+                       "--L", "1", "--D", "1", "--d", "10"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert "--n and --delta are required with --eps" in captured.err and captured.out == ""
+
     def test_calibrate_nan_exit_2(self, capsys):
         rc = cli.main(["calibrate", "--n", "10000", "--eps", "nan",
                        "--delta", "1e-6", "--L", "1", "--D", "1", "--d", "10"])
@@ -992,6 +1017,46 @@ class TestCli:
                        "--name", "envdir"])
         assert rc == 0
         assert (tmp_path / "envdir" / "tau.csv").exists()
+
+    # Each command's flags but --output-dir, and the file it writes.
+    OUTPUT_DIR_CASES = {
+        "run": (["run", "--n-values", "16", "--epsilon-values", "max", "--repeats", "2",
+                 "--seed", "1", "--baseline-steps", "10000"], "cells.csv"),
+        "tau-sim": (["tau-sim", "--n", "16", "--trials", "1000", "--seed", "1"], "tau.csv"),
+        "audit": (["audit", "--L", "1", "--eps-tilde", "0.5", "--delta", "1e-6",
+                   "--trials", "200000", "--grid", "100", "--seed", "7"], "audit.csv"),
+    }
+
+    def run_without_output_dir(self, command, given, capsys):
+        flags, written = self.OUTPUT_DIR_CASES[command]
+        rc = cli.main([*flags, "--name", "x", *given])
+        assert rc == 0
+        return written, json.loads(capsys.readouterr().out)
+
+    @pytest.mark.parametrize("given", [[], ["--output-dir", ""]], ids=["absent", "empty"])
+    @pytest.mark.parametrize("command", list(OUTPUT_DIR_CASES))
+    def test_output_dir_from_env(self, tmp_path, capsys, monkeypatch, command, given):
+        # One rule for every command: an absent or empty --output-dir means
+        # $DPMIRROR_OUTPUT_DIR, or runs if that is unset.
+        monkeypatch.setenv("DPMIRROR_OUTPUT_DIR", str(tmp_path / "env"))
+        monkeypatch.chdir(tmp_path)
+        written, printed = self.run_without_output_dir(command, given, capsys)
+        assert (tmp_path / "env" / "x" / written).exists()
+        assert sorted(os.listdir(tmp_path)) == ["env"]
+        if command == "run":
+            assert printed["output_dir"] == str(tmp_path / "env" / "x")
+
+    @pytest.mark.parametrize("command", list(OUTPUT_DIR_CASES))
+    def test_empty_output_dir_means_runs(self, tmp_path, capsys, monkeypatch, command):
+        # With the variable unset, an empty --output-dir is runs/ for every
+        # command: run writes no ./<name>/ and echoes runs/<name>.
+        monkeypatch.delenv("DPMIRROR_OUTPUT_DIR", raising=False)
+        monkeypatch.chdir(tmp_path)
+        written, printed = self.run_without_output_dir(command, ["--output-dir", ""], capsys)
+        assert (tmp_path / "runs" / "x" / written).exists()
+        assert sorted(os.listdir(tmp_path)) == ["runs"]
+        if command == "run":
+            assert printed["output_dir"] == os.path.join("runs", "x")
 
 
 def digest_run_outputs(outdir):

@@ -18,8 +18,8 @@ from dpmirror.optimizer import (NOISE_CHUNK_STEPS, RunConfig, baseline_minimizer
                                 estimate_regret, estimate_risk, private_sgd,
                                 private_sgd_batch)
 
-from oracles import (fresh_rows, grid_minimum, plain_subgradient, project_ball, project_box,
-                     stepwise_run)
+from oracles import (engine_matches_stepwise, fresh_rows, grid_minimum, plain_subgradient,
+                     project_ball, stepwise_run)
 
 
 def hinge_setup(n, d, sigma, eta, seed, radius=0.5, noise_rate=0.1):
@@ -461,28 +461,17 @@ class TestNoisyBytes:
         features, labels = stacked_datasets(population, n, len(seeds), first_seed=40)
         if set_kind == "ball":
             fs = FeasibleSet.l2_ball(0.5, dimension=d)
-            project = lambda x: project_ball(fs.center, fs.radius, x)  # noqa: E731
             on_boundary = lambda w: abs(math.hypot(*w) - 0.5) < 1e-12  # noqa: E731
         else:
             fs = FeasibleSet.box([-0.5] * d, [0.5] * d)
-            project = lambda x: project_box(fs.lower, fs.upper, x)  # noqa: E731
             on_boundary = lambda w: bool(np.any(np.abs(w) == 0.5))  # noqa: E731
         oracle = (LossOracle.squared(1.0, fs) if kind == "squared"
                   else getattr(LossOracle, kind)(1.0))
         config = RunConfig(n=n, eta=0.1, sigma=0.7, feasible_set=fs, oracle=oracle,
                            w1=np.zeros(d))
-        batch = private_sgd_batch(config, seeds, features, labels)
-        boundary_iterates = 0
-        for r, seed in enumerate(seeds):
-            tau, indices, iterates, output = stepwise_run(
-                n, config.eta, config.sigma, config.w1, seed, features[r], labels[r],
-                project, lambda w, x, y: plain_subgradient(kind, w, x, y))
-            assert batch.tau[r] == tau > NOISE_CHUNK_STEPS
-            assert batch.fresh_indices[r].tobytes() == indices.tobytes()
-            assert batch.fresh_iterates[r].tobytes() == iterates.tobytes()
-            assert batch.output[r].tobytes() == output.tobytes()
-            boundary_iterates += sum(on_boundary(w) for w in iterates)
-        assert boundary_iterates > 0
+        batch = engine_matches_stepwise(config, seeds, features, labels)
+        assert batch.tau.min() > NOISE_CHUNK_STEPS
+        assert sum(on_boundary(w) for row in batch.fresh_iterates for w in row) > 0
 
 
 class TestLiveNoiseGenerators:
@@ -574,30 +563,17 @@ class TestCornerBytes:
             labels = rng.choice([-1.0, 1.0], size=(rows, n))
         else:
             labels = rng.uniform(-1.0, 1.0, size=(rows, n))
-        if set_kind == "ball":
-            fs = FeasibleSet.l2_ball(0.5, dimension=self.D)
-            project = lambda x: project_ball(fs.center, fs.radius, x)  # noqa: E731
-        else:
-            fs = FeasibleSet.box([-0.5] * self.D, [0.5] * self.D)
-            project = lambda x: project_box(fs.lower, fs.upper, x)  # noqa: E731
+        fs = (FeasibleSet.l2_ball(0.5, dimension=self.D) if set_kind == "ball"
+              else FeasibleSet.box([-0.5] * self.D, [0.5] * self.D))
         oracle = (LossOracle.squared(1.0, fs) if kind == "squared"
                   else getattr(LossOracle, kind)(1.0))
         config = RunConfig(n=n, eta=0.3, sigma=sigma, feasible_set=fs,
                            oracle=oracle, w1=np.array([-0.0, -0.0]))
-        return config, features, labels, project
+        return config, features, labels
 
     def check(self, kind, set_kind, seeds, n=N, sigma=0.0):
-        config, features, labels, project = self.case(kind, set_kind, len(seeds), n, sigma)
-        batch = private_sgd_batch(config, seeds, features, labels)
-        for r, seed in enumerate(seeds):
-            tau, indices, iterates, output = stepwise_run(
-                n, config.eta, sigma, config.w1, seed, features[r], labels[r],
-                project, lambda w, x, y: plain_subgradient(kind, w, x, y))
-            assert batch.tau[r] == tau
-            assert batch.fresh_indices[r].tobytes() == indices.tobytes()
-            assert batch.fresh_iterates[r].tobytes() == iterates.tobytes()
-            assert batch.output[r].tobytes() == output.tobytes()
-        return batch
+        config, features, labels = self.case(kind, set_kind, len(seeds), n, sigma)
+        return engine_matches_stepwise(config, seeds, features, labels)
 
     @pytest.mark.parametrize("set_kind", ["ball", "box"])
     @pytest.mark.parametrize("kind", ["hinge", "absolute", "squared"])
@@ -647,21 +623,9 @@ class TestFixedSlopeBytes:
     TestCornerBytes are certified too (|y| = 1, ||x|| <= 1, sets of largest
     norm at most 0.5*sqrt(2))."""
 
-    def check(self, kind, config, seeds, features, labels):
-        fs = config.feasible_set
-        if fs.kind == "l2_ball":
-            project = lambda x: project_ball(fs.center, fs.radius, x)  # noqa: E731
-        else:
-            project = lambda x: project_box(fs.lower, fs.upper, x)  # noqa: E731
-        batch = private_sgd_batch(config, seeds, features, labels)
-        for r, seed in enumerate(seeds):
-            tau, indices, iterates, output = stepwise_run(
-                config.n, config.eta, config.sigma, config.w1, seed, features[r], labels[r],
-                project, lambda w, x, y: plain_subgradient(kind, w, x, y))
-            assert batch.tau[r] == tau > NOISE_CHUNK_STEPS
-            assert batch.fresh_indices[r].tobytes() == indices.tobytes()
-            assert batch.fresh_iterates[r].tobytes() == iterates.tobytes()
-            assert batch.output[r].tobytes() == output.tobytes()
+    def check(self, config, seeds, features, labels):
+        batch = engine_matches_stepwise(config, seeds, features, labels)
+        assert batch.tau.min() > NOISE_CHUNK_STEPS
 
     @pytest.mark.parametrize("sigma", [0.0, 0.7])
     @pytest.mark.parametrize("d", [1, 2])
@@ -678,7 +642,7 @@ class TestFixedSlopeBytes:
         config = RunConfig(n=n, eta=0.1, sigma=sigma, feasible_set=fs,
                            oracle=LossOracle.absolute(1.0), w1=np.full(d, -0.0))
         fixed = record_fixed_slopes(monkeypatch)
-        self.check("absolute", config, seeds, features, labels)
+        self.check(config, seeds, features, labels)
         assert len(fixed) >= 2 and all(fixed)
 
     def test_both_paths_alternate_within_a_row(self, monkeypatch):
@@ -699,7 +663,7 @@ class TestFixedSlopeBytes:
                            feasible_set=FeasibleSet.l2_ball(0.5, dimension=d),
                            oracle=LossOracle.hinge(3.0), w1=np.zeros(d))
         fixed = record_fixed_slopes(monkeypatch)
-        self.check("hinge", config, [seed], features, labels)
+        self.check(config, [seed], features, labels)
         assert fixed == [True, False, True, False] + [True] * (len(fixed) - 4)
 
     @pytest.mark.parametrize("workload", ["grid", "grid-box"])

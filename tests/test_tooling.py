@@ -221,3 +221,53 @@ def test_dispatch_reruns_select_every_byte_test():
     wanted = byte_tests()
     assert BYTE_CLASSES <= {owner for _, owner, _ in wanted}
     assert sorted(wanted - selected) == []
+
+
+def unused_imports(source):
+    """Every name the Python source imports and never reads, by its AST; a
+    name listed in the module's __all__ counts as read."""
+    tree = ast.parse(source)
+    imported, read = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            imported.update((alias.asname or alias.name).split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.Name):
+            read.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+                isinstance(target, ast.Name) and target.id == "__all__"
+                for target in node.targets):
+            read.update(ast.literal_eval(node.value))
+    return imported - read
+
+
+def test_unused_imports_are_found():
+    source = ("import os\nimport numpy as np\nfrom a.b import c, d as e\nfrom f import g\n"
+              "__all__ = ['g']\nx = np.zeros(c)\n")
+    assert unused_imports(source) == {"os", "e"}
+
+
+def spans_wrapped_names():
+    """(module, name) of every module-level target of perfbench/spans.py's
+    install, read from the file's AST without importing it."""
+    with open(os.path.join(ROOT, "perfbench", "spans.py")) as fh:
+        tree = ast.parse(fh.read())
+    (install,) = [node for node in tree.body
+                  if isinstance(node, ast.FunctionDef) and node.name == "install"]
+    (targets,) = [node.value for node in ast.walk(install) if isinstance(node, ast.Assign)
+                  and [target.id for target in node.targets] == ["targets"]]
+    return {(owner.id, attr.value) for owner, attr, *_ in (target.elts for target in targets.elts)
+            if isinstance(owner, ast.Name)}
+
+
+def test_src_imports_only_names_it_uses_or_spans_wraps():
+    # No lint tool is a test dependency. A name a module imports and never
+    # uses is dead, unless perfbench/spans.py wraps it on that module by
+    # name (ROADMAP.md, item 1).
+    wrapped = spans_wrapped_names()
+    assert ("optimizer", "mirror_step") in wrapped and ("harness", "private_sgd") in wrapped
+    src = os.path.join(ROOT, "src", "dpmirror")
+    for name in sorted(os.listdir(src)):
+        if name.endswith(".py"):
+            with open(os.path.join(src, name)) as fh:
+                unused = {(name[:-3], attr) for attr in unused_imports(fh.read())}
+            assert sorted(unused - wrapped) == [], name
