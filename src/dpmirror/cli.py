@@ -70,7 +70,7 @@ def _cmd_calibrate(args):
     target_group = args.eps_bar is not None or args.delta_bar is not None
     if target_group == (args.eps is not None):
         raise ConfigurationError("provide either --eps (with --delta/--delta-prime) or "
-                                 "--eps-bar/--delta-bar, not both")
+                                 "--eps-bar/--delta-bar" + (", not both" if target_group else ""))
     # A flag the chosen mode does not read, or part of the --L/--D/--d
     # triple, is an error, not a silent no-op.
     unread = [f for f in ("delta", "delta_prime") if getattr(args, f) is not None]

@@ -14,13 +14,13 @@ once, here.
 Every real parameter is 0 where 0 is allowed, or has magnitude in
 [2^-K, 2^K], K = RANGE_EXPONENT = 200: check_real and check_probability
 enforce it on scalars (a noise rate keeps its [0, 1]), check_parameter_vector
-on the vectors only a caller gives (a ball's center, a box's corners,
-w_true). Not on data, nor on the vectors the library computes (w1, an
-iterate, a comparator), which may near 0, or a centre near 2^K: the
-arithmetic on them keeps its own checks (estimate_regret,
-max_subgradient_norm, reach, project, population_risk), as does
-audit_single_step's e^(2*epsilon_tilde). A derived sigma, eta, L or D is
-the next call's parameter, refused there by name.
+on the vectors only a caller gives (a box's corners, w_true). Not on data,
+nor on the vectors the library computes (w1, an iterate, a comparator),
+which may near 0, or a box's corner at 2^K: the arithmetic on them keeps
+its own checks (estimate_regret, max_subgradient_norm, reach, project,
+population_risk), as does audit_single_step's e^(2*epsilon_tilde). A
+derived sigma, eta, L or D is the next call's parameter, refused there by
+name.
 
 So no function checks its arithmetic on parameters for overflow or
 underflow. Take X = 2^K, S = 2^27 >= sqrt(d) (d <= 2^53), OVER = 2^1024,
@@ -40,7 +40,7 @@ Each line holds exactly at K = 200, d = 2^53 (tests/test_input_checks.py):
         risk_curvature's beta, B^2/(2(d + 2)), B^2/(d + 2), 2c_d B^2 or 4c_d B^2:
         c_d >= 1/2 is e^t/sqrt(pi) with t, an lgamma difference, off by < 2^8.
     step: (RHO*(2*(S + 1)*X + X*(X + 14*S*X)))**2 < OVER
-        RunConfig: a step's offset from the centre is at most 2*max_norm() +
+        RunConfig: a step's point w - eta*g has norm at most max_norm() +
         eta*(L + 14*sigma*sqrt(d)), as ||g|| <= L (check_rows) and numpy's
         standard_normal never returns |z| >= 14 (its ziggurat's tail reaches
         13.71). The binding line: the exact bound reaches OVER at K = 241.

@@ -1,8 +1,9 @@
 """Convex feasible sets and the projected step.
 
-Projections are closed-form (ball: radial scaling, box: coordinatewise
-clamp), and so is the Frank-Wolfe gap that certifies the reference
-minimizer, so no iterative solver is involved anywhere in this module.
+Projections are closed-form (the ball ||w|| <= r, centred at 0: radial
+scaling; the box: coordinatewise clamp), and so is the Frank-Wolfe gap
+that certifies the reference minimizer, so no iterative solver is
+involved anywhere in this module.
 The paper's noisy mirror-descent update under the Euclidean potential
 0.5*||x||^2 is exactly the projected step project(w - eta * g):
 mirror_step takes it for one point, and the optimizer takes it for its
@@ -36,46 +37,44 @@ def _norm(x):
 
 @dataclass(frozen=True)
 class FeasibleSet:
-    """Closed bounded convex constraint set with a closed-form projection.
+    """Closed bounded convex constraint set with a closed-form projection:
+    the ball {w : ||w|| <= radius}, centred at 0, or the box [lower, upper].
 
     Checked when built, by l2_ball, box or directly: kind is L2_BALL or
-    BOX, dimension >= 1, and the kind's radius, center or bounds are real
-    parameters (errors.py). Its vectors are read-only copies, so no check
-    can be undone.
+    BOX, dimension >= 1, the kind's radius or bounds are real parameters
+    (errors.py), and a field the kind does not read is not given. Its
+    vectors are read-only copies, so no check can be undone.
     """
 
     kind: str
     dimension: int
-    radius: float = 0.0
-    center: np.ndarray = None
+    radius: float = None
     lower: np.ndarray = None
     upper: np.ndarray = None
 
     def __post_init__(self):
         d = check_count(self.dimension, "FeasibleSet: dimension")
         if self.kind == L2_BALL:
-            fields = {"radius": check_real(self.radius, "l2_ball: radius"),
-                      "center": check_parameter_vector(self.center, d, "l2_ball: center")}
+            fields = {"radius": check_real(self.radius, "l2_ball: radius")}
+            unread = ("lower", "upper")
         elif self.kind == BOX:
             fields = {end: check_parameter_vector(getattr(self, end), d, "box: lower/upper")
                       for end in ("lower", "upper")}
             if np.any(fields["upper"] < fields["lower"]):
                 raise ConfigurationError("box: upper must dominate lower coordinatewise")
+            unread = ("radius",)
         else:
             raise ConfigurationError(
                 f"FeasibleSet: kind must be {L2_BALL!r} or {BOX!r}, got {self.kind!r}")
+        given = [field for field in unread if getattr(self, field) is not None]
+        if given:
+            raise ConfigurationError(f"{self.kind}: {'/'.join(given)} not read")
         for field, value in {**fields, "dimension": d}.items():
             object.__setattr__(self, field, value)
 
     @classmethod
-    def l2_ball(cls, radius, center=None, dimension=None):
-        if center is None:
-            if dimension is None:
-                raise ConfigurationError("l2_ball: need a center or a dimension")
-            center = np.zeros(check_count(dimension, "l2_ball: dimension"))
-        if dimension is None:
-            dimension = np.size(center)
-        return cls(kind=L2_BALL, dimension=dimension, radius=radius, center=center)
+    def l2_ball(cls, radius, dimension):
+        return cls(kind=L2_BALL, dimension=dimension, radius=radius)
 
     @classmethod
     def box(cls, lower, upper):
@@ -89,16 +88,14 @@ class FeasibleSet:
     def project(self, point):
         """Euclidean-nearest point of the set.
 
-        On the ball, a point whose squared distance from the centre
-        overflows is refused: project_rows would scale it by r/inf = 0.
+        On the ball, a point whose squared norm overflows is refused:
+        project_rows would scale it by r/inf = 0.
         """
         point = check_vector(point, self.dimension, "project: point")
         if self.kind == L2_BALL:
             with np.errstate(over="ignore"):
-                offset = point - self.center
-                if not np.einsum("i,i->", offset, offset) < math.inf:
-                    raise ConfigurationError(
-                        "project: the point's squared distance from the centre overflows")
+                if not np.einsum("i,i->", point, point) < math.inf:
+                    raise ConfigurationError("project: the point's squared norm overflows")
         return self.project_rows(point)
 
     def project_rows(self, points):
@@ -109,17 +106,15 @@ class FeasibleSet:
         entry. Returns a new array: rows already in the set keep their bits.
         """
         if self.kind == L2_BALL:
-            offset = points - self.center
-            norms = np.sqrt(np.einsum("...i,...i->...", offset, offset))
+            norms = np.sqrt(np.einsum("...i,...i->...", points, points))
             scale = self.radius / np.maximum(norms, self.radius)
-            return np.where((norms > self.radius)[..., None],
-                            self.center + offset * scale[..., None], points)
+            return np.where((norms > self.radius)[..., None], points * scale[..., None], points)
         return points.clip(self.lower, self.upper)
 
     def max_norm(self):
         """Largest Euclidean norm attained on the set (exact for both kinds)."""
         if self.kind == L2_BALL:
-            return _norm(self.center) + self.radius
+            return self.radius
         return _norm(np.maximum(np.abs(self.lower), np.abs(self.upper)))
 
     def reach(self, features):
@@ -139,15 +134,14 @@ class FeasibleSet:
         1. A computed norm n~ of a d-vector v has ||v|| <= a^(d/2+1)(n~ + theta):
            the computed square sum is at least (1 - u)^d ||v||^2 - d*2^-1075.
         2. Every such w has ||w|| <= b^3 a^(d+4) (M + tau sqrt(d)) + 2^-48.
-           contains() bounds fl(w - c), whose coordinates are within relative
-           u of w - c, by fl(r + tau) on the ball (so 1 applies) and by the
-           corners +- tau on the box. project_rows clips to the box; on the
-           ball it keeps a point whose computed offset norm is at most r, or
-           returns fl(c + fl(o*s)) with s = fl(r/n~), n~ > r, which is
-           within b^3 a^(d/2+1)(r + theta) + u||c|| + 2^-50 of c (the last
-           term if s underflows, as ||o|| < 2^1025). By 1 and
-           M >= (1 - u)(||c||~ + r), or M = the corner's computed norm, each
-           case is within the bound.
+           contains() bounds w's computed norm by fl(r + tau) on the ball
+           (so 1 applies) and w by the corners +- tau on the box.
+           project_rows clips to the box; on the ball it keeps a point whose
+           computed norm is at most r, or returns fl(p*s) with s = fl(r/n~),
+           n~ > r, whose norm is at most b^2 a^(d/2+1)(r + theta) + 2^-49
+           (the last term if s or a product underflows, as ||p|| < 2^1025).
+           By 1, with M = r on the ball and the corner's computed norm on
+           the box, each case is within the bound.
         3. einsum gives |<w, x>|~ <= b^d (||w|| ||x|| + d*2^-1075), at most
            b^d (||w|| + theta)(||x|| + theta).
         4. LossOracle.fixed_slopes needs b*|<w, x>|~ <= reach: the hinge's
@@ -173,21 +167,21 @@ class FeasibleSet:
     def frank_wolfe_gap(self, w, g):
         """max over u in the set of <g, w - u>, in closed form; no input checks.
 
-        The minimizing u is the linear minimization oracle: c - r*g/||g||
-        on the ball, giving <g, w - c> + r*||g||, and per coordinate the
+        The minimizing u is the linear minimization oracle: -r*g/||g||
+        on the ball, giving <g, w> + r*||g||, and per coordinate the
         corner lower_i or upper_i on the box. For convex f with gradient g
         at w, f(w) - min over the set of f is at most this gap.
         """
         if self.kind == L2_BALL:
-            return float(dot(g, w - self.center) + self.radius * _norm(g))
+            return float(dot(g, w) + self.radius * _norm(g))
         return float(np.maximum(g * (w - self.lower), g * (w - self.upper)).sum())
 
     def contains(self, point):
         p = check_vector(point, self.dimension, "contains: point")
         if self.kind == L2_BALL:
-            # A distance that overflows to inf is correctly outside.
+            # A norm that overflows to inf is correctly outside.
             with np.errstate(over="ignore"):
-                return _norm(p - self.center) <= self.radius + MEMBERSHIP_TOL
+                return _norm(p) <= self.radius + MEMBERSHIP_TOL
         return bool(np.all(p >= self.lower - MEMBERSHIP_TOL)
                     and np.all(p <= self.upper + MEMBERSHIP_TOL))
 

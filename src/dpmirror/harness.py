@@ -217,8 +217,7 @@ def build_spec(overrides):
         feasible = FeasibleSet(BOX, dimension, lower=_given(kv, "lower"),
                                upper=_given(kv, "upper"))
     else:
-        feasible = FeasibleSet(kv["set"], dimension, radius=kv["radius"],
-                               center=np.zeros(dimension))
+        feasible = FeasibleSet(kv["set"], dimension, radius=kv["radius"])
 
     w_true, noise_rate = None, 0.0
     if kv["generator"] == LINEAR_MARGIN:

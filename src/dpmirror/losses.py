@@ -199,7 +199,8 @@ class PopulationSpec:
     linear_margin: features uniform in the ball of radius feature_bound,
     label = sign(<w_true, features>) flipped with probability noise_rate.
     uniform_ball: same features, label drawn uniformly from [-1, 1]
-    (a regression-style population for the absolute/squared losses).
+    (a regression-style population for the absolute/squared losses); it
+    takes no w_true, and a noise_rate of 0 only.
     """
 
     generator: str
@@ -221,6 +222,8 @@ class PopulationSpec:
             if self.w_true is None:
                 raise ConfigurationError("linear_margin requires w_true")
             fields["w_true"] = check_parameter_vector(self.w_true, d, "w_true")
+        elif self.w_true is not None or fields["noise_rate"] != 0.0:
+            raise ConfigurationError("uniform_ball: w_true and noise_rate not read")
         for field, value in fields.items():
             object.__setattr__(self, field, value)
 

@@ -134,13 +134,12 @@ def dot(a, b):
     return total
 
 
-def project_ball(center, radius, x):
-    """Euclidean projection onto a ball: radial scaling of x - center."""
-    off = x - center
-    norm = math.sqrt(dot(off, off))
+def project_ball(radius, x):
+    """Euclidean projection onto the ball of the given radius about 0: radial scaling of x."""
+    norm = math.sqrt(dot(x, x))
     if norm <= radius:
         return x
-    return center + off * (radius / norm)
+    return x * (radius / norm)
 
 
 def project_box(lower, upper, x):
@@ -212,7 +211,7 @@ def engine_matches_stepwise(config, seeds, features, labels):
     and steps by plain_subgradient of config's loss kind."""
     fs, kind = config.feasible_set, config.oracle.kind
     if fs.kind == "l2_ball":
-        project = lambda x: project_ball(fs.center, fs.radius, x)  # noqa: E731
+        project = lambda x: project_ball(fs.radius, x)  # noqa: E731
     else:
         project = lambda x: project_box(fs.lower, fs.upper, x)  # noqa: E731
     batch = private_sgd_batch(config, seeds, features, labels)

@@ -231,10 +231,9 @@ def test_criterion_7_noiseless_equivalence():
         n = int(rng.integers(16, 64))
         eta = float(10.0 ** rng.uniform(-3.0, -0.3))
         if rng.random() < 0.5:
-            center = rng.normal(scale=0.2, size=d)
             radius = float(rng.uniform(0.3, 1.5))
-            feasible = FeasibleSet.l2_ball(radius, center=center)
-            project = lambda x: project_ball(center, radius, x)
+            feasible = FeasibleSet.l2_ball(radius, dimension=d)
+            project = lambda x: project_ball(radius, x)
         else:
             lower = rng.uniform(-1.5, -0.3, size=d)
             upper = rng.uniform(0.3, 1.5, size=d)
@@ -279,8 +278,7 @@ def test_criterion_8_property_suites():
     sets = []
     for i in range(10):
         if i % 2 == 0:
-            sets.append(FeasibleSet.l2_ball(float(rng.uniform(0.2, 2.0)),
-                                            center=rng.normal(size=3)))
+            sets.append(FeasibleSet.l2_ball(float(rng.uniform(0.2, 2.0)), dimension=3))
         else:
             lower = rng.normal(size=3)
             sets.append(FeasibleSet.box(lower, lower + rng.uniform(0.1, 2.0, size=3)))

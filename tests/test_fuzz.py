@@ -199,16 +199,18 @@ def test_run_config(n, eta, sigma, w1):
 @given(st.sampled_from(["l2_ball", "box", "cube"]), st.one_of(st.integers(1, 3), SCALARS),
        SCALARS, VECTORS, VECTORS)
 def test_feasible_set(kind, dimension, radius, first, second):
-    fs = outcome(FeasibleSet, kind, dimension, radius=radius, center=first,
-                 lower=first, upper=second)
+    # Each kind with its own fields only: a field it does not read is refused.
+    own = dict(radius=radius) if kind == "l2_ball" else dict(lower=first, upper=second)
+    fs = outcome(FeasibleSet, kind, dimension, **own)
     if fs is REFUSED:
         return
     assert kind in ("l2_ball", "box") and type(fs.dimension) is int and fs.dimension >= 1
     if kind == "l2_ball":
         assert type(fs.radius) is float and parameter(fs.radius)
-        assert held_vector(fs.center, fs.dimension) and all(map(in_range, first))
+        assert fs.lower is None and fs.upper is None
     else:
         assert held_vector(fs.lower, fs.dimension) and held_vector(fs.upper, fs.dimension)
+        assert fs.radius is None
         assert np.all(fs.lower <= fs.upper) and all(map(in_range, first + second))
     assert math.isfinite(fs.diameter()) and math.isfinite(fs.max_norm())
 
@@ -219,7 +221,7 @@ def test_l2_ball(radius, dimension):
     fs = outcome(FeasibleSet.l2_ball, radius, dimension=dimension)
     assert (fs is not REFUSED) == parameter(radius)
     if fs is not REFUSED:
-        assert fs.radius == float(radius) and held_vector(fs.center, dimension)
+        assert fs.radius == float(radius) and fs.dimension == dimension
 
 
 @FUZZ
@@ -238,10 +240,14 @@ def test_loss_oracle(kind, lipschitz_L):
 @given(st.sampled_from(["linear_margin", "uniform_ball"]), SCALARS, SCALARS, SCALARS,
        st.one_of(st.just(AXIS), VECTORS))
 def test_population_spec(generator, dimension, feature_bound, noise_rate, w_true):
-    spec = outcome(PopulationSpec, generator, dimension, feature_bound, w_true=w_true,
-                   noise_rate=noise_rate)
+    # Each generator with its own fields only: uniform_ball reads no w_true,
+    # and no noise rate but 0.
+    own = dict(w_true=w_true) if generator == "linear_margin" else {}
+    spec = outcome(PopulationSpec, generator, dimension, feature_bound, noise_rate=noise_rate,
+                   **own)
     scalars_ok = (is_count(dimension) and 1 <= dimension <= 2**53 and parameter(feature_bound)
-                  and is_real(noise_rate) and 0 <= noise_rate <= 1)
+                  and is_real(noise_rate) and 0 <= noise_rate <= 1
+                  and (generator == "linear_margin" or noise_rate == 0))
     if generator == "uniform_ball" or (w_true is AXIS and dimension == 2):
         assert (spec is not REFUSED) == scalars_ok
     if spec is not REFUSED:

@@ -16,8 +16,7 @@ def random_sets(count, dim, rng):
     sets = []
     for i in range(count):
         if i % 2 == 0:
-            center = rng.normal(size=dim)
-            sets.append(FeasibleSet.l2_ball(float(rng.uniform(0.2, 3.0)), center=center))
+            sets.append(FeasibleSet.l2_ball(float(rng.uniform(0.2, 3.0)), dimension=dim))
         else:
             lo = rng.normal(size=dim)
             sets.append(FeasibleSet.box(lo, lo + rng.uniform(0.1, 2.0, size=dim)))
@@ -76,7 +75,7 @@ class TestProjection:
             for point, row in zip(points, rows):
                 np.testing.assert_allclose(row, s.project(point), rtol=0.0, atol=1e-12)
             # rows already in the set come back unchanged
-            middle = s.center if s.kind == "l2_ball" else (s.lower + s.upper) / 2.0
+            middle = 0.0 if s.kind == "l2_ball" else (s.lower + s.upper) / 2.0
             inside = middle + 0.01 * rng.uniform(-1.0, 1.0, size=(5, 3))
             np.testing.assert_array_equal(s.project_rows(inside), inside)
 
@@ -84,25 +83,22 @@ class TestProjection:
     def boolean_index_projection(ball, points):
         """The ball projection as a copy with the outside rows rescaled by
         boolean indexing, the formula the branch-free one replaced."""
-        offset = points - ball.center
-        norms = np.sqrt(np.einsum("...i,...i->...", offset, offset))
+        norms = np.sqrt(np.einsum("...i,...i->...", points, points))
         outside = norms > ball.radius
         projected = points.copy()
-        projected[outside] = ball.center + offset[outside] * (
-            ball.radius / norms[outside])[:, None]
+        projected[outside] = points[outside] * (ball.radius / norms[outside])[:, None]
         return projected
 
-    @pytest.mark.parametrize("center, radius, rows", [
-        # inside, exactly on the sphere (offset (3, 4)), outside, the centre
-        ([1.0, -2.0], 5.0, [[2.0, -1.0], [4.0, 2.0], [10.0, 10.0], [1.0, -2.0]]),
-        # the same kinds of row around the origin, with signed zeros
-        ([0.0, 0.0], 1.0, [[0.5, -0.0], [-0.0, -1.0], [3.0, -4.0], [-0.0, -0.0]]),
-    ], ids=["off-centre", "origin"])
-    def test_ball_matches_boolean_index_formula_bytewise(self, center, radius, rows):
-        ball = FeasibleSet.l2_ball(radius, center=np.array(center))
+    @pytest.mark.parametrize("radius, rows", [
+        # inside, exactly on the sphere ((3, 4)), outside, the centre
+        (5.0, [[1.0, 1.0], [3.0, 4.0], [10.0, 10.0], [0.0, 0.0]]),
+        # the same kinds of row at radius 1, with signed zeros
+        (1.0, [[0.5, -0.0], [-0.0, -1.0], [3.0, -4.0], [-0.0, -0.0]]),
+    ], ids=["radius-5", "origin"])
+    def test_ball_matches_boolean_index_formula_bytewise(self, radius, rows):
+        ball = FeasibleSet.l2_ball(radius, dimension=2)
         rows = np.array(rows)
-        offset = rows[1] - ball.center
-        assert math.sqrt(offset @ offset) == radius      # the second row is on the sphere
+        assert math.sqrt(rows[1] @ rows[1]) == radius      # the second row is on the sphere
         with np.errstate(all="raise"):
             for point in rows:
                 got = ball.project_rows(point)
@@ -116,7 +112,17 @@ class TestProjection:
         # Rows inside or on the sphere keep their bits; the outside row moves.
         got = ball.project_rows(rows)
         assert got[[0, 1, 3]].tobytes() == rows[[0, 1, 3]].tobytes()
-        assert np.linalg.norm(got[2] - ball.center) == pytest.approx(radius, rel=1e-15)
+        assert np.linalg.norm(got[2]) == pytest.approx(radius, rel=1e-15)
+
+    @pytest.mark.parametrize("point, want", [
+        ([-0.0, -4.0], [-0.0, -1.0]), ([3.0, -0.0], [1.0, -0.0]), ([0.0, 2.0], [0.0, 1.0])],
+        ids=["first", "second", "positive"])
+    def test_outside_point_keeps_its_signed_zero(self, point, want):
+        # The ball scales the point itself, so a -0.0 coordinate stays -0.0.
+        ball = FeasibleSet.l2_ball(1.0, dimension=2)
+        for got in (ball.project(point), ball.project_rows(np.array(point))):
+            assert got.tobytes() == np.array(want).tobytes()
+        assert project_ball(1.0, np.array(point)).tobytes() == np.array(want).tobytes()
 
     def test_diameter(self):
         assert FeasibleSet.l2_ball(1.5, dimension=3).diameter() == 3.0
@@ -139,11 +145,10 @@ class TestMaxNorm:
             box = FeasibleSet.box(lower, upper)
             assert box.max_norm() == pytest.approx(expected, rel=1e-12)
 
-    def test_off_centre_ball(self):
-        ball = FeasibleSet.l2_ball(0.5, center=[3.0, -4.0])
-        assert ball.max_norm() == pytest.approx(5.5, rel=1e-12)
-        # The farthest point lies on the ray from the origin through the centre.
-        assert ball.contains(np.array([3.0, -4.0]) * 5.5 / 5.0)
+    def test_ball_is_its_radius(self):
+        ball = FeasibleSet.l2_ball(0.5, dimension=2)
+        assert ball.max_norm() == 0.5
+        assert ball.contains(np.array([0.3, -0.4])) and not ball.contains([0.3, 0.41])
 
 
 class TestMirrorStep:
@@ -174,7 +179,7 @@ class TestMirrorStep:
                 g = rng.normal(scale=3.0, size=4)
                 eta = float(rng.uniform(1e-3, 2.0))
                 if s.kind == "l2_ball":
-                    expected = project_ball(s.center, s.radius, w - eta * g)
+                    expected = project_ball(s.radius, w - eta * g)
                 else:
                     expected = project_box(s.lower, s.upper, w - eta * g)
                 np.testing.assert_allclose(
@@ -215,9 +220,9 @@ class TestMirrorStep:
             with pytest.raises(ConfigurationError, match=message):
                 mirror_step(ball, w, g, eta)
 
-    def test_point_whose_squared_distance_overflows_refused(self):
+    def test_point_whose_squared_norm_overflows_refused(self):
         # project_rows scales such a point by r/inf = 0, so project once
-        # returned the centre for (1e308, 1e308) instead of a boundary point.
+        # returned 0 for (1e308, 1e308) instead of a boundary point.
         ball = FeasibleSet.l2_ball(0.5, dimension=2)
         with pytest.raises(ConfigurationError, match="overflows"):
             ball.project([1e308, 1e308])
@@ -235,21 +240,14 @@ def test_invalid_set_construction():
         FeasibleSet.box([1.0], [0.0])
 
 
-def test_ball_needs_a_centre_or_a_dimension():
-    with pytest.raises(ConfigurationError, match="^l2_ball: need a center or a dimension$"):
-        FeasibleSet.l2_ball(0.5)
-
-
 @pytest.mark.parametrize("build", [
     lambda: FeasibleSet.l2_ball(math.nan, dimension=2),
     lambda: FeasibleSet.l2_ball(math.inf, dimension=2),
-    lambda: FeasibleSet.l2_ball(1.0, center=[math.nan, 0.0]),
-    lambda: FeasibleSet.l2_ball(1.0, center=[0.0, math.inf]),
     lambda: FeasibleSet.box([math.nan, 0.0], [1.0, 1.0]),
     lambda: FeasibleSet.box([0.0, 0.0], [1.0, math.nan]),
     lambda: FeasibleSet.box([-math.inf, 0.0], [1.0, 1.0]),
     lambda: FeasibleSet.box([0.0, 0.0], [1.0, math.inf]),
-], ids=["radius-nan", "radius-inf", "centre-nan", "centre-inf",
+], ids=["radius-nan", "radius-inf",
         "lower-nan", "upper-nan", "lower-minus-inf", "upper-inf"])
 def test_non_finite_set_parameters_rejected(build):
     # NaN passes every <= guard and an infinite set has no diameter; both
@@ -260,15 +258,14 @@ def test_non_finite_set_parameters_rejected(build):
 
 @pytest.mark.parametrize("build, kind", [
     (lambda: FeasibleSet.box([-1e308, -1e308], [1e308, 1e308]), "box"),
-    (lambda: FeasibleSet.l2_ball(1.0, center=[1e200, 1e200]), "l2_ball"),
     (lambda: FeasibleSet.l2_ball(1e308, dimension=2), "l2_ball"),
-], ids=["box-1e308", "ball-huge-center", "ball-huge-radius"])
+], ids=["box-1e308", "ball-huge-radius"])
 def test_set_whose_diameter_or_norm_overflows_rejected(build, kind):
-    # Every bound is finite, but the box's diameter, the centre's norm and
-    # 2*radius overflow: refused when built, naming the set, with no
-    # RuntimeWarning, where the set once built and its diameter() and
-    # max_norm() warned and returned inf. Each bound is past 2^200, the
-    # range that keeps every diameter and norm finite (errors.py, "set").
+    # Every bound is finite, but the box's diameter and 2*radius overflow:
+    # refused when built, naming the set, with no RuntimeWarning, where the
+    # set once built and its diameter() and max_norm() warned and returned
+    # inf. Each bound is past 2^200, the range that keeps every diameter and
+    # norm finite (errors.py, "set").
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(ConfigurationError, match=rf"{kind}: .*magnitude in \[2\^-200"):
@@ -277,16 +274,27 @@ def test_set_whose_diameter_or_norm_overflows_rejected(build, kind):
 
 @pytest.mark.parametrize("fields", [
     dict(kind="ball", dimension=2, radius=1.0),
-    dict(kind="l2_ball", dimension=2, radius=1.0),
-    dict(kind="l2_ball", dimension=3, radius=1.0, center=[0.0, 0.0]),
+    dict(kind="l2_ball", dimension=2),
     dict(kind="box", dimension=2, lower=[0.0, 0.0]),
-    dict(kind="l2_ball", dimension=0, radius=1.0, center=[]),
-], ids=["unknown-kind", "ball-without-center", "center-dimension", "box-without-upper",
-        "dimension-0"])
+    dict(kind="l2_ball", dimension=0, radius=1.0),
+], ids=["unknown-kind", "ball-without-radius", "box-without-upper", "dimension-0"])
 def test_direct_construction_checked(fields):
     # A "ball" set would be taken for a box with no bounds: project_rows
     # returned its input unprojected, and contains raised TypeError.
     with pytest.raises(ConfigurationError):
+        FeasibleSet(**fields)
+
+
+@pytest.mark.parametrize("fields, message", [
+    (dict(kind="box", dimension=2, radius=5.0, lower=[0, 0], upper=[1, 1]), "box: radius"),
+    (dict(kind="box", dimension=2, radius=0.0, lower=[0, 0], upper=[1, 1]), "box: radius"),
+    (dict(kind="l2_ball", dimension=2, radius=1.0, lower="junk"), "l2_ball: lower"),
+    (dict(kind="l2_ball", dimension=2, radius=1.0, lower=[0, 0], upper=[1, 1]),
+     "l2_ball: lower/upper"),
+], ids=["box-radius", "box-zero-radius", "ball-junk-lower", "ball-corners"])
+def test_field_the_kind_does_not_read_refused(fields, message):
+    # A built set holds no unchecked field.
+    with pytest.raises(ConfigurationError, match=f"^{message} not read$"):
         FeasibleSet(**fields)
 
 
@@ -300,7 +308,7 @@ def test_set_holds_read_only_copies():
 
 
 def test_direct_construction_projects():
-    ball = FeasibleSet("l2_ball", 2, radius=1.0, center=[0, 0])
+    ball = FeasibleSet("l2_ball", 2, radius=1.0)
     np.testing.assert_array_equal(ball.project_rows(np.array([3.0, 0.0])), [1.0, 0.0])
     box = FeasibleSet("box", 2, lower=[0, 0], upper=[1, 1])
     np.testing.assert_array_equal(box.project_rows(np.array([3.0, -1.0])), [1.0, 0.0])

@@ -62,7 +62,7 @@ def one_run(seed):
 COUNT, REAL = "count", "real"
 CASES = {
     "FeasibleSet-dimension": (COUNT, 2, None,
-                              lambda v: FeasibleSet("l2_ball", v, 1.0, center=[0.0, 0.0])),
+                              lambda v: FeasibleSet("box", v, lower=[0.0, 0.0], upper=[1.0, 1.0])),
     "l2_ball-dimension": (COUNT, 2, None, lambda v: FeasibleSet.l2_ball(1.0, dimension=v)),
     "l2_ball-radius": (REAL, 1.0, None, lambda v: FeasibleSet.l2_ball(v, dimension=2)),
     "mirror_step-eta": (REAL, 0.1, None,
@@ -131,11 +131,10 @@ def test_entry_point_refuses_bools_floats_strings_and_non_finite(case, tmp_path,
 
 
 @pytest.mark.parametrize("build, field", [
-    (lambda v: FeasibleSet("l2_ball", 2, 1.0, center=v), "center"),
     (lambda v: FeasibleSet.box(v, [5.0, 5.0]), "lower"),
     (lambda v: run_config(w1=v, feasible_set=FeasibleSet.l2_ball(5.0, dimension=2)), "w1"),
     (lambda v: PopulationSpec("linear_margin", 2, 1.0, w_true=v), "w_true"),
-], ids=["l2_ball-center", "box-lower", "RunConfig-w1", "PopulationSpec-w_true"])
+], ids=["box-lower", "RunConfig-w1", "PopulationSpec-w_true"])
 def test_vector_is_a_checked_read_only_copy(build, field):
     vector = np.array([1.0, 0.0])
     built = build(vector)
@@ -164,7 +163,7 @@ def test_point_checked(call):
     (lambda: end_to_end_with(n=10**400), "end_to_end: n"),
     (lambda: end_to_end_with(d=2**70), "d"),
     (lambda: from_target(0.1, 3e-6, 10**400), "from_target: n"),
-    (lambda: FeasibleSet.l2_ball(1.0, dimension=2**70), "l2_ball: dimension"),
+    (lambda: FeasibleSet.l2_ball(1.0, dimension=2**70), "FeasibleSet: dimension"),
     (lambda: PopulationSpec("uniform_ball", 2**70, 1.0), "PopulationSpec: dimension"),
     (lambda: run_config(n=2**70), "RunConfig: n"),
 ], ids=["end_to_end-n", "end_to_end-d", "from_target-n", "l2_ball-dimension",

@@ -345,7 +345,7 @@ class TestMaxSubgradientNorm:
     """The run-entry sensitivity bound against brute force over the set."""
 
     def test_closed_forms(self):
-        ball = FeasibleSet.l2_ball(1.0, center=[0.5, 0.0])     # max norm 1.5
+        ball = FeasibleSet.l2_ball(1.5, dimension=2)
         feats = np.array([[3.0, 4.0], [0.0, 1.0]])
         labels = np.array([0.5, -2.0])
         assert LossOracle.hinge(1.0).max_subgradient_norm(feats, labels, ball) == 2.5
@@ -534,6 +534,16 @@ class TestPopulations:
         with pytest.raises(ConfigurationError):
             draw_dataset(PopulationSpec("uniform_ball", 2, 1.0), 0, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("fields", [
+        dict(w_true="junk"), dict(w_true=[1.0, 0.0]), dict(noise_rate=0.4),
+        dict(w_true="junk", noise_rate=0.4)], ids=["junk-w_true", "w_true", "noise_rate", "both"])
+    def test_uniform_ball_refuses_what_it_does_not_read(self, fields):
+        # A built spec holds no unchecked field. A noise rate of 0, which run
+        # passes for every generator, is read as none (tests/test_fuzz.py).
+        with pytest.raises(ConfigurationError,
+                           match="^uniform_ball: w_true and noise_rate not read$"):
+            PopulationSpec("uniform_ball", 2, 1.0, **fields)
+
 
 @pytest.mark.parametrize("kind, lipschitz_L", [
     ("Hinge", 1.0), ("logistic", 1.0), ("hinge", math.nan), ("hinge", math.inf),
@@ -584,11 +594,12 @@ class TestCertificateBytes:
         rng, rows = np.random.default_rng(seed), 8
         scale = math.ldexp(1.0, set_scale)
         if set_kind == "ball":
-            center = scale * rng.normal(size=d) * rng.integers(0, 2)
-            fs = FeasibleSet.l2_ball(scale * rng.uniform(0.1, 1.0), center=center)
+            fs = FeasibleSet.l2_ball(scale * rng.uniform(0.1, 1.0), dimension=d)
             direction = rng.normal(size=(rows, d))
         else:
-            lower = scale * rng.uniform(-1.0, 0.5, size=d)
+            # Half the boxes sit off the origin.
+            lower = scale * (rng.uniform(-1.0, 0.5, size=d)
+                             + rng.normal(size=d) * rng.integers(0, 2))
             fs = FeasibleSet.box(lower, lower + scale * rng.uniform(0.0, 1.0, size=d))
             corner = np.maximum(np.abs(fs.lower), np.abs(fs.upper))
             direction = (corner * np.where(np.abs(fs.upper) >= np.abs(fs.lower), 1.0, -1.0)
@@ -601,8 +612,7 @@ class TestCertificateBytes:
         slopes = oracle.fixed_slopes(labels, lambda: fs.reach(features))
         assert slopes is not None
         far = features / np.linalg.norm(features, axis=1)[:, None] * 4.0 * fs.max_norm()
-        for points in (fs.center if set_kind == "ball" else 0.0) + far, far * rng.uniform(
-                size=(rows, 1)) / 4.0:
+        for points in far, far * rng.uniform(size=(rows, 1)) / 4.0:
             w = fs.project_rows(points)
             margins = np.einsum("...i,...i->...", w, features)
             assert oracle.slope_at(margins, labels).tobytes() == slopes.tobytes()

@@ -102,7 +102,7 @@ class TestPrivateSgd:
         r = config.feasible_set.radius
         tau, indices, iterates, output = stepwise_run(
             config.n, config.eta, config.sigma, config.w1, seed, features, labels,
-            lambda x: project_ball(np.zeros(len(x)), r, x),
+            lambda x: project_ball(r, x),
             lambda w, x, y: plain_subgradient("hinge", w, x, y))
         run = private_sgd(config, seed, (features, labels))
         # At d = 3 einsum may sum a dot product in another order than
@@ -149,7 +149,7 @@ class TestInputChecks:
     def test_step_that_could_overflow_refused(self, changes):
         # On the ball of radius 0.5 a step of eta = 1e160 once ran with no
         # warning and held (0, 0) at every step: project_rows maps a point
-        # whose squared norm overflows to the centre. Each value is past
+        # whose squared norm overflows to 0. Each value is past
         # 2^200, the range that keeps every step finite (errors.py, "step").
         with pytest.raises(ConfigurationError, match=r"must have magnitude in \[2\^-200"):
             self.config(**changes)
@@ -333,12 +333,12 @@ class TestBatchEquivalence:
                                oracle=LossOracle.hinge(1.0), w1=np.zeros(d))
             self.check(config, seeds, features, labels, np.array([0.3, 0.0, 0.1]))
 
-    def test_absolute_on_off_centre_ball(self):
+    def test_absolute_on_off_origin_box(self):
         d, n = 2, 48
         population = PopulationSpec("uniform_ball", d, 1.0)
         features, labels = stacked_datasets(population, n, rows=3, first_seed=10)
         center = np.array([0.4, -0.3])
-        fs = FeasibleSet.l2_ball(0.6, center=center)
+        fs = FeasibleSet.box(center - 0.6, center + 0.6)
         config = RunConfig(n=n, eta=0.3, sigma=0.7, feasible_set=fs,
                            oracle=LossOracle.absolute(1.0), w1=center.copy())
         self.check(config, [7, 8, 9], features, labels, center + 0.1)
@@ -957,7 +957,7 @@ class TestBaselineOracles:
         X = 1.0
         spec = PopulationSpec("uniform_ball", d, X)
         if set_kind == "ball":
-            fs = FeasibleSet.l2_ball(0.5, center=0.2 * np.eye(d)[0])
+            fs = FeasibleSet.l2_ball(0.5, dimension=d)
         else:
             fs = FeasibleSet.box(np.full(d, -0.3), np.full(d, 0.5))
         oracle = (LossOracle.squared(X, fs) if kind == "squared"
@@ -968,7 +968,7 @@ class TestBaselineOracles:
 
     SETS = {
         "centred-ball": lambda d: FeasibleSet.l2_ball(0.5, dimension=d),
-        "offcentre-ball": lambda d: FeasibleSet.l2_ball(1.5, center=[1.0, -0.5][:d]),
+        "offcentre-box": lambda d: FeasibleSet.box([-0.5, -2.0][:d], [2.5, 1.0][:d]),
         "box": lambda d: FeasibleSet.box([-0.3, -0.6][:d], [0.8, 0.2][:d]),
     }
     POPULATIONS = {"hinge": "linear_margin", "absolute": "uniform_ball",
@@ -996,11 +996,10 @@ class TestBaselineOracles:
             def inside(points):
                 return np.all((points >= lower) & (points <= upper), axis=1)
         else:
-            lower, upper = fs.center - fs.radius, fs.center + fs.radius
+            lower, upper = np.full(d, -fs.radius), np.full(d, fs.radius)
 
             def inside(points):
-                offset = points - fs.center
-                return np.sum(offset * offset, axis=1) <= fs.radius ** 2
+                return np.sum(points * points, axis=1) <= fs.radius ** 2
 
         def risks(points):
             return [population_risk(spec, oracle, p)[0] for p in points]
