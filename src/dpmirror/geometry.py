@@ -103,12 +103,12 @@ class FeasibleSet:
 
         No input checks: this is the per-step projection of the optimizer
         and of the reference minimizer, whose inputs are checked once at
-        entry. Returns a new array: rows already in the set keep their bits.
+        entry. Returns a new array: rows in the set keep their bits, with no
+        branch on the ball, whose scale r / max(norm, r) is exactly 1.0 there.
         """
         if self.kind == L2_BALL:
             norms = np.sqrt(np.einsum("...i,...i->...", points, points))
-            scale = self.radius / np.maximum(norms, self.radius)
-            return np.where((norms > self.radius)[..., None], points * scale[..., None], points)
+            return points * (self.radius / np.maximum(norms, self.radius))[..., None]
         return points.clip(self.lower, self.upper)
 
     def max_norm(self):

@@ -194,8 +194,10 @@ def run_steps(config, steps, features, labels, data_rows):
     (LossOracle.fixed_slopes), the chunk's eta * g is formed at once in the
     gathered features, and each step is one projection; the bits are those
     of the step by step path. The iterates held at fresh steps go to
-    fresh_iterates in one scatter per chunk and into the output's sum in
-    step order, so memory stays O(R * chunk * d).
+    fresh_iterates in one scatter per chunk, so memory stays O(R * chunk * d)
+    beside the output. Then add.accumulate sums them in step order from +0.0,
+    NOISE_CHUNK_STEPS at a time in the noise buffer: the step by step running
+    add, to the bit (add.reduce would sum pairwise when rows * d = 1).
     """
     rows, target = steps.fresh_indices.shape
     d = config.feasible_set.dimension
@@ -204,7 +206,6 @@ def run_steps(config, steps, features, labels, data_rows):
     flat_iterates, flat_rows = fresh_iterates.reshape(-1, d), data_rows.reshape(-1)
     slot_base = np.arange(rows) * target - 1
     w = np.tile(config.w1, (rows, 1))
-    total = np.zeros((rows, d))
     steps_taken = len(steps.fresh)
     held = np.empty((min(NOISE_CHUNK_STEPS, steps_taken), rows, d))
     noise_rngs = [steps.noise_streams.stream(r) for r in range(rows)]
@@ -217,7 +218,6 @@ def run_steps(config, steps, features, labels, data_rows):
             rng.standard_normal(out=row_noise)
         noise *= config.sigma
         mask = steps.fresh[chunk_start:chunk_start + k]
-        stale = ~mask[..., None]
         counts = mask.cumsum(axis=0) + seen
         seen = counts[-1]
         slots = counts + slot_base
@@ -228,7 +228,7 @@ def run_steps(config, steps, features, labels, data_rows):
         # take write to out unbuffered.
         x = features.take(data, axis=0, mode="clip",
                           out=x_buffer[:k * rows * d].reshape(k, rows, d))
-        np.copyto(x, 0.0, where=stale)
+        np.copyto(x, 0.0, where=~mask[..., None])
         y = np.where(mask, labels.take(data), 1.0)
         noise = noise.swapaxes(0, 1)
         slopes = oracle.fixed_slopes(y, lambda: feasible_set.reach(x))
@@ -243,16 +243,16 @@ def run_steps(config, steps, features, labels, data_rows):
             step = x[t] if slopes is not None else eta * (
                 oracle.subgradient(w, x[t], y[t]) + noise[t])
             w = feasible_set.project_rows(w - step)
-        chunk = held[:k]
         at = np.flatnonzero(mask)
-        flat_iterates[slots.ravel()[at]] = chunk.reshape(-1, d)[at]
-        # The fresh-iterate sum, added in step order as by a running add;
-        # adding +0.0 at the other steps is exact, as a sum from +0.0 is
-        # never -0.0. Not add.reduce, which sums pairwise when rows * d = 1.
-        np.copyto(chunk, 0.0, where=stale)
-        chunk[0] += total
-        np.cumsum(chunk, axis=0, out=chunk)
-        total = chunk[-1].copy()
+        flat_iterates[slots.ravel()[at]] = held[:k].reshape(-1, d)[at]
+    total = np.zeros((rows, d))
+    for block_start in range(0, target, NOISE_CHUNK_STEPS):
+        k = min(NOISE_CHUNK_STEPS, target - block_start)
+        block = noise_buffer[:rows * k * d].reshape(rows, k, d)
+        np.copyto(block, fresh_iterates[:, block_start:block_start + k])
+        block[:, 0] += total
+        np.add.accumulate(block, axis=1, out=block)
+        total = block[:, -1].copy()
 
     return RunBatch(tau=steps.tau, output=total / target,
                     fresh_indices=steps.fresh_indices, fresh_iterates=fresh_iterates)

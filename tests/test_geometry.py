@@ -94,10 +94,21 @@ class TestProjection:
         (5.0, [[1.0, 1.0], [3.0, 4.0], [10.0, 10.0], [0.0, 0.0]]),
         # the same kinds of row at radius 1, with signed zeros
         (1.0, [[0.5, -0.0], [-0.0, -1.0], [3.0, -4.0], [-0.0, -0.0]]),
-    ], ids=["radius-5", "origin"])
+        (1.0, [[0.25], [-1.0], [-3.0], [-0.0]]),
+        # d = 10, the grid's larger dimension, at radius 5 and at its 0.5
+        (5.0, [[0.5, -0.0, 1.0, 0.0, -2.0, 0.0, -0.0, 0.25, 1.0, -0.0],
+               [-0.0, 3.0, 0.0, -0.0, 0.0, -4.0, -0.0, 0.0, 0.0, -0.0],
+               [10.0, -0.0, 10.0, 0.0, -1.0, 2.0, -0.0, 0.0, 3.0, -5.0],
+               [0.0, -0.0, -0.0, 0.0, -0.0, 0.0, 0.0, -0.0, -0.0, 0.0]]),
+        (0.5, [[0.125, -0.0, -0.25, 0.0, 0.0, 0.125, -0.0, 0.0, -0.0, 0.0],
+               [-0.0, 0.0, 0.0, -0.0, -0.5, 0.0, -0.0, 0.0, 0.0, -0.0],
+               [0.5, -0.0, 0.5, 0.0, -0.0, 0.0, -0.0, 0.0, -0.0, -0.5],
+               [-0.0] * 10]),
+    ], ids=["radius-5", "origin", "d1", "d10-radius-5", "d10-radius-0.5"])
     def test_ball_matches_boolean_index_formula_bytewise(self, radius, rows):
-        ball = FeasibleSet.l2_ball(radius, dimension=2)
         rows = np.array(rows)
+        d = rows.shape[1]
+        ball = FeasibleSet.l2_ball(radius, dimension=d)
         assert math.sqrt(rows[1] @ rows[1]) == radius      # the second row is on the sphere
         with np.errstate(all="raise"):
             for point in rows:
@@ -105,7 +116,7 @@ class TestProjection:
                 assert got.shape == point.shape
                 assert got.tobytes() == self.boolean_index_projection(ball, point).tobytes()
             for stack in (rows, rows[::-1], np.stack([rows, rows[[2, 0, 3, 1]]])):
-                want = self.boolean_index_projection(ball, stack.reshape(-1, 2))
+                want = self.boolean_index_projection(ball, stack.reshape(-1, d))
                 got = ball.project_rows(stack)
                 assert got.shape == stack.shape
                 assert got.tobytes() == want.tobytes()
@@ -113,6 +124,26 @@ class TestProjection:
         got = ball.project_rows(rows)
         assert got[[0, 1, 3]].tobytes() == rows[[0, 1, 3]].tobytes()
         assert np.linalg.norm(got[2]) == pytest.approx(radius, rel=1e-15)
+
+    @pytest.mark.parametrize("d", [1, 2, 10])
+    def test_stacked_chunk_matches_boolean_index_formula_bytewise(self, d):
+        # A (k, R, d) stack shaped like a noise chunk of iterates: rows well
+        # inside, near and well outside the ball, some exactly on it, and
+        # all-zero rows of either sign.
+        rng = np.random.default_rng(35 + d)
+        ball = FeasibleSet.l2_ball(0.5, dimension=d)
+        stack = rng.normal(size=(16, 20, d)) * rng.choice([0.01, 0.3, 0.5, 4.0], size=(16, 20, 1))
+        stack[::5, ::3] = 0.0
+        stack[1::5, ::4] = -0.0
+        stack[2::5, 1::3] = np.where(np.arange(d) == 0, -0.5, -0.0)
+        with np.errstate(all="raise"):
+            got = ball.project_rows(stack)
+        want = self.boolean_index_projection(ball, stack.reshape(-1, d)).reshape(stack.shape)
+        assert got.shape == stack.shape
+        assert got.tobytes() == want.tobytes()
+        norms = np.sqrt(np.einsum("...i,...i->...", stack, stack))
+        assert (norms < 0.5).any() and (norms == 0.5).any() and (norms > 0.5).any()
+        assert np.signbit(stack[norms == 0.0]).any()
 
     @pytest.mark.parametrize("point, want", [
         ([-0.0, -4.0], [-0.0, -1.0]), ([3.0, -0.0], [1.0, -0.0]), ([0.0, 2.0], [0.0, 1.0])],

@@ -548,9 +548,9 @@ class TestCornerBytes:
     """Engine rows equal the stepwise reference bit for bit where the update
     meets exact zeros: sigma = 0 from w1 = (-0.0, -0.0), on data whose second
     coordinate is +0.0 or -0.0, so that coordinate of every iterate stays a
-    signed zero. Rows that run past 4n steps do so beside rows that stop
-    early, at sigma = 0 and sigma > 0. TestNoisyBytes covers sigma > 0 at
-    n = 300."""
+    signed zero, at n = 16 and at n = 300, where the output's sum crosses a
+    block. Rows that run past 4n steps do so beside rows that stop early, at
+    sigma = 0 and sigma > 0. TestNoisyBytes covers sigma > 0 at n = 300."""
 
     N, D = 16, 2
 
@@ -582,6 +582,18 @@ class TestCornerBytes:
         # The second coordinate stays a signed zero, and both signs occur.
         second = batch.fresh_iterates[..., 1]
         assert not second.any() and np.signbit(second).any() and not np.signbit(second).all()
+
+    @pytest.mark.parametrize("set_kind", ["ball", "box"])
+    @pytest.mark.parametrize("kind", ["hinge", "absolute", "squared"])
+    def test_noiseless_sum_across_blocks(self, kind, set_kind):
+        # m = 151 fresh iterates: the output's sum crosses a block of
+        # NOISE_CHUNK_STEPS fresh steps, and the next block starts from the
+        # sum so far. A running add from +0.0 of signed zeros is +0.0.
+        batch = self.check(kind, set_kind, [11, 12, 13, 14, 15], n=300)
+        assert batch.fresh_iterates.shape[1] == 151 > NOISE_CHUNK_STEPS
+        second = batch.fresh_iterates[..., 1]
+        assert not second.any() and np.signbit(second).any() and not np.signbit(second).all()
+        assert batch.output[:, 1].tobytes() == np.zeros(5).tobytes()
 
     @pytest.mark.parametrize("block", ["first", "redrawn"])
     @pytest.mark.parametrize("sigma", [0.0, 0.7])
