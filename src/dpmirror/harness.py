@@ -169,8 +169,9 @@ def resolve_output_dir(given):
 
 
 def parse_kv_file(path):
-    """Read a flat key = value config file into a string dict."""
-    values = {}
+    """Read a flat key = value config file into a string dict; a key given
+    on two lines is refused, not overwritten by the later one."""
+    values, key_lines = {}, {}
     with open(path) as fh:
         for line_no, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -178,8 +179,11 @@ def parse_kv_file(path):
                 continue
             if "=" not in line:
                 raise ConfigurationError(f"{path}:{line_no}: expected 'key = value'")
-            key, _, value = line.partition("=")
-            values[key.strip()] = value.strip()
+            key, _, value = (part.strip() for part in line.partition("="))
+            if key in key_lines:
+                raise ConfigurationError(f"{path}:{line_no}: config field {key} "
+                                         f"already given on line {key_lines[key]}")
+            values[key], key_lines[key] = value, line_no
     return values
 
 

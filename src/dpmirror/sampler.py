@@ -75,7 +75,7 @@ class TauStats:
                 "max_tau": self.max_tau, "frac_exceed_2n": self.frac_exceed_2n}
 
 
-def stopping_times(draws, n, first=None):
+def stopping_times(draws, n):
     """(arrivals, tau) of each row of a (rows, steps) index block.
 
     draws holds values in {0, ..., n-1}. Row r of arrivals lists the first
@@ -86,13 +86,10 @@ def stopping_times(draws, n, first=None):
     A scatter-minimum of each draw's position onto its (row, value) slot
     gives every value's first position in its row; sorting the slots puts
     them in step order. The whole row is sorted: np.partition at n//2 plus
-    a sort of the head was slower at every n from 64 to 4096. The slots go
-    in first, an int64 buffer of at least rows * n, if given (arrivals
-    then views it), else in a new array.
+    a sort of the head was slower at every n from 64 to 4096.
     """
     rows, steps = draws.shape
-    first = np.empty(rows * n, dtype=np.int64) if first is None else first[:rows * n]
-    first.fill(steps)
+    first = np.full(rows * n, steps, dtype=np.int64)
     # Keys and positions go in flat and of equal length: on numpy 2.4,
     # ufunc.at with a 2-D index and a broadcast operand reads garbage.
     keys = (draws + np.arange(0, rows * n, n)[:, None]).ravel()
@@ -288,19 +285,15 @@ def draw_stopping_times(n, streams, fresh=False):
 
     Rows go CHUNK_DRAWS // block at a time (block = first_block(n); both
     are read at call time) through one reused buffer of first blocks
-    (fill_first_blocks) and one stopping_times call, which sorts in one
-    reused buffer of slots. A row whose tau falls past its block is
-    redrawn alone from its stream start, in blocks of max(4n, 8), until tau
-    falls inside. Only fresh keeps arrivals, the (rows, n//2+1) steps of
-    each row's first draws of a value, and indices, the values drawn there.
+    (fill_first_blocks) and one stopping_times call. A row whose tau falls
+    past its block is redrawn alone from its stream start, in blocks of
+    max(4n, 8), until tau falls inside. Only fresh keeps arrivals, the
+    (rows, n//2+1) steps of each row's first draws of a value, and indices,
+    the values drawn there.
     """
     rows, target = len(streams), fresh_target(n)
     per_chunk, block = rows_per_chunk(n)
     draws = np.empty((min(per_chunk, rows), block), dtype=np.int64)
-    # One slot buffer for every chunk: a new one per chunk, at n = 1024 above
-    # glibc's 128 KB mmap threshold, was mapped and faulted in anew each time
-    # (7129 page faults per simulate_tau(1024, 10**4), 266 with one buffer).
-    slots = np.empty(len(draws) * n, dtype=np.int64)
     tau = np.empty(rows, dtype=np.int64)
     if fresh:
         # Two arrays, so that the engine can free arrivals and keep indices.
@@ -310,11 +303,11 @@ def draw_stopping_times(n, streams, fresh=False):
         stop = start + len(chunk)
         fill_first_blocks(n, lambda row: streams.stream(start + row), chunk)
         if fresh:   # a row replayed below gets its values there
-            arrivals[start:stop], tau[start:stop] = stopping_times(chunk, n, slots)
+            arrivals[start:stop], tau[start:stop] = stopping_times(chunk, n)
             indices[start:stop] = np.take_along_axis(
                 chunk, np.minimum(arrivals[start:stop], block - 1), 1)
         else:
-            tau[start:stop] = stopping_times(chunk, n, slots)[1]
+            tau[start:stop] = stopping_times(chunk, n)[1]
     for row in np.flatnonzero(tau > block):
         rng, drawn = streams.stream(row), np.empty(0, dtype=np.int64)
         while tau[row] > drawn.size:

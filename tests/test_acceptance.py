@@ -1,25 +1,25 @@
 """Acceptance suite: every criterion prints one pass/fail line.
 
 Run with `pytest tests/test_acceptance.py -s` to see the lines as they
-complete. The regret and utility criteria share one 200-repeat grid of
-private runs, built once per session.
+complete. The regret and utility criteria read one 200-repeat grid of
+`dpmirror run` cells, run once per session.
 """
 
+import json
 import math
 import time
 
 import numpy as np
 import pytest
 
-from oracles import (closed_form_cell_violations, fresh_rows, partial_coupon_sum,
-                     plain_subgradient, points_away_from_kinks, project_ball,
-                     project_box, row_losses, stepwise_run)
+from oracles import (closed_form_cell_violations, partial_coupon_sum, plain_subgradient,
+                     points_away_from_kinks, project_ball, project_box, row_losses,
+                     stepwise_run)
 
+from dpmirror import cli
 from dpmirror.geometry import FeasibleSet
-from dpmirror.losses import (RISK_QUADRATURE_BOUND, LossOracle, PopulationSpec,
-                             draw_dataset, population_risk)
-from dpmirror.optimizer import (RunConfig, baseline_minimizer, estimate_regret,
-                                private_sgd, private_sgd_batch)
+from dpmirror.losses import LossOracle
+from dpmirror.optimizer import RunConfig, private_sgd
 from dpmirror.privacy import (audit_single_step, calibrate_sigma, end_to_end,
                               from_target)
 from dpmirror.sampler import simulate_tau
@@ -27,8 +27,6 @@ from dpmirror.sampler import simulate_tau
 GRID_DIMS = (2, 10)
 GRID_NS = (100, 400, 1600)
 GRID_REPEATS = 200
-DELTA = 1e-6
-DELTA_PRIME = 1e-6
 MASTER_SEED = 33
 
 
@@ -38,59 +36,37 @@ def check(criterion, label, condition, detail=""):
     assert condition, f"criterion {criterion} ({label}) failed: {detail}"
 
 
-def derived_rng(*context):
-    return np.random.default_rng(np.random.SeedSequence(entropy=[MASTER_SEED, *context]))
-
-
 def derived_seed(*context):
     ss = np.random.SeedSequence(entropy=[MASTER_SEED, *context])
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
-@pytest.fixture(scope="session")
-def private_run_grid():
-    """200 seeded private runs per (d, n) cell of the hinge benchmark.
+def grid_run_keys(d):
+    """The `dpmirror run` keys of the acceptance grid at dimension d: hinge
+    loss, margin data, the ball of radius 0.5 (D = 1, L = 1) and epsilon =
+    1/(2*sqrt(n)). Both d share MASTER_SEED."""
+    return {"name": f"grid-d{d}", "loss": "hinge", "generator": "linear_margin",
+            "noise_rate": "0.1", "dimension": str(d), "feature_bound": "1.0",
+            "set": "l2_ball", "radius": "0.5", "n_values": ",".join(map(str, GRID_NS)),
+            "epsilon_values": "max", "delta": "1e-6", "delta_prime": "1e-6",
+            "repeats": str(GRID_REPEATS), "seed": str(MASTER_SEED)}
 
-    D = 1 (ball of radius 0.5), L = 1, sigma and eta from the end-to-end
-    accountant at epsilon = 1/(2*sqrt(n)). The 200 runs of a cell go
-    through one private_sgd_batch call.
-    """
+
+@pytest.fixture(scope="session")
+def private_run_grid(tmp_path_factory):
+    """summary.json's cells of `dpmirror run` on the acceptance grid, keyed
+    by (d, n). A cell's stderr is the runs' standard error plus the
+    reference minimizer's error bound and the risk's quadrature bound."""
+    output_dir = tmp_path_factory.mktemp("acceptance-grid")
     started = time.time()
     cells = {}
     for d in GRID_DIMS:
-        population = PopulationSpec("linear_margin", d, 1.0, w_true=np.eye(d)[0],
-                                    noise_rate=0.1)
-        feasible = FeasibleSet.l2_ball(0.5, dimension=d)
-        oracle = LossOracle.hinge(1.0)
-        baseline = baseline_minimizer(population, oracle, feasible, 100_000)
-        base_risk = population_risk(population, oracle, baseline.w)[0]
-        for n in GRID_NS:
-            eps = 1.0 / (2.0 * math.sqrt(n))
-            plan = end_to_end(n, eps, DELTA, DELTA_PRIME, L=1.0, D=1.0, d=d)
-            datasets = [draw_dataset(population, n, derived_rng(d, n, r, 0))
-                        for r in range(GRID_REPEATS)]
-            features = np.stack([f for f, _ in datasets])
-            labels = np.stack([y for _, y in datasets])
-            seeds = [derived_seed(d, n, r, 1) for r in range(GRID_REPEATS)]
-            config = RunConfig(n=n, eta=plan.eta, sigma=plan.sigma,
-                               feasible_set=feasible, oracle=oracle, w1=np.zeros(d))
-            batch = private_sgd_batch(config, seeds, features, labels)
-            taus = batch.tau
-            regrets = estimate_regret(batch, fresh_rows(batch, features, labels),
-                                      baseline.w, config)
-            excesses = np.array([population_risk(population, oracle, w)[0]
-                                 for w in batch.output]) - base_risk
-            farthest = np.linalg.norm(batch.output, axis=1).max()
-            cells[(d, n)] = {
-                "sigma": plan.sigma,
-                "taus": taus,
-                "regrets": regrets,
-                "mean_excess": float(excesses.mean()),
-                "run_stderr": float(excesses.std(ddof=1) / math.sqrt(GRID_REPEATS)),
-                "oracle_error": baseline.error_bound,
-                "quadrature_error": (RISK_QUADRATURE_BOUND
-                                     * (1.0 + population.feature_bound * farthest) ** 2),
-            }
+        keys = dict(grid_run_keys(d), output_dir=str(output_dir))
+        flags = [arg for key, value in keys.items()
+                 for arg in ("--" + key.replace("_", "-"), value)]
+        assert cli.main(["run", *flags]) == cli.EXIT_OK
+        with open(output_dir / keys["name"] / "summary.json") as fh:
+            cells.update({(d, cell["n"]): cell for cell in json.load(fh)["cells"]})
     cells["elapsed"] = time.time() - started
     return cells
 
@@ -121,9 +97,8 @@ def test_criterion_2_regret_bound(private_run_grid):
         for n in GRID_NS:
             cell = private_run_grid[(d, n)]
             bound = 2.0 * 1.0 * (1.0 + cell["sigma"] * math.sqrt(d)) * math.sqrt(n)
-            mean_regret = float(cell["regrets"].mean())
-            ok &= mean_regret <= bound
-            details.append(f"d={d},n={n}: {mean_regret:.1f}<={bound:.0f}")
+            ok &= cell["mean_regret"] <= bound
+            details.append(f"d={d},n={n}: {cell['mean_regret']:.1f}<={bound:.0f}")
     ok &= private_run_grid["elapsed"] < 300.0
     check(2, "regret bound", ok,
           "; ".join(details) + f"; grid {private_run_grid['elapsed']:.0f}s")
@@ -138,11 +113,10 @@ def test_criterion_3_utility_bound(private_run_grid):
             cell = private_run_grid[(d, n)]
             scale = 1.0 * (1.0 + cell["sigma"] * math.sqrt(d)) / math.sqrt(n)
             bound = 2.5 * scale
-            slack = 3.0 * (cell["run_stderr"] + cell["oracle_error"]
-                           + cell["quadrature_error"])
-            ok &= cell["mean_excess"] <= bound + slack
-            fitted_constants.append(cell["mean_excess"] / scale)
-            details.append(f"d={d},n={n}: {cell['mean_excess']:.3f}<={bound:.2f}")
+            excess = cell["mean_excess_risk"]
+            ok &= excess <= bound + 3.0 * cell["stderr"]
+            fitted_constants.append(excess / scale)
+            details.append(f"d={d},n={n}: {excess:.3f}<={bound:.2f}")
     ok &= private_run_grid["elapsed"] < 600.0
     fitted = max(fitted_constants)
     check(3, "utility bound", ok,

@@ -58,6 +58,17 @@ class TestConfig:
         with pytest.raises(ConfigurationError):
             parse_kv_file(path)
 
+    def test_key_given_twice_names_both_lines(self, tmp_path):
+        # The later line does not silently win: `run` exits 2 and runs nothing.
+        path = tmp_path / "twice.cfg"
+        path.write_text("n_values = 16\nrepeats = 5\n# note\nrepeats = 7\n")
+        with pytest.raises(ConfigurationError,
+                           match=r"twice\.cfg:4: config field repeats already given on line 2"):
+            parse_kv_file(path)
+        assert cli.main(["run", "--config", str(path), "--seed", "1",
+                         "--output-dir", str(tmp_path)]) == cli.EXIT_CONFIG
+        assert not (tmp_path / "experiment").exists()
+
     def test_build_spec_defaults(self, tmp_path):
         spec = build_spec(base_overrides(tmp_path))
         assert spec.oracle.kind == "hinge"

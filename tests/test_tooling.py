@@ -51,21 +51,54 @@ def test_traced_verify_pass_counts_every_trial(tmp_path):
     assert counts["privacy.audit_trials"] == 3_000_000
 
 
-def test_benchmark_configs_use_only_run_keys():
-    # The benchmark writes config files for `dpmirror run`; a key missing
-    # from RUN_KEYS would make its runs exit 2.
+def benchmark_workloads():
+    """perfbench/workloads.py, imported from its directory."""
     sys.path.insert(0, os.path.join(ROOT, "perfbench"))
     try:
         import workloads
     finally:
         sys.path.pop(0)
+    return workloads
+
+
+def config_keys(text):
+    """A benchmark config file's text as a key -> value-text dict."""
+    return dict((part.strip() for part in line.split("=", 1)) for line in text.splitlines())
+
+
+def test_benchmark_configs_use_only_run_keys():
+    # The benchmark writes config files for `dpmirror run`; a key missing
+    # from RUN_KEYS would make its runs exit 2.
     from dpmirror.harness import RUN_KEYS
 
+    workloads = benchmark_workloads()
     for workload in ("grid", "grid-box"):
         plan = workloads.make_plan(workload, workloads.DEFAULT_SEED)
         for text in plan.configs.values():
-            keys = {line.split("=", 1)[0].strip() for line in text.splitlines()}
+            keys = set(config_keys(text))
             assert keys <= set(RUN_KEYS), keys - set(RUN_KEYS)
+
+
+def test_acceptance_grid_is_the_benchmark_grid():
+    # Criteria 2 and 3 check the cells of the runs the benchmark's `grid`
+    # workload times. Every key that shapes a cell, given or left to its
+    # default, resolves to the same value in both; only how many repeats
+    # run, their seed, and where they are written may differ.
+    from test_acceptance import GRID_DIMS, grid_run_keys
+
+    from dpmirror.harness import RUN_KEYS
+
+    def shaping_values(keys):
+        return {key: None if text is None else convert(text)
+                for key, (convert, _, default, _) in RUN_KEYS.items()
+                if key not in ("repeats", "seed", "name", "output_dir")
+                for text in [keys.get(key, default)]}
+
+    workloads = benchmark_workloads()
+    plan = workloads.make_plan("grid", workloads.DEFAULT_SEED)
+    benchmark = [shaping_values(config_keys(text)) for text in plan.configs.values()]
+    acceptance = [shaping_values(grid_run_keys(d)) for d in GRID_DIMS]
+    assert acceptance == benchmark
 
 
 @pytest.mark.parametrize("workload", ["grid", "grid-box"])
@@ -74,11 +107,7 @@ def test_traced_grid_passes_run_clean(workload, tmp_path, monkeypatch):
     # its result, and wraps estimate_risk, draw_dataset and the draws. A
     # tiny traced pass of each `run` workload, from config files written
     # by the benchmark itself, must exit 0 and pass every output check.
-    sys.path.insert(0, os.path.join(ROOT, "perfbench"))
-    try:
-        import workloads
-    finally:
-        sys.path.pop(0)
+    workloads = benchmark_workloads()
     monkeypatch.chdir(tmp_path)
     workloads.write_configs(workloads.make_plan(workload, 3, "tiny"))
     proc = subprocess.run(
