@@ -110,7 +110,10 @@ def _cmd_audit(args):
     # A worst cell at a lumped tail has an infinite edge, written as null.
     summary = {key: json_value(getattr(result, key)) for key in (
         "max_violation", "max_violation_stderr", "significant", "worst_lo", "worst_hi")}
-    summary.update(sigma=sigma, seed=seed)
+    # What was audited: the noise, the shift between the two outputs, the
+    # claim tested, and the draw.
+    summary.update(sigma=sigma, sensitivity=args.L, eps_tilde=args.eps_tilde, delta=args.delta,
+                   trials=args.trials, grid_cells=args.grid, seed=seed)
     write_json(summary, os.path.join(outdir, "audit_summary.json"))
     print(json.dumps(summary))
     return EXIT_AUDIT if result.significant else EXIT_OK

@@ -41,28 +41,55 @@ def closed_form_cell_violations(sigma, L, eps, delta, grid_cells):
     return violations, edges[:-1], edges[1:]
 
 
-def audit_cells_reference(p_s, p_sprime, edges, eps, delta, trials):
-    """The audit's verdict from its cell probabilities, one cell at a time.
+def audit_draws(sigma, L, trials, seed):
+    """The audit's outputs (S, S'), drawn whole by numpy's own seeding.
 
-    Each cell is tested as "a against e^eps * b + delta" for (a, b) =
-    (p_S, p_S') and then the reverse, with the binomial stderr of that
-    difference. A cell keeps the reverse only where it is strictly larger,
-    the first cell at the maximum is the worst, and any direction above 0
-    and above 3 stderrs is significant. Returns the per-cell violations and
-    (max_violation, stderr, worst_lo, worst_hi, significant).
+    As the README states it: one draw z of trials normals from
+    default_rng(SeedSequence([seed, 0xA0D1])) serves both sides, S's
+    outputs are sigma*z and S''s are L + sigma*z.
     """
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 0xA0D1]))
+    out_s = sigma * rng.standard_normal(trials)
+    return out_s, L + out_s
+
+
+def audit_counts_reference(sigma, L, trials, edges, seed):
+    """The audit's (p_S, p_S'): np.histogram of audit_draws on its edges."""
+    return tuple(np.histogram(out, bins=edges)[0] / trials
+                 for out in audit_draws(sigma, L, trials, seed))
+
+
+def audit_cells_reference(out_s, out_sprime, edges, eps, delta):
+    """The audit's verdict on paired draws, one cell at a time.
+
+    Each draw's cell on either side comes from np.digitize, and a cell's
+    joint count is the draws whose two cells are both it. Each cell is
+    tested as "a against e^eps * b + delta" for (a, b) = (p_S, p_S') and
+    then the reverse, with the coupled stderr of that difference,
+    sqrt(max(var_a + e^(2 eps) var_b - 2 e^eps cov, 0) / trials), where
+    var_a = a(1 - a) and cov = p_both - p_S p_S'. A cell keeps the reverse
+    only where it is strictly larger, the first cell at the maximum is the
+    worst, and any direction above 0 and above 3 stderrs is significant.
+    Returns the per-cell violations and (max_violation, stderr, worst_lo,
+    worst_hi, significant).
+    """
+    trials, cells = len(out_s), len(edges) - 1
+    cell_s, cell_sprime = np.digitize(out_s, edges) - 1, np.digitize(out_sprime, edges) - 1
+    count_s = np.bincount(cell_s, minlength=cells).tolist()
+    count_sprime = np.bincount(cell_sprime, minlength=cells).tolist()
+    count_both = np.bincount(cell_s[cell_s == cell_sprime], minlength=cells).tolist()
     amp = math.exp(eps)
     best = (-math.inf, 0.0, None, None)
     significant = False
     violations = []
-    for i in range(len(p_s)):
+    for i in range(cells):
+        p_s, p_sprime = count_s[i] / trials, count_sprime[i] / trials
+        cov = count_both[i] / trials - p_s * p_sprime
         worst = (-math.inf, 0.0)
-        for a, b in ((float(p_s[i]), float(p_sprime[i])),
-                     (float(p_sprime[i]), float(p_s[i]))):
+        for a, b in ((p_s, p_sprime), (p_sprime, p_s)):
             v = a - amp * b - delta
-            var_a = max(a * (1.0 - a), 0.0) / trials
-            var_b = max(b * (1.0 - b), 0.0) / trials
-            se = math.sqrt(var_a + amp * amp * var_b)
+            var = a * (1.0 - a) + amp * amp * (b * (1.0 - b)) - 2.0 * amp * cov
+            se = math.sqrt(max(var, 0.0) / trials)
             if v > worst[0]:
                 worst = (v, se)
             if v > 0.0 and v > 3.0 * se:
@@ -73,18 +100,52 @@ def audit_cells_reference(p_s, p_sprime, edges, eps, delta, trials):
     return np.array(violations), (*best, significant)
 
 
-def audit_counts_reference(sigma, L, trials, edges, seed):
-    """The audit's (p_S, p_S') from one draw per side, by numpy's own seeding.
+def exact_cell_probabilities(sigma, L, grid_cells):
+    """Per audit cell [lo, hi): P[sigma*Z in it], P[L + sigma*Z in it] and
+    P[both], Z standard normal, from scipy.stats.norm.cdf.
 
-    As the README states it: both sides come from
-    default_rng(SeedSequence([seed, 0xA0D1])), trials normals for S and then
-    trials for S', drawn whole and histogrammed on the audit's edges.
+    Both outputs land in [lo, hi) when sigma*Z is in [lo, hi - L) for L > 0.
     """
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 0xA0D1]))
-    out_s = sigma * rng.standard_normal(trials)
-    out_sprime = L + sigma * rng.standard_normal(trials)
-    return (np.histogram(out_s, bins=edges)[0] / trials,
-            np.histogram(out_sprime, bins=edges)[0] / trials)
+    from scipy.stats import norm
+
+    interior = np.linspace(min(0.0, L) - 3.0 * sigma, max(0.0, L) + 3.0 * sigma,
+                           grid_cells - 1)
+    lo = np.concatenate([[-np.inf], interior])
+    hi = np.concatenate([interior, [np.inf]])
+    p_s = norm.cdf(hi / sigma) - norm.cdf(lo / sigma)
+    p_sprime = norm.cdf((hi - L) / sigma) - norm.cdf((lo - L) / sigma)
+    p_both = np.maximum(norm.cdf((hi - L) / sigma) - norm.cdf(lo / sigma), 0.0)
+    return p_s, p_sprime, p_both
+
+
+def directed_variances(p_s, p_sprime, p_both, eps, trials):
+    """Exact variances of p_S - e^eps p_S' and of p_S' - e^eps p_S, as rows,
+    over trials paired draws and, as a second (2, cells) array, over trials
+    independent draws per side."""
+    amp = math.exp(eps)
+    var = np.array([p_s * (1.0 - p_s), p_sprime * (1.0 - p_sprime)])
+    independent = (var + amp * amp * var[::-1]) / trials
+    return independent - 2.0 * amp * (p_both - p_s * p_sprime) / trials, independent
+
+
+class CyclingStreams:
+    """A stand-in for sampler.seeded_streams: every stream it gives fills
+    standard_normal(out=...) with `values` repeated from the start, and
+    `sizes` records each call's size."""
+
+    def __init__(self, values):
+        self.values = np.asarray(values, dtype=float)
+        self.sizes = []
+
+    def __call__(self, *parts):
+        return self
+
+    def stream(self, row):
+        return self
+
+    def standard_normal(self, out):
+        self.sizes.append(out.size)
+        out[:] = np.resize(self.values, out.size)
 
 
 def partial_coupon_sum(n):

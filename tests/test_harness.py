@@ -12,11 +12,12 @@ import warnings
 import numpy as np
 import pytest
 
-from oracles import (fresh_rows, plain_subgradient, project_ball, quadrature_risk,
+from oracles import (CyclingStreams, fresh_rows, plain_subgradient, project_ball, quadrature_risk,
                      read_cells_csv, run_repeat_streams, stepwise_run)
 
 import dpmirror.harness as harness_mod
 import dpmirror.optimizer as optimizer_mod
+import dpmirror.privacy as privacy_mod
 from dpmirror import cli
 from dpmirror.errors import ConfigurationError
 from dpmirror.geometry import FeasibleSet
@@ -985,21 +986,31 @@ class TestCli:
         cli.main(args)
         assert (tmp_path / "det" / "audit.csv").read_bytes() == first
 
-    def test_audit_summary_is_strict_json(self, tmp_path, capsys):
-        # At this seed the worst cell is the lumped lower tail, whose lower
-        # edge is -inf; audit_summary.json writes it as null, which a parser
-        # that refuses NaN and Infinity accepts, and so does stdout.
+    def test_audit_summary_is_strict_json(self, tmp_path, capsys, monkeypatch):
+        # Two thirds of the draws at -3.5 put S's outputs in the lumped lower
+        # tail and S''s one cell above its upper edge, -3, so the tail is the
+        # worst cell by construction (violation 2/3 - delta; the next worst,
+        # S''s cell of the other third, has 1/3 - delta). Its lower edge is
+        # -inf; audit_summary.json writes it as null, which a parser that
+        # refuses NaN and Infinity accepts, and so does stdout.
         def refuse(constant):
             raise ValueError(f"non-standard JSON constant {constant}")
 
-        rc = cli.main(["audit", "--L", "1", "--eps-tilde", "0.5", "--delta", "1e-6",
-                       "--trials", "200000", "--grid", "50", "--seed", "2",
+        monkeypatch.setattr(privacy_mod, "seeded_streams",
+                            CyclingStreams([-3.5, -3.5, -2.5]))
+        rc = cli.main(["audit", "--sigma", "1", "--L", "1", "--eps-tilde", "0.5",
+                       "--delta", "1e-6", "--trials", "100000", "--grid", "50", "--seed", "2",
                        "--output-dir", str(tmp_path), "--name", "tail"])
-        assert rc == 0
+        assert rc == 4
         summary = json.loads((tmp_path / "tail" / "audit_summary.json").read_text(),
                              parse_constant=refuse)
-        assert summary["worst_lo"] is None and math.isfinite(summary["worst_hi"])
+        assert summary["worst_lo"] is None and summary["worst_hi"] == -3.0
         assert json.loads(capsys.readouterr().out, parse_constant=refuse) == summary
+        # The summary names what was audited.
+        assert {key: summary[key] for key in (
+            "sigma", "sensitivity", "eps_tilde", "delta", "trials", "grid_cells", "seed")} == {
+            "sigma": 1.0, "sensitivity": 1.0, "eps_tilde": 0.5, "delta": 1e-6,
+            "trials": 100_000, "grid_cells": 50, "seed": 2}
 
     def test_tau_sim_cli(self, tmp_path, capsys):
         rc = cli.main(["tau-sim", "--n", "16", "--trials", "1000", "--seed", "3",

@@ -8,8 +8,10 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.stats import chi2
 
-from oracles import audit_cells_reference, audit_counts_reference, closed_form_cell_violations
+from oracles import (CyclingStreams, audit_cells_reference, audit_counts_reference, audit_draws,
+                     closed_form_cell_violations, directed_variances, exact_cell_probabilities)
 
 from dpmirror import cli, privacy
 from dpmirror.errors import ConfigurationError, RegimeError
@@ -334,11 +336,12 @@ class TestAudit:
     @pytest.mark.parametrize("scale", [1.0, 10.0, 0.1])
     def test_matches_cell_by_cell_reference(self, scale):
         # Calibrated, inflated and deflated noise: the array scoring gives
-        # the reference loop's verdict, bit for bit, from the same cells.
+        # the reference loop's verdict, bit for bit, from joint counts the
+        # reference finds by np.digitize of both sides' whole draws.
         sigma = scale * calibrate_sigma(1.0, 1e-6, 0.5)
         result = audit_single_step(sigma, 1.0, 0.5, 1e-6, 1_000_000, seed=5)
         violations, verdict = audit_cells_reference(
-            result.p_s, result.p_sprime, result.edges, 0.5, 1e-6, 1_000_000)
+            *audit_draws(sigma, 1.0, 1_000_000, 5), result.edges, 0.5, 1e-6)
         np.testing.assert_array_equal(result.violation, violations)
         assert (result.max_violation, result.max_violation_stderr, result.worst_lo,
                 result.worst_hi, result.significant) == verdict
@@ -347,26 +350,73 @@ class TestAudit:
     @pytest.mark.parametrize("trials", [6000, 3 * AUDIT_BLOCK + 6001, 4 * AUDIT_BLOCK])
     def test_blocked_draws_match_one_draw(self, trials):
         # Below one block, with a partial last block, and in whole blocks:
-        # the streamed counts are those of one whole draw per side.
+        # the streamed counts are those of one whole draw z, histogrammed as
+        # sigma*z and L + sigma*z.
         result = audit_single_step(1.3, 0.4, 0.5, 1e-6, trials, grid_cells=3, seed=2)
         p_s, p_sprime = audit_counts_reference(1.3, 0.4, trials, result.edges, 2)
         assert result.p_s.tobytes() == p_s.tobytes()
         assert result.p_sprime.tobytes() == p_sprime.tobytes()
 
+    @pytest.mark.parametrize("scale", [1.0, 0.1])
+    def test_shared_draw_counts_bytewise(self, scale):
+        # The CLI's default grid and trials: 500 cells, 10^6 trials in 15
+        # whole blocks and a partial one. The counts are np.histogram's of
+        # sigma*z and L + sigma*z, whatever kernels sort, scale and shift.
+        sigma = scale * calibrate_sigma(1.0, 1e-6, 0.5)
+        result = audit_single_step(sigma, 1.0, 0.5, 1e-6, 1_000_000, seed=7)
+        p_s, p_sprime = audit_counts_reference(sigma, 1.0, 1_000_000, result.edges, 7)
+        assert result.p_s.tobytes() == p_s.tobytes()
+        assert result.p_sprime.tobytes() == p_sprime.tobytes()
+
+    @pytest.mark.parametrize("trials", [6000, 3 * AUDIT_BLOCK + 6001, 4 * AUDIT_BLOCK])
+    def test_draws_each_normal_once(self, trials, monkeypatch):
+        # Both sides read one draw: trials normals in all, not 2*trials, in
+        # ceil(trials / AUDIT_BLOCK) calls.
+        streams = CyclingStreams(np.linspace(-2.0, 2.0, 7))
+        monkeypatch.setattr(privacy, "seeded_streams", streams)
+        audit_single_step(1.3, 0.4, 0.5, 1e-6, trials, grid_cells=3)
+        assert sum(streams.sizes) == trials
+        assert len(streams.sizes) == -(-trials // AUDIT_BLOCK)
+
+    @pytest.mark.parametrize("sigma", [1.0, 30.0], ids=["narrow-cells", "wide-cells"])
+    def test_stderr_is_the_coupled_one(self, sigma):
+        # 200 seeds at 10^5 trials and 50 cells, L = 1. At sigma = 1 cells are
+        # narrower than L and the two sides' counts covary negatively; at
+        # sigma = 30 they are wider, and the covariance is positive and
+        # large. For every cell and direction, the spread over seeds of
+        # p_S - e^eps p_S' (or the reverse) must fit the exact coupled
+        # variance from Gaussian CDFs within the chi-square band of 199
+        # degrees of freedom at 1e-6 a side; the independent-sides variance
+        # must miss it at sigma = 30. The stderr the audit reports at its
+        # worst cell must be the coupled one, in the median over seeds.
+        L, eps, delta, trials, cells, seeds = 1.0, 0.5, 1e-6, 100_000, 50, 200
+        amp = math.exp(eps)
+        coupled, independent = directed_variances(
+            *exact_cell_probabilities(sigma, L, cells), eps, trials)
+        directed = np.empty((seeds, 2, cells))
+        reported = []
+        for seed in range(seeds):
+            result = audit_single_step(sigma, L, eps, delta, trials, grid_cells=cells,
+                                       seed=seed)
+            directed[seed] = (result.p_s - amp * result.p_sprime,
+                              result.p_sprime - amp * result.p_s)
+            worst = int(np.argmax(result.violation))
+            reverse = int(directed[seed, 1, worst] > directed[seed, 0, worst])
+            reported.append(result.max_violation_stderr / math.sqrt(coupled[reverse, worst]))
+        spread = directed.var(axis=0, ddof=1)
+        low, high = chi2.ppf([1e-6, 1.0 - 1e-6], seeds - 1) / (seeds - 1)
+        ratio = spread / coupled
+        assert low < ratio.min() and ratio.max() < high, (ratio.min(), ratio.max())
+        if sigma == 30.0:
+            assert (spread / independent).max() < low
+        assert 0.85 < np.median(reported) < 1.15
+
     def test_ties_on_edges_count_as_histogram(self, monkeypatch):
         # Draws exactly on the interior edges -3, -2, ..., 4 (sigma = L = 1,
-        # 9 cells) and past both ends: each block's in-place sort and edge
-        # search must count them as np.histogram does, into the upper cell.
+        # 9 cells) and past both ends: the in-place sort and both edge
+        # searches must count them as np.histogram does, into the upper cell.
         values = np.arange(-4.0, 5.5, 0.5)
-
-        class EdgeStreams:
-            def stream(self, row):
-                return self
-
-            def standard_normal(self, out):
-                out[:] = np.resize(values, out.size)
-
-        monkeypatch.setattr(privacy, "seeded_streams", lambda *parts: EdgeStreams())
+        monkeypatch.setattr(privacy, "seeded_streams", CyclingStreams(values))
         trials = 18_000
         result = audit_single_step(1.0, 1.0, 0.5, 1e-6, trials, grid_cells=9)
         assert result.edges[1:-1].tolist() == list(range(-3, 5))
@@ -378,9 +428,12 @@ class TestAudit:
     def test_peak_memory_is_one_block(self):
         # 10^6 trials a side once held four 8 MB arrays (a 17 MB traced
         # peak); streamed through one block, the peak was 1.03 MB with
-        # np.histogram's sorted copy of each block, and is 0.56 MB with each
-        # block sorted in place.
+        # np.histogram's sorted copy of each block, 0.57 MB with each block
+        # sorted in place, and is 0.59 MB with both sides in that one block.
+        # The first audit in a process imports numpy.random (0.7 MB more),
+        # so a small audit runs before the traced one.
         sigma = calibrate_sigma(1.0, 1e-6, 0.5)
+        audit_single_step(sigma, 1.0, 0.5, 1e-6, 6000, grid_cells=3)
         tracemalloc.start()
         try:
             audit_single_step(sigma, 1.0, 0.5, 1e-6, 10**6)
@@ -390,12 +443,13 @@ class TestAudit:
         assert peak <= 0.7 * 2**20
 
     # sha256 of (audit.csv, audit_summary.json) from `dpmirror audit` at seed
-    # 7, fixed while the audit still scored one cell at a time.
+    # 7, fixed when both sides came to share one draw and the summary came
+    # to name the audited parameters.
     GOLDEN_FILES = {
-        1.0: ("558235eacc151b6aebf998043aeeb59c3c56da3c8b63b7de5177619a889a1eb0",
-              "f5d9f7cb14778beda91f1a34fa7c4e28ce439d0f1d940ca8daac5a694f6c7370"),
-        0.1: ("3e799a83d519bcf5383f78a436f6209d9a22918b2f2ffeaec26917ed95a8ed6c",
-              "4a5b5721755bc9976c64fa415e2ed6d46de966f247a8992ad68547b72eaf8b0e"),
+        1.0: ("20a29b51943db090a8a0f2590d7ef78fce2b93cc5c94f51e93ad3a2c2cabb3a2",
+              "f3ed28c9271230ec62eb80a179a115579f167d085f64e7e71593988ab91f7412"),
+        0.1: ("9f1791ee8e1e9f25d22289f0a57596c0fbe028abdd65899bf3531d9c88c1a286",
+              "6c7974a53db09a3c59c1d3a23b9774923f36221d86146a8725b46980c235bb5d"),
     }
 
     @pytest.mark.parametrize("scale", list(GOLDEN_FILES))
