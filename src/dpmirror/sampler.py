@@ -4,19 +4,20 @@ The optimizer stops once more than half of the dataset indices have been
 drawn at least once: its stopping time tau is the 1-based step at which
 the (floor(n/2)+1)-th distinct index arrives. The optimizer and
 simulate_tau read tau on one path, draw_stopping_times: each row (a run,
-or a trial) draws a first block of about 3n/4 indices from its own PCG64
-stream, stopping_times reads all rows at once, and only the rare row whose
-tau falls past its block draws more, until it stops. Integer draws of one
-generator concatenate, so tau does not depend on how a stream is cut into
-blocks.
+or a trial) is read as a block of indices from the start of its own PCG64
+stream, first about 3n/4 of them, and stopping_times reads a chunk of
+rows at once. The rare row whose tau falls past its block is read again
+from its stream start, with a longer block, on the same path, until it
+stops. A block of integer draws is a prefix of every longer block from
+the same start, so tau does not depend on the block length.
 
 Every seed in dpmirror becomes its streams here: _generate_state repeats
 numpy's SeedSequence as array arithmetic, one entropy column per stream
 (simulate_tau's trials, the engine's index and noise streams, the
 harness's data streams and run seeds, the audit's stream), and
 TrialStreams keeps each stream as the generate_state words its PCG64 is
-seeded from. First blocks need no Generator call: they are decoded from
-raw 64-bit words with the bounded-integer method numpy's integers uses
+seeded from. Blocks need no Generator call: they are decoded from raw
+64-bit words with the bounded-integer method numpy's integers uses
 (Lemire, "Fast random integer generation in an interval", ACM TOMACS
 2019).
 """
@@ -100,17 +101,18 @@ def stopping_times(draws, n):
     return arrivals, arrivals[:, -1] + 1
 
 
-# A trial's first block. tau averages n ln 2 + O(1) < 0.7n with a standard
+# A row's first block. tau averages n ln 2 + O(1) < 0.7n with a standard
 # deviation of about 0.55*sqrt(n), so 3n/4 + 4*sqrt(n) + 8 draws hold it
 # over seven standard deviations past the mean: P(tau > first_block(n)) is
 # 2.4e-4 at n = 2 and below 1e-6 from n = 16 on. Draws past tau are wasted,
-# and a 4n block wasted most of its draws and its stopping_times work.
+# and a 4n block wasted most of its draws and its stopping_times work. A
+# row past it is read again from its stream start with a longer block.
 def first_block(n):
     return (3 * n) // 4 + 4 * math.isqrt(n) + 8
 
 
-# draw_stopping_times stacks first blocks into chunks of at most this many
-# draws (128 KB of int64) for one stopping_times call each. On n in
+# draw_stopping_times stacks blocks into chunks of at most this many draws
+# (128 KB of int64) for one stopping_times call each. On n in
 # {16, ..., 1024}, simulate_tau was slower at 2**13 and 2**15.
 CHUNK_DRAWS = 1 << 14
 
@@ -121,10 +123,9 @@ CHUNK_DRAWS = 1 << 14
 TAU_BLOCK_TRIALS = 1 << 12
 
 
-def rows_per_chunk(n):
-    """Rows draw_stopping_times stacks into one chunk, and their block length."""
-    block = first_block(n)
-    return max(1, CHUNK_DRAWS // block), block
+def rows_per_chunk(block):
+    """Rows of block draws each that draw_stopping_times stacks into one chunk."""
+    return max(1, CHUNK_DRAWS // block)
 
 
 _MASK32 = (1 << 32) - 1
@@ -253,7 +254,7 @@ def spawned_streams(seeds):
     return TrialStreams(children[0]), TrialStreams(children[1])
 
 
-def fill_first_blocks(n, stream, draws):
+def fill_blocks(n, stream, draws):
     """Fill row r of draws with stream(r).integers(0, n, draws.shape[1]).
 
     stream(r) is row r's PCG64 Generator at its stream start. For n <= 2**32,
@@ -283,40 +284,35 @@ def fill_first_blocks(n, stream, draws):
 def draw_stopping_times(n, streams, fresh=False):
     """tau of each row of a TrialStreams; with fresh, (tau, arrivals, indices).
 
-    Rows go CHUNK_DRAWS // block at a time (block = first_block(n); both
-    are read at call time) through one reused buffer of first blocks
-    (fill_first_blocks) and one stopping_times call. A row whose tau falls
-    past its block is redrawn alone from its stream start, in blocks of
-    max(4n, 8), until tau falls inside. Only fresh keeps arrivals, the
-    (rows, n//2+1) steps of each row's first draws of a value, and indices,
-    the values drawn there.
+    Each round reads rows from their stream start, rows_per_chunk(block)
+    at a time, into one reused buffer of blocks (fill_blocks) for one
+    stopping_times call: round 1 every row with first_block(n) draws, round
+    k + 1 again each row whose tau fell past its block, with k * max(4n, 8)
+    (first_block and CHUNK_DRAWS are read at call time). Only fresh keeps
+    arrivals, the (rows, n//2+1) steps of each row's first draws of a
+    value, and indices, the values drawn there.
     """
     rows, target = len(streams), fresh_target(n)
-    per_chunk, block = rows_per_chunk(n)
-    draws = np.empty((min(per_chunk, rows), block), dtype=np.int64)
     tau = np.empty(rows, dtype=np.int64)
     if fresh:
         # Two arrays, so that the engine can free arrivals and keep indices.
         arrivals, indices = (np.empty((rows, target), dtype=np.int64) for _ in range(2))
-    for start in range(0, rows, per_chunk):
-        chunk = draws[:min(per_chunk, rows - start)]
-        stop = start + len(chunk)
-        fill_first_blocks(n, lambda row: streams.stream(start + row), chunk)
-        if fresh:   # a row replayed below gets its values there
-            arrivals[start:stop], tau[start:stop] = stopping_times(chunk, n)
-            indices[start:stop] = np.take_along_axis(
-                chunk, np.minimum(arrivals[start:stop], block - 1), 1)
-        else:
-            tau[start:stop] = stopping_times(chunk, n)[1]
-    for row in np.flatnonzero(tau > block):
-        rng, drawn = streams.stream(row), np.empty(0, dtype=np.int64)
-        while tau[row] > drawn.size:
-            drawn = np.concatenate([drawn, rng.integers(0, n, size=max(4 * n, 8))])
-            row_arrivals, row_tau = stopping_times(drawn[None], n)
-            tau[row] = row_tau[0]
-        if fresh:
-            arrivals[row] = row_arrivals[0]
-            indices[row] = drawn[row_arrivals[0]]
+    pending, block, k = np.arange(rows), first_block(n), 1
+    while pending.size:
+        per_chunk = rows_per_chunk(block)
+        draws = np.empty((min(per_chunk, pending.size), block), dtype=np.int64)
+        for start in range(0, pending.size, per_chunk):
+            chunk_rows = pending[start:start + per_chunk]
+            chunk = draws[:len(chunk_rows)]
+            ids = chunk_rows.tolist()   # stream() is slower on a numpy integer
+            fill_blocks(n, lambda row: streams.stream(ids[row]), chunk)
+            chunk_arrivals, tau[chunk_rows] = stopping_times(chunk, n)
+            if fresh:   # a row read again later gets its values then
+                arrivals[chunk_rows] = chunk_arrivals
+                indices[chunk_rows] = np.take_along_axis(
+                    chunk, np.minimum(chunk_arrivals, block - 1), 1)
+        pending = pending[tau[pending] > block]
+        block, k = k * max(4 * n, 8), k + 1
     return (tau, arrivals, indices) if fresh else tau
 
 
@@ -335,7 +331,7 @@ def simulate_tau(n, trials, seed):
     n = check_count(n, "simulate_tau: n")
     seed = check_count(seed, "simulate_tau: seed", low=0, high=None)
     trials = check_count(trials, "simulate_tau: trials", high=INDEXED_STREAMS)
-    per_chunk = rows_per_chunk(n)[0]
+    per_chunk = rows_per_chunk(first_block(n))
     block = per_chunk * max(1, TAU_BLOCK_TRIALS // per_chunk)
     tau = np.empty(trials, dtype=np.int64)
     for start in range(0, trials, block):

@@ -419,7 +419,7 @@ class TestBatchGolden:
 
     @pytest.mark.parametrize("name", list(GOLDEN))
     def test_golden_digest_past_first_block(self, name, monkeypatch):
-        # A first block of one draw sends every row down the redraw path.
+        # A first block of one draw reads every row again in later rounds.
         monkeypatch.setattr(sampler, "first_block", lambda n: 1)
         self.test_golden_digest(name)
 
@@ -604,8 +604,8 @@ class TestCornerBytes:
         # At n = 2 a run takes more than 4n = 8 steps with probability 2^-7;
         # the first two seeds whose index streams do so, 140 and 208 (tau 9
         # and 10), run to their own stop beside seeds 0 and 1 (tau 3 and 2).
-        # A first block of one draw sends every row down the redraw path,
-        # whose 8-draw blocks the long rows outrun.
+        # A first block of one draw reads every row again in later rounds,
+        # whose first, 8-draw block the long rows outrun.
         if block == "redrawn":
             monkeypatch.setattr(sampler, "first_block", lambda n: 1)
         batch = self.check(kind, set_kind, seeds_running_past(2, 8, 2) + [0, 1], n=2,
@@ -703,6 +703,63 @@ class TestFixedSlopeBytes:
             assert not calls
         else:   # one call per lockstep step of the 4 rows
             assert len(calls) >= cell.mean_tau and set(calls) == {4}
+
+
+class TestSingleUse:
+    """Runs on S and on S', which flips the label of record j, with the same
+    seed: the index stream, so tau and the fresh steps, does not depend on
+    the data, and the run reads j only at a fresh step that draws it. If
+    none does, the two runs are byte-identical; if fresh step k does, so are
+    tau, the fresh indices and the iterates held at fresh steps 0 to k. A
+    flip read at the last fresh step never moves the output, since no fresh
+    step holds that step's update; one read earlier mostly does. Every
+    record j of each case is flipped in turn."""
+
+    @pytest.mark.parametrize("case", ["hinge-ball-0.5", "hinge-ball-2", "squared-box"])
+    def test_record_read_at_one_fresh_step(self, case, monkeypatch):
+        # Iterates reach the boundary of each set. On the 0.5-ball no margin
+        # reaches the hinge's kink, and every chunk is certified
+        # (fixed_slopes); on the 2-ball margins cross it.
+        n, d, sigma, eta, seed = 64, 2, 0.5, 0.5, 9
+        if case == "squared-box":
+            fs = FeasibleSet.box([-0.5] * d, [0.5] * d)
+            features, labels = draw_dataset(PopulationSpec("uniform_ball", d, 1.0), n,
+                                            np.random.default_rng(seed))
+            config = RunConfig(n=n, eta=eta, sigma=sigma, feasible_set=fs,
+                               oracle=LossOracle.squared(1.0, fs), w1=np.zeros(d))
+        else:
+            radius = float(case.split("-")[-1])
+            _, (features, labels), config = hinge_setup(n, d, sigma, eta, seed, radius=radius)
+        fixed = record_fixed_slopes(monkeypatch)
+        run = private_sgd(config, seed, (features, labels))
+        assert fixed == [case == "hinge-ball-0.5"]
+        fresh, unchanged = run.fresh_indices[0].tolist(), []
+        iterates = run.fresh_iterates[0]
+        if case == "squared-box":
+            assert (np.abs(iterates) == 0.5).any()
+        else:
+            assert (np.abs(np.linalg.norm(iterates, axis=1) - radius) < 1e-12).any()
+            margins = np.einsum("kd,kd->k", iterates, features[fresh]) * labels[fresh]
+            assert (margins.max() > 1) == (radius == 2)
+        for j in range(n):
+            flipped = labels.copy()
+            flipped[j] = -flipped[j]
+            other = private_sgd(config, seed, (features, flipped))
+            assert other.tau.tobytes() == run.tau.tobytes()
+            assert other.fresh_indices.tobytes() == run.fresh_indices.tobytes()
+            if j in fresh:
+                held = fresh.index(j) + 1
+                assert (other.fresh_iterates[:, :held].tobytes()
+                        == run.fresh_iterates[:, :held].tobytes()), j
+                if other.output.tobytes() == run.output.tobytes():
+                    unchanged.append(held - 1)
+            else:
+                assert other.output.tobytes() == run.output.tobytes(), j
+                assert other.fresh_iterates.tobytes() == run.fresh_iterates.tobytes(), j
+        # An earlier flip leaves no trace only where projections erase the
+        # difference it made before the next fresh step (on the box, a clip
+        # of each coordinate it moved).
+        assert len(fresh) - 1 in unchanged and len(unchanged) <= len(fresh) // 8
 
 
 class TestBatchMemory:

@@ -66,6 +66,19 @@ def set_walk_tau(stream, n):
     return None
 
 
+def set_walk_arrivals(stream, n):
+    """0-based steps at which a plain Python set walk over an index stream
+    first sees each of its first n//2 + 1 values."""
+    seen, steps = set(), []
+    for t, idx in enumerate(stream):
+        if len(seen) > n // 2:
+            break
+        if int(idx) not in seen:
+            seen.add(int(idx))
+            steps.append(t)
+    return steps
+
+
 def fresh_stream(seed, trial):
     """Trial's generator, built from scratch as simulate_tau defines it."""
     return np.random.default_rng(np.random.SeedSequence(entropy=[seed, trial]))
@@ -183,7 +196,7 @@ class TestSimulateTau:
             assert hashlib.sha256(tau.astype("<i8").tobytes()).hexdigest() == digest
 
     def test_golden_streams_past_first_block(self, monkeypatch):
-        # A first block of one draw sends every trial down the replay path.
+        # A first block of one draw reads every trial again in later rounds.
         monkeypatch.setattr(sampler, "first_block", lambda n: 1)
         self.test_golden_streams()
 
@@ -196,12 +209,13 @@ class TestSimulateTau:
                 assert np.array_equal(simulate_tau(n, 300, seed=11).tau_samples, whole)
             monkeypatch.undo()
 
-    def test_short_first_block_continues_its_stream(self, monkeypatch):
-        # Trials 1 and 3 get stub streams whose first blocks hold too few
-        # distinct values. Trial 1 stops inside its first 4n replay block,
-        # trial 3 only in the third; both must be walked along their own
-        # stream, and the other trials must not notice.
-        n, trials, seed = 16, 5, 4
+    @staticmethod
+    def stub_streams():
+        """(stubs, StubStreams) at n = 16: StubStreams is TrialStreams with
+        trials 1 and 3 served from stubs[trial], whose first blocks hold too
+        few distinct values. Read from its start, trial 1 stops inside a
+        block of 4n draws, trial 3 only inside one of 3 * 4n."""
+        n = 16
         block = first_block(n)
         filler = np.random.default_rng(99).integers(0, n, size=4 * n)
         stubs = {
@@ -210,27 +224,20 @@ class TestSimulateTau:
         }
 
         class StubStream:
-            """Serves values from its start, as integers(0, n) or as raw words."""
+            """Serves values from its start as raw words."""
 
             def __init__(self, values):
                 self.values, self.pos = values, 0
                 self.bit_generator = self
 
-            def take(self, size):
-                out = self.values[self.pos:self.pos + size]
-                assert out.size == size, "stub stream ran dry"
-                self.pos += size
-                return out
-
-            def integers(self, low, high, size):
-                assert (low, high) == (0, n)
-                return self.take(size)
-
             def random_raw(self, size):
                 # n = 16 divides 2**32, so Lemire's method maps a 32-bit
                 # output x to x >> 28 and rejects none: value v is output
                 # v << 28, two outputs to a word, low half first.
-                halves = self.take(2 * size).astype(np.uint64) << np.uint64(28)
+                out = self.values[self.pos:self.pos + 2 * size]
+                assert out.size == 2 * size, "stub stream ran dry"
+                self.pos += 2 * size
+                halves = out.astype(np.uint64) << np.uint64(28)
                 return halves[0::2] | halves[1::2] << np.uint64(32)
 
         class StubStreams(TrialStreams):
@@ -239,16 +246,45 @@ class TestSimulateTau:
                     return StubStream(stubs[trial])
                 return super().stream(trial)
 
-        plain = simulate_tau(n, trials, seed).tau_samples
-        monkeypatch.setattr(sampler, "TrialStreams", StubStreams)
-        stats = simulate_tau(n, trials, seed)
         taus = {trial: set_walk_tau(values, n) for trial, values in stubs.items()}
         assert block < taus[1] <= 4 * n
-        assert taus[3] > 2 * 4 * n
-        for trial, tau in taus.items():
-            assert stats.tau_samples[trial] == tau
+        assert 2 * 4 * n < taus[3] <= 3 * 4 * n
+        return stubs, StubStreams
+
+    def test_short_first_block_continues_its_stream(self, monkeypatch):
+        # Trial 1 stops in the second round, trial 3 only in the fourth;
+        # both must be walked along their own stream, and the other trials
+        # must not notice.
+        n, trials, seed = 16, 5, 4
+        stubs, stub_streams = self.stub_streams()
+        plain = simulate_tau(n, trials, seed).tau_samples
+        monkeypatch.setattr(sampler, "TrialStreams", stub_streams)
+        stats = simulate_tau(n, trials, seed)
+        for trial, values in stubs.items():
+            assert stats.tau_samples[trial] == set_walk_tau(values, n)
         keep = [t for t in range(trials) if t not in stubs]
         assert np.array_equal(stats.tau_samples[keep], plain[keep])
+
+    def test_late_rows_keep_their_fresh_steps_bytewise(self, monkeypatch):
+        # The engine's read of the same stub rows: the arrivals and indices
+        # of a row read again in a later round are the set walk's
+        # first-arrival steps and values, and every other row is as without
+        # stubs, byte for byte.
+        n, trials, seed = 16, 5, 4
+        stubs, stub_streams = self.stub_streams()
+        rows = np.arange(trials, dtype=np.uint32)
+        plain = sampler.draw_stopping_times(n, sampler.seeded_streams(seed, rows), fresh=True)
+        monkeypatch.setattr(sampler, "TrialStreams", stub_streams)
+        got = sampler.draw_stopping_times(n, sampler.seeded_streams(seed, rows), fresh=True)
+        for trial, values in stubs.items():
+            steps = set_walk_arrivals(values, n)
+            assert got[0][trial] == set_walk_tau(values, n) == steps[-1] + 1
+            assert got[1][trial].tolist() == steps
+            assert got[2][trial].tolist() == values[steps].tolist()
+        keep = [t for t in range(trials) if t not in stubs]
+        for want, have in zip(plain, got):
+            assert have.dtype == want.dtype == np.int64
+            assert have[keep].tobytes() == want[keep].tobytes()
 
     def test_matches_fresh_stream_walk(self):
         # Every n in mixed order, and n = 1024 twice: each trial's tau must
@@ -267,7 +303,7 @@ class TestTrialBlocks:
 
     @staticmethod
     def trial_block(n):
-        per_chunk = sampler.rows_per_chunk(n)[0]
+        per_chunk = sampler.rows_per_chunk(first_block(n))
         return per_chunk * max(1, sampler.TAU_BLOCK_TRIALS // per_chunk)
 
     @pytest.mark.parametrize("n", [2, 16, 1024])
@@ -276,7 +312,7 @@ class TestTrialBlocks:
         # stream of entropy [seed, t], read as one block of every trial reads it.
         seed = 31
         block = self.trial_block(n)
-        assert block % sampler.rows_per_chunk(n)[0] == 0
+        assert block % sampler.rows_per_chunk(first_block(n)) == 0
         trials = 2 * block + 123
         one_block = sampler.draw_stopping_times(
             n, sampler.seeded_streams(seed, np.arange(trials, dtype=np.uint32)))
@@ -349,7 +385,7 @@ class TestValidation:
 
 
 class TestRawWordDraws:
-    """fill_first_blocks against numpy's own integers on the same stream."""
+    """fill_blocks against numpy's own integers on the same stream."""
 
     N_VALUES = [1, 2, 3, 16, 1000, 1024, 2 ** 31 + 1, 3 * 2 ** 30 + 7, 2 ** 32 - 5, 2 ** 32]
 
@@ -368,7 +404,7 @@ class TestRawWordDraws:
                 return self.rng.integers(*args, **kwargs)
 
         draws = np.full((rows, k), -1, dtype=np.int64)
-        sampler.fill_first_blocks(n, Watched, draws)
+        sampler.fill_blocks(n, Watched, draws)
         return draws, fallback
 
     @pytest.mark.parametrize("n", N_VALUES)
