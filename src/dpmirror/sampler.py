@@ -286,18 +286,18 @@ def draw_stopping_times(n, streams, fresh=False):
 
     Each round reads rows from their stream start, rows_per_chunk(block)
     at a time, into one reused buffer of blocks (fill_blocks) for one
-    stopping_times call: round 1 every row with first_block(n) draws, round
-    k + 1 again each row whose tau fell past its block, with k * max(4n, 8)
-    (first_block and CHUNK_DRAWS are read at call time). Only fresh keeps
-    arrivals, the (rows, n//2+1) steps of each row's first draws of a
-    value, and indices, the values drawn there.
+    stopping_times call: round 1 every row with first_block(n) draws, each
+    later round again each row whose tau fell past its block, with twice
+    that block (first_block and CHUNK_DRAWS are read at call time). Only
+    fresh keeps arrivals, the (rows, n//2+1) steps of each row's first
+    draws of a value, and indices, the values drawn there.
     """
     rows, target = len(streams), fresh_target(n)
     tau = np.empty(rows, dtype=np.int64)
     if fresh:
         # Two arrays, so that the engine can free arrivals and keep indices.
         arrivals, indices = (np.empty((rows, target), dtype=np.int64) for _ in range(2))
-    pending, block, k = np.arange(rows), first_block(n), 1
+    pending, block = np.arange(rows), first_block(n)
     while pending.size:
         per_chunk = rows_per_chunk(block)
         draws = np.empty((min(per_chunk, pending.size), block), dtype=np.int64)
@@ -312,7 +312,7 @@ def draw_stopping_times(n, streams, fresh=False):
                 indices[chunk_rows] = np.take_along_axis(
                     chunk, np.minimum(chunk_arrivals, block - 1), 1)
         pending = pending[tau[pending] > block]
-        block, k = k * max(4 * n, 8), k + 1
+        block *= 2
     return (tau, arrivals, indices) if fresh else tau
 
 

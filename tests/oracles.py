@@ -156,6 +156,34 @@ def partial_coupon_sum(n):
     return total
 
 
+def stopping_tail(n, steps):
+    """P(tau > t) for t = 0..steps, tau the step of the (n//2+1)-th distinct
+    index among uniform draws from n values.
+
+    tau is a sum of independent geometric waits: the first draw is fresh,
+    and with k values seen the next fresh one takes G >= 1 draws, P(G > g) =
+    (k/n)^g, for k = 1..n//2. Each wait is convolved into the pmf f of the
+    sum so far, S, on 0..steps: with r = k/n and a[t] = sum over s <= t of
+    f[s] r^(t-s), a first-order recurrence (scipy's lfilter),
+        P(S + G > t) = P(S > t) + a[t],   P(S + G = t) = (1 - r) a[t-1].
+    Every term is non-negative, so a tail far below 1 keeps its relative
+    precision: no 1 - cdf is formed.
+    """
+    from scipy.signal import lfilter
+
+    pmf = np.zeros(steps + 1)
+    pmf[1] = 1.0
+    tail = np.ones(steps + 1)
+    tail[1:] = 0.0
+    for k in range(1, n // 2 + 1):
+        r = k / n
+        acc = lfilter([1.0], [1.0, -r], pmf)
+        tail += acc
+        pmf[0] = 0.0
+        pmf[1:] = (1.0 - r) * acc[:-1]
+    return tail
+
+
 def row_losses(oracle, w, features, labels):
     """The oracle's loss for each stacked (w, x, y) row."""
     return oracle.loss_at(np.einsum("...i,...i->...", w, features), labels)

