@@ -13,6 +13,27 @@ from dpmirror.sampler import (TrialStreams, expected_tau, first_block, fresh_tar
 
 # 99.9% quantile of chi-square with 9 degrees of freedom (standard tables).
 CHI2_9DOF_999 = 27.877
+# No test here reads a block of more than 1024 draws a row. A sampler that
+# never draws some value leaves rows that never stop, and
+# draw_stopping_times doubles their block without end.
+MAX_BLOCK = 2 ** 16
+
+
+@pytest.fixture(autouse=True)
+def bounded_blocks():
+    """Fail a test whose fill_blocks call asks for more than MAX_BLOCK
+    draws a row, instead of letting it run out of time or memory. It does
+    not use the monkeypatch fixture, which a test may undo."""
+    fill = sampler.fill_blocks
+
+    def bounded(n, stream, draws):
+        if draws.shape[1] > MAX_BLOCK:
+            pytest.fail(f"a block of {draws.shape[1]} draws a row at n = {n}")
+        fill(n, stream, draws)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sampler, "fill_blocks", bounded)
+        yield
 
 
 class TestSampleIndex:

@@ -1,7 +1,8 @@
 """The traced benchmark wraps dpmirror names; they must all still exist, and
 a traced pass must count the work it ran. The seeded modules call no numpy
 ufunc whose bits depend on numpy's CPU dispatch. Every pytest run, CI's
-included, has the one warnings policy pyproject.toml sets."""
+included, has the one warnings policy pyproject.toml sets, and every CI
+pytest step runs the whole suite."""
 
 import ast
 import json
@@ -163,8 +164,6 @@ DISPATCHED = re.compile(r"power|exp|exp2|expm1|log\w*|arc\w+|cbrt|tanh")
 # Exponents numpy takes by a fast path instead of power: 2 is square, 0.5
 # sqrt, -1 a division, 0 and 1 exact.
 FAST_EXPONENTS = (-1, 0, 0.5, 1, 2)
-# (module, source text) -> why that use stays. Empty: nothing is exempt.
-EXEMPT = {}
 
 
 def dispatched_uses(source):
@@ -186,12 +185,10 @@ def dispatched_uses(source):
 @pytest.mark.parametrize("module", SEEDED_MODULES)
 def test_seeded_modules_use_no_dispatched_ufunc(module):
     # Seeded bytes must be the same on every CPU numpy dispatches to (see
-    # losses' module docstring); CI reruns the byte tests with numpy's
+    # losses' module docstring); CI runs the whole suite again with numpy's
     # AVX-512 loops off.
     with open(os.path.join(ROOT, "src", "dpmirror", f"{module}.py")) as fh:
-        uses = dispatched_uses(fh.read())
-    assert [use for use in uses if (module, use) not in EXEMPT] == []
-    assert [use for mod, use in EXEMPT if mod == module and use not in uses] == []
+        assert dispatched_uses(fh.read()) == []
 
 
 def test_dispatched_uses_are_found():
@@ -202,75 +199,36 @@ def test_dispatched_uses_are_found():
         ["np.exp", "np.arcsin", "np.log1p", "y ** d", "y ** 3", "y ** -2"])
 
 
-# Classes and tests whose bytes are pinned; a rename that drops one of these
-# from the -k expression below fails test_dispatch_reruns_select_every_byte_test.
-BYTE_CLASSES = {"TestBatchGolden", "TestNoisyBytes", "TestCornerBytes", "TestFixedSlopeBytes",
-                "TestCertificateBytes", "TestRiskRowsBytes", "TestGoldenOutputs"}
-
-
-def byte_tests():
-    """(file, class, test) of every test method of a *Bytes or *Golden class
-    and every test named *digest* or *golden* in tests/, by reading the
-    source."""
-    found = set()
-    tests_dir = os.path.join(ROOT, "tests")
-    for name in sorted(os.listdir(tests_dir)):
-        if not (name.startswith("test_") and name.endswith(".py")):
-            continue
-        with open(os.path.join(tests_dir, name)) as fh:
-            tree = ast.parse(fh.read())
-        for node in tree.body:
-            owner = node.name if isinstance(node, ast.ClassDef) else None
-            members = node.body if owner else [node]
-            pinned = owner is not None and ("Bytes" in owner or "Golden" in owner)
-            for member in members:
-                if isinstance(member, ast.FunctionDef) and member.name.startswith("test") and (
-                        pinned or "digest" in member.name or "golden" in member.name):
-                    found.add((f"tests/{name}", owner, member.name))
-    return found
-
-
-def test_dispatch_reruns_select_every_byte_test():
-    # CI reruns the byte tests under other OpenBLAS kernels and with numpy's
-    # AVX-512 loops off, selected by one -k expression; every pinned test
-    # must be among them.
-    with open(os.path.join(ROOT, ".github", "workflows", "tier1.yml")) as fh:
-        workflow = fh.read()
-    step = workflow.split("- name: Byte-identity tests", 1)[1].split("- name:", 1)[0]
-    (expression,) = set(re.findall(r'-k "([^"]+)"', step))
-    proc = subprocess.run(
-        [sys.executable, "-m", "pytest", "--collect-only", "-q", "-p", "no:cacheprovider",
-         "-k", expression, "tests"],
-        cwd=ROOT, env=benchmark_env(), capture_output=True, text=True, timeout=300)
-    assert proc.returncode == 0, proc.stdout + proc.stderr
-    selected = set()
-    for line in proc.stdout.splitlines():
-        parts = line.split("[", 1)[0].split("::")
-        if len(parts) >= 2:
-            selected.add((parts[0], parts[1] if len(parts) == 3 else None, parts[-1]))
-    wanted = byte_tests()
-    assert BYTE_CLASSES <= {owner for _, owner, _ in wanted}
-    assert sorted(wanted - selected) == []
-
-
 # The warnings policy of every pytest run, written once in pyproject.toml.
 WARNINGS_POLICY = ["error::RuntimeWarning", "error::ResourceWarning",
-                   "error::pytest.PytestUnraisableExceptionWarning", "error::DeprecationWarning"]
+                   "error::pytest.PytestUnraisableExceptionWarning", "error::DeprecationWarning",
+                   "ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning"]
 # What would give a pytest step a configuration of its own: a warning filter,
 # an ini override, an import path or a warnings environment.
 STEP_OVERRIDE = re.compile(
     r"(?<!\S)(-W|--pythonwarnings|-o|--override-ini)(?!\S)|PYTHONPATH|PYTHONWARNINGS")
+# A pytest command in a shell line, and the arguments it passes.
+PYTEST_RUN = re.compile(r"(?<![\w.=-])pytest(?![\w.=-])(.*)")
+# What would make a pytest command run less than the whole suite: a keyword
+# or marker selection, a deselection, or a test path (tests/ or under it, or
+# a .py file, with or without a ::node).
+SUBSET = re.compile(
+    r"(?<!\S)(-k|-m|--deselect)|(?<!\S)((\./)?tests(/\S*)?|[^-\s]\S*\.py(::\S*)?)(?!\S)")
 
 
 def pytest_step_overrides(workflow):
     """(step name, override) of each STEP_OVERRIDE match in a workflow step
-    whose commands run pytest; comment lines are not read."""
+    that runs pytest, and of each SUBSET match among its pytest commands'
+    arguments; comment lines are not read."""
     found = []
     for step in workflow.split("- name:")[1:]:
         name, *lines = step.splitlines()
         commands = "\n".join(line for line in lines if not line.lstrip().startswith("#"))
-        if "pytest" in commands:
+        runs = PYTEST_RUN.findall(commands)
+        if runs:
             found += [(name.strip(), match.group()) for match in STEP_OVERRIDE.finditer(commands)]
+            found += [(name.strip(), match.group())
+                      for args in runs for match in SUBSET.finditer(args)]
     return found
 
 
@@ -280,22 +238,49 @@ def test_pytest_steps_find_overrides():
                 "      - name: B\n        env:\n          PYTHONWARNINGS: error\n"
                 "        run: python -m pytest -o filterwarnings= -k Warning-Wise\n"
                 "      - name: C\n        env:\n          PYTHONWARNINGS: error\n"
-                "        run: python3 perfbench/run.py\n")
+                "        run: |\n          python -m pip install pytest==9.0.3\n"
+                "          python3 perfbench/run.py\n"
+                "      - name: D\n        run: |\n"
+                "          python -m pytest -q -m \"not slow\" --deselect tests/test_a.py::test_b\n"
+                "          OPENBLAS_CORETYPE=Nehalem python -m pytest -kGolden tests/test_b.py\n"
+                "          python -m pytest -rP --durations=15 tests || exit 1\n")
     assert pytest_step_overrides(workflow) == [
-        ("A", "PYTHONPATH"), ("A", "-W"), ("B", "PYTHONWARNINGS"), ("B", "-o")]
+        ("A", "PYTHONPATH"), ("A", "-W"), ("B", "PYTHONWARNINGS"), ("B", "-o"), ("B", "-k"),
+        ("D", "-m"), ("D", "--deselect"), ("D", "tests/test_a.py::test_b"),
+        ("D", "-k"), ("D", "tests/test_b.py"), ("D", "tests")]
 
 
 def test_one_warnings_policy_for_every_pytest_run(pytestconfig):
     # Plain `pytest`, the tier-1 command and every CI step run one
     # configuration: pyproject.toml's warnings policy, and `src` on the
     # import path from its pythonpath. A CI step that set its own would run
-    # a configuration no local run reproduces.
+    # a configuration no local run reproduces, and one that ran a subset of
+    # the suite would leave the other tests unchecked in its environment.
     assert str(pytestconfig.inipath) == os.path.join(ROOT, "pyproject.toml")
     assert pytestconfig.getini("filterwarnings") == WARNINGS_POLICY
     assert pytestconfig.getini("pythonpath") == [pytestconfig.rootpath / "src"]
     with open(os.path.join(ROOT, ".github", "workflows", "tier1.yml")) as fh:
         workflow = fh.read()
     assert "pytest" in workflow and pytest_step_overrides(workflow) == []
+
+
+def test_failing_property_test_ends_only_itself(tmp_path):
+    # A failing @given test makes hypothesis import its patch writer, which
+    # imports libcst where it is installed, and libcst 1.0 builds a
+    # mypy_extensions.TypedDict, which warns DeprecationWarning. Under the
+    # policy's error::DeprecationWarning that warning was an INTERNALERROR
+    # that ended the pytest run: the failure must count once and the run go on.
+    (tmp_path / "test_two.py").write_text(
+        "from hypothesis import given, settings, strategies as st\n\n\n"
+        "@settings(database=None, derandomize=True)\n@given(st.integers())\n"
+        "def test_fails(x):\n    assert x < 0\n\n\n"
+        "def test_passes():\n    pass\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "-c", os.path.join(ROOT, "pyproject.toml"), "--rootdir", str(tmp_path), "test_two.py"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert "1 failed, 1 passed" in proc.stdout.splitlines()[-1], proc.stdout
 
 
 def unused_imports(source):
