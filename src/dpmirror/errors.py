@@ -134,12 +134,13 @@ def check_probability(value, name):
     return check_real(real, name)
 
 
-def check_reals(value, name):
+def check_reals(value, name, finite=True):
     """value as a float64 array: an array or rectangular nesting of finite
     reals, of numpy's int, uint or float dtypes or with every entry passing
     as_real. A bool or text array is refused, and so is a nesting with a
     bool entry, which numpy would read as 0 or 1 among numbers. The shape
-    is the caller's to check."""
+    is the caller's to check, and with finite=False so is finiteness (a
+    caller that checks a large array a block at a time)."""
     try:
         array = np.asarray(value)
     except ValueError:   # a ragged nesting
@@ -154,7 +155,7 @@ def check_reals(value, name):
     elif array.dtype.kind not in "iuf":
         raise ConfigurationError(f"{name} must hold real numbers, got dtype {array.dtype}")
     array = array.astype(float, copy=False)
-    if not np.isfinite(array).all():
+    if finite and not np.isfinite(array).all():
         raise ConfigurationError(f"{name} must be finite")
     return array
 

@@ -315,10 +315,11 @@ def run_cell(spec, key, plan, baseline, base_risk):
     first (draw_fresh_steps); then each repeat's dataset is drawn, checked
     whole as private_sgd_batch checks it (check_rows), and only the m =
     n//2 + 1 rows its fresh steps read are kept, in step order. run_steps
-    runs the repeats on those rows, on the plan's RunConfig, whose sigma
-    and eta cells.csv prints, and estimate_regret scores the same rows
-    against the reference minimizer. A run's excess risk is its output's
-    exact population risk minus base_risk; no evaluation data are drawn.
+    reads those rows with no row map and runs the repeats on the plan's
+    RunConfig, whose sigma and eta cells.csv prints, and estimate_regret
+    scores the same rows against the reference minimizer, a block of rows
+    at a time. A run's excess risk is its output's exact population risk
+    minus base_risk; no evaluation data are drawn.
     stderr adds to the runs' standard error the reference minimizer's error
     bound and the largest quadrature bound of the runs' risks,
     RISK_QUADRATURE_BOUND * (1 + B*||w||)^2, so bound checks stay honest.
@@ -334,12 +335,12 @@ def run_cell(spec, key, plan, baseline, base_risk):
         drawn_features.take(steps.fresh_indices[r], axis=0, out=features[r])
         drawn_labels.take(steps.fresh_indices[r], out=labels[r])
         del drawn_features, drawn_labels   # before the next repeat draws
-    batch = run_steps(config, steps, features.reshape(-1, d), labels.reshape(-1),
-                      np.arange(rows * target).reshape(rows, target))
+    batch = run_steps(config, steps, features.reshape(-1, d), labels.reshape(-1))
     regrets = estimate_regret(batch, (features, labels), baseline.w, config)
     excesses = population_risk(spec.population, spec.oracle, batch.output)[0] - base_risk
     # population_risk's stated error bound at the output farthest from 0
-    scale = 1.0 + spec.population.feature_bound * np.linalg.norm(batch.output, axis=1)
+    scale = 1.0 + spec.population.feature_bound * np.sqrt(
+        np.add.reduce(batch.output * batch.output, axis=1))
     quadrature = RISK_QUADRATURE_BOUND * float(scale.max()) ** 2
     mean_excess = float(np.mean(excesses))
     run_stderr = np.std(excesses, ddof=1) / math.sqrt(rows) if rows > 1 else 0.0

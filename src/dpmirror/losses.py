@@ -238,7 +238,8 @@ def draw_arrays(spec, n, rng):
     """
     check_count(n, "draw_arrays: n")
     features = rng.standard_normal((n, spec.dimension))
-    norms = np.linalg.norm(features, axis=1, keepdims=True)
+    # linalg.norm's sum of squares, without its conj() copy of the features.
+    norms = np.sqrt(np.add.reduce(features * features, axis=1, keepdims=True))
     norms[norms == 0.0] = 1.0
     radii = spec.feature_bound * np.float_power(rng.random(n), 1.0 / spec.dimension)
     # Scaled in place: the same products, without a second (n, d) array.

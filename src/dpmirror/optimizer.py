@@ -17,9 +17,9 @@ and noise streams are the two children SeedSequence spawns from its seed
 the iterates, nor on the data: draw_fresh_steps reads R runs' stopping
 times and fresh steps before any data, and run_steps runs the
 projected-step recursion for the R runs at once, reading each fresh
-step's data row through a row map. private_sgd_batch maps the steps into
-R full datasets; the harness maps them into the fresh rows it keeps. A
-run's result is the RunBatch arrays.
+step's data row. private_sgd_batch maps the steps into R full datasets
+through a row map; the harness passes the fresh rows it keeps, in step
+order, and no map. A run's result is the RunBatch arrays.
 
 baseline_minimizer, the non-private reference point, minimizes the exact
 population risk (losses.population_risk, a quadrature with a stated error
@@ -43,6 +43,8 @@ from .losses import (RISK_QUADRATURE_BOUND, draw_arrays, draw_dataset,  # noqa: 
 from .sampler import draw_stopping_times, sample_index, spawned_streams  # noqa: F401
 
 NOISE_CHUNK_STEPS = 128
+# About the values estimate_regret checks and scores at a time, as whole rows.
+REGRET_BLOCK = 1 << 16
 CERTIFICATE_EVERY = 5
 BASELINE_TOLERANCE = 1e-6
 # The fewest steps baseline_minimizer is given, and so `run`'s baseline_steps.
@@ -172,14 +174,16 @@ def private_sgd_batch(config, seeds, features, labels):
     return run_steps(config, steps, features.reshape(-1, d), labels.reshape(-1), data_rows)
 
 
-def run_steps(config, steps, features, labels, data_rows):
+def run_steps(config, steps, features, labels, data_rows=None):
     """The projected-step recursion of the runs steps fixes, as a RunBatch.
 
-    features (N, d) and labels (N,) are flat data rows; data_rows (R, m)
-    holds the one read at each row's fresh step j. Rows step in lockstep up
-    to max(tau); a row past its own tau takes noise-only steps that nothing
-    reads, drawn after every value it uses, so each row equals the run made
-    alone. The data are not checked here (check_rows).
+    features (N, d) and labels (N,) are flat data rows. data_rows (R, m)
+    holds the one read at each row's fresh step j; without it, that is flat
+    row r*m + j, as in the (R, m, d) rows the harness gathers, flattened.
+    Rows step in lockstep up to max(tau); a row past its own tau takes
+    noise-only steps that nothing reads, drawn after every value it uses,
+    so each row equals the run made alone. The data are not checked here
+    (check_rows).
 
     Each run's noise Generator is built once and kept live, about 0.75 KB
     (less than its (k, d) chunk of normals) until run_steps returns: per
@@ -193,23 +197,25 @@ def run_steps(config, steps, features, labels, data_rows):
     that no iterate the set holds can change a chunk's slopes
     (LossOracle.fixed_slopes), the chunk's eta * g is formed at once in the
     gathered features, and each step is one projection; the bits are those
-    of the step by step path. The iterates held at fresh steps go to
-    fresh_iterates in one scatter per chunk, so memory stays O(R * chunk * d)
-    beside the output. Then add.accumulate sums them in step order from +0.0,
-    NOISE_CHUNK_STEPS at a time in the noise buffer: the step by step running
-    add, to the bit (add.reduce would sum pairwise when rows * d = 1).
+    of the step by step path. Once step t has read x[t], x[t] holds the
+    iterate of step t, so the iterates held at fresh steps go to
+    fresh_iterates in one scatter per chunk, and memory stays
+    O(R * chunk * d) beside the output. Then add.accumulate sums them in
+    step order from +0.0, NOISE_CHUNK_STEPS at a time in the noise buffer:
+    the step by step running add, to the bit (add.reduce would sum pairwise
+    when rows * d = 1).
     """
     rows, target = steps.fresh_indices.shape
     d = config.feasible_set.dimension
     eta, oracle, feasible_set = config.eta, config.oracle, config.feasible_set
     fresh_iterates = np.empty((rows, target, d))
-    flat_iterates, flat_rows = fresh_iterates.reshape(-1, d), data_rows.reshape(-1)
+    flat_iterates = fresh_iterates.reshape(-1, d)
     slot_base = np.arange(rows) * target - 1
     w = np.tile(config.w1, (rows, 1))
     steps_taken = len(steps.fresh)
-    held = np.empty((min(NOISE_CHUNK_STEPS, steps_taken), rows, d))
     noise_rngs = [steps.noise_streams.stream(r) for r in range(rows)]
-    noise_buffer, x_buffer = (np.empty(rows * len(held) * d) for _ in range(2))
+    noise_buffer, x_buffer = (np.empty(rows * min(NOISE_CHUNK_STEPS, steps_taken) * d)
+                              for _ in range(2))
     seen = 0
     for chunk_start in range(0, steps_taken, NOISE_CHUNK_STEPS):
         k = min(NOISE_CHUNK_STEPS, steps_taken - chunk_start)
@@ -221,7 +227,7 @@ def run_steps(config, steps, features, labels, data_rows):
         counts = mask.cumsum(axis=0) + seen
         seen = counts[-1]
         slots = counts + slot_base
-        data = flat_rows.take(slots)
+        data = slots if data_rows is None else data_rows.reshape(-1).take(slots)
         # A noise-only step reads a zero row with label 1: slope -1 under
         # each loss, so a -0.0 subgradient, which keeps every bit of the noise.
         # Every index is a data row, so mode="clip" changes nothing but lets
@@ -239,12 +245,11 @@ def run_steps(config, steps, features, labels, data_rows):
             x += noise
             x *= eta
         for t in range(k):
-            held[t] = w
             step = x[t] if slopes is not None else eta * (
                 oracle.subgradient(w, x[t], y[t]) + noise[t])
-            w = feasible_set.project_rows(w - step)
+            w, x[t] = feasible_set.project_rows(w - step), w
         at = np.flatnonzero(mask)
-        flat_iterates[slots.ravel()[at]] = held[:k].reshape(-1, d)[at]
+        flat_iterates[slots.ravel()[at]] = x.reshape(-1, d)[at]
     total = np.zeros((rows, d))
     for block_start in range(0, target, NOISE_CHUNK_STEPS):
         k = min(NOISE_CHUNK_STEPS, target - block_start)
@@ -266,24 +271,32 @@ def estimate_regret(batch, rows, comparator, config):
 
     batch is a RunBatch and rows the (R, m, d) features and (R, m) labels
     its fresh steps read, in step order (m = n//2+1); the result is an (R,)
-    array.
+    array. Rows are checked and scored REGRET_BLOCK // m at a time (one at
+    least), so no temporary holds all R rows; each row's sum is one
+    add.reduce over its m steps, as for the whole array at once.
     """
     u = check_vector(comparator, config.feasible_set.dimension, "estimate_regret: comparator")
     if not config.feasible_set.contains(u):
         raise ConfigurationError("estimate_regret: comparator lies outside the set")
-    x, y = (check_reals(a, "estimate_regret: rows") for a in rows)
+    x, y = (check_reals(a, "estimate_regret: rows", finite=False) for a in rows)
     shape = batch.fresh_iterates.shape
     if x.shape != shape or y.shape != shape[:2]:
         raise ConfigurationError(
             f"estimate_regret: need the (R, m, d) = {shape} features and (R, m) = "
             f"{shape[:2]} labels the batch's fresh steps read; got {x.shape} and {y.shape}")
-    oracle = config.oracle
-    # Two (R, m) arrays at most: the margins, scored in place, and u's losses.
-    with np.errstate(over="ignore", invalid="ignore"):
-        margins = np.einsum("...i,...i->...", batch.fresh_iterates, x)
-        regret = oracle.loss_at(margins, y, out=margins)
-        regret -= oracle.batch_values(u, x, y)
-        regret = regret.sum(axis=-1)
+    oracle, regret = config.oracle, np.empty(shape[0])
+    block = max(1, REGRET_BLOCK // shape[1])
+    for start in range(0, shape[0], block):
+        part = slice(start, start + block)
+        x_part, y_part = x[part], y[part]
+        if not (np.isfinite(x_part).all() and np.isfinite(y_part).all()):
+            raise ConfigurationError("estimate_regret: rows must be finite")
+        # Two (block, m) arrays at most: the margins, scored in place, and u's losses.
+        with np.errstate(over="ignore", invalid="ignore"):
+            margins = np.einsum("...i,...i->...", batch.fresh_iterates[part], x_part)
+            scores = oracle.loss_at(margins, y_part, out=margins)
+            scores -= oracle.batch_values(u, x_part, y_part)
+            regret[part] = scores.sum(axis=-1)
     if not np.isfinite(regret).all():
         raise ConfigurationError("estimate_regret: a loss on these rows overflows")
     return regret

@@ -421,13 +421,14 @@ class TestFreshRows:
         assert not (tmp_path / "experiment").exists()
 
     def test_cell_peak_holds_no_full_dataset(self, tmp_path):
-        # Per R*n at d = 2, a cell holds its fresh rows (12 B), the fresh
-        # iterates (8 B), the fresh indices (4 B) and the fresh mask (about
-        # 0.7 B), and scoring the regrets adds four (R, m) arrays (16 B): a
-        # traced peak of 40.9 B. Holding the full datasets took it to 72.2 B
-        # (24 B for the datasets, 12 B for the gathered copy that scored
-        # the regrets). A small run first loads what a first run caches.
-        n, rows = 20_000, 4
+        # One `run` cell: hinge, d = 2, the 0.5-ball, R = 20. Per R*n it holds
+        # its fresh rows (12 B), the fresh iterates (8 B), the fresh indices
+        # (4 B) and the fresh mask (about 0.7 B), and estimate_regret adds one
+        # block of rows' two score arrays (2.4 B here): a traced peak of
+        # 27.2 B. Scoring all rows at once added two (R, m) arrays (8 B), a
+        # peak of 32.8 B; holding the full datasets adds 24 B. A small run
+        # first loads what a first run caches.
+        n, rows = 20_000, 20
 
         def cell(size):
             return build_spec(base_overrides(tmp_path, n_values=str(size),
@@ -440,7 +441,7 @@ class TestFreshRows:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 48 * rows * n
+        assert peak < 30 * rows * n
 
 
 class TestSeedingPerCall:

@@ -14,9 +14,9 @@ from dpmirror.errors import ConfigurationError
 from dpmirror.geometry import FeasibleSet
 from dpmirror.losses import (RISK_QUADRATURE_BOUND, LossOracle, PopulationSpec, draw_dataset,
                              population_risk)
-from dpmirror.optimizer import (NOISE_CHUNK_STEPS, RunConfig, baseline_minimizer,
-                                estimate_regret, estimate_risk, private_sgd,
-                                private_sgd_batch)
+from dpmirror.optimizer import (NOISE_CHUNK_STEPS, REGRET_BLOCK, RunBatch, RunConfig,
+                                baseline_minimizer, estimate_regret, estimate_risk,
+                                private_sgd, private_sgd_batch)
 
 from oracles import (engine_matches_stepwise, fresh_rows, grid_minimum, plain_subgradient,
                      project_ball, stepwise_run)
@@ -827,12 +827,12 @@ class TestSingleUse:
 
 class TestBatchMemory:
     def test_peak_stays_linear_in_what_tau_reaches(self):
-        # Per R*n, the run's own arrays peak at about 17.7 bytes with the
-        # stopping-time kernel read in row chunks, the data gathered per
-        # noise chunk and run_steps' (R, m) row map into the full datasets
-        # (16.3 without it); a flat per-row data index took it to 18.5,
-        # reading all first blocks at once to 28, drawing a 4n block per row
-        # to 112.
+        # Per R*n, the run's own arrays peak at about 18.3 bytes, in
+        # draw_fresh_steps' read of the stopping times in row chunks; with
+        # the data gathered per noise chunk, run_steps and its (R, m) row
+        # map into the full datasets stay below that. A flat per-row data
+        # index took it to 18.5, reading all first blocks at once to 28,
+        # drawing a 4n block per row to 112.
         n, rows, d = 20_000, 4, 2
         population = PopulationSpec("linear_margin", d, 1.0, w_true=np.eye(d)[0],
                                     noise_rate=0.1)
@@ -850,27 +850,90 @@ class TestBatchMemory:
 
     @pytest.mark.parametrize("kind", ["hinge", "absolute", "squared"])
     def test_regret_holds_two_score_arrays(self, kind):
-        # loss_at scores the margins in place, so estimate_regret holds at
-        # most two (R, m) float64 arrays, 16 bytes per R*m; one array per
-        # ufunc held four (32 bytes).
-        n, rows, d = 8000, 4, 2
-        population = PopulationSpec("linear_margin", d, 1.0, w_true=np.eye(d)[0],
-                                    noise_rate=0.1)
-        features, labels = stacked_datasets(population, n, rows, first_seed=85)
+        # estimate_regret checks and scores a block of REGRET_BLOCK // m rows
+        # at a time: its peak is two (block, m) float64 arrays, the margins
+        # scored in place and u's losses, 16 bytes a value. Checking and
+        # scoring all R rows at once held two (R, m) arrays and an (R, m, d)
+        # check, here 4.7 times the bound; one array per ufunc held four.
+        rows, target, d = 32, 10_001, 2
+        block = REGRET_BLOCK // target
+        assert 1 < block < rows
+        rng = np.random.default_rng(85)
         fs = FeasibleSet.l2_ball(0.5, dimension=d)
         oracle = (LossOracle.squared(1.0, fs) if kind == "squared"
                   else getattr(LossOracle, kind)(1.0))
-        config = RunConfig(n=n, eta=0.01, sigma=1.0, feasible_set=fs, oracle=oracle,
-                           w1=np.zeros(d))
-        batch = private_sgd_batch(config, [86, 87, 88, 89], features, labels)
-        read = fresh_rows(batch, features, labels)
+        config = RunConfig(n=2 * (target - 1), eta=0.01, sigma=1.0, feasible_set=fs,
+                           oracle=oracle, w1=np.zeros(d))
+        batch = RunBatch(tau=np.full(rows, 2 * target), output=np.zeros((rows, d)),
+                         fresh_indices=np.zeros((rows, target), dtype=np.int64),
+                         fresh_iterates=rng.uniform(-0.3, 0.3, (rows, target, d)))
+        read = (rng.uniform(-0.7, 0.7, (rows, target, d)),
+                rng.choice([-1.0, 1.0], size=(rows, target)))
         tracemalloc.start()
         try:
             estimate_regret(batch, read, np.array([0.3, 0.1]), config)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 20 * rows * (n // 2 + 1)
+        assert peak < 18 * block * target
+
+
+class TestGatheredRows:
+    """run_steps with no row map reads slot r*m + j of the flat rows, and
+    estimate_regret scores its rows a block at a time: both byte for byte
+    as with the identity row map and with one block."""
+
+    @staticmethod
+    def case(kind):
+        """(config, seeds, features, labels): hinge rows on the 0.5-ball,
+        whose slopes fixed_slopes certifies, or squared rows on a box,
+        stepped one by one; at n = 300 every run passes NOISE_CHUNK_STEPS."""
+        n, seeds = 300, [91, 92, 93]
+        if kind == "hinge":
+            d = 2
+            population = PopulationSpec("linear_margin", d, 1.0, w_true=np.eye(d)[0],
+                                        noise_rate=0.1)
+            fs = FeasibleSet.l2_ball(0.5, dimension=d)
+            oracle = LossOracle.hinge(1.0)
+        else:
+            d = 4
+            population = PopulationSpec("uniform_ball", d, 1.0)
+            fs = FeasibleSet.box([-0.5] * d, [0.5] * d)
+            oracle = LossOracle.squared(1.0, fs)
+        features, labels = stacked_datasets(population, n, len(seeds), first_seed=90)
+        config = RunConfig(n=n, eta=0.05, sigma=0.7, feasible_set=fs, oracle=oracle,
+                           w1=np.zeros(d))
+        return config, seeds, features, labels
+
+    @pytest.mark.parametrize("kind", ["hinge", "squared"])
+    def test_no_row_map_equals_identity_map(self, kind, monkeypatch):
+        config, seeds, features, labels = self.case(kind)
+        steps = optimizer_mod.draw_fresh_steps(config.n, seeds)
+        x, y = fresh_rows(steps, features, labels)
+        flat = (x.reshape(-1, x.shape[-1]), y.reshape(-1))
+        fixed = record_fixed_slopes(monkeypatch)
+        mapped = optimizer_mod.run_steps(config, steps, *flat,
+                                         np.arange(y.size).reshape(y.shape))
+        direct = optimizer_mod.run_steps(config, steps, *flat)
+        assert steps.tau.min() > NOISE_CHUNK_STEPS
+        assert len(fixed) >= 4 and set(fixed) == {kind == "hinge"}
+        for field in ("tau", "output", "fresh_indices", "fresh_iterates"):
+            assert getattr(direct, field).tobytes() == getattr(mapped, field).tobytes(), field
+
+    @pytest.mark.parametrize("kind", ["hinge", "squared"])
+    def test_regret_blocks_equal_one_block(self, kind, monkeypatch):
+        # Blocks of one row, of two rows with a one-row remainder, and m
+        # past the block size (one row each), against one block of all rows.
+        config, seeds, features, labels = self.case(kind)
+        batch = private_sgd_batch(config, seeds, features, labels)
+        read = fresh_rows(batch, features, labels)
+        comparator = np.full(config.feasible_set.dimension, 0.1)
+        target = batch.fresh_indices.shape[1]
+        regrets = []
+        for block_size in (len(seeds) * target, target, 2 * target + 1, target // 3):
+            monkeypatch.setattr(optimizer_mod, "REGRET_BLOCK", block_size)
+            regrets.append(estimate_regret(batch, read, comparator, config).tobytes())
+        assert regrets[1:] == regrets[:1] * 3
 
 
 def read_rows(run, dataset):
