@@ -12,6 +12,7 @@ so a rerun with the same seed reproduces files byte for byte.
 import json
 import math
 import os
+from collections import Counter
 from dataclasses import dataclass, fields, is_dataclass
 from functools import partial
 from typing import Callable, NamedTuple
@@ -415,10 +416,14 @@ def run_tau_sim(n_values, trials, seed, output_dir, name="tau-sim"):
     tau.csv gets an extra leading n column so several sizes share one file;
     the per-n summaries land in tau_summary.json. Every n is checked
     before any is simulated, and simulated before anything is written, so
-    a bad n costs no work and leaves no files behind.
+    a bad n costs no work and leaves no files behind. An n given twice is
+    a bad n: it would simulate the same trials again and write them twice.
     """
     trials = check_count(trials, "tau-sim: trials", low=1000)
     n_values = [check_count(n, "tau-sim: n") for n in n_values]
+    repeated = [n for n, count in Counter(n_values).items() if count > 1]
+    if repeated:
+        raise ConfigurationError(f"tau-sim: n = {repeated[0]} is given more than once")
     all_stats = [simulate_tau(n, trials, seed) for n in n_values]
     outdir = experiment_dir(output_dir, name)
     with open(os.path.join(outdir, "tau.csv"), "w") as fh:

@@ -5,7 +5,7 @@ drawn at least once: its stopping time tau is the 1-based step at which
 the (floor(n/2)+1)-th distinct index arrives. The optimizer and
 simulate_tau read tau on one path, draw_stopping_times: each row (a run,
 or a trial) is read as a block of indices from the start of its own PCG64
-stream, first about 3n/4 of them, and stopping_times reads a chunk of
+stream, first about 0.7n of them, and stopping_times reads a chunk of
 rows at once. The rare row whose tau falls past its block is read again
 from its stream start, with a longer block, on the same path, until it
 stops. A block of integer draws is a prefix of every longer block from
@@ -16,12 +16,13 @@ numpy's SeedSequence as array arithmetic, one entropy column per stream
 (simulate_tau's trials, the engine's index and noise streams, the
 harness's data streams and run seeds, the audit's stream), and
 TrialStreams keeps each stream as the generate_state words its PCG64 is
-seeded from. Blocks need no Generator call: they are decoded from raw
-64-bit words with the bounded-integer method numpy's integers uses
-(Lemire, "Fast random integer generation in an interval", ACM TOMACS
+seeded from. Blocks need no Generator: they are decoded from a bare
+PCG64's raw 64-bit words with the bounded-integer method numpy's integers
+uses (Lemire, "Fast random integer generation in an interval", ACM TOMACS
 2019).
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -76,18 +77,21 @@ class TauStats:
                 "max_tau": self.max_tau, "frac_exceed_2n": self.frac_exceed_2n}
 
 
-def stopping_times(draws, n):
+def stopping_times(draws, n, arrivals=True):
     """(arrivals, tau) of each row of a (rows, steps) index block.
 
     draws holds values in {0, ..., n-1}. Row r of arrivals lists the first
     fresh_target(n) steps at which row r draws a value for the first time,
     in step order, and tau is one past the last of them. A row whose block
     is too short holds steps in its missing arrivals and tau = steps + 1.
+    Without arrivals, (None, tau).
 
     A scatter-minimum of each draw's position onto its (row, value) slot
-    gives every value's first position in its row; sorting the slots puts
-    them in step order. The whole row is sorted: np.partition at n//2 plus
-    a sort of the head was slower at every n from 64 to 4096.
+    gives every value's first position in its row. tau alone is one past
+    the (n//2+1)-th smallest of them, an exact integer order statistic,
+    which np.partition at n//2 selects (about 4x faster than a sort at
+    n = 4096). Arrivals sort the whole row: np.partition at n//2 plus a
+    sort of the head was slower at every n from 64 to 4096.
     """
     rows, steps = draws.shape
     first = np.full(rows * n, steps, dtype=np.int64)
@@ -96,19 +100,24 @@ def stopping_times(draws, n):
     keys = (draws + np.arange(0, rows * n, n)[:, None]).ravel()
     np.minimum.at(first, keys, np.tile(np.arange(steps), rows))
     first = first.reshape(rows, n)
+    last = fresh_target(n) - 1
+    if not arrivals:
+        first.partition(last, axis=1)
+        return None, first[:, last] + 1
     first.sort(axis=1)
-    arrivals = first[:, :fresh_target(n)]
-    return arrivals, arrivals[:, -1] + 1
+    return first[:, :last + 1], first[:, last] + 1
 
 
-# A row's first block. tau averages n ln 2 + O(1) < 0.7n with a standard
-# deviation of about 0.55*sqrt(n), so 3n/4 + 4*sqrt(n) + 8 draws hold it
-# over seven standard deviations past the mean: P(tau > first_block(n)) is
-# 2.4e-4 at n = 2 and below 1e-6 from n = 16 on. Draws past tau are wasted,
-# and a 4n block wasted most of its draws and its stopping_times work. A
-# row past it is read again from its stream start with a longer block.
+# A row's first block. tau averages n ln 2 + O(1) with a standard
+# deviation of about 0.55*sqrt(n), so 7n/10 + 2*sqrt(n) + 4 draws hold all
+# but a few rows in a thousand: P(tau > first_block(n)) is 1.6e-2 at n = 2,
+# 1.1e-3 at n = 16, at most 3.2e-3 (at n = 24) from n = 16 to 1024, and
+# 6.4e-5 at n = 1024. A row past it is read again from its stream start
+# with twice the block. Counting that second read, a row's expected draws
+# are fewer than with the earlier 3n/4 + 4*sqrt(n) + 8 at every n: 36% at
+# n = 16, 19% at 256 and 13% at 1024. Draws past tau are wasted.
 def first_block(n):
-    return (3 * n) // 4 + 4 * math.isqrt(n) + 8
+    return (7 * n) // 10 + 2 * math.isqrt(n) + 4
 
 
 # draw_stopping_times stacks blocks into chunks of at most this many draws
@@ -187,41 +196,53 @@ def _generate_state(entropy):
     return out.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
 
 
-class SeedWords:
-    """A stream's SeedSequence as PCG64 reads it: the (4,) uint64 words of
-    its generate_state(4, uint64). TrialStreams registers it as numpy's
-    ISeedSequence when first built, so that import dpmirror leaves
-    numpy.random unimported; PCG64 then seeds itself from the words in C."""
+@functools.cache
+def _seed_words():
+    """SeedWords, numpy's ISeedSequence for a stream's generate_state(4,
+    uint64) words. It is defined when the first TrialStreams is built, so
+    that import dpmirror leaves numpy.random unimported."""
+    from numpy.random.bit_generator import ISeedSequence
 
-    __slots__ = ("words",)
+    class SeedWords(ISeedSequence):
+        """A stream's SeedSequence as PCG64 reads it: the (4,) uint64 words
+        of its generate_state(4, uint64). PCG64 seeds itself from the words
+        in C; a subclass passes its isinstance check faster than a
+        registered class."""
 
-    def __init__(self, words):
-        self.words = words
+        __slots__ = ("words",)
 
-    def generate_state(self, n_words, dtype=np.uint32):
-        """SeedSequence's generate_state(n_words, dtype), for the uint64 words held."""
-        if np.dtype(dtype) != np.uint64 or n_words > len(self.words):
-            raise ValueError(f"SeedWords holds {len(self.words)} uint64 words")
-        return self.words[:n_words]
+        def __init__(self, words):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            """SeedSequence's generate_state(n_words, dtype), for the uint64 words held."""
+            # PCG64 passes np.uint64 itself, which skips building a dtype.
+            if n_words > len(self.words) or dtype is not np.uint64 and np.dtype(dtype) != np.uint64:
+                raise ValueError(f"SeedWords holds {len(self.words)} uint64 words")
+            return self.words[:n_words]
+
+    return SeedWords
 
 
 class TrialStreams:
     """Streams as the generate_state(4, uint64) words of their
-    SeedSequences, 32 bytes a row. stream(r) builds row r's Generator at its
-    stream start, Generator(PCG64(SeedWords(words))), which draws what
-    default_rng of that SeedSequence draws."""
+    SeedSequences, 32 bytes a row. bit_generator(r) builds row r's PCG64 at
+    its stream start, PCG64(SeedWords(words)), and stream(r) wraps it in a
+    Generator, which draws what default_rng of that SeedSequence draws."""
 
     def __init__(self, words):
-        from numpy.random.bit_generator import ISeedSequence
-        ISeedSequence.register(SeedWords)   # a no-op once registered
         words.flags.writeable = False   # SeedWords hands PCG64 views of it
         self._words = words
+        self._seed_words = _seed_words()
 
     def __len__(self):
         return len(self._words)
 
+    def bit_generator(self, row):
+        return np.random.PCG64(self._seed_words(self._words[row]))
+
     def stream(self, row):
-        return np.random.Generator(np.random.PCG64(SeedWords(self._words[row])))
+        return np.random.Generator(self.bit_generator(row))
 
 
 def seeded_streams(*parts):
@@ -254,10 +275,11 @@ def spawned_streams(seeds):
     return TrialStreams(children[0]), TrialStreams(children[1])
 
 
-def fill_blocks(n, stream, draws):
-    """Fill row r of draws with stream(r).integers(0, n, draws.shape[1]).
+def fill_blocks(n, bit_generator, draws):
+    """Fill row r of draws with Generator(bit_generator(r)).integers(0, n,
+    draws.shape[1]).
 
-    stream(r) is row r's PCG64 Generator at its stream start. For n <= 2**32,
+    bit_generator(r) is row r's PCG64 at its stream start. For n <= 2**32,
     integers(0, n) is Lemire's method on 32-bit outputs, low half of each
     64-bit word first: output x gives index (x * n) >> 32, unless (x * n)
     mod 2**32 < 2**32 mod n rejects it for the next output. So each row
@@ -268,17 +290,16 @@ def fill_blocks(n, stream, draws):
     rows, block = draws.shape
     redraw = range(rows)
     if n <= 1 << 32:
-        words = np.empty((rows, (block + 1) // 2), dtype=np.uint64)
-        for row in range(rows):
-            words[row] = stream(row).bit_generator.random_raw(words.shape[1])
+        size = (block + 1) // 2
+        words = np.concatenate([bit_generator(row).random_raw(size) for row in range(rows)])
         scaled = draws.view(np.uint64)
-        np.multiply(words.astype("<u8", copy=False).view("<u4")[:, :block],
+        np.multiply(words.reshape(rows, size).astype("<u8", copy=False).view("<u4")[:, :block],
                     np.uint64(n), out=scaled)
         threshold = (1 << 32) % n
         redraw = np.flatnonzero(((scaled & _MASK32) < threshold).any(axis=1)) if threshold else []
         scaled >>= np.uint64(32)
     for row in redraw:
-        draws[row] = stream(row).integers(0, n, size=block)
+        draws[row] = np.random.Generator(bit_generator(row)).integers(0, n, size=block)
 
 
 def draw_stopping_times(n, streams, fresh=False):
@@ -304,9 +325,9 @@ def draw_stopping_times(n, streams, fresh=False):
         for start in range(0, pending.size, per_chunk):
             chunk_rows = pending[start:start + per_chunk]
             chunk = draws[:len(chunk_rows)]
-            ids = chunk_rows.tolist()   # stream() is slower on a numpy integer
-            fill_blocks(n, lambda row: streams.stream(ids[row]), chunk)
-            chunk_arrivals, tau[chunk_rows] = stopping_times(chunk, n)
+            ids = chunk_rows.tolist()   # bit_generator() is slower on a numpy integer
+            fill_blocks(n, lambda row: streams.bit_generator(ids[row]), chunk)
+            chunk_arrivals, tau[chunk_rows] = stopping_times(chunk, n, fresh)
             if fresh:   # a row read again later gets its values then
                 arrivals[chunk_rows] = chunk_arrivals
                 indices[chunk_rows] = np.take_along_axis(

@@ -17,7 +17,7 @@ from oracles import (CyclingStreams, fresh_rows, plain_subgradient, project_ball
 import dpmirror.harness as harness_mod
 import dpmirror.optimizer as optimizer_mod
 import dpmirror.privacy as privacy_mod
-from dpmirror import cli
+from dpmirror import cli, sampler
 from dpmirror.errors import ConfigurationError
 from dpmirror.geometry import FeasibleSet
 from dpmirror.harness import (CELL_COLUMNS, build_spec, parse_kv_file, plan_cells,
@@ -26,7 +26,7 @@ from dpmirror.losses import (RISK_QUADRATURE_BOUND, LossOracle, PopulationSpec, 
                              population_risk)
 from dpmirror.optimizer import RunConfig, estimate_regret, private_sgd_batch, run_steps
 from dpmirror.privacy import risk_bound
-from dpmirror.sampler import SeedWords, simulate_tau
+from dpmirror.sampler import simulate_tau
 
 
 def base_overrides(tmp_path, **extra):
@@ -201,6 +201,18 @@ class TestRunCommand:
         assert rc == 2
         assert "tau-sim: n must be an int in [1, 9007199254740992], got 0" \
             in capsys.readouterr().err
+        assert calls == []
+        assert not (tmp_path / "tau").exists()
+
+    def test_tau_sim_repeated_n_runs_nothing(self, tmp_path, capsys, monkeypatch):
+        # A repeated n would simulate the same trials twice and write each
+        # tau.csv row and summary twice: refused with the other n checks.
+        calls = []
+        monkeypatch.setattr(harness_mod, "simulate_tau", lambda *args: calls.append(args))
+        rc = cli.main(["tau-sim", "--n", "64,16,32,16", "--trials", "1000", "--seed", "1",
+                       "--output-dir", str(tmp_path), "--name", "tau"])
+        assert rc == 2
+        assert "tau-sim: n = 16 is given more than once" in capsys.readouterr().err
         assert calls == []
         assert not (tmp_path / "tau").exists()
 
@@ -446,9 +458,10 @@ class TestFreshRows:
 
 class TestSeedingPerCall:
     """Every stream is a row of SeedSequence words in sampler, and a stream
-    is started as one PCG64 seeded from its row's words, in one Generator:
-    no SeedSequence or default_rng is built, and no PCG64 is seeded from an
-    int or from entropy."""
+    is started as one PCG64 seeded from its row's SeedWords: no SeedSequence
+    or default_rng is built, and no PCG64 is seeded from an int or from
+    entropy. An index stream is read as the bare PCG64's raw words; only a
+    noise or data stream is wrapped in a Generator."""
 
     @staticmethod
     def constructions(monkeypatch, call):
@@ -458,7 +471,7 @@ class TestSeedingPerCall:
                 def counting(*args, _name=name, _build=getattr(np.random, name), **kwargs):
                     counts[_name] += 1
                     if _name == "PCG64":
-                        assert not kwargs and [type(a) for a in args] == [SeedWords]
+                        assert not kwargs and [type(a) for a in args] == [sampler._seed_words()]
                     return _build(*args, **kwargs)
                 patch.setattr(np.random, name, counting)
             call()
@@ -468,7 +481,7 @@ class TestSeedingPerCall:
     # these seeds no run's tau falls past its first block, so no stream is
     # started a second time.
     def test_engine_call(self, monkeypatch):
-        # One stream start per index stream and one per noise stream.
+        # One PCG64 per index stream, and one Generator of a PCG64 per noise stream.
         fs = FeasibleSet.l2_ball(0.5, dimension=2)
         config = RunConfig(n=16, eta=0.1, sigma=0.5, feasible_set=fs,
                            oracle=LossOracle.hinge(1.0), w1=np.zeros(2))
@@ -478,14 +491,14 @@ class TestSeedingPerCall:
         for rows in (1, 200):
             counts = self.constructions(monkeypatch, lambda: private_sgd_batch(
                 config, list(range(rows)), features[:rows], labels[:rows]))
-            assert counts == collections.Counter(PCG64=2 * rows, Generator=2 * rows)
+            assert counts == collections.Counter(PCG64=2 * rows, Generator=rows)
 
     def test_run_cell(self, monkeypatch, tmp_path):
-        # One more per repeat's data stream.
+        # One more of each per repeat's data stream.
         for repeats in (1, 200):
             spec = build_spec(base_overrides(tmp_path, repeats=str(repeats)))
             counts = self.constructions(monkeypatch, lambda: harness_mod.run_experiment(spec))
-            assert counts == collections.Counter(PCG64=3 * repeats, Generator=3 * repeats)
+            assert counts == collections.Counter(PCG64=3 * repeats, Generator=2 * repeats)
 
 
 class TestCli:

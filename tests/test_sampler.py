@@ -1,4 +1,5 @@
 import hashlib
+import math
 import tracemalloc
 
 import numpy as np
@@ -8,6 +9,7 @@ from oracles import partial_coupon_sum, stopping_tail
 
 from dpmirror import sampler
 from dpmirror.errors import ConfigurationError
+from dpmirror.optimizer import draw_fresh_steps
 from dpmirror.sampler import (TrialStreams, expected_tau, first_block, fresh_target,
                               sample_index, simulate_tau, stopping_times)
 
@@ -98,6 +100,11 @@ def set_walk_arrivals(stream, n):
             seen.add(int(idx))
             steps.append(t)
     return steps
+
+
+def earlier_first_block(n):
+    """The first block before first_block(n) = 7n/10 + 2*sqrt(n) + 4."""
+    return (3 * n) // 4 + 4 * math.isqrt(n) + 8
 
 
 def fresh_stream(seed, trial):
@@ -230,27 +237,45 @@ class TestSimulateTau:
                 assert np.array_equal(simulate_tau(n, 300, seed=11).tau_samples, whole)
             monkeypatch.undo()
 
+    def test_first_block_does_not_move_samples(self, monkeypatch):
+        # simulate_tau's tau, and the engine's tau, fresh steps and fresh
+        # indices, under today's first block, the earlier 3n/4 + 4*sqrt(n) +
+        # 8, and one draw (which reads every row again in later rounds).
+        def read():
+            reads = {}
+            for n in (2, 16, 33, 1024):
+                steps = draw_fresh_steps(n, list(range(40)))
+                reads[n] = [simulate_tau(n, 300, seed=11).tau_samples,
+                            steps.tau, steps.fresh, steps.fresh_indices]
+            return reads
+
+        today = read()
+        for block in (earlier_first_block, lambda n: 1):
+            monkeypatch.setattr(sampler, "first_block", block)
+            for n, arrays in read().items():
+                for want, have in zip(today[n], arrays):
+                    assert have.dtype == want.dtype and have.shape == want.shape, n
+                    assert have.tobytes() == want.tobytes(), n
+
     @staticmethod
     def stub_streams():
         """(stubs, StubStreams) at n = 16: StubStreams is TrialStreams with
         trials 1 and 3 served from stubs[trial], whose first blocks hold too
-        few distinct values. Read from its start, trial 1 stops within 4n
-        draws, in round 2 (a block of 72), and trial 3 past 8n, in round 3
-        (a block of 144)."""
+        few distinct values. Read from its start, trial 1 stops within twice
+        its first block, in round 2, and trial 3 past twice it, in round 3."""
         n = 16
         block = first_block(n)
         filler = np.random.default_rng(99).integers(0, n, size=4 * n)
         stubs = {
             1: np.concatenate([np.arange(block) % 4, filler]),
-            3: np.concatenate([np.arange(4 * n) % 2, 2 + np.arange(4 * n) % 6, filler]),
+            3: np.concatenate([np.arange(2 * block) % 2, filler]),
         }
 
-        class StubStream:
+        class StubBits:
             """Serves values from its start as raw words."""
 
             def __init__(self, values):
                 self.values, self.pos = values, 0
-                self.bit_generator = self
 
             def random_raw(self, size):
                 # n = 16 divides 2**32, so Lemire's method maps a 32-bit
@@ -263,14 +288,14 @@ class TestSimulateTau:
                 return halves[0::2] | halves[1::2] << np.uint64(32)
 
         class StubStreams(TrialStreams):
-            def stream(self, trial):
+            def bit_generator(self, trial):
                 if trial in stubs:
-                    return StubStream(stubs[trial])
-                return super().stream(trial)
+                    return StubBits(stubs[trial])
+                return super().bit_generator(trial)
 
         taus = {trial: set_walk_tau(values, n) for trial, values in stubs.items()}
-        assert block < taus[1] <= 4 * n
-        assert 2 * 4 * n < taus[3] <= 3 * 4 * n
+        assert block < taus[1] <= 2 * block
+        assert 2 * block < taus[3] <= 4 * block
         return stubs, StubStreams
 
     def test_short_first_block_continues_its_stream(self, monkeypatch):
@@ -318,6 +343,31 @@ class TestSimulateTau:
                 reference[n] = [fresh_stream_tau(seed, t, n) for t in range(trials)]
             got = simulate_tau(n, trials, seed).tau_samples
             assert got.tolist() == reference[n], n
+
+
+class TestTauOnlyRead:
+    """draw_stopping_times without fresh selects tau by np.partition, and
+    with it sorts each row's first arrivals: both must give the same tau,
+    byte for byte."""
+
+    # At seed 135, trial 2's first block at n = 1000 has a Lemire rejection.
+    SEED, ROWS = 135, 100
+
+    @pytest.mark.parametrize("short_first_block", [False, True], ids=["first-block", "one-draw"])
+    def test_equals_arrivals_path(self, short_first_block, monkeypatch):
+        if short_first_block:   # every row goes through later rounds
+            monkeypatch.setattr(sampler, "first_block", lambda n: 1)
+        streams = sampler.seeded_streams(self.SEED, np.arange(self.ROWS, dtype=np.uint32))
+        build = np.random.Generator
+        for n in (1, 2, 3, 16, 24, 1000, 1024, 4096):
+            wrapped = []
+            with monkeypatch.context() as patch:
+                patch.setattr(np.random, "Generator", lambda bits: wrapped.append(1) or build(bits))
+                tau = sampler.draw_stopping_times(n, streams)
+            want = sampler.draw_stopping_times(n, streams, fresh=True)[0]
+            assert tau.dtype == want.dtype == np.int64
+            assert tau.tobytes() == want.tobytes(), n
+            assert bool(wrapped) == (n == 1000), n   # the rejection's row draws through integers
 
 
 class TestTrialBlocks:
@@ -413,20 +463,29 @@ class TestRawWordDraws:
 
     @staticmethod
     def fill(n, k, rows=40, seed=5):
-        """(draws, rows that drew through integers) of fresh trial streams."""
-        fallback = set()
+        """(draws, rows that drew through integers) of fresh trial streams.
 
-        class Watched:
-            def __init__(self, row):
-                self.row, self.rng = row, fresh_stream(seed, row)
-                self.bit_generator = self.rng.bit_generator
+        fill_blocks gets each row's PCG64 from bit_generator; a row draws
+        through integers when its PCG64 goes into a Generator, which must
+        be a fresh one at the stream start."""
+        handed, fallback = {}, set()
+        build = np.random.Generator
 
-            def integers(self, *args, **kwargs):
-                fallback.add(self.row)
-                return self.rng.integers(*args, **kwargs)
+        def bit_generator(row):
+            bits = fresh_stream(seed, row).bit_generator
+            handed[id(bits)] = row, bits.state
+            return bits
+
+        def watched(bits):
+            row, start = handed[id(bits)]
+            assert bits.state == start, "integers must draw from the stream start"
+            fallback.add(row)
+            return build(bits)
 
         draws = np.full((rows, k), -1, dtype=np.int64)
-        sampler.fill_blocks(n, Watched, draws)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(np.random, "Generator", watched)
+            sampler.fill_blocks(n, bit_generator, draws)
         return draws, fallback
 
     @pytest.mark.parametrize("n", N_VALUES)
@@ -486,7 +545,10 @@ class TestVectorSeeding:
         # SeedWords answers generate_state as SeedSequence does, for every
         # count of the uint64 words it holds, and refuses anything else.
         sequence = np.random.SeedSequence([2 ** 40 + 3, 9])
-        held = sampler.SeedWords(sequence.generate_state(4, np.uint64))
+        seed_words = sampler._seed_words()
+        assert issubclass(seed_words, np.random.bit_generator.ISeedSequence)
+        assert np.random.bit_generator.ISeedSequence in seed_words.__mro__   # not registered
+        held = seed_words(sequence.generate_state(4, np.uint64))
         for n_words in range(5):
             got = held.generate_state(n_words, np.uint64)
             want = sequence.generate_state(n_words, np.uint64)
@@ -609,14 +671,27 @@ class TestExactTail:
                 partial_coupon_sum(n), rel=1e-12)
 
     def test_first_block_holds_tau(self):
-        # first_block's comment: P(tau > first_block(n)) is 2.4e-4 at n = 2
-        # and below 1e-6 from n = 16 on (largest at n = 22 up to 1024).
-        def past_first_block(n):
-            return stopping_tail(n, first_block(n))[-1]
+        # first_block's comment: P(tau > first_block(n)) is 1.6e-2 at n = 2,
+        # 1.1e-3 at n = 16, 6.4e-5 at n = 1024 and at most 3.2e-3 (at n = 24)
+        # from n = 16 to 1024. Counting each later round at twice the block
+        # before it, a row's expected draws are fewer than with the earlier
+        # first block 3n/4 + 4*sqrt(n) + 8, at every size.
+        def past(n, block):
+            return stopping_tail(n, block)[-1]
 
-        assert f"{past_first_block(2):.1e}" == "2.4e-04"
+        def expected_draws(n, block):
+            tail = stopping_tail(n, 64 * block)
+            return block + sum(2 * b * tail[b] for b in block * 2 ** np.arange(6))
+
+        assert f"{past(2, first_block(2)):.1e}" == "1.6e-02"
+        assert f"{past(16, first_block(16)):.1e}" == "1.1e-03"
+        assert f"{past(1024, first_block(1024)):.1e}" == "6.4e-05"
         sizes = [*range(16, 257), 300, 511, 777, 1000, 1023, 1024]
-        assert max(past_first_block(n) for n in sizes) < 1e-6
+        tails = {n: past(n, first_block(n)) for n in sizes}
+        assert max(tails, key=tails.get) == 24
+        assert f"{tails[24]:.1e}" == "3.2e-03"
+        for n in [*range(1, 16), *sizes]:
+            assert expected_draws(n, first_block(n)) < expected_draws(n, earlier_first_block(n)), n
 
     def test_tail_past_2n_and_4n(self):
         # README, "Run results", and the optimizer's docstring.
