@@ -15,10 +15,10 @@ import sys
 from dataclasses import asdict
 
 from .errors import ConfigurationError, RegimeError
-from .harness import RUN_KEYS, build_spec, experiment_dir, json_value, parse_kv_file, \
-    resolve_output_dir, run_and_write, run_tau_sim, write_json
+from .harness import RUN_KEYS, build_spec, check_output_name, experiment_dir, json_value, \
+    parse_kv_file, resolve_output_dir, run_and_write, run_tau_sim, write_audit_csv, write_json
 from .privacy import MAX_GRID_CELLS, MIN_TRIALS_PER_CELL, audit_single_step, \
-    calibrate_sigma, end_to_end, from_target, write_audit_csv
+    calibrate_sigma, end_to_end, from_target
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -100,6 +100,7 @@ def _cmd_calibrate(args):
 
 
 def _cmd_audit(args):
+    check_output_name(args.name, "--name")
     seed = _resolve_seed(args.seed)
     sigma = (args.sigma if args.sigma is not None
              else calibrate_sigma(args.L, args.delta, args.eps_tilde))

@@ -1,4 +1,4 @@
-"""Experiment orchestration: grids of private runs, bound checks, file outputs.
+"""Experiment orchestration: grids of private runs, bound checks, all file I/O.
 
 Config files are flat key=value text ('#' starts a comment); CLI flags
 override file values. RUN_KEYS lists every key with its converter, its
@@ -20,7 +20,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import ConfigurationError, check_count, check_probability, check_real
-from .geometry import BOX, L2_BALL, FeasibleSet
+from .geometry import BOX, L2_BALL, FeasibleSet, dot
 from .losses import (HINGE, LINEAR_MARGIN, LOSS_KINDS, RISK_QUADRATURE_BOUND, LossOracle,
                      PopulationSpec, draw_dataset, lipschitz_certificate, population_risk)
 # private_sgd and estimate_risk are not called here; perfbench/spans.py
@@ -44,6 +44,24 @@ def _each(check):
     return lambda values, name: tuple(check(v, name) for v in values)
 
 
+def check_output_name(value, name):
+    """value as one directory entry of the output dir: a string that is not
+    empty, . or .., and holds no path separator, so that experiment_dir
+    stays inside <output_dir>."""
+    if (not isinstance(value, str) or value in ("", ".", "..")
+            or any(sep and sep in value for sep in (os.sep, os.altsep))):
+        raise ConfigurationError(f"{name} must name one directory inside the output "
+                                 f"directory, got {value!r}")
+    return value
+
+
+def experiment_dir(output_dir, name):
+    """<output_dir>/<name>/, made if missing; name is check_output_name's."""
+    path = os.path.join(output_dir, name)
+    os.makedirs(path, exist_ok=True)
+    return path
+
+
 class RunKey(NamedTuple):
     convert: Callable   # the key's text to its value
     check: Callable     # an errors.py checker of (value, name); None: none here
@@ -55,7 +73,7 @@ class RunKey(NamedTuple):
 # as dashes); a flag wins over the file. A loss, generator or set kind, and
 # a key with no check here, are checked by the object built from it.
 RUN_KEYS = {
-    "name": RunKey(str, None, "experiment", "experiment name (output subdirectory)"),
+    "name": RunKey(str, check_output_name, "experiment", "experiment name (output subdirectory)"),
     "loss": RunKey(str, None, HINGE, " | ".join(LOSS_KINDS)),
     "generator": RunKey(str, None, LINEAR_MARGIN, "linear_margin | uniform_ball"),
     "dimension": RunKey(int, check_count, "2", "feature dimension d"),
@@ -172,19 +190,23 @@ def resolve_output_dir(given):
 def parse_kv_file(path):
     """Read a flat key = value config file into a string dict; a key given
     on two lines is refused, not overwritten by the later one."""
+    try:
+        with open(path) as fh:
+            lines = fh.readlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigurationError(f"{path}: cannot read config file: {exc}") from exc
     values, key_lines = {}, {}
-    with open(path) as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigurationError(f"{path}:{line_no}: expected 'key = value'")
-            key, _, value = (part.strip() for part in line.partition("="))
-            if key in key_lines:
-                raise ConfigurationError(f"{path}:{line_no}: config field {key} "
-                                         f"already given on line {key_lines[key]}")
-            values[key], key_lines[key] = value, line_no
+    for line_no, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigurationError(f"{path}:{line_no}: expected 'key = value'")
+        key, _, value = (part.strip() for part in line.partition("="))
+        if key in key_lines:
+            raise ConfigurationError(f"{path}:{line_no}: config field {key} "
+                                     f"already given on line {key_lines[key]}")
+        values[key], key_lines[key] = value, line_no
     return values
 
 
@@ -340,8 +362,7 @@ def run_cell(spec, key, plan, baseline, base_risk):
     regrets = estimate_regret(batch, (features, labels), baseline.w, config)
     excesses = population_risk(spec.population, spec.oracle, batch.output)[0] - base_risk
     # population_risk's stated error bound at the output farthest from 0
-    scale = 1.0 + spec.population.feature_bound * np.sqrt(
-        np.add.reduce(batch.output * batch.output, axis=1))
+    scale = 1.0 + spec.population.feature_bound * np.sqrt(dot(batch.output, batch.output))
     quadrature = RISK_QUADRATURE_BOUND * float(scale.max()) ** 2
     mean_excess = float(np.mean(excesses))
     run_stderr = np.std(excesses, ddof=1) / math.sqrt(rows) if rows > 1 else 0.0
@@ -371,6 +392,16 @@ def write_cells_csv(result, path):
             fh.write(",".join(map(_fmt, cell.columns())) + "\n")
 
 
+def write_audit_csv(result, path):
+    """Columns: interval_lo,interval_hi,p_S,p_Sprime,violation."""
+    with open(path, "w") as fh:
+        fh.write("interval_lo,interval_hi,p_S,p_Sprime,violation\n")
+        fh.writelines("%.17g,%.17g,%.17g,%.17g,%.17g\n" % row
+                      for row in zip(result.edges[:-1].tolist(), result.edges[1:].tolist(),
+                                     result.p_s.tolist(), result.p_sprime.tolist(),
+                                     result.violation.tolist()))
+
+
 def json_value(value):
     """A non-finite float as None (null), which strict JSON parsers accept."""
     return None if isinstance(value, float) and not math.isfinite(value) else value
@@ -395,12 +426,6 @@ def write_summary_json(result, path):
     }, path)
 
 
-def experiment_dir(output_dir, name):
-    path = os.path.join(output_dir, name)
-    os.makedirs(path, exist_ok=True)
-    return path
-
-
 def run_and_write(spec):
     """run_experiment plus the cells.csv / summary.json pair."""
     result = run_experiment(spec)
@@ -420,6 +445,7 @@ def run_tau_sim(n_values, trials, seed, output_dir, name="tau-sim"):
     a bad n: it would simulate the same trials again and write them twice.
     """
     trials = check_count(trials, "tau-sim: trials", low=1000)
+    name = check_output_name(name, "tau-sim: name")
     n_values = [check_count(n, "tau-sim: n") for n in n_values]
     repeated = [n for n, count in Counter(n_values).items() if count > 1]
     if repeated:

@@ -238,12 +238,11 @@ def draw_arrays(spec, n, rng):
     """
     check_count(n, "draw_arrays: n")
     features = rng.standard_normal((n, spec.dimension))
-    # linalg.norm's sum of squares, without its conj() copy of the features.
-    norms = np.sqrt(np.add.reduce(features * features, axis=1, keepdims=True))
+    norms = np.sqrt(dot(features, features))
     norms[norms == 0.0] = 1.0
     radii = spec.feature_bound * np.float_power(rng.random(n), 1.0 / spec.dimension)
     # Scaled in place: the same products, without a second (n, d) array.
-    features *= radii[:, None] / norms
+    features *= (radii / norms)[:, None]
     if spec.generator == UNIFORM_BALL:
         return features, rng.uniform(-1.0, 1.0, size=n)
     labels = np.where(np.einsum("ij,j->i", features, spec.w_true) >= 0.0, 1.0, -1.0)

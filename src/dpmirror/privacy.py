@@ -312,13 +312,3 @@ def audit_single_step(sigma, L, epsilon_tilde, delta, trials,
                        significant=significant,
                        worst_lo=float(edges[worst]), worst_hi=float(edges[worst + 1]),
                        edges=edges, p_s=p_s, p_sprime=p_sp, violation=violation)
-
-
-def write_audit_csv(result, path):
-    """Columns: interval_lo,interval_hi,p_S,p_Sprime,violation."""
-    with open(path, "w") as fh:
-        fh.write("interval_lo,interval_hi,p_S,p_Sprime,violation\n")
-        fh.writelines("%.17g,%.17g,%.17g,%.17g,%.17g\n" % row
-                      for row in zip(result.edges[:-1].tolist(), result.edges[1:].tolist(),
-                                     result.p_s.tolist(), result.p_sprime.tolist(),
-                                     result.violation.tolist()))

@@ -228,7 +228,8 @@ class TrialStreams:
     """Streams as the generate_state(4, uint64) words of their
     SeedSequences, 32 bytes a row. bit_generator(r) builds row r's PCG64 at
     its stream start, PCG64(SeedWords(words)), and stream(r) wraps it in a
-    Generator, which draws what default_rng of that SeedSequence draws."""
+    Generator, which draws what default_rng of that SeedSequence draws.
+    No other code in dpmirror builds a PCG64 or a Generator."""
 
     def __init__(self, words):
         words.flags.writeable = False   # SeedWords hands PCG64 views of it
@@ -275,31 +276,31 @@ def spawned_streams(seeds):
     return TrialStreams(children[0]), TrialStreams(children[1])
 
 
-def fill_blocks(n, bit_generator, draws):
-    """Fill row r of draws with Generator(bit_generator(r)).integers(0, n,
-    draws.shape[1]).
+def fill_blocks(n, streams, rows, draws):
+    """Fill row i of draws with streams.stream(rows[i]).integers(0, n,
+    draws.shape[1]); rows holds Python ints, which bit_generator reads
+    faster than numpy integers.
 
-    bit_generator(r) is row r's PCG64 at its stream start. For n <= 2**32,
-    integers(0, n) is Lemire's method on 32-bit outputs, low half of each
-    64-bit word first: output x gives index (x * n) >> 32, unless (x * n)
-    mod 2**32 < 2**32 mod n rejects it for the next output. So each row
-    reads ceil(block / 2) raw words, and all rows are decoded at once; a
-    row with a rejection in its block, and every row when n > 2**32, draws
-    through integers.
+    For n <= 2**32, integers(0, n) is Lemire's method on 32-bit outputs of
+    the row's PCG64, low half of each 64-bit word first: output x gives
+    index (x * n) >> 32, unless (x * n) mod 2**32 < 2**32 mod n rejects it
+    for the next output. So each row reads ceil(block / 2) raw words, and
+    all rows are decoded at once; a row with a rejection in its block, and
+    every row when n > 2**32, draws through integers.
     """
-    rows, block = draws.shape
-    redraw = range(rows)
+    count, block = draws.shape
+    redraw = range(count)
     if n <= 1 << 32:
         size = (block + 1) // 2
-        words = np.concatenate([bit_generator(row).random_raw(size) for row in range(rows)])
+        words = np.concatenate([streams.bit_generator(row).random_raw(size) for row in rows])
         scaled = draws.view(np.uint64)
-        np.multiply(words.reshape(rows, size).astype("<u8", copy=False).view("<u4")[:, :block],
+        np.multiply(words.reshape(count, size).astype("<u8", copy=False).view("<u4")[:, :block],
                     np.uint64(n), out=scaled)
         threshold = (1 << 32) % n
         redraw = np.flatnonzero(((scaled & _MASK32) < threshold).any(axis=1)) if threshold else []
         scaled >>= np.uint64(32)
-    for row in redraw:
-        draws[row] = np.random.Generator(bit_generator(row)).integers(0, n, size=block)
+    for i in redraw:
+        draws[i] = streams.stream(rows[i]).integers(0, n, size=block)
 
 
 def draw_stopping_times(n, streams, fresh=False):
@@ -325,8 +326,7 @@ def draw_stopping_times(n, streams, fresh=False):
         for start in range(0, pending.size, per_chunk):
             chunk_rows = pending[start:start + per_chunk]
             chunk = draws[:len(chunk_rows)]
-            ids = chunk_rows.tolist()   # bit_generator() is slower on a numpy integer
-            fill_blocks(n, lambda row: streams.bit_generator(ids[row]), chunk)
+            fill_blocks(n, streams, chunk_rows.tolist(), chunk)
             chunk_arrivals, tau[chunk_rows] = stopping_times(chunk, n, fresh)
             if fresh:   # a row read again later gets its values then
                 arrivals[chunk_rows] = chunk_arrivals

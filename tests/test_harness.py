@@ -112,6 +112,23 @@ class TestConfig:
             tmp_path, set="box", lower="-0.5,-0.5", upper="0.5,0.5"))
         assert spec.feasible_set.kind == "box"
 
+    @pytest.mark.parametrize("kind", ["missing", "directory", "binary"])
+    def test_unreadable_config_exit_2(self, kind, tmp_path, capsys):
+        # Each once ended in a traceback and exit 1: FileNotFoundError,
+        # IsADirectoryError and UnicodeDecodeError.
+        path = tmp_path / "exp.cfg"
+        if kind == "directory":
+            path.mkdir()
+        elif kind == "binary":
+            path.write_bytes(b"\x89PNG\r\n\x1a\n\xff\xfe\x00\x80")
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", str(path), "--n-values", "16",
+                         "--epsilon-values", "max", "--seed", "1",
+                         "--output-dir", str(out)]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: {path}: cannot read config file")
+        assert "Traceback" not in err and not out.exists()
+
 
 class TestRunCommand:
     def test_smoke_run_writes_files(self, tmp_path):
@@ -689,6 +706,31 @@ class TestCli:
                        f"seed = -1\noutput_dir = {tmp_path}\n")
         assert cli.main(["run", "--config", str(cfg)]) == 2
         assert "config field seed must be an int >= 0, got -1" in capsys.readouterr().err
+
+    # Each command's output name is checked where it enters, before any work:
+    # tau-sim once wrote to an absolute --name, and audit and run beside the
+    # output dir under ../x.
+    @pytest.mark.parametrize("name", ["", ".", "..", "../x", "a/b", "/abs"],
+                             ids=["empty", "dot", "dotdot", "parent", "nested", "absolute"])
+    @pytest.mark.parametrize("argv, where, label", [
+        (["run", "--n-values", "16", "--epsilon-values", "max", "--repeats", "1",
+          "--seed", "1"], (harness_mod, "baseline_minimizer"), "config field name"),
+        (["tau-sim", "--n", "16", "--trials", "1000", "--seed", "1"],
+         (harness_mod, "simulate_tau"), "tau-sim: name"),
+        (["audit", "--L", "1", "--eps-tilde", "0.5", "--delta", "1e-6", "--trials", "1000",
+          "--seed", "1"], (cli, "audit_single_step"), "--name"),
+    ], ids=["run", "tau-sim", "audit"])
+    def test_name_outside_output_dir_exit_2(self, argv, where, label, name, tmp_path, capsys,
+                                            monkeypatch):
+        monkeypatch.setattr(*where, None)
+        if name == "/abs":
+            name = str(tmp_path / "abs")
+        out = tmp_path / "out"
+        rc = cli.main([*argv, "--output-dir", str(out), "--name", name])
+        assert rc == cli.EXIT_CONFIG
+        assert (f"{label} must name one directory inside the output directory, got {name!r}"
+                in capsys.readouterr().err)
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("from_file", [False, True], ids=["flag", "config-line"])
     def test_non_integer_seed_exit_2(self, from_file, tmp_path, capsys):

@@ -15,8 +15,9 @@ from oracles import (CyclingStreams, audit_cells_reference, audit_counts_referen
 
 from dpmirror import cli, privacy
 from dpmirror.errors import ConfigurationError, RegimeError
+from dpmirror.harness import write_audit_csv
 from dpmirror.privacy import (AUDIT_BLOCK, audit_single_step, calibrate_sigma, end_to_end,
-                              from_target, risk_bound, write_audit_csv)
+                              from_target, risk_bound)
 
 
 class TestCalibrateSigma:

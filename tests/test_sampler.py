@@ -28,10 +28,10 @@ def bounded_blocks():
     not use the monkeypatch fixture, which a test may undo."""
     fill = sampler.fill_blocks
 
-    def bounded(n, stream, draws):
+    def bounded(n, streams, rows, draws):
         if draws.shape[1] > MAX_BLOCK:
             pytest.fail(f"a block of {draws.shape[1]} draws a row at n = {n}")
-        fill(n, stream, draws)
+        fill(n, streams, rows, draws)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(sampler, "fill_blocks", bounded)
@@ -465,27 +465,21 @@ class TestRawWordDraws:
     def fill(n, k, rows=40, seed=5):
         """(draws, rows that drew through integers) of fresh trial streams.
 
-        fill_blocks gets each row's PCG64 from bit_generator; a row draws
-        through integers when its PCG64 goes into a Generator, which must
-        be a fresh one at the stream start."""
-        handed, fallback = {}, set()
-        build = np.random.Generator
+        fill_blocks gets each row's PCG64 from bit_generator and, for a row
+        that draws through integers, its Generator from stream; both are
+        numpy's own, built at the row's stream start."""
+        fallback = set()
 
-        def bit_generator(row):
-            bits = fresh_stream(seed, row).bit_generator
-            handed[id(bits)] = row, bits.state
-            return bits
+        class NumpyStreams:
+            def bit_generator(self, row):
+                return fresh_stream(seed, row).bit_generator
 
-        def watched(bits):
-            row, start = handed[id(bits)]
-            assert bits.state == start, "integers must draw from the stream start"
-            fallback.add(row)
-            return build(bits)
+            def stream(self, row):
+                fallback.add(row)
+                return fresh_stream(seed, row)
 
         draws = np.full((rows, k), -1, dtype=np.int64)
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(np.random, "Generator", watched)
-            sampler.fill_blocks(n, bit_generator, draws)
+        sampler.fill_blocks(n, NumpyStreams(), list(range(rows)), draws)
         return draws, fallback
 
     @pytest.mark.parametrize("n", N_VALUES)
@@ -676,17 +670,22 @@ class TestExactTail:
         # from n = 16 to 1024. Counting each later round at twice the block
         # before it, a row's expected draws are fewer than with the earlier
         # first block 3n/4 + 4*sqrt(n) + 8, at every size.
+        # The tail is causal: its value at t does not depend on how far it
+        # is computed, so one tail per size holds every value read here.
+        sizes = [*range(16, 257), 300, 511, 777, 1000, 1023, 1024]
+        tail_of = {n: stopping_tail(n, 32 * max(first_block(n), earlier_first_block(n)))
+                   for n in [*range(1, 16), *sizes]}
+
         def past(n, block):
-            return stopping_tail(n, block)[-1]
+            return tail_of[n][block]
 
         def expected_draws(n, block):
-            tail = stopping_tail(n, 64 * block)
+            tail = tail_of[n]
             return block + sum(2 * b * tail[b] for b in block * 2 ** np.arange(6))
 
         assert f"{past(2, first_block(2)):.1e}" == "1.6e-02"
         assert f"{past(16, first_block(16)):.1e}" == "1.1e-03"
         assert f"{past(1024, first_block(1024)):.1e}" == "6.4e-05"
-        sizes = [*range(16, 257), 300, 511, 777, 1000, 1023, 1024]
         tails = {n: past(n, first_block(n)) for n in sizes}
         assert max(tails, key=tails.get) == 24
         assert f"{tails[24]:.1e}" == "3.2e-03"

@@ -1,6 +1,8 @@
 """The traced benchmark wraps dpmirror names; they must all still exist, and
 a traced pass must count the work it ran. The seeded modules call no numpy
-ufunc whose bits depend on numpy's CPU dispatch. Every pytest run, CI's
+ufunc whose bits depend on numpy's CPU dispatch. Three rules have one owner
+each: only sampler.TrialStreams builds a generator, only harness opens a
+file, and only geometry.dot calls np.add.reduce. Every pytest run, CI's
 included, has the one warnings policy pyproject.toml sets, and every CI
 pytest step runs the whole suite."""
 
@@ -197,6 +199,82 @@ def test_dispatched_uses_are_found():
               "z = y ** 2 + y ** 0.5 + y ** -1 + np.float_power(y, d) + np.sqrt(y)\n")
     assert sorted(dispatched_uses(source)) == sorted(
         ["np.exp", "np.arcsin", "np.log1p", "y ** d", "y ** 3", "y ** -2"])
+
+
+def owned_calls(source, callees):
+    """(owner, callee) of every call in the Python source whose callee, a
+    name or an attribute's last part, is in callees; owner is the dotted
+    path of the classes and functions around the call ('' at module level)."""
+    found = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, owner + (child.name,))
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if name in callees:
+                    found.append((".".join(owner), ast.get_source_segment(source, func)))
+            visit(child, owner)
+
+    visit(ast.parse(source), ())
+    return found
+
+
+def src_calls(callees):
+    """(module.owner, callee) of every owned_calls match in src/dpmirror."""
+    src = os.path.join(ROOT, "src", "dpmirror")
+    found = []
+    for name in sorted(os.listdir(src)):
+        if name.endswith(".py"):
+            with open(os.path.join(src, name)) as fh:
+                found += [(f"{name[:-3]}.{owner}", callee)
+                          for owner, callee in owned_calls(fh.read(), callees)]
+    return found
+
+
+def blas_reductions(source):
+    """Source text of every @ and @=, and of every .dot or .linalg attribute,
+    in the Python source."""
+    return [ast.get_source_segment(source, node) for node in ast.walk(ast.parse(source))
+            if (isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult))
+            or (isinstance(node, ast.Attribute) and node.attr in ("dot", "linalg"))]
+
+
+def test_owned_calls_and_blas_reductions_are_found():
+    source = ("import numpy as np\nrng = np.random.default_rng(0)\n"
+              "class A:\n    def f(self):\n        return open(p).read()\n"
+              "def g():\n    def h():\n        return np.add.reduce(x)\n    return h\n")
+    assert owned_calls(source, {"default_rng", "open", "reduce"}) == [
+        ("", "np.random.default_rng"), ("A.f", "open"), ("g.h", "np.add.reduce")]
+    source = "z = a @ b + a.dot(b) + np.dot(a, b) + dot(a, b)\nz @= np.linalg.norm(a)\n"
+    assert sorted(blas_reductions(source)) == sorted(
+        ["a @ b", "a.dot", "np.dot", "z @= np.linalg.norm(a)", "np.linalg"])
+
+
+def test_only_trial_streams_builds_generators():
+    # Every seed becomes its streams in sampler, and a row's generator is
+    # built only by TrialStreams: bit_generator and stream.
+    calls = src_calls({"Generator", "PCG64", "default_rng", "SeedSequence"})
+    assert calls and [call for call in calls
+                      if not call[0].startswith("sampler.TrialStreams.")] == []
+
+
+def test_only_harness_opens_files():
+    # harness reads the config file and writes every output file.
+    calls = src_calls({"open"})
+    assert calls and [call for call in calls if not call[0].startswith("harness.")] == []
+
+
+def test_only_geometry_dot_reduces():
+    # geometry.dot's rule: a run's reductions sum by add.reduce, not BLAS,
+    # whose last bits depend on the OpenBLAS kernel.
+    assert src_calls({"reduce"}) == [("geometry.dot", "np.add.reduce")]
+    for module in SEEDED_MODULES:
+        with open(os.path.join(ROOT, "src", "dpmirror", f"{module}.py")) as fh:
+            assert blas_reductions(fh.read()) == [], module
 
 
 # The warnings policy of every pytest run, written once in pyproject.toml.
