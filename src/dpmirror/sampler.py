@@ -6,10 +6,12 @@ the (floor(n/2)+1)-th distinct index arrives. The optimizer and
 simulate_tau read tau on one path, draw_stopping_times: each row (a run,
 or a trial) is read as a block of indices from the start of its own PCG64
 stream, first about 0.7n of them, and stopping_times reads a chunk of
-rows at once. The rare row whose tau falls past its block is read again
-from its stream start, with a longer block, on the same path, until it
-stops. A block of integer draws is a prefix of every longer block from
-the same start, so tau does not depend on the block length.
+rows at once, in working arrays that each round of a read allocates once
+and every chunk fills in place. The rare row whose tau falls past its
+block is read again from its stream start, with a longer block, on the
+same path, until it stops. A block of integer draws is a prefix of every
+longer block from the same start, so tau does not depend on the block
+length.
 
 Every seed in dpmirror becomes its streams here: _generate_state repeats
 numpy's SeedSequence as array arithmetic, one entropy column per stream
@@ -77,14 +79,26 @@ class TauStats:
                 "max_tau": self.max_tau, "frac_exceed_2n": self.frac_exceed_2n}
 
 
-def stopping_times(draws, n, arrivals=True):
+def chunk_work(rows, steps, n):
+    """stopping_times' working arrays for chunks of up to rows rows of steps
+    draws each: the (rows*n) scatter table, the (rows*steps) keys, and two
+    constant (rows*steps) arrays, each draw's step within its row and its
+    row's offset in the table (a flat add of offsets runs about twice as
+    fast as a broadcast column)."""
+    return (np.empty(rows * n, dtype=np.int64), np.empty(rows * steps, dtype=np.int64),
+            np.tile(np.arange(steps), rows), np.repeat(np.arange(0, rows * n, n), steps))
+
+
+def stopping_times(draws, n, arrivals=True, work=None):
     """(arrivals, tau) of each row of a (rows, steps) index block.
 
     draws holds values in {0, ..., n-1}. Row r of arrivals lists the first
     fresh_target(n) steps at which row r draws a value for the first time,
     in step order, and tau is one past the last of them. A row whose block
     is too short holds steps in its missing arrivals and tau = steps + 1.
-    Without arrivals, (None, tau).
+    Without arrivals, (None, tau). work is chunk_work(rows', steps, n) for
+    some rows' >= rows, filled in place; arrivals is then a view into it,
+    which the next call overwrites. Without work, the call makes its own.
 
     A scatter-minimum of each draw's position onto its (row, value) slot
     gives every value's first position in its row. tau alone is one past
@@ -94,11 +108,13 @@ def stopping_times(draws, n, arrivals=True):
     sort of the head was slower at every n from 64 to 4096.
     """
     rows, steps = draws.shape
-    first = np.full(rows * n, steps, dtype=np.int64)
+    first, keys, positions, offsets = work or chunk_work(rows, steps, n)
+    first, keys = first[:rows * n], keys[:rows * steps]
+    first.fill(steps)
     # Keys and positions go in flat and of equal length: on numpy 2.4,
     # ufunc.at with a 2-D index and a broadcast operand reads garbage.
-    keys = (draws + np.arange(0, rows * n, n)[:, None]).ravel()
-    np.minimum.at(first, keys, np.tile(np.arange(steps), rows))
+    np.add(draws.ravel(), offsets[:rows * steps], out=keys)
+    np.minimum.at(first, keys, positions[:rows * steps])
     first = first.reshape(rows, n)
     last = fresh_target(n) - 1
     if not arrivals:
@@ -122,7 +138,11 @@ def first_block(n):
 
 # draw_stopping_times stacks blocks into chunks of at most this many draws
 # (128 KB of int64) for one stopping_times call each. On n in
-# {16, ..., 1024}, simulate_tau was slower at 2**13 and 2**15.
+# {16, ..., 1024}, simulate_tau was slower at 2**13 and 2**15. A chunk's
+# arrays reach glibc's 128 KiB mmap threshold, so draw_stopping_times makes
+# them once a round: made for every chunk, they were mapped and faulted in
+# anew unless the threshold had risen (about 54 page faults a chunk at
+# n = 1024), and simulate_tau's time followed the heap layout.
 CHUNK_DRAWS = 1 << 14
 
 # simulate_tau seeds about this many trials at a time, rounded down to whole
@@ -216,8 +236,11 @@ def _seed_words():
 
         def generate_state(self, n_words, dtype=np.uint32):
             """SeedSequence's generate_state(n_words, dtype), for the uint64 words held."""
-            # PCG64 passes np.uint64 itself, which skips building a dtype.
-            if n_words > len(self.words) or dtype is not np.uint64 and np.dtype(dtype) != np.uint64:
+            # PCG64 asks for all four words as np.uint64 itself: they go back
+            # as held, with no dtype built and no slice (a fifth of a build).
+            if n_words == 4 and dtype is np.uint64:
+                return self.words
+            if n_words > len(self.words) or np.dtype(dtype) != np.uint64:
                 raise ValueError(f"SeedWords holds {len(self.words)} uint64 words")
             return self.words[:n_words]
 
@@ -276,10 +299,12 @@ def spawned_streams(seeds):
     return TrialStreams(children[0]), TrialStreams(children[1])
 
 
-def fill_blocks(n, streams, rows, draws):
+def fill_blocks(n, streams, rows, draws, words=None):
     """Fill row i of draws with streams.stream(rows[i]).integers(0, n,
     draws.shape[1]); rows holds Python ints, which bit_generator reads
-    faster than numpy integers.
+    faster than numpy integers. words, a uint64 array of at least
+    len(rows) * ceil(draws.shape[1] / 2) elements, takes the raw words in
+    place of a new array.
 
     For n <= 2**32, integers(0, n) is Lemire's method on 32-bit outputs of
     the row's PCG64, low half of each 64-bit word first: output x gives
@@ -292,12 +317,17 @@ def fill_blocks(n, streams, rows, draws):
     redraw = range(count)
     if n <= 1 << 32:
         size = (block + 1) // 2
-        words = np.concatenate([streams.bit_generator(row).random_raw(size) for row in rows])
+        words = np.concatenate([streams.bit_generator(row).random_raw(size) for row in rows],
+                               out=None if words is None else words[:count * size])
         scaled = draws.view(np.uint64)
         np.multiply(words.reshape(count, size).astype("<u8", copy=False).view("<u4")[:, :block],
                     np.uint64(n), out=scaled)
         threshold = (1 << 32) % n
-        redraw = np.flatnonzero(((scaled & _MASK32) < threshold).any(axis=1)) if threshold else []
+        if threshold:   # a row's least (x * n) mod 2**32, read from its low halves
+            low = scaled.astype("<u8", copy=False).view("<u4")[:, ::2].min(axis=1)
+            redraw = np.flatnonzero(low < threshold)
+        else:
+            redraw = []
         scaled >>= np.uint64(32)
     for i in redraw:
         draws[i] = streams.stream(rows[i]).integers(0, n, size=block)
@@ -307,12 +337,14 @@ def draw_stopping_times(n, streams, fresh=False):
     """tau of each row of a TrialStreams; with fresh, (tau, arrivals, indices).
 
     Each round reads rows from their stream start, rows_per_chunk(block)
-    at a time, into one reused buffer of blocks (fill_blocks) for one
-    stopping_times call: round 1 every row with first_block(n) draws, each
-    later round again each row whose tau fell past its block, with twice
-    that block (first_block and CHUNK_DRAWS are read at call time). Only
-    fresh keeps arrivals, the (rows, n//2+1) steps of each row's first
-    draws of a value, and indices, the values drawn there.
+    at a time, for one stopping_times call a chunk: round 1 every row with
+    first_block(n) draws, each later round again each row whose tau fell
+    past its block, with twice that block (first_block and CHUNK_DRAWS are
+    read at call time). A round allocates one set of chunk arrays, the
+    blocks and chunk_work's, and every chunk of it fills them in place;
+    the arrays returned are copies out of them. Only fresh keeps arrivals,
+    the (rows, n//2+1) steps of each row's first draws of a value, and
+    indices, the values drawn there.
     """
     rows, target = len(streams), fresh_target(n)
     tau = np.empty(rows, dtype=np.int64)
@@ -322,16 +354,20 @@ def draw_stopping_times(n, streams, fresh=False):
     pending, block = np.arange(rows), first_block(n)
     while pending.size:
         per_chunk = rows_per_chunk(block)
-        draws = np.empty((min(per_chunk, pending.size), block), dtype=np.int64)
+        count = min(per_chunk, pending.size)
+        draws = np.empty((count, block), dtype=np.int64)
+        # The keys hold fill_blocks' raw words until stopping_times builds them.
+        work = chunk_work(count, block, n)
+        words = work[1].view(np.uint64)
         for start in range(0, pending.size, per_chunk):
             chunk_rows = pending[start:start + per_chunk]
             chunk = draws[:len(chunk_rows)]
-            fill_blocks(n, streams, chunk_rows.tolist(), chunk)
-            chunk_arrivals, tau[chunk_rows] = stopping_times(chunk, n, fresh)
+            fill_blocks(n, streams, chunk_rows.tolist(), chunk, words)
+            chunk_arrivals, tau[chunk_rows] = stopping_times(chunk, n, fresh, work)
             if fresh:   # a row read again later gets its values then
                 arrivals[chunk_rows] = chunk_arrivals
                 indices[chunk_rows] = np.take_along_axis(
-                    chunk, np.minimum(chunk_arrivals, block - 1), 1)
+                    chunk, np.minimum(chunk_arrivals, block - 1, out=chunk_arrivals), 1)
         pending = pending[tau[pending] > block]
         block *= 2
     return (tau, arrivals, indices) if fresh else tau

@@ -1,5 +1,8 @@
 import hashlib
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -28,10 +31,10 @@ def bounded_blocks():
     not use the monkeypatch fixture, which a test may undo."""
     fill = sampler.fill_blocks
 
-    def bounded(n, streams, rows, draws):
+    def bounded(n, streams, rows, draws, words=None):
         if draws.shape[1] > MAX_BLOCK:
             pytest.fail(f"a block of {draws.shape[1]} draws a row at n = {n}")
-        fill(n, streams, rows, draws)
+        fill(n, streams, rows, draws, words)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(sampler, "fill_blocks", bounded)
@@ -368,6 +371,94 @@ class TestTauOnlyRead:
             assert tau.dtype == want.dtype == np.int64
             assert tau.tobytes() == want.tobytes(), n
             assert bool(wrapped) == (n == 1000), n   # the rejection's row draws through integers
+
+
+class TestChunkReuse:
+    """draw_stopping_times fills one set of chunk arrays per round in place:
+    nothing of one chunk or read may reach another."""
+
+    # At seed 135, trial 2 has a Lemire rejection at n = 1000, output 378.
+    SEED, ROWS = 135, 23
+
+    @staticmethod
+    def streams(seed, rows):
+        return sampler.seeded_streams(seed, np.asarray(rows, dtype=np.uint32))
+
+    @pytest.mark.parametrize("fresh", [False, True], ids=["tau", "fresh"])
+    @pytest.mark.parametrize("n", [1000, 1024])
+    def test_matches_rows_read_alone(self, n, fresh, monkeypatch):
+        # A first block near the mean tau sends about half the rows to a
+        # second round with twice the block. Chunks hold 5 rows in round 1
+        # and 2 in round 2, so 23 rows end each round in a partial chunk.
+        block = 7 * n // 10
+        monkeypatch.setattr(sampler, "first_block", lambda n: block)
+        monkeypatch.setattr(sampler, "CHUNK_DRAWS", 5 * block)
+        calls = []
+        fill = sampler.fill_blocks
+
+        def spy(n, streams, rows, draws, words=None):
+            calls.append((draws.shape[1], len(rows)))
+            fill(n, streams, rows, draws, words)
+
+        redrawn = []
+        stream = TrialStreams.stream
+        monkeypatch.setattr(sampler, "fill_blocks", spy)
+        monkeypatch.setattr(TrialStreams, "stream",
+                            lambda streams, row: redrawn.append(row) or stream(streams, row))
+        got = sampler.draw_stopping_times(n, self.streams(self.SEED, range(self.ROWS)), fresh)
+        assert calls[:5] == [(block, 5)] * 4 + [(block, 3)], calls
+        assert calls[5:-1] == [(2 * block, 2)] * (len(calls) - 6) and len(calls) > 6, calls
+        assert calls[-1] == (2 * block, 1), calls
+        assert set(redrawn) == ({2} if n == 1000 else set()), redrawn   # in both rounds
+        for row in range(self.ROWS):
+            alone = sampler.draw_stopping_times(n, self.streams(self.SEED, [row]), fresh)
+            for want, have in zip(alone if fresh else [alone], got if fresh else [got]):
+                assert have[row].tobytes() == want[0].tobytes(), (n, row)
+
+    @pytest.mark.parametrize("n", [1000, 3 * 2 ** 30 + 7, 1024])
+    def test_reused_words_match_integers(self, n):
+        # One words array through chunks of 3, 3 and 1 rows, then a block of
+        # twice the draws: each row is numpy's integers on its stream, with
+        # or without a rejection in it.
+        words = np.empty(3 * 4, dtype=np.uint64)
+        for rows, k in ((range(3), 4), (range(3, 6), 4), (range(6, 7), 4), (range(2), 8)):
+            draws = np.empty((len(rows), k), dtype=np.int64)
+            sampler.fill_blocks(n, self.streams(5, rows), list(range(len(rows))), draws, words)
+            for i, row in enumerate(rows):
+                assert np.array_equal(draws[i], fresh_stream(5, row).integers(0, n, size=k)), row
+
+    def test_next_read_leaves_returns_unchanged(self):
+        for fresh in (False, True):
+            first = sampler.draw_stopping_times(1000, self.streams(self.SEED, range(self.ROWS)),
+                                                fresh)
+            kept = [array.copy() for array in (first if fresh else [first])]
+            sampler.draw_stopping_times(1000, self.streams(self.SEED + 1, range(self.ROWS)),
+                                        fresh)
+            for want, have in zip(kept, first if fresh else [first]):
+                assert have.tobytes() == want.tobytes()
+
+    def test_page_faults_do_not_grow_with_chunks(self):
+        # With glibc's mmap threshold fixed at 128 KiB, an array of 128 KiB
+        # or more is mapped fresh and faulted in page by page each time it
+        # is made. Chunk arrays made per chunk cost about 54 faults a chunk
+        # at n = 1024 (27 000 over these 500 chunks of 20 rows); made once
+        # per round, about 420 in all, for the per-read arrays.
+        pytest.importorskip("resource")
+        chunks = 500
+        trials = chunks * sampler.rows_per_chunk(first_block(1024))
+        code = ("import resource\n"
+                "from dpmirror.sampler import simulate_tau\n"
+                "simulate_tau(1024, 1000, 1)\n"
+                "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+                f"simulate_tau(1024, {trials}, 7)\n"
+                "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n")
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env = dict(os.environ, PYTHONPATH=src, MALLOC_MMAP_THRESHOLD_="131072")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        faults = int(proc.stdout.split()[-1])
+        assert faults < 1500, faults
 
 
 class TestTrialBlocks:
