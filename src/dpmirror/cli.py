@@ -29,7 +29,7 @@ EXIT_AUDIT = 4
 def _resolve_seed(seed):
     # Reproducible mode needs --seed or a config file's seed line; otherwise
     # draw one from entropy and record it in every output. The seed is checked
-    # where it is read: by its run key, simulate_tau or audit_single_step.
+    # before any work: by its run key, run_tau_sim or audit_single_step.
     if seed is None:
         seed = secrets.randbits(63)
         print(f"seed not given; drawn from entropy: {seed}", file=sys.stderr)

@@ -7,9 +7,9 @@ exception: exit 4 is decided by the audit command.
 Every public entry point checks its counts, reals and vectors here, so a
 bool, a float count, a string or a non-finite value is refused the same
 way everywhere: check_count, check_real (with as_real, its type test, for
-a one-off range), check_probability (a delta), and check_reals for
-arrays, which check_vector adds a shape test to. Each rule is written
-once, here.
+a one-off range), check_probability (a delta), check_reals for arrays,
+which check_vector adds a shape test to, and check_pair for a
+(features, labels) pair. Each rule is written once, here.
 
 Every real parameter is 0 where 0 is allowed, or has magnitude in
 [2^-K, 2^K], K = RANGE_EXPONENT = 200: check_real and check_probability
@@ -158,6 +158,14 @@ def check_reals(value, name, finite=True):
     if finite and not np.isfinite(array).all():
         raise ConfigurationError(f"{name} must be finite")
     return array
+
+
+def check_pair(value, name):
+    """value, a (features, labels) pair: a tuple or list of two, never an array."""
+    if isinstance(value, (tuple, list)) and len(value) == 2:
+        return value
+    got = f"{len(value)} entries" if isinstance(value, (tuple, list)) else type(value).__name__
+    raise ConfigurationError(f"{name} must be a (features, labels) pair, got {got}")
 
 
 def check_vector(value, dimension, name):

@@ -58,7 +58,10 @@ def check_output_name(value, name):
 def experiment_dir(output_dir, name):
     """<output_dir>/<name>/, made if missing; name is check_output_name's."""
     path = os.path.join(output_dir, name)
-    os.makedirs(path, exist_ok=True)
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise ConfigurationError(f"{path}: cannot make output directory: {exc}") from exc
     return path
 
 
@@ -439,19 +442,20 @@ def run_tau_sim(n_values, trials, seed, output_dir, name="tau-sim"):
     """Stopping-time Monte Carlo for several n; writes tau.csv and summaries.
 
     tau.csv gets an extra leading n column so several sizes share one file;
-    the per-n summaries land in tau_summary.json. Every n is checked
-    before any is simulated, and simulated before anything is written, so
-    a bad n costs no work and leaves no files behind. An n given twice is
-    a bad n: it would simulate the same trials again and write them twice.
+    the per-n summaries land in tau_summary.json. The arguments are
+    checked, then the directory made, before any n is simulated: a bad one
+    costs no work and leaves no files behind. An n given twice is a bad n:
+    it would simulate the same trials again and write them twice.
     """
     trials = check_count(trials, "tau-sim: trials", low=1000)
+    seed = check_count(seed, "simulate_tau: seed", low=0, high=None)   # as simulate_tau names it
     name = check_output_name(name, "tau-sim: name")
     n_values = [check_count(n, "tau-sim: n") for n in n_values]
     repeated = [n for n, count in Counter(n_values).items() if count > 1]
     if repeated:
         raise ConfigurationError(f"tau-sim: n = {repeated[0]} is given more than once")
-    all_stats = [simulate_tau(n, trials, seed) for n in n_values]
     outdir = experiment_dir(output_dir, name)
+    all_stats = [simulate_tau(n, trials, seed) for n in n_values]
     with open(os.path.join(outdir, "tau.csv"), "w") as fh:
         fh.write(f"# n_values={list(n_values)} trials={trials} seed={seed}\n")
         fh.write("n,trial,tau\n")

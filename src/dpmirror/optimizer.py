@@ -34,7 +34,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, check_count, check_real, check_reals, check_vector
+from .errors import (ConfigurationError, check_count, check_pair, check_real, check_reals,
+                     check_vector)
 # mirror_step, sample_index and draw_dataset are not called here; they stay
 # importable from this module because perfbench/spans.py wraps them by name.
 from .geometry import dot, mirror_step  # noqa: F401
@@ -97,8 +98,9 @@ class RunBatch:
 
 def private_sgd(config, seed, dataset):
     """private_sgd_batch for one seed on one (features, labels) dataset."""
+    pair = check_pair(dataset, "private_sgd: dataset")
     return private_sgd_batch(config, [seed],
-                             *(check_reals(a, "private_sgd: dataset")[None] for a in dataset))
+                             *(check_reals(a, "private_sgd: dataset")[None] for a in pair))
 
 
 @dataclass
@@ -278,7 +280,8 @@ def estimate_regret(batch, rows, comparator, config):
     u = check_vector(comparator, config.feasible_set.dimension, "estimate_regret: comparator")
     if not config.feasible_set.contains(u):
         raise ConfigurationError("estimate_regret: comparator lies outside the set")
-    x, y = (check_reals(a, "estimate_regret: rows", finite=False) for a in rows)
+    x, y = (check_reals(a, "estimate_regret: rows", finite=False)
+            for a in check_pair(rows, "estimate_regret: rows"))
     shape = batch.fresh_iterates.shape
     if x.shape != shape or y.shape != shape[:2]:
         raise ConfigurationError(

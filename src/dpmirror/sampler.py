@@ -3,15 +3,15 @@
 The optimizer stops once more than half of the dataset indices have been
 drawn at least once: its stopping time tau is the 1-based step at which
 the (floor(n/2)+1)-th distinct index arrives. The optimizer and
-simulate_tau read tau on one path, draw_stopping_times: each row (a run,
-or a trial) is read as a block of indices from the start of its own PCG64
-stream, first about 0.7n of them, and stopping_times reads a chunk of
-rows at once, in working arrays that each round of a read allocates once
-and every chunk fills in place. The rare row whose tau falls past its
-block is read again from its stream start, with a longer block, on the
-same path, until it stops. A block of integer draws is a prefix of every
-longer block from the same start, so tau does not depend on the block
-length.
+simulate_tau (TAU_BLOCK_TRIALS trials at a time) read tau on one path,
+draw_stopping_times: each row (a run, or a trial) is read as a block of
+indices from the start of its own PCG64 stream, first about 0.7n of
+them, and stopping_times reads a chunk of rows at once, in working
+arrays that each round of a read allocates once and every chunk fills
+in place. The rare row whose tau falls past its block is read again from
+its stream start, with a longer block, on the same path, until it stops.
+A block of integer draws is a prefix of every longer block from the same
+start, so tau does not depend on the block length.
 
 Every seed in dpmirror becomes its streams here: _generate_state repeats
 numpy's SeedSequence as array arithmetic, one entropy column per stream
@@ -89,7 +89,7 @@ def chunk_work(rows, steps, n):
             np.tile(np.arange(steps), rows), np.repeat(np.arange(0, rows * n, n), steps))
 
 
-def stopping_times(draws, n, arrivals=True, work=None):
+def stopping_times(draws, n, arrivals, work):
     """(arrivals, tau) of each row of a (rows, steps) index block.
 
     draws holds values in {0, ..., n-1}. Row r of arrivals lists the first
@@ -97,8 +97,8 @@ def stopping_times(draws, n, arrivals=True, work=None):
     in step order, and tau is one past the last of them. A row whose block
     is too short holds steps in its missing arrivals and tau = steps + 1.
     Without arrivals, (None, tau). work is chunk_work(rows', steps, n) for
-    some rows' >= rows, filled in place; arrivals is then a view into it,
-    which the next call overwrites. Without work, the call makes its own.
+    some rows' >= rows, filled in place; arrivals is a view into it, which
+    the next call overwrites.
 
     A scatter-minimum of each draw's position onto its (row, value) slot
     gives every value's first position in its row. tau alone is one past
@@ -108,7 +108,7 @@ def stopping_times(draws, n, arrivals=True, work=None):
     sort of the head was slower at every n from 64 to 4096.
     """
     rows, steps = draws.shape
-    first, keys, positions, offsets = work or chunk_work(rows, steps, n)
+    first, keys, positions, offsets = work
     first, keys = first[:rows * n], keys[:rows * steps]
     first.fill(steps)
     # Keys and positions go in flat and of equal length: on numpy 2.4,
@@ -137,24 +137,16 @@ def first_block(n):
 
 
 # draw_stopping_times stacks blocks into chunks of at most this many draws
-# (128 KB of int64) for one stopping_times call each. On n in
-# {16, ..., 1024}, simulate_tau was slower at 2**13 and 2**15. A chunk's
-# arrays reach glibc's 128 KiB mmap threshold, so draw_stopping_times makes
-# them once a round: made for every chunk, they were mapped and faulted in
-# anew unless the threshold had risen (about 54 page faults a chunk at
-# n = 1024), and simulate_tau's time followed the heap layout.
+# (128 KB of int64) for one stopping_times call each; simulate_tau was
+# slower at 2**13 and 2**15 (n in {16, ..., 1024}). A chunk's arrays reach
+# glibc's 128 KiB mmap threshold, so a round makes them once: made per
+# chunk, they were faulted in anew unless the threshold had risen (about 54
+# page faults a chunk at n = 1024), and simulate_tau's time followed it.
 CHUNK_DRAWS = 1 << 14
 
-# simulate_tau seeds about this many trials at a time, rounded down to whole
-# row chunks (at least one): seeding costs about 230 bytes a trial, so a
-# block holds about 1 MB whatever the trial count. At n = 16, blocks of
-# exactly 4096 trials, each ending in a partial row chunk, were 15% slower.
+# simulate_tau seeds this many trials at a time: seeding costs about 230
+# bytes a trial, so a block holds about 1 MB whatever the trial count.
 TAU_BLOCK_TRIALS = 1 << 12
-
-
-def rows_per_chunk(block):
-    """Rows of block draws each that draw_stopping_times stacks into one chunk."""
-    return max(1, CHUNK_DRAWS // block)
 
 
 _MASK32 = (1 << 32) - 1
@@ -235,14 +227,11 @@ def _seed_words():
             self.words = words
 
         def generate_state(self, n_words, dtype=np.uint32):
-            """SeedSequence's generate_state(n_words, dtype), for the uint64 words held."""
-            # PCG64 asks for all four words as np.uint64 itself: they go back
-            # as held, with no dtype built and no slice (a fifth of a build).
+            """The words as held (no slice: a fifth of a build), for PCG64's (4, uint64)."""
             if n_words == 4 and dtype is np.uint64:
                 return self.words
-            if n_words > len(self.words) or np.dtype(dtype) != np.uint64:
-                raise ValueError(f"SeedWords holds {len(self.words)} uint64 words")
-            return self.words[:n_words]
+            raise ValueError(f"SeedWords holds 4 uint64 words, not generate_state("
+                             f"{n_words}, {dtype})")
 
     return SeedWords
 
@@ -299,12 +288,11 @@ def spawned_streams(seeds):
     return TrialStreams(children[0]), TrialStreams(children[1])
 
 
-def fill_blocks(n, streams, rows, draws, words=None):
+def fill_blocks(n, streams, rows, draws, words):
     """Fill row i of draws with streams.stream(rows[i]).integers(0, n,
-    draws.shape[1]); rows holds Python ints, which bit_generator reads
-    faster than numpy integers. words, a uint64 array of at least
-    len(rows) * ceil(draws.shape[1] / 2) elements, takes the raw words in
-    place of a new array.
+    draws.shape[1]), with words, a uint64 array of at least len(rows) *
+    ceil(draws.shape[1] / 2) elements, for the raw words; rows holds Python
+    ints, which bit_generator reads faster than numpy integers.
 
     For n <= 2**32, integers(0, n) is Lemire's method on 32-bit outputs of
     the row's PCG64, low half of each 64-bit word first: output x gives
@@ -318,7 +306,7 @@ def fill_blocks(n, streams, rows, draws, words=None):
     if n <= 1 << 32:
         size = (block + 1) // 2
         words = np.concatenate([streams.bit_generator(row).random_raw(size) for row in rows],
-                               out=None if words is None else words[:count * size])
+                               out=words[:count * size])
         scaled = draws.view(np.uint64)
         np.multiply(words.reshape(count, size).astype("<u8", copy=False).view("<u4")[:, :block],
                     np.uint64(n), out=scaled)
@@ -336,15 +324,15 @@ def fill_blocks(n, streams, rows, draws, words=None):
 def draw_stopping_times(n, streams, fresh=False):
     """tau of each row of a TrialStreams; with fresh, (tau, arrivals, indices).
 
-    Each round reads rows from their stream start, rows_per_chunk(block)
-    at a time, for one stopping_times call a chunk: round 1 every row with
-    first_block(n) draws, each later round again each row whose tau fell
-    past its block, with twice that block (first_block and CHUNK_DRAWS are
-    read at call time). A round allocates one set of chunk arrays, the
-    blocks and chunk_work's, and every chunk of it fills them in place;
-    the arrays returned are copies out of them. Only fresh keeps arrivals,
-    the (rows, n//2+1) steps of each row's first draws of a value, and
-    indices, the values drawn there.
+    Each round reads rows from their stream start, CHUNK_DRAWS // block of
+    them (at least one) at a time, for one stopping_times call a chunk:
+    round 1 every row with first_block(n) draws, each later round again
+    each row whose tau fell past its block, with twice that block
+    (first_block and CHUNK_DRAWS are read at call time). A round allocates
+    one set of chunk arrays, the blocks and chunk_work's, and every chunk
+    of it fills them in place; the arrays returned are copies out of them.
+    Only fresh keeps arrivals, the (rows, n//2+1) steps of each row's first
+    draws of a value, and indices, the values drawn there.
     """
     rows, target = len(streams), fresh_target(n)
     tau = np.empty(rows, dtype=np.int64)
@@ -353,11 +341,10 @@ def draw_stopping_times(n, streams, fresh=False):
         arrivals, indices = (np.empty((rows, target), dtype=np.int64) for _ in range(2))
     pending, block = np.arange(rows), first_block(n)
     while pending.size:
-        per_chunk = rows_per_chunk(block)
+        per_chunk = max(1, CHUNK_DRAWS // block)
         count = min(per_chunk, pending.size)
-        draws = np.empty((count, block), dtype=np.int64)
+        draws, work = np.empty((count, block), dtype=np.int64), chunk_work(count, block, n)
         # The keys hold fill_blocks' raw words until stopping_times builds them.
-        work = chunk_work(count, block, n)
         words = work[1].view(np.uint64)
         for start in range(0, pending.size, per_chunk):
             chunk_rows = pending[start:start + per_chunk]
@@ -379,8 +366,7 @@ def simulate_tau(n, trials, seed):
     Trial t draws its indices from its own stream, the default_rng stream
     of SeedSequence entropy [seed, t], so trials are individually
     reproducible and order-independent. They are seeded (seeded_streams)
-    and read by draw_stopping_times one block at a time: about
-    TAU_BLOCK_TRIALS trials, a whole number of its row chunks. So memory
+    and read by draw_stopping_times TAU_BLOCK_TRIALS at a time, so memory
     beyond the 8-byte-a-trial result does not grow with trials. seed must
     be a non-negative int and trials an int in [1, INDEXED_STREAMS], so that
     t is one uint32 word; anything else raises ConfigurationError.
@@ -388,11 +374,9 @@ def simulate_tau(n, trials, seed):
     n = check_count(n, "simulate_tau: n")
     seed = check_count(seed, "simulate_tau: seed", low=0, high=None)
     trials = check_count(trials, "simulate_tau: trials", high=INDEXED_STREAMS)
-    per_chunk = rows_per_chunk(first_block(n))
-    block = per_chunk * max(1, TAU_BLOCK_TRIALS // per_chunk)
     tau = np.empty(trials, dtype=np.int64)
-    for start in range(0, trials, block):
-        stop = min(start + block, trials)
+    for start in range(0, trials, TAU_BLOCK_TRIALS):
+        stop = min(start + TAU_BLOCK_TRIALS, trials)
         streams = seeded_streams(seed, np.arange(start, stop, dtype=np.uint32))
         tau[start:stop] = draw_stopping_times(n, streams)
     return TauStats(n=n, trials=trials, tau_samples=tau)

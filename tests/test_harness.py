@@ -685,8 +685,9 @@ class TestCli:
         captured = capsys.readouterr()
         assert "give delta_total=2.5357" in captured.err and captured.out == ""
 
-    # Each command's seed is checked where it is read, with the bound named:
-    # by run's seed key, by simulate_tau and by audit_single_step.
+    # Each command's seed is checked before any work or file, with the bound
+    # named: by run's seed key, by run_tau_sim (as simulate_tau names it) and
+    # by audit_single_step.
     @pytest.mark.parametrize("argv, message", [
         (["run", "--n-values", "16", "--epsilon-values", "max", "--repeats", "1",
           "--baseline-steps", "10000"], "config field seed must be an int >= 0, got -1"),
@@ -699,6 +700,7 @@ class TestCli:
         rc = cli.main([*argv, "--seed", "-1", "--output-dir", str(tmp_path)])
         assert rc == 2
         assert message in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_negative_config_seed_exit_2(self, tmp_path, capsys):
         cfg = tmp_path / "exp.cfg"
@@ -1128,6 +1130,24 @@ class TestCli:
         assert sorted(os.listdir(tmp_path)) == ["runs"]
         if command == "run":
             assert printed["output_dir"] == os.path.join("runs", "x")
+
+    @pytest.mark.parametrize("command", list(OUTPUT_DIR_CASES))
+    def test_output_dir_through_a_file_exit_2(self, tmp_path, capsys, monkeypatch, command):
+        # An --output-dir naming a regular file once ended each command in
+        # NotADirectoryError and exit 1, after its work. tau-sim makes its
+        # directory before it simulates; run and audit still work first, so
+        # that a refused input leaves nothing behind.
+        if command == "tau-sim":
+            monkeypatch.setattr(harness_mod, "simulate_tau", None)
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        flags, _ = self.OUTPUT_DIR_CASES[command]
+        rc = cli.main([*flags, "--name", "x", "--output-dir", str(blocker)])
+        assert rc == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"configuration error: {blocker / 'x'}: cannot make output directory" in err
+        assert "Traceback" not in err
+        assert sorted(os.listdir(tmp_path)) == ["file"]
 
 
 def digest_run_outputs(outdir):

@@ -24,7 +24,8 @@ from dpmirror.errors import ConfigurationError, as_real, check_count
 from dpmirror.geometry import FeasibleSet, mirror_step
 from dpmirror.harness import run_tau_sim
 from dpmirror.losses import LossOracle, PopulationSpec, draw_arrays, lipschitz_certificate
-from dpmirror.optimizer import RunConfig, baseline_minimizer, estimate_risk, private_sgd_batch
+from dpmirror.optimizer import (RunConfig, baseline_minimizer, estimate_regret, estimate_risk,
+                                private_sgd, private_sgd_batch)
 from dpmirror.privacy import audit_single_step, calibrate_sigma, end_to_end, from_target
 from dpmirror.sampler import sample_index, simulate_tau
 
@@ -174,6 +175,25 @@ def test_count_past_float_range_refused(call, name):
     # (OverflowError) and numpy refused the array (ValueError).
     with pytest.raises(ConfigurationError, match=rf"^{name} must be an int in \[\d+, {2**53}\]"):
         call()
+
+
+FEATURES, LABELS = np.full((16, 2), 0.1), np.ones(16)
+
+
+@pytest.mark.parametrize("value", [FEATURES, FEATURES[:2], (FEATURES,), (FEATURES, LABELS, LABELS),
+                                   None, "xy"],
+                         ids=["array", "two-row-array", "one", "three", "none", "string"])
+@pytest.mark.parametrize("call, name", [
+    (lambda v: private_sgd(run_config(), 1, v), "private_sgd: dataset"),
+    (lambda v: estimate_regret(one_run(0), v, np.zeros(2), run_config()), "estimate_regret: rows"),
+], ids=["private_sgd", "estimate_regret"])
+def test_dataset_must_be_a_pair(call, name, value):
+    # A dataset that is not a (features, labels) pair once ended in a
+    # TypeError (private_sgd_batch's argument count) or a ValueError (not
+    # enough or too many values to unpack); an array unpacked along its rows.
+    with pytest.raises(ConfigurationError, match=re.escape(f"{name} must be a (features, "
+                                                           "labels) pair, got ")):
+        call(value)
 
 
 def test_seed_takes_any_non_negative_int():

@@ -31,7 +31,7 @@ def bounded_blocks():
     not use the monkeypatch fixture, which a test may undo."""
     fill = sampler.fill_blocks
 
-    def bounded(n, streams, rows, draws, words=None):
+    def bounded(n, streams, rows, draws, words):
         if draws.shape[1] > MAX_BLOCK:
             pytest.fail(f"a block of {draws.shape[1]} draws a row at n = {n}")
         fill(n, streams, rows, draws, words)
@@ -64,6 +64,12 @@ class TestSampleIndex:
             sample_index(np.random.default_rng(0), 0)
 
 
+def read_block(draws, n, arrivals=True):
+    """stopping_times on a (rows, steps) block, in working arrays made for
+    it as draw_stopping_times makes them for a round."""
+    return stopping_times(draws, n, arrivals, sampler.chunk_work(*draws.shape, n))
+
+
 def arrivals_of(draws, n=None):
     """First arrivals of one index stream, as a 1-row block of the kernel.
 
@@ -71,7 +77,7 @@ def arrivals_of(draws, n=None):
     stream is read as one over 2n values to keep all n of them."""
     draws = np.asarray(draws)
     n = int(draws.max()) + 1 if n is None else n
-    row = stopping_times(draws[None], 2 * n)[0][0]
+    row = read_block(draws[None], 2 * n)[0][0]
     return row[row < draws.size]
 
 
@@ -396,7 +402,7 @@ class TestChunkReuse:
         calls = []
         fill = sampler.fill_blocks
 
-        def spy(n, streams, rows, draws, words=None):
+        def spy(n, streams, rows, draws, words):
             calls.append((draws.shape[1], len(rows)))
             fill(n, streams, rows, draws, words)
 
@@ -445,7 +451,7 @@ class TestChunkReuse:
         # per round, about 420 in all, for the per-read arrays.
         pytest.importorskip("resource")
         chunks = 500
-        trials = chunks * sampler.rows_per_chunk(first_block(1024))
+        trials = chunks * (sampler.CHUNK_DRAWS // first_block(1024))
         code = ("import resource\n"
                 "from dpmirror.sampler import simulate_tau\n"
                 "simulate_tau(1024, 1000, 1)\n"
@@ -464,19 +470,12 @@ class TestChunkReuse:
 class TestTrialBlocks:
     """simulate_tau seeds and reads its trials one block at a time."""
 
-    @staticmethod
-    def trial_block(n):
-        per_chunk = sampler.rows_per_chunk(first_block(n))
-        return per_chunk * max(1, sampler.TAU_BLOCK_TRIALS // per_chunk)
-
     @pytest.mark.parametrize("n", [2, 16, 1024])
     def test_blocks_match_one_block(self, n):
         # Two whole blocks and a partial third: each trial t is still the
         # stream of entropy [seed, t], read as one block of every trial reads it.
         seed = 31
-        block = self.trial_block(n)
-        assert block % sampler.rows_per_chunk(first_block(n)) == 0
-        trials = 2 * block + 123
+        trials = 2 * sampler.TAU_BLOCK_TRIALS + 123
         one_block = sampler.draw_stopping_times(
             n, sampler.seeded_streams(seed, np.arange(trials, dtype=np.uint32)))
         assert simulate_tau(n, trials, seed).tau_samples.tobytes() == one_block.tobytes()
@@ -570,7 +569,8 @@ class TestRawWordDraws:
                 return fresh_stream(seed, row)
 
         draws = np.full((rows, k), -1, dtype=np.int64)
-        sampler.fill_blocks(n, NumpyStreams(), list(range(rows)), draws)
+        words = np.empty(rows * ((k + 1) // 2), dtype=np.uint64)
+        sampler.fill_blocks(n, NumpyStreams(), list(range(rows)), draws, words)
         return draws, fallback
 
     @pytest.mark.parametrize("n", N_VALUES)
@@ -627,18 +627,18 @@ class TestVectorSeeding:
             assert row.tobytes() == want.tobytes(), trial
 
     def test_seed_words_generate_state(self):
-        # SeedWords answers generate_state as SeedSequence does, for every
-        # count of the uint64 words it holds, and refuses anything else.
+        # SeedWords answers PCG64's one request, generate_state(4, np.uint64),
+        # as SeedSequence does, and refuses anything else.
         sequence = np.random.SeedSequence([2 ** 40 + 3, 9])
         seed_words = sampler._seed_words()
         assert issubclass(seed_words, np.random.bit_generator.ISeedSequence)
         assert np.random.bit_generator.ISeedSequence in seed_words.__mro__   # not registered
         held = seed_words(sequence.generate_state(4, np.uint64))
-        for n_words in range(5):
-            got = held.generate_state(n_words, np.uint64)
-            want = sequence.generate_state(n_words, np.uint64)
-            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
-        for n_words, dtype in ((5, np.uint64), (2, np.uint32), (2, np.int64)):
+        got = held.generate_state(4, np.uint64)
+        want = sequence.generate_state(4, np.uint64)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        for n_words, dtype in ((5, np.uint64), (3, np.uint64), (0, np.uint64),
+                               (2, np.uint32), (4, np.uint32), (2, np.int64)):
             with pytest.raises(ValueError, match="holds 4 uint64 words"):
                 held.generate_state(n_words, dtype)
 
@@ -682,13 +682,14 @@ class TestFirstArrivalsKernel:
 
     def check(self, draws, n):
         rows, steps = draws.shape
-        got, tau = stopping_times(draws, n)
+        got, tau = read_block(draws, n)
         assert got.shape == (rows, fresh_target(n))
         for r in range(rows):
             want = self.reference(draws[r])[:fresh_target(n)]
             assert np.array_equal(got[r, :want.size], want)
             assert np.all(got[r, want.size:] == steps)
         assert np.array_equal(tau, got[:, -1] + 1)
+        assert read_block(draws, n, False)[1].tobytes() == tau.tobytes()
 
     def test_random_blocks(self):
         rng = np.random.default_rng(2024)
@@ -704,12 +705,12 @@ class TestFirstArrivalsKernel:
         draws = np.stack([np.full(40, 7), np.arange(40) % 3,
                           np.random.default_rng(5).integers(0, n, size=40)])
         self.check(draws, n)
-        arrivals = stopping_times(draws, n)[0][:, fresh_target(n) - 1]
+        arrivals = read_block(draws, n)[0][:, fresh_target(n) - 1]
         assert arrivals[0] == arrivals[1] == 40
         assert arrivals[2] < 40
         short = np.random.default_rng(6).integers(0, n, size=(4, fresh_target(n) - 1))
         self.check(short, n)
-        assert np.all(stopping_times(short, n)[0][:, fresh_target(n) - 1] == short.shape[1])
+        assert np.all(read_block(short, n)[0][:, fresh_target(n) - 1] == short.shape[1])
 
     def test_largest_draw_below_n_minus_one(self):
         rng = np.random.default_rng(8)
@@ -720,8 +721,8 @@ class TestFirstArrivalsKernel:
     def test_single_column(self):
         draws = np.array([[3], [0], [9], [3]])
         self.check(draws, 10)
-        assert stopping_times(draws, 10)[0][:, 0].tolist() == [0, 0, 0, 0]
-        assert np.all(stopping_times(draws, 10)[0][:, 1:] == 1)
+        assert read_block(draws, 10)[0][:, 0].tolist() == [0, 0, 0, 0]
+        assert np.all(read_block(draws, 10)[0][:, 1:] == 1)
 
     def test_stopping_times(self):
         # tau is one past the (n//2+1)-th first arrival, as a set walk finds
@@ -731,7 +732,7 @@ class TestFirstArrivalsKernel:
         draws = np.concatenate([rng.integers(0, n, size=(5, steps)),
                                 [np.full(steps, 7), np.arange(steps) % 3]])
         self.check(draws, n)
-        tau = stopping_times(draws, n)[1]
+        tau = read_block(draws, n)[1]
         for r in range(5):
             assert tau[r] == set_walk_tau(draws[r], n)
         assert tau[5:].tolist() == [steps + 1, steps + 1]

@@ -2,9 +2,10 @@
 a traced pass must count the work it ran. The seeded modules call no numpy
 ufunc whose bits depend on numpy's CPU dispatch. Three rules have one owner
 each: only sampler.TrialStreams builds a generator, only harness opens a
-file, and only geometry.dot calls np.add.reduce. Every pytest run, CI's
-included, has the one warnings policy pyproject.toml sets, and every CI
-pytest step runs the whole suite."""
+file, and only geometry.dot calls np.add.reduce. Every module-level
+function or class of src has a reader or a public reason. Every pytest
+run, CI's included, has the one warnings policy pyproject.toml sets, and
+every CI pytest step runs the whole suite."""
 
 import ast
 import json
@@ -384,6 +385,34 @@ def test_unused_imports_are_found():
     assert unused_imports(source) == {"os", "e"}
 
 
+def module_definitions(source):
+    """Names of the module-level functions and classes the Python source defines."""
+    return {node.name for node in ast.parse(source).body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))}
+
+
+def names_read(source):
+    """Every name the Python source reads, bare or as an attribute."""
+    return {node.id if isinstance(node, ast.Name) else node.attr
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)}
+
+
+def dead_definitions(sources, kept):
+    """(module, name) of each module-level function or class of sources, a
+    {module: source} dict, that no source reads and kept does not hold."""
+    read = set().union(*map(names_read, sources.values()))
+    return sorted((module, name) for module, source in sources.items()
+                  for name in module_definitions(source) - read - kept)
+
+
+def test_dead_definitions_are_found():
+    sources = {"a": "def f():\n    return g()\ndef g():\n    pass\nclass C:\n    pass\n",
+               "b": "from .a import C\ndef unused():\n    pass\ndef kept():\n    pass\n"
+                    "x = a.f()\n"}
+    assert dead_definitions(sources, {"kept"}) == [("a", "C"), ("b", "unused")]
+
+
 def spans_wrapped_names():
     """(module, name) of every module-level target of perfbench/spans.py's
     install, read from the file's AST without importing it."""
@@ -409,3 +438,24 @@ def test_src_imports_only_names_it_uses_or_spans_wraps():
             with open(os.path.join(src, name)) as fh:
                 unused = {(name[:-3], attr) for attr in unused_imports(fh.read())}
             assert sorted(unused - wrapped) == [], name
+
+
+def test_src_defines_nothing_dead():
+    # A module-level function or class of src/dpmirror is dead unless some
+    # src module reads it, it is public (dpmirror.__all__ or a name the
+    # README's "Library API" section gives), or perfbench/spans.py wraps it.
+    src = os.path.join(ROOT, "src", "dpmirror")
+    sources = {}
+    for name in sorted(os.listdir(src)):
+        if name.endswith(".py"):
+            with open(os.path.join(src, name)) as fh:
+                sources[name[:-3]] = fh.read()
+    (exported,) = [ast.literal_eval(node.value) for node in ast.parse(sources["__init__"]).body
+                   if isinstance(node, ast.Assign)
+                   and [getattr(target, "id", None) for target in node.targets] == ["__all__"]]
+    with open(os.path.join(ROOT, "README.md")) as fh:
+        api = fh.read().split("\n## Library API\n", 1)[1].split("\n## ", 1)[0]
+    named = set(re.findall(r"`(\w+)`", api))
+    assert {"expected_tau", "mirror_step", "sample_index"} <= named
+    wrapped = {name for _, name in spans_wrapped_names()}
+    assert dead_definitions(sources, {*exported, *named, *wrapped}) == []
