@@ -343,8 +343,8 @@ def run_cell(spec, key, plan, baseline, base_risk):
     n//2 + 1 rows its fresh steps read are kept, in step order. run_steps
     reads those rows with no row map and runs the repeats on the plan's
     RunConfig, whose sigma and eta cells.csv prints, and estimate_regret
-    scores the same rows against the reference minimizer, a block of rows
-    at a time. A run's excess risk is its output's exact population risk
+    scores the batch's margins and the same rows against the reference
+    minimizer. A run's excess risk is its output's exact population risk
     minus base_risk; no evaluation data are drawn.
     stderr adds to the runs' standard error the reference minimizer's error
     bound and the largest quadrature bound of the runs' risks,
@@ -447,7 +447,7 @@ def run_tau_sim(n_values, trials, seed, output_dir, name="tau-sim"):
     costs no work and leaves no files behind. An n given twice is a bad n:
     it would simulate the same trials again and write them twice.
     """
-    trials = check_count(trials, "tau-sim: trials", low=1000)
+    trials = check_count(trials, "tau-sim: trials", low=1000, high=INDEXED_STREAMS)
     seed = check_count(seed, "simulate_tau: seed", low=0, high=None)   # as simulate_tau names it
     name = check_output_name(name, "tau-sim: name")
     n_values = [check_count(n, "tau-sim: n") for n in n_values]

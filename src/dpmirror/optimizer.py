@@ -87,13 +87,14 @@ class RunBatch:
     output          (R, d) mean iterate at the fresh steps
     fresh_indices   (R, m) dataset index of each fresh step in step order,
                     m = n//2+1
-    fresh_iterates  (R, m, d) iterate held at each fresh step
+    fresh_margins   (R, m) margin <w_t, x_t> at each fresh step: every loss
+                    depends on w only through it (estimate_regret)
     """
 
     tau: np.ndarray
     output: np.ndarray
     fresh_indices: np.ndarray
-    fresh_iterates: np.ndarray
+    fresh_margins: np.ndarray
 
 
 def private_sgd(config, seed, dataset):
@@ -200,18 +201,19 @@ def run_steps(config, steps, features, labels, data_rows=None):
     (LossOracle.fixed_slopes), the chunk's eta * g is formed at once in the
     gathered features, and each step is one projection; the bits are those
     of the step by step path. Once step t has read x[t], x[t] holds the
-    iterate of step t, so the iterates held at fresh steps go to
-    fresh_iterates in one scatter per chunk, and memory stays
-    O(R * chunk * d) beside the output. Then add.accumulate sums them in
-    step order from +0.0, NOISE_CHUNK_STEPS at a time in the noise buffer:
-    the step by step running add, to the bit (add.reduce would sum pairwise
-    when rows * d = 1).
+    iterate of step t. Each chunk then scatters the margins <w_t, x_t> of
+    its fresh (step, row) pairs (LossOracle.subgradient's einsum) into
+    fresh_margins, zeroes the other pairs, and adds the chunk's steps one
+    at a time to the output's running sum. That sum starts at +0.0, so it
+    is never -0.0 and adding +0.0 keeps its bits: this is the step by step
+    running add, to the bit (add.reduce would sum pairwise when rows * d =
+    1). Memory stays O(R * chunk * d) beside the (R, m) margins.
     """
     rows, target = steps.fresh_indices.shape
     d = config.feasible_set.dimension
     eta, oracle, feasible_set = config.eta, config.oracle, config.feasible_set
-    fresh_iterates = np.empty((rows, target, d))
-    flat_iterates = fresh_iterates.reshape(-1, d)
+    fresh_margins = np.empty((rows, target))
+    total = np.zeros((rows, d))
     slot_base = np.arange(rows) * target - 1
     w = np.tile(config.w1, (rows, 1))
     steps_taken = len(steps.fresh)
@@ -251,18 +253,13 @@ def run_steps(config, steps, features, labels, data_rows=None):
                 oracle.subgradient(w, x[t], y[t]) + noise[t])
             w, x[t] = feasible_set.project_rows(w - step), w
         at = np.flatnonzero(mask)
-        flat_iterates[slots.ravel()[at]] = x.reshape(-1, d)[at]
-    total = np.zeros((rows, d))
-    for block_start in range(0, target, NOISE_CHUNK_STEPS):
-        k = min(NOISE_CHUNK_STEPS, target - block_start)
-        block = noise_buffer[:rows * k * d].reshape(rows, k, d)
-        np.copyto(block, fresh_iterates[:, block_start:block_start + k])
-        block[:, 0] += total
-        np.add.accumulate(block, axis=1, out=block)
-        total = block[:, -1].copy()
-
+        fresh_margins.reshape(-1)[slots.ravel()[at]] = np.einsum(
+            "...i,...i->...", x.reshape(-1, d)[at], features.take(data.ravel()[at], axis=0))
+        x.reshape(-1, d)[np.flatnonzero(~mask)] = 0.0
+        for held in x:
+            total += held
     return RunBatch(tau=steps.tau, output=total / target,
-                    fresh_indices=steps.fresh_indices, fresh_iterates=fresh_iterates)
+                    fresh_indices=steps.fresh_indices, fresh_margins=fresh_margins)
 
 
 def estimate_regret(batch, rows, comparator, config):
@@ -271,18 +268,20 @@ def estimate_regret(batch, rows, comparator, config):
     Stale steps contribute nothing: their loss is a pure noise linear term
     with zero mean, so only the fresh-step losses carry signal.
 
-    batch is a RunBatch and rows the (R, m, d) features and (R, m) labels
-    its fresh steps read, in step order (m = n//2+1); the result is an (R,)
-    array. Rows are checked and scored REGRET_BLOCK // m at a time (one at
-    least), so no temporary holds all R rows; each row's sum is one
-    add.reduce over its m steps, as for the whole array at once.
+    batch is a RunBatch, whose fresh_margins give f(w_t, x_t), and rows the
+    (R, m, d) features and (R, m) labels its fresh steps read, in step order
+    (m = n//2+1); the result is an (R,) array. Rows are checked and scored
+    REGRET_BLOCK // m at a time (one at least), so no temporary holds all R
+    rows; each row's sum is one add.reduce over its m steps, as for the
+    whole array at once.
     """
     u = check_vector(comparator, config.feasible_set.dimension, "estimate_regret: comparator")
     if not config.feasible_set.contains(u):
         raise ConfigurationError("estimate_regret: comparator lies outside the set")
     x, y = (check_reals(a, "estimate_regret: rows", finite=False)
             for a in check_pair(rows, "estimate_regret: rows"))
-    shape = batch.fresh_iterates.shape
+    margins = batch.fresh_margins
+    shape = margins.shape + (config.feasible_set.dimension,)
     if x.shape != shape or y.shape != shape[:2]:
         raise ConfigurationError(
             f"estimate_regret: need the (R, m, d) = {shape} features and (R, m) = "
@@ -294,10 +293,9 @@ def estimate_regret(batch, rows, comparator, config):
         x_part, y_part = x[part], y[part]
         if not (np.isfinite(x_part).all() and np.isfinite(y_part).all()):
             raise ConfigurationError("estimate_regret: rows must be finite")
-        # Two (block, m) arrays at most: the margins, scored in place, and u's losses.
+        # Two (block, m) arrays at most: the run's losses and u's.
         with np.errstate(over="ignore", invalid="ignore"):
-            margins = np.einsum("...i,...i->...", batch.fresh_iterates[part], x_part)
-            scores = oracle.loss_at(margins, y_part, out=margins)
+            scores = oracle.loss_at(margins[part], y_part)
             scores -= oracle.batch_values(u, x_part, y_part)
             regret[part] = scores.sum(axis=-1)
     if not np.isfinite(regret).all():

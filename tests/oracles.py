@@ -268,14 +268,16 @@ def stepwise_run(n, eta, sigma, w1, seed, features, labels, project, subgradient
     repeat steps against the noise alone. Every step ends with project(w).
     The run stops once more than n/2 indices are seen.
 
-    Returns (tau, fresh indices, fresh-step iterates, output), where the
-    output is the mean of the fresh-step iterates, summed in step order.
+    Returns (tau, fresh indices, fresh-step iterates, fresh-step margins,
+    output), where a margin is dot(w, x) of the step's iterate and features
+    and the output is the mean of the fresh-step iterates, summed in step
+    order.
     """
     index_seq, noise_seq = np.random.SeedSequence(seed).spawn(2)
     index_rng = np.random.default_rng(index_seq)
     noise_rng = np.random.default_rng(noise_seq)
     w = np.array(w1, dtype=float)
-    seen, fresh_indices, fresh_iterates, tau = set(), [], [], 0
+    seen, fresh_indices, fresh_iterates, margins, tau = set(), [], [], [], 0
     while len(seen) <= n // 2:
         i = int(index_rng.integers(0, n))
         g = sigma * noise_rng.standard_normal(len(w))
@@ -283,36 +285,42 @@ def stepwise_run(n, eta, sigma, w1, seed, features, labels, project, subgradient
             seen.add(i)
             fresh_indices.append(i)
             fresh_iterates.append(w)
+            margins.append(dot(w, features[i]))
             g = subgradient(w, features[i], labels[i]) + g
         w = project(w - eta * g)
         tau += 1
     total = np.zeros(len(w))
     for iterate in fresh_iterates:
         total = total + iterate
-    return tau, np.array(fresh_indices), np.array(fresh_iterates), total / len(seen)
+    return (tau, np.array(fresh_indices), np.array(fresh_iterates), np.array(margins),
+            total / len(seen))
 
 
 def engine_matches_stepwise(config, seeds, features, labels):
     """private_sgd_batch of config on the stacked (R, n, d) features and
     (R, n) labels, after asserting that each row's tau, fresh indices,
-    fresh iterates and output equal stepwise_run's bit for bit. The
+    fresh margins and output equal stepwise_run's bit for bit. The
     reference projects onto config's set by project_ball or project_box
-    and steps by plain_subgradient of config's loss kind."""
+    and steps by plain_subgradient of config's loss kind. Returns the
+    batch and the reference's (R, m, d) fresh-step iterates, which the
+    batch does not hold."""
     fs, kind = config.feasible_set, config.oracle.kind
     if fs.kind == "l2_ball":
         project = lambda x: project_ball(fs.radius, x)  # noqa: E731
     else:
         project = lambda x: project_box(fs.lower, fs.upper, x)  # noqa: E731
     batch = private_sgd_batch(config, seeds, features, labels)
+    iterates = []
     for r, seed in enumerate(seeds):
-        tau, indices, iterates, output = stepwise_run(
+        tau, indices, held, margins, output = stepwise_run(
             config.n, config.eta, config.sigma, config.w1, seed, features[r], labels[r],
             project, lambda w, x, y: plain_subgradient(kind, w, x, y))
         assert batch.tau[r] == tau, (seed, batch.tau[r], tau)
         assert batch.fresh_indices[r].tobytes() == indices.tobytes(), seed
-        assert batch.fresh_iterates[r].tobytes() == iterates.tobytes(), seed
+        assert batch.fresh_margins[r].tobytes() == margins.tobytes(), seed
         assert batch.output[r].tobytes() == output.tobytes(), seed
-    return batch
+        iterates.append(held)
+    return batch, np.stack(iterates)
 
 
 def run_repeat_streams(seed, n_idx, e_idx, repeat):

@@ -232,15 +232,15 @@ def test_criterion_7_noiseless_equivalence():
                            oracle=oracle, w1=w1)
         seed = derived_seed(7, case)
         run = private_sgd(config, seed, (features, labels))
-        tau, indices, iterates, output = stepwise_run(
+        tau, indices, _, margins, output = stepwise_run(
             n, eta, 0.0, w1, seed, features, labels, project,
             lambda w, x, y: plain_subgradient(kind, w, x, y))
         same_steps &= (run.tau.tolist() == [tau]
                        and np.array_equal(run.fresh_indices[0], indices))
-        worst = max(worst, float(np.max(np.abs(run.fresh_iterates[0] - iterates))),
+        worst = max(worst, float(np.max(np.abs(run.fresh_margins[0] - margins))),
                     float(np.max(np.abs(run.output[0] - output))))
     check(7, "noiseless trajectory equivalence", same_steps and worst <= 1e-12,
-          f"same tau and fresh indices: {same_steps}; max per-coordinate gap "
+          f"same tau and fresh indices: {same_steps}; max margin or output gap "
           f"{worst:.2e} over 100 configs")
 
 

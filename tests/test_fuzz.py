@@ -308,7 +308,7 @@ def test_private_sgd_batch(kind, seeds, fuzz_labels, data):
         return
     assert all(is_count(seed) and seed >= 0 for seed in seeds)
     assert real_entries(features) and real_entries(labels)
-    assert finite(batch.output, batch.fresh_iterates)
+    assert finite(batch.output, batch.fresh_margins)
 
 
 @FUZZ

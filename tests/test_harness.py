@@ -348,7 +348,7 @@ class TestReplayRun:
             for r in range(repeats):
                 data, run_seed = run_repeat_streams(seed, n_idx, e_idx, r)
                 features, labels = draw_dataset(population, n, data)
-                tau, _, _, output = stepwise_run(
+                tau, _, _, _, output = stepwise_run(
                     n, eta, sigma, np.zeros(2), run_seed, features, labels,
                     lambda x: project_ball(radius, x),
                     lambda w, x, y: plain_subgradient("hinge", w, x, y))
@@ -398,7 +398,7 @@ class TestFreshRows:
         config = plan_cells(spec)[0, 0].config
         full = private_sgd_batch(config, [run_seed for _, run_seed in streams],
                                  features, labels)
-        for field in ("tau", "output", "fresh_indices", "fresh_iterates"):
+        for field in ("tau", "output", "fresh_indices", "fresh_margins"):
             got, want = getattr(batch, field), getattr(full, field)
             assert got.dtype == want.dtype and got.shape == want.shape, field
             assert got.tobytes() == want.tobytes(), field
@@ -451,12 +451,13 @@ class TestFreshRows:
 
     def test_cell_peak_holds_no_full_dataset(self, tmp_path):
         # One `run` cell: hinge, d = 2, the 0.5-ball, R = 20. Per R*n it holds
-        # its fresh rows (12 B), the fresh iterates (8 B), the fresh indices
+        # its fresh rows (12 B), the fresh margins (4 B), the fresh indices
         # (4 B) and the fresh mask (about 0.7 B), and estimate_regret adds one
         # block of rows' two score arrays (2.4 B here): a traced peak of
-        # 27.2 B. Scoring all rows at once added two (R, m) arrays (8 B), a
-        # peak of 32.8 B; holding the full datasets adds 24 B. A small run
-        # first loads what a first run caches.
+        # 23.2 B. Holding the fresh iterates (8 B) instead of the margins
+        # made it 27.2 B, and scoring all rows at once added two (R, m)
+        # arrays (8 B) more; holding the full datasets adds 24 B. A small
+        # run first loads what a first run caches.
         n, rows = 20_000, 20
 
         def cell(size):
@@ -1075,6 +1076,18 @@ class TestCli:
                        "--output-dir", str(tmp_path)])
         assert rc == 2
         assert "'16,abc'" in capsys.readouterr().err
+
+    def test_tau_sim_trials_past_indexed_streams_exit_2(self, tmp_path, capsys):
+        # A trial's index enters its seed entropy as one uint32 word, so
+        # more than 2**32 trials are refused by tau-sim's own range before
+        # its directory is made; simulate_tau's check once refused them
+        # after it, in simulate_tau's words.
+        rc = cli.main(["tau-sim", "--n", "16", "--trials", "5000000000", "--seed", "1",
+                       "--output-dir", str(tmp_path), "--name", "tau"])
+        assert rc == 2
+        assert "tau-sim: trials must be an int in [1000, 4294967296], got 5000000000" \
+            in capsys.readouterr().err
+        assert not (tmp_path / "tau").exists()
 
     def test_entropy_seed_recorded(self, tmp_path, capsys):
         rc = cli.main(["tau-sim", "--n", "16", "--trials", "1000",

@@ -44,7 +44,7 @@ class TestPrivateSgd:
         # fresh hinge steps on a clamped interval:
         #   w1 = 0            g = -1*0.8 -> w2 = clamp(0 + 0.25*0.8)  = 0.2
         #   w2 = 0.2          g = +0.5   -> w3 = clamp(0.2 - 0.125)   = 0.075
-        # output = (0 + 0.2)/2 = 0.1
+        # margins <w1, 0.8> = 0 and <w2, 0.5> = 0.1; output = (0 + 0.2)/2 = 0.1
         fs = FeasibleSet.box([-1.0], [1.0])
         data = (np.array([[0.8], [0.5]]), np.array([1.0, -1.0]))
         config = RunConfig(n=2, eta=0.25, sigma=0.0, feasible_set=fs,
@@ -52,8 +52,7 @@ class TestPrivateSgd:
         run = private_sgd(config, 1, data)
         assert run.tau.tolist() == [2]
         assert run.fresh_indices[0].tolist() == [0, 1]
-        np.testing.assert_allclose(run.fresh_iterates[0, 0], [0.0], atol=1e-15)
-        np.testing.assert_allclose(run.fresh_iterates[0, 1], [0.2], atol=1e-12)
+        np.testing.assert_allclose(run.fresh_margins[0], [0.0, 0.1], atol=1e-12)
         np.testing.assert_allclose(run.output[0], [0.1], atol=1e-12)
 
     def test_vanishing_step_size_keeps_w1(self):
@@ -65,7 +64,7 @@ class TestPrivateSgd:
         _, data, config = hinge_setup(32, 3, sigma=0.8, eta=0.05, seed=7)
         a = private_sgd(config, 7, data)
         b = private_sgd(config, 7, data)
-        for field in ("tau", "output", "fresh_indices", "fresh_iterates"):
+        for field in ("tau", "output", "fresh_indices", "fresh_margins"):
             assert getattr(a, field).tobytes() == getattr(b, field).tobytes(), field
 
     def test_trace_invariants(self):
@@ -74,11 +73,10 @@ class TestPrivateSgd:
         run = private_sgd(config, 11, data)
         assert run.fresh_indices.shape == (1, n // 2 + 1)
         assert len(set(run.fresh_indices[0].tolist())) == n // 2 + 1
-        assert run.fresh_iterates.shape == (1, n // 2 + 1, 2)
-        for w in run.fresh_iterates[0]:
-            assert config.feasible_set.contains(w)
-        np.testing.assert_allclose(run.output[0], run.fresh_iterates[0].mean(axis=0),
-                                   atol=1e-12)
+        assert run.fresh_margins.shape == (1, n // 2 + 1)
+        # Every iterate lies in the 0.5-ball, so |<w_t, x_t>| <= 0.5 * ||x_t||.
+        norms = np.linalg.norm(data[0][run.fresh_indices[0]], axis=1)
+        assert (np.abs(run.fresh_margins[0]) <= 0.5 * norms * (1 + 1e-12)).all()
         assert config.feasible_set.contains(run.output[0])
 
     def test_noiseless_matches_plain_projected_sgd(self):
@@ -100,16 +98,16 @@ class TestPrivateSgd:
     @staticmethod
     def check_against_reference(config, seed, features, labels):
         r = config.feasible_set.radius
-        tau, indices, iterates, output = stepwise_run(
+        tau, indices, _, margins, output = stepwise_run(
             config.n, config.eta, config.sigma, config.w1, seed, features, labels,
             lambda x: project_ball(r, x),
             lambda w, x, y: plain_subgradient("hinge", w, x, y))
         run = private_sgd(config, seed, (features, labels))
         # At d = 3 einsum may sum a dot product in another order than
-        # oracles.dot, so iterates agree to 1e-12, not bit for bit.
+        # oracles.dot, so margins agree to 1e-12, not bit for bit.
         assert run.tau.tolist() == [tau]
         np.testing.assert_array_equal(run.fresh_indices[0], indices)
-        assert np.max(np.abs(run.fresh_iterates[0] - iterates)) <= 1e-12
+        assert np.max(np.abs(run.fresh_margins[0] - margins)) <= 1e-12
         assert np.max(np.abs(run.output[0] - output)) <= 1e-12
         return run
 
@@ -161,8 +159,9 @@ class TestInputChecks:
         features, labels = constant_dataset(16, 2, value=0.1)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            run = private_sgd(self.config(eta=2.0**200), 0, (features, labels))
-        norms = np.linalg.norm(run.fresh_iterates[0, 1:], axis=1)
+            _, iterates = engine_matches_stepwise(self.config(eta=2.0**200), [0],
+                                                  features[None], labels[None])
+        norms = np.linalg.norm(iterates[0, 1:], axis=1)
         assert np.allclose(norms, 0.5, rtol=1e-12)
 
     def test_bool_data_entry_refused(self):
@@ -290,7 +289,8 @@ class TestInputChecks:
         features, labels = constant_dataset(16, 2, value=0.1)
         a = private_sgd(self.config(), np.uint64(9), (features, labels))
         b = private_sgd(self.config(), 9, (features, labels))
-        assert a.fresh_iterates.tobytes() == b.fresh_iterates.tobytes()
+        assert a.fresh_margins.tobytes() == b.fresh_margins.tobytes()
+        assert a.output.tobytes() == b.output.tobytes()
 
 
 def stacked_datasets(population, n, rows, first_seed):
@@ -310,7 +310,7 @@ class TestBatchEquivalence:
             single = private_sgd(config, seed, (features[r], labels[r]))
             assert single.tau[0] == batch.tau[r]
             np.testing.assert_array_equal(batch.fresh_indices[r], single.fresh_indices[0])
-            np.testing.assert_allclose(batch.fresh_iterates[r], single.fresh_iterates[0],
+            np.testing.assert_allclose(batch.fresh_margins[r], single.fresh_margins[0],
                                        rtol=0, atol=1e-12)
             single_regret = estimate_regret(
                 single, fresh_rows(single, features[r:r + 1], labels[r:r + 1]),
@@ -386,18 +386,21 @@ class TestBatchGolden:
     """Seeded batches pinned bit for bit, fixed while the engine still kept
     its rows sorted by falling tau and froze each row at its own tau."""
 
-    # sha256 of the tau, output and fresh_iterates bytes, in order.
-    # squared-box-d10 re-pinned when draw_arrays took U**(1/d) by
-    # float_power, which rounds alike with and without numpy's AVX-512
-    # loops: the new digest is the old code's without them. Each row of
-    # hinge-box-d1-n16 equals oracles.stepwise_run's bit for bit.
+    # sha256 of the tau, output and fresh_margins bytes, in order. Each was
+    # re-pinned when the margins replaced the fresh iterates in the digest:
+    # tau and output hash as before, and the margins equal the einsum of the
+    # old fresh iterates against the rows they read. squared-box-d10 was
+    # re-pinned before, when draw_arrays took U**(1/d) by float_power, which
+    # rounds alike with and without numpy's AVX-512 loops: the new digest
+    # was the old code's without them. Each row of hinge-box-d1-n16 equals
+    # oracles.stepwise_run's bit for bit.
     GOLDEN = {
         "hinge-ball-d2":
-            "568443a8d12baa2976fa7af8d267936282895112a57c6a8f315a1d3a7e260be2",
+            "381a10f54cf997d88d28e1fda3a37cccd7c267d895b7b94957eb91d2a940ae81",
         "squared-box-d10":
-            "91ca50a6453e3a9f3839a2e194871e544dd57ec44c03d463371b844f9627fe4b",
+            "48c34988d25fb1508b977c36a7ca6b6f9c93f5c7880c556a2df91a3109ebb0cb",
         "hinge-box-d1-n16":
-            "de9c6ea5f6bc7da375e936af8b0f099188fdf2e479d0ebfca9bd6418ef2bf79f",
+            "fc6a394514c85b3194f652b96ea48e5ae575ecc824af782b8d173592809a20f9",
     }
     # The n = 200 cases run past the first NOISE_CHUNK_STEPS = 128 steps.
     TAU = {
@@ -411,7 +414,7 @@ class TestBatchGolden:
         batch = private_sgd_batch(*golden_batch_case(name))
         assert batch.tau.tolist() == self.TAU[name]
         digest = hashlib.sha256()
-        for array in (batch.tau, batch.output, batch.fresh_iterates):
+        for array in (batch.tau, batch.output, batch.fresh_margins):
             digest.update(np.ascontiguousarray(array).tobytes())
         assert digest.hexdigest() == self.GOLDEN[name]
 
@@ -428,7 +431,7 @@ class TestBatchGolden:
         batch = private_sgd_batch(config, seeds, features, labels)
         permuted = private_sgd_batch(config, np.asarray(seeds)[perm].tolist(),
                                      features[perm], labels[perm])
-        for field in ("tau", "output", "fresh_indices", "fresh_iterates"):
+        for field in ("tau", "output", "fresh_indices", "fresh_margins"):
             want = getattr(batch, field)[perm]
             assert getattr(permuted, field).tobytes() == want.tobytes(), field
 
@@ -449,6 +452,30 @@ class TestNoisyBytes:
         # rows * d = 1, where numpy's add.reduce over steps sums pairwise.
         self.check("squared", "box", 1, [31])
 
+    @pytest.mark.parametrize("set_kind", ["ball", "box"])
+    @pytest.mark.parametrize("kind", ["hinge", "absolute", "squared"])
+    def test_unit_features_make_each_margin_its_iterate(self, kind, set_kind,
+                                                       monkeypatch):
+        # At d = 1 with every feature e_1, each margin <w_t, e_1> is the
+        # iterate held at fresh step t, bit for bit: the margins keep what a
+        # white-box audit of one record's steps reads. Labels of size 1 make
+        # every hinge and absolute chunk certified (fixed_slopes); squared
+        # chunks never are.
+        n, seeds = 300, [31, 32]
+        labels = np.random.default_rng(41).choice([-1.0, 1.0], size=(len(seeds), n))
+        fs = (FeasibleSet.l2_ball(0.5, dimension=1) if set_kind == "ball"
+              else FeasibleSet.box([-0.5], [0.5]))
+        oracle = (LossOracle.squared(1.0, fs) if kind == "squared"
+                  else getattr(LossOracle, kind)(1.0))
+        config = RunConfig(n=n, eta=0.1, sigma=0.7, feasible_set=fs, oracle=oracle,
+                           w1=np.zeros(1))
+        fixed = record_fixed_slopes(monkeypatch)
+        batch, iterates = engine_matches_stepwise(config, seeds, np.ones((len(seeds), n, 1)),
+                                                  labels)
+        assert batch.tau.min() > NOISE_CHUNK_STEPS
+        assert len(fixed) >= 2 and set(fixed) == {kind != "squared"}
+        assert batch.fresh_margins.tobytes() == iterates[..., 0].tobytes()
+
     def check(self, kind, set_kind, d, seeds):
         n = 300
         if kind == "hinge":
@@ -467,9 +494,9 @@ class TestNoisyBytes:
                   else getattr(LossOracle, kind)(1.0))
         config = RunConfig(n=n, eta=0.1, sigma=0.7, feasible_set=fs, oracle=oracle,
                            w1=np.zeros(d))
-        batch = engine_matches_stepwise(config, seeds, features, labels)
+        batch, iterates = engine_matches_stepwise(config, seeds, features, labels)
         assert batch.tau.min() > NOISE_CHUNK_STEPS
-        assert sum(on_boundary(w) for row in batch.fresh_iterates for w in row) > 0
+        assert sum(on_boundary(w) for row in iterates for w in row) > 0
 
 
 class TestLiveNoiseGenerators:
@@ -524,7 +551,7 @@ class TestLiveNoiseGenerators:
         data_rows = steps.fresh_indices % n
         first, second = (optimizer_mod.run_steps(config, steps, features, labels, data_rows)
                          for _ in range(2))
-        assert first.fresh_iterates.tobytes() == second.fresh_iterates.tobytes()
+        assert first.fresh_margins.tobytes() == second.fresh_margins.tobytes()
         assert first.output.tobytes() == second.output.tobytes()
 
 
@@ -570,26 +597,27 @@ class TestCornerBytes:
         return config, features, labels
 
     def check(self, kind, set_kind, seeds, n=N, sigma=0.0):
+        """The batch and the reference's fresh-step iterates."""
         config, features, labels = self.case(kind, set_kind, len(seeds), n, sigma)
         return engine_matches_stepwise(config, seeds, features, labels)
 
     @pytest.mark.parametrize("set_kind", ["ball", "box"])
     @pytest.mark.parametrize("kind", ["hinge", "absolute", "squared"])
     def test_noiseless_from_negative_zero(self, kind, set_kind):
-        batch = self.check(kind, set_kind, [11, 12, 13, 14, 15])
+        _, iterates = self.check(kind, set_kind, [11, 12, 13, 14, 15])
         # The second coordinate stays a signed zero, and both signs occur.
-        second = batch.fresh_iterates[..., 1]
+        second = iterates[..., 1]
         assert not second.any() and np.signbit(second).any() and not np.signbit(second).all()
 
     @pytest.mark.parametrize("set_kind", ["ball", "box"])
     @pytest.mark.parametrize("kind", ["hinge", "absolute", "squared"])
     def test_noiseless_sum_across_blocks(self, kind, set_kind):
-        # m = 151 fresh iterates: the output's sum crosses a block of
-        # NOISE_CHUNK_STEPS fresh steps, and the next block starts from the
+        # m = 151 fresh steps: the output's running sum crosses a noise
+        # chunk of NOISE_CHUNK_STEPS steps, and the next chunk adds to the
         # sum so far. A running add from +0.0 of signed zeros is +0.0.
-        batch = self.check(kind, set_kind, [11, 12, 13, 14, 15], n=300)
-        assert batch.fresh_iterates.shape[1] == 151 > NOISE_CHUNK_STEPS
-        second = batch.fresh_iterates[..., 1]
+        batch, iterates = self.check(kind, set_kind, [11, 12, 13, 14, 15], n=300)
+        assert batch.fresh_margins.shape[1] == 151 > NOISE_CHUNK_STEPS
+        second = iterates[..., 1]
         assert not second.any() and np.signbit(second).any() and not np.signbit(second).all()
         assert batch.output[:, 1].tobytes() == np.zeros(5).tobytes()
 
@@ -606,8 +634,8 @@ class TestCornerBytes:
         # whose first, 8-draw block the long rows outrun.
         if block == "redrawn":
             monkeypatch.setattr(sampler, "first_block", lambda n: 1)
-        batch = self.check(kind, set_kind, seeds_running_past(2, 8, 2) + [0, 1], n=2,
-                           sigma=sigma)
+        batch, _ = self.check(kind, set_kind, seeds_running_past(2, 8, 2) + [0, 1], n=2,
+                              sigma=sigma)
         assert batch.tau[:2].min() > 8 and batch.tau[2:].max() <= 3
         assert np.isfinite(batch.output).all()
 
@@ -634,7 +662,7 @@ class TestFixedSlopeBytes:
     norm at most 0.5*sqrt(2))."""
 
     def check(self, config, seeds, features, labels):
-        batch = engine_matches_stepwise(config, seeds, features, labels)
+        batch, _ = engine_matches_stepwise(config, seeds, features, labels)
         assert batch.tau.min() > NOISE_CHUNK_STEPS
 
     @pytest.mark.parametrize("sigma", [0.0, 0.7])
@@ -708,7 +736,8 @@ class TestSingleUse:
     seed: the index stream, so tau and the fresh steps, does not depend on
     the data, and the run reads j only at a fresh step that draws it. If
     none does, the two runs are byte-identical; if fresh step k does, so are
-    tau, the fresh indices and the iterates held at fresh steps 0 to k. A
+    tau, the fresh indices and the margins of fresh steps 0 to k: the
+    iterates held there against features the flip leaves alone. A
     flip read at the last fresh step never moves the output, since no fresh
     step holds that step's update; one read earlier mostly does. Every
     record j of each case is flipped in turn. Where the output is affine in
@@ -731,15 +760,15 @@ class TestSingleUse:
             radius = float(case.split("-")[-1])
             _, (features, labels), config = hinge_setup(n, d, sigma, eta, seed, radius=radius)
         fixed = record_fixed_slopes(monkeypatch)
-        run = private_sgd(config, seed, (features, labels))
+        run, (iterates,) = engine_matches_stepwise(config, [seed], features[None],
+                                                   labels[None])
         assert fixed == [case == "hinge-ball-0.5"]
         fresh, unchanged = run.fresh_indices[0].tolist(), []
-        iterates = run.fresh_iterates[0]
         if case == "squared-box":
             assert (np.abs(iterates) == 0.5).any()
         else:
             assert (np.abs(np.linalg.norm(iterates, axis=1) - radius) < 1e-12).any()
-            margins = np.einsum("kd,kd->k", iterates, features[fresh]) * labels[fresh]
+            margins = run.fresh_margins[0] * labels[fresh]
             assert (margins.max() > 1) == (radius == 2)
         for j in range(n):
             flipped = labels.copy()
@@ -749,13 +778,13 @@ class TestSingleUse:
             assert other.fresh_indices.tobytes() == run.fresh_indices.tobytes()
             if j in fresh:
                 held = fresh.index(j) + 1
-                assert (other.fresh_iterates[:, :held].tobytes()
-                        == run.fresh_iterates[:, :held].tobytes()), j
+                assert (other.fresh_margins[:, :held].tobytes()
+                        == run.fresh_margins[:, :held].tobytes()), j
                 if other.output.tobytes() == run.output.tobytes():
                     unchanged.append(held - 1)
             else:
                 assert other.output.tobytes() == run.output.tobytes(), j
-                assert other.fresh_iterates.tobytes() == run.fresh_iterates.tobytes(), j
+                assert other.fresh_margins.tobytes() == run.fresh_margins.tobytes(), j
         # An earlier flip leaves no trace only where projections erase the
         # difference it made before the next fresh step (on the box, a clip
         # of each coordinate it moved).
@@ -826,14 +855,11 @@ class TestSingleUse:
 
 
 class TestBatchMemory:
-    def test_peak_stays_linear_in_what_tau_reaches(self):
-        # Per R*n, the run's own arrays peak at about 18.3 bytes, in
-        # draw_fresh_steps' read of the stopping times in row chunks; with
-        # the data gathered per noise chunk, run_steps and its (R, m) row
-        # map into the full datasets stay below that. A flat per-row data
-        # index took it to 18.5, reading all first blocks at once to 28,
-        # drawing a 4n block per row to 112.
-        n, rows, d = 20_000, 4, 2
+    @staticmethod
+    def traced_peak(d):
+        """tracemalloc's peak, per R*n, of private_sgd_batch on R = 4 hinge
+        datasets of n = 20 000 records drawn beforehand."""
+        n, rows = 20_000, 4
         population = PopulationSpec("linear_margin", d, 1.0, w_true=np.eye(d)[0],
                                     noise_rate=0.1)
         features, labels = stacked_datasets(population, n, rows, first_seed=80)
@@ -843,18 +869,35 @@ class TestBatchMemory:
         tracemalloc.start()
         try:
             private_sgd_batch(config, [81, 82, 83, 84], features, labels)
-            peak = tracemalloc.get_traced_memory()[1]
+            return tracemalloc.get_traced_memory()[1] / (rows * n)
         finally:
             tracemalloc.stop()
-        assert peak < 22 * rows * n
+
+    def test_peak_stays_linear_in_what_tau_reaches(self):
+        # Per R*n, the run's own arrays peak at about 16.8 bytes, in
+        # draw_fresh_steps' read of the stopping times in row chunks; with
+        # the data gathered per noise chunk, run_steps and its (R, m) row
+        # map, margins and fresh indices stay below that, at about 12.7.
+        # Holding the (R, m, d) fresh iterates took it to 17.6, a flat
+        # per-row data index to 18.5, reading all first blocks at once to
+        # 28, drawing a 4n block per row to 112.
+        assert self.traced_peak(2) < 22
+
+    def test_peak_does_not_grow_with_dimension(self):
+        # run_steps holds one margin per fresh step, not the iterate: at
+        # d = 10 the peak is draw_fresh_steps' 16.8 bytes per R*n, as at
+        # d = 2. The (R, m, d) fresh iterates, 4d bytes per R*n, took it to
+        # 50.8.
+        assert self.traced_peak(10) < 22
 
     @pytest.mark.parametrize("kind", ["hinge", "absolute", "squared"])
     def test_regret_holds_two_score_arrays(self, kind):
         # estimate_regret checks and scores a block of REGRET_BLOCK // m rows
-        # at a time: its peak is two (block, m) float64 arrays, the margins
-        # scored in place and u's losses, 16 bytes a value. Checking and
-        # scoring all R rows at once held two (R, m) arrays and an (R, m, d)
-        # check, here 4.7 times the bound; one array per ufunc held four.
+        # at a time: its peak is two (block, m) float64 arrays, the run's
+        # losses at its margins and u's losses, 16 bytes a value. Checking
+        # and scoring all R rows at once held two (R, m) arrays and an
+        # (R, m, d) check, here 4.7 times the bound; one array per ufunc held
+        # four.
         rows, target, d = 32, 10_001, 2
         block = REGRET_BLOCK // target
         assert 1 < block < rows
@@ -866,7 +909,7 @@ class TestBatchMemory:
                            oracle=oracle, w1=np.zeros(d))
         batch = RunBatch(tau=np.full(rows, 2 * target), output=np.zeros((rows, d)),
                          fresh_indices=np.zeros((rows, target), dtype=np.int64),
-                         fresh_iterates=rng.uniform(-0.3, 0.3, (rows, target, d)))
+                         fresh_margins=rng.uniform(-0.3, 0.3, (rows, target)))
         read = (rng.uniform(-0.7, 0.7, (rows, target, d)),
                 rng.choice([-1.0, 1.0], size=(rows, target)))
         tracemalloc.start()
@@ -917,7 +960,7 @@ class TestGatheredRows:
         direct = optimizer_mod.run_steps(config, steps, *flat)
         assert steps.tau.min() > NOISE_CHUNK_STEPS
         assert len(fixed) >= 4 and set(fixed) == {kind == "hinge"}
-        for field in ("tau", "output", "fresh_indices", "fresh_iterates"):
+        for field in ("tau", "output", "fresh_indices", "fresh_margins"):
             assert getattr(direct, field).tobytes() == getattr(mapped, field).tobytes(), field
 
     @pytest.mark.parametrize("kind", ["hinge", "squared"])
@@ -1003,9 +1046,12 @@ class TestRegret:
     def test_matches_direct_sum(self):
         _, (features, labels), config = hinge_setup(30, 2, sigma=0.6, eta=0.05, seed=29)
         run = private_sgd(config, 29, (features, labels))
+        _, _, iterates, _, _ = stepwise_run(
+            30, 0.05, 0.6, np.zeros(2), 29, features, labels, lambda x: project_ball(0.5, x),
+            lambda w, x, y: plain_subgradient("hinge", w, x, y))
         u = np.array([0.2, -0.1])
         total = 0.0
-        for i, wt in zip(run.fresh_indices[0], run.fresh_iterates[0]):
+        for i, wt in zip(run.fresh_indices[0], iterates):
             x, y = features[i], labels[i]
             total += max(0.0, 1.0 - y * float(wt @ x))
             total -= max(0.0, 1.0 - y * float(u @ x))

@@ -1,16 +1,22 @@
 """The README's library quick start runs as written; its config keys are run's,
-and its config echo rule is what `run` echoes."""
+its config echo rule is what `run` echoes, and its run results table is
+RunBatch's fields."""
 
+import dataclasses
 import os
 import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from dpmirror import cli
 from dpmirror.errors import ConfigurationError
+from dpmirror.geometry import FeasibleSet
 from dpmirror.harness import RUN_KEYS, build_spec, spec_echo
+from dpmirror.losses import LossOracle
+from dpmirror.optimizer import RunBatch, RunConfig, private_sgd_batch
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -32,6 +38,24 @@ def test_quick_start_runs_and_prints_the_pinned_run():
     words = proc.stdout.split()
     assert words[0] == "279"
     assert words[-2:] == ["0.5716922188849839", "2.00002777588773e-06"]
+
+
+def test_run_results_table_is_runbatch():
+    # The "Run results" table names RunBatch's fields, in order, and each
+    # shape, read with R runs, m = n//2 + 1 fresh steps and dimension d,
+    # is that field's shape in a batch where R, m and d all differ.
+    section = readme().split("### Run results", 1)[1].split("\n### ", 1)[0]
+    rows = re.findall(r"^\| `(\w+)` \| `\(([^`]*)\)` \|", section, re.M)
+    assert [name for name, _ in rows] == [field.name for field in dataclasses.fields(RunBatch)]
+    runs, n, d = 3, 16, 2
+    config = RunConfig(n=n, eta=0.1, sigma=0.5, feasible_set=FeasibleSet.l2_ball(0.5, d),
+                       oracle=LossOracle.hinge(1.0), w1=np.zeros(d))
+    batch = private_sgd_batch(config, list(range(runs)), np.full((runs, n, d), 0.1),
+                              np.ones((runs, n)))
+    size = {"R": runs, "m": n // 2 + 1, "d": d}
+    for name, shape in rows:
+        want = tuple(size[axis.strip()] for axis in shape.split(",") if axis.strip())
+        assert getattr(batch, name).shape == want, name
 
 
 def test_config_section_names_every_run_key():
